@@ -7,6 +7,7 @@ tables are immutable and freely shareable.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -14,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import CapacityError, DomainError
 
 _MAGIC = b"dktable\x00"
+# largest divisor table divisor_sieve builds by default, in entries
+_DIVISOR_BUDGET = 20_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivisorTable:
     k: int
     limit: int
@@ -39,7 +41,7 @@ def divisor_sieve(k: int, limit: int, budget: int | None = None) -> DivisorTable
     """Sieve exact d_k(n) for all n <= limit."""
     if k < 1 or limit < 1:
         raise DomainError("divisor_sieve requires k >= 1 and limit >= 1")
-    budget = DEFAULTS.divisor_budget if budget is None else budget
+    budget = _DIVISOR_BUDGET if budget is None else budget
     if limit > budget:
         raise CapacityError(
             f"divisor table of size {limit} exceeds budget {budget}")
@@ -53,9 +55,7 @@ def divisor_sieve(k: int, limit: int, budget: int | None = None) -> DivisorTable
     return DivisorTable(k=k, limit=limit, counts=counts)
 
 
-_brute_memo: dict[tuple[int, int], int] = {}
-
-
+@functools.cache
 def divisor_brute(k: int, n: int) -> int:
     """Count ordered k-tuples with product n by explicit divisor recursion
     (the sieve's oracle; shares no code with it).  Results are memoized so
@@ -66,10 +66,6 @@ def divisor_brute(k: int, n: int) -> int:
         raise CapacityError("divisor_brute guarded to k <= 4, n <= 1e5")
     if k == 1:
         return 1
-    key = (k, n)
-    hit = _brute_memo.get(key)
-    if hit is not None:
-        return hit
     total = 0
     root = int(math.isqrt(n))
     for d in range(1, root + 1):
@@ -77,7 +73,6 @@ def divisor_brute(k: int, n: int) -> int:
             total += divisor_brute(k - 1, n // d)
             if d != n // d:
                 total += divisor_brute(k - 1, d)
-    _brute_memo[key] = total
     return total
 
 

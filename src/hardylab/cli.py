@@ -9,6 +9,7 @@ values); identical config and seed give bit-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,9 @@ def _emit_table(header, rows, out, fm: str) -> None:
 
 
 def cmd_z(args, cfg: RunConfig) -> int:
+    if not all(math.isfinite(v) for v in (args.frm, args.to, args.step)):
+        print("z: --from, --to and --step must be finite", file=sys.stderr)
+        return EXIT_USAGE
     if args.step <= 0 or args.to <= args.frm:
         print("z: requires --from < --to and --step > 0", file=sys.stderr)
         return EXIT_USAGE
@@ -203,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for Hardy's Z function, its "
                     "moments, and modified Mellin transforms")
     ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--threads", type=int, help="worker count (results are "
-                    "deterministic regardless)")
     ap.add_argument("--seed", type=int, help="seed for sampled property suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -265,11 +267,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    overrides = {}
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {} if args.seed is None else {"seed": args.seed}
     try:
         cfg = load_config(args.config, overrides)
     except (KeyError, ValueError, OSError) as exc:

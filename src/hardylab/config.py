@@ -18,23 +18,13 @@ ENV_CACHE_DIR = "HARDYLAB_CACHE_DIR"
 @dataclass
 class RunConfig:
     # Default absolute tolerances handed to the quadrature engine per caller.
-    tol_quad: float = 1e-9
     tol_moment: float = 1e-7
     tol_mellin: float = 1e-6
     # Hard cap on integrand evaluations per integral.
     eval_budget: int = 100_000_000
-    # Worker count for batch sweeps.  Numerical results are deterministic by
-    # construction (fixed panel ordering, compensated reductions), so this
-    # only influences scheduling, never values.
-    threads: int = 1
     cache_dir: str = ""
     output_format: str = "csv"  # csv | json
     seed: int = 20260808
-    # Memory budget for divisor tables, in entries.
-    divisor_budget: int = 20_000_000
-    # Truncation heights for Mellin machinery.
-    mellin_x_cap: float = 50_000.0
-    inversion_x: float = 4_000.0
 
     def resolved_cache_dir(self) -> Path:
         if self.cache_dir:

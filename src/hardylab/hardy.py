@@ -120,6 +120,8 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         t = t[None]
+    if not np.all(np.isfinite(t)):
+        raise DomainError("z_rs requires finite t")
     if np.any(t < 10.0):
         raise DomainError("z_rs requires t >= 10; use z_oracle below")
     if not 0 <= corrections <= 4:
@@ -190,6 +192,8 @@ def z_oracle_many(t: np.ndarray) -> np.ndarray:
     the Euler-Maclaurin truncation (sized for the chunk maximum) stays
     economical when magnitudes are mixed."""
     t = np.asarray(t, dtype=float).ravel()
+    if not np.all(np.isfinite(t)):
+        raise DomainError("z_oracle requires finite t")
     if np.any(t < 0.0):
         raise DomainError("z_oracle requires t >= 0")
     out = np.empty_like(t)

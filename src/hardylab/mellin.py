@@ -19,20 +19,20 @@ to any desk-scale truncation.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .arith import DivisorTable
-from .config import DEFAULTS
 from .errors import (AccuracyError, CapacityError, ConvergenceError,
                      DomainError, FitError)
 from .explicit import CubicPrimitiveSum
 from .hardy import z_breakpoints, z_eval_many
 from .moments import moment_cache, z_power_freq
-from .quad import (_GL16_W, _GL16_X, _GL8_W, _GL8_X, integrate_oscillatory,
-                   integrate_vertical_line)
+from .quad import (PanelSet, integrate_oscillatory, integrate_vertical_line,
+                   panel_edges)
 from .special import TWO_PI, gamma_complex
 
 # decay exponent of |I_k(x)| (growth certificates; k = 2, 4 via (2.8)-type
@@ -45,6 +45,8 @@ _MARGIN = 0.01
 _X_LADDER = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0, 32000.0)
 
 _CAL_HI = 1.0e4  # calibration window top for primitive constants
+_X_CAP = 50_000.0  # largest truncation height mellin_by_parts picks
+_INVERSION_X = 4_000.0  # truncation height of transforms on inversion contours
 
 
 @dataclass(frozen=True)
@@ -59,45 +61,38 @@ class MellinSample:
 
 # -- calibrated constants ------------------------------------------------------
 
-_prim_const: dict[int, float] = {}
-_fit_cache: dict[int, tuple[np.ndarray, float]] = {}
-
-
+@functools.cache
 def primitive_constant(k: int) -> float:
     """C_k with |I_k(x)| <= C_k x^{e_k} on the desk range: calibrated as
     1.5 * sup over cache anchors up to 1e4."""
-    if k not in _prim_const:
-        cache = moment_cache(k)
-        _prim_const[k] = 1.5 * cache.sup_scaled(_PRIM_EXP[k], 1.0, _CAL_HI)
-    return _prim_const[k]
+    return 1.5 * moment_cache(k).sup_scaled(_PRIM_EXP[k], 1.0, _CAL_HI)
 
 
+@functools.cache
 def _main_fit(k: int):
     """Fit I_k(x) ~ x * sum_m b_m (log x)^m on [500, 1e4] anchors (even k).
 
     Returns (b, C_res): plain-log coefficients and the calibrated residual
     constant with |I_k - fit| <= C_res x^{e_res} on the window.
     """
-    if k not in _fit_cache:
-        deg = _FIT_DEG[k]
-        cache = moment_cache(k)
-        cache.ensure(_CAL_HI)
-        m = (cache.edges >= 500.0) & (cache.edges <= _CAL_HI)
-        x = cache.edges[m][::4]
-        y = cache.values[m][::4]
-        lx = np.log(x)
-        c0 = lx.mean()
-        A = np.stack([x * (lx - c0) ** mm for mm in range(deg + 1)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        # convert centered coefficients to plain log powers
-        b = np.zeros(deg + 1)
-        for mm, cc in enumerate(coef):
-            for j in range(mm + 1):
-                b[j] += cc * math.comb(mm, j) * (-c0) ** (mm - j)
-        resid = y - A @ coef
-        c_res = 1.5 * float(np.max(np.abs(resid) * x ** (-_RESID_EXP[k])))
-        _fit_cache[k] = (b, c_res)
-    return _fit_cache[k]
+    deg = _FIT_DEG[k]
+    cache = moment_cache(k)
+    cache.ensure(_CAL_HI)
+    m = (cache.edges >= 500.0) & (cache.edges <= _CAL_HI)
+    x = cache.edges[m][::4]
+    y = cache.values[m][::4]
+    lx = np.log(x)
+    c0 = lx.mean()
+    A = np.stack([x * (lx - c0) ** mm for mm in range(deg + 1)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    # convert centered coefficients to plain log powers
+    b = np.zeros(deg + 1)
+    for mm, cc in enumerate(coef):
+        for j in range(mm + 1):
+            b[j] += cc * math.comb(mm, j) * (-c0) ** (mm - j)
+    resid = y - A @ coef
+    c_res = 1.5 * float(np.max(np.abs(resid) * x ** (-_RESID_EXP[k])))
+    return b, c_res
 
 
 def _log_power_tail(m: int, delta: complex, X: float) -> complex:
@@ -141,17 +136,13 @@ class _PrimitiveGrid:
         def freq(x: float) -> float:
             return zfreq(x) + t_band / (TWO_PI * x)
 
-        edges = _grid_edges(1.0, X, freq)
-        lo, hi = edges[:-1], edges[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x16 = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-        x8 = (mid[:, None] + half[:, None] * _GL8_X[None, :]).ravel()
-        w16 = (half[:, None] * np.broadcast_to(_GL16_W, (len(lo), 16))).ravel()
-        w8 = (half[:, None] * np.broadcast_to(_GL8_W, (len(lo), 8))).ravel()
+        panels = PanelSet.from_edges(
+            panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
+        x16, x8 = panels.nodes(16), panels.nodes(8)
         self.ln16 = np.log(x16)
         self.ln8 = np.log(x8)
-        self.a16 = w16 * z_eval_many(x16) ** k
-        self.a8 = w8 * z_eval_many(x8) ** k
+        self.a16 = panels.weights(16) * z_eval_many(x16) ** k
+        self.a8 = panels.weights(8) * z_eval_many(x8) ** k
         self.lnX = math.log(X)
         self.I_X = float(cache.eval_many(np.array([X]))[0])
         self.I_X_err = float(cache.err_at(X))
@@ -174,33 +165,9 @@ def _band_top(band: int) -> float:
     return 4.0 * 2.0 ** band if band > 0 else 0.0
 
 
-def _grid_edges(a: float, b: float, freq, extra_breaks: tuple = ()) -> np.ndarray:
-    breaks = sorted(set(z_breakpoints(a, b)) | {float(x) for x in extra_breaks
-                                                if a < x < b})
-    edges = [a]
-    x = a
-    bi = 0
-    while x < b:
-        f = freq(x)
-        width = min(4.0, 0.25 / f) if f > 0 else 4.0
-        nxt = min(b, x + width)
-        while bi < len(breaks) and breaks[bi] <= x:
-            bi += 1
-        if bi < len(breaks) and x < breaks[bi] < nxt:
-            nxt = breaks[bi]
-        edges.append(nxt)
-        x = nxt
-    return np.array(edges)
-
-
-_grids: dict[tuple[int, float, int], _PrimitiveGrid] = {}
-
-
-def _grid(k: int, X: float, band: int = 0) -> _PrimitiveGrid:
-    key = (k, X, band)
-    if key not in _grids:
-        _grids[key] = _PrimitiveGrid(k, X, band)
-    return _grids[key]
+@functools.cache
+def _grid(k: int, X: float, band: int) -> _PrimitiveGrid:
+    return _PrimitiveGrid(k, X, band)
 
 
 def _pick_x(k: int, sigma: float, s_abs: float, tol: float,
@@ -219,9 +186,6 @@ def _pick_x(k: int, sigma: float, s_abs: float, tol: float,
 
 # -- core transforms ------------------------------------------------------------
 
-_memo_by_parts: dict[tuple[int, complex, float], MellinSample] = {}
-
-
 def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
                     X: float | None = None,
                     x_cap: float | None = None) -> MellinSample:
@@ -236,30 +200,31 @@ def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
     s = complex(s)
     if k not in (1, 2, 3, 4):
         raise DomainError("mellin_by_parts supports k in {1,2,3,4}")
-    sigma = s.real
+    if not cmath.isfinite(s):
+        raise DomainError("mellin_by_parts requires finite s")
     e_k = _PRIM_EXP[k]
-    if sigma <= e_k + _MARGIN:
+    if s.real <= e_k + _MARGIN:
         raise ConvergenceError(
             f"mellin_by_parts(k={k}) requires Re s > {e_k + _MARGIN}")
-    completed = k in (2, 4)
-    x_cap = DEFAULTS.mellin_x_cap if x_cap is None else x_cap
     if X is None:
-        X = _pick_x(k, sigma, abs(s), tol, completed, x_cap)
-    key = (k, s, X)
-    hit = _memo_by_parts.get(key)
-    if hit is not None:
-        return hit
+        X = _pick_x(k, s.real, abs(s), tol, k in (2, 4),
+                    _X_CAP if x_cap is None else x_cap)
+    return _by_parts_at(k, s, X)
+
+
+@functools.cache
+def _by_parts_at(k: int, s: complex, X: float) -> MellinSample:
+    # memoized: contour checks revisit the same nodes at a fixed X
+    sigma = s.real
     value, quad_err = _grid(k, X, _band(abs(s.imag))).transform(s)
-    if completed:
+    if k in (2, 4):
         value += _fitted_tail(k, s, X)
-        c_res = _main_fit(k)[1]
-        tail = abs(s) * c_res * X ** (_RESID_EXP[k] - sigma) / (sigma - _RESID_EXP[k])
+        e, c = _RESID_EXP[k], _main_fit(k)[1]
     else:
-        tail = abs(s) * primitive_constant(k) * X ** (e_k - sigma) / (sigma - e_k)
-    out = MellinSample(s=s, k=k, value=value, X=X,
-                       tail_bound=tail + quad_err, method="by_parts")
-    _memo_by_parts[key] = out
-    return out
+        e, c = _PRIM_EXP[k], primitive_constant(k)
+    tail = abs(s) * c * X ** (e - sigma) / (sigma - e)
+    return MellinSample(s=s, k=k, value=value, X=X,
+                        tail_bound=tail + quad_err, method="by_parts")
 
 
 def mellin_by_parts_many(k: int, s_values: np.ndarray, tol: float = 1e-6,
@@ -280,6 +245,8 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
     s = complex(s)
     if k not in (1, 2, 3, 4):
         raise DomainError("mellin_direct supports k in {1,2,3,4}")
+    if not cmath.isfinite(s):
+        raise DomainError("mellin_direct requires finite s")
     sigma = s.real
     if sigma <= 1.1:
         raise ConvergenceError("mellin_direct requires Re s > 1.1")
@@ -343,51 +310,34 @@ def _v1_partial(s: complex, N: int, table: DivisorTable, taper: bool) -> complex
     return cmath.exp((1.0 - s) * _V1_COEF_LOG) * math.sqrt(2.0 / 3.0) * total
 
 
-_resid_const: dict[int, float] = {}
-_cubic_sums: dict[int, CubicPrimitiveSum] = {}
-
-
+@functools.cache
 def _cubic_sum(table: DivisorTable) -> CubicPrimitiveSum:
-    key = id(table)
-    if key not in _cubic_sums:
-        _cubic_sums[key] = CubicPrimitiveSum(table)
-    return _cubic_sums[key]
+    return CubicPrimitiveSum(table)
 
 
+@functools.cache
 def residual_constant(table: DivisorTable, x_hi: float = 2000.0) -> float:
     """C_r with |I_3(x) - cubic sum(x)| <= C_r x^{4/5} on the desk range,
     calibrated at 1.5 * sup over anchors in [10, x_hi]."""
-    key = 3
-    if key not in _resid_const:
-        cube = _cubic_sum(table)
-        cache = moment_cache(3)
-        cache.ensure(x_hi)
-        m = (cache.edges >= 10.0) & (cache.edges <= x_hi)
-        xs = cache.edges[m]
-        r = cache.values[m] - cube.eval_many(xs)
-        _resid_const[key] = 1.5 * float(np.max(np.abs(r) * xs ** (-0.8)))
-    return _resid_const[key]
+    cache = moment_cache(3)
+    cache.ensure(x_hi)
+    m = (cache.edges >= 10.0) & (cache.edges <= x_hi)
+    xs = cache.edges[m]
+    r = cache.values[m] - _cubic_sum(table).eval_many(xs)
+    return 1.5 * float(np.max(np.abs(r) * xs ** (-0.8)))
 
 
-_v2_grids: dict[tuple[int, float], tuple] = {}
-
-
+@functools.cache
 def _v2_grid(table: DivisorTable, X: float):
-    key = (id(table), X)
-    if key not in _v2_grids:
-        cube = _cubic_sum(table)
-        n_cut = cube.cutoff(X)
-        cache = moment_cache(3)
-        # grid must break where the cutoff sum jumps: x = 2 pi m^{2/3}
-        jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
-        edges = _grid_edges(1.0, X, z_power_freq(3), extra_breaks=jumps)
-        lo, hi = edges[:-1], edges[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x16 = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-        w16 = (half[:, None] * np.broadcast_to(_GL16_W, (len(lo), 16))).ravel()
-        r16 = cache.eval_many(x16) - cube.eval_many(x16)
-        _v2_grids[key] = (np.log(x16), w16 * r16, n_cut)
-    return _v2_grids[key]
+    cube = _cubic_sum(table)
+    n_cut = cube.cutoff(X)
+    # grid must break where the cutoff sum jumps: x = 2 pi m^{2/3}
+    jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
+    panels = PanelSet.from_edges(panel_edges(
+        1.0, X, z_power_freq(3), z_breakpoints(1.0, X) + jumps))
+    x16 = panels.nodes(16)
+    r16 = moment_cache(3).eval_many(x16) - cube.eval_many(x16)
+    return np.log(x16), panels.weights(16) * r16, n_cut
 
 
 def v2_residual(s: complex, X: float, table: DivisorTable) -> complex:
@@ -571,45 +521,35 @@ def _square_rhs(k: int, s: complex, X: float):
     def freq_out(x: float) -> float:
         return zfreq(x) * 1.25 if x <= 40.0 else 0.0
 
-    edges = _grid_edges(1.0, X, freq_out)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    x16 = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-    w16 = (half[:, None] * np.broadcast_to(_GL16_W, (len(lo), 16))).ravel()
-    x8 = (mid[:, None] + half[:, None] * _GL8_X[None, :]).ravel()
-    w8 = (half[:, None] * np.broadcast_to(_GL8_W, (len(lo), 8))).ravel()
+    panels = PanelSet.from_edges(
+        panel_edges(1.0, X, freq_out, z_breakpoints(1.0, X)))
+    x16, x8 = panels.nodes(16), panels.nodes(8)
 
     def inner_batch(xs: np.ndarray) -> np.ndarray:
-        starts = [0]
-        all_u = []
-        all_w = []
+        edges = []
         for x in xs:
             a = math.sqrt(x)
             fmax = 2.0 * zfreq(max(a, 2.0 * math.pi + 1.0)) + 1e-3
             width = min(4.0, 0.25 / fmax)
             n_panels = max(1, int(math.ceil((x - a) / width)))
-            e = np.linspace(a, x, n_panels + 1)
-            m, h = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
-            u = (m[:, None] + h[:, None] * _GL16_X[None, :]).ravel()
-            w = (h[:, None] * np.broadcast_to(_GL16_W, (n_panels, 16))).ravel()
-            all_u.append(u)
-            all_w.append(w)
-            starts.append(starts[-1] + len(u))
-        u = np.concatenate(all_u)
-        w = np.concatenate(all_w)
-        xrep = np.repeat(xs, np.diff(starts))
+            edges.append(np.linspace(a, x, n_panels + 1))
+        inner = PanelSet(np.concatenate([e[:-1] for e in edges]),
+                         np.concatenate([e[1:] for e in edges]))
+        u, w = inner.nodes(16), inner.weights(16)
+        counts = np.array([16 * (len(e) - 1) for e in edges])
+        xrep = np.repeat(xs, counts)
         vals = np.empty_like(u)
         step = 2_000_000
         for j in range(0, len(u), step):
             sl = slice(j, j + step)
             vals[sl] = z_eval_many(u[sl]) ** k \
                 * z_eval_many(xrep[sl] / u[sl]) ** k / u[sl]
-        return np.add.reduceat(w * vals, np.array(starts[:-1]))
+        return np.add.reduceat(w * vals, np.cumsum(counts) - counts)
 
     in16 = inner_batch(x16)
     in8 = inner_batch(x8)
-    v16 = complex(np.sum(w16 * in16 * np.exp(-s * np.log(x16))))
-    v8 = complex(np.sum(w8 * in8 * np.exp(-s * np.log(x8))))
+    v16 = complex(np.sum(panels.weights(16) * in16 * np.exp(-s * np.log(x16))))
+    v8 = complex(np.sum(panels.weights(8) * in8 * np.exp(-s * np.log(x8))))
     return 2.0 * v16, 2.0 * abs(v16 - v8)
 
 
@@ -645,47 +585,35 @@ def truncated_inversion(k: int, x: float, c: float, U: float,
         raise ConvergenceError("truncated_inversion requires c > 1")
     if U < 4.0 * x:
         raise DomainError("truncated_inversion requires U >= 4x")
-    x_trunc = DEFAULTS.inversion_x if x_trunc is None else x_trunc
+    x_trunc = _INVERSION_X if x_trunc is None else x_trunc
     freq = max(math.log(x), 0.1) / TWO_PI
     # the t-integrand is a pure tone of known frequency times a smooth
     # decaying factor: two periods per GL16 panel keeps ~1e-12 accuracy
     width = 2.0 / freq
-    n_panels = int(math.ceil(U / width))
-    edges = np.arange(n_panels + 1) * width
-    edges[-1] = min(edges[-1], U) if edges[-1] >= U else U
-    lo, hi = edges[:-1], np.minimum(edges[1:], U)
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t16 = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-    w16 = (half[:, None] * np.broadcast_to(_GL16_W, (len(lo), 16))).ravel()
-    t8 = (mid[:, None] + half[:, None] * _GL8_X[None, :]).ravel()
-    w8 = (half[:, None] * np.broadcast_to(_GL8_W, (len(lo), 8))).ravel()
+    edges = np.minimum(np.arange(int(math.ceil(U / width)) + 1) * width, U)
+    edges[-1] = U
+    keep = edges[1:] > edges[:-1]
+    panels = PanelSet(edges[:-1][keep], edges[1:][keep])
 
-    def body(ts, ws) -> float:
+    def body(n: int) -> float:
+        ts = panels.nodes(n)
         m = mellin_by_parts_many(k, c + 1j * ts, tol=tol, X=x_trunc)
         vals = np.exp((c - 1.0 + 1j * ts) * math.log(x)) * m
-        return float(np.sum(ws * vals.real))
+        return float(np.sum(panels.weights(n) * vals.real))
 
-    v16 = body(t16, w16)
-    v8 = body(t8, w8)
+    v16 = body(16)
+    v8 = body(8)
     if abs(v16 - v8) > 10.0 * max(abs(v16) * 0.5, 1.0):
         raise AccuracyError("inversion quadrature unstable")
     return v16 / math.pi
 
 
-_laplace_grids: dict[float, tuple] = {}
-
-
+@functools.cache
 def _laplace_grid(y_max: float):
-    if y_max not in _laplace_grids:
-        y_edges = _grid_edges(1.0, y_max, z_power_freq(1))
-        ylo, yhi = y_edges[:-1], y_edges[1:]
-        ymid, yhalf = 0.5 * (ylo + yhi), 0.5 * (yhi - ylo)
-        y16 = (ymid[:, None] + yhalf[:, None] * _GL16_X[None, :]).ravel()
-        yw16 = (yhalf[:, None] * np.broadcast_to(_GL16_W, (len(ylo), 16))).ravel()
-        _laplace_grids[y_max] = (y16, z_eval_many(y16) * yw16)
-    return _laplace_grids[y_max]
+    panels = PanelSet.from_edges(panel_edges(
+        1.0, y_max, z_power_freq(1), z_breakpoints(1.0, y_max)))
+    y16 = panels.nodes(16)
+    return y16, z_eval_many(y16) * panels.weights(16)
 
 
 def laplace_consistency(s: complex, tol: float = 1e-5) -> IdentityReport:

@@ -15,6 +15,7 @@ concurrently.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hardy import z_breakpoints, z_eval_many
-from .quad import _GL16_W, _GL16_X, _GL8_W, _GL8_X, integrate_oscillatory
+from .quad import PanelSet, integrate_oscillatory, panel_edges
 from .special import TWO_PI
 
 
@@ -79,37 +80,17 @@ class MomentCache:
     def ensure(self, x_max: float) -> None:
         if x_max <= self.edges[-1]:
             return
-        freq = z_power_freq(self.k)
         start = self.edges[-1]
         # evaluation is only piecewise smooth; every breakpoint gets an edge
-        breaks = list(z_breakpoints(start, x_max))
-        new_edges = [start]
-        x = start
-        while x < x_max:
-            f = freq(x)
-            width = min(4.0, 0.25 / f) if f > 0 else 4.0
-            nxt = min(x_max, x + width)
-            while breaks and breaks[0] <= x:
-                breaks.pop(0)
-            if breaks and x < breaks[0] < nxt:
-                nxt = breaks[0]
-            new_edges.append(nxt)
-            x = nxt
-        edges = np.array(new_edges)
-        lo, hi = edges[:-1], edges[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x16 = mid[:, None] + half[:, None] * _GL16_X[None, :]
-        y16 = self._zk(x16.ravel()).reshape(x16.shape)
-        v16 = (y16 * _GL16_W[None, :]).sum(axis=1) * half
-        x8 = mid[:, None] + half[:, None] * _GL8_X[None, :]
-        y8 = self._zk(x8.ravel()).reshape(x8.shape)
-        v8 = (y8 * _GL8_W[None, :]).sum(axis=1) * half
+        edges = panel_edges(start, x_max, z_power_freq(self.k),
+                            z_breakpoints(start, x_max))
+        v16, err, _ = PanelSet.from_edges(edges).estimate(self._zk)
         base_val = self.values[-1]
         base_err = self.cum_err[-1]
         self.edges = np.concatenate([self.edges, edges[1:]])
         self.values = np.concatenate([self.values, base_val + np.cumsum(v16)])
         self.cum_err = np.concatenate(
-            [self.cum_err, base_err + np.cumsum(np.abs(v16 - v8))])
+            [self.cum_err, base_err + np.cumsum(err)])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """I_k at arbitrary points (vectorized, anchored single panels)."""
@@ -119,14 +100,12 @@ class MomentCache:
         self.ensure(float(xs.max()) if xs.size else 1.0)
         idx = np.searchsorted(self.edges, xs, side="right") - 1
         idx = np.clip(idx, 0, len(self.edges) - 1)
-        lo = self.edges[idx]
-        mid, half = 0.5 * (lo + xs), 0.5 * (xs - lo)
-        nodes = mid[:, None] + half[:, None] * _GL16_X[None, :]
-        flat = nodes.ravel()
+        panels = PanelSet(self.edges[idx], xs)
+        flat = panels.nodes(16)
         vals = np.zeros_like(flat)
-        nz = half.repeat(16) > 0
+        nz = panels.half.repeat(16) > 0
         vals[nz] = self._zk(flat[nz])
-        tails = (vals.reshape(nodes.shape) * _GL16_W[None, :]).sum(axis=1) * half
+        tails = panels.sums(vals, 16)
         return self.values[idx] + tails
 
     def value(self, x: float) -> float:
@@ -143,13 +122,9 @@ class MomentCache:
         return float(np.max(np.abs(self.values[m]) * self.edges[m] ** (-exponent)))
 
 
-_caches: dict[int, MomentCache] = {}
-
-
+@functools.cache
 def moment_cache(k: int) -> MomentCache:
-    if k not in _caches:
-        _caches[k] = MomentCache(k)
-    return _caches[k]
+    return MomentCache(k)
 
 
 def hardy_primitive_F(T: float, tol: float = 1e-7) -> float:

@@ -1,9 +1,11 @@
-"""Oscillation-aware adaptive quadrature.
+"""Panel grids and oscillation-aware adaptive quadrature.
 
-Panels are sized so that each spans at most a quarter of the local
-oscillation period given by the caller's frequency hint; every panel is
-integrated with 16-point Gauss-Legendre and its error estimated by the
-embedded 8-point difference.  Panels failing the local tolerance test are
+Every integration grid in the package comes from here: panel_edges walks
+the panel edges, PanelSet gives the Gauss-Legendre nodes, weights and
+per-panel sums.  Panels are sized so that each spans at most a quarter of
+the local oscillation period given by the caller's frequency hint; every
+panel is integrated with 16-point Gauss-Legendre and its error estimated by
+the embedded 8-point difference.  Panels failing the local tolerance test are
 bisected.  Panel ordering and the pairwise reduction tree are fixed, so
 identical inputs give bit-identical results no matter how work is batched.
 
@@ -21,8 +23,8 @@ import numpy as np
 from .config import DEFAULTS
 from .errors import BudgetError, DomainError
 
-_GL16_X, _GL16_W = np.polynomial.legendre.leggauss(16)
-_GL8_X, _GL8_W = np.polynomial.legendre.leggauss(8)
+# (nodes, weights) on [-1, 1] of the value rule and its embedded check
+_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (16, 8)}
 
 # default cap on panel width where the frequency hint vanishes
 _MAX_PANEL = 4.0
@@ -44,36 +46,58 @@ class QuadratureResult:
         return self.value.real
 
 
-def build_panels(a: float, b: float, freq, max_panel: float = _MAX_PANEL) -> np.ndarray:
-    """Quarter-period panel edges on [a, b] for a positive frequency hint."""
+def panel_edges(a: float, b: float, freq, breaks=(),
+                max_panel: float = _MAX_PANEL) -> np.ndarray:
+    """Panel edges on [a, b]: each panel spans a quarter period
+    0.25 / freq(left edge), capped at max_panel (and max_panel where the
+    hint is not positive), and every break in (a, b) becomes an edge."""
+    cuts = sorted(x for x in set(breaks) if a < x < b)
     edges = [a]
     x = a
-    guard = 0
+    i = 0
     while x < b:
-        f = float(freq(x)) if callable(freq) else float(freq)
-        width = min(max_panel, 0.25 / f) if f > 0 else max_panel
-        x = min(b, x + width)
+        f = float(freq(x))
+        x = min(b, x + (min(max_panel, 0.25 / f) if f > 0 else max_panel))
+        if i < len(cuts) and cuts[i] <= x:
+            x = cuts[i]
+            i += 1
         edges.append(x)
-        guard += 1
-        if guard > 50_000_000:
+        if len(edges) > 50_000_000:
             raise BudgetError("panel construction runaway")
     return np.array(edges)
 
 
-def _panel_values(f, lo: np.ndarray, hi: np.ndarray):
-    """GL16 values, embedded GL8 error estimates, and L1 masses for a batch
-    of panels."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x16 = mid[:, None] + half[:, None] * _GL16_X[None, :]
-    x8 = mid[:, None] + half[:, None] * _GL8_X[None, :]
-    n16 = x16.size
-    y16 = np.asarray(f(x16.ravel())).reshape(x16.shape)
-    y8 = np.asarray(f(x8.ravel())).reshape(x8.shape)
-    v16 = (y16 * _GL16_W[None, :]).sum(axis=1) * half
-    v8 = (y8 * _GL8_W[None, :]).sum(axis=1) * half
-    mass = (np.abs(y16) * _GL16_W[None, :]).sum(axis=1) * half
-    return v16, np.abs(v16 - v8), mass, n16 + x8.size
+class PanelSet:
+    """Panels [lo_i, hi_i] with their 16-point Gauss-Legendre nodes and the
+    embedded 8-point rule: GL16 gives the value, |GL16 - GL8| the error
+    estimate.  Node and weight arrays are flat, panel by panel."""
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.mid = 0.5 * (lo + hi)
+        self.half = 0.5 * (hi - lo)
+
+    @classmethod
+    def from_edges(cls, edges: np.ndarray) -> "PanelSet":
+        return cls(edges[:-1], edges[1:])
+
+    def nodes(self, n: int) -> np.ndarray:
+        x = _RULES[n][0]
+        return (self.mid[:, None] + self.half[:, None] * x[None, :]).ravel()
+
+    def weights(self, n: int) -> np.ndarray:
+        return (self.half[:, None] * _RULES[n][1][None, :]).ravel()
+
+    def sums(self, y: np.ndarray, n: int) -> np.ndarray:
+        """Per-panel n-point integrals from values y at nodes(n)."""
+        return (y.reshape(-1, n) * _RULES[n][1][None, :]).sum(axis=1) * self.half
+
+    def estimate(self, f):
+        """Per-panel GL16 values, |GL16 - GL8| estimates, and f at the GL16
+        nodes (one panel per row).  f sees each rule's nodes as one batch."""
+        y16 = np.asarray(f(self.nodes(16))).reshape(-1, 16)
+        y8 = np.asarray(f(self.nodes(8)))
+        v16 = self.sums(y16, 16)
+        return v16, np.abs(v16 - self.sums(y8, 8)), y16
 
 
 def _pairwise_sum(values: np.ndarray) -> complex:
@@ -104,39 +128,29 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
         raise DomainError("integrate_oscillatory requires a < b")
     budget = DEFAULTS.eval_budget if budget is None else budget
 
-    edges = [a]
-    for bp in sorted(breakpoints):
-        if a < bp < b:
-            edges.append(bp)
-    edges.append(b)
-    segs = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        seg_edges = build_panels(lo, hi, freq, max_panel)
-        segs.append(seg_edges)
-    panel_lo = np.concatenate([s[:-1] for s in segs])
-    panel_hi = np.concatenate([s[1:] for s in segs])
-
+    edges = panel_edges(a, b, freq, breakpoints, max_panel)
     evals = 0
-    done_lo, done_hi, done_val, done_err = [], [], [], []
-    depth = {}
-    cur_lo, cur_hi = panel_lo, panel_hi
-    cur_depth = np.zeros(len(panel_lo), dtype=int)
+    done_lo, done_val, done_err = [], [], []
+    cur_lo, cur_hi = edges[:-1], edges[1:]
+    cur_depth = np.zeros(len(cur_lo), dtype=int)
     scale = tol / (b - a)
     exhausted = False
     while len(cur_lo):
-        v, e, mass, n = _panel_values(f, cur_lo, cur_hi)
-        evals += n
+        panels = PanelSet(cur_lo, cur_hi)
+        v, e, y16 = panels.estimate(f)
+        mass = panels.sums(np.abs(y16), 16)  # L1 mass of f on each panel
+        evals += 24 * len(cur_lo)
         width = cur_hi - cur_lo
         ok = (e <= np.maximum(scale * width, _NOISE_FLOOR * mass)) \
             | (cur_depth >= _MAX_DEPTH)
-        done_lo.append(cur_lo[ok]); done_hi.append(cur_hi[ok])
+        done_lo.append(cur_lo[ok])
         done_val.append(v[ok]); done_err.append(e[ok])
         bad = ~ok
         if not np.any(bad):
             break
         if evals > budget:
             # keep the un-refined panels as best effort and flag
-            done_lo.append(cur_lo[bad]); done_hi.append(cur_hi[bad])
+            done_lo.append(cur_lo[bad])
             done_val.append(v[bad]); done_err.append(e[bad])
             exhausted = True
             break
@@ -182,29 +196,3 @@ def integrate_vertical_line(F: Callable, c: float, t0: float, t1: float,
                             abs_err_est=res.abs_err_est / (2.0 * math.pi),
                             panels=res.panels, evals=res.evals)
 
-
-def fixed_panel_nodes(a: float, b: float, freq, max_panel: float = _MAX_PANEL,
-                      refine: int = 1):
-    """Deterministic panel node set for cache-friendly repeated integrals.
-
-    Returns (x16, w16, x8, w8) flattened node/weight arrays; the GL16 rule
-    is the value, GL16-vs-GL8 the error estimate.  ``refine`` subdivides
-    every quarter-period panel uniformly (no adaptivity, so node positions
-    are independent of the integrand values, which lets callers cache
-    integrand evaluations across many transform parameters).
-    """
-    edges = build_panels(a, b, freq, max_panel)
-    if refine > 1:
-        fine = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            fine.append(np.linspace(lo, hi, refine + 1)[:-1])
-        edges = np.concatenate(fine + [[edges[-1]]])
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x16 = (mid[:, None] + half[:, None] * _GL16_X[None, :]).ravel()
-    w16 = (half[:, None] * np.broadcast_to(_GL16_W, (len(lo), 16))).ravel()
-    x8 = (mid[:, None] + half[:, None] * _GL8_X[None, :]).ravel()
-    w8 = (half[:, None] * np.broadcast_to(_GL8_W, (len(lo), 8))).ravel()
-    return x16, w16, x8, w8

@@ -4,6 +4,12 @@ import pytest
 from hardylab.arith import divisor_sieve
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_dir(tmp_path, monkeypatch):
+    # whatever a test writes to the working directory stays out of the tree
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture(scope="session")
 def d2_table():
     return divisor_sieve(2, 10_000)

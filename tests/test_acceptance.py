@@ -30,7 +30,7 @@ BUDGETS = {
 
 @pytest.fixture(scope="module")
 def first_run():
-    cfg = RunConfig(threads=1)
+    cfg = RunConfig()
     suites = {}
     elapsed = {}
     for name in verify.SUITES:
@@ -96,7 +96,7 @@ def test_criterion_10_divisor_oracle(first_run):
 
 def test_criterion_11_determinism(first_run):
     bundle1, _ = first_run
-    second = verify.run(["all"], RunConfig(threads=8))
+    second = verify.run(["all"], RunConfig())
     b1 = to_json(bundle1)
     b2 = to_json(second)
     status = "PASS" if b1 == b2 else "FAIL"

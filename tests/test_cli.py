@@ -67,6 +67,17 @@ def test_json_mirrors_csv(capsys):
     assert csv_vals == json_vals
 
 
+@pytest.mark.parametrize("frm,to,step", [
+    ("10", "inf", "1"), ("nan", "20", "1"), ("10", "20", "nan"),
+    ("-inf", "20", "1"), ("10", "20", "inf"),
+])
+def test_z_non_finite_usage_error(capsys, frm, to, step):
+    code, _, err = run_cli(capsys, "z", f"--from={frm}", f"--to={to}",
+                           f"--step={step}")
+    assert code == 2
+    assert "finite" in err
+
+
 def test_moment_both_mode(capsys):
     code, out, _ = run_cli(capsys, "moment", "--k", "2", "--T", "100",
                            "--mode", "both")
@@ -102,6 +113,20 @@ def test_mellin_laurent(capsys):
     c2, c1, _ = (float(v) for v in row.split(","))
     assert 0.95 <= c2 <= 1.05
     assert -0.705 <= c1 <= -0.663
+
+
+def test_mellin_non_finite_sigma_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mellin", "--k", "1",
+                             "--sigma", "nan:2:2")
+    assert code == 2
+    assert "finite" in err and out == ""
+
+
+def test_divisor_budget_guards_limit(capsys):
+    code, _, err = run_cli(capsys, "divisors", "--k", "2",
+                           "--limit", "20000001")
+    assert code == 2
+    assert "budget" in err
 
 
 def test_mellin_laurent_requires_k2(capsys):
@@ -147,11 +172,11 @@ def test_verify_single_suite(tmp_path, capsys):
     assert bundle["pass"] is True
 
 
-def test_verify_determinism_across_threads(tmp_path, capsys):
+def test_verify_determinism_repeat_runs(tmp_path, capsys):
     p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
-    code1, _, _ = run_cli(capsys, "--threads", "1", "verify", "dyadic-square",
+    code1, _, _ = run_cli(capsys, "verify", "dyadic-square",
                           "primitive-scaling", "--out", str(p1))
-    code2, _, _ = run_cli(capsys, "--threads", "8", "verify", "dyadic-square",
+    code2, _, _ = run_cli(capsys, "verify", "dyadic-square",
                           "primitive-scaling", "--out", str(p2))
     assert code1 == code2 == 0
     assert p1.read_bytes() == p2.read_bytes()
@@ -167,7 +192,8 @@ def test_verify_detects_injected_sign_error(tmp_path, capsys, monkeypatch):
         return -real(k, n)
 
     monkeypatch.setattr(explicit, "saddle_terms_many", flipped)
-    code, out, _ = run_cli(capsys, "verify", "dyadic-square")
+    code, out, _ = run_cli(capsys, "verify", "dyadic-square",
+                           "--out", str(tmp_path / "mutated.json"))
     assert code == 1
     assert "FAIL" in out
 
@@ -200,10 +226,10 @@ def test_format_default_from_config(tmp_path, capsys):
 
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("tol_moment = 1e-5\nthreads = 4\n# comment\n")
+    cfg_file.write_text("tol_moment = 1e-5\neval_budget = 5000\n# comment\n")
     cfg = load_config(cfg_file, {"seed": 99})
     assert cfg.tol_moment == 1e-5
-    assert cfg.threads == 4
+    assert cfg.eval_budget == 5000
     assert cfg.seed == 99
     with pytest.raises(KeyError):
         load_config(cfg_file, {"no_such_key": 1})

@@ -55,6 +55,14 @@ def test_rs_domain():
         z_rs_many(np.array([50.0]), corrections=5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_heights_rejected(bad):
+    t = np.array([50.0, bad, 120.0])
+    for fn in (z_rs_many, z_eval_many, z_oracle_many):
+        with pytest.raises(DomainError):
+            fn(t)
+
+
 def test_rs_first_zero():
     assert abs(z_rs(FIRST_ZERO, 3).value) < 1e-3
 

@@ -45,6 +45,15 @@ def test_direct_regime_guard():
         ML.mellin_direct(2, 3.0 + 0j, X=5.0)
 
 
+@pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(2.0, math.inf),
+                               complex(math.inf, 1.0)])
+def test_non_finite_s_rejected(s):
+    with pytest.raises(DomainError):
+        ML.mellin_by_parts(1, s)
+    with pytest.raises(DomainError):
+        ML.mellin_direct(1, s)
+
+
 def test_by_parts_continuation_k1():
     # regular continuation value below sigma = 1 with a certificate
     m = ML.mellin_by_parts(1, 0.6 + 2j)
@@ -140,6 +149,15 @@ def test_v2_residual_doubling_growth(d3_table):
     v2k = ML.v2_residual(s, 2000.0, d3_table)
     bound = abs(s) * c_r * 1000.0 ** (0.8 - 2.0) / (2.0 - 0.8)
     assert abs(v2k - v1k) <= 3.0 * bound
+
+
+def test_residual_constant_keyed_by_window(d3_table):
+    # the calibration window is part of the cache key: a narrower window
+    # asked for later gets its own, smaller supremum
+    wide = ML.residual_constant(d3_table, 2000.0)
+    narrow = ML.residual_constant(d3_table, 60.0)
+    assert narrow < wide
+    assert ML.residual_constant(d3_table, 2000.0) == wide
 
 
 def test_decomposition_matched_cutoffs(d3_table):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from hardylab.errors import BudgetError, DomainError
-from hardylab.hardy import z_eval_many
+from hardylab.hardy import z_breakpoints, z_eval_many
 from hardylab.moments import z_power_freq
-from hardylab.quad import (QuadratureResult, integrate_oscillatory,
-                           integrate_vertical_line)
+from hardylab.quad import (PanelSet, QuadratureResult, integrate_oscillatory,
+                           integrate_vertical_line, panel_edges)
 
 
 def test_cosine_full_period():
@@ -128,3 +128,50 @@ def test_mean_square_transform_inequality(sigma, T, a, b):
     bound = 2.0 * math.pi * rhs.value.real \
         + 2.0 * math.pi * rhs.abs_err_est + lhs.abs_err_est
     assert lhs.value.real <= bound
+
+
+@pytest.mark.parametrize("a,b,k,max_panel", [
+    (1.0, 400.0, 1, 4.0),
+    (3.5, 900.0, 3, 1.5),
+])
+def test_panel_edges_breaks_and_widths(a, b, k, max_panel):
+    freq = z_power_freq(k)
+    breaks = z_breakpoints(a, b) + (a, b, b + 1.0, 50.0, 50.0)
+    edges = panel_edges(a, b, freq, breaks, max_panel)
+    assert edges[0] == a and edges[-1] == b
+    assert np.all(np.diff(edges) > 0.0)
+    for x in breaks:
+        if a < x < b:
+            assert x in edges
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        f = freq(lo)
+        cap = min(max_panel, 0.25 / f) if f > 0 else max_panel
+        assert hi - lo <= cap * (1.0 + 1e-12)  # hi = lo + width, rounded
+
+
+def test_panel_edges_one_walk_equals_joined_segments():
+    freq = z_power_freq(2)
+    cuts = (1.0,) + z_breakpoints(1.0, 700.0) + (700.0,)
+    joined = np.concatenate([panel_edges(lo, hi, freq)[:-1]
+                             for lo, hi in zip(cuts[:-1], cuts[1:])] + [[700.0]])
+    one = panel_edges(1.0, 700.0, freq, z_breakpoints(1.0, 700.0))
+    assert one.tobytes() == joined.tobytes()
+
+
+def test_panel_sums_exact_for_polynomials():
+    # GL16 is exact to degree 31 and the embedded GL8 to degree 15, so up to
+    # degree 15 both the value and the |GL16 - GL8| estimate sit at rounding
+    edges = np.array([-3.0, -1.7, -0.2, 0.4, 1.9, 2.5, 4.1, 5.0])
+    panels = PanelSet.from_edges(edges)
+    rng = np.random.default_rng(7)
+    for degree in range(16):
+        poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
+        prim = poly.integ()
+        exact = prim(edges[1:]) - prim(edges[:-1])
+        # rounding scale: the panel integral of sum_j |c_j| 5^j
+        scale = np.diff(edges) * np.polynomial.Polynomial(np.abs(poly.coef))(5.0)
+        v16, err, y16 = panels.estimate(poly)
+        assert np.all(np.abs(v16 - exact) <= 1e-13 * scale), degree
+        assert np.all(err <= 1e-13 * scale), degree
+        flat = np.sum(panels.weights(16) * y16.ravel())
+        assert abs(flat - exact.sum()) <= 1e-13 * scale.sum(), degree

@@ -2,7 +2,8 @@
 
 d_1 = 1 and d_{j+1} = d_j * 1; counts are exact 64-bit integers (d_8(n)
 stays far below 2^63 at any table size this package will build).  Finished
-tables are immutable and freely shareable.
+tables are immutable and freely shareable.  Each convolution uses the
+Dirichlet hyperbola split at r = isqrt(limit), so it costs r numpy steps.
 """
 
 from __future__ import annotations
@@ -47,10 +48,13 @@ def divisor_sieve(k: int, limit: int, budget: int | None = None) -> DivisorTable
             f"divisor table of size {limit} exceeds budget {budget}")
     counts = np.ones(limit + 1, dtype=np.int64)
     counts[0] = 0
+    r = math.isqrt(limit)
     for _ in range(k - 1):
+        # every d*m <= limit has d <= r, or d > r and then m <= r
         nxt = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, limit + 1):
+        for d in range(1, r + 1):
             nxt[d::d] += counts[1:limit // d + 1]
+            nxt[d * (r + 1)::d] += counts[d]
         counts = nxt
     return DivisorTable(k=k, limit=limit, counts=counts)
 
@@ -77,7 +81,7 @@ def divisor_brute(k: int, n: int) -> int:
 
 
 def dump_table(table: DivisorTable, path: str | Path) -> None:
-    """Binary cache: 16-byte header (magic, k, limit as little-endian u32)
+    """Binary export: 16-byte header (magic, k, limit as little-endian u32)
     followed by limit little-endian int64 counts for n = 1..limit."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -92,7 +96,13 @@ def load_table(path: str | Path) -> DivisorTable:
         magic = fh.read(8)
         if magic != _MAGIC:
             raise DomainError(f"not a divisor table: {path}")
-        k, limit = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise DomainError(f"truncated divisor table header: {path}")
+        k, limit = struct.unpack("<II", header)
+        if k < 1 or limit < 1:
+            raise DomainError(
+                f"divisor table needs k >= 1 and limit >= 1: {path}")
         data = np.frombuffer(fh.read(8 * limit), dtype="<i8")
         if len(data) != limit:
             raise DomainError(f"truncated divisor table: {path}")
@@ -100,16 +110,3 @@ def load_table(path: str | Path) -> DivisorTable:
     counts[1:] = data
     return DivisorTable(k=k, limit=limit, counts=counts)
 
-
-def cached_table(k: int, limit: int, cache_dir: str | Path | None = None) -> DivisorTable:
-    """Sieve with optional on-disk reuse (CLI cache)."""
-    if cache_dir is None:
-        return divisor_sieve(k, limit)
-    path = Path(cache_dir) / f"d{k}.bin"
-    if path.exists():
-        table = load_table(path)
-        if table.k == k and table.limit >= limit:
-            return table
-    table = divisor_sieve(k, limit)
-    dump_table(table, path)
-    return table

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import mellin as ML
 from . import verify
-from .arith import cached_table, divisor_sieve, dump_table, load_table
+from .arith import divisor_sieve, dump_table, load_table
 from .config import RunConfig, load_config
 from .errors import (AccuracyError, BudgetError, CapacityError,
                      ConvergenceError, DomainError, FitError, NumericsError,
                      PoleError)
-from .explicit import moment_main_term
-from .hardy import z_oracle_many, z_rs, z_rs_many
+from .explicit import moment_main_term, sum_range
+from .hardy import z_err_est, z_eval_many, z_oracle_many
 from .moments import hardy_moment
 from .reportio import fmt, to_json
 
@@ -57,25 +57,15 @@ def cmd_z(args, cfg: RunConfig) -> int:
         return EXIT_USAGE
     n = int(np.floor((args.to - args.frm) / args.step + 1e-9)) + 1
     ts = args.frm + args.step * np.arange(n)
-    rs = z_rs_many(np.maximum(ts, 10.0), args.corrections)
-    low = ts < 10.0
-    if np.any(low):
-        rs[low] = z_oracle_many(ts[low])
-    errs = np.where(ts < 10.0, 1e-10,
-                    _rs_err(np.maximum(ts, 10.0), args.corrections))
     header = ["t", "z_rs", "err_est"]
-    cols = [ts, rs, errs]
+    cols = [ts, z_eval_many(ts, args.corrections),
+            z_err_est(ts, args.corrections)]
     if args.oracle:
         header.insert(2, "z_oracle")
         cols.insert(2, z_oracle_many(ts))
     rows = [tuple(float(c[i]) for c in cols) for i in range(n)]
     _emit_table(header, rows, args.out, args.format)
     return EXIT_OK
-
-
-def _rs_err(ts, corrections):
-    from .hardy import _RS_ERR_C
-    return _RS_ERR_C[corrections] * ts ** (-(2 * corrections + 3) / 4.0)
 
 
 def cmd_moment(args, cfg: RunConfig) -> int:
@@ -93,10 +83,8 @@ def cmd_moment(args, cfg: RunConfig) -> int:
                           budget=cfg.eval_budget)
         header += ["integral", "quad_err"]
     if args.mode in ("explicit", "both"):
-        from .explicit import sum_range
         n_hi = sum_range(k, T)[1]
-        table = cached_table(k, max(n_hi, 16), cfg.resolved_cache_dir()
-                             if args.cache else None)
+        table = divisor_sieve(k, max(n_hi, 16))
         ms = moment_main_term(k, T, table)
         header += ["cosine_sum", "n_lo", "n_hi"]
     row = [k, T]
@@ -225,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--mode", choices=("direct", "explicit", "both"),
                    default="both")
-    p.add_argument("--cache", action="store_true",
-                   help="reuse divisor tables from the cache directory")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--out")
 

@@ -1,18 +1,14 @@
-"""Run configuration: tolerances, budgets, cache locations, output format.
+"""Run configuration: tolerances, budgets, output format and seed.
 
 A run with identical config and seed produces bit-identical output; every
 field below has a documented default and can be overridden from a flat
-``key=value`` config file or (for the cache directory) the environment
-variable ``HARDYLAB_CACHE_DIR``.
+``key=value`` config file.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-
-ENV_CACHE_DIR = "HARDYLAB_CACHE_DIR"
 
 
 @dataclass
@@ -22,35 +18,20 @@ class RunConfig:
     tol_mellin: float = 1e-6
     # Hard cap on integrand evaluations per integral.
     eval_budget: int = 100_000_000
-    cache_dir: str = ""
     output_format: str = "csv"  # csv | json
     seed: int = 20260808
-
-    def resolved_cache_dir(self) -> Path:
-        if self.cache_dir:
-            return Path(self.cache_dir)
-        env = os.environ.get(ENV_CACHE_DIR)
-        if env:
-            return Path(env)
-        return Path.home() / ".cache" / "hardylab"
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from an optional key=value file plus overrides."""
     cfg = RunConfig()
-    valid = {f.name: f.type for f in fields(RunConfig)}
+    valid = {f.name for f in fields(RunConfig)}
+
     def apply(key: str, raw: str) -> None:
         if key not in valid:
             raise KeyError(f"unknown config key: {key}")
-        current = getattr(cfg, key)
-        if isinstance(current, bool):
-            setattr(cfg, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(cfg, key, int(raw))
-        elif isinstance(current, float):
-            setattr(cfg, key, float(raw))
-        else:
-            setattr(cfg, key, raw)
+        # every field is an int, float or str; parse by its default's type
+        setattr(cfg, key, type(getattr(cfg, key))(raw))
 
     if path is not None:
         for line in Path(path).read_text().splitlines():

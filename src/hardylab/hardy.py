@@ -91,6 +91,20 @@ def _correction_coeffs(p: np.ndarray, k: int) -> np.ndarray:
 # against z_oracle on t in [50, 5000] (scripts/calibrate_rs_error.py, sup
 # times 1.5) and rounded up.
 _RS_ERR_C = (0.19, 0.08, 0.016, 0.045, 0.13)
+# stated error of the oracle path below t = 10
+_LOW_ERR = 1e-10
+
+
+def z_err_est(t, corrections: int = 3):
+    """Stated error of z_eval_many at t: _RS_ERR_C[K] * t^{-(2K+3)/4} for
+    t >= 10 and 1e-10 (the oracle path) below.  A scalar t gives a 0-d
+    array, computed with scalar pow as z_rs has always done."""
+    if not 0 <= corrections <= 4:
+        raise DomainError("corrections must be in [0, 4]")
+    t = np.asarray(t, dtype=float)
+    rs = (_RS_ERR_C[corrections]
+          * np.maximum(t, 10.0) ** (-(2 * corrections + 3) / 4.0))
+    return np.where(t < 10.0, _LOW_ERR, rs)
 
 
 @dataclass(frozen=True)
@@ -100,19 +114,6 @@ class ZSample:
     main_terms: int
     corrections: int
     err_est: float
-
-
-# grow-only cache of log(1..N) for the main sum
-_LOG_CACHE = np.log(np.arange(1, 64, dtype=float))
-_SQRT_CACHE = 1.0 / np.sqrt(np.arange(1, 64, dtype=float))
-
-
-def _ensure_log_cache(n: int) -> None:
-    global _LOG_CACHE, _SQRT_CACHE
-    if n > len(_LOG_CACHE):
-        upto = max(n, 2 * len(_LOG_CACHE))
-        _LOG_CACHE = np.log(np.arange(1, upto + 1, dtype=float))
-        _SQRT_CACHE = 1.0 / np.sqrt(np.arange(1, upto + 1, dtype=float))
 
 
 def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
@@ -139,13 +140,10 @@ def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
     N = np.floor(a).astype(int)
     p = a - N
     theta = theta_many(t)
-    nmax = int(N.max())
-    _ensure_log_cache(nmax)
-    logn = _LOG_CACHE[:nmax]
-    inv_sqrt = _SQRT_CACHE[:nmax]
-    phases = theta[:, None] - t[:, None] * logn[None, :]
-    terms = np.cos(phases) * inv_sqrt[None, :]
-    mask = np.arange(1, nmax + 1)[None, :] <= N[:, None]
+    n = np.arange(1, int(N.max()) + 1, dtype=float)
+    phases = theta[:, None] - t[:, None] * np.log(n)[None, :]
+    terms = np.cos(phases) * (1.0 / np.sqrt(n))[None, :]
+    mask = n[None, :] <= N[:, None]
     main = 2.0 * np.sum(np.where(mask, terms, 0.0), axis=1)
 
     corr = np.zeros_like(t)
@@ -163,9 +161,9 @@ def z_rs(t: float, corrections: int = 3) -> ZSample:
     remainder corrections (C_0..C_corrections)."""
     value = float(z_rs_many(np.array([t]), corrections)[0])
     main_terms = int(math.floor(math.sqrt(t / TWO_PI)))
-    err = _RS_ERR_C[corrections] * t ** (-(2 * corrections + 3) / 4.0)
     return ZSample(t=float(t), value=value, main_terms=main_terms,
-                   corrections=corrections, err_est=err)
+                   corrections=corrections,
+                   err_est=float(z_err_est(t, corrections)))
 
 
 def z_oracle(t: float) -> float:

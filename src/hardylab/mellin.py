@@ -171,24 +171,23 @@ def _grid(k: int, X: float, band: int) -> _PrimitiveGrid:
 
 
 def _pick_x(k: int, sigma: float, s_abs: float, tol: float,
-            completed: bool, x_cap: float) -> float:
+            completed: bool) -> float:
     e = _RESID_EXP[k] if completed else _PRIM_EXP[k]
     c = _main_fit(k)[1] if completed else primitive_constant(k)
     for X in _X_LADDER:
-        if X > x_cap:
+        if X > _X_CAP:
             break
         if s_abs * c * X ** (e - sigma) / (sigma - e) <= tol:
             return X
     # tolerance unreachable at desk scale: settle at a documented default
     # rather than paying for a giant grid with marginal certificate gains
-    return min(8000.0, x_cap)
+    return min(8000.0, _X_CAP)
 
 
 # -- core transforms ------------------------------------------------------------
 
 def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
-                    X: float | None = None,
-                    x_cap: float | None = None) -> MellinSample:
+                    X: float | None = None) -> MellinSample:
     """M_k(s) through the primitive: s * integral of I_k(x) x^{-s-1}.
 
     Valid in the continuation regime Re s > e_k (e_1 = 1/4, e_3 = 3/4,
@@ -207,8 +206,7 @@ def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
         raise ConvergenceError(
             f"mellin_by_parts(k={k}) requires Re s > {e_k + _MARGIN}")
     if X is None:
-        X = _pick_x(k, s.real, abs(s), tol, k in (2, 4),
-                    _X_CAP if x_cap is None else x_cap)
+        X = _pick_x(k, s.real, abs(s), tol, k in (2, 4))
     return _by_parts_at(k, s, X)
 
 

@@ -4,8 +4,9 @@ A per-k cumulative cache stores I_k at quarter-period anchor points, built
 in one deterministic left-to-right pass; any I_k(x) then costs a single
 Gauss-Legendre panel from the nearest anchor.  Mellin-transform callers
 re-integrate I_k thousands of times, so the cache is the difference between
-seconds and hours.  Checkpoints every dT = 100 can be exported/imported as
-CSV for reuse across CLI runs.
+seconds and hours.  write_checkpoints/read_checkpoints write and read back
+I_k at T = 1, 1 + dT, ... as CSV; no CLI command uses them, and the cache
+never loads them.
 
 Cache construction is single-threaded and extend-only; the anchor arrays
 already written are never mutated, so finished prefixes are safe to read
@@ -127,7 +128,7 @@ def moment_cache(k: int) -> MomentCache:
     return MomentCache(k)
 
 
-def hardy_primitive_F(T: float, tol: float = 1e-7) -> float:
+def hardy_primitive_F(T: float) -> float:
     """F(T) = I_1(T), served from the cumulative cache."""
     if T < 1.0:
         raise DomainError("F(T) requires T >= 1")

@@ -21,19 +21,6 @@ from .hardy import z_oracle, z_oracle_many, z_rs_many
 from .moments import hardy_moment, moment_cache
 from .special import chi, riemann_siegel_theta, zeta_euler_maclaurin
 
-SUITES = (
-    "functional-equation",
-    "z-agreement",
-    "dyadic-square",
-    "dyadic-odd",
-    "cubic-primitive",
-    "primitive-scaling",
-    "laurent",
-    "identities",
-    "series-decomposition",
-    "divisor-oracle",
-)
-
 
 @dataclass
 class Check:
@@ -228,6 +215,7 @@ _SUITE_FUNCS = {
     "series-decomposition": suite_series_decomposition,
     "divisor-oracle": suite_divisor_oracle,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run(names, cfg: RunConfig | None = None) -> dict:

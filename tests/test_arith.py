@@ -1,5 +1,7 @@
 """Divisor tables: sieve against the brute-force oracle, serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ def test_sieve_matches_brute(d2_table, d3_table, d4_table):
             assert table.count(n) == divisor_brute(k, n), (k, n)
 
 
+@pytest.mark.parametrize("limit", [1, 2, 3, 8, 9, 10, 99, 100, 101, 110,
+                                   120, 121])
+def test_sieve_split_boundaries(limit):
+    # r = isqrt(limit) splits each convolution; limits at r^2 - 1, r^2,
+    # r^2 + 1, r^2 + r and (r + 1)^2 - 1 reach every edge of that split
+    for k in (2, 3, 4):
+        counts = divisor_sieve(k, limit).counts
+        assert counts[0] == 0 and len(counts) == limit + 1
+        assert [int(c) for c in counts[1:]] == [
+            divisor_brute(k, n) for n in range(1, limit + 1)], (k, limit)
+
+
 def test_dirichlet_series_tail(d3_table):
     # sum d_3(n) n^-3 -> zeta(3)^3 within C (log N)^2 / N^2 as N doubles
     target = ZETA_3 ** 3
@@ -83,9 +97,13 @@ def test_dump_load_roundtrip(tmp_path, d3_table):
 
 def test_load_rejects_garbage(tmp_path):
     p = tmp_path / "x.bin"
-    p.write_bytes(b"not a table")
-    with pytest.raises(DomainError):
-        load_table(p)
+    for raw in (b"not a table",
+                b"dktable\x00\x03\x00",  # header cut after two bytes
+                b"dktable\x00" + struct.pack("<II", 0, 1) + bytes(8),  # k = 0
+                b"dktable\x00" + struct.pack("<II", 3, 0)):  # limit = 0
+        p.write_bytes(raw)
+        with pytest.raises(DomainError):
+            load_table(p)
 
 
 def test_counts_read_only(d2_table):

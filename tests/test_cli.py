@@ -7,7 +7,7 @@ import pytest
 
 import hardylab.verify as verify
 from hardylab.cli import main
-from hardylab.config import load_config, RunConfig, ENV_CACHE_DIR
+from hardylab.config import load_config
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +157,14 @@ def test_divisors_roundtrip(tmp_path, capsys):
     assert rows[4] == 6 and rows[8] == 10
 
 
+def test_divisors_load_truncated_header_usage_error(tmp_path, capsys):
+    bad = tmp_path / "cut.bin"
+    bad.write_bytes(b"dktable\x00\x03\x00")
+    code, out, err = run_cli(capsys, "divisors", "--k", "3", "--load", str(bad))
+    assert code == 2 and out == ""
+    assert "truncated divisor table header" in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "not-a-suite")
     assert code == 2
@@ -233,9 +241,3 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.seed == 99
     with pytest.raises(KeyError):
         load_config(cfg_file, {"no_such_key": 1})
-
-
-def test_cache_dir_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "cachedir"))
-    cfg = RunConfig()
-    assert cfg.resolved_cache_dir() == tmp_path / "cachedir"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from hardylab.errors import DomainError
-from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
-                            z_oracle_many, z_rs, z_rs_many, _RS_ERR_C)
+from hardylab.hardy import (z_breakpoints, z_err_est, z_eval_many,
+                            z_oracle, z_oracle_many, z_rs, z_rs_many,
+                            _RS_ERR_C)
 
 ZETA_HALF = -1.4603545088095868129
 FIRST_ZERO = 14.134725141734693790
@@ -96,6 +97,18 @@ def test_rs_err_est_bounds_true_error():
             assert s.err_est == pytest.approx(
                 _RS_ERR_C[k] * t ** (-(2 * k + 3) / 4.0))
             assert s.main_terms == int(math.floor(math.sqrt(t / (2 * math.pi))))
+
+
+def test_z_err_est_is_the_stated_error():
+    ts = np.array([0.5, 9.99, 10.0, 50.0, 1234.0, 5e4])
+    for k in range(5):
+        errs = z_err_est(ts, k)
+        assert np.all(errs[:2] == 1e-10)
+        for t, e in zip(ts[2:], errs[2:]):
+            assert e == pytest.approx(z_rs(t, k).err_est, rel=1e-15)
+            assert z_err_est(t, k) == z_rs(t, k).err_est
+    with pytest.raises(DomainError):
+        z_err_est(ts, 5)
 
 
 def test_zero_correspondence_on_10_200():

@@ -11,15 +11,26 @@ import mpmath as mp
 mp.mp.dps = 30
 
 
+def chi(s):
+    """2^s pi^(s-1) sin(pi s/2) Gamma(1-s), the functional-equation factor."""
+    return 2 ** s * mp.pi ** (s - 1) * mp.sin(mp.pi * s / 2) * mp.gamma(1 - s)
+
+
 def main() -> None:
     rows = [
         ("SQRT_PI = gamma(1/2)", mp.gamma(mp.mpf(1) / 2)),
         ("GAMMA_2P5_3J", mp.gamma(mp.mpc(2.5, 3))),
         ("GAMMA_M1P5_0P5J", mp.gamma(mp.mpc(-1.5, 0.5))),
+        ("GAMMA_19P5_2J", mp.gamma(mp.mpc(19.5, 2))),
+        ("GAMMA_20P5_1J", mp.gamma(mp.mpc(20.5, 1))),
+        ("GAMMA_0P7_0P1J", mp.gamma(mp.mpc(0.7, 0.1))),
         ("ZETA_2", mp.zeta(2)),
         ("ZETA_HALF", mp.zeta(mp.mpf(1) / 2)),
         ("ZETA_HALF_25J", mp.zeta(mp.mpc(0.5, 25))),
         ("CHI_2 = -2 pi^2", mp.pi ** mp.mpf("1.5") * mp.gamma(mp.mpf(-1) / 2)),
+        ("CHI_0P3_15J", chi(mp.mpc(0.3, 15))),
+        ("CHI_39P5_2J", chi(mp.mpc(39.5, 2))),
+        ("CHI_41_2J", chi(mp.mpc(41, 2))),
         ("FIRST_ZERO", mp.im(mp.zetazero(1))),
         ("THETA_ZERO", mp.findroot(mp.siegeltheta, 17.8)),
         ("Z_10", mp.siegelz(10)),

@@ -106,6 +106,8 @@ def load_table(path: str | Path) -> DivisorTable:
         data = np.frombuffer(fh.read(8 * limit), dtype="<i8")
         if len(data) != limit:
             raise DomainError(f"truncated divisor table: {path}")
+        if fh.read(1):
+            raise DomainError(f"bytes after the divisor counts: {path}")
     counts = np.zeros(limit + 1, dtype=np.int64)
     counts[1:] = data
     return DivisorTable(k=k, limit=limit, counts=counts)

@@ -114,6 +114,9 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
     if not 1 <= k <= 4:
         print(f"mellin: k must be in 1..4, got {k}", file=sys.stderr)
         return EXIT_USAGE
+    if args.X is not None and not args.X <= ML._X_CAP:
+        print(f"mellin: --X must be at most {ML._X_CAP:g}", file=sys.stderr)
+        return EXIT_USAGE
     if args.laurent:
         if k != 2:
             print("mellin: --laurent requires k = 2", file=sys.stderr)
@@ -159,6 +162,10 @@ def cmd_divisors(args, cfg: RunConfig) -> int:
         return EXIT_USAGE
     if args.load:
         table = load_table(args.load)
+        if table.k != args.k:
+            print(f"divisors: {args.load} holds d_{table.k}, not d_{args.k}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         table = divisor_sieve(args.k, args.limit)
     if args.dump:

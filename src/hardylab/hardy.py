@@ -175,8 +175,8 @@ def z_oracle(t: float) -> float:
     if t < 0.0:
         raise DomainError("z_oracle requires t >= 0")
     zeta = zeta_euler_maclaurin(complex(0.5, t), extended=True)
-    rot = complex(math.cos(riemann_siegel_theta(t)),
-                  math.sin(riemann_siegel_theta(t)))
+    theta = riemann_siegel_theta(t)
+    rot = complex(math.cos(theta), math.sin(theta))
     w = rot * zeta
     if abs(w.imag) > 1e-6:
         raise AccuracyError(f"z_oracle residual imaginary part {w.imag:.3e} at t={t}")

@@ -45,7 +45,7 @@ _MARGIN = 0.01
 _X_LADDER = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0, 32000.0)
 
 _CAL_HI = 1.0e4  # calibration window top for primitive constants
-_X_CAP = 50_000.0  # largest truncation height mellin_by_parts picks
+_X_CAP = 50_000.0  # largest truncation height `hardylab mellin --X` accepts
 _INVERSION_X = 4_000.0  # truncation height of transforms on inversion contours
 
 
@@ -175,13 +175,11 @@ def _pick_x(k: int, sigma: float, s_abs: float, tol: float,
     e = _RESID_EXP[k] if completed else _PRIM_EXP[k]
     c = _main_fit(k)[1] if completed else primitive_constant(k)
     for X in _X_LADDER:
-        if X > _X_CAP:
-            break
         if s_abs * c * X ** (e - sigma) / (sigma - e) <= tol:
             return X
     # tolerance unreachable at desk scale: settle at a documented default
     # rather than paying for a giant grid with marginal certificate gains
-    return min(8000.0, _X_CAP)
+    return 8000.0
 
 
 # -- core transforms ------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Complex special functions: Gamma, the functional-equation factor chi,
 the phase function theta, and an Euler-Maclaurin zeta evaluator.
 
-Everything here is pure and reentrant; values are plain ``complex``/``float``
-(binary64).  The zeta evaluator doubles as the independent oracle for the
-Hardy-function code, so it carries an explicit remainder bound and an
-optional compensated ("extended") mode that sharpens the phase arithmetic
-t*log(n) with double-double reductions.
+Everything here is pure and reentrant, values are binary64, and each
+function has one vectorised implementation that the scalar entry points
+wrap.  log Gamma is the Stirling series after upward recurrence to
+|z| >= 24; Gamma is its exponential, with reflection for Re s < 1/2.  The
+zeta evaluator doubles as the independent oracle for the Hardy-function
+code, so it carries an explicit remainder bound and an optional
+compensated ("extended") mode that sharpens the phase arithmetic t*log(n)
+with double-double reductions.
 """
 
 from __future__ import annotations
@@ -23,21 +26,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 # 2*pi split into high/low doubles for exact-ish argument reduction.
 TWO_PI_HI = 6.283185307179586
 TWO_PI_LO = 2.4492935982947064e-16
-
-# Lanczos coefficients, g = 7, n = 9 (Godfrey/Pugh tabulation; widely
-# reproduced, e.g. in GSL-adjacent code).  Valid for Re z >= 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 # Bernoulli numbers B_2, B_4, ..., B_30 (exact rationals rounded to binary64).
 _BERNOULLI = (
@@ -83,39 +71,38 @@ def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
     return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
 
 
-def _lanczos_gamma(z: complex) -> complex:
-    # Re z >= 0.5 assumed.
-    zm1 = z - 1.0
-    x = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        x += c / (zm1 + i)
-    t = zm1 + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (zm1 + 0.5) * cmath.exp(-t) * x
-
-
-def loggamma(z: complex) -> complex:
+def loggamma(z):
     """Analytic log-Gamma, continuous on paths avoiding (-inf, 0].
 
-    Supported for Re z > 0, or any z with |Im z| > 5.  Uses upward
-    recurrence to push |z| >= 24 and then the Stirling series with ten
-    Bernoulli terms, which keeps the error far below 1e-15 relative.
+    Vectorised: an array gives an array, a scalar gives a ``complex``.
+    Supported for Re z > 0, or any z with |Im z| > 5 (DomainError if any
+    point is outside).  Uses upward recurrence to push |z| >= 24 and then
+    the Stirling series with ten Bernoulli terms, which keeps the error far
+    below 1e-15 relative.
     """
-    z = complex(z)
-    if z.real <= 0.0 and abs(z.imag) <= 5.0:
-        raise DomainError(f"loggamma: unsupported region for z={z}")
-    shift = 0.0 + 0.0j
-    while abs(z) < 24.0:
-        shift += cmath.log(z)
-        z = z + 1.0
+    scalar = np.ndim(z) == 0
+    # a scalar runs as a 1-element array, so it rounds as array elements do
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any((z.real <= 0.0) & (np.abs(z.imag) <= 5.0)):
+        raise DomainError("loggamma: needs Re z > 0 or |Im z| > 5")
+    # z + m is the first of z, z + 1, ... with |z + m| >= 24
+    m = np.where(np.abs(z) < 24.0, np.ceil(
+        np.sqrt(np.maximum(576.0 - z.imag ** 2, 0.0)) - z.real), 0.0)
+    shift = np.zeros_like(z)
+    for j in range(int(m.max(initial=0.0))):
+        # add log(z + j) in order j = 0, 1, ...; points already done add 0
+        step = np.log(z + j)
+        shift += step if (j < m).all() else np.where(j < m, step, 0.0)
+    z = z + m
     w = 1.0 / z
     w2 = w * w
-    series = 0.0 + 0.0j
+    series = np.zeros_like(z)
     # sum B_2n / (2n(2n-1) z^(2n-1)), n = 10..1 (reverse for accuracy)
     for n in range(10, 0, -1):
-        b = _BERNOULLI[n - 1]
-        series = (series + b / (2 * n * (2 * n - 1))) * w2
+        series = (series + _BERNOULLI[n - 1] / (2 * n * (2 * n - 1))) * w2
     series /= w
-    return (z - 0.5) * cmath.log(z) - z + 0.5 * LOG_2PI + series - shift
+    out = (z - 0.5) * np.log(z) - z + 0.5 * LOG_2PI + series - shift
+    return complex(out[0]) if scalar else out
 
 
 def _log_sin_pi(z: complex) -> complex:
@@ -130,8 +117,10 @@ def _log_sin_pi(z: complex) -> complex:
 
 
 def gamma_complex(s: complex) -> complex:
-    """Gamma(s) for complex s, to better than 1e-12 relative where the
-    value is representable in binary64.
+    """Gamma(s) for complex s, to better than 1e-13 relative where the
+    value is representable in binary64: exp(loggamma(s)) for Re s >= 1/2,
+    and the reflection Gamma(s) = pi / (sin(pi s) Gamma(1-s)) in log space
+    below.
 
     Raises PoleError at non-positive integers.  For huge |Re s| the value
     overflows binary64 and a DomainError is raised instead of returning inf.
@@ -140,27 +129,12 @@ def gamma_complex(s: complex) -> complex:
     if _near_nonpositive_int(s):
         raise PoleError(f"Gamma pole at s={s}")
     if s.real >= 0.5:
-        if abs(s) <= 20.0:
-            return _lanczos_gamma(s)
         lg = loggamma(s)
-        if lg.real > 709.0:
-            raise DomainError(f"Gamma(s) overflows binary64 at s={s}")
-        return cmath.exp(lg)
-    # reflection: Gamma(s) = pi / (sin(pi s) * Gamma(1-s))
-    if abs(s.imag) <= 20.0:
-        return math.pi / (cmath.sin(math.pi * s) * gamma_complex(1.0 - s))
-    lg = math.log(math.pi) - _log_sin_pi(s) - loggamma(1.0 - s)
+    else:
+        lg = math.log(math.pi) - _log_sin_pi(s) - loggamma(1.0 - s)
     if lg.real > 709.0:
         raise DomainError(f"Gamma(s) overflows binary64 at s={s}")
     return cmath.exp(lg)
-
-
-def _log_chi(s: complex) -> complex:
-    # log chi(s) = (s - 1/2) log pi + logGamma((1-s)/2) - logGamma(s/2),
-    # analytic branch; requires |Im s| > 10 so both half-arguments clear
-    # the real axis.
-    return (s - 0.5) * math.log(math.pi) \
-        + loggamma((1.0 - s) / 2.0) - loggamma(s / 2.0)
 
 
 def chi(s: complex) -> ChiValue:
@@ -179,7 +153,9 @@ def chi(s: complex) -> ChiValue:
         if s.imag < 0.0:
             c = chi(s.conjugate())
             return ChiValue(s, c.value.conjugate(), c.log_abs, -c.arg)
-        lc = _log_chi(s)
+        # analytic branch: both half-arguments have |Im| > 10
+        lg = loggamma(np.array([(1.0 - s) / 2.0, s / 2.0]))
+        lc = complex((s - 0.5) * math.log(math.pi) + lg[0] - lg[1])
         return ChiValue(s, cmath.exp(lc), lc.real, lc.imag)
     if _near_nonpositive_int(s / 2.0):
         # s = 0, -2, -4, ...: zeros of chi
@@ -202,24 +178,11 @@ _THETA_TAIL = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0)
 def riemann_siegel_theta(t: float) -> float:
     """theta(t) = -arg(chi(1/2+it))/2 on the continuous branch, theta(0) = 0.
 
-    Below t = 10 this is computed from arg Gamma directly (the asymptotic
-    series is no good there); above, from the asymptotic expansion with
-    four correction terms, accurate to well under 1e-10.
+    Scalar wrapper of theta_batch: arg Gamma below t = 10 (the asymptotic
+    series is no good there); above, the asymptotic expansion with four
+    correction terms, accurate to well under 1e-10.
     """
-    if t < 0.0:
-        raise DomainError("theta requires t >= 0")
-    if t < 10.0:
-        if t == 0.0:
-            return 0.0
-        lg = loggamma(0.25 + 0.5j * t)
-        return lg.imag - 0.5 * t * math.log(math.pi)
-    base = 0.5 * t * math.log(0.5 * t / math.pi) - 0.5 * t - math.pi / 8.0
-    u = 1.0 / t
-    u2 = u * u
-    tail = 0.0
-    for c in reversed(_THETA_TAIL):
-        tail = tail * u2 + c
-    return base + tail * u
+    return float(theta_batch(np.array([t], dtype=float))[0])
 
 
 def theta_many(t: np.ndarray) -> np.ndarray:
@@ -234,6 +197,21 @@ def theta_many(t: np.ndarray) -> np.ndarray:
     for c in reversed(_THETA_TAIL):
         tail = tail * u2 + c
     return base + tail * u
+
+
+def theta_batch(t: np.ndarray) -> np.ndarray:
+    """theta(t) for arbitrary t >= 0 (arg-Gamma route below 10)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise DomainError("theta requires t >= 0")
+    out = np.empty_like(t)
+    low = t < 10.0
+    if np.any(low):
+        out[low] = loggamma(0.25 + 0.5j * t[low]).imag \
+            - 0.5 * t[low] * math.log(math.pi)
+    if np.any(~low):
+        out[~low] = theta_many(t[~low])
+    return out
 
 
 # -- double-double helpers for phase reduction -------------------------------
@@ -276,35 +254,25 @@ def _corrected_log(n: np.ndarray):
     return ln, delta
 
 
-# vectorized helpers for the oracle batch path ---------------------------------
+# -- Euler-Maclaurin zeta -----------------------------------------------------
 
-def _loggamma_batch(z: np.ndarray) -> np.ndarray:
-    """Analytic log-Gamma for arrays with Re z > 0 (fixed shift + Stirling)."""
-    z = np.asarray(z, dtype=complex)
-    shift = np.zeros_like(z)
-    for j in range(24):
-        shift += np.log(z + j)
-    w = z + 24.0
-    iw = 1.0 / w
-    iw2 = iw * iw
-    series = np.zeros_like(z)
-    for n in range(10, 0, -1):
-        series = (series + _BERNOULLI[n - 1] / (2 * n * (2 * n - 1))) * iw2
-    series /= iw
-    return (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI + series - shift
-
-
-def theta_batch(t: np.ndarray) -> np.ndarray:
-    """theta(t) for arbitrary t >= 0 (arg-Gamma route below 10)."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    low = t < 10.0
-    if np.any(low):
-        out[low] = _loggamma_batch(0.25 + 0.5j * t[low]).imag \
-            - 0.5 * t[low] * math.log(math.pi)
-    if np.any(~low):
-        out[~low] = theta_many(t[~low])
-    return out
+def _em_complete(head, s, N: int, q: int):
+    """head (the sum over n < N of n^-s) plus the Euler-Maclaurin boundary
+    terms N^{1-s}/(s-1) + N^{-s}/2 and the Bernoulli tail
+    sum_{k<=q} B_2k/(2k)! (s)_{2k-1} N^{1-s-2k}.  Works on scalars and
+    arrays alike; returns the value and (s)_{2q+1} for the remainder bound."""
+    NmS = np.exp(-s * math.log(N))  # N^-s
+    if np.ndim(NmS) == 0:
+        NmS = complex(NmS)  # scalar s: plain complex arithmetic throughout
+    value = head + N * NmS / (s - 1.0) + 0.5 * NmS
+    poch = s  # (s)_1
+    scale = NmS / N  # N^{1-s-2} for k = 1
+    for k in range(1, q + 1):
+        value += _BERNOULLI[k - 1] / _FACTORIALS[2 * k] * poch * scale
+        # advance (s)_{2k-1} -> (s)_{2k+1} and N^{1-s-2k} -> N^{1-s-2k-2}
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+        scale = scale / (N * N)
+    return value, poch
 
 
 def zeta_half_batch(t: np.ndarray) -> np.ndarray:
@@ -318,21 +286,8 @@ def zeta_half_batch(t: np.ndarray) -> np.ndarray:
     ln = np.log(n)
     head = np.exp(-0.5 * ln)[None, :] \
         * np.exp(-1j * t[:, None] * ln[None, :])
-    head = head.sum(axis=1)
-    s = 0.5 + 1j * t
-    lnN = math.log(N)
-    NmS = np.exp(-s * lnN)
-    value = head + N * NmS / (s - 1.0) + 0.5 * NmS
-    poch = s.copy()
-    scale = NmS / N
-    for k in range(1, 13):
-        value += _BERNOULLI[k - 1] / _FACTORIALS[2 * k] * poch * scale
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        scale = scale / (N * N)
-    return value
+    return _em_complete(head.sum(axis=1), 0.5 + 1j * t, N, 12)[0]
 
-
-# -- Euler-Maclaurin zeta -----------------------------------------------------
 
 def zeta_euler_maclaurin(s: complex, n_terms: int | None = None,
                          n_bernoulli: int = 12, tol: float = 1e-10,
@@ -367,19 +322,7 @@ def zeta_euler_maclaurin(s: complex, n_terms: int | None = None,
         head = complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
     else:
         head = complex(np.sum(np.exp(-s * np.log(n))))
-
-    lnN = math.log(N)
-    NmS = cmath.exp(-s * lnN)  # N^-s
-    value = head + N * NmS / (s - 1.0) + 0.5 * NmS
-
-    # Bernoulli tail: sum_k B_2k/(2k)! * (s)_{2k-1} * N^{1-s-2k}
-    poch = s  # (s)_1
-    scale = NmS / N  # N^{1-s-2} for k = 1
-    for k in range(1, q + 1):
-        value += _BERNOULLI[k - 1] / _FACTORIALS[2 * k] * poch * scale
-        # advance (s)_{2k-1} -> (s)_{2k+1} and N^{1-s-2k} -> N^{1-s-2k-2}
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        scale = scale / (N * N)
+    value, poch = _em_complete(head, s, N, q)
 
     # remainder bound (Edwards-style): first omitted term times |s+2q+1|/(sigma+2q+1)
     if sigma + 2 * q + 1 <= 0:

@@ -100,7 +100,9 @@ def test_load_rejects_garbage(tmp_path):
     for raw in (b"not a table",
                 b"dktable\x00\x03\x00",  # header cut after two bytes
                 b"dktable\x00" + struct.pack("<II", 0, 1) + bytes(8),  # k = 0
-                b"dktable\x00" + struct.pack("<II", 3, 0)):  # limit = 0
+                b"dktable\x00" + struct.pack("<II", 3, 0),  # limit = 0
+                # limit = 1: its one count, then eight junk bytes
+                b"dktable\x00" + struct.pack("<II", 1, 1) + bytes(16)):
         p.write_bytes(raw)
         with pytest.raises(DomainError):
             load_table(p)

@@ -129,6 +129,12 @@ def test_divisor_budget_guards_limit(capsys):
     assert "budget" in err
 
 
+def test_mellin_x_cap_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", "1e6")
+    assert code == 2 and out == ""
+    assert "--X" in err
+
+
 def test_mellin_laurent_requires_k2(capsys):
     code, _, _ = run_cli(capsys, "mellin", "--k", "1", "--laurent")
     assert code == 2
@@ -163,6 +169,17 @@ def test_divisors_load_truncated_header_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "divisors", "--k", "3", "--load", str(bad))
     assert code == 2 and out == ""
     assert "truncated divisor table header" in err
+
+
+def test_divisors_load_wrong_k_usage_error(tmp_path, capsys):
+    dump = tmp_path / "d2.bin"
+    code, _, _ = run_cli(capsys, "divisors", "--k", "2", "--limit", "20",
+                         "--dump", str(dump))
+    assert code == 0
+    code, out, err = run_cli(capsys, "divisors", "--k", "4", "--limit", "5",
+                             "--load", str(dump))
+    assert code == 2 and out == ""
+    assert "d_2" in err
 
 
 def test_verify_unknown_suite(capsys):

@@ -23,6 +23,19 @@ ZETA_HALF = -1.4603545088095868129
 ZETA_HALF_25J = complex(0.0049845933640356753834, -0.014012301962583382963)
 CHI_2 = -19.739208802178717238  # = -2*pi^2
 THETA_ZERO = 17.845599540410860817
+# either side of |s| = 20 (Gamma) and of |s/2| = 20 (chi), and near the origin
+GAMMA_19P5_2J = complex(23081720498570849.5097962403567,
+                        -9498592859253948.38980552215477)
+GAMMA_20P5_1J = complex(-521725141236546743.970214703153,
+                        76366089275211133.5792908282933)
+GAMMA_0P7_0P1J = complex(1.27057820492785197874140803518,
+                         -0.154419573269275715060945822162)
+CHI_0P3_15J = complex(-1.09131646589083538167466422774,
+                      0.474626711765117846167323241111)
+CHI_39P5_2J = complex(-1.28695727815120005165451431169e-16,
+                      4.53422252546206574037840643797e-16)
+CHI_41_2J = complex(-1.63844284430128899858191272405e-17,
+                    -2.46771672985525416588939970452e-17)
 
 
 def test_gamma_basic_values():
@@ -35,6 +48,20 @@ def test_gamma_complex_frozen_points():
     assert abs(gamma_complex(2.5 + 3j) - GAMMA_2P5_3J) < 1e-13 * abs(GAMMA_2P5_3J)
     assert abs(gamma_complex(-1.5 + 0.5j) - GAMMA_M1P5_0P5J) \
         < 1e-12 * abs(GAMMA_M1P5_0P5J)
+
+
+@pytest.mark.parametrize("s,ref", [(19.5 + 2j, GAMMA_19P5_2J),
+                                   (20.5 + 1j, GAMMA_20P5_1J),
+                                   (0.7 + 0.1j, GAMMA_0P7_0P1J)])
+def test_gamma_frozen_across_old_switch(s, ref):
+    assert abs(gamma_complex(s) - ref) <= 5e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("s,ref", [(0.3 + 15j, CHI_0P3_15J),
+                                   (39.5 + 2j, CHI_39P5_2J),
+                                   (41.0 + 2j, CHI_41_2J)])
+def test_chi_frozen_points(s, ref):
+    assert abs(chi(s).value - ref) <= 5e-14 * abs(ref)
 
 
 def test_gamma_poles():
@@ -58,6 +85,23 @@ def test_loggamma_matches_gamma():
     for z in (3.0 + 0j, 0.7 + 9j, 12.5 - 40j):
         assert abs(cmath.exp(loggamma(z)) - gamma_complex(z)) \
             <= 1e-12 * abs(gamma_complex(z))
+
+
+def test_loggamma_array_equals_scalar_calls():
+    # no shift (|z| >= 24), shifted, and Re z <= 0 with |Im z| > 5
+    z = np.array([30.0 + 2j, 24.5 - 1j, 0.3 + 0.2j, 3.0 + 0j, 7.5 - 12j,
+                  -4.0 + 5.5j, -20.0 - 8j, -0.5 + 30j])
+    vals = loggamma(z)
+    assert vals.shape == z.shape
+    for zi, v in zip(z, vals):
+        scalar = loggamma(complex(zi))
+        assert type(scalar) is complex
+        assert v == scalar  # bit for bit
+
+
+def test_loggamma_array_with_unsupported_point():
+    with pytest.raises(DomainError):
+        loggamma(np.array([1.0 + 1j, -2.0 + 1j, 5.0 + 0j]))
 
 
 def test_chi_fixed_point_half():
@@ -112,6 +156,8 @@ def test_theta_zero_at_origin():
 def test_theta_domain():
     with pytest.raises(DomainError):
         riemann_siegel_theta(-1.0)
+    with pytest.raises(DomainError):
+        theta_batch(-1.0)
 
 
 def test_theta_asymptotic_orders():

@@ -2,8 +2,9 @@
 
 z_rs evaluates the classical main sum 2*sum n^{-1/2} cos(theta(t) - t log n)
 plus up to five remainder-correction terms C_0..C_4 built from the function
-Psi(p) = cos(2*pi*(p^2 - p - 1/16)) / cos(2*pi*p), whose derivatives come
-from frozen piecewise Taylor tables (scripts/gen_psi_tables.py).
+Psi(p) = cos(2*pi*(p^2 - p - 1/16)) / cos(2*pi*p).  Each C_k is one
+piecewise polynomial, folded at import from the frozen Taylor tables of Psi
+(scripts/gen_psi_tables.py).
 
 z_oracle computes e^{i theta(t)} zeta(1/2+it) through the Euler-Maclaurin
 evaluator and is the independent reference for every Z check.  The rotation
@@ -19,72 +20,74 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .special import (TWO_PI, riemann_siegel_theta, theta_batch, theta_many,
-                      zeta_euler_maclaurin, zeta_half_batch)
+from .special import (TWO_PI, em_terms, riemann_siegel_theta, theta_batch,
+                      theta_many, zeta_euler_maclaurin, zeta_half_batch)
 
-# -- Psi piecewise Taylor tables ----------------------------------------------
+# -- Remainder-correction tables -------------------------------------------
 #
 # Twenty expansion centers (k+0.5)/20 cover p in [0, 1] with |u| <= 0.025
-# while avoiding the removable singularities at 1/4, 3/4.  The coefficient
-# tables are frozen (scripts/gen_psi_tables.py); here they are expanded into
-# per-derivative polynomial tables once at import.
+# while avoiding the removable singularities at 1/4, 3/4.  Each C_k is a
+# fixed combination of Psi derivatives (Haselgrove/Pugh tabulation of the
+# classical expansion; convention pinned empirically against z_oracle, see
+# scripts/calibrate_rs_error.py), and the derivative of a Taylor polynomial
+# is again one, so the frozen Psi tables (scripts/gen_psi_tables.py) fold at
+# import into one polynomial per piece for each C_k.  The folded polynomials
+# are cut at degree _C_DEGREE: the dropped terms sum to below 1e-20 at
+# |u| <= 0.025 (tests/test_hardy.py checks the bound).
 
 from ._psi_tables import PSI_ORDER, PSI_PIECES, PSI_TAYLOR
 
 _PIECE_CENTERS = (np.arange(PSI_PIECES) + 0.5) / PSI_PIECES
-_MAX_DERIV = 12
+_C_DEGREE = 14
+_PI2 = math.pi ** 2
+# C_k = sum of weight * Psi^{(d)} over the (d, weight) pairs of entry k
+_C_TERMS = (
+    ((0, 1.0),),
+    ((3, -1.0 / (96.0 * _PI2)),),
+    ((2, 1.0 / (64.0 * _PI2)), (6, 1.0 / (18432.0 * _PI2 ** 2))),
+    ((1, -1.0 / (64.0 * _PI2)), (5, -1.0 / (3840.0 * _PI2 ** 2)),
+     (9, -1.0 / (5308416.0 * _PI2 ** 3))),
+    ((0, 1.0 / (128.0 * _PI2)), (4, 19.0 / (24576.0 * _PI2 ** 2)),
+     (8, 11.0 / (5898240.0 * _PI2 ** 3)),
+     (12, 1.0 / (2038431744.0 * _PI2 ** 4))),
+)
 
 
-def _build_deriv_tables():
-    base = np.array(PSI_TAYLOR, dtype=float)  # (pieces, order+1)
-    order = PSI_ORDER
-    tables = np.zeros((PSI_PIECES, _MAX_DERIV + 1, order + 1))
-    tables[:, 0, :] = base
-    for d in range(1, _MAX_DERIV + 1):
-        prev = tables[:, d - 1, :]
-        # differentiate the ascending-coefficient polynomial
-        tables[:, d, :order] = prev[:, 1:] * np.arange(1, order + 1)
-    return tables
-
-
-_PSI_TABLES = _build_deriv_tables()
-
-
-def _psi_derivative(p: np.ndarray, d: int) -> np.ndarray:
-    """Psi^{(d)}(p) for p in [0, 1), vectorized."""
-    idx = np.clip((p * PSI_PIECES).astype(int), 0, PSI_PIECES - 1)
-    u = p - _PIECE_CENTERS[idx]
-    coeffs = _PSI_TABLES[idx, d]  # (B, order+1)
-    out = np.zeros_like(p)
-    for m in range(PSI_ORDER, -1, -1):
-        out = out * u + coeffs[:, m]
+def _fold_correction_tables() -> np.ndarray:
+    """Coefficient of u^m in C_k on each piece, laid out [m, k, piece] so
+    that one gather along the last axis gives contiguous (k, row) blocks."""
+    psi = np.array(PSI_TAYLOR, dtype=float)  # (pieces, order+1)
+    out = np.zeros((PSI_ORDER + 1, len(_C_TERMS), PSI_PIECES))
+    for k, terms in enumerate(_C_TERMS):
+        for d, w in terms:
+            # u^m in Psi^{(d)} is (m+d)!/m! times u^(m+d) in Psi
+            falling = np.array([math.perm(m + d, d)
+                                for m in range(PSI_ORDER + 1 - d)], float)
+            out[:PSI_ORDER + 1 - d, k] += w * (psi[:, d:] * falling).T
     return out
 
 
-# Correction-term combinations (Haselgrove/Pugh tabulation of the classical
-# expansion; convention pinned empirically against z_oracle, see
-# scripts/calibrate_rs_error.py).
-_PI2 = math.pi ** 2
+_C_TABLE = _fold_correction_tables()[:_C_DEGREE + 1]
+
+# Cap on the elements of any temporary array in the Z kernels: 2^18 doubles
+# (2 MB), which the main-sum block and the correction stage keep in cache.
+_ELEMS = 1 << 18
+# rows per z_rs_many chunk: its gathered (degree+1, K+1, rows) correction
+# coefficients stay within _ELEMS
+_CHUNK = _ELEMS // ((_C_DEGREE + 1) * len(_C_TERMS))
 
 
-def _correction_coeffs(p: np.ndarray, k: int) -> np.ndarray:
-    if k == 0:
-        return _psi_derivative(p, 0)
-    if k == 1:
-        return -_psi_derivative(p, 3) / (96.0 * _PI2)
-    if k == 2:
-        return (_psi_derivative(p, 2) / (64.0 * _PI2)
-                + _psi_derivative(p, 6) / (18432.0 * _PI2 ** 2))
-    if k == 3:
-        return -(_psi_derivative(p, 1) / (64.0 * _PI2)
-                 + _psi_derivative(p, 5) / (3840.0 * _PI2 ** 2)
-                 + _psi_derivative(p, 9) / (5308416.0 * _PI2 ** 3))
-    if k == 4:
-        return (_psi_derivative(p, 0) / (128.0 * _PI2)
-                + 19.0 * _psi_derivative(p, 4) / (24576.0 * _PI2 ** 2)
-                + 11.0 * _psi_derivative(p, 8) / (5898240.0 * _PI2 ** 3)
-                + _psi_derivative(p, 12) / (2038431744.0 * _PI2 ** 4))
-    raise DomainError("corrections must be in [0, 4]")
+def _rs_corrections(p: np.ndarray, corrections: int) -> np.ndarray:
+    """C_0..C_K at fractional parts p in [0, 1), as a (K+1, rows) array:
+    one piece gather, then one Horner pass over all K+1 polynomials."""
+    idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
+    u = p - _PIECE_CENTERS[idx]
+    coef = _C_TABLE[:, :corrections + 1, idx]  # (degree+1, K+1, rows)
+    acc = coef[-1].copy()
+    for c in coef[-2::-1]:
+        acc *= u
+        acc += c
+    return acc
 
 
 # Remainder constants: err_est = _RS_ERR_C[K] * t^{-(2K+3)/4}; calibrated
@@ -117,7 +120,8 @@ class ZSample:
 
 
 def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
-    """Riemann-Siegel Z(t) for an array of t >= 10."""
+    """Riemann-Siegel Z(t) for an array of t >= 10.  A height's value does
+    not depend on the rest of the batch."""
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
         t = t[None]
@@ -128,32 +132,45 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
     if not 0 <= corrections <= 4:
         raise DomainError("corrections must be in [0, 4]")
     out = np.empty_like(t)
-    step = 65536
-    for lo in range(0, len(t), step):
-        chunk = t[lo:lo + step]
-        out[lo:lo + step] = _z_rs_chunk(chunk, corrections)
+    # chunks of heights in order of main-sum length, so a chunk holds few
+    # distinct lengths
+    order = np.argsort(np.floor(np.sqrt(t / TWO_PI)), kind="stable")
+    for lo in range(0, len(t), _CHUNK):
+        rows = order[lo:lo + _CHUNK]
+        out[rows] = _z_rs_chunk(t[rows], corrections)
     return out
 
 
 def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
+    """Z at heights sorted by N = floor(sqrt(t / 2 pi)).  Each row's main
+    sum runs over exactly its N terms, in blocks of at most _ELEMS."""
     a = np.sqrt(t / TWO_PI)
-    N = np.floor(a).astype(int)
+    N = np.floor(a).astype(np.intp)
     p = a - N
     theta = theta_many(t)
-    n = np.arange(1, int(N.max()) + 1, dtype=float)
-    phases = theta[:, None] - t[:, None] * np.log(n)[None, :]
-    terms = np.cos(phases) * (1.0 / np.sqrt(n))[None, :]
-    mask = n[None, :] <= N[:, None]
-    main = 2.0 * np.sum(np.where(mask, terms, 0.0), axis=1)
+    n = np.arange(1, N[-1] + 1, dtype=float)
+    ln = np.log(n)
+    w = 1.0 / np.sqrt(n)
+    main = np.empty_like(t)
+    groups = np.flatnonzero(np.diff(N, prepend=-1, append=-1))
+    for lo, hi in zip(groups[:-1].tolist(), groups[1:].tolist()):
+        m = int(N[lo])
+        step = max(1, _ELEMS // m)
+        for b in range(lo, hi, step):
+            s = slice(b, min(b + step, hi))
+            x = t[s, None] * ln[:m]
+            np.subtract(theta[s, None], x, out=x)
+            np.cos(x, out=x)
+            x *= w[:m]
+            main[s] = x.sum(axis=1)
 
-    corr = np.zeros_like(t)
+    c = _rs_corrections(p, corrections)
     ainv = 1.0 / a
-    scale = np.ones_like(t)
-    for k in range(corrections + 1):
-        corr += _correction_coeffs(p, k) * scale
-        scale = scale * ainv
+    corr = c[-1]
+    for ck in c[-2::-1]:
+        corr = corr * ainv + ck
     sign = np.where(N % 2 == 0, -1.0, 1.0)  # (-1)^(N+1)
-    return main + sign * corr / np.sqrt(a)
+    return 2.0 * main + sign * corr / np.sqrt(a)
 
 
 def z_rs(t: float, corrections: int = 3) -> ZSample:
@@ -186,9 +203,10 @@ def z_oracle(t: float) -> float:
 def z_oracle_many(t: np.ndarray) -> np.ndarray:
     """Batched oracle: e^{i theta} zeta(1/2+it) with a shared truncation.
 
-    Equivalent to z_oracle pointwise to ~1e-12; groups heights in chunks so
-    the Euler-Maclaurin truncation (sized for the chunk maximum) stays
-    economical when magnitudes are mixed."""
+    Equivalent to z_oracle pointwise to ~1e-12; groups ascending heights in
+    chunks whose Euler-Maclaurin truncation (sized for the chunk maximum)
+    times row count stays within _ELEMS, so mixed magnitudes stay economical
+    and memory stays bounded."""
     t = np.asarray(t, dtype=float).ravel()
     if not np.all(np.isfinite(t)):
         raise DomainError("z_oracle requires finite t")
@@ -197,9 +215,12 @@ def z_oracle_many(t: np.ndarray) -> np.ndarray:
     out = np.empty_like(t)
     order = np.argsort(t, kind="stable")
     ts = t[order]
-    step = 200_000
+    terms = em_terms(ts)  # ascends with ts
     pos = 0
     while pos < len(ts):
+        head = terms[pos:pos + _ELEMS // terms[pos]]
+        size = head * np.arange(1, len(head) + 1)
+        step = max(1, int(np.searchsorted(size, _ELEMS, side="right")))
         chunk = ts[pos:pos + step]
         zeta = zeta_half_batch(chunk)
         theta = theta_batch(chunk)

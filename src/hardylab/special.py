@@ -275,13 +275,19 @@ def _em_complete(head, s, N: int, q: int):
     return value, poch
 
 
+def em_terms(t):
+    """Default Euler-Maclaurin main-sum length at height t,
+    max(50, ceil(1.3|t|)), as int64 (vectorised)."""
+    return np.maximum(50, np.ceil(1.3 * np.abs(t))).astype(np.int64)
+
+
 def zeta_half_batch(t: np.ndarray) -> np.ndarray:
     """zeta(1/2 + it) for an array of heights (shared Euler-Maclaurin
     truncation sized for the largest |t|)."""
     t = np.asarray(t, dtype=float)
     if t.size == 0:
         return np.zeros(0, dtype=complex)
-    N = max(50, math.ceil(1.3 * float(np.abs(t).max())))
+    N = int(em_terms(np.abs(t).max()))
     n = np.arange(1, N, dtype=float)
     ln = np.log(n)
     head = np.exp(-0.5 * ln)[None, :] \
@@ -306,7 +312,7 @@ def zeta_euler_maclaurin(s: complex, n_terms: int | None = None,
         raise PoleError("zeta pole at s=1")
     sigma, t = s.real, s.imag
     if n_terms is None:
-        n_terms = max(50, math.ceil(1.3 * abs(t)))
+        n_terms = int(em_terms(t))
     N = int(n_terms)
     q = int(n_bernoulli)
     if q < 1 or q > len(_BERNOULLI) - 1:

@@ -1,14 +1,17 @@
 """Z evaluation: Riemann-Siegel fast path against the Euler-Maclaurin oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hardylab._psi_tables import PSI_ORDER, PSI_PIECES, PSI_TAYLOR
 from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_err_est, z_eval_many,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
-                            _RS_ERR_C)
+                            _C_DEGREE, _RS_ERR_C, _fold_correction_tables,
+                            _rs_corrections)
 
 ZETA_HALF = -1.4603545088095868129
 FIRST_ZERO = 14.134725141734693790
@@ -135,3 +138,79 @@ def test_eval_many_switches_at_10():
     vals = z_eval_many(ts)
     assert vals[0] == pytest.approx(z_oracle(2.0))
     assert vals[3] == pytest.approx(z_rs(60.0, 3).value)
+
+
+def test_rs_value_independent_of_batch():
+    t = np.random.default_rng(1).uniform(100.0, 3000.0, 2000)
+    mixed = np.random.default_rng(2).uniform(10.0, 5e4, 20000)
+    for k in (0, 3, 4):
+        batch = z_rs_many(t, k)
+        alone = np.array([z_rs_many(t[i:i + 1], k)[0] for i in range(300)])
+        assert np.array_equal(alone, batch[:300])
+        assert np.array_equal(z_rs_many(np.append(t, 5e4), k)[:-1], batch)
+        big = z_rs_many(np.concatenate([mixed[:7000], t, mixed[7000:]]), k)
+        assert np.array_equal(big[7000:9000], batch)
+
+
+# The derivative combinations the folded tables replace: Psi^{(d)} from
+# derivative d of the PSI_TAYLOR polynomials, one Horner pass per derivative.
+_PI2 = math.pi ** 2
+
+
+def _psi_derivative(p, d):
+    idx = np.clip((p * PSI_PIECES).astype(int), 0, PSI_PIECES - 1)
+    u = p - (idx + 0.5) / PSI_PIECES
+    coeffs = np.array(PSI_TAYLOR, dtype=float)[idx]
+    for _ in range(d):
+        coeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
+    out = np.zeros_like(p)
+    for m in range(coeffs.shape[1] - 1, -1, -1):
+        out = out * u + coeffs[:, m]
+    return out
+
+
+def _correction_reference(p, k):
+    if k == 0:
+        return _psi_derivative(p, 0)
+    if k == 1:
+        return -_psi_derivative(p, 3) / (96.0 * _PI2)
+    if k == 2:
+        return (_psi_derivative(p, 2) / (64.0 * _PI2)
+                + _psi_derivative(p, 6) / (18432.0 * _PI2 ** 2))
+    if k == 3:
+        return -(_psi_derivative(p, 1) / (64.0 * _PI2)
+                 + _psi_derivative(p, 5) / (3840.0 * _PI2 ** 2)
+                 + _psi_derivative(p, 9) / (5308416.0 * _PI2 ** 3))
+    return (_psi_derivative(p, 0) / (128.0 * _PI2)
+            + 19.0 * _psi_derivative(p, 4) / (24576.0 * _PI2 ** 2)
+            + 11.0 * _psi_derivative(p, 8) / (5898240.0 * _PI2 ** 3)
+            + _psi_derivative(p, 12) / (2038431744.0 * _PI2 ** 4))
+
+
+def test_folded_corrections_match_derivative_formula():
+    edges = np.arange(PSI_PIECES) / PSI_PIECES
+    below = np.nextafter(np.append(edges[1:], 1.0), 0.0)
+    p = np.concatenate([edges, below, np.random.default_rng(5).random(20000)])
+    c = _rs_corrections(p, 4)
+    for k in range(5):
+        assert np.max(np.abs(c[k] - _correction_reference(p, k))) <= 1e-16
+        assert np.array_equal(_rs_corrections(p, k), c[:k + 1])
+    # the folded terms past _C_DEGREE, bounded at |u| <= 0.025
+    dropped = np.abs(_fold_correction_tables()[_C_DEGREE + 1:]).max(axis=2)
+    powers = 0.025 ** np.arange(_C_DEGREE + 1, PSI_ORDER + 1)
+    assert np.all(powers @ dropped < 1e-20)
+
+
+@pytest.mark.parametrize("fn, lo, hi, n", [
+    (z_oracle_many, 4000.0, 5000.0, 500),
+    (lambda t: z_rs_many(t, 4), 1e4, 5e4, 65536),
+])
+def test_batch_memory_bounded(fn, lo, hi, n):
+    t = np.random.default_rng(6).uniform(lo, hi, n)
+    tracemalloc.start()
+    try:
+        fn(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20

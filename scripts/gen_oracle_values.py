@@ -10,6 +10,10 @@ import mpmath as mp
 
 mp.mp.dps = 30
 
+# heights at which tests/test_hardy.py pins z_oracle_many's stated accuracy
+Z_ORACLE_HEIGHTS = (1000.5, 2345.25, 3841.0, 8832.0, 17000.75, 29000.5,
+                    41101.0, 48888.0)
+
 
 def chi(s):
     """2^s pi^(s-1) sin(pi s/2) Gamma(1-s), the functional-equation factor."""
@@ -38,6 +42,7 @@ def main() -> None:
         ("TWO_GAMMA_MINUS_LOG_2PI", 2 * mp.euler - mp.log(2 * mp.pi)),
         ("ZETA_3", mp.zeta(3)),
     ]
+    rows += [(f"Z_AT {t!r}", mp.siegelz(t)) for t in Z_ORACLE_HEIGHTS]
     for name, value in rows:
         print(f"{name:28s} = {value}")
 

@@ -10,8 +10,13 @@ degree 14, where the dropped terms sum to below 1e-20 for |u| <= 0.025.
 The folded C_k agree with 60-digit derivatives of Psi to about one unit in
 the last place at sampled p.
 
-Writes src/hardylab/_psi_tables.py.  Run once; the output is committed.
+Writes src/hardylab/_psi_tables.py; the output is committed.  --check
+regenerates it in memory and exits 1 unless the committed file is
+byte-for-byte the same.
 """
+
+import sys
+from pathlib import Path
 
 import mpmath as mp
 
@@ -19,13 +24,14 @@ mp.mp.dps = 60
 
 ORDER = 36
 CENTERS = [mp.mpf(2 * k + 1) / 40 for k in range(20)]
+OUT = Path(__file__).resolve().parent.parent / "src/hardylab/_psi_tables.py"
 
 
 def psi(p):
     return mp.cos(2 * mp.pi * (p * p - p - mp.mpf(1) / 16)) / mp.cos(2 * mp.pi * p)
 
 
-def main() -> None:
+def render() -> str:
     rows = []
     for c in CENTERS:
         coeffs = mp.taylor(psi, c, ORDER)
@@ -49,10 +55,19 @@ def main() -> None:
             lines.append(f"        {v!r},")
         lines.append("    ),")
     lines.append(")")
-    with open("src/hardylab/_psi_tables.py", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print("wrote src/hardylab/_psi_tables.py")
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    text = render()
+    if "--check" in sys.argv[1:]:
+        same = OUT.exists() and OUT.read_bytes() == text.encode()
+        print(f"{OUT.name}: {'matches' if same else 'differs from'} the generator")
+        return 0 if same else 1
+    OUT.write_text(text)
+    print(f"wrote {OUT}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,10 +1,19 @@
-"""Hardy's Z function: fast Riemann-Siegel evaluation and a slow oracle.
+"""Hardy's Z function: frozen tables, Riemann-Siegel evaluation and a slow
+oracle.
 
-z_rs evaluates the classical main sum 2*sum n^{-1/2} cos(theta(t) - t log n)
-plus up to five remainder-correction terms C_0..C_4 built from the function
-Psi(p) = cos(2*pi*(p^2 - p - 1/16)) / cos(2*pi*p).  Each C_k is one
-piecewise polynomial, folded at import from the frozen Taylor tables of Psi
-(scripts/gen_psi_tables.py).
+z_eval_many reads Z from two frozen polynomial tables:
+
+- Below t = 10, a piecewise Chebyshev interpolant of Z on [0, 10], forty
+  pieces of degree 16 fitted to 30-digit mpmath values
+  (scripts/gen_z_low_table.py); one gather and one Horner pass per height.
+- From t = 10 up, z_rs_many: the classical main sum
+  2*sum n^{-1/2} cos(theta(t) - t log n) plus the remainder
+  (-1)^{N+1} a^{-1/2} sum_{k<=K} C_k(p) a^{-k}, a = sqrt(t / 2 pi), with up
+  to five correction terms C_0..C_4 built from
+  Psi(p) = cos(2*pi*(p^2 - p - 1/16)) / cos(2*pi*p).  Each C_k is one
+  piecewise polynomial, folded at import from the frozen Taylor tables of
+  Psi (scripts/gen_psi_tables.py), and for each main-sum length N the
+  whole remainder folds into one polynomial per piece, built on first use.
 
 z_oracle computes e^{i theta(t)} zeta(1/2+it) through the Euler-Maclaurin
 evaluator and is the independent reference for every Z check.  The rotation
@@ -14,6 +23,7 @@ Z(0) = zeta(1/2) < 0; the opposite square-root branch would flip Z globally.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,19 +80,55 @@ def _fold_correction_tables() -> np.ndarray:
 _C_TABLE = _fold_correction_tables()[:_C_DEGREE + 1]
 
 # Cap on the elements of any temporary array in the Z kernels: 2^18 doubles
-# (2 MB), which the main-sum block and the correction stage keep in cache.
+# (2 MB), which the main-sum block and the remainder stage keep in cache.
 _ELEMS = 1 << 18
-# rows per z_rs_many chunk: its gathered (degree+1, K+1, rows) correction
+# rows per z_rs_many chunk: its gathered (degree+1, rows) remainder
 # coefficients stay within _ELEMS
-_CHUNK = _ELEMS // ((_C_DEGREE + 1) * len(_C_TERMS))
+_CHUNK = _ELEMS // (_C_DEGREE + 1)
+# Remainder tables are built and cached in blocks of _BLOCK consecutive
+# main-sum lengths, 192 KB each, in 0.5-1 ms a block.  The cache keeps
+# _REMAINDER_BLOCKS of them (6 MB): every length below N = 512 (t = 1.6e6)
+_BLOCK = 16
+_REMAINDER_BLOCKS = 32
+# blocks per chunk, so that the chunk's tables side by side stay within
+# _ELEMS
+_CHUNK_BLOCKS = _ELEMS // ((_C_DEGREE + 1) * _BLOCK * PSI_PIECES)
 
 
-def _rs_corrections(p: np.ndarray, corrections: int) -> np.ndarray:
-    """C_0..C_K at fractional parts p in [0, 1), as a (K+1, rows) array:
-    one piece gather, then one Horner pass over all K+1 polynomials."""
-    idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
-    u = p - _PIECE_CENTERS[idx]
-    coef = _C_TABLE[:, :corrections + 1, idx]  # (degree+1, K+1, rows)
+@functools.lru_cache(maxsize=_REMAINDER_BLOCKS)
+def _remainder_block(q: int) -> np.ndarray:
+    """The whole remainder (-1)^(N+1) a^{-1/2} sum_{k<=K} C_k(p) a^{-k} as
+    coefficients of u^m on each piece, for the main-sum lengths N of block
+    q, laid out [K, m, (N - q * _BLOCK) * PSI_PIECES + piece], K = 0..4.
+
+    On piece j, a = N + c_j + u, so a^{-k-1/2} is the binomial series of
+    (N + c_j + u)^{-k-1/2} in u; its product with C_k is cut at degree
+    _C_DEGREE, where the dropped terms stay below 1e-20 at |u| <= 0.025
+    (tests/test_hardy.py checks the bound).  Only elementwise +, -, *, /
+    and sqrt go into it, all exactly rounded, so a length's coefficients,
+    and with them a height's value, are the same whatever batch asks."""
+    n = np.arange(q * _BLOCK, (q + 1) * _BLOCK)
+    big_a = (n[:, None] + _PIECE_CENTERS).ravel()
+    r = 1.0 / big_a
+    # b[m, k]: coefficient of u^m in (-1)^(N+1) (N + c_j + u)^{-k-1/2}
+    b = np.empty((_C_DEGREE + 1, len(_C_TERMS), big_a.size))
+    b[0, 0] = np.repeat(np.where(n % 2 == 1, 1.0, -1.0), PSI_PIECES) \
+        / np.sqrt(big_a)
+    for k in range(1, len(_C_TERMS)):
+        b[0, k] = b[0, k - 1] * r
+    half = np.arange(len(_C_TERMS)) + 0.5
+    for m in range(1, _C_DEGREE + 1):
+        b[m] = b[m - 1] * (-(half + (m - 1)) / m)[:, None] * r
+    prod = np.zeros_like(b)
+    for i, c in enumerate(np.tile(_C_TABLE, _BLOCK)):
+        prod[i:] += c * b[:_C_DEGREE + 1 - i]
+    table = np.cumsum(prod, axis=1).transpose(1, 0, 2).copy()
+    table.setflags(write=False)
+    return table
+
+
+def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_m coef[m] u^m for per-row coefficients coef[m], one Horner pass."""
     acc = coef[-1].copy()
     for c in coef[-2::-1]:
         acc *= u
@@ -90,18 +136,44 @@ def _rs_corrections(p: np.ndarray, corrections: int) -> np.ndarray:
     return acc
 
 
+# -- Z below t = 10 ------------------------------------------------------------
+#
+# A frozen piecewise Chebyshev interpolant of Z on [0, 10], written as one
+# polynomial in u = t - center per piece (scripts/gen_z_low_table.py).  Its
+# error against 30-digit mpmath siegelz is 2.2e-16 at the 201 frozen
+# off-node heights; _LOW_ERR is the stated (and tested) bound.
+
+from ._z_low_table import Z_LOW_DEGREE, Z_LOW_PIECES, Z_LOW_TAYLOR
+
+_LOW_WIDTH = 10.0 / Z_LOW_PIECES
+_LOW_TABLE = np.array(Z_LOW_TAYLOR.split(), dtype=float).reshape(
+    Z_LOW_PIECES, Z_LOW_DEGREE + 1).T.copy()  # [m, piece]
+_LOW_CHUNK = _ELEMS // len(_LOW_TABLE)
+_LOW_ERR = 1e-15
+
+
+def _z_low(t: np.ndarray) -> np.ndarray:
+    """Z from the frozen table at heights in [0, 10)."""
+    idx = np.minimum((t / _LOW_WIDTH).astype(np.intp), Z_LOW_PIECES - 1)
+    u = t - (idx + 0.5) * _LOW_WIDTH
+    out = np.empty_like(t)
+    for lo in range(0, len(t), _LOW_CHUNK):
+        s = slice(lo, lo + _LOW_CHUNK)
+        out[s] = _horner(np.take(_LOW_TABLE, idx[s], axis=1), u[s])
+    return out
+
+
 # Remainder constants: err_est = _RS_ERR_C[K] * t^{-(2K+3)/4}; calibrated
 # against z_oracle on t in [50, 5000] (scripts/calibrate_rs_error.py, sup
 # times 1.5) and rounded up.
 _RS_ERR_C = (0.19, 0.08, 0.016, 0.045, 0.13)
-# stated error of the oracle path below t = 10
-_LOW_ERR = 1e-10
 
 
 def z_err_est(t, corrections: int = 3):
     """Stated error of z_eval_many at t: _RS_ERR_C[K] * t^{-(2K+3)/4} for
-    t >= 10 and 1e-10 (the oracle path) below.  A scalar t gives a 0-d
-    array, computed with scalar pow as z_rs has always done."""
+    t >= 10 and the frozen table's tested bound _LOW_ERR (1e-15) below.  A
+    scalar t gives a 0-d array, computed with scalar pow as z_rs has always
+    done."""
     if not 0 <= corrections <= 4:
         raise DomainError("corrections must be in [0, 4]")
     t = np.asarray(t, dtype=float)
@@ -128,16 +200,25 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise DomainError("z_rs requires finite t")
     if np.any(t < 10.0):
-        raise DomainError("z_rs requires t >= 10; use z_oracle below")
+        raise DomainError("z_rs requires t >= 10; use z_eval_many below")
     if not 0 <= corrections <= 4:
         raise DomainError("corrections must be in [0, 4]")
     out = np.empty_like(t)
     # chunks of heights in order of main-sum length, so a chunk holds few
-    # distinct lengths
-    order = np.argsort(np.floor(np.sqrt(t / TWO_PI)), kind="stable")
-    for lo in range(0, len(t), _CHUNK):
-        rows = order[lo:lo + _CHUNK]
+    # distinct lengths: at most _CHUNK rows, with lengths from at most
+    # _CHUNK_BLOCKS consecutive blocks (upto[N]: rows of length <= N)
+    lengths = np.sqrt(t / TWO_PI).astype(np.intp)
+    order = np.argsort(lengths, kind="stable")
+    upto = np.cumsum(np.bincount(lengths))
+    del lengths
+    lo = 0
+    while lo < len(t):
+        n_lo = int(np.searchsorted(upto, lo, side="right"))
+        last = min((n_lo // _BLOCK + _CHUNK_BLOCKS) * _BLOCK, len(upto))
+        hi = min(lo + _CHUNK, int(upto[last - 1]))
+        rows = order[lo:hi]
         out[rows] = _z_rs_chunk(t[rows], corrections)
+        lo = hi
     return out
 
 
@@ -164,13 +245,17 @@ def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
             x *= w[:m]
             main[s] = x.sum(axis=1)
 
-    c = _rs_corrections(p, corrections)
-    ainv = 1.0 / a
-    corr = c[-1]
-    for ck in c[-2::-1]:
-        corr = corr * ainv + ck
-    sign = np.where(N % 2 == 0, -1.0, 1.0)  # (-1)^(N+1)
-    return 2.0 * main + sign * corr / np.sqrt(a)
+    # the remainder: the tables of the chunk's blocks side by side, then one
+    # gather and one Horner pass
+    q = N // _BLOCK
+    starts = np.flatnonzero(np.diff(q, prepend=-1))
+    table = np.concatenate([_remainder_block(int(b))[corrections]
+                            for b in q[starts]], axis=1)
+    place = np.cumsum(np.diff(q, prepend=q[0]) > 0)
+    idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
+    u = p - _PIECE_CENTERS[idx]
+    idx += (place * _BLOCK + N % _BLOCK) * PSI_PIECES
+    return 2.0 * main + _horner(np.take(table, idx, axis=1), u)
 
 
 def z_rs(t: float, corrections: int = 3) -> ZSample:
@@ -186,8 +271,10 @@ def z_rs(t: float, corrections: int = 3) -> ZSample:
 def z_oracle(t: float) -> float:
     """Z(t) = e^{i theta(t)} zeta(1/2 + it) via Euler-Maclaurin (oracle path).
 
-    The product must be real; AccuracyError if the residual imaginary part
-    exceeds 1e-6 (it stays below ~1e-8 at desk heights).
+    Within 1e-11 of 30-digit mpmath siegelz for t <= 5e4 (measured 7.3e-12
+    at t = 48,888).  The product must be real; AccuracyError if the
+    residual imaginary part exceeds 1e-6 (it stays below ~1e-8 at desk
+    heights).
     """
     if t < 0.0:
         raise DomainError("z_oracle requires t >= 0")
@@ -203,10 +290,12 @@ def z_oracle(t: float) -> float:
 def z_oracle_many(t: np.ndarray) -> np.ndarray:
     """Batched oracle: e^{i theta} zeta(1/2+it) with a shared truncation.
 
-    Equivalent to z_oracle pointwise to ~1e-12; groups ascending heights in
-    chunks whose Euler-Maclaurin truncation (sized for the chunk maximum)
-    times row count stays within _ELEMS, so mixed magnitudes stay economical
-    and memory stays bounded."""
+    Within 1e-10 of 30-digit mpmath siegelz for t <= 5e4 (measured: 5.3e-11
+    at t = 48,888, and 6.0e-12 from the compensated scalar z_oracle at
+    t = 3,841; tests/test_hardy.py pins the bound at frozen heights).
+    Groups ascending heights in chunks whose Euler-Maclaurin truncation
+    (sized for the chunk maximum) times row count stays within _ELEMS, so
+    mixed magnitudes stay economical and memory stays bounded."""
     t = np.asarray(t, dtype=float).ravel()
     if not np.all(np.isfinite(t)):
         raise DomainError("z_oracle requires finite t")
@@ -233,12 +322,16 @@ def z_oracle_many(t: np.ndarray) -> np.ndarray:
 
 
 def z_eval_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
-    """Z on arbitrary t >= 0: oracle below t = 10, Riemann-Siegel above."""
+    """Z on arbitrary t >= 0: the frozen table below t = 10, Riemann-Siegel
+    above."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
-    low = t < 10.0
+    low = t < 10.0  # NaN and +inf go to z_rs_many, which rejects them
     if np.any(low):
-        out[low] = z_oracle_many(t[low])
+        t_low = t[low]
+        if np.any(t_low < 0.0):
+            raise DomainError("Z requires t >= 0")
+        out[low] = _z_low(t_low)
     if np.any(~low):
         out[~low] = z_rs_many(t[~low], corrections)
     return out
@@ -246,7 +339,7 @@ def z_eval_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
 
 def z_breakpoints(a: float, b: float) -> tuple:
     """Points where the Riemann-Siegel evaluation is not smooth: the
-    oracle/RS switch at t = 10 and the main-sum transitions t = 2*pi*n^2.
+    table/RS switch at t = 10 and the main-sum transitions t = 2*pi*n^2.
     Quadrature panels must not straddle these."""
     pts = []
     if a < 10.0 < b:

@@ -50,7 +50,7 @@ def z_power_freq(k: int):
 def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
                  corrections: int = 3, budget: int | None = None) -> MomentResult:
     """integral of Z^k over [a, b], adaptive; Z from the Riemann-Siegel
-    formula above t = 10 and from the oracle below."""
+    formula above t = 10 and from the frozen low table below."""
     if not (1 <= k <= 8):
         raise DomainError("hardy_moment requires 1 <= k <= 8")
     if not (1.0 <= a < b):

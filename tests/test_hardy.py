@@ -7,16 +7,29 @@ import numpy as np
 import pytest
 
 from hardylab._psi_tables import PSI_ORDER, PSI_PIECES, PSI_TAYLOR
+from hardylab._z_low_table import Z_LOW_CHECK
 from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_err_est, z_eval_many,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
-                            _C_DEGREE, _RS_ERR_C, _fold_correction_tables,
-                            _rs_corrections)
+                            _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
+                            _PIECE_CENTERS, _RS_ERR_C, _fold_correction_tables,
+                            _horner, _remainder_block)
 
 ZETA_HALF = -1.4603545088095868129
 FIRST_ZERO = 14.134725141734693790
 Z_10 = -1.5491945461810223891   # frozen 30-digit reference
 Z_100 = 2.6926970566644634750
+# frozen 30-digit mpmath siegelz (scripts/gen_oracle_values.py)
+Z_HIGH = {
+    1000.5: 2.54926113555555556426309925732,
+    2345.25: -1.9265448416384183069398224883,
+    3841.0: -1.83543316444451523663555232714,
+    8832.0: 0.288698135347530325449595583595,
+    17000.75: 1.77873819401081765869900420844,
+    29000.5: -0.646721672131057676592402664263,
+    41101.0: -1.15251064966586318824626705941,
+    48888.0: 2.41811555266308309215823900581,
+}
 
 
 def test_oracle_at_origin():
@@ -26,6 +39,30 @@ def test_oracle_at_origin():
 def test_oracle_frozen_values():
     assert z_oracle(10.0) == pytest.approx(Z_10, rel=1e-12)
     assert z_oracle(100.0) == pytest.approx(Z_100, rel=1e-12)
+
+
+def test_oracle_stated_accuracy_up_to_5e4():
+    # z_oracle_many within 1e-10 of mpmath, batched or alone; the scalar,
+    # compensated z_oracle within 1e-11
+    ts = np.array(list(Z_HIGH))
+    ref = np.array(list(Z_HIGH.values()))
+    assert np.max(np.abs(z_oracle_many(ts) - ref)) <= 1e-10
+    for t, z in Z_HIGH.items():
+        assert abs(z_oracle_many(np.array([t]))[0] - z) <= 1e-10
+        assert abs(z_oracle(t) - z) <= 1e-11
+
+
+def test_low_table_matches_frozen_mpmath():
+    t, ref = np.array(Z_LOW_CHECK.split(), dtype=float).reshape(-1, 2).T
+    assert len(t) >= 200
+    assert t[0] == 0.0 and t[-1] == np.nextafter(10.0, 0.0)
+    assert np.max(np.abs(z_eval_many(t) - ref)) <= _LOW_ERR
+    assert np.all(z_err_est(t) == _LOW_ERR)
+
+
+def test_negative_heights_rejected():
+    with pytest.raises(DomainError):
+        z_eval_many(np.array([5.0, -1e-300, 50.0]))
 
 
 def test_oracle_modulus_identity():
@@ -106,7 +143,7 @@ def test_z_err_est_is_the_stated_error():
     ts = np.array([0.5, 9.99, 10.0, 50.0, 1234.0, 5e4])
     for k in range(5):
         errs = z_err_est(ts, k)
-        assert np.all(errs[:2] == 1e-10)
+        assert np.all(errs[:2] == _LOW_ERR)
         for t, e in zip(ts[2:], errs[2:]):
             assert e == pytest.approx(z_rs(t, k).err_est, rel=1e-15)
             assert z_err_est(t, k) == z_rs(t, k).err_est
@@ -150,6 +187,20 @@ def test_rs_value_independent_of_batch():
         assert np.array_equal(z_rs_many(np.append(t, 5e4), k)[:-1], batch)
         big = z_rs_many(np.concatenate([mixed[:7000], t, mixed[7000:]]), k)
         assert np.array_equal(big[7000:9000], batch)
+    # below t = 10, and in batches that cross the switch
+    low = np.random.default_rng(3).uniform(0.0, 10.0, 2000)
+    low_batch = z_eval_many(low)
+    alone = np.array([z_eval_many(low[i:i + 1])[0] for i in range(300)])
+    assert np.array_equal(alone, low_batch[:300])
+    for k in (0, 3, 4):
+        both = z_eval_many(np.concatenate([t[:1000], low, mixed]), k)
+        assert np.array_equal(both[1000:3000], low_batch)
+        assert np.array_equal(both[:1000], z_rs_many(t[:1000], k))
+    # lengths from more blocks than one chunk takes (N up to 1,784)
+    wide = np.random.default_rng(4).uniform(1e4, 2e7, 400)
+    batch = z_rs_many(wide, 3)
+    alone = np.array([z_rs_many(wide[i:i + 1], 3)[0] for i in range(40)])
+    assert np.array_equal(alone, batch[:40])
 
 
 # The derivative combinations the folded tables replace: Psi^{(d)} from
@@ -187,18 +238,55 @@ def _correction_reference(p, k):
             + _psi_derivative(p, 12) / (2038431744.0 * _PI2 ** 4))
 
 
+def _pieces(p):
+    idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
+    return idx, p - _PIECE_CENTERS[idx]
+
+
 def test_folded_corrections_match_derivative_formula():
     edges = np.arange(PSI_PIECES) / PSI_PIECES
     below = np.nextafter(np.append(edges[1:], 1.0), 0.0)
     p = np.concatenate([edges, below, np.random.default_rng(5).random(20000)])
-    c = _rs_corrections(p, 4)
+    idx, u = _pieces(p)
     for k in range(5):
-        assert np.max(np.abs(c[k] - _correction_reference(p, k))) <= 1e-16
-        assert np.array_equal(_rs_corrections(p, k), c[:k + 1])
+        c = _horner(_C_TABLE[:, k, idx], u)
+        assert np.max(np.abs(c - _correction_reference(p, k))) <= 1e-16
     # the folded terms past _C_DEGREE, bounded at |u| <= 0.025
     dropped = np.abs(_fold_correction_tables()[_C_DEGREE + 1:]).max(axis=2)
     powers = 0.025 ** np.arange(_C_DEGREE + 1, PSI_ORDER + 1)
     assert np.all(powers @ dropped < 1e-20)
+
+    # the remainder polynomial of length N against the recombination
+    # (-1)^(N+1) a^{-1/2} sum_{k<=K} C_k(p) a^{-k}, at both edges of every
+    # piece
+    p = np.concatenate([edges, below])
+    idx, u = _pieces(p)
+    c = [_correction_reference(p, k) for k in range(5)]
+    m = np.arange(60)[:, None]
+    for N in (1, 2, 7, 40, 89, 400):
+        a = N + p
+        block = _remainder_block(N // _BLOCK)
+        col = idx + (N % _BLOCK) * PSI_PIECES
+        for K in range(5):
+            ref = sum(c[k] * a ** -k for k in range(K + 1)) \
+                * (-1.0) ** (N + 1) / np.sqrt(a)
+            folded = _horner(block[K][:, col], u)
+            assert np.max(np.abs(folded - ref)) <= 1e-15
+        # the terms of C_k times the binomial series of
+        # (N + c_j + u)^{-k-1/2} dropped past degree _C_DEGREE, summed over
+        # k, at |u| <= 0.025
+        big_a = N + _PIECE_CENTERS
+        dropped = np.zeros(PSI_PIECES)
+        for k in range(5):
+            ratio = np.append(1.0, -(k + 0.5 + np.arange(59)) / np.arange(1, 60))
+            series = np.cumprod(ratio)[:, None] * big_a ** (-k - 0.5 - m)
+            prod = sum(np.pad(_C_TABLE[i, k] * series,
+                              ((i, _C_DEGREE - i), (0, 0)))
+                       for i in range(_C_DEGREE + 1))
+            dropped += (np.abs(prod[_C_DEGREE + 1:]) * 0.025
+                        ** np.arange(_C_DEGREE + 1, len(prod))[:, None]
+                        ).sum(axis=0)
+        assert np.all(dropped < 1e-20)
 
 
 @pytest.mark.parametrize("fn, lo, hi, n", [

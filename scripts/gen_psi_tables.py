@@ -42,19 +42,19 @@ def render() -> str:
         "Psi(p) = cos(2pi(p^2 - p - 1/16))/cos(2pi p).",
         "",
         "Generated by scripts/gen_psi_tables.py (60-digit arithmetic, order 36,",
-        'centers (k+0.5)/20 for k = 0..19).  Do not edit by hand."""',
+        "centers (k+0.5)/20 for k = 0..19).  Line k of PSI_TAYLOR holds the",
+        "Taylor coefficients of orders 0..36 at center k.  The numbers are",
+        "text, parsed on import: compiled as float literals they cost a few ms",
+        "in every process that imports without a bytecode cache.  Do not edit",
+        'by hand."""',
         "",
         "PSI_ORDER = %d" % ORDER,
         "PSI_PIECES = 20",
         "",
-        "PSI_TAYLOR = (",
+        'PSI_TAYLOR = """',
     ]
-    for row in rows:
-        lines.append("    (")
-        for v in row:
-            lines.append(f"        {v!r},")
-        lines.append("    ),")
-    lines.append(")")
+    lines += [" ".join(repr(v) for v in row) for row in rows]
+    lines.append('"""')
     return "\n".join(lines) + "\n"
 
 

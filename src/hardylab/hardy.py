@@ -47,6 +47,8 @@ from .special import (TWO_PI, em_terms, riemann_siegel_theta, theta_batch,
 
 from ._psi_tables import PSI_ORDER, PSI_PIECES, PSI_TAYLOR
 
+_PSI_TAYLOR = np.array(PSI_TAYLOR.split(), dtype=float).reshape(
+    PSI_PIECES, PSI_ORDER + 1)  # [piece, order]
 _PIECE_CENTERS = (np.arange(PSI_PIECES) + 0.5) / PSI_PIECES
 _C_DEGREE = 14
 _PI2 = math.pi ** 2
@@ -66,14 +68,13 @@ _C_TERMS = (
 def _fold_correction_tables() -> np.ndarray:
     """Coefficient of u^m in C_k on each piece, laid out [m, k, piece] so
     that one gather along the last axis gives contiguous (k, row) blocks."""
-    psi = np.array(PSI_TAYLOR, dtype=float)  # (pieces, order+1)
     out = np.zeros((PSI_ORDER + 1, len(_C_TERMS), PSI_PIECES))
     for k, terms in enumerate(_C_TERMS):
         for d, w in terms:
             # u^m in Psi^{(d)} is (m+d)!/m! times u^(m+d) in Psi
             falling = np.array([math.perm(m + d, d)
                                 for m in range(PSI_ORDER + 1 - d)], float)
-            out[:PSI_ORDER + 1 - d, k] += w * (psi[:, d:] * falling).T
+            out[:PSI_ORDER + 1 - d, k] += w * (_PSI_TAYLOR[:, d:] * falling).T
     return out
 
 

@@ -29,10 +29,10 @@ from .arith import DivisorTable
 from .errors import (AccuracyError, CapacityError, ConvergenceError,
                      DomainError, FitError)
 from .explicit import CubicPrimitiveSum
-from .hardy import z_breakpoints, z_eval_many
+from .hardy import _ELEMS, z_breakpoints, z_eval_many
 from .moments import moment_cache, z_power_freq
-from .quad import (PanelSet, integrate_oscillatory, integrate_vertical_line,
-                   panel_edges)
+from .quad import (GAUSS_COLS, NODES, PanelSet, integrate_oscillatory,
+                   integrate_vertical_line, panel_edges)
 from .special import TWO_PI, gamma_complex
 
 # decay exponent of |I_k(x)| (growth certificates; k = 2, 4 via (2.8)-type
@@ -138,21 +138,27 @@ class _PrimitiveGrid:
 
         panels = PanelSet.from_edges(
             panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
-        x16, x8 = panels.nodes(16), panels.nodes(8)
-        self.ln16 = np.log(x16)
-        self.ln8 = np.log(x8)
-        self.a16 = panels.weights(16) * z_eval_many(x16) ** k
-        self.a8 = panels.weights(8) * z_eval_many(x8) ** k
+        x = panels.nodes()
+        zk = z_eval_many(x) ** k
+        self.ln = np.log(x)
+        self.a = panels.weights() * zk
+        # check weights only at the G8 columns: no zeros stored
+        self.a_check = (panels.weights(check=True) * zk).reshape(
+            -1, NODES)[:, GAUSS_COLS].copy()
         self.lnX = math.log(X)
         self.I_X = float(cache.eval_many(np.array([X]))[0])
         self.I_X_err = float(cache.err_at(X))
 
     def transform(self, s: complex) -> tuple[complex, float]:
-        v16 = complex(np.sum(self.a16 * np.exp(-s * self.ln16)))
-        v8 = complex(np.sum(self.a8 * np.exp(-s * self.ln8)))
+        e = -s * self.ln
+        np.exp(e, out=e)
+        v_check = complex(np.sum(
+            self.a_check * e.reshape(-1, NODES)[:, GAUSS_COLS]))
+        e *= self.a
+        v = complex(np.sum(e))
         bnd = self.I_X * cmath.exp(-s * self.lnX)
-        err = abs(v16 - v8) + self.I_X_err * math.exp(-s.real * self.lnX)
-        return v16 - bnd, err
+        err = abs(v - v_check) + self.I_X_err * math.exp(-s.real * self.lnX)
+        return v - bnd, err
 
 
 def _band(t_abs: float) -> int:
@@ -331,9 +337,9 @@ def _v2_grid(table: DivisorTable, X: float):
     jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
     panels = PanelSet.from_edges(panel_edges(
         1.0, X, z_power_freq(3), z_breakpoints(1.0, X) + jumps))
-    x16 = panels.nodes(16)
-    r16 = moment_cache(3).eval_many(x16) - cube.eval_many(x16)
-    return np.log(x16), panels.weights(16) * r16, n_cut
+    x = panels.nodes()
+    r = moment_cache(3).eval_many(x) - cube.eval_many(x)
+    return np.log(x), panels.weights() * r, n_cut
 
 
 def v2_residual(s: complex, X: float, table: DivisorTable) -> complex:
@@ -506,7 +512,7 @@ def square_inner(k: int, x: float, tol: float = 1e-9) -> float:
 def _square_rhs(k: int, s: complex, X: float):
     """2 * integral_1^X x^{-s} inner(x) dx on a fixed two-level grid.
 
-    Inner integrals for all outer nodes are flattened into one Z batch;
+    Inner integrals for groups of outer nodes are flattened into Z batches;
     uniform inner panels at a quarter of the worst-case period (the
     stationary point u = sqrt(x)).  The fast x-ripple of inner(x) (from the
     u = x endpoint) is resolved only below x = 40; beyond, its aliased mass
@@ -519,34 +525,37 @@ def _square_rhs(k: int, s: complex, X: float):
 
     panels = PanelSet.from_edges(
         panel_edges(1.0, X, freq_out, z_breakpoints(1.0, X)))
-    x16, x8 = panels.nodes(16), panels.nodes(8)
+    x = panels.nodes()
+    edges = []
+    for xo in x:
+        a = math.sqrt(xo)
+        fmax = 2.0 * zfreq(max(a, 2.0 * math.pi + 1.0)) + 1e-3
+        width = min(4.0, 0.25 / fmax)
+        n_panels = max(1, int(math.ceil((xo - a) / width)))
+        edges.append(np.linspace(a, xo, n_panels + 1))
+    counts = np.array([NODES * (len(e) - 1) for e in edges])
+    ends = np.cumsum(counts)
+    starts = ends - counts
 
-    def inner_batch(xs: np.ndarray) -> np.ndarray:
-        edges = []
-        for x in xs:
-            a = math.sqrt(x)
-            fmax = 2.0 * zfreq(max(a, 2.0 * math.pi + 1.0)) + 1e-3
-            width = min(4.0, 0.25 / fmax)
-            n_panels = max(1, int(math.ceil((x - a) / width)))
-            edges.append(np.linspace(a, x, n_panels + 1))
-        inner = PanelSet(np.concatenate([e[:-1] for e in edges]),
-                         np.concatenate([e[1:] for e in edges]))
-        u, w = inner.nodes(16), inner.weights(16)
-        counts = np.array([16 * (len(e) - 1) for e in edges])
-        xrep = np.repeat(xs, counts)
-        vals = np.empty_like(u)
-        step = 2_000_000
-        for j in range(0, len(u), step):
-            sl = slice(j, j + step)
-            vals[sl] = z_eval_many(u[sl]) ** k \
-                * z_eval_many(xrep[sl] / u[sl]) ** k / u[sl]
-        return np.add.reduceat(w * vals, np.cumsum(counts) - counts)
+    # outer nodes in groups of at most _ELEMS inner nodes (or one node)
+    inner = np.empty(len(x))
+    i = 0
+    while i < len(x):
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + _ELEMS,
+                                           side="right")))
+        group = PanelSet(np.concatenate([e[:-1] for e in edges[i:j]]),
+                         np.concatenate([e[1:] for e in edges[i:j]]))
+        u = group.nodes()
+        xrep = np.repeat(x[i:j], counts[i:j])
+        vals = z_eval_many(u) ** k * z_eval_many(xrep / u) ** k / u
+        inner[i:j] = np.add.reduceat(group.weights() * vals,
+                                     starts[i:j] - starts[i])
+        i = j
 
-    in16 = inner_batch(x16)
-    in8 = inner_batch(x8)
-    v16 = complex(np.sum(panels.weights(16) * in16 * np.exp(-s * np.log(x16))))
-    v8 = complex(np.sum(panels.weights(8) * in8 * np.exp(-s * np.log(x8))))
-    return 2.0 * v16, 2.0 * abs(v16 - v8)
+    y = inner * np.exp(-s * np.log(x))
+    v = complex(np.sum(panels.weights() * y))
+    v_check = complex(np.sum(panels.weights(check=True) * y))
+    return 2.0 * v, 2.0 * abs(v - v_check)
 
 
 def check_square_identity(k: int, s: complex, X: float = 500.0) -> IdentityReport:
@@ -584,32 +593,53 @@ def truncated_inversion(k: int, x: float, c: float, U: float,
     x_trunc = _INVERSION_X if x_trunc is None else x_trunc
     freq = max(math.log(x), 0.1) / TWO_PI
     # the t-integrand is a pure tone of known frequency times a smooth
-    # decaying factor: two periods per GL16 panel keeps ~1e-12 accuracy
+    # decaying factor: K17 takes two periods of a pure tone to within 1e-15
+    # of the panel width
     width = 2.0 / freq
     edges = np.minimum(np.arange(int(math.ceil(U / width)) + 1) * width, U)
     edges[-1] = U
     keep = edges[1:] > edges[:-1]
     panels = PanelSet(edges[:-1][keep], edges[1:][keep])
 
-    def body(n: int) -> float:
-        ts = panels.nodes(n)
-        m = mellin_by_parts_many(k, c + 1j * ts, tol=tol, X=x_trunc)
-        vals = np.exp((c - 1.0 + 1j * ts) * math.log(x)) * m
-        return float(np.sum(panels.weights(n) * vals.real))
-
-    v16 = body(16)
-    v8 = body(8)
-    if abs(v16 - v8) > 10.0 * max(abs(v16) * 0.5, 1.0):
+    ts = panels.nodes()
+    m = mellin_by_parts_many(k, c + 1j * ts, tol=tol, X=x_trunc)
+    vals = (np.exp((c - 1.0 + 1j * ts) * math.log(x)) * m).real
+    v = float(np.sum(panels.weights() * vals))
+    v_check = float(np.sum(panels.weights(check=True) * vals))
+    if abs(v - v_check) > 10.0 * max(abs(v) * 0.5, 1.0):
         raise AccuracyError("inversion quadrature unstable")
-    return v16 / math.pi
+    return v / math.pi
 
 
 @functools.cache
 def _laplace_grid(y_max: float):
     panels = PanelSet.from_edges(panel_edges(
         1.0, y_max, z_power_freq(1), z_breakpoints(1.0, y_max)))
-    y16 = panels.nodes(16)
-    return y16, z_eval_many(y16) * panels.weights(16)
+    y = panels.nodes()
+    return y, z_eval_many(y) * panels.weights()
+
+
+def _lbar_many(xs: np.ndarray, y: np.ndarray, zy: np.ndarray) -> np.ndarray:
+    """Lbar(x) for every x: the sum of zy e^{-x y} over the prefix y <= 745/x
+    of the ascending grid y.  Rows go by descending prefix in blocks of at
+    most _ELEMS (rows x columns); a row shorter than its block's widest
+    gains only terms below e^{-745}, which underflow."""
+    width = np.searchsorted(y, 745.0 / xs, side="right")
+    order = np.argsort(-width, kind="stable")
+    out = np.zeros(len(xs))
+    i = 0
+    while i < len(order):
+        n = int(width[order[i]])
+        rows = order[i:i + max(1, _ELEMS // max(n, 1))]
+        step = _ELEMS // len(rows)
+        for j in range(0, n, step):
+            cols = slice(j, min(n, j + step))
+            e = np.multiply.outer(-xs[rows], y[cols])
+            np.exp(e, out=e)
+            e *= zy[cols]
+            out[rows] += e.sum(axis=1)
+        i += len(rows)
+    return out
 
 
 def laplace_consistency(s: complex, tol: float = 1e-5) -> IdentityReport:
@@ -626,21 +656,12 @@ def laplace_consistency(s: complex, tol: float = 1e-5) -> IdentityReport:
     x_lo = (tol * (sigma - 0.25) / (c1 * gamma54)) ** (1.0 / (sigma - 0.25))
     x_hi = 50.0
     y_max = min(745.0 / x_lo, 2.0e4)
-    # cached Z on a fixed y-grid; each outer node reuses it
-    y16, zy = _laplace_grid(y_max)
-
-    def lbar(x: float) -> float:
-        cut = 745.0 / x
-        m = y16 <= cut
-        return float(np.sum(zy[m] * np.exp(-x * y16[m])))
+    # cached weighted Z on a fixed y-grid, shared by all outer nodes
+    y, zy = _laplace_grid(y_max)
 
     def outer(vs: np.ndarray) -> np.ndarray:
         # x = e^v substitution
-        out = np.empty(len(vs), dtype=complex)
-        for i, v in enumerate(vs):
-            x = math.exp(v)
-            out[i] = lbar(x) * cmath.exp(s * v)
-        return out
+        return _lbar_many(np.exp(vs), y, zy) * np.exp(s * vs)
 
     res = integrate_oscillatory(outer, math.log(x_lo), math.log(x_hi),
                                 lambda v: 0.3, tol=tol, max_panel=0.5)

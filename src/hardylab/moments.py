@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .hardy import z_breakpoints, z_eval_many
-from .quad import PanelSet, integrate_oscillatory, panel_edges
+from .hardy import _ELEMS, z_breakpoints, z_eval_many
+from .quad import NODES, PanelSet, integrate_oscillatory, panel_edges
 from .special import TWO_PI
 
 
@@ -85,29 +85,34 @@ class MomentCache:
         # evaluation is only piecewise smooth; every breakpoint gets an edge
         edges = panel_edges(start, x_max, z_power_freq(self.k),
                             z_breakpoints(start, x_max))
-        v16, err, _ = PanelSet.from_edges(edges).estimate(self._zk)
+        val, err, _ = PanelSet.from_edges(edges).estimate(self._zk)
         base_val = self.values[-1]
         base_err = self.cum_err[-1]
         self.edges = np.concatenate([self.edges, edges[1:]])
-        self.values = np.concatenate([self.values, base_val + np.cumsum(v16)])
+        self.values = np.concatenate([self.values, base_val + np.cumsum(val)])
         self.cum_err = np.concatenate(
             [self.cum_err, base_err + np.cumsum(err)])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """I_k at arbitrary points (vectorized, anchored single panels)."""
+        """I_k at arbitrary points (vectorized, anchored single panels, in
+        blocks of at most _ELEMS nodes)."""
         xs = np.asarray(xs, dtype=float)
         if np.any(xs < 1.0):
             raise DomainError("I_k defined for x >= 1")
         self.ensure(float(xs.max()) if xs.size else 1.0)
         idx = np.searchsorted(self.edges, xs, side="right") - 1
         idx = np.clip(idx, 0, len(self.edges) - 1)
-        panels = PanelSet(self.edges[idx], xs)
-        flat = panels.nodes(16)
-        vals = np.zeros_like(flat)
-        nz = panels.half.repeat(16) > 0
-        vals[nz] = self._zk(flat[nz])
-        tails = panels.sums(vals, 16)
-        return self.values[idx] + tails
+        out = self.values[idx]
+        step = _ELEMS // NODES
+        for j in range(0, len(xs), step):
+            sl = slice(j, j + step)
+            panels = PanelSet(self.edges[idx[sl]], xs[sl])
+            flat = panels.nodes()
+            vals = np.zeros_like(flat)
+            nz = panels.half.repeat(NODES) > 0
+            vals[nz] = self._zk(flat[nz])
+            out[sl] += panels.sums(vals)
+        return out
 
     def value(self, x: float) -> float:
         return float(self.eval_many(np.array([x]))[0])

@@ -1,11 +1,13 @@
 """Panel grids and oscillation-aware adaptive quadrature.
 
 Every integration grid in the package comes from here: panel_edges walks
-the panel edges, PanelSet gives the Gauss-Legendre nodes, weights and
-per-panel sums.  Panels are sized so that each spans at most a quarter of
-the local oscillation period given by the caller's frequency hint; every
-panel is integrated with 16-point Gauss-Legendre and its error estimated by
-the embedded 8-point difference.  Panels failing the local tolerance test are
+the panel edges, PanelSet gives the nodes, weights and per-panel sums of one
+frozen Gauss-Kronrod 8/17 rule.  Panels are sized so that each spans at most
+a quarter of the local oscillation period given by the caller's frequency
+hint; every panel is integrated with the 17-point Kronrod rule K17 (exact to
+degree 25), and its error estimated by |K17 - G8|, where G8 is the 8-point
+Gauss-Legendre rule on the odd-numbered K17 nodes: the estimate reuses the
+value's 17 integrand values.  Panels failing the local tolerance test are
 bisected.  Panel ordering and the pairwise reduction tree are fixed, so
 identical inputs give bit-identical results no matter how work is batched.
 
@@ -20,11 +22,15 @@ from typing import Callable
 
 import numpy as np
 
+from ._kronrod_table import KRONROD
 from .config import DEFAULTS
 from .errors import BudgetError, DomainError
 
-# (nodes, weights) on [-1, 1] of the value rule and its embedded check
-_RULES = {n: np.polynomial.legendre.leggauss(n) for n in (16, 8)}
+# nodes on [-1, 1], the K17 value weights and the G8 check weights (zero off
+# the G8 nodes, which are the odd-numbered columns: GAUSS_COLS)
+_X, _W_VALUE, _W_CHECK = np.array(KRONROD.split(), dtype=float).reshape(-1, 3).T
+NODES = len(_X)
+GAUSS_COLS = slice(1, NODES, 2)
 
 # default cap on panel width where the frequency hint vanishes
 _MAX_PANEL = 4.0
@@ -68,9 +74,10 @@ def panel_edges(a: float, b: float, freq, breaks=(),
 
 
 class PanelSet:
-    """Panels [lo_i, hi_i] with their 16-point Gauss-Legendre nodes and the
-    embedded 8-point rule: GL16 gives the value, |GL16 - GL8| the error
-    estimate.  Node and weight arrays are flat, panel by panel."""
+    """Panels [lo_i, hi_i] with their 17 Gauss-Kronrod nodes each: K17 gives
+    the value, |K17 - G8| the error estimate, both from the same values.
+    Node and weight arrays are flat, panel by panel; a check weight array
+    holds zeros at the nine nodes G8 does not use."""
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
         self.mid = 0.5 * (lo + hi)
@@ -80,24 +87,25 @@ class PanelSet:
     def from_edges(cls, edges: np.ndarray) -> "PanelSet":
         return cls(edges[:-1], edges[1:])
 
-    def nodes(self, n: int) -> np.ndarray:
-        x = _RULES[n][0]
-        return (self.mid[:, None] + self.half[:, None] * x[None, :]).ravel()
+    def nodes(self) -> np.ndarray:
+        return (self.mid[:, None] + self.half[:, None] * _X[None, :]).ravel()
 
-    def weights(self, n: int) -> np.ndarray:
-        return (self.half[:, None] * _RULES[n][1][None, :]).ravel()
+    def weights(self, check: bool = False) -> np.ndarray:
+        w = _W_CHECK if check else _W_VALUE
+        return (self.half[:, None] * w[None, :]).ravel()
 
-    def sums(self, y: np.ndarray, n: int) -> np.ndarray:
-        """Per-panel n-point integrals from values y at nodes(n)."""
-        return (y.reshape(-1, n) * _RULES[n][1][None, :]).sum(axis=1) * self.half
+    def sums(self, y: np.ndarray, check: bool = False) -> np.ndarray:
+        """Per-panel K17 (or, with check, G8) integrals from values y at
+        nodes()."""
+        w = _W_CHECK if check else _W_VALUE
+        return (y.reshape(-1, NODES) * w[None, :]).sum(axis=1) * self.half
 
     def estimate(self, f):
-        """Per-panel GL16 values, |GL16 - GL8| estimates, and f at the GL16
-        nodes (one panel per row).  f sees each rule's nodes as one batch."""
-        y16 = np.asarray(f(self.nodes(16))).reshape(-1, 16)
-        y8 = np.asarray(f(self.nodes(8)))
-        v16 = self.sums(y16, 16)
-        return v16, np.abs(v16 - self.sums(y8, 8)), y16
+        """Per-panel K17 values, |K17 - G8| estimates, and f at the nodes
+        (one panel per row), from one call of f on all nodes."""
+        y = np.asarray(f(self.nodes())).reshape(-1, NODES)
+        v = self.sums(y)
+        return v, np.abs(v - self.sums(y, check=True)), y
 
 
 def _pairwise_sum(values: np.ndarray) -> complex:
@@ -137,9 +145,9 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     exhausted = False
     while len(cur_lo):
         panels = PanelSet(cur_lo, cur_hi)
-        v, e, y16 = panels.estimate(f)
-        mass = panels.sums(np.abs(y16), 16)  # L1 mass of f on each panel
-        evals += 24 * len(cur_lo)
+        v, e, y = panels.estimate(f)
+        mass = panels.sums(np.abs(y))  # L1 mass of f on each panel
+        evals += NODES * len(cur_lo)
         width = cur_hi - cur_lo
         ok = (e <= np.maximum(scale * width, _NOISE_FLOOR * mass)) \
             | (cur_depth >= _MAX_DEPTH)

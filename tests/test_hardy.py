@@ -6,13 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hardylab._psi_tables import PSI_ORDER, PSI_PIECES, PSI_TAYLOR
+from hardylab._psi_tables import PSI_ORDER, PSI_PIECES
 from hardylab._z_low_table import Z_LOW_CHECK
 from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_err_est, z_eval_many,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
-                            _PIECE_CENTERS, _RS_ERR_C, _fold_correction_tables,
+                            _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
+                            _fold_correction_tables,
                             _horner, _remainder_block)
 
 ZETA_HALF = -1.4603545088095868129
@@ -204,14 +205,14 @@ def test_rs_value_independent_of_batch():
 
 
 # The derivative combinations the folded tables replace: Psi^{(d)} from
-# derivative d of the PSI_TAYLOR polynomials, one Horner pass per derivative.
+# derivative d of the Psi Taylor polynomials, one Horner pass per derivative.
 _PI2 = math.pi ** 2
 
 
 def _psi_derivative(p, d):
     idx = np.clip((p * PSI_PIECES).astype(int), 0, PSI_PIECES - 1)
     u = p - (idx + 0.5) / PSI_PIECES
-    coeffs = np.array(PSI_TAYLOR, dtype=float)[idx]
+    coeffs = _PSI_TAYLOR[idx]
     for _ in range(d):
         coeffs = coeffs[:, 1:] * np.arange(1, coeffs.shape[1])
     out = np.zeros_like(p)

@@ -296,6 +296,20 @@ def test_laplace_envelope_inner():
     assert abs(lbar5) <= peak * math.exp(-5.0) / 5.0 + 1e-4
 
 
+def test_lbar_batch_matches_per_point_loop():
+    # the blocked (outer nodes x y-grid) product against the per-x sums over
+    # the prefix y <= 745/x, in shuffled order with a repeated x
+    y, zy = ML._laplace_grid(2.0e4)
+    xs = np.random.default_rng(3).permutation(
+        np.append(np.geomspace(5e-4, 50.0, 60), 0.1))
+    xs[7] = xs[8]
+    got = ML._lbar_many(xs, y, zy)
+    for x, g in zip(xs, got):
+        m = y <= 745.0 / x
+        terms = zy[m] * np.exp(-x * y[m])
+        assert abs(g - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms)), x
+
+
 def test_report_json_stable():
     rep = ML.check_convolution(2, 1, 3.0 + 0j, 2.0, 50.0)
     from hardylab.reportio import to_json

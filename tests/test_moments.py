@@ -150,6 +150,28 @@ def test_cache_eval_matches_fresh_cache():
     assert np.allclose(vals, ref, atol=1e-10)
 
 
+def test_cache_eval_blocks_do_not_change_values():
+    # eval_many works in blocks of _ELEMS // 17 points; a point's value does
+    # not depend on its block
+    cache = MomentCache(1)
+    xs = np.random.default_rng(9).uniform(1.0, 300.0, 40_000)
+    whole = cache.eval_many(xs)
+    parts = np.concatenate([cache.eval_many(xs[j:j + 777])
+                            for j in range(0, len(xs), 777)])
+    assert whole.tobytes() == parts.tobytes()
+
+
+def test_adaptive_moment_k4_converges_and_matches_cache():
+    # panels that sample the value and the check rule at disjoint nodes
+    # bisect on Z's rounding here and exhaust the budget; the shared
+    # Gauss-Kronrod nodes converge
+    r = hardy_moment(4, 2000.0, 4000.0, tol=1e-8, budget=2_000_000)
+    cache = MomentCache(4)
+    lo, hi = cache.eval_many(np.array([2000.0, 4000.0]))
+    limit = r.abs_err_est + cache.err_at(2000.0) + cache.err_at(4000.0)
+    assert abs(r.value - (hi - lo)) <= limit
+
+
 def test_domain_checks():
     with pytest.raises(DomainError):
         hardy_moment(0, 1.0, 2.0)

@@ -8,8 +8,9 @@ import pytest
 from hardylab.errors import BudgetError, DomainError
 from hardylab.hardy import z_breakpoints, z_eval_many
 from hardylab.moments import z_power_freq
-from hardylab.quad import (PanelSet, QuadratureResult, integrate_oscillatory,
-                           integrate_vertical_line, panel_edges)
+from hardylab.quad import (GAUSS_COLS, NODES, PanelSet, QuadratureResult,
+                           integrate_oscillatory, integrate_vertical_line,
+                           panel_edges)
 
 
 def test_cosine_full_period():
@@ -159,19 +160,53 @@ def test_panel_edges_one_walk_equals_joined_segments():
 
 
 def test_panel_sums_exact_for_polynomials():
-    # GL16 is exact to degree 31 and the embedded GL8 to degree 15, so up to
-    # degree 15 both the value and the |GL16 - GL8| estimate sit at rounding
+    # K17 is exact to degree 25 and the G8 inside it to degree 15, so the
+    # value sits at rounding up to degree 25, and the |K17 - G8| estimate up
+    # to degree 15
     edges = np.array([-3.0, -1.7, -0.2, 0.4, 1.9, 2.5, 4.1, 5.0])
     panels = PanelSet.from_edges(edges)
     rng = np.random.default_rng(7)
-    for degree in range(16):
+    for degree in range(26):
         poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
         prim = poly.integ()
         exact = prim(edges[1:]) - prim(edges[:-1])
         # rounding scale: the panel integral of sum_j |c_j| 5^j
         scale = np.diff(edges) * np.polynomial.Polynomial(np.abs(poly.coef))(5.0)
-        v16, err, y16 = panels.estimate(poly)
-        assert np.all(np.abs(v16 - exact) <= 1e-13 * scale), degree
-        assert np.all(err <= 1e-13 * scale), degree
-        flat = np.sum(panels.weights(16) * y16.ravel())
+        value, err, y = panels.estimate(poly)
+        assert np.all(np.abs(value - exact) <= 1e-13 * scale), degree
+        flat = np.sum(panels.weights() * y.ravel())
         assert abs(flat - exact.sum()) <= 1e-13 * scale.sum(), degree
+        if degree <= 15:
+            assert np.all(err <= 1e-13 * scale), degree
+            check = np.sum(panels.weights(check=True) * y.ravel())
+            assert abs(check - exact.sum()) <= 1e-13 * scale.sum(), degree
+
+
+def test_estimate_evaluates_once_at_17_nodes_per_panel():
+    panels = PanelSet.from_edges(np.array([0.0, 0.5, 2.0, 3.0]))
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.sin(x)
+
+    value, err, y = panels.estimate(f)
+    assert calls == [3 * NODES] and NODES == 17
+    assert y.shape == (3, NODES)
+    r = integrate_oscillatory(np.sin, 0.0, 3.0, lambda t: 0.0, tol=1e-14)
+    assert r.evals % NODES == 0 and r.evals >= NODES * r.panels
+
+
+def test_frozen_rule():
+    panel = PanelSet.from_edges(np.array([-1.0, 1.0]))
+    x, wk, wg = panel.nodes(), panel.weights(), panel.weights(check=True)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(wk, wk[::-1]) and np.array_equal(wg, wg[::-1])
+    assert np.all(np.diff(x) > 0.0)
+    assert np.all(wk > 0.0)
+    assert np.all(wg[GAUSS_COLS] > 0.0) and np.count_nonzero(wg) == 8
+    assert abs(math.fsum(wk) - 2.0) <= 1e-15
+    assert abs(math.fsum(wg) - 2.0) <= 1e-15
+    gx, gw = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(x[GAUSS_COLS] - gx)) <= 1e-15
+    assert np.max(np.abs(wg[GAUSS_COLS] - gw)) <= 1e-15

@@ -12,6 +12,14 @@ solve at 50 digits); the rule is then exact to degree 25, which the script
 checks, together with positive weights.  The G8 weights are the
 Gauss-Legendre weights 2 / ((1 - x^2) P_8'(x)^2).
 
+The same file freezes the Legendre matrix of the 17 nodes: row n maps the
+17 node values of a function to the coefficient of P_n in its degree-16
+interpolant, the inverse of V[j][n] = P_n(x_j) (condition number 6.9).
+Integrating that interpolant from -1 to any tau in [-1, 1] gives I_k
+between a moment cache's anchors without new evaluations (Greengard, SIAM
+J. Numer. Anal. 28, 1991).  The script checks that twice row 0 is the K17
+weights and that the integrals of x^m, m <= 16, are exact at 50 digits.
+
 Writes src/hardylab/_kronrod_table.py; --check regenerates it in memory and
 exits 1 unless the committed file is byte-for-byte the same.  Requires mpmath
 (dev-time only; the package itself never imports it).
@@ -108,8 +116,40 @@ def rule():
     return nodes, wk, wg
 
 
+def legendre_at(n: int, x):
+    """P_n(x) by Bonnet's recurrence."""
+    p0, p1 = mp.mpf(1), x
+    if n == 0:
+        return p0
+    for j in range(1, n):
+        p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+    return p1
+
+
+def legendre_matrix(nodes: list, wk: list) -> list:
+    """Rows n = 0..16: node values -> coefficient of P_n of the interpolant."""
+    v = mp.matrix([[legendre_at(n, x) for n in range(NODES)] for x in nodes])
+    inv = mp.inverse(v)
+    rows = [[inv[n, j] for j in range(NODES)] for n in range(NODES)]
+    if max(abs(2 * rows[0][j] - wk[j]) for j in range(NODES)) > 1e-40:
+        raise RuntimeError("row 0 of the Legendre matrix is not the K17 rule")
+    # integral over [-1, tau] of P_n: tau + 1 for n = 0, else
+    # (P_{n+1}(tau) - P_{n-1}(tau)) / (2n + 1)
+    for tau in (mp.mpf(-1), mp.mpf("-0.3"), mp.mpf("0.71"), mp.mpf(1)):
+        q = [tau + 1] + [(legendre_at(n + 1, tau) - legendre_at(n - 1, tau))
+                         / (2 * n + 1) for n in range(1, NODES)]
+        for m in range(NODES):
+            got = mp.fsum(q[n] * mp.fsum(rows[n][j] * x ** m
+                                         for j, x in enumerate(nodes))
+                          for n in range(NODES))
+            if abs(got - (tau ** (m + 1) - (-1) ** (m + 1)) / (m + 1)) > 1e-40:
+                raise RuntimeError(f"interpolant integral not exact for x^{m}")
+    return rows
+
+
 def render() -> str:
     nodes, wk, wg = rule()
+    lmat = legendre_matrix(nodes, wk)
     half = NODES // 2
     # round the upper half and mirror it, so the table is exactly symmetric
     rows = [(float(x), float(a), float(b))
@@ -125,13 +165,25 @@ def render() -> str:
         "from 0",
         f"(their G{GAUSS} weight is 0 on the other lines).  K{NODES} is exact "
         f"to degree {DEGREE},",
-        f"G{GAUSS} to degree {2 * GAUSS - 1}.  The numbers are text, parsed on "
-        "import.  Do not",
-        'edit by hand."""',
+        f"G{GAUSS} to degree {2 * GAUSS - 1}.  Line n of LEGENDRE maps the "
+        f"{NODES} node",
+        f"values of a function to the coefficient of P_n in its degree-{NODES - 1}",
+        "interpolant.  The numbers are text, parsed on import.  Do not edit by",
+        'hand."""',
         "",
         'KRONROD = """',
     ]
     lines += [" ".join(repr(v) for v in row) for row in rows]
+    lines += ['"""', "", 'LEGENDRE = """']
+    # row n is even (n even) or odd (n odd) under x -> -x: round the upper
+    # half of each row and mirror it, so the matrix is exactly symmetric
+    for n, row in enumerate(lmat):
+        # exact zeros (an odd P_n takes nothing from x = 0, P_8 nothing
+        # from its own zeros, the G8 nodes) print as zeros
+        upper = [float(v) if abs(v) > 1e-40 else 0.0 for v in row[half:]]
+        sign = -1.0 if n % 2 else 1.0
+        lines.append(" ".join(repr(v) for v in
+                              [sign * v for v in reversed(upper[1:])] + upper))
     lines.append('"""')
     return "\n".join(lines) + "\n"
 

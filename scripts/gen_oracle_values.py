@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
 """Regenerate the frozen 30-digit reference values used in the tests.
 
-Run and compare against the constants in tests/test_special.py,
-tests/test_hardy.py, tests/test_arith.py, tests/test_mellin.py.
-Requires mpmath (dev-time only; the package itself never imports it).
+Prints them, to compare against the constants in tests/test_special.py,
+tests/test_hardy.py, tests/test_arith.py, tests/test_mellin.py; --check
+reads those constants instead (module-level literals, complex(re, im) and
+the Z_HIGH table) and exits 1 unless each one named here is within binary64
+rounding of its value.  Requires mpmath (dev-time only; the package itself
+never imports it).
 """
+
+import ast
+import sys
+from pathlib import Path
 
 import mpmath as mp
 
@@ -20,7 +27,52 @@ def chi(s):
     return 2 ** s * mp.pi ** (s - 1) * mp.sin(mp.pi * s / 2) * mp.gamma(1 - s)
 
 
-def main() -> None:
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+
+
+def frozen_constants() -> dict:
+    """Module-level numeric constants of the test files, by name; the
+    entries of the Z_HIGH table as "Z_AT <height>"."""
+    found = {}
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)):
+                continue
+            name, value = node.targets[0].id, node.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "complex":
+                found[name] = complex(*(ast.literal_eval(a) for a in value.args))
+                continue
+            try:
+                lit = ast.literal_eval(value)
+            except ValueError:
+                continue
+            if name == "Z_HIGH":
+                found.update((f"Z_AT {t!r}", v) for t, v in lit.items())
+            elif isinstance(lit, (int, float, complex)) and not isinstance(lit, bool):
+                found[name] = lit
+    return found
+
+
+def check(rows) -> int:
+    frozen = frozen_constants()
+    bad = 0
+    for label, value in rows:
+        name = label.split(" = ")[0].strip()
+        if name not in frozen:
+            print(f"{name}: not frozen in the tests")
+            bad += 1
+            continue
+        ref = complex(value)
+        # a 20-digit literal read as binary64 is within one rounding
+        if abs(complex(frozen[name]) - ref) > 4e-16 * abs(ref):
+            print(f"{name}: tests hold {frozen[name]!r}, mpmath gives {value}")
+            bad += 1
+    print(f"{len(rows) - bad} of {len(rows)} frozen values match")
+    return 1 if bad else 0
+
+
+def main() -> int:
     rows = [
         ("SQRT_PI = gamma(1/2)", mp.gamma(mp.mpf(1) / 2)),
         ("GAMMA_2P5_3J", mp.gamma(mp.mpc(2.5, 3))),
@@ -43,9 +95,12 @@ def main() -> None:
         ("ZETA_3", mp.zeta(3)),
     ]
     rows += [(f"Z_AT {t!r}", mp.siegelz(t)) for t in Z_ORACLE_HEIGHTS]
+    if "--check" in sys.argv[1:]:
+        return check(rows)
     for name, value in rows:
         print(f"{name:28s} = {value}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -268,6 +268,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if getattr(args, "format", None) is None:
         args.format = cfg.output_format
+    # an output path that cannot be written fails before any work
+    out = getattr(args, "out", None)
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        print(f"{args.command}: --out {out}: not a file in an existing "
+              "directory", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "z": cmd_z, "moment": cmd_moment, "mellin": cmd_mellin,
         "divisors": cmd_divisors, "verify": cmd_verify,

@@ -123,24 +123,28 @@ class _PrimitiveGrid:
     back), so the grid caches w * Z^k at the nodes once; each subsequent s
     costs a single vector exponential.  Grids are banded by |Im s|: the
     frequency hint adds the twist |Im s|/(2 pi x) so panels resolve x^{-it}
-    down to x = 1.
+    down to x = 1.  Band 0 has no twist: its panels and Z^k values are the
+    moment cache's, and only the last panel, clipped at X, evaluates Z.
     """
 
     def __init__(self, k: int, X: float, band: int):
         self.k = k
         self.X = X
         cache = moment_cache(k)
-        zfreq = z_power_freq(k)
-        t_band = _band_top(band)
+        if band == 0:
+            # the twist vanishes: these are the moment cache's own panels
+            panels, zk = cache.panels(X)
+        else:
+            zfreq = z_power_freq(k)
+            t_band = _band_top(band)
 
-        def freq(x: float) -> float:
-            return zfreq(x) + t_band / (TWO_PI * x)
+            def freq(x: float) -> float:
+                return zfreq(x) + t_band / (TWO_PI * x)
 
-        panels = PanelSet.from_edges(
-            panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
-        x = panels.nodes()
-        zk = z_eval_many(x) ** k
-        self.ln = np.log(x)
+            panels = PanelSet.from_edges(
+                panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
+            zk = z_eval_many(panels.nodes()) ** k
+        self.ln = np.log(panels.nodes())
         self.a = panels.weights() * zk
         # check weights only at the G8 columns: no zeros stored
         self.a_check = (panels.weights(check=True) * zk).reshape(
@@ -367,28 +371,29 @@ def v2_residual(s: complex, X: float, table: DivisorTable) -> complex:
 
 
 def m3_decomposition(s: complex, X: float, table: DivisorTable) -> dict:
-    """V1 + V2 against mellin_by_parts(3, s) at matched cutoffs."""
+    """V1 + V2 against the X-truncated transform of I_3 at matched cutoffs,
+    which they telescope to (see v2_residual)."""
+    s = complex(s)
     n_cut = _cubic_sum(table).cutoff(X)
     v1 = v1_series(s, n_cut, table)
     v2 = v2_residual(s, X, table)
-    m3 = mellin_by_parts(3, s, X=X)
-    gap = abs(v1 + v2 - m3.value)
+    m3 = _grid(3, X, _band(abs(s.imag))).transform(s)[0]
+    gap = abs(v1 + v2 - m3)
     return {
-        "s": complex(s), "X": float(X), "N": n_cut,
-        "v1": v1, "v2": v2, "sum": v1 + v2, "m3": m3.value,
-        "gap_abs": gap, "gap_rel": gap / abs(m3.value),
-        "tail_bound": m3.tail_bound,
+        "s": s, "X": float(X), "N": n_cut,
+        "v1": v1, "v2": v2, "sum": v1 + v2, "m3": m3,
+        "gap_abs": gap, "gap_rel": gap / abs(m3),
     }
 
 
 def m3_via_series(s: complex, X: float, table: DivisorTable) -> MellinSample:
     """M_3(s) assembled from the cosine series plus residual transform at
-    matched cutoffs (method = "series"); certificate taken from the
-    equivalent primitive-continuation evaluation."""
+    matched cutoffs (method = "series"); the certificate is the tail bound
+    of mellin_by_parts(3, s, X) plus the decomposition gap."""
     d = m3_decomposition(s, X, table)
+    tail = mellin_by_parts(3, s, X=X).tail_bound
     return MellinSample(s=complex(s), k=3, value=d["sum"], X=float(X),
-                        tail_bound=d["tail_bound"] + d["gap_abs"],
-                        method="series")
+                        tail_bound=tail + d["gap_abs"], method="series")
 
 
 # -- Laurent fit around s = 1 ----------------------------------------------------
@@ -613,10 +618,9 @@ def truncated_inversion(k: int, x: float, c: float, U: float,
 
 @functools.cache
 def _laplace_grid(y_max: float):
-    panels = PanelSet.from_edges(panel_edges(
-        1.0, y_max, z_power_freq(1), z_breakpoints(1.0, y_max)))
-    y = panels.nodes()
-    return y, z_eval_many(y) * panels.weights()
+    # the k = 1 moment cache's panels and Z values on [1, y_max]
+    panels, z = moment_cache(1).panels(y_max)
+    return panels.nodes(), z * panels.weights()
 
 
 def _lbar_many(xs: np.ndarray, y: np.ndarray, zy: np.ndarray) -> np.ndarray:

@@ -1,31 +1,34 @@
 """Power moments of Hardy's function: I_k(x) = integral of Z^k over [1, x].
 
-A per-k cumulative cache stores I_k at quarter-period anchor points, built
-in one deterministic left-to-right pass; any I_k(x) then costs a single
-Gauss-Legendre panel from the nearest anchor.  Mellin-transform callers
-re-integrate I_k thousands of times, so the cache is the difference between
-seconds and hours.  write_checkpoints/read_checkpoints write and read back
-I_k at T = 1, 1 + dT, ... as CSV; no CLI command uses them, and the cache
-never loads them.
+A per-k cumulative cache is the one store of Z^k node values.  It walks
+Gauss-Kronrod panels from 1 (quarter periods of Z^k, an edge at every
+breakpoint of the evaluation) and keeps, for every panel, I_k at its edges
+and Z^k at its 17 nodes.  Any I_k(x) inside the built range is then the
+anchor at the panel's left edge plus the integral of the panel's degree-16
+interpolant up to x: no new Z values.  Transform grids on [1, X] read the
+same panels and node values.  Mellin-transform callers re-integrate I_k
+thousands of times, so the cache is the difference between seconds and
+hours.
 
-Cache construction is single-threaded and extend-only; the anchor arrays
-already written are never mutated, so finished prefixes are safe to read
-concurrently.
+The walk is canonical: ensure(x) continues it from the last edge and stops
+at the first edge past x, and anchors are summed one panel at a time from
+the last anchor, so edges, anchors and node values are the same bits
+however the requests were split.  Cache construction is single-threaded
+and extend-only: arrays already built are replaced, never mutated.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
-from .quad import NODES, PanelSet, integrate_oscillatory, panel_edges
+from .quad import (MAX_PANEL, NODES, PanelSet, integrate_oscillatory,
+                   panel_edges, partial_integrals)
 from .special import TWO_PI
 
 
@@ -65,8 +68,16 @@ def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
                         abs_err_est=res.abs_err_est)
 
 
+def _running_sum(acc: np.ndarray, parts) -> np.ndarray:
+    """acc, then its last value plus the terms of parts, one at a time."""
+    return np.concatenate(
+        [acc[:-1], np.cumsum(np.concatenate([acc[-1:], *parts]))])
+
+
 class MomentCache:
-    """Cumulative I_k anchors on [1, X], extended on demand."""
+    """Cumulative I_k on [1, X], extended on demand: panel edges, I_k and its
+    summed error estimate at the edges, and Z^k at every panel's 17 nodes
+    (one row per panel)."""
 
     def __init__(self, k: int, corrections: int = 3):
         self.k = k
@@ -74,45 +85,69 @@ class MomentCache:
         self.edges = np.array([1.0])
         self.values = np.array([0.0])
         self.cum_err = np.array([0.0])
+        self.zk = np.empty((0, NODES))
 
     def _zk(self, t: np.ndarray) -> np.ndarray:
         return z_eval_many(t, self.corrections) ** self.k
 
     def ensure(self, x_max: float) -> None:
-        if x_max <= self.edges[-1]:
+        """Continue the walk to the first edge past x_max."""
+        if not math.isfinite(x_max):
+            raise DomainError("MomentCache.ensure requires a finite height")
+        if x_max < self.edges[-1]:
             return
         start = self.edges[-1]
-        # evaluation is only piecewise smooth; every breakpoint gets an edge
-        edges = panel_edges(start, x_max, z_power_freq(self.k),
-                            z_breakpoints(start, x_max))
-        val, err, _ = PanelSet.from_edges(edges).estimate(self._zk)
-        base_val = self.values[-1]
-        base_err = self.cum_err[-1]
+        # the walk's steps never exceed MAX_PANEL, so it crosses x_max before
+        # reaching the bound, and the edge that crosses it is not clipped;
+        # every breakpoint gets an edge (evaluation is piecewise smooth)
+        bound = x_max + MAX_PANEL
+        edges = panel_edges(start, bound, z_power_freq(self.k),
+                            z_breakpoints(start, bound))
+        edges = edges[:int(np.searchsorted(edges, x_max, side="right")) + 1]
+        step = _ELEMS // NODES
+        lo, hi = edges[:-1], edges[1:]
+        parts = [PanelSet(lo[j:j + step], hi[j:j + step]).estimate(self._zk)
+                 for j in range(0, len(lo), step)]
+        val, err, y = zip(*parts)
         self.edges = np.concatenate([self.edges, edges[1:]])
-        self.values = np.concatenate([self.values, base_val + np.cumsum(val)])
-        self.cum_err = np.concatenate(
-            [self.cum_err, base_err + np.cumsum(err)])
+        # summed one panel at a time from the last anchor: the same bits
+        # however the walk was split
+        self.values = _running_sum(self.values, val)
+        self.cum_err = _running_sum(self.cum_err, err)
+        self.zk = np.concatenate([self.zk, *y])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """I_k at arbitrary points (vectorized, anchored single panels, in
-        blocks of at most _ELEMS nodes)."""
+        """I_k at arbitrary points: the anchor at the left edge of the
+        point's panel plus the integral of the panel's interpolant up to the
+        point (in blocks of at most _ELEMS node values)."""
         xs = np.asarray(xs, dtype=float)
-        if np.any(xs < 1.0):
-            raise DomainError("I_k defined for x >= 1")
+        if not np.all(np.isfinite(xs) & (xs >= 1.0)):
+            raise DomainError("I_k defined for finite x >= 1")
         self.ensure(float(xs.max()) if xs.size else 1.0)
         idx = np.searchsorted(self.edges, xs, side="right") - 1
-        idx = np.clip(idx, 0, len(self.edges) - 1)
+        lo, hi = self.edges[idx], self.edges[idx + 1]
+        # tau is exactly -1 at an anchor, where the integral is exactly 0
+        tau = 2.0 * (xs - lo) / (hi - lo) - 1.0
         out = self.values[idx]
         step = _ELEMS // NODES
         for j in range(0, len(xs), step):
             sl = slice(j, j + step)
-            panels = PanelSet(self.edges[idx[sl]], xs[sl])
-            flat = panels.nodes()
-            vals = np.zeros_like(flat)
-            nz = panels.half.repeat(NODES) > 0
-            vals[nz] = self._zk(flat[nz])
-            out[sl] += panels.sums(vals)
+            out[sl] += 0.5 * (hi[sl] - lo[sl]) * partial_integrals(
+                self.zk[idx[sl]], tau[sl])
         return out
+
+    def panels(self, x: float) -> tuple[PanelSet, np.ndarray]:
+        """The cache's panels on [1, x], the last one clipped at x, with Z^k
+        at their nodes (flat, panel by panel): only a clipped last panel
+        evaluates Z, at its 17 nodes."""
+        self.ensure(x)
+        m = int(np.searchsorted(self.edges, x, side="right")) - 1
+        edges, zk = self.edges[:m + 1], self.zk[:m]
+        if edges[-1] < x:
+            last = PanelSet(edges[-1:], np.array([x]))
+            edges = np.append(edges, x)
+            zk = np.concatenate([zk, self._zk(last.nodes())[None]])
+        return PanelSet.from_edges(edges), zk.ravel()
 
     def value(self, x: float) -> float:
         return float(self.eval_many(np.array([x]))[0])
@@ -149,30 +184,3 @@ def abs_moment(k: int, a: float, b: float, tol: float = 1e-7) -> MomentResult:
     inner = hardy_moment(2 * k, a, b, tol)
     return MomentResult(k=k, a=a, b=b, value=inner.value,
                         abs_err_est=inner.abs_err_est)
-
-
-def checkpoints(k: int, t_max: float, dt: float = 100.0):
-    """(T, I_k(T), err) rows at T = 1, 1+dt, 1+2dt, ... up to t_max."""
-    cache = moment_cache(k)
-    ts = np.arange(1.0, t_max + 0.5 * dt, dt)
-    vals = cache.eval_many(ts)
-    return [(float(t), float(v), cache.err_at(float(t))) for t, v in zip(ts, vals)]
-
-
-def write_checkpoints(path: str | Path, k: int, t_max: float, dt: float = 100.0) -> None:
-    """CSV rows (k, T, I_k(T), err), stable ordering."""
-    rows = checkpoints(k, t_max, dt)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "T", "I_k", "err"])
-        for t, v, e in rows:
-            w.writerow([k, f"{t:.17e}", f"{v:.17e}", f"{e:.17e}"])
-
-
-def read_checkpoints(path: str | Path):
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r)
-        return [(int(k), float(t), float(v), float(e)) for k, t, v, e in r]

@@ -8,8 +8,11 @@ hint; every panel is integrated with the 17-point Kronrod rule K17 (exact to
 degree 25), and its error estimated by |K17 - G8|, where G8 is the 8-point
 Gauss-Legendre rule on the odd-numbered K17 nodes: the estimate reuses the
 value's 17 integrand values.  Panels failing the local tolerance test are
-bisected.  Panel ordering and the pairwise reduction tree are fixed, so
-identical inputs give bit-identical results no matter how work is batched.
+bisected.  partial_integrals integrates the degree-16 interpolant through a
+panel's 17 values from its left edge to any point inside, so stored node
+values give integrals up to any point without new evaluations.  Panel
+ordering and the pairwise reduction tree are fixed, so identical inputs
+give bit-identical results no matter how work is batched.
 
 Integrands receive numpy arrays of abscissae and must be pure.
 """
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._kronrod_table import KRONROD
+from ._kronrod_table import KRONROD, LEGENDRE
 from .config import DEFAULTS
 from .errors import BudgetError, DomainError
 
@@ -31,9 +34,12 @@ from .errors import BudgetError, DomainError
 _X, _W_VALUE, _W_CHECK = np.array(KRONROD.split(), dtype=float).reshape(-1, 3).T
 NODES = len(_X)
 GAUSS_COLS = slice(1, NODES, 2)
+# row n maps the 17 node values to the coefficient of P_n of their
+# degree-16 interpolant on [-1, 1]
+_LEGENDRE = np.array(LEGENDRE.split(), dtype=float).reshape(NODES, NODES)
 
 # default cap on panel width where the frequency hint vanishes
-_MAX_PANEL = 4.0
+MAX_PANEL = 4.0
 _MAX_DEPTH = 40
 # binary64 evaluation-noise floor, relative to the local L1 mass of a
 # panel; refinement below this level only chases rounding jitter
@@ -53,7 +59,7 @@ class QuadratureResult:
 
 
 def panel_edges(a: float, b: float, freq, breaks=(),
-                max_panel: float = _MAX_PANEL) -> np.ndarray:
+                max_panel: float = MAX_PANEL) -> np.ndarray:
     """Panel edges on [a, b]: each panel spans a quarter period
     0.25 / freq(left edge), capped at max_panel (and max_panel where the
     hint is not positive), and every break in (a, b) becomes an edge."""
@@ -108,6 +114,24 @@ class PanelSet:
         return v, np.abs(v - self.sums(y, check=True)), y
 
 
+def partial_integrals(y: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """For each row i of y (values at the 17 nodes on [-1, 1]), the integral
+    over [-1, tau_i] of the degree-16 interpolant through them.
+
+    The integral of P_n over [-1, tau] is (P_{n+1} - P_{n-1})(tau) / (2n + 1)
+    (tau + 1 for n = 0), which is exactly 0 at tau = -1; at tau = 1 the
+    weights are exactly the K17 weights.  Elementwise products and a fixed
+    per-row sum: a row's result does not depend on the other rows."""
+    tau = np.asarray(tau, dtype=float)
+    p_prev, p = np.ones_like(tau), tau
+    w = (tau + 1.0)[:, None] * _LEGENDRE[0]
+    for n in range(1, NODES):
+        p_next = ((2 * n + 1) * tau * p - n * p_prev) / (n + 1)
+        w += ((p_next - p_prev) / (2 * n + 1))[:, None] * _LEGENDRE[n]
+        p_prev, p = p, p_next
+    return (w * y).sum(axis=1)
+
+
 def _pairwise_sum(values: np.ndarray) -> complex:
     # fixed pairwise tree over the left-to-right panel order
     vals = list(values)
@@ -123,7 +147,7 @@ def _pairwise_sum(values: np.ndarray) -> complex:
 
 def integrate_oscillatory(f: Callable, a: float, b: float, freq,
                           tol: float = 1e-9, budget: int | None = None,
-                          max_panel: float = _MAX_PANEL,
+                          max_panel: float = MAX_PANEL,
                           breakpoints: tuple = ()) -> QuadratureResult:
     """Adaptive integral of f over [a, b] with an oscillation frequency hint.
 

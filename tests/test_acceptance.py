@@ -6,10 +6,16 @@ pins the criterion-to-suite mapping, the runtime budgets, and the
 bit-identical determinism requirement.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import hardylab
 import hardylab.verify as verify
 from hardylab.config import RunConfig
 from hardylab.reportio import to_json
@@ -102,3 +108,37 @@ def test_criterion_11_determinism(first_run):
     status = "PASS" if b1 == b2 else "FAIL"
     print(f"criterion 11 [{status}] determinism (bit-identical bundles)")
     assert b1 == b2
+
+
+_SECTIONS = """
+import json, sys
+from hardylab import verify
+from hardylab.reportio import to_json
+bundle = verify.run(sys.argv[1:])
+print(json.dumps({n: to_json(s) for n, s in bundle["suites"].items()}))
+"""
+
+
+def _sections(names):
+    # a fresh process: caches start empty
+    env = dict(os.environ)
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _SECTIONS, *names], env=env,
+                         capture_output=True, text=True, timeout=900,
+                         check=True)
+    return json.loads(res.stdout)
+
+
+def test_suite_order_does_not_change_sections():
+    # the moment caches walk one canonical lattice, so a section does not
+    # depend on which suites ran before it in the same process
+    names = [n for n in verify.SUITES if n != "identities"]
+    forward = _sections(names)
+    backward = _sections(names[::-1])
+    alone = _sections(["series-decomposition"])
+    assert list(forward) == names
+    for name in names:
+        assert forward[name] == backward[name], name
+    assert alone["series-decomposition"] == forward["series-decomposition"]

@@ -197,6 +197,22 @@ def test_verify_single_suite(tmp_path, capsys):
     assert bundle["pass"] is True
 
 
+def test_out_in_missing_directory_fails_before_work(tmp_path, capsys,
+                                                    monkeypatch):
+    def never(*a, **kw):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(verify, "run", never)
+    missing = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(capsys, "verify", "all", "--out", missing)
+    assert code == 2 and out == "" and "--out" in err
+    code, out, err = run_cli(capsys, "verify", "all", "--out", str(tmp_path))
+    assert code == 2 and out == ""
+    code, out, err = run_cli(capsys, "z", "--from", "10", "--to", "11",
+                             "--step", "0.5", "--out", missing)
+    assert code == 2 and out == "" and not (tmp_path / "missing").exists()
+
+
 def test_verify_determinism_repeat_runs(tmp_path, capsys):
     p1, p2 = tmp_path / "b1.json", tmp_path / "b2.json"
     code1, _, _ = run_cli(capsys, "verify", "dyadic-square",

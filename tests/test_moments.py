@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from hardylab.errors import DomainError
-from hardylab.hardy import z_oracle, z_oracle_many
-from hardylab.moments import (MomentCache, abs_moment, checkpoints,
-                              hardy_moment, hardy_primitive_F, moment_cache,
-                              read_checkpoints, write_checkpoints,
-                              z_power_freq)
+from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
+                            z_oracle_many)
+from hardylab.moments import (MomentCache, abs_moment, hardy_moment,
+                              hardy_primitive_F, moment_cache, z_power_freq)
 from hardylab.quad import integrate_oscillatory
 
 
@@ -128,26 +127,59 @@ def test_moment_growth_k2_window():
     assert min(ratios) > 0.0
 
 
-def test_checkpoint_csv_roundtrip(tmp_path):
-    path = tmp_path / "ck.csv"
-    write_checkpoints(path, 1, 501.0)
-    rows = read_checkpoints(path)
-    assert [r[1] for r in rows] == [1.0, 101.0, 201.0, 301.0, 401.0, 501.0]
-    assert all(r[0] == 1 for r in rows)
-    got = dict((r[1], r[2]) for r in rows)
-    assert got[401.0] == pytest.approx(hardy_primitive_F(401.0), abs=1e-9)
-    # byte-stable across rewrites
-    text1 = path.read_text()
-    write_checkpoints(path, 1, 501.0)
-    assert path.read_text() == text1
-
-
 def test_cache_eval_matches_fresh_cache():
+    # the shared cache, however other tests grew it, and a fresh one give
+    # the same bits
     fresh = MomentCache(2)
     xs = np.array([55.5, 123.4, 400.0])
     vals = fresh.eval_many(xs)
     ref = moment_cache(2).eval_many(xs)
-    assert np.allclose(vals, ref, atol=1e-10)
+    assert vals.tobytes() == ref.tobytes()
+
+
+def test_cache_walk_does_not_depend_on_request_split():
+    # one request, or many in any order, walk the same panels from 1 and
+    # sum the same anchors
+    whole = MomentCache(3)
+    whole.ensure(700.0)
+    split = MomentCache(3)
+    for x in (5.0, 10.0, 123.4, 60.0, 2.0 * np.pi * 49, 333.3, 700.0):
+        split.ensure(x)
+    assert whole.edges.tobytes() == split.edges.tobytes()
+    assert whole.values.tobytes() == split.values.tobytes()
+    assert whole.cum_err.tobytes() == split.cum_err.tobytes()
+    assert whole.zk.tobytes() == split.zk.tobytes()
+    # the walk stops at the first edge past the request, with an edge at
+    # every breakpoint of the evaluation
+    assert whole.edges[-2] <= 700.0 < whole.edges[-1]
+    assert set(z_breakpoints(1.0, 700.0)) <= set(whole.edges.tolist())
+
+
+def test_cache_eval_uses_stored_node_values(monkeypatch):
+    # inside the built range I_k(x) needs no new Z values
+    cache = MomentCache(3)
+    cache.ensure(500.0)
+    xs = np.random.default_rng(4).uniform(1.0, 500.0, 1000)
+    monkeypatch.setattr(cache, "_zk", None)
+    vals = cache.eval_many(np.append(xs, cache.edges[[0, 7, -2]]))
+    # at an anchor the value is the anchor's bits
+    assert vals[-3:].tobytes() == cache.values[[0, 7, -2]].tobytes()
+    # elsewhere it agrees with an adaptive integral from the anchor
+    idx = np.searchsorted(cache.edges, xs, side="right") - 1
+    ref = cache.values[idx] + np.array([
+        hardy_moment(3, lo, x, tol=1e-12).value if x > lo else 0.0
+        for lo, x in zip(cache.edges[idx], xs)])
+    assert np.max(np.abs(vals[:-3] - ref)) <= 1e-9
+
+
+def test_cache_panels_are_shared_up_to_a_clipped_last_panel():
+    cache = MomentCache(2)
+    panels, zk = cache.panels(300.0)
+    m = len(panels.half) - 1
+    assert zk[:m * 17].tobytes() == cache.zk[:m].tobytes()
+    assert abs(panels.mid[-1] + panels.half[-1] - 300.0) <= 1e-12
+    last = z_eval_many(panels.nodes()[-17:]) ** 2
+    assert zk[-17:].tobytes() == last.tobytes()
 
 
 def test_cache_eval_blocks_do_not_change_values():

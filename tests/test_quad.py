@@ -10,7 +10,7 @@ from hardylab.hardy import z_breakpoints, z_eval_many
 from hardylab.moments import z_power_freq
 from hardylab.quad import (GAUSS_COLS, NODES, PanelSet, QuadratureResult,
                            integrate_oscillatory, integrate_vertical_line,
-                           panel_edges)
+                           panel_edges, partial_integrals)
 
 
 def test_cosine_full_period():
@@ -210,3 +210,39 @@ def test_frozen_rule():
     gx, gw = np.polynomial.legendre.leggauss(8)
     assert np.max(np.abs(x[GAUSS_COLS] - gx)) <= 1e-15
     assert np.max(np.abs(wg[GAUSS_COLS] - gw)) <= 1e-15
+
+
+def test_partial_integrals_exact_for_polynomials():
+    # the degree-16 interpolant through 17 values of a polynomial of degree
+    # at most 16 is that polynomial: integrals over [-1, tau] are exact
+    x = PanelSet.from_edges(np.array([-1.0, 1.0])).nodes()
+    tau = np.concatenate([[-1.0, 1.0], np.linspace(-0.999, 0.999, 41)])
+    for degree in range(NODES):
+        y = np.broadcast_to(x ** degree, (len(tau), NODES))
+        exact = (tau ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+        assert np.max(np.abs(partial_integrals(y, tau) - exact)) <= 1e-15, degree
+
+
+def test_partial_integrals_at_the_panel_ends():
+    # tau = -1 gives exactly 0 and tau = 1 exactly the K17 sum, whatever
+    # the values and however many rows share the call
+    y = np.random.default_rng(2).normal(size=(5, NODES))
+    tau = np.array([-1.0, 1.0, -1.0, 1.0, 0.25])
+    got = partial_integrals(y, tau)
+    assert np.all(got[[0, 2]] == 0.0)
+    k17 = PanelSet.from_edges(np.array([-1.0, 1.0])).weights()
+    assert np.max(np.abs(got[[1, 3]] - y[[1, 3]] @ k17)) <= 3e-16 * np.abs(y).sum()
+    one = np.concatenate([partial_integrals(y[i:i + 1], tau[i:i + 1])
+                          for i in range(5)])
+    assert one.tobytes() == got.tobytes()
+
+
+def test_partial_integrals_of_a_panel_cosine():
+    # cos(omega u) on [-1, 1] with omega <= 2 is far inside the reach of a
+    # degree-16 interpolant
+    x = PanelSet.from_edges(np.array([-1.0, 1.0])).nodes()
+    tau = np.linspace(-1.0, 1.0, 101)
+    for omega in (0.5, 1.0, 2.0):
+        y = np.broadcast_to(np.cos(omega * x), (len(tau), NODES))
+        exact = (np.sin(omega * tau) + np.sin(omega)) / omega
+        assert np.max(np.abs(partial_integrals(y, tau) - exact)) <= 1e-15, omega

@@ -15,9 +15,12 @@ z_eval_many reads Z from two frozen polynomial tables:
   Psi (scripts/gen_psi_tables.py), and for each main-sum length N the
   whole remainder folds into one polynomial per piece, built on first use.
 
-z_oracle computes e^{i theta(t)} zeta(1/2+it) through the Euler-Maclaurin
-evaluator and is the independent reference for every Z check.  The rotation
-convention (continuous theta branch with theta(0) = 0) makes Z real with
+z_oracle_many computes e^{i theta(t)} zeta(1/2+it) with the one
+Euler-Maclaurin zeta of special.py (a truncation per height, double-double
+phases) and is the independent reference for every Z check; z_oracle is its
+one-height form.  Both are within 1e-11 of mpmath for t <= 5e4, and a
+height's value does not depend on its batch.  The rotation convention
+(continuous theta branch with theta(0) = 0) makes Z real with
 Z(0) = zeta(1/2) < 0; the opposite square-root branch would flip Z globally.
 """
 
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .special import (TWO_PI, em_terms, riemann_siegel_theta, theta_batch,
-                      theta_many, zeta_euler_maclaurin, zeta_half_batch)
+from .special import _ELEMS, TWO_PI, theta_batch, theta_many, zeta_half_batch
 
 # -- Remainder-correction tables -------------------------------------------
 #
@@ -80,9 +82,6 @@ def _fold_correction_tables() -> np.ndarray:
 
 _C_TABLE = _fold_correction_tables()[:_C_DEGREE + 1]
 
-# Cap on the elements of any temporary array in the Z kernels: 2^18 doubles
-# (2 MB), which the main-sum block and the remainder stage keep in cache.
-_ELEMS = 1 << 18
 # rows per z_rs_many chunk: its gathered (degree+1, rows) remainder
 # coefficients stay within _ELEMS
 _CHUNK = _ELEMS // (_C_DEGREE + 1)
@@ -164,9 +163,9 @@ def _z_low(t: np.ndarray) -> np.ndarray:
     return out
 
 
-# Remainder constants: err_est = _RS_ERR_C[K] * t^{-(2K+3)/4}; calibrated
-# against z_oracle on t in [50, 5000] (scripts/calibrate_rs_error.py, sup
-# times 1.5) and rounded up.
+# Remainder constants: err_est = _RS_ERR_C[K] * t^{-(2K+3)/4}; empirical,
+# calibrated against z_oracle_many on t in [50, 5000]
+# (scripts/calibrate_rs_error.py, sup times 1.5) and rounded up.
 _RS_ERR_C = (0.19, 0.08, 0.016, 0.045, 0.13)
 
 
@@ -270,56 +269,27 @@ def z_rs(t: float, corrections: int = 3) -> ZSample:
 
 
 def z_oracle(t: float) -> float:
-    """Z(t) = e^{i theta(t)} zeta(1/2 + it) via Euler-Maclaurin (oracle path).
-
-    Within 1e-11 of 30-digit mpmath siegelz for t <= 5e4 (measured 7.3e-12
-    at t = 48,888).  The product must be real; AccuracyError if the
-    residual imaginary part exceeds 1e-6 (it stays below ~1e-8 at desk
-    heights).
-    """
-    if t < 0.0:
-        raise DomainError("z_oracle requires t >= 0")
-    zeta = zeta_euler_maclaurin(complex(0.5, t), extended=True)
-    theta = riemann_siegel_theta(t)
-    rot = complex(math.cos(theta), math.sin(theta))
-    w = rot * zeta
-    if abs(w.imag) > 1e-6:
-        raise AccuracyError(f"z_oracle residual imaginary part {w.imag:.3e} at t={t}")
-    return w.real
+    """Z(t) by the Euler-Maclaurin oracle: one height of z_oracle_many."""
+    return float(z_oracle_many([t])[0])
 
 
 def z_oracle_many(t: np.ndarray) -> np.ndarray:
-    """Batched oracle: e^{i theta} zeta(1/2+it) with a shared truncation.
+    """Z(t) = e^{i theta(t)} zeta(1/2 + it) via Euler-Maclaurin (oracle path).
 
-    Within 1e-10 of 30-digit mpmath siegelz for t <= 5e4 (measured: 5.3e-11
-    at t = 48,888, and 6.0e-12 from the compensated scalar z_oracle at
-    t = 3,841; tests/test_hardy.py pins the bound at frozen heights).
-    Groups ascending heights in chunks whose Euler-Maclaurin truncation
-    (sized for the chunk maximum) times row count stays within _ELEMS, so
-    mixed magnitudes stay economical and memory stays bounded."""
+    Within 1e-11 of 30-digit mpmath siegelz for t <= 5e4 (measured 7.3e-12
+    at t = 48,888; tests/test_hardy.py pins the bound at frozen heights).
+    Each height has its own truncation, so its value is the same alone or
+    in any batch.  The product must be real; AccuracyError if a residual
+    imaginary part exceeds 1e-6 (it stays below ~1e-8 at desk heights)."""
     t = np.asarray(t, dtype=float).ravel()
     if not np.all(np.isfinite(t)):
         raise DomainError("z_oracle requires finite t")
     if np.any(t < 0.0):
         raise DomainError("z_oracle requires t >= 0")
-    out = np.empty_like(t)
-    order = np.argsort(t, kind="stable")
-    ts = t[order]
-    terms = em_terms(ts)  # ascends with ts
-    pos = 0
-    while pos < len(ts):
-        head = terms[pos:pos + _ELEMS // terms[pos]]
-        size = head * np.arange(1, len(head) + 1)
-        step = max(1, int(np.searchsorted(size, _ELEMS, side="right")))
-        chunk = ts[pos:pos + step]
-        zeta = zeta_half_batch(chunk)
-        theta = theta_batch(chunk)
-        w = np.exp(1j * theta) * zeta
-        if np.max(np.abs(w.imag)) > 1e-6:
-            raise AccuracyError("z_oracle_many residual imaginary part too large")
-        out[order[pos:pos + step]] = w.real
-        pos += step
-    return out
+    w = np.exp(1j * theta_batch(t)) * zeta_half_batch(t)
+    if np.any(np.abs(w.imag) > 1e-6):
+        raise AccuracyError("z_oracle residual imaginary part too large")
+    return w.real
 
 
 def z_eval_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:

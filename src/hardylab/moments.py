@@ -176,11 +176,3 @@ def hardy_primitive_F(T: float) -> float:
         return 0.0
     return moment_cache(1).value(T)
 
-
-def abs_moment(k: int, a: float, b: float, tol: float = 1e-7) -> MomentResult:
-    """integral of |zeta(1/2+it)|^(2k) = Z^(2k) over [a, b] (k = 1 or 2)."""
-    if k not in (1, 2):
-        raise DomainError("abs_moment supports k in {1, 2}")
-    inner = hardy_moment(2 * k, a, b, tol)
-    return MomentResult(k=k, a=a, b=b, value=inner.value,
-                        abs_err_est=inner.abs_err_est)

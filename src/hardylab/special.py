@@ -5,10 +5,10 @@ Everything here is pure and reentrant, values are binary64, and each
 function has one vectorised implementation that the scalar entry points
 wrap.  log Gamma is the Stirling series after upward recurrence to
 |z| >= 24; Gamma is its exponential, with reflection for Re s < 1/2.  The
-zeta evaluator doubles as the independent oracle for the Hardy-function
-code, so it carries an explicit remainder bound and an optional
-compensated ("extended") mode that sharpens the phase arithmetic t*log(n)
-with double-double reductions.
+zeta evaluator is the independent oracle for the Hardy-function code: each
+point gets its own truncation, an explicit remainder bound and double-double
+reduction of the phases t*log(n) (Dekker 1971), so a value is the same
+alone or in any batch.
 """
 
 from __future__ import annotations
@@ -231,8 +231,9 @@ def _two_prod(a, b):
     return p, err
 
 
-def reduced_phase(t: float, log_n: np.ndarray, log_err: np.ndarray) -> np.ndarray:
-    """t*(log_n + log_err) reduced mod 2*pi with double-double arithmetic.
+def reduced_phase(t, log_n, log_err):
+    """t*(log_n + log_err) reduced mod 2*pi with double-double arithmetic,
+    elementwise with broadcasting.
 
     ``log_err`` is the correction making log_n + log_err the true logarithm
     to ~1e-16 absolute; the reduction error stays near machine epsilon even
@@ -256,23 +257,9 @@ def _corrected_log(n: np.ndarray):
 
 # -- Euler-Maclaurin zeta -----------------------------------------------------
 
-def _em_complete(head, s, N: int, q: int):
-    """head (the sum over n < N of n^-s) plus the Euler-Maclaurin boundary
-    terms N^{1-s}/(s-1) + N^{-s}/2 and the Bernoulli tail
-    sum_{k<=q} B_2k/(2k)! (s)_{2k-1} N^{1-s-2k}.  Works on scalars and
-    arrays alike; returns the value and (s)_{2q+1} for the remainder bound."""
-    NmS = np.exp(-s * math.log(N))  # N^-s
-    if np.ndim(NmS) == 0:
-        NmS = complex(NmS)  # scalar s: plain complex arithmetic throughout
-    value = head + N * NmS / (s - 1.0) + 0.5 * NmS
-    poch = s  # (s)_1
-    scale = NmS / N  # N^{1-s-2} for k = 1
-    for k in range(1, q + 1):
-        value += _BERNOULLI[k - 1] / _FACTORIALS[2 * k] * poch * scale
-        # advance (s)_{2k-1} -> (s)_{2k+1} and N^{1-s-2k} -> N^{1-s-2k-2}
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        scale = scale / (N * N)
-    return value, poch
+# Cap on the elements of any temporary array in the zeta and Z kernels: 2^18
+# doubles (2 MB), which a main-sum block keeps in cache.
+_ELEMS = 1 << 18
 
 
 def em_terms(t):
@@ -282,60 +269,77 @@ def em_terms(t):
 
 
 def zeta_half_batch(t: np.ndarray) -> np.ndarray:
-    """zeta(1/2 + it) for an array of heights (shared Euler-Maclaurin
-    truncation sized for the largest |t|)."""
-    t = np.asarray(t, dtype=float)
-    if t.size == 0:
-        return np.zeros(0, dtype=complex)
-    N = int(em_terms(np.abs(t).max()))
-    n = np.arange(1, N, dtype=float)
-    ln = np.log(n)
-    head = np.exp(-0.5 * ln)[None, :] \
-        * np.exp(-1j * t[:, None] * ln[None, :])
-    return _em_complete(head.sum(axis=1), 0.5 + 1j * t, N, 12)[0]
+    """zeta(1/2 + it) for an array of heights."""
+    return zeta_euler_maclaurin(0.5 + 1j * np.asarray(t, dtype=float))
 
 
-def zeta_euler_maclaurin(s: complex, n_terms: int | None = None,
-                         n_bernoulli: int = 12, tol: float = 1e-10,
-                         extended: bool = False) -> complex:
+def zeta_euler_maclaurin(s, n_terms: int | None = None,
+                         n_bernoulli: int = 12, tol: float = 1e-10):
     """zeta(s) by Euler-Maclaurin summation.
 
-    Defaults (n_terms = max(50, ceil(1.3|Im s|)), n_bernoulli = 12) give a
-    remainder below 1e-10 relative for |Im s| <= 1e4 and -1 <= Re s <= 3.
-    The remainder bound is checked against ``tol`` (relative to
-    max(|value|, 1)) and AccuracyError is raised when it is exceeded.
-    ``extended`` switches the main sum to compensated accumulation with
-    double-double phase reduction (oracle mode).
+    Vectorised: an array gives an array, a scalar gives a ``complex``.
+    Each point has its own truncation N (``n_terms``, by default
+    em_terms(Im s) = max(50, ceil(1.3|Im s|))) and the same arithmetic: the
+    main sum over n < N takes t*log(n) mod 2*pi in double-double
+    (reduced_phase) with a corrected log(n), and each row is one pairwise
+    sum, so a value is the same bits alone or in any batch.  Defaults
+    (n_bernoulli = 12) give a remainder below 1e-10 relative for
+    |Im s| <= 1e4 and -1 <= Re s <= 3.  Each point's remainder bound
+    (Edwards 1974, 6.4) is checked against ``tol`` (relative to
+    max(|value|, 1)) and AccuracyError is raised when one exceeds it.
     """
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
+    shape = np.shape(s)
+    # a scalar runs as a 1-element array, so it rounds as array elements do
+    s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("zeta pole at s=1")
-    sigma, t = s.real, s.imag
-    if n_terms is None:
-        n_terms = int(em_terms(t))
-    N = int(n_terms)
     q = int(n_bernoulli)
     if q < 1 or q > len(_BERNOULLI) - 1:
         raise DomainError(f"n_bernoulli must be in [1, {len(_BERNOULLI) - 1}]")
+    sigma, t = s.real, s.imag
+    if np.any(sigma + 2 * q + 1 <= 0):
+        raise AccuracyError("remainder bound unavailable: sigma too negative")
+    N = em_terms(t) if n_terms is None else np.full(s.shape, int(n_terms))
+    if np.any(N < 1):
+        raise DomainError("n_terms must be at least 1")
 
-    n = np.arange(1, N, dtype=float)
-    if extended:
-        ln, dln = _corrected_log(n)
-        phase = reduced_phase(t, ln, dln)
-        amp = np.exp(-sigma * ln) * (1.0 - sigma * dln)
-        re = amp * np.cos(phase)
-        im = -amp * np.sin(phase)
-        head = complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
-    else:
-        head = complex(np.sum(np.exp(-s * np.log(n))))
-    value, poch = _em_complete(head, s, N, q)
+    # the main sum over n < N in groups of equal N, blocks of <= _ELEMS
+    ln, dln = _corrected_log(np.arange(1, N.max(initial=1), dtype=float))
+    order = np.argsort(N, kind="stable")
+    ends = np.flatnonzero(np.diff(N[order], append=-1)) + 1
+    head = np.empty_like(s)
+    lo = 0
+    for hi in ends.tolist():
+        m = int(N[order[lo]]) - 1
+        step = max(1, _ELEMS // max(m, 1))
+        for b in range(lo, hi, step):
+            rows = order[b:min(b + step, hi)]
+            sig = sigma[rows, None]
+            phase = reduced_phase(t[rows, None], ln[:m], dln[:m])
+            amp = np.exp(-sig * ln[:m]) * (1.0 - sig * dln[:m])
+            head[rows] = (amp * np.cos(phase)).sum(axis=1) \
+                - 1j * (amp * np.sin(phase)).sum(axis=1)
+        lo = hi
+
+    # boundary terms N^{1-s}/(s-1) + N^{-s}/2 and the Bernoulli tail
+    # sum_{k<=q} B_2k/(2k)! (s)_{2k-1} N^{1-s-2k}
+    N = N.astype(float)
+    NmS = np.exp(-s * np.log(N))  # N^-s
+    value = head + N * NmS / (s - 1.0) + 0.5 * NmS
+    poch = s  # (s)_1
+    scale = NmS / N  # N^{1-s-2} for k = 1
+    for k in range(1, q + 1):
+        value += _BERNOULLI[k - 1] / _FACTORIALS[2 * k] * poch * scale
+        # advance (s)_{2k-1} -> (s)_{2k+1} and N^{1-s-2k} -> N^{1-s-2k-2}
+        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+        scale = scale / (N * N)
 
     # remainder bound (Edwards-style): first omitted term times |s+2q+1|/(sigma+2q+1)
-    if sigma + 2 * q + 1 <= 0:
-        raise AccuracyError("remainder bound unavailable: sigma too negative")
-    rem = abs(_BERNOULLI[q] / _FACTORIALS[2 * q + 2] * poch) \
-        * N ** (1.0 - sigma - 2 * q - 2) * abs(s + 2 * q + 1) / (sigma + 2 * q + 1)
-    if rem > tol * max(abs(value), 1.0):
-        raise AccuracyError(
-            f"Euler-Maclaurin remainder {rem:.3e} exceeds tol {tol:.3e} at s={s}")
-    return value
+    rem = np.abs(_BERNOULLI[q] / _FACTORIALS[2 * q + 2] * poch) \
+        * N ** (1.0 - sigma - 2 * q - 2) * np.abs(s + 2 * q + 1) / (sigma + 2 * q + 1)
+    bad = rem > tol * np.maximum(np.abs(value), 1.0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise AccuracyError(f"Euler-Maclaurin remainder {rem[i]:.3e} exceeds "
+                            f"tol {tol:.3e} at s={complex(s[i])}")
+    return complex(value[0]) if shape == () else value.reshape(shape)

@@ -8,7 +8,7 @@ import pytest
 from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
-from hardylab.moments import (MomentCache, abs_moment, hardy_moment,
+from hardylab.moments import (MomentCache, hardy_moment,
                               hardy_primitive_F, moment_cache, z_power_freq)
 from hardylab.quad import integrate_oscillatory
 
@@ -96,24 +96,18 @@ def test_cancellation_of_odd_moment():
     assert abs(m.value) <= 0.5 * peak * period
 
 
-def test_abs_moment_identity():
-    a = abs_moment(1, 1.0, 100.0)
-    m = hardy_moment(2, 1.0, 100.0)
-    assert a.value == m.value
-
-
 def test_abs_moment_k2_growth():
     # value / (T (log T)^4) bounded across decades
     vals = {}
     for T in (100.0, 1000.0):
-        vals[T] = abs_moment(2, 1.0, T).value / (T * math.log(T) ** 4)
+        vals[T] = hardy_moment(4, 1.0, T).value / (T * math.log(T) ** 4)
     assert 0.0 < vals[1000.0] <= 3.0 * vals[100.0]
 
 
 def test_second_moment_lower_bound():
     # dyadic window carries at least c T log T mass; fit c on [100, 200]
-    small = abs_moment(1, 100.0, 200.0).value / (100.0 * math.log(100.0))
-    big = abs_moment(1, 1000.0, 2000.0).value
+    small = hardy_moment(2, 100.0, 200.0).value / (100.0 * math.log(100.0))
+    big = hardy_moment(2, 1000.0, 2000.0).value
     assert big >= 0.3 * small * 1000.0 * math.log(1000.0)
 
 
@@ -209,5 +203,3 @@ def test_domain_checks():
         hardy_moment(0, 1.0, 2.0)
     with pytest.raises(DomainError):
         hardy_moment(2, 5.0, 2.0)
-    with pytest.raises(DomainError):
-        abs_moment(3, 1.0, 2.0)

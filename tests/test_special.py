@@ -217,7 +217,7 @@ def test_zeta_at_half():
 
 
 def test_zeta_complex_frozen():
-    v = zeta_euler_maclaurin(0.5 + 25j, extended=True)
+    v = zeta_euler_maclaurin(0.5 + 25j)
     assert abs(v - ZETA_HALF_25J) < 1e-12
 
 
@@ -242,8 +242,26 @@ def test_zeta_functional_equation_grid(rng):
 
 
 def test_zeta_half_batch_matches_scalar():
-    ts = np.array([0.0, 5.0, 14.1, 77.7, 300.0])
-    vb = zeta_half_batch(ts)
-    for t, v in zip(ts, vb):
-        ref = zeta_euler_maclaurin(complex(0.5, t), extended=True)
-        assert abs(v - ref) < 1e-11
+    # a point's zeta is the same bits alone and in batches of mixed sigma
+    # and t, whose rows have different truncations (and, near t = 4e4,
+    # share a length across several blocks)
+    s = np.concatenate([
+        [0.5, 0.5 + 5j, 2.0 + 14.1j, -0.7 + 77.7j, 0.5 - 40j, 2.5 + 300j],
+        0.5 + 1j * np.linspace(41000.0, 41000.5, 12)])
+    vb = zeta_euler_maclaurin(s)
+    assert vb.shape == s.shape
+    for x, v in zip(s, vb):
+        assert zeta_euler_maclaurin(complex(x)) == v
+    assert np.array_equal(zeta_euler_maclaurin(s[::-1]), vb[::-1])
+    half = s.real == 0.5
+    assert np.array_equal(zeta_half_batch(s.imag[half]), vb[half])
+
+
+def test_zeta_batch_errors_name_the_bad_row():
+    good = np.array([0.5 + 10j, 2.0 + 3j])
+    zeta_euler_maclaurin(good, n_terms=60)
+    # one row too high for 60 terms fails the whole call
+    with pytest.raises(AccuracyError, match=r"0\.5\+2000j"):
+        zeta_euler_maclaurin(np.append(good, 0.5 + 2000j), n_terms=60)
+    with pytest.raises(PoleError):
+        zeta_euler_maclaurin(np.append(good, 1.0))

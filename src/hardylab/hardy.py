@@ -203,11 +203,16 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
         raise DomainError("z_rs requires t >= 10; use z_eval_many below")
     if not 0 <= corrections <= 4:
         raise DomainError("corrections must be in [0, 4]")
+    # one main-sum row, of N = floor(sqrt(t / 2 pi)) terms, must fit the cap
+    lengths = np.sqrt(t / TWO_PI)
+    if np.any(lengths >= _ELEMS + 1):
+        raise DomainError(f"z_rs requires t < {TWO_PI * (_ELEMS + 1) ** 2:.4g}"
+                          f" (a main sum of at most {_ELEMS} terms)")
+    lengths = lengths.astype(np.intp)
     out = np.empty_like(t)
     # chunks of heights in order of main-sum length, so a chunk holds few
     # distinct lengths: at most _CHUNK rows, with lengths from at most
     # _CHUNK_BLOCKS consecutive blocks (upto[N]: rows of length <= N)
-    lengths = np.sqrt(t / TWO_PI).astype(np.intp)
     order = np.argsort(lengths, kind="stable")
     upto = np.cumsum(np.bincount(lengths))
     del lengths

@@ -56,7 +56,7 @@ class MellinSample:
     value: complex
     X: float
     tail_bound: float
-    method: str  # direct | by_parts | series
+    method: str  # direct | by_parts
 
 
 # -- calibrated constants ------------------------------------------------------
@@ -233,10 +233,9 @@ def _by_parts_at(k: int, s: complex, X: float) -> MellinSample:
                         tail_bound=tail + quad_err, method="by_parts")
 
 
-def mellin_by_parts_many(k: int, s_values: np.ndarray, tol: float = 1e-6,
-                         X: float | None = None) -> np.ndarray:
-    """Vectorized-by-loop by_parts values (shared grid, memoized)."""
-    return np.array([mellin_by_parts(k, complex(sv), tol, X).value
+def mellin_by_parts_many(k: int, s_values: np.ndarray, X: float) -> np.ndarray:
+    """by_parts values at one truncation X (shared grid, memoized)."""
+    return np.array([mellin_by_parts(k, complex(sv), X=X).value
                      for sv in np.asarray(s_values).ravel()])
 
 
@@ -280,14 +279,11 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
 _V1_COEF_LOG = math.log(TWO_PI)
 
 
-def v1_series(s: complex, N: int, table: DivisorTable,
-              smoothed: bool = False) -> complex:
+def v1_series(s: complex, N: int, table: DivisorTable) -> complex:
     """Partial sum of the cubic cosine series
     (2pi)^{1-s} sqrt(2/3) sum d_3(n) n^{-1/6-2s/3} cos(3 pi n^{2/3} + pi/8).
 
-    Plain partial sums converge absolutely for Re s > 5/4.  ``smoothed``
-    applies a C^2 taper on [N/2, N] with one Richardson step (uncertified;
-    for exploring Re s below 5/4 only).
+    The partial sums converge absolutely for Re s > 5/4.
     """
     s = complex(s)
     if N < 1:
@@ -296,19 +292,9 @@ def v1_series(s: complex, N: int, table: DivisorTable,
         raise CapacityError(f"d_3 table limit {table.limit} < N = {N}")
     if table.k != 3:
         raise DomainError("v1_series needs a d_3 table")
-    if smoothed:
-        return 2.0 * _v1_partial(s, N, table, taper=True) \
-            - _v1_partial(s, N // 2, table, taper=True)
-    return _v1_partial(s, N, table, taper=False)
-
-
-def _v1_partial(s: complex, N: int, table: DivisorTable, taper: bool) -> complex:
     n = np.arange(1, N + 1, dtype=float)
     amp = table.counts[1:N + 1].astype(float) \
         * np.cos(3.0 * math.pi * n ** (2.0 / 3.0) + math.pi / 8.0)
-    if taper:
-        u = np.clip(2.0 * n / N - 1.0, 0.0, 1.0)
-        amp = amp * (1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u * u))
     expo = np.exp(-(1.0 / 6.0 + 2.0 * s / 3.0) * np.log(n))
     terms = amp * expo
     total = complex(math.fsum(terms.real.tolist()),
@@ -374,6 +360,8 @@ def m3_decomposition(s: complex, X: float, table: DivisorTable) -> dict:
     """V1 + V2 against the X-truncated transform of I_3 at matched cutoffs,
     which they telescope to (see v2_residual)."""
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError("m3_decomposition requires finite s")
     n_cut = _cubic_sum(table).cutoff(X)
     v1 = v1_series(s, n_cut, table)
     v2 = v2_residual(s, X, table)
@@ -384,16 +372,6 @@ def m3_decomposition(s: complex, X: float, table: DivisorTable) -> dict:
         "v1": v1, "v2": v2, "sum": v1 + v2, "m3": m3,
         "gap_abs": gap, "gap_rel": gap / abs(m3),
     }
-
-
-def m3_via_series(s: complex, X: float, table: DivisorTable) -> MellinSample:
-    """M_3(s) assembled from the cosine series plus residual transform at
-    matched cutoffs (method = "series"); the certificate is the tail bound
-    of mellin_by_parts(3, s, X) plus the decomposition gap."""
-    d = m3_decomposition(s, X, table)
-    tail = mellin_by_parts(3, s, X=X).tail_bound
-    return MellinSample(s=complex(s), k=3, value=d["sum"], X=float(X),
-                        tail_bound=tail + d["gap_abs"], method="series")
 
 
 # -- Laurent fit around s = 1 ----------------------------------------------------
@@ -470,48 +448,26 @@ def check_convolution(k: int, r: int, s: complex, c: float, V: float,
     lhs_s = mellin_by_parts(k, s, tol=tol)
 
     def F(w: np.ndarray) -> np.ndarray:
-        a = mellin_by_parts_many(k - r, w, tol=tol, X=x_nodes)
-        b = mellin_by_parts_many(r, 1.0 - w + s, tol=tol, X=x_nodes)
+        a = mellin_by_parts_many(k - r, w, X=x_nodes)
+        b = mellin_by_parts_many(r, 1.0 - w + s, X=x_nodes)
         return a * b
 
-    if s.imag == 0.0:
-        half = integrate_vertical_line(F, c, 0.0, V, tol=tol, max_panel=2.0)
-        quad_val = 2.0 * half.value.real - 0.0  # full = 2 Re(half)
-        quad = type(half)(value=complex(quad_val), abs_err_est=2.0 * half.abs_err_est,
-                          panels=half.panels, evals=half.evals)
-    else:
-        quad = integrate_vertical_line(F, c, -V, V, tol=tol, max_panel=2.0)
+    quad = integrate_vertical_line(F, c, 0.0 if s.imag == 0.0 else -V, V,
+                                   tol=tol, max_panel=2.0)
+    rhs, quad_err = quad.value, quad.abs_err_est
+    if s.imag == 0.0:  # full contour = 2 Re(half)
+        rhs, quad_err = 2.0 * rhs.real, 2.0 * quad_err
     # integrand decay |w|^{-2(c - e)} per factor bound gives the truncation
     e1, e2 = _PRIM_EXP[k - r], _PRIM_EXP[r]
     decay = (c - max(e1, e2))
     trunc = abs(lhs_s.value) * V ** (1.0 - 2.0 * decay) if decay > 0.5 else math.inf
     certs = {
         "lhs_tail": lhs_s.tail_bound,
-        "contour_quad": quad.abs_err_est,
+        "contour_quad": quad_err,
         "contour_trunc_order": trunc,
     }
     params = {"k": k, "r": r, "s": s, "c": c, "V": V}
-    return _report("convolution", lhs_s.value, quad.value, certs, params)
-
-
-def square_inner(k: int, x: float, tol: float = 1e-9) -> float:
-    """inner(x) = integral of Z^k(u) Z^k(x/u) du/u over [sqrt(x), x]
-    (adaptive; used for spot checks and the substitution-symmetry test)."""
-    a = math.sqrt(x)
-    if x - a < 1e-9:
-        return 0.0
-    zfreq = z_power_freq(k)
-
-    def g(u: np.ndarray) -> np.ndarray:
-        return z_eval_many(u) ** k * z_eval_many(x / u) ** k / u
-
-    def fr(u: float) -> float:
-        return zfreq(u) + zfreq(x / u) * x / (u * u)
-
-    breaks = z_breakpoints(a, x) + tuple(
-        x / b for b in z_breakpoints(a, x) if a < x / b < x)
-    res = integrate_oscillatory(g, a, x, fr, tol=tol, breakpoints=breaks)
-    return float(res.value.real)
+    return _report("convolution", lhs_s.value, rhs, certs, params)
 
 
 def _square_rhs(k: int, s: complex, X: float):
@@ -584,7 +540,7 @@ def check_square_identity(k: int, s: complex, X: float = 500.0) -> IdentityRepor
 # memoized inversion nodes: panels tile outward from t = 0 so contours of
 # different height U reuse each other's M_k evaluations
 def truncated_inversion(k: int, x: float, c: float, U: float,
-                        tol: float = 1e-4, x_trunc: float | None = None) -> float:
+                        x_trunc: float | None = None) -> float:
     """(1/2 pi i) * integral of x^{s-1} M_k(s) ds over [c-iU, c+iU].
 
     Conjugate symmetry of M_k reduces this to (1/pi) Re integral over
@@ -607,7 +563,7 @@ def truncated_inversion(k: int, x: float, c: float, U: float,
     panels = PanelSet(edges[:-1][keep], edges[1:][keep])
 
     ts = panels.nodes()
-    m = mellin_by_parts_many(k, c + 1j * ts, tol=tol, X=x_trunc)
+    m = mellin_by_parts_many(k, c + 1j * ts, x_trunc)
     vals = (np.exp((c - 1.0 + 1j * ts) * math.log(x)) * m).real
     v = float(np.sum(panels.weights() * vals))
     v_check = float(np.sum(panels.weights(check=True) * vals))

@@ -51,7 +51,7 @@ def z_power_freq(k: int):
 
 
 def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
-                 corrections: int = 3, budget: int | None = None) -> MomentResult:
+                 budget: int | None = None) -> MomentResult:
     """integral of Z^k over [a, b], adaptive; Z from the Riemann-Siegel
     formula above t = 10 and from the frozen low table below."""
     if not (1 <= k <= 8):
@@ -60,7 +60,7 @@ def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
         raise DomainError("hardy_moment requires 1 <= a < b")
 
     def f(t: np.ndarray) -> np.ndarray:
-        return z_eval_many(t, corrections) ** k
+        return z_eval_many(t) ** k
 
     res = integrate_oscillatory(f, a, b, z_power_freq(k), tol=tol,
                                 budget=budget, breakpoints=z_breakpoints(a, b))
@@ -79,16 +79,15 @@ class MomentCache:
     summed error estimate at the edges, and Z^k at every panel's 17 nodes
     (one row per panel)."""
 
-    def __init__(self, k: int, corrections: int = 3):
+    def __init__(self, k: int):
         self.k = k
-        self.corrections = corrections
         self.edges = np.array([1.0])
         self.values = np.array([0.0])
         self.cum_err = np.array([0.0])
         self.zk = np.empty((0, NODES))
 
     def _zk(self, t: np.ndarray) -> np.ndarray:
-        return z_eval_many(t, self.corrections) ** self.k
+        return z_eval_many(t) ** self.k
 
     def ensure(self, x_max: float) -> None:
         """Continue the walk to the first edge past x_max."""
@@ -166,13 +165,3 @@ class MomentCache:
 @functools.cache
 def moment_cache(k: int) -> MomentCache:
     return MomentCache(k)
-
-
-def hardy_primitive_F(T: float) -> float:
-    """F(T) = I_1(T), served from the cumulative cache."""
-    if T < 1.0:
-        raise DomainError("F(T) requires T >= 1")
-    if T == 1.0:
-        return 0.0
-    return moment_cache(1).value(T)
-

@@ -53,10 +53,6 @@ class QuadratureResult:
     panels: int
     evals: int
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 def panel_edges(a: float, b: float, freq, breaks=(),
                 max_panel: float = MAX_PANEL) -> np.ndarray:
@@ -206,13 +202,12 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
 
 
 def integrate_vertical_line(F: Callable, c: float, t0: float, t1: float,
-                            tol: float = 1e-9, freq=None,
-                            budget: int | None = None,
+                            tol: float = 1e-9,
                             max_panel: float = 1.0) -> QuadratureResult:
     """(1/2*pi*i) * integral of F(s) ds along s = c + i*t, t in [t0, t1].
 
-    F receives a numpy array of complex s.  The optional frequency hint is
-    in cycles per unit of t (default: smooth integrand, capped panels).
+    F receives a numpy array of complex s and is taken as smooth: panels of
+    width max_panel, bisected as the tolerance requires.
     """
     if not t0 < t1:
         raise DomainError("integrate_vertical_line requires t0 < t1")
@@ -220,8 +215,7 @@ def integrate_vertical_line(F: Callable, c: float, t0: float, t1: float,
     def g(t: np.ndarray) -> np.ndarray:
         return np.asarray(F(c + 1j * t))
 
-    hint = freq if freq is not None else (lambda t: 0.0)
-    res = integrate_oscillatory(g, t0, t1, hint, tol=tol, budget=budget,
+    res = integrate_oscillatory(g, t0, t1, lambda t: 0.0, tol=tol,
                                 max_panel=max_panel)
     # ds = i dt, so (1/2*pi*i) * integral F ds = (1/2*pi) * integral F dt
     return QuadratureResult(value=res.value / (2.0 * math.pi),

@@ -1,11 +1,12 @@
 """Complex special functions: Gamma, the functional-equation factor chi,
 the phase function theta, and an Euler-Maclaurin zeta evaluator.
 
-Everything here is pure and reentrant, values are binary64, and each
-function has one vectorised implementation that the scalar entry points
-wrap.  log Gamma is the Stirling series after upward recurrence to
-|z| >= 24; Gamma is its exponential, with reflection for Re s < 1/2.  The
-zeta evaluator is the independent oracle for the Hardy-function code: each
+Everything here is pure and reentrant and values are binary64.  log Gamma,
+theta and zeta each have one vectorised implementation that their scalar
+entry points wrap; gamma_complex and chi remain scalar (cmath) functions.
+log Gamma is the Stirling series after upward recurrence to |z| >= 24;
+Gamma is its exponential, with reflection for Re s < 1/2.  The zeta
+evaluator is the independent oracle for the Hardy-function code: each
 point gets its own truncation, an explicit remainder bound and double-double
 reduction of the phases t*log(n) (Dekker 1971), so a value is the same
 alone or in any batch.
@@ -302,8 +303,12 @@ def zeta_euler_maclaurin(s, n_terms: int | None = None,
     N = em_terms(t) if n_terms is None else np.full(s.shape, int(n_terms))
     if np.any(N < 1):
         raise DomainError("n_terms must be at least 1")
+    if np.any(N > _ELEMS):
+        raise DomainError(f"Euler-Maclaurin truncation N = {N.max()} exceeds "
+                          f"{_ELEMS} terms (by default, |Im s| above 2.0e5)")
 
-    # the main sum over n < N in groups of equal N, blocks of <= _ELEMS
+    # the main sum over n < N in groups of equal N, in row blocks of at most
+    # _ELEMS // 8 elements (the phase reduction keeps ~10 blocks alive)
     ln, dln = _corrected_log(np.arange(1, N.max(initial=1), dtype=float))
     order = np.argsort(N, kind="stable")
     ends = np.flatnonzero(np.diff(N[order], append=-1)) + 1
@@ -311,7 +316,7 @@ def zeta_euler_maclaurin(s, n_terms: int | None = None,
     lo = 0
     for hi in ends.tolist():
         m = int(N[order[lo]]) - 1
-        step = max(1, _ELEMS // max(m, 1))
+        step = max(1, _ELEMS // 8 // max(m, 1))
         for b in range(lo, hi, step):
             rows = order[b:min(b + step, hi)]
             sig = sigma[rows, None]

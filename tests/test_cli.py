@@ -122,6 +122,24 @@ def test_mellin_non_finite_sigma_usage_error(capsys):
     assert "finite" in err and out == ""
 
 
+@pytest.mark.parametrize("sigma, t", [("nan:2:2", "0:0:1"),
+                                      ("2:2:1", "inf:inf:1")])
+def test_mellin_decompose_non_finite_usage_error(capsys, sigma, t):
+    code, out, err = run_cli(capsys, "mellin", "--k", "3", "--decompose",
+                             "--sigma", sigma, "--t", t, "--X", "1000")
+    assert code == 2
+    assert "finite" in err and out == ""
+
+
+# Riemann-Siegel stops at t = 4.3e11, the oracle at 2.0e5
+@pytest.mark.parametrize("span", [("--from", "1e12", "--to", "2e12"),
+                                  ("--from", "3e5", "--to", "4e5", "--oracle")])
+def test_z_above_height_limit_usage_error(capsys, span):
+    code, out, err = run_cli(capsys, "z", *span, "--step", "1e12")
+    assert code == 2
+    assert out == "" and str(2 ** 18) in err
+
+
 def test_divisor_budget_guards_limit(capsys):
     code, _, err = run_cli(capsys, "divisors", "--k", "2",
                            "--limit", "20000001")

@@ -108,6 +108,16 @@ def test_rs_domain():
         z_rs_many(np.array([50.0]), corrections=5)
 
 
+def test_heights_above_the_row_cap_rejected():
+    # one main-sum row holds at most 2^18 terms: Riemann-Siegel up to
+    # t = 2 pi (2^18 + 1)^2 = 4.3e11, the oracle up to t = 2^18 / 1.3 = 2.0e5
+    assert math.isfinite(z_rs(4.3e11).value)
+    for fn, t in ((z_rs_many, 1e13), (z_eval_many, 4.32e11),
+                  (z_oracle_many, 4e5), (z_oracle_many, 2.02e5)):
+        with pytest.raises(DomainError):
+            fn(np.array([t]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_heights_rejected(bad):
     t = np.array([50.0, bad, 120.0])
@@ -304,6 +314,7 @@ def test_folded_corrections_match_derivative_formula():
 @pytest.mark.parametrize("fn, lo, hi, n", [
     (z_oracle_many, 4000.0, 5000.0, 500),
     (lambda t: z_rs_many(t, 4), 1e4, 5e4, 65536),
+    (z_oracle_many, 4e4, 4e4, 200),
 ])
 def test_batch_memory_bounded(fn, lo, hi, n):
     t = np.random.default_rng(6).uniform(lo, hi, n)
@@ -313,4 +324,6 @@ def test_batch_memory_bounded(fn, lo, hi, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20
+    # heights that share one main-sum length (here N = 52,000) fill every
+    # row block of the oracle
+    assert peak < (8 if lo == hi else 32) * 2 ** 20

@@ -8,8 +8,8 @@ import pytest
 from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
-from hardylab.moments import (MomentCache, hardy_moment,
-                              hardy_primitive_F, moment_cache, z_power_freq)
+from hardylab.moments import (MomentCache, hardy_moment, moment_cache,
+                              z_power_freq)
 from hardylab.quad import integrate_oscillatory
 
 
@@ -36,12 +36,13 @@ def test_even_moment_nonnegative():
 
 
 def test_primitive_basics():
-    assert hardy_primitive_F(1.0) == 0.0
+    F = moment_cache(1).value  # F(T) = I_1(T)
+    assert F(1.0) == 0.0
     with pytest.raises(DomainError):
-        hardy_primitive_F(0.5)
+        F(0.5)
     # matches the adaptive integral
     direct = hardy_moment(1, 1.0, 777.0, tol=1e-10)
-    assert abs(hardy_primitive_F(777.0) - direct.value) < 1e-8
+    assert abs(F(777.0) - direct.value) < 1e-8
 
 
 def test_primitive_sign_changes():
@@ -65,7 +66,7 @@ def test_primitive_order_bound():
     cache = moment_cache(1)
     cache.ensure(1e4)
     c_fit = cache.sup_scaled(0.25, 1.0, 1000.0)
-    assert abs(hardy_primitive_F(1e4)) <= 3.0 * c_fit * 1e4 ** 0.25
+    assert abs(cache.value(1e4)) <= 3.0 * c_fit * 1e4 ** 0.25
 
 
 def test_dyadic_first_moment_bound():

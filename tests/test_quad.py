@@ -85,8 +85,7 @@ def test_vertical_line_constant():
 def test_vertical_line_perron():
     # x^s / s at x = 2 approaches 1 as the contour grows
     r = integrate_vertical_line(lambda s: 2.0 ** s / s, 2.0, -200.0, 200.0,
-                                tol=1e-8,
-                                freq=lambda t: math.log(2.0) / (2 * math.pi))
+                                tol=1e-8)
     assert abs(r.value - 1.0) <= 1e-2
 
 

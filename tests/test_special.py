@@ -257,6 +257,14 @@ def test_zeta_half_batch_matches_scalar():
     assert np.array_equal(zeta_half_batch(s.imag[half]), vb[half])
 
 
+def test_zeta_truncation_capped():
+    # a row of more than 2^18 terms is refused before anything is allocated
+    with pytest.raises(DomainError):
+        zeta_euler_maclaurin(0.5 + 2.02e5j)
+    with pytest.raises(DomainError):
+        zeta_euler_maclaurin(2.0, n_terms=2 ** 18 + 1)
+
+
 def test_zeta_batch_errors_name_the_bad_row():
     good = np.array([0.5 + 10j, 2.0 + 3j])
     zeta_euler_maclaurin(good, n_terms=60)

@@ -129,6 +129,9 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
         if k != 3:
             print("mellin: --decompose requires k = 3", file=sys.stderr)
             return EXIT_USAGE
+        if args.X is None:
+            print("mellin: --decompose requires --X", file=sys.stderr)
+            return EXIT_USAGE
         table = divisor_sieve(3, 20000)
         rows = []
         for sig in _parse_grid(args.sigma):

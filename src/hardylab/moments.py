@@ -1,20 +1,30 @@
 """Power moments of Hardy's function: I_k(x) = integral of Z^k over [1, x].
 
-A per-k cumulative cache is the one store of Z^k node values.  It walks
-Gauss-Kronrod panels from 1 (quarter periods of Z^k, an edge at every
-breakpoint of the evaluation) and keeps, for every panel, I_k at its edges
-and Z^k at its 17 nodes.  Any I_k(x) inside the built range is then the
+A per-k cumulative cache is the one store of Z^k node values.  The k = 1
+cache walks Gauss-Kronrod panels from 1 (quarter periods of Z, an edge at
+every breakpoint of the evaluation) and keeps, for every panel, I_1 at its
+edges and Z at its 17 nodes.  Any I_k(x) inside the built range is then the
 anchor at the panel's left edge plus the integral of the panel's degree-16
 interpolant up to x: no new Z values.  Transform grids on [1, X] read the
 same panels and node values.  Mellin-transform callers re-integrate I_k
 thousands of times, so the cache is the difference between seconds and
 hours.
 
+Every k >= 2 cache shares that one Z walk: it has a k = 1 base cache (the
+process-wide moment_cache(1) for moment_cache(k), a fresh one for a fresh
+cache), cuts each base panel into k equal sub-panels, and takes Z at their
+nodes from the base panel's degree-16 interpolant through its 17 stored
+values (quad.split_values).  It evaluates no Z of its own.  The
+interpolation carries the base values' rounding noise into all k
+sub-panels with one sign, which |K17 - G8| does not see, so each sub-panel's
+error adds an empirical estimate of it (MomentCache._split).
+
 The walk is canonical: ensure(x) continues it from the last edge and stops
-at the first edge past x, and anchors are summed one panel at a time from
-the last anchor, so edges, anchors and node values are the same bits
-however the requests were split.  Cache construction is single-threaded
-and extend-only: arrays already built are replaced, never mutated.
+at the first edge (for k >= 2, sub-edge) past x, and anchors are summed one
+panel at a time from the last anchor, so edges, anchors and node values are
+the same bits however the requests were split, and whatever the base had
+built before.  Cache construction is single-threaded and extend-only:
+arrays already built are replaced, never mutated.
 """
 
 from __future__ import annotations
@@ -28,7 +38,8 @@ import numpy as np
 from .errors import DomainError
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
 from .quad import (MAX_PANEL, NODES, PanelSet, integrate_oscillatory,
-                   panel_edges, partial_integrals)
+                   legendre_tail, panel_edges, partial_integrals,
+                   split_lebesgue, split_values)
 from .special import TWO_PI
 
 
@@ -68,19 +79,22 @@ def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
                         abs_err_est=res.abs_err_est)
 
 
-def _running_sum(acc: np.ndarray, parts) -> np.ndarray:
-    """acc, then its last value plus the terms of parts, one at a time."""
+def _running_sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """acc, then its last value plus terms, one at a time."""
     return np.concatenate(
-        [acc[:-1], np.cumsum(np.concatenate([acc[-1:], *parts]))])
+        [acc[:-1], np.cumsum(np.concatenate([acc[-1:], terms]))])
 
 
 class MomentCache:
     """Cumulative I_k on [1, X], extended on demand: panel edges, I_k and its
     summed error estimate at the edges, and Z^k at every panel's 17 nodes
-    (one row per panel)."""
+    (one row per panel).  For k >= 2 the panels are those of a k = 1 base
+    cache, each cut into k equal sub-panels, and Z at their nodes is the
+    base panel's interpolant: a fresh cache gets a fresh base."""
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, base: "MomentCache | None" = None):
         self.k = k
+        self.base = None if k == 1 else (base or MomentCache(1))
         self.edges = np.array([1.0])
         self.values = np.array([0.0])
         self.cum_err = np.array([0.0])
@@ -95,25 +109,66 @@ class MomentCache:
             raise DomainError("MomentCache.ensure requires a finite height")
         if x_max < self.edges[-1]:
             return
+        edges, val, err, y = (self._walk if self.base is None
+                              else self._split)(x_max)
+        self.edges = np.concatenate([self.edges, edges[1:]])
+        # summed one panel at a time from the last anchor: the same bits
+        # however the walk was split
+        self.values = _running_sum(self.values, val)
+        self.cum_err = _running_sum(self.cum_err, err)
+        self.zk = np.concatenate([self.zk, y])
+
+    def _walk(self, x_max: float):
+        """k = 1: quarter periods of Z from the last edge, with Z evaluated
+        at every node."""
         start = self.edges[-1]
         # the walk's steps never exceed MAX_PANEL, so it crosses x_max before
         # reaching the bound, and the edge that crosses it is not clipped;
         # every breakpoint gets an edge (evaluation is piecewise smooth)
         bound = x_max + MAX_PANEL
-        edges = panel_edges(start, bound, z_power_freq(self.k),
+        edges = panel_edges(start, bound, z_power_freq(1),
                             z_breakpoints(start, bound))
         edges = edges[:int(np.searchsorted(edges, x_max, side="right")) + 1]
         step = _ELEMS // NODES
         lo, hi = edges[:-1], edges[1:]
         parts = [PanelSet(lo[j:j + step], hi[j:j + step]).estimate(self._zk)
                  for j in range(0, len(lo), step)]
-        val, err, y = zip(*parts)
-        self.edges = np.concatenate([self.edges, edges[1:]])
-        # summed one panel at a time from the last anchor: the same bits
-        # however the walk was split
-        self.values = _running_sum(self.values, val)
-        self.cum_err = _running_sum(self.cum_err, err)
-        self.zk = np.concatenate([self.zk, *y])
+        return (edges, *(np.concatenate(p) for p in zip(*parts)))
+
+    def _split(self, x_max: float):
+        """k >= 2: the base panels from the one holding the last edge, each
+        cut into k equal sub-panels, with Z at their nodes interpolated from
+        the base panel's 17 values.  Interpolation carries the base values'
+        rounding noise into all k sub-panels with one sign, so each
+        sub-panel's error estimate adds Lambda_k k max|Z|^(k-1) (|c_15| +
+        |c_16|) width, from the base panel's values and Legendre
+        coefficients: an estimate, not a bound."""
+        base, k = self.base, self.k
+        base.ensure(x_max)
+        first, skip = divmod(len(self.edges) - 1, k)
+        stop = int(np.searchsorted(base.edges, x_max, side="right"))
+        lo, hi = base.edges[first:stop], base.edges[first + 1:stop + 1]
+        sub = np.append((lo[:, None] + (hi - lo)[:, None]
+                         * (np.arange(k) / k)).ravel(), hi[-1])
+        # through the first sub-edge past x_max
+        edges = sub[skip:int(np.searchsorted(sub, x_max, side="right")) + 1]
+        step = _ELEMS // (NODES * k)
+        parts = []
+        rows = base.zk[first:stop]
+        for j in range(0, len(rows), step):
+            z = rows[j:j + step]
+            panels = PanelSet(sub[j * k:(j + len(z)) * k],
+                              sub[j * k + 1:(j + len(z)) * k + 1])
+            y = split_values(z, k) ** k
+            val = panels.sums(y)
+            per_width = (k * split_lebesgue(k) * np.abs(z).max(axis=1) ** (k - 1)
+                         * legendre_tail(z))
+            est = np.repeat(per_width, k) * (2.0 * panels.half)
+            parts.append((val, np.abs(val - panels.sums(y, check=True)) + est, y))
+        # the first skip sub-panels are built already, and the walk stops
+        # at the first sub-edge past x_max
+        n = len(edges) - 1
+        return (edges, *(np.concatenate(p)[skip:skip + n] for p in zip(*parts)))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """I_k at arbitrary points: the anchor at the left edge of the
@@ -164,4 +219,5 @@ class MomentCache:
 
 @functools.cache
 def moment_cache(k: int) -> MomentCache:
-    return MomentCache(k)
+    """The process-wide I_k cache; for k >= 2 its base is moment_cache(1)."""
+    return MomentCache(k, None if k == 1 else moment_cache(1))

@@ -292,6 +292,8 @@ def zeta_euler_maclaurin(s, n_terms: int | None = None,
     shape = np.shape(s)
     # a scalar runs as a 1-element array, so it rounds as array elements do
     s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
+    if not np.all(np.isfinite(s)):
+        raise DomainError("zeta_euler_maclaurin requires finite s")
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("zeta pole at s=1")
     q = int(n_bernoulli)

@@ -158,6 +158,13 @@ def test_mellin_laurent_requires_k2(capsys):
     assert code == 2
 
 
+def test_mellin_decompose_requires_x(capsys):
+    code, out, err = run_cli(capsys, "mellin", "--k", "3", "--decompose",
+                             "--sigma", "2:2:1", "--t", "0:0:1")
+    assert code == 2 and out == ""
+    assert "--X" in err
+
+
 def test_mellin_decompose(capsys):
     code, out, _ = run_cli(capsys, "mellin", "--k", "3", "--decompose",
                            "--sigma", "2:2:1", "--t", "0:0:1", "--X", "500")

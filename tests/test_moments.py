@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hardylab import moments
 from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
 from hardylab.moments import (MomentCache, hardy_moment, moment_cache,
                               z_power_freq)
-from hardylab.quad import integrate_oscillatory
+from hardylab.quad import PanelSet, integrate_oscillatory, panel_edges
 
 
 def test_degenerate_interval():
@@ -186,6 +187,71 @@ def test_cache_eval_blocks_do_not_change_values():
     parts = np.concatenate([cache.eval_many(xs[j:j + 777])
                             for j in range(0, len(xs), 777)])
     assert whole.tobytes() == parts.tobytes()
+
+
+def test_split_cache_evaluates_only_base_nodes(monkeypatch):
+    # a k >= 2 cache cuts each base panel into k sub-panels and interpolates
+    # the base's stored Z values: the only Z it asks for is the base walk's
+    points = []
+
+    def counting(t):
+        points.append(len(t))
+        return z_eval_many(t)
+
+    monkeypatch.setattr(moments, "z_eval_many", counting)
+    cache = MomentCache(3)
+    for x in (50.0, 321.0, 500.0):
+        cache.ensure(x)
+    assert sum(points) == 17 * len(cache.base.zk)
+    n = len(cache.edges[::3])
+    assert cache.edges[::3].tobytes() == cache.base.edges[:n].tobytes()
+    assert cache.edges[-2] <= 500.0 < cache.edges[-1]
+
+
+def _state(cache):
+    return [a.tobytes() for a in (cache.edges, cache.values, cache.cum_err,
+                                  cache.zk)]
+
+
+def test_shared_base_gives_fresh_cache_bits():
+    # sharing a base, built before or after the base grew past it, gives
+    # the bits of a cache with its own fresh base
+    fresh = MomentCache(2)
+    fresh.ensure(700.0)
+    ahead = MomentCache(1)
+    ahead.ensure(2000.0)
+    early = MomentCache(2, ahead)
+    early.ensure(700.0)
+    behind = MomentCache(1)
+    late = MomentCache(2, behind)
+    late.ensure(300.0)
+    behind.ensure(2000.0)
+    late.ensure(700.0)
+    assert _state(early) == _state(fresh) == _state(late)
+    # the process-wide caches share moment_cache(1) as the base, however
+    # other tests grew them
+    shared = moment_cache(2)
+    assert shared.base is moment_cache(1)
+    moment_cache(1).ensure(2000.0)
+    shared.ensure(700.0)
+    fresh.ensure(shared.edges[-2])
+    assert _state(shared) == _state(fresh)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_split_cache_within_its_error_estimate(k):
+    # against K17 with direct Z on panels 4x finer than the native quarter
+    # periods of Z^k, the cache is off by at most its summed error estimate
+    cache = MomentCache(k)
+    for a, b in ((1.0, 100.0), (1000.0, 2000.0), (3000.0, 4000.0)):
+        edges = panel_edges(a, b, z_power_freq(k), z_breakpoints(a, b))
+        fine = np.append((edges[:-1, None] + np.diff(edges)[:, None]
+                          * (np.arange(4) / 4)).ravel(), b)
+        panels = PanelSet.from_edges(fine)
+        ref = float(np.sum(panels.sums(z_eval_many(panels.nodes()) ** k)))
+        gap = abs(cache.value(b) - cache.value(a) - ref)
+        assert gap <= cache.err_at(b) - cache.err_at(a)
+    assert cache.err_at(4000.0) <= 1e-10 * abs(cache.value(4000.0))
 
 
 def test_adaptive_moment_k4_converges_and_matches_cache():

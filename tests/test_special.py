@@ -265,6 +265,13 @@ def test_zeta_truncation_capped():
         zeta_euler_maclaurin(2.0, n_terms=2 ** 18 + 1)
 
 
+@pytest.mark.parametrize("s", [complex("nan"), complex(math.inf, 1.0),
+                               complex(0.5, math.inf)])
+def test_zeta_non_finite_s_rejected(s):
+    with pytest.raises(DomainError, match="finite"):
+        zeta_euler_maclaurin(s)
+
+
 def test_zeta_batch_errors_name_the_bad_row():
     good = np.array([0.5 + 10j, 2.0 + 3j])
     zeta_euler_maclaurin(good, n_terms=60)

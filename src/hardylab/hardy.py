@@ -14,6 +14,13 @@ z_eval_many reads Z from two frozen polynomial tables:
   piecewise polynomial, folded at import from the frozen Taylor tables of
   Psi (scripts/gen_psi_tables.py), and for each main-sum length N the
   whole remainder folds into one polynomial per piece, built on first use.
+  The main-sum phases x = theta(t) - t log n are reduced mod 2 pi with a
+  two-part constant whose high part has 12 bits (Cody & Waite 1980), and
+  cos r, |r| <= pi, comes from c = cos(r / 4), on libm's fast path, as
+  8 (c^2 - 1/2)^2 - 1: within 2^-48 + 2^-17 ulp(x) of cos x per term, far
+  below the rounding of x itself (half an ulp).  Whole rows of any lengths
+  are packed into blocks of at most 2^15 phases, which stay in L2 cache,
+  and each row is summed alone, over exactly its N terms.
 
 z_oracle_many computes e^{i theta(t)} zeta(1/2+it) with the one
 Euler-Maclaurin zeta of special.py (a truncation per height, double-double
@@ -33,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .special import _ELEMS, TWO_PI, theta_batch, theta_many, zeta_half_batch
+from .special import (_ELEMS, TWO_PI, TWO_PI_LO, theta_batch, theta_many,
+                      zeta_half_batch)
 
 # -- Remainder-correction tables -------------------------------------------
 #
@@ -97,17 +105,24 @@ _CHUNK_BLOCKS = _ELEMS // ((_C_DEGREE + 1) * _BLOCK * PSI_PIECES)
 
 @functools.lru_cache(maxsize=_REMAINDER_BLOCKS)
 def _remainder_block(q: int) -> np.ndarray:
+    """_remainder_rows of the _BLOCK main-sum lengths of block q, cached."""
+    table = _remainder_rows(np.arange(q * _BLOCK, (q + 1) * _BLOCK))
+    table.setflags(write=False)
+    return table
+
+
+def _remainder_rows(n: np.ndarray) -> np.ndarray:
     """The whole remainder (-1)^(N+1) a^{-1/2} sum_{k<=K} C_k(p) a^{-k} as
-    coefficients of u^m on each piece, for the main-sum lengths N of block
-    q, laid out [K, m, (N - q * _BLOCK) * PSI_PIECES + piece], K = 0..4.
+    coefficients of u^m on each piece, for the main-sum lengths N in n, laid
+    out [K, m, i * PSI_PIECES + piece] for N = n[i], K = 0..4.
 
     On piece j, a = N + c_j + u, so a^{-k-1/2} is the binomial series of
     (N + c_j + u)^{-k-1/2} in u; its product with C_k is cut at degree
     _C_DEGREE, where the dropped terms stay below 1e-20 at |u| <= 0.025
     (tests/test_hardy.py checks the bound).  Only elementwise +, -, *, /
     and sqrt go into it, all exactly rounded, so a length's coefficients,
-    and with them a height's value, are the same whatever batch asks."""
-    n = np.arange(q * _BLOCK, (q + 1) * _BLOCK)
+    and with them a height's value, are the same whatever batch asks and
+    whichever lengths are built beside it."""
     big_a = (n[:, None] + _PIECE_CENTERS).ravel()
     r = 1.0 / big_a
     # b[m, k]: coefficient of u^m in (-1)^(N+1) (N + c_j + u)^{-k-1/2}
@@ -120,11 +135,9 @@ def _remainder_block(q: int) -> np.ndarray:
     for m in range(1, _C_DEGREE + 1):
         b[m] = b[m - 1] * (-(half + (m - 1)) / m)[:, None] * r
     prod = np.zeros_like(b)
-    for i, c in enumerate(np.tile(_C_TABLE, _BLOCK)):
+    for i, c in enumerate(np.tile(_C_TABLE, len(n))):
         prod[i:] += c * b[:_C_DEGREE + 1 - i]
-    table = np.cumsum(prod, axis=1).transpose(1, 0, 2).copy()
-    table.setflags(write=False)
-    return table
+    return np.cumsum(prod, axis=1).transpose(1, 0, 2).copy()
 
 
 def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -182,6 +195,54 @@ def z_err_est(t, corrections: int = 3):
     return np.where(t < 10.0, _LOW_ERR, rs)
 
 
+# -- The main sum ------------------------------------------------------------
+#
+# numpy's binary64 cos calls libm once per element, and glibc's fast path
+# covers only |x| below about 0.86; the phases x = theta - t ln n lie in the
+# hundreds and up, where each call costs three to five times as much.  So
+# _cos_of_quarter reduces x mod 2 pi (Cody & Waite 1980) and takes cos from
+# cos of a quarter of the reduced phase, where libm is on its fast path.
+#
+# 2 pi = _RED_HI + _RED_LO.  _RED_HI = 3217 / 512 has 12 significant bits,
+# so k * _RED_HI is exact for |k| < 2^41; the row cap keeps |x| < 6e12,
+# |k| < 2^40.  _RED_LO is 2 pi - _RED_HI rounded, 1.3e-21 off.
+_RED_HI = 3217.0 / 512.0
+_RED_LO = (TWO_PI - _RED_HI) + TWO_PI_LO
+# main-sum blocks of at most _SUM_ELEMS phases (256 KB), so that a block and
+# its two work arrays stay in L2 cache; a longer row runs alone
+_SUM_ELEMS = 1 << 15
+
+
+def _cos_of_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
+    """cos(4 y) in place of y, for quarter phases y = x / 4 with
+    |x| < 2^41 pi; k and tmp are work arrays of y's shape.
+
+    With k = rint(x / 2 pi), the reduced phase r = x - 2 pi k is formed as
+    y - k * _RED_HI / 4, which is exact (k * _RED_HI / 4 is exact and a
+    multiple of 2^-11, so of ulp(y), and the difference is below 2 |y|),
+    minus k * _RED_LO / 4.  That is off by at most |k| * 1.3e-21 plus half
+    an ulp of k * _RED_LO, under 2^-17 ulp(x), plus the final rounding of
+    r / 4, |r / 4| <= pi / 4.  Then c = cos(r / 4) is on libm's fast path
+    and cos r = 8 (c^2 - 1/2)^2 - 1, where c^2 - 1/2 is exact.  With libm's
+    cos within one ulp this is within 2^-48 of cos r (measured: 13 * 2^-53,
+    near r = 0, where c^2 is nearly 1).  The form 1 - 8 s^2 (1 - s^2),
+    s = sin(r / 4), is within 6 * 2^-53 (measured) but makes Z 10% slower
+    above t = 1e3, since libm's sin costs more than its cos there.  So
+    |result - cos x| <= 2^-48 + 2^-17 ulp(x) (tests/test_hardy.py checks
+    this against np.cos).  Every step is elementwise, so an element's bits
+    do not depend on its neighbours."""
+    np.multiply(y, 2.0 / math.pi, out=k)
+    np.rint(k, out=k)
+    y -= np.multiply(k, 0.25 * _RED_HI, out=tmp)
+    y -= np.multiply(k, 0.25 * _RED_LO, out=tmp)
+    np.cos(y, out=y)
+    np.square(y, out=y)
+    y -= 0.5
+    np.square(y, out=y)
+    y *= 8.0
+    y -= 1.0
+
+
 @dataclass(frozen=True)
 class ZSample:
     t: float
@@ -208,58 +269,95 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
     if np.any(lengths >= _ELEMS + 1):
         raise DomainError(f"z_rs requires t < {TWO_PI * (_ELEMS + 1) ** 2:.4g}"
                           f" (a main sum of at most {_ELEMS} terms)")
-    lengths = lengths.astype(np.intp)
+    # uint16 keys take numpy's radix sort, about 5x faster than intp keys
+    # and the same stable permutation
+    lengths = lengths.astype(np.uint16 if lengths.max() < 1 << 16
+                             else np.intp)
     out = np.empty_like(t)
     # chunks of heights in order of main-sum length, so a chunk holds few
     # distinct lengths: at most _CHUNK rows, with lengths from at most
     # _CHUNK_BLOCKS consecutive blocks (upto[N]: rows of length <= N)
     order = np.argsort(lengths, kind="stable")
-    upto = np.cumsum(np.bincount(lengths))
+    counts = np.bincount(lengths)
     del lengths
+    upto = np.cumsum(counts)
+    # a batch spread over more remainder blocks than the cache keeps would
+    # rebuild them on every call: build only the lengths it has instead
+    blocks = np.flatnonzero(counts) // _BLOCK
+    sparse = np.count_nonzero(np.diff(blocks)) >= _REMAINDER_BLOCKS
     lo = 0
     while lo < len(t):
         n_lo = int(np.searchsorted(upto, lo, side="right"))
         last = min((n_lo // _BLOCK + _CHUNK_BLOCKS) * _BLOCK, len(upto))
         hi = min(lo + _CHUNK, int(upto[last - 1]))
         rows = order[lo:hi]
-        out[rows] = _z_rs_chunk(t[rows], corrections)
+        out[rows] = _z_rs_chunk(t[rows], corrections, sparse)
         lo = hi
     return out
 
 
-def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
+def _z_rs_chunk(t: np.ndarray, corrections: int,
+                sparse: bool) -> np.ndarray:
     """Z at heights sorted by N = floor(sqrt(t / 2 pi)).  Each row's main
-    sum runs over exactly its N terms, in blocks of at most _ELEMS."""
+    sum runs over exactly its N terms, in blocks of at most _SUM_ELEMS
+    phases; the remainder tables are the cached blocks of the chunk's
+    lengths, or when sparse, tables of those lengths alone."""
     a = np.sqrt(t / TWO_PI)
     N = np.floor(a).astype(np.intp)
     p = a - N
-    theta = theta_many(t)
+    # quarter phases x / 4 = theta / 4 - (t / 4) ln n: scaling by 1/4 is
+    # exact, so these are the bits of x = theta - t ln n divided by 4
+    quarter_theta = 0.25 * theta_many(t)
+    quarter_t = 0.25 * t
     n = np.arange(1, N[-1] + 1, dtype=float)
     ln = np.log(n)
     w = 1.0 / np.sqrt(n)
     main = np.empty_like(t)
+    # whole rows, row after row, packed into blocks of at most _SUM_ELEMS
+    # phases (a longer row fills one alone); one cosine pass per block, then
+    # each (rows, N) rectangle is weighted and summed row by row
+    phases, k, tmp = np.empty((3, max(_SUM_ELEMS, int(N[-1]))))
+    rects, used = [], 0
+
+    def flush():
+        _cos_of_quarter(phases[:used], k[:used], tmp[:used])
+        for s, y in rects:
+            y *= w[:y.shape[1]]
+            main[s] = y.sum(axis=1)
+        rects.clear()
+
     groups = np.flatnonzero(np.diff(N, prepend=-1, append=-1))
     for lo, hi in zip(groups[:-1].tolist(), groups[1:].tolist()):
         m = int(N[lo])
-        step = max(1, _ELEMS // m)
-        for b in range(lo, hi, step):
-            s = slice(b, min(b + step, hi))
-            x = t[s, None] * ln[:m]
-            np.subtract(theta[s, None], x, out=x)
-            np.cos(x, out=x)
-            x *= w[:m]
-            main[s] = x.sum(axis=1)
+        while lo < hi:
+            if used and used + m > _SUM_ELEMS:
+                flush()
+                used = 0
+            s = slice(lo, min(hi, lo + max(1, (_SUM_ELEMS - used) // m)))
+            y = phases[used:used + (s.stop - lo) * m].reshape(-1, m)
+            np.multiply(quarter_t[s, None], ln[:m], out=y)
+            np.subtract(quarter_theta[s, None], y, out=y)
+            rects.append((s, y))
+            used += y.size
+            lo = s.stop
+    flush()
 
-    # the remainder: the tables of the chunk's blocks side by side, then one
-    # gather and one Horner pass
-    q = N // _BLOCK
-    starts = np.flatnonzero(np.diff(q, prepend=-1))
-    table = np.concatenate([_remainder_block(int(b))[corrections]
-                            for b in q[starts]], axis=1)
-    place = np.cumsum(np.diff(q, prepend=q[0]) > 0)
+    # the remainder: the tables of the chunk's lengths side by side, then
+    # one gather and one Horner pass; col is a row's length's place in them
+    if sparse:
+        lengths = N[np.flatnonzero(np.diff(N, prepend=-1))]
+        parts = [_remainder_rows(lengths[i:i + _BLOCK])
+                 for i in range(0, len(lengths), _BLOCK)]
+        col = np.cumsum(np.diff(N, prepend=N[0]) > 0)
+    else:
+        q = N // _BLOCK
+        parts = [_remainder_block(int(b))
+                 for b in q[np.flatnonzero(np.diff(q, prepend=-1))]]
+        col = np.cumsum(np.diff(q, prepend=q[0]) > 0) * _BLOCK + N % _BLOCK
+    table = np.concatenate([part[corrections] for part in parts], axis=1)
     idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
     u = p - _PIECE_CENTERS[idx]
-    idx += (place * _BLOCK + N % _BLOCK) * PSI_PIECES
+    idx += col * PSI_PIECES
     return 2.0 * main + _horner(np.take(table, idx, axis=1), u)
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hardylab import hardy
 from hardylab._psi_tables import PSI_ORDER, PSI_PIECES
 from hardylab._z_low_table import Z_LOW_CHECK
 from hardylab.errors import DomainError
@@ -13,7 +14,7 @@ from hardylab.hardy import (z_breakpoints, z_err_est, z_eval_many,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
                             _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
-                            _fold_correction_tables,
+                            _cos_of_quarter, _fold_correction_tables,
                             _horner, _remainder_block)
 
 ZETA_HALF = -1.4603545088095868129
@@ -223,6 +224,50 @@ def test_rs_value_independent_of_batch():
     batch = z_rs_many(wide, 3)
     alone = np.array([z_rs_many(wide[i:i + 1], 3)[0] for i in range(40)])
     assert np.array_equal(alone, batch[:40])
+    # main-sum lengths from 2^16 up (t above 2.7e10) take the wide sort keys
+    tall = np.concatenate([wide[:100], [3e10, 2.8e10, 1.5e11, 3e10]])
+    batch = z_rs_many(tall, 3)
+    assert np.array_equal(batch[:100], z_rs_many(wide[:100], 3))
+    alone = np.array([z_rs_many(tall[i:i + 1], 3)[0] for i in range(100, 104)])
+    assert np.array_equal(alone, batch[100:])
+
+
+def test_sparse_tall_batch_builds_only_its_lengths(monkeypatch):
+    # 200 heights over 144 remainder blocks, more than the cache keeps
+    t = np.random.default_rng(2).uniform(2e6, 2e8, 200)
+    first = z_rs_many(t, 3)
+    built = []
+    rows = hardy._remainder_rows
+    monkeypatch.setattr(hardy, "_remainder_rows",
+                        lambda n: built.append(len(n)) or rows(n))
+    assert np.array_equal(z_rs_many(t, 3), first)
+    lengths = np.floor(np.sqrt(t / (2 * math.pi)))
+    assert 0 < sum(built) <= len(np.unique(lengths))
+    alone = np.array([z_rs_many(t[i:i + 1], 3)[0] for i in range(len(t))])
+    assert np.array_equal(alone, first)
+
+
+def test_reduced_cosine_matches_libm():
+    # 10^6 seeded phases log-spread over |x| <= 6e12 (the row cap), then the
+    # edges: 0, +-pi/2, +-pi, multiples k * 2 pi up to k = 2^40, and the
+    # doubles on either side of each
+    rng = np.random.default_rng(12)
+    x = 10.0 ** rng.uniform(-3.0, math.log10(6e12), 1_000_000)
+    x *= rng.choice([-1.0, 1.0], x.size)
+    k = np.concatenate([2.0 ** np.arange(41),
+                        rng.integers(1, 2 ** 40, 200).astype(float)])
+    edges = np.concatenate([[0.0, math.pi / 2, math.pi], k * (2 * math.pi)])
+    edges = np.concatenate([edges, -edges])
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf),
+                            np.nextafter(edges, -np.inf)])
+    x = np.concatenate([x, edges])
+    y = 0.25 * x
+    _cos_of_quarter(y, np.empty_like(y), np.empty_like(y))
+    # the stated bound, 2^-48 + 2^-17 ulp(x), plus np.cos's own rounding
+    # (within one ulp, at most 2^-52)
+    bound = 2.0 ** -48 + 2.0 ** -17 * np.spacing(np.abs(x)) + 2.0 ** -52
+    err = np.abs(y - np.cos(x))
+    assert np.all(err <= bound), float(np.max(err / bound))
 
 
 # The derivative combinations the folded tables replace: Psi^{(d)} from

@@ -4,9 +4,9 @@
 Prints them, to compare against the constants in tests/test_special.py,
 tests/test_hardy.py, tests/test_arith.py, tests/test_mellin.py; --check
 reads those constants instead (module-level literals, complex(re, im) and
-the Z_HIGH table) and exits 1 unless each one named here is within binary64
-rounding of its value.  Requires mpmath (dev-time only; the package itself
-never imports it).
+the Z_HIGH and Z_RS_REF tables) and exits 1 unless each one named here is
+within binary64 rounding of its value.  Requires mpmath (dev-time only;
+the package itself never imports it).
 """
 
 import ast
@@ -20,6 +20,13 @@ mp.mp.dps = 30
 # heights at which tests/test_hardy.py pins z_oracle_many's stated accuracy
 Z_ORACLE_HEIGHTS = (1000.5, 2345.25, 3841.0, 8832.0, 17000.75, 29000.5,
                     41101.0, 48888.0)
+# and z_rs_many's: 40 log-spaced heights over [10, 4e5], four digits each
+Z_RS_HEIGHTS = (
+    10.0, 13.12, 17.22, 22.59, 29.65, 38.91, 51.05, 66.99, 87.9, 115.3,
+    151.4, 198.6, 260.6, 342.0, 448.8, 588.9, 772.7, 1014.0, 1331.0, 1746.0,
+    2291.0, 3006.0, 3945.0, 5176.0, 6793.0, 8913.0, 11700.0, 15350.0,
+    20140.0, 26430.0, 34680.0, 45500.0, 59710.0, 78350.0, 102800.0,
+    134900.0, 177000.0, 232300.0, 304800.0, 400000.0)
 
 
 def chi(s):
@@ -32,7 +39,7 @@ TESTS = Path(__file__).resolve().parent.parent / "tests"
 
 def frozen_constants() -> dict:
     """Module-level numeric constants of the test files, by name; the
-    entries of the Z_HIGH table as "Z_AT <height>"."""
+    entries of the Z_HIGH and Z_RS_REF tables as "Z_AT <height>"."""
     found = {}
     for path in sorted(TESTS.glob("test_*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -47,7 +54,7 @@ def frozen_constants() -> dict:
                 lit = ast.literal_eval(value)
             except ValueError:
                 continue
-            if name == "Z_HIGH":
+            if name in ("Z_HIGH", "Z_RS_REF"):
                 found.update((f"Z_AT {t!r}", v) for t, v in lit.items())
             elif isinstance(lit, (int, float, complex)) and not isinstance(lit, bool):
                 found[name] = lit
@@ -94,7 +101,8 @@ def main() -> int:
         ("TWO_GAMMA_MINUS_LOG_2PI", 2 * mp.euler - mp.log(2 * mp.pi)),
         ("ZETA_3", mp.zeta(3)),
     ]
-    rows += [(f"Z_AT {t!r}", mp.siegelz(t)) for t in Z_ORACLE_HEIGHTS]
+    rows += [(f"Z_AT {t!r}", mp.siegelz(t))
+             for t in Z_ORACLE_HEIGHTS + Z_RS_HEIGHTS]
     if "--check" in sys.argv[1:]:
         return check(rows)
     for name, value in rows:

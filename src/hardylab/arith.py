@@ -60,24 +60,37 @@ def divisor_sieve(k: int, limit: int, budget: int | None = None) -> DivisorTable
 
 
 @functools.cache
+def _prime_exponents(n: int) -> tuple[int, ...]:
+    """The exponents a of the prime powers p^a that make up n, by trial
+    division."""
+    exps = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            exps.append(a)
+        p += 1 if p == 2 else 2
+    if n > 1:
+        exps.append(1)
+    return tuple(exps)
+
+
 def divisor_brute(k: int, n: int) -> int:
-    """Count ordered k-tuples with product n by explicit divisor recursion
-    (the sieve's oracle; shares no code with it).  Results are memoized so
-    full-range cross-checks stay cheap."""
+    """Count ordered k-tuples with product n prime by prime: a tuple splits
+    each p^a of n into k ordered exponents summing to a, in C(a + k - 1,
+    k - 1) ways (the sieve's oracle; shares no code or algorithm with it).
+    Factorisations are memoized per n and shared across k."""
     if k < 1 or n < 1:
         raise DomainError("divisor_brute requires k >= 1 and n >= 1")
     if k > 4 or n > 100_000:
         raise CapacityError("divisor_brute guarded to k <= 4, n <= 1e5")
-    if k == 1:
-        return 1
-    total = 0
-    root = int(math.isqrt(n))
-    for d in range(1, root + 1):
-        if n % d == 0:
-            total += divisor_brute(k - 1, n // d)
-            if d != n // d:
-                total += divisor_brute(k - 1, d)
-    return total
+    count = 1
+    for a in _prime_exponents(n):
+        count *= math.comb(a + k - 1, k - 1)
+    return count
 
 
 def dump_table(table: DivisorTable, path: str | Path) -> None:

@@ -14,13 +14,30 @@ z_eval_many reads Z from two frozen polynomial tables:
   piecewise polynomial, folded at import from the frozen Taylor tables of
   Psi (scripts/gen_psi_tables.py), and for each main-sum length N the
   whole remainder folds into one polynomial per piece, built on first use.
-  The main-sum phases x = theta(t) - t log n are reduced mod 2 pi with a
-  two-part constant whose high part has 12 bits (Cody & Waite 1980), and
-  cos r, |r| <= pi, comes from c = cos(r / 4), on libm's fast path, as
-  8 (c^2 - 1/2)^2 - 1: within 2^-48 + 2^-17 ulp(x) of cos x per term, far
-  below the rounding of x itself (half an ulp).  Whole rows of any lengths
-  are packed into blocks of at most 2^15 phases, which stay in L2 cache,
-  and each row is summed alone, over exactly its N terms.
+  Phases x are reduced mod 2 pi with a two-part constant whose high part
+  has 12 bits (Cody & Waite 1980), and cos r and sin r, |r| <= pi, come
+  from c = cos(r / 4) and s = sin(r / 4), on libm's fast path, as
+  8 (c^2 - 1/2)^2 - 1 and 8 s c (c^2 - 1/2): each within
+  2^-48 + 2^-17 ulp(x) of cos x and sin x, far below the rounding of x
+  itself (half an ulp).  The main sum has two kernels, chosen by N alone:
+  - N <= N_MULT (512, t < 1.65e6): n^{-1/2-it} is completely
+    multiplicative, so only the prime terms take a phase -t log p and a
+    cosine and sine; each composite term is one complex product of two
+    terms already computed, and the sum is Re(e^{i theta} sum n^{-1/2-it}).
+    A block of fewer than 256 rows forms the products an octave of n at a
+    time, a larger one n by n over the rows that need it, the same
+    products in the same order.  A height's value then does not depend on
+    its batch as long as numpy rounds a complex product the same way at
+    every length and layout; tests/test_hardy.py checks that for the
+    layouts used.  numpy 2.4 does, into a distinct output, but rounds a
+    product whose output aliases an input differently when the array has
+    one element, so no product is formed in place.  Products formed from
+    real multiplies and adds, which round alike anywhere, gave up the
+    kernel's gain on [1e3, 5e4].
+  - N > N_MULT: the direct sum over the phases theta - t log n, cos r from
+    c alone, whole rows packed into blocks of at most 2^15 phases, which
+    stay in L2 cache.
+  Either way each row sums exactly its N terms in a fixed order.
 
 z_oracle_many computes e^{i theta(t)} zeta(1/2+it) with the one
 Euler-Maclaurin zeta of special.py (a truncation per height, double-double
@@ -213,34 +230,239 @@ _RED_LO = (TWO_PI - _RED_HI) + TWO_PI_LO
 _SUM_ELEMS = 1 << 15
 
 
+def _reduce_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
+    """r / 4 in place of quarter phases y = x / 4 with |x| < 2^41 pi, where
+    r = x - 2 pi k, k = rint(x / 2 pi); k and tmp are work arrays of y's
+    shape.
+
+    r / 4 is formed as y - k * _RED_HI / 4, which is exact (k * _RED_HI / 4
+    is exact and a multiple of 2^-11, so of ulp(y), and the difference is
+    below 2 |y|), minus k * _RED_LO / 4.  That is off by at most
+    |k| * 1.3e-21 plus half an ulp of k * _RED_LO, under 2^-17 ulp(x), plus
+    the final rounding of r / 4, |r / 4| <= pi / 4, where libm's cos and
+    sin are on their fast path.  Every step is elementwise, so an element's
+    bits do not depend on its neighbours."""
+    np.multiply(y, 2.0 / math.pi, out=k)
+    np.rint(k, out=k)
+    y -= np.multiply(k, 0.25 * _RED_HI, out=tmp)
+    y -= np.multiply(k, 0.25 * _RED_LO, out=tmp)
+
+
 def _cos_of_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
     """cos(4 y) in place of y, for quarter phases y = x / 4 with
     |x| < 2^41 pi; k and tmp are work arrays of y's shape.
 
-    With k = rint(x / 2 pi), the reduced phase r = x - 2 pi k is formed as
-    y - k * _RED_HI / 4, which is exact (k * _RED_HI / 4 is exact and a
-    multiple of 2^-11, so of ulp(y), and the difference is below 2 |y|),
-    minus k * _RED_LO / 4.  That is off by at most |k| * 1.3e-21 plus half
-    an ulp of k * _RED_LO, under 2^-17 ulp(x), plus the final rounding of
-    r / 4, |r / 4| <= pi / 4.  Then c = cos(r / 4) is on libm's fast path
-    and cos r = 8 (c^2 - 1/2)^2 - 1, where c^2 - 1/2 is exact.  With libm's
+    With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) and
+    cos r = 8 (c^2 - 1/2)^2 - 1, where c^2 - 1/2 is exact.  With libm's
     cos within one ulp this is within 2^-48 of cos r (measured: 13 * 2^-53,
     near r = 0, where c^2 is nearly 1).  The form 1 - 8 s^2 (1 - s^2),
     s = sin(r / 4), is within 6 * 2^-53 (measured) but makes Z 10% slower
     above t = 1e3, since libm's sin costs more than its cos there.  So
     |result - cos x| <= 2^-48 + 2^-17 ulp(x) (tests/test_hardy.py checks
-    this against np.cos).  Every step is elementwise, so an element's bits
-    do not depend on its neighbours."""
-    np.multiply(y, 2.0 / math.pi, out=k)
-    np.rint(k, out=k)
-    y -= np.multiply(k, 0.25 * _RED_HI, out=tmp)
-    y -= np.multiply(k, 0.25 * _RED_LO, out=tmp)
+    this against np.cos)."""
+    _reduce_quarter(y, k, tmp)
     np.cos(y, out=y)
     np.square(y, out=y)
     y -= 0.5
     np.square(y, out=y)
     y *= 8.0
     y -= 1.0
+
+
+def _cis_of_quarter(y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
+    """cos(4 y) into c and sin(4 y) into s, for quarter phases y = x / 4
+    with |x| < 2^41 pi; y is overwritten.
+
+    With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) and
+    s = sin(r / 4), cos r = 8 (c^2 - 1/2)^2 - 1 and sin r = 8 s c (c^2 - 1/2),
+    where c^2 - 1/2 is exact.  Each is within 2^-48 + 2^-17 ulp(x) of cos x
+    and sin x (measured against np.cos and np.sin for |x| <= 1e3:
+    13 * 2^-53 and 8 * 2^-53; tests/test_hardy.py checks the bound)."""
+    _reduce_quarter(y, s, c)
+    np.sin(y, out=s)
+    np.cos(y, out=c)
+    np.square(c, out=y)
+    y -= 0.5
+    s *= c
+    np.multiply(y, 8.0, out=c)
+    s *= c
+    c *= y
+    c -= 1.0
+
+
+def _main_direct(quarter_t: np.ndarray, quarter_theta: np.ndarray,
+                 N: np.ndarray, main: np.ndarray) -> None:
+    """sum_{n<=N} n^{-1/2} cos(theta - t ln n) into main, for rows sorted
+    by N: whole rows packed into blocks of at most _SUM_ELEMS phases (a
+    longer row fills one alone), one cosine pass per block, then each
+    (rows, N) rectangle weighted and summed row by row."""
+    if not len(N):
+        return
+    n = np.arange(1, N[-1] + 1, dtype=float)
+    ln = np.log(n)
+    w = 1.0 / np.sqrt(n)
+    phases, k, tmp = np.empty((3, max(_SUM_ELEMS, int(N[-1]))))
+    rects, used = [], 0
+
+    def flush():
+        _cos_of_quarter(phases[:used], k[:used], tmp[:used])
+        for s, y in rects:
+            y *= w[:y.shape[1]]
+            main[s] = y.sum(axis=1)
+        rects.clear()
+
+    groups = np.flatnonzero(np.diff(N, prepend=-1, append=-1))
+    for lo, hi in zip(groups[:-1].tolist(), groups[1:].tolist()):
+        m = int(N[lo])
+        while lo < hi:
+            if used and used + m > _SUM_ELEMS:
+                flush()
+                used = 0
+            s = slice(lo, min(hi, lo + max(1, (_SUM_ELEMS - used) // m)))
+            y = phases[used:used + (s.stop - lo) * m].reshape(-1, m)
+            np.multiply(quarter_t[s, None], ln[:m], out=y)
+            np.subtract(quarter_theta[s, None], y, out=y)
+            rects.append((s, y))
+            used += y.size
+            lo = s.stop
+    flush()
+
+
+# -- The multiplicative main sum ----------------------------------------------
+#
+# n -> n^{-1/2 - it} is completely multiplicative, so only the prime terms
+# need a phase and a cosine and sine; the term of a composite n = p q, p its
+# least prime factor, is the complex product of two terms already computed.
+# The sum is then Re(e^{i theta} sum_{n<=N} n^{-1/2-it}).  Above N_MULT the
+# per-n passes and the stored terms cost more than the direct sum saves
+# (measured on in-process batches up to N = 2,048; the benchmark's heights
+# stop at N = 89).
+N_MULT = 512
+# a block of fewer rows takes O(log N) passes over whole (N, rows) arrays
+# (_mult_sum_few) instead of two numpy calls per n (_mult_sum_many); each
+# costs about N (a + b rows), the per-n form with the larger a, and the
+# ratio of their times crosses 1 near 256 rows at every N from 30 to 512
+# (0.82-1.16 there, 0.70-0.96 at 192 rows, 0.99-1.32 at 384; at N <= 12 it
+# crosses near 128 rows, and the octave form is at most 10% slower below 256)
+_FEW_ROWS = 256
+# floats of a block's work area (4 MB), shared by the blocks of a call; on
+# 65,536 heights 2^18 was 4-9% slower and 2^20 up to 7%
+_MULT_WORK = 1 << 19
+
+
+def _least_prime_factors(n: int) -> np.ndarray:
+    """lpf[m] for m <= n (lpf[0] = 0, lpf[1] = 1), by a sieve."""
+    lpf = np.arange(n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if lpf[p] == p:
+            v = lpf[p * p::p]
+            np.minimum(v, p, out=v)
+    return lpf
+
+
+_LPF = _least_prime_factors(N_MULT)
+_COFACTOR = np.arange(N_MULT + 1) // np.maximum(_LPF, 1)
+_PRIMES = np.flatnonzero(_LPF == np.arange(N_MULT + 1))[2:]
+_NEG_LN_P = -np.log(_PRIMES.astype(float))[:, None]
+_INV_SQRT_P = (1.0 / np.sqrt(_PRIMES.astype(float)))[:, None]
+# floats of work area per row of a block of largest length N: the phases,
+# cosines and sines of theta and the pi(N) primes, the prime terms (complex),
+# and N // 2 + 3 rows of complex terms for _mult_sum_many
+_PI = np.searchsorted(_PRIMES, np.arange(N_MULT + 1), side="right")
+_ROW_WORK = 3 * (_PI + 1) + 2 * _PI + 2 * (np.arange(N_MULT + 1) // 2 + 3)
+
+
+def _main_mult(quarter_t: np.ndarray, quarter_theta: np.ndarray,
+               N: np.ndarray, main: np.ndarray) -> None:
+    """sum_{n<=N} n^{-1/2} cos(theta - t ln n) into main, for rows sorted
+    by N <= N_MULT, in blocks whose work area, shared, stays within
+    _MULT_WORK floats."""
+    if not len(N):
+        return
+    work = np.empty(min(_MULT_WORK, len(N) * int(_ROW_WORK[N[-1]])))
+    lo = 0
+    while lo < len(N):
+        # the most rows whose work area fits
+        cap = min(len(N) - lo, _MULT_WORK // int(_ROW_WORK[N[lo]]))
+        fits = _ROW_WORK[N[lo:lo + cap]] * np.arange(1, cap + 1) <= _MULT_WORK
+        s = slice(lo, lo + max(1, int(np.count_nonzero(fits))))
+        main[s] = _mult_block(quarter_t[s], quarter_theta[s], N[s], work)
+        lo = s.stop
+
+
+def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
+                N: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """One block of _main_mult.  The terms n^{-1/2-it} of the primes up to
+    the block's largest N come from their phases, in one pass with theta's;
+    each composite's is one product, W[n] = W[lpf(n)] W[n / lpf(n)], and
+    the sum runs in n order, so a row sums exactly its N terms in a fixed
+    order and its value does not depend on the block, given complex
+    products that round alike at every length and layout.  No product
+    writes into one of its inputs: numpy rounds an aliased complex product
+    of one element differently from a longer one (module docstring)."""
+    rows, n_max = len(N), int(N[-1])
+    primes = _PRIMES[:_PI[n_max]]
+    size = (len(primes) + 1) * rows
+    y, c, s = work[:3 * size].reshape(3, len(primes) + 1, rows)
+    rest = work[3 * size:rows * int(_ROW_WORK[n_max])].view(complex)
+    prime_terms = rest[:len(primes) * rows].reshape(len(primes), rows)
+    y[0] = quarter_theta
+    np.multiply(_NEG_LN_P[:len(primes)], quarter_t, out=y[1:])
+    _cis_of_quarter(y, c, s)
+    # c[0] and s[0] are theta's cosine and sine, the rows after the primes'
+    np.multiply(c[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.real)
+    np.multiply(s[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.imag)
+    if rows < _FEW_ROWS:
+        acc = _mult_sum_few(prime_terms, primes, N)
+    else:
+        acc = _mult_sum_many(prime_terms, N,
+                             rest[len(primes) * rows:].reshape(-1, rows))
+    return acc.real * c[0] - acc.imag * s[0]
+
+
+def _mult_sum_few(prime_terms: np.ndarray, primes: np.ndarray,
+                  N: np.ndarray) -> np.ndarray:
+    """sum_{n<=N} W[n] per row, every row taking every n <= max N: the
+    products an octave [2^j, 2^(j+1)) at a time (their factors are at most
+    n / 2; a prime is its own product with W[1] = 1, which is exact), then
+    one accumulation along n."""
+    n_max = int(N[-1])
+    W = np.empty((n_max + 1, len(N)), complex)
+    W[1] = 1.0
+    W[primes] = prime_terms
+    j = 4
+    while j <= n_max:
+        hi = min(2 * j, n_max + 1)
+        np.multiply(np.take(W, _LPF[j:hi], axis=0),
+                    np.take(W, _COFACTOR[j:hi], axis=0), out=W[j:hi])
+        j = hi
+    np.cumsum(W[1:], axis=0, out=W[1:])
+    return W[N, np.arange(len(N))]
+
+
+def _mult_sum_many(prime_terms: np.ndarray, N: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+    """sum_{n<=N} W[n] per row, one product and one sum pass per n over the
+    rows with N >= n, a suffix of the sorted rows.  Only the terms up to
+    max N / 2 are kept: no product has a larger factor.  work holds
+    max N / 2 + 3 rows of complex terms."""
+    n_max = int(N[-1])
+    keep, (last, acc) = work[:-2], work[-2:]
+    acc[:] = 1.0
+    first = np.searchsorted(N, np.arange(n_max + 1)).tolist()
+    terms = [None] * (n_max // 2 + 1)
+    prime_rows = iter(prime_terms)
+    for n, p in zip(range(2, n_max + 1), _LPF[2:n_max + 1].tolist()):
+        f = first[n]
+        if p == n:
+            term = next(prime_rows)
+        else:
+            term = keep[n] if 2 * n <= n_max else last
+            np.multiply(terms[p][f:], terms[n // p][f:], out=term[f:])
+        if 2 * n <= n_max:
+            terms[n] = term
+        acc[f:] += term[f:]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -298,49 +520,21 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
 
 def _z_rs_chunk(t: np.ndarray, corrections: int,
                 sparse: bool) -> np.ndarray:
-    """Z at heights sorted by N = floor(sqrt(t / 2 pi)).  Each row's main
-    sum runs over exactly its N terms, in blocks of at most _SUM_ELEMS
-    phases; the remainder tables are the cached blocks of the chunk's
-    lengths, or when sparse, tables of those lengths alone."""
+    """Z at heights sorted by N = floor(sqrt(t / 2 pi)).  Rows with
+    N <= N_MULT take the multiplicative main sum, the others the direct
+    one; the remainder tables are the cached blocks of the chunk's lengths,
+    or when sparse, tables of those lengths alone."""
     a = np.sqrt(t / TWO_PI)
     N = np.floor(a).astype(np.intp)
     p = a - N
-    # quarter phases x / 4 = theta / 4 - (t / 4) ln n: scaling by 1/4 is
-    # exact, so these are the bits of x = theta - t ln n divided by 4
+    # quarter phases: scaling by 1/4 is exact, so these are the bits of
+    # theta and t divided by 4
     quarter_theta = 0.25 * theta_many(t)
     quarter_t = 0.25 * t
-    n = np.arange(1, N[-1] + 1, dtype=float)
-    ln = np.log(n)
-    w = 1.0 / np.sqrt(n)
     main = np.empty_like(t)
-    # whole rows, row after row, packed into blocks of at most _SUM_ELEMS
-    # phases (a longer row fills one alone); one cosine pass per block, then
-    # each (rows, N) rectangle is weighted and summed row by row
-    phases, k, tmp = np.empty((3, max(_SUM_ELEMS, int(N[-1]))))
-    rects, used = [], 0
-
-    def flush():
-        _cos_of_quarter(phases[:used], k[:used], tmp[:used])
-        for s, y in rects:
-            y *= w[:y.shape[1]]
-            main[s] = y.sum(axis=1)
-        rects.clear()
-
-    groups = np.flatnonzero(np.diff(N, prepend=-1, append=-1))
-    for lo, hi in zip(groups[:-1].tolist(), groups[1:].tolist()):
-        m = int(N[lo])
-        while lo < hi:
-            if used and used + m > _SUM_ELEMS:
-                flush()
-                used = 0
-            s = slice(lo, min(hi, lo + max(1, (_SUM_ELEMS - used) // m)))
-            y = phases[used:used + (s.stop - lo) * m].reshape(-1, m)
-            np.multiply(quarter_t[s, None], ln[:m], out=y)
-            np.subtract(quarter_theta[s, None], y, out=y)
-            rects.append((s, y))
-            used += y.size
-            lo = s.stop
-    flush()
+    m = int(np.searchsorted(N, N_MULT, side="right"))
+    _main_mult(quarter_t[:m], quarter_theta[:m], N[:m], main[:m])
+    _main_direct(quarter_t[m:], quarter_theta[m:], N[m:], main[m:])
 
     # the remainder: the tables of the chunk's lengths side by side, then
     # one gather and one Horner pass; col is a row's length's place in them

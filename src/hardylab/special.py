@@ -259,9 +259,11 @@ def _corrected_log(n: np.ndarray):
 # -- Euler-Maclaurin zeta -----------------------------------------------------
 
 # Cap on the elements of any temporary array in the zeta and Z kernels: 2^18
-# doubles (2 MB), and on the terms of one main-sum row.  Blocks that must stay
-# in cache are smaller: the zeta kernel's hold _ELEMS // 8 elements and the
-# Riemann-Siegel main sum's hardy._SUM_ELEMS = 2^15.
+# doubles (2 MB), and on the terms of one main-sum row; the one exception is
+# the multiplicative Riemann-Siegel kernel's work area, hardy._MULT_WORK =
+# 2^19.  Blocks that must stay in cache are smaller: the zeta kernel's hold
+# _ELEMS // 8 elements and the direct Riemann-Siegel main sum's
+# hardy._SUM_ELEMS = 2^15.
 _ELEMS = 1 << 18
 
 

@@ -58,6 +58,23 @@ def test_sieve_split_boundaries(limit):
             divisor_brute(k, n) for n in range(1, limit + 1)], (k, limit)
 
 
+def test_brute_matches_literal_tuple_count():
+    # ordered (d1, ..., dk) with d1 * ... * dk = n, counted one tuple at a
+    # time by nested loops over divisors
+    divisors = [[d for d in range(1, m + 1) if m % d == 0]
+                for m in range(1001)]
+    for n in range(1, 1001):
+        counts = {1: 1, 2: 0, 3: 0, 4: 0}
+        for d1 in divisors[n]:
+            counts[2] += 1
+            for d2 in divisors[n // d1]:
+                counts[3] += 1
+                for _ in divisors[n // d1 // d2]:
+                    counts[4] += 1
+        for k, count in counts.items():
+            assert divisor_brute(k, n) == count, (k, n)
+
+
 def test_dirichlet_series_tail(d3_table):
     # sum d_3(n) n^-3 -> zeta(3)^3 within C (log N)^2 / N^2 as N doubles
     target = ZETA_3 ** 3

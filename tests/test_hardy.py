@@ -10,12 +10,14 @@ from hardylab import hardy
 from hardylab._psi_tables import PSI_ORDER, PSI_PIECES
 from hardylab._z_low_table import Z_LOW_CHECK
 from hardylab.errors import DomainError
-from hardylab.hardy import (z_breakpoints, z_err_est, z_eval_many,
+from hardylab.hardy import (N_MULT, z_breakpoints, z_err_est, z_eval_many,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
                             _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
-                            _cos_of_quarter, _fold_correction_tables,
-                            _horner, _remainder_block)
+                            _cis_of_quarter, _cos_of_quarter,
+                            _fold_correction_tables, _horner, _main_direct,
+                            _main_mult, _remainder_block)
+from hardylab.special import theta_many
 
 ZETA_HALF = -1.4603545088095868129
 FIRST_ZERO = 14.134725141734693790
@@ -32,6 +34,58 @@ Z_HIGH = {
     41101.0: -1.15251064966586318824626705941,
     48888.0: 2.41811555266308309215823900581,
 }
+# 40 log-spaced heights over [10, 4e5], frozen 30-digit mpmath siegelz
+# (scripts/gen_oracle_values.py): the Riemann-Siegel kernel's references
+Z_RS_REF = {
+    10.0: -1.54919454618102238908521730186,
+    13.12: -0.71949024429270292775327913147,
+    17.22: 2.22689362506468636747042805957,
+    22.59: -1.3499309062618410508315833358,
+    29.65: 1.11753029195925792827462708305,
+    38.91: -1.75427235484279883461397224152,
+    51.05: -1.84086972159074104996557075074,
+    66.99: 0.158378713311561471213123367826,
+    87.9: -0.642591074020873275660487304609,
+    115.3: -1.613245877896492327561499283,
+    151.4: -0.961368404160955990273623404609,
+    198.6: 2.56416671768425242441884364717,
+    260.6: -0.410261473961437162483282537065,
+    342.0: -0.171641233200269143050723785137,
+    448.8: -0.883258874824475800711511424106,
+    588.9: 6.21386004375163590226142654566,
+    772.7: 1.57759642190679731947357707371,
+    1014.0: -3.53229672797652185132276563732,
+    1331.0: -3.09590119574010870731932960153,
+    1746.0: -0.272191200374087599693544701566,
+    2291.0: 0.335553638269963429536017158614,
+    3006.0: 1.02744723326894461476894546353,
+    3945.0: -0.942728896073222261972377756868,
+    5176.0: -13.7617480083300718463598819169,
+    6793.0: -0.355064933849750886346476620215,
+    8913.0: 0.758362789974577026283079778387,
+    11700.0: -1.48126865843834952921268233959,
+    15350.0: -3.80035600768813257912483104064,
+    20140.0: 0.796296114271590192921882598417,
+    26430.0: 0.732222615820785006850214262454,
+    34680.0: -3.08868772774531054375665977774,
+    45500.0: 0.0484042271875730817871235843443,
+    59710.0: -3.16275088496018213207269255083,
+    78350.0: -0.399271019785729794045415102302,
+    102800.0: -0.242488737728736684498913171052,
+    134900.0: -2.23699824506885947375705372063,
+    177000.0: 1.89046583458810805659951629834,
+    232300.0: -0.0626765806279520475989171822499,
+    304800.0: 1.48815884325753896208097380527,
+    400000.0: -5.04063024456838006529136911189,
+}
+
+
+def _rounding_floor(t):
+    # each of the N main-sum phases t ln n carries up to t ln N eps of
+    # rounding, weighted by 2 / sqrt(n): the sum stays below
+    # 4 sqrt(N) t ln N eps (the benchmark's limit past the stated error)
+    n = np.maximum(np.floor(np.sqrt(t / (2 * math.pi))), 2.0)
+    return 4.0 * np.sqrt(n) * t * np.log(n) * np.finfo(float).eps
 
 
 def test_oracle_at_origin():
@@ -230,6 +284,43 @@ def test_rs_value_independent_of_batch():
     assert np.array_equal(batch[:100], z_rs_many(wide[:100], 3))
     alone = np.array([z_rs_many(tall[i:i + 1], 3)[0] for i in range(100, 104)])
     assert np.array_equal(alone, batch[100:])
+    # one height past the others' lengths: its last terms are products over
+    # one row, where numpy rounds an aliased complex product differently
+    lone = np.append(t, 2 * math.pi * 40.5 ** 2)
+    assert z_rs_many(lone, 3)[-1] == z_rs_many(lone[-1:], 3)[0]
+    # either side of t = 2 pi (N_MULT + 1)^2, the multiplicative kernel's
+    # last length, alone, together and among the mixed heights
+    edge = 2 * math.pi * (N_MULT + 1) ** 2
+    near = np.concatenate([
+        edge * np.random.default_rng(5).uniform(0.9, 1.1, 300),
+        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]])
+    batch = z_rs_many(near, 3)
+    alone = np.array([z_rs_many(t_i[None], 3)[0] for t_i in near])
+    assert np.array_equal(alone, batch)
+    assert np.array_equal(z_rs_many(np.append(mixed, near), 3)[len(mixed):],
+                          batch)
+
+
+def test_complex_products_round_alike_at_every_layout():
+    # the multiplicative kernel multiplies its terms over a suffix of a
+    # block's rows (many rows) or over gathered (octave, rows) arrays (few
+    # rows), always into a distinct output; a height's value does not depend
+    # on its batch only if each product rounds the same in every such layout
+    rng = np.random.default_rng(14)
+    re, im = rng.standard_normal((2, 2, 40, 300))
+    a, b = re + 1j * im
+    ref = np.multiply(a, b)
+    out = np.empty(300, complex)
+    for i in range(0, 40, 7):
+        for f in range(300):
+            np.multiply(a[i, f:], b[i, f:], out=out[f:])
+            assert np.array_equal(out[f:], ref[i, f:])
+    for rows in (1, 2, 3, 7, 16, 255, 300):
+        idx = rng.integers(0, 40, 13)
+        got = np.empty((13, rows), complex)
+        np.multiply(np.take(a[:, :rows], idx, axis=0),
+                    np.take(b[:, :rows], idx, axis=0), out=got)
+        assert np.array_equal(got, ref[idx, :rows])
 
 
 def test_sparse_tall_batch_builds_only_its_lengths(monkeypatch):
@@ -247,7 +338,7 @@ def test_sparse_tall_batch_builds_only_its_lengths(monkeypatch):
     assert np.array_equal(alone, first)
 
 
-def test_reduced_cosine_matches_libm():
+def _libm_check_phases():
     # 10^6 seeded phases log-spread over |x| <= 6e12 (the row cap), then the
     # edges: 0, +-pi/2, +-pi, multiples k * 2 pi up to k = 2^40, and the
     # doubles on either side of each
@@ -261,13 +352,55 @@ def test_reduced_cosine_matches_libm():
     edges = np.concatenate([edges, np.nextafter(edges, np.inf),
                             np.nextafter(edges, -np.inf)])
     x = np.concatenate([x, edges])
+    # the stated bound, 2^-48 + 2^-17 ulp(x), plus libm's own rounding
+    # (within one ulp, at most 2^-52)
+    return x, 2.0 ** -48 + 2.0 ** -17 * np.spacing(np.abs(x)) + 2.0 ** -52
+
+
+def test_reduced_cosine_matches_libm():
+    x, bound = _libm_check_phases()
     y = 0.25 * x
     _cos_of_quarter(y, np.empty_like(y), np.empty_like(y))
-    # the stated bound, 2^-48 + 2^-17 ulp(x), plus np.cos's own rounding
-    # (within one ulp, at most 2^-52)
-    bound = 2.0 ** -48 + 2.0 ** -17 * np.spacing(np.abs(x)) + 2.0 ** -52
     err = np.abs(y - np.cos(x))
     assert np.all(err <= bound), float(np.max(err / bound))
+
+
+def test_quarter_angle_cos_sin_match_libm():
+    x, bound = _libm_check_phases()
+    c, s = np.empty((2,) + x.shape)
+    _cis_of_quarter(0.25 * x, c, s)
+    for got, ref in ((c, np.cos(x)), (s, np.sin(x))):
+        err = np.abs(got - ref)
+        assert np.all(err <= bound), float(np.max(err / bound))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (10.0, 1e2), (1e2, 1e3), (1e3, 1e4), (1e4, 5e4),
+    (5e4, 2 * math.pi * (N_MULT + 1) ** 2)])
+def test_multiplicative_kernel_matches_direct(lo, hi):
+    t = np.sort(np.random.default_rng(13).uniform(lo, hi, 20000))
+    N = np.floor(np.sqrt(t / (2 * math.pi))).astype(np.intp)
+    assert N[-1] <= N_MULT
+    quarter_t, quarter_theta = 0.25 * t, 0.25 * theta_many(t)
+    mult, direct = np.empty((2,) + t.shape)
+    _main_mult(quarter_t, quarter_theta, N, mult)
+    _main_direct(quarter_t, quarter_theta, N, direct)
+    err = np.abs(2.0 * mult - 2.0 * direct)
+    assert np.all(err <= _rounding_floor(t)), \
+        float(np.max(err / _rounding_floor(t)))
+
+
+@pytest.mark.parametrize("n_mult", [N_MULT, 0], ids=["multiplicative",
+                                                      "direct"])
+def test_rs_within_stated_error_of_frozen_references(monkeypatch, n_mult):
+    # every height here is below the multiplicative kernel's edge; with
+    # N_MULT = 0 the direct kernel takes them all
+    monkeypatch.setattr(hardy, "N_MULT", n_mult)
+    t = np.array(list(Z_RS_REF))
+    ref = np.array(list(Z_RS_REF.values()))
+    for k in range(5):
+        err = np.abs(z_rs_many(t, k) - ref)
+        assert np.all(err <= z_err_est(t, k) + _rounding_floor(t)), k
 
 
 # The derivative combinations the folded tables replace: Psi^{(d)} from

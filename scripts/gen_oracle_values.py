@@ -87,6 +87,9 @@ def main() -> int:
         ("GAMMA_19P5_2J", mp.gamma(mp.mpc(19.5, 2))),
         ("GAMMA_20P5_1J", mp.gamma(mp.mpc(20.5, 1))),
         ("GAMMA_0P7_0P1J", mp.gamma(mp.mpc(0.7, 0.1))),
+        ("GAMMA_M3P3_4P8J", mp.gamma(mp.mpc(-3.3, 4.8))),
+        ("GAMMA_M0P5_M2J", mp.gamma(mp.mpc(-0.5, -2))),
+        ("GAMMA_M7P5_6J", mp.gamma(mp.mpc(-7.5, 6))),
         ("ZETA_2", mp.zeta(2)),
         ("ZETA_HALF", mp.zeta(mp.mpf(1) / 2)),
         ("ZETA_HALF_25J", mp.zeta(mp.mpc(0.5, 25))),
@@ -94,6 +97,8 @@ def main() -> int:
         ("CHI_0P3_15J", chi(mp.mpc(0.3, 15))),
         ("CHI_39P5_2J", chi(mp.mpc(39.5, 2))),
         ("CHI_41_2J", chi(mp.mpc(41, 2))),
+        ("CHI_M0P7_3J", chi(mp.mpc(-0.7, 3))),
+        ("CHI_2P5_4J", chi(mp.mpc(2.5, 4))),
         ("FIRST_ZERO", mp.im(mp.zetazero(1))),
         ("THETA_ZERO", mp.findroot(mp.siegeltheta, 17.8)),
         ("Z_10", mp.siegelz(10)),

@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+MAX_ROWS = 1_000_000  # a larger z or mellin table exits 2 before any work
 
 
 def _emit_table(header, rows, out, fm: str) -> None:
@@ -55,15 +56,18 @@ def cmd_z(args, cfg: RunConfig) -> int:
     if args.step <= 0 or args.to <= args.frm:
         print("z: requires --from < --to and --step > 0", file=sys.stderr)
         return EXIT_USAGE
-    n = int(np.floor((args.to - args.frm) / args.step + 1e-9)) + 1
-    ts = args.frm + args.step * np.arange(n)
+    span = (args.to - args.frm) / args.step
+    if not span < MAX_ROWS:
+        print(f"z: the grid has more than {MAX_ROWS} rows", file=sys.stderr)
+        return EXIT_USAGE
+    ts = args.frm + args.step * np.arange(int(np.floor(span + 1e-9)) + 1)
     header = ["t", "z_rs", "err_est"]
     cols = [ts, z_eval_many(ts, args.corrections),
             z_err_est(ts, args.corrections)]
     if args.oracle:
         header.insert(2, "z_oracle")
         cols.insert(2, z_oracle_many(ts))
-    rows = [tuple(float(c[i]) for c in cols) for i in range(n)]
+    rows = [tuple(float(c[i]) for c in cols) for i in range(len(ts))]
     _emit_table(header, rows, args.out, args.format)
     return EXIT_OK
 
@@ -101,12 +105,17 @@ def cmd_moment(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _parse_grid(spec: str):
-    a, b, n = spec.split(":")
-    a, b, n = float(a), float(b), int(n)
-    if n < 1:
+def _s_grid(sigma: str, t: str) -> list[tuple[float, float]]:
+    """The (sigma, t) pairs of two a:b:n grids, sigma-major."""
+    (a, b, m), (c, d, n) = sigma.split(":"), t.split(":")
+    m, n = int(m), int(n)
+    if min(m, n) < 1:
         raise ValueError("grid needs n >= 1")
-    return np.linspace(a, b, n)
+    if m * n > MAX_ROWS:
+        raise ValueError(f"the s-grid has more than {MAX_ROWS} points")
+    ts = np.linspace(float(c), float(d), n).tolist()
+    return [(sig, tt) for sig in np.linspace(float(a), float(b), m).tolist()
+            for tt in ts]
 
 
 def cmd_mellin(args, cfg: RunConfig) -> int:
@@ -125,6 +134,7 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
         _emit_table(["c_minus2", "c_minus1", "c_0"], [(c2, c1, c0)],
                     args.out, args.format)
         return EXIT_OK
+    grid = _s_grid(args.sigma, args.t)
     if args.decompose:
         if k != 3:
             print("mellin: --decompose requires k = 3", file=sys.stderr)
@@ -134,26 +144,23 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
             return EXIT_USAGE
         table = divisor_sieve(3, 20000)
         rows = []
-        for sig in _parse_grid(args.sigma):
-            for t in _parse_grid(args.t):
-                d = ML.m3_decomposition(complex(sig, t), args.X, table)
-                rows.append((sig, t, d["v1"], d["v2"], d["sum"], d["m3"],
-                             d["gap_rel"]))
+        for sig, t in grid:
+            d = ML.m3_decomposition(complex(sig, t), args.X, table)
+            rows.append((sig, t, d["v1"], d["v2"], d["sum"], d["m3"],
+                         d["gap_rel"]))
         _emit_table(["sigma", "t", "v1", "v2", "sum", "m3", "gap_rel"],
                     rows, args.out, args.format)
         return EXIT_OK
     rows = []
-    for sig in _parse_grid(args.sigma):
-        for t in _parse_grid(args.t):
-            s = complex(sig, t)
-            if args.method == "direct":
-                m = ML.mellin_direct(k, s, X=args.X or 2000.0,
-                                     budget=cfg.eval_budget)
-            else:
-                m = ML.mellin_by_parts(k, s, tol=cfg.tol_mellin,
-                                       X=args.X or None)
-            rows.append((k, sig, t, m.value.real, m.value.imag, m.X,
-                         m.tail_bound, m.method))
+    for sig, t in grid:
+        s = complex(sig, t)
+        if args.method == "direct":
+            m = ML.mellin_direct(k, s, budget=cfg.eval_budget,
+                                 X=2000.0 if args.X is None else args.X)
+        else:
+            m = ML.mellin_by_parts(k, s, tol=cfg.tol_mellin, X=args.X)
+        rows.append((k, sig, t, m.value.real, m.value.imag, m.X,
+                     m.tail_bound, m.method))
     _emit_table(["k", "sigma", "t", "re", "im", "X", "tail_bound", "method"],
                 rows, args.out, args.format)
     return EXIT_OK

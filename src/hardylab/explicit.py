@@ -1,7 +1,6 @@
-"""Cosine-sum main terms for the dyadic moments of Z, with their building
-blocks: the scale tau(k,t), the phase F_k and derivatives, saddle points,
-and the first-order saddle amplitude.  Also the truncated cosine-sum
-approximation to the cubic primitive I_3.
+"""Cosine-sum main terms for the dyadic moments of Z, built from the
+first-order saddle amplitudes, and the truncated cosine-sum approximation
+to the cubic primitive I_3.
 """
 
 from __future__ import annotations
@@ -13,19 +12,9 @@ import numpy as np
 
 from .arith import DivisorTable
 from .errors import CapacityError, DomainError
-from .special import TWO_PI, chi
+from .special import TWO_PI
 
 _SNAP = 1e-9
-
-
-@dataclass(frozen=True)
-class PhaseData:
-    k: int
-    n: int
-    t: float
-    F: float
-    F1: float
-    F2: float
 
 
 @dataclass(frozen=True)
@@ -38,43 +27,6 @@ class CosineSumResult:
     terms: int
 
 
-def tau(k: int, t: float) -> float:
-    """tau(k,t) = (t/2pi)^k * exp(-k/(24 t^2)): the asymptotic form of the
-    chi-log-derivative scale, with its first correction."""
-    if k < 1:
-        raise DomainError("tau requires k >= 1")
-    if t < 10.0:
-        raise DomainError("tau requires t >= 10")
-    return (t / TWO_PI) ** k * math.exp(-k / (24.0 * t * t))
-
-
-def tau_from_chi(k: int, t: float, h: float = 1e-3) -> float:
-    """Debug cross-check: tau from the implemented chi via the defining
-    log-derivative, exp(-k * d/dt arg chi(1/2+it))."""
-    if t < 30.0:
-        raise DomainError("tau_from_chi needs the continuous-branch regime (t > 30)")
-    darg = (chi(complex(0.5, t + h)).arg - chi(complex(0.5, t - h)).arg) / (2.0 * h)
-    return math.exp(-k * darg)
-
-
-def phase(k: int, n: int, t: float) -> PhaseData:
-    """F_k(t) = t*log((t/2pi)^(k/2)/n) - k*t/2 - k*pi/8 and two derivatives."""
-    if n < 1:
-        raise DomainError("phase requires n >= 1")
-    if t <= 0.0:
-        raise DomainError("phase requires t > 0")
-    log_ratio = 0.5 * k * math.log(t / TWO_PI) - math.log(n)
-    F = t * log_ratio - 0.5 * k * t - k * math.pi / 8.0
-    return PhaseData(k=k, n=n, t=t, F=F, F1=log_ratio, F2=k / (2.0 * t))
-
-
-def saddle_point(k: int, n: int) -> float:
-    """Stationary point of F_k: t = 2*pi*n^(2/k)."""
-    if n < 1 or k < 1:
-        raise DomainError("saddle_point requires k, n >= 1")
-    return TWO_PI * n ** (2.0 / k)
-
-
 def saddle_terms_many(k: int, n: np.ndarray) -> np.ndarray:
     """First-order saddle amplitudes pi*sqrt(2/k)*n^(1/k) *
     exp(i*(-k*pi*n^(2/k) + (2-k)*pi/8)) for an array of n."""
@@ -82,13 +34,6 @@ def saddle_terms_many(k: int, n: np.ndarray) -> np.ndarray:
     mod = math.pi * math.sqrt(2.0 / k) * nf ** (1.0 / k)
     arg = -k * math.pi * nf ** (2.0 / k) + (2.0 - k) * math.pi / 8.0
     return mod * np.exp(1j * arg)
-
-
-def saddle_term(k: int, n: int) -> complex:
-    """First-order saddle amplitude at a single n."""
-    if n < 1 or k < 1:
-        raise DomainError("saddle_term requires k, n >= 1")
-    return complex(saddle_terms_many(k, np.array([n]))[0])
 
 
 def _snap(x: float) -> float:

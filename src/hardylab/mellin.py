@@ -177,6 +177,8 @@ def _band_top(band: int) -> float:
 
 @functools.cache
 def _grid(k: int, X: float, band: int) -> _PrimitiveGrid:
+    if not 1.0 <= X < math.inf:
+        raise DomainError(f"truncation height X must be finite and >= 1, got {X}")
     return _PrimitiveGrid(k, X, band)
 
 
@@ -362,10 +364,11 @@ def m3_decomposition(s: complex, X: float, table: DivisorTable) -> dict:
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError("m3_decomposition requires finite s")
+    grid = _grid(3, X, _band(abs(s.imag)))  # first: it checks X
     n_cut = _cubic_sum(table).cutoff(X)
     v1 = v1_series(s, n_cut, table)
     v2 = v2_residual(s, X, table)
-    m3 = _grid(3, X, _band(abs(s.imag))).transform(s)[0]
+    m3 = grid.transform(s)[0]
     gap = abs(v1 + v2 - m3)
     return {
         "s": s, "X": float(X), "N": n_cut,
@@ -627,12 +630,13 @@ def laplace_consistency(s: complex, tol: float = 1e-5) -> IdentityReport:
                                 lambda v: 0.3, tol=tol, max_panel=0.5)
     lhs = complex(res.value)
     m1 = mellin_by_parts(1, s, tol=tol)
-    rhs = m1.value * gamma_complex(s)
+    gamma_s = gamma_complex(s)
+    rhs = m1.value * gamma_s
     certs = {
         "outer_quad": res.abs_err_est,
         "lower_cut": c1 * gamma54 * x_lo ** (sigma - 0.25) / (sigma - 0.25),
         "upper_cut": math.exp(-x_hi) * 10.0,
-        "mellin_tail": m1.tail_bound * abs(gamma_complex(s)),
+        "mellin_tail": m1.tail_bound * abs(gamma_s),
         "inner_trunc": math.exp(-700.0),
     }
     params = {"s": s, "x_lo": x_lo, "x_hi": x_hi, "y_max": y_max}

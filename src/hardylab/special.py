@@ -1,22 +1,20 @@
 """Complex special functions: Gamma, the functional-equation factor chi,
 the phase function theta, and an Euler-Maclaurin zeta evaluator.
 
-Everything here is pure and reentrant and values are binary64.  log Gamma,
-theta and zeta each have one vectorised implementation that their scalar
-entry points wrap; gamma_complex and chi remain scalar (cmath) functions.
-log Gamma is the Stirling series after upward recurrence to |z| >= 24;
-Gamma is its exponential, with reflection for Re s < 1/2.  The zeta
-evaluator is the independent oracle for the Hardy-function code: each
-point gets its own truncation, an explicit remainder bound and double-double
-reduction of the phases t*log(n) (Dekker 1971), so a value is the same
-alone or in any batch.
+Everything here is pure and reentrant and values are binary64.  Each
+function is vectorised, and a scalar runs as a one-element array, so a
+value is the same bits alone or in any batch.  log Gamma is the Stirling
+series after upward recurrence to |z| >= 24; Gamma and chi are
+exponentials of it, reflected only in the strip Re z <= 0, |Im z| <= 5
+that the recurrence does not serve.  The zeta evaluator is the independent
+oracle for the Hardy-function code: each point gets its own truncation, an
+explicit remainder bound and double-double reduction of the phases
+t*log(n) (Dekker 1971).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .errors import AccuracyError, DomainError, PoleError
 
 TWO_PI = 2.0 * math.pi
 LOG_2PI = math.log(2.0 * math.pi)
+LOG_PI = math.log(math.pi)
 # 2*pi split into high/low doubles for exact-ish argument reduction.
 TWO_PI_HI = 6.283185307179586
 TWO_PI_LO = 2.4492935982947064e-16
@@ -48,28 +47,6 @@ _BERNOULLI = (
 )
 
 _FACTORIALS = tuple(float(math.factorial(k)) for k in range(33))
-
-
-@dataclass(frozen=True)
-class ChiValue:
-    """chi(s) together with its log-modulus and argument.
-
-    ``arg`` is the continuous (analytic) branch for |Im s| > 20 where the
-    asymptotic log-space path is used; below that it is the principal
-    argument.  In both regimes value == exp(log_abs + 1j*arg).
-    """
-
-    s: complex
-    value: complex
-    log_abs: float
-    arg: float
-
-
-def _near_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
-    if abs(z.imag) > tol:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol * max(1.0, abs(z.real))
 
 
 def loggamma(z):
@@ -106,66 +83,67 @@ def loggamma(z):
     return complex(out[0]) if scalar else out
 
 
-def _log_sin_pi(z: complex) -> complex:
-    # log(sin(pi z)) up to a multiple of 2*pi*i; callers only exponentiate.
-    y = z.imag
-    if y > 18.0:
-        return -1j * math.pi * z - math.log(2.0) + 0.5j * math.pi \
-            + cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-    if y < -18.0:
-        return _log_sin_pi(z.conjugate()).conjugate()
-    return cmath.log(cmath.sin(math.pi * z))
+def _nonpositive_int(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    # mask of the points within tol of 0, -1, -2, ...
+    r = np.round(z.real)
+    return (np.abs(z.imag) <= tol) & (r <= 0.0) \
+        & (np.abs(z.real - r) <= tol * np.maximum(1.0, np.abs(z.real)))
 
 
-def gamma_complex(s: complex) -> complex:
-    """Gamma(s) for complex s, to better than 1e-13 relative where the
-    value is representable in binary64: exp(loggamma(s)) for Re s >= 1/2,
-    and the reflection Gamma(s) = pi / (sin(pi s) Gamma(1-s)) in log space
-    below.
+def _log_gamma(z: np.ndarray) -> np.ndarray:
+    # log Gamma(z) up to a multiple of 2*pi*i, for an array off the poles:
+    # loggamma(z), reflected in the strip Re z <= 0, |Im z| <= 5, where
+    # |sin(pi z)| <= cosh(5 pi) keeps the plain logarithm finite
+    refl = (z.real <= 0.0) & (np.abs(z.imag) <= 5.0)
+    out = np.empty_like(z)
+    out[~refl] = loggamma(z[~refl])
+    out[refl] = LOG_PI - np.log(np.sin(math.pi * z[refl])) \
+        - loggamma(1.0 - z[refl])
+    return out
 
-    Raises PoleError at non-positive integers.  For huge |Re s| the value
-    overflows binary64 and a DomainError is raised instead of returning inf.
+
+def gamma_complex(s):
+    """Gamma(s) = exp(log Gamma(s)), to better than 1e-13 relative where the
+    value is representable in binary64; vectorised like loggamma.
+
+    Raises PoleError at non-positive integers, and DomainError where the
+    value overflows binary64 instead of returning inf.
     """
-    s = complex(s)
-    if _near_nonpositive_int(s):
-        raise PoleError(f"Gamma pole at s={s}")
-    if s.real >= 0.5:
-        lg = loggamma(s)
-    else:
-        lg = math.log(math.pi) - _log_sin_pi(s) - loggamma(1.0 - s)
-    if lg.real > 709.0:
-        raise DomainError(f"Gamma(s) overflows binary64 at s={s}")
-    return cmath.exp(lg)
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    pole = _nonpositive_int(s)
+    if np.any(pole):
+        raise PoleError(f"Gamma pole at s={s[pole][0]}")
+    lg = _log_gamma(s)
+    big = lg.real > 709.0
+    if np.any(big):
+        raise DomainError(f"Gamma(s) overflows binary64 at s={s[big][0]}")
+    out = np.exp(lg)
+    return complex(out[0]) if scalar else out
 
 
-def chi(s: complex) -> ChiValue:
+def chi(s):
     """The functional-equation factor chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s).
 
-    Computed through the equivalent symmetric form
-    pi^(s-1/2) Gamma((1-s)/2) / Gamma(s/2), which has no removable
-    singularities at even integers; for |Im s| > 20 the evaluation moves to
-    log space (Stirling), which keeps the phase on the analytic branch.
+    Computed as exp((s - 1/2) log pi + log Gamma((1-s)/2) - log Gamma(s/2)),
+    the symmetric form with no removable singularities at even integers;
+    vectorised like loggamma.  chi is 0 at s = 0, -2, -4, ...; raises
+    PoleError at s = 1, 3, 5, ... and DomainError on binary64 overflow.
     """
-    s = complex(s)
-    if _near_nonpositive_int((1.0 - s) / 2.0):
-        # s = 1, 3, 5, ...: genuine poles of chi
-        raise PoleError(f"chi pole at s={s}")
-    if abs(s.imag) > 20.0:
-        if s.imag < 0.0:
-            c = chi(s.conjugate())
-            return ChiValue(s, c.value.conjugate(), c.log_abs, -c.arg)
-        # analytic branch: both half-arguments have |Im| > 10
-        lg = loggamma(np.array([(1.0 - s) / 2.0, s / 2.0]))
-        lc = complex((s - 0.5) * math.log(math.pi) + lg[0] - lg[1])
-        return ChiValue(s, cmath.exp(lc), lc.real, lc.imag)
-    if _near_nonpositive_int(s / 2.0):
-        # s = 0, -2, -4, ...: zeros of chi
-        return ChiValue(s, 0.0 + 0.0j, -math.inf, 0.0)
-    value = math.pi ** 0.5 * cmath.exp((s - 1.0) * math.log(math.pi)) \
-        * gamma_complex((1.0 - s) / 2.0) / gamma_complex(s / 2.0)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise AccuracyError(f"chi(s) not finite at s={s}")
-    return ChiValue(s, value, math.log(abs(value)), cmath.phase(value))
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    pole = _nonpositive_int((1.0 - s) / 2.0)
+    if np.any(pole):
+        raise PoleError(f"chi pole at s={s[pole][0]}")
+    zero = _nonpositive_int(s / 2.0)
+    lc = (s - 0.5) * LOG_PI + _log_gamma((1.0 - s) / 2.0) \
+        - _log_gamma(np.where(zero, 1.0, s / 2.0))
+    lc[zero] = -np.inf
+    big = lc.real > 709.0
+    if np.any(big):
+        raise DomainError(f"chi(s) overflows binary64 at s={s[big][0]}")
+    out = np.exp(lc)
+    return complex(out[0]) if scalar else out
 
 
 # -- Riemann-Siegel theta ----------------------------------------------------
@@ -174,16 +152,6 @@ def chi(s: complex) -> ChiValue:
 # t^-5, t^-7 (classical expansion; validated against the arg-Gamma route
 # to ~1e-12 at t = 10 in the test suite).
 _THETA_TAIL = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0)
-
-
-def riemann_siegel_theta(t: float) -> float:
-    """theta(t) = -arg(chi(1/2+it))/2 on the continuous branch, theta(0) = 0.
-
-    Scalar wrapper of theta_batch: arg Gamma below t = 10 (the asymptotic
-    series is no good there); above, the asymptotic expansion with four
-    correction terms, accurate to well under 1e-10.
-    """
-    return float(theta_batch(np.array([t], dtype=float))[0])
 
 
 def theta_many(t: np.ndarray) -> np.ndarray:

@@ -5,6 +5,8 @@ import re
 
 import pytest
 
+import hardylab.cli as cli
+import hardylab.mellin as ML
 import hardylab.verify as verify
 from hardylab.cli import main
 from hardylab.config import load_config
@@ -151,6 +153,43 @@ def test_mellin_x_cap_usage_error(capsys):
     code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", "1e6")
     assert code == 2 and out == ""
     assert "--X" in err
+
+
+@pytest.mark.parametrize("method", ["by_parts", "direct"])
+@pytest.mark.parametrize("X", ["0.5", "-3", "0"])
+def test_mellin_small_x_usage_error(capsys, X, method):
+    code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", X,
+                             "--method", method)
+    assert code == 2 and out == "" and "X" in err
+
+
+def test_mellin_decompose_small_x_usage_error(capsys):
+    code, out, err = run_cli(capsys, "mellin", "--k", "3", "--decompose",
+                             "--sigma", "2:2:1", "--t", "0:0:1", "--X", "0.5")
+    assert code == 2 and out == "" and "X" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("z", "--from", "10", "--to", "1e12", "--step", "1"),
+    ("z", "--from=-1e308", "--to", "1e308", "--step", "1e-300"),
+    ("mellin", "--k", "1", "--sigma", "2:3:1000000", "--t", "0:1:1000000"),
+    ("mellin", "--k", "1", "--sigma", "2:3:1000000000"),
+    ("mellin", "--k", "3", "--decompose", "--X", "500",
+     "--sigma", "2:3:1000000", "--t", "0:1:1000000"),
+])
+def test_huge_grid_fails_before_work(capsys, monkeypatch, argv):
+    # 10^12 rows are refused by their count, before any array is built
+    def never(*a, **kw):
+        raise AssertionError("work started on an oversized grid")
+
+    for name in ("z_eval_many", "z_err_est", "divisor_sieve"):
+        monkeypatch.setattr(cli, name, never)
+    for name in ("mellin_by_parts", "mellin_direct", "m3_decomposition"):
+        monkeypatch.setattr(ML, name, never)
+    monkeypatch.setattr(cli.np, "arange", never)
+    monkeypatch.setattr(cli.np, "linspace", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and str(cli.MAX_ROWS) in err
 
 
 def test_mellin_laurent_requires_k2(capsys):

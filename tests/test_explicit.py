@@ -1,80 +1,25 @@
-"""Cosine-sum main terms, phases, saddle data, cubic primitive sum."""
+"""Cosine-sum main terms, saddle amplitudes, cubic primitive sum."""
 
 import math
 
+import numpy as np
 import pytest
 
 from hardylab.arith import divisor_brute, divisor_sieve
 from hardylab.errors import CapacityError, DomainError
 from hardylab.explicit import (CubicPrimitiveSum, cubic_primitive_approx,
-                               moment_main_term, phase, saddle_point,
-                               saddle_term, sum_range, tau, tau_from_chi)
+                               moment_main_term, saddle_terms_many, sum_range)
 from hardylab.moments import hardy_moment, moment_cache
 
 TWO_PI = 2.0 * math.pi
 
 
-def test_tau_leading_term_at_10():
-    # correction factor is 8.3e-4 at t = 10, still within 1e-3 of (t/2pi)^k
-    assert tau(2, 10.0) == pytest.approx((10.0 / TWO_PI) ** 2, rel=1e-3)
-
-
-def test_tau_matches_asymptotic_k3():
-    assert tau(3, 100.0) == pytest.approx((100.0 / TWO_PI) ** 3, rel=1e-3)
-
-
-def test_tau_against_chi_log_derivative():
-    # debug path: the defining log-derivative from the implemented chi
-    for k, t in ((1, 60.0), (3, 100.0), (2, 500.0)):
-        assert tau(k, t) == pytest.approx(tau_from_chi(k, t), rel=1e-8)
-
-
-def test_tau_homogeneity():
-    t = 50.0
-    assert tau(1, 2.0 * t) / tau(1, t) == pytest.approx(2.0, rel=1e-4)
-
-
-def test_tau_domain():
-    with pytest.raises(DomainError):
-        tau(2, 5.0)
-
-
-def test_phase_values():
-    pd = phase(2, 1, TWO_PI)
-    assert pd.F == pytest.approx(-TWO_PI - math.pi / 4.0, abs=1e-12)
-    assert pd.F2 == 2.0 / (2.0 * TWO_PI)
-
-
-def test_phase_zero_slope_at_saddle():
-    for k, n in ((1, 4), (2, 5), (3, 8), (4, 13)):
-        t0 = saddle_point(k, n)
-        assert abs(phase(k, n, t0).F1) <= 1e-12
-
-
-def test_phase_derivatives_match_finite_differences(rng):
-    h = 1e-4
-    for _ in range(100):
-        k = int(rng.integers(1, 5))
-        n = int(rng.integers(1, 50))
-        t = float(rng.uniform(15.0, 2000.0))
-        pd = phase(k, n, t)
-        fd1 = (phase(k, n, t + h).F - phase(k, n, t - h).F) / (2.0 * h)
-        assert abs(fd1 - pd.F1) <= 1e-6
-        fd2 = (phase(k, n, t + h).F1 - phase(k, n, t - h).F1) / (2.0 * h)
-        assert abs(fd2 - pd.F2) <= 1e-6
-
-
-def test_saddle_points():
-    assert saddle_point(2, 5) == pytest.approx(10.0 * math.pi)
-    assert saddle_point(3, 8) == pytest.approx(8.0 * math.pi)
-
-
 def test_saddle_term_values():
-    st = saddle_term(2, 1)
+    st, st4 = saddle_terms_many(2, np.array([1, 4]))
     assert st.real == pytest.approx(math.pi, abs=1e-12)
     assert abs(st.imag) < 1e-12
-    assert abs(saddle_term(2, 4)) == pytest.approx(2.0 * math.pi, rel=1e-14)
-    st3 = saddle_term(3, 1)
+    assert abs(st4) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    st3 = saddle_terms_many(3, np.array([1]))[0]
     assert abs(st3) == pytest.approx(math.pi * math.sqrt(2.0 / 3.0), rel=1e-14)
     want_arg = (-3.0 * math.pi - math.pi / 8.0) % (2.0 * math.pi)
     assert math.atan2(st3.imag, st3.real) % (2.0 * math.pi) \

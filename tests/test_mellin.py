@@ -56,6 +56,14 @@ def test_non_finite_s_rejected(s, d3_table):
         ML.m3_decomposition(s, 1000.0, d3_table)
 
 
+@pytest.mark.parametrize("X", [0.5, -3.0, 0.0, math.nan, math.inf])
+def test_truncation_height_below_one_rejected(X, d3_table):
+    with pytest.raises(DomainError, match="X"):
+        ML.mellin_by_parts(1, 2.0 + 0j, X=X)
+    with pytest.raises(DomainError, match="X"):
+        ML.m3_decomposition(2.0 + 0j, X, d3_table)
+
+
 def test_by_parts_continuation_k1():
     # regular continuation value below sigma = 1 with a certificate
     m = ML.mellin_by_parts(1, 0.6 + 2j)

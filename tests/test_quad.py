@@ -93,11 +93,8 @@ def test_vertical_line_perron():
 def test_vertical_line_gamma_stability():
     from hardylab.special import gamma_complex
 
-    def F(s):
-        return np.array([gamma_complex(complex(w)) for w in s])
-
-    r1 = integrate_vertical_line(F, 0.5, -30.0, 30.0, tol=1e-8)
-    r2 = integrate_vertical_line(F, 0.5, -30.0, 30.0, tol=5e-9)
+    r1 = integrate_vertical_line(gamma_complex, 0.5, -30.0, 30.0, tol=1e-8)
+    r2 = integrate_vertical_line(gamma_complex, 0.5, -30.0, 30.0, tol=5e-9)
     assert abs(r1.value - r2.value) <= r1.abs_err_est + r2.abs_err_est + 1e-12
 
 

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from hardylab.errors import AccuracyError, DomainError, PoleError
-from hardylab.special import (chi, gamma_complex, loggamma,
-                              riemann_siegel_theta, theta_batch,
+from hardylab.special import (chi, gamma_complex, loggamma, theta_batch,
                               zeta_euler_maclaurin, zeta_half_batch)
 
 SQRT_PI = 1.7724538509055160273
@@ -36,6 +35,18 @@ CHI_39P5_2J = complex(-1.28695727815120005165451431169e-16,
                       4.53422252546206574037840643797e-16)
 CHI_41_2J = complex(-1.63844284430128899858191272405e-17,
                     -2.46771672985525416588939970452e-17)
+# inside the reflection strip Re z <= 0, |Im z| <= 5 (for chi, at (1-s)/2 or
+# s/2), and left of it at |Im z| > 5, where loggamma's recurrence serves
+CHI_M0P7_3J = complex(0.421879206614314791588518412603,
+                      -0.0244762246585717293489199575465)
+CHI_2P5_4J = complex(1.62778761755972904950987404274,
+                     1.61421088061764397614755072829)
+GAMMA_M3P3_4P8J = complex(-2.48338977601967652895566610088e-7,
+                          2.44545139648216743314491691026e-6)
+GAMMA_M0P5_M2J = complex(-0.0390388491621155187921551212599,
+                         0.0351678760626869382090851261578)
+GAMMA_M7P5_6J = complex(2.1369916587952281439113139182e-11,
+                        9.02615349483595422873066688266e-12)
 
 
 def test_gamma_basic_values():
@@ -57,11 +68,39 @@ def test_gamma_frozen_across_old_switch(s, ref):
     assert abs(gamma_complex(s) - ref) <= 5e-14 * abs(ref)
 
 
+@pytest.mark.parametrize("s,ref", [(-3.3 + 4.8j, GAMMA_M3P3_4P8J),
+                                   (-0.5 - 2j, GAMMA_M0P5_M2J),
+                                   (-7.5 + 6j, GAMMA_M7P5_6J)])
+def test_gamma_frozen_left_half_plane(s, ref):
+    assert abs(gamma_complex(s) - ref) <= 5e-14 * abs(ref)
+
+
 @pytest.mark.parametrize("s,ref", [(0.3 + 15j, CHI_0P3_15J),
                                    (39.5 + 2j, CHI_39P5_2J),
-                                   (41.0 + 2j, CHI_41_2J)])
+                                   (41.0 + 2j, CHI_41_2J),
+                                   (-0.7 + 3j, CHI_M0P7_3J),
+                                   (2.5 + 4j, CHI_2P5_4J)])
 def test_chi_frozen_points(s, ref):
-    assert abs(chi(s).value - ref) <= 5e-14 * abs(ref)
+    assert abs(chi(s) - ref) <= 5e-14 * abs(ref)
+
+
+def test_gamma_and_chi_array_equal_scalar_calls():
+    # reflected points, both sides of |Im s| = 10 (|Im s/2| = 5 for chi),
+    # both half-planes, and last the zero of chi (a pole of Gamma) at s = -2
+    s = np.array([-0.7 + 3j, 2.5 + 4j, -3.3 + 4.8j, 0.3 + 9.9j, 0.3 + 10.1j,
+                  -4.5 - 10.5j, 0.5 + 30j, 39.5 + 2j, 12.5 - 40j, -2.0 + 0j])
+    for f, pts in ((chi, s), (gamma_complex, s[:-1])):
+        vals = f(pts)
+        assert vals.shape == pts.shape
+        for si, v in zip(pts, vals):
+            scalar = f(complex(si))
+            assert type(scalar) is complex
+            assert v == scalar  # bit for bit
+    assert chi(-2.0) == 0.0
+    with pytest.raises(PoleError):
+        chi(np.array([0.5 + 1j, 3.0 + 0j, 2.0 + 0j]))
+    with pytest.raises(PoleError):
+        gamma_complex(np.array([0.5 + 1j, -2.0 + 0j]))
 
 
 def test_gamma_poles():
@@ -105,18 +144,16 @@ def test_loggamma_array_with_unsupported_point():
 
 
 def test_chi_fixed_point_half():
-    c = chi(0.5 + 0j)
-    assert abs(c.value - 1.0) < 1e-14
+    assert abs(chi(0.5 + 0j) - 1.0) < 1e-14
 
 
 def test_chi_modulus_on_critical_line():
-    c = chi(0.5 + 30j)
-    assert abs(abs(c.value) - 1.0) < 1e-12
+    assert abs(abs(chi(0.5 + 30j)) - 1.0) < 1e-12
 
 
 def test_chi_product_at_2():
-    assert abs(chi(2.0 + 0j).value * chi(-1.0 + 0j).value - 1.0) < 1e-10
-    assert chi(2.0 + 0j).value.real == pytest.approx(CHI_2, rel=1e-12)
+    assert abs(chi(2.0 + 0j) * chi(-1.0 + 0j) - 1.0) < 1e-10
+    assert chi(2.0 + 0j).real == pytest.approx(CHI_2, rel=1e-12)
 
 
 def test_chi_sin_product_form_equivalence():
@@ -124,21 +161,14 @@ def test_chi_sin_product_form_equivalence():
     for s in (0.3 + 2j, 0.8 - 5j, 2.5 + 0j, -0.4 + 1j):
         ref = 2.0 ** s * math.pi ** (s - 1) * cmath.sin(math.pi * s / 2.0) \
             * gamma_complex(1.0 - s)
-        assert abs(chi(s).value - ref) <= 1e-11 * abs(ref)
-
-
-def test_chi_log_representation():
-    for s in (0.5 + 30j, 0.2 + 100j, 0.9 + 2j, 0.5 - 50j):
-        c = chi(s)
-        assert abs(c.value - cmath.exp(complex(c.log_abs, c.arg))) \
-            <= 1e-12 * abs(c.value)
+        assert abs(chi(s) - ref) <= 1e-11 * abs(ref)
 
 
 def test_chi_product_random(rng):
     worst = 0.0
     for _ in range(1000):
         s = complex(rng.uniform(0.1, 0.9), rng.uniform(1.0, 500.0))
-        worst = max(worst, abs(chi(s).value * chi(1.0 - s).value - 1.0))
+        worst = max(worst, abs(chi(s) * chi(1.0 - s) - 1.0))
     assert worst <= 1e-9
 
 
@@ -149,13 +179,17 @@ def test_chi_pole():
         chi(1.0 + 0j)
 
 
+def theta(t: float) -> float:
+    return float(theta_batch(np.array([t]))[0])
+
+
 def test_theta_zero_at_origin():
-    assert riemann_siegel_theta(0.0) == 0.0
+    assert theta(0.0) == 0.0
 
 
 def test_theta_domain():
     with pytest.raises(DomainError):
-        riemann_siegel_theta(-1.0)
+        theta(-1.0)
     with pytest.raises(DomainError):
         theta_batch(-1.0)
 
@@ -164,7 +198,7 @@ def test_theta_asymptotic_orders():
     # base 3-term asymptotic misses by ~1/(48 t); adding it leaves < 1e-8
     t = 100.0
     base = 0.5 * t * math.log(0.5 * t / math.pi) - 0.5 * t - math.pi / 8.0
-    full = riemann_siegel_theta(t)
+    full = theta(t)
     assert abs(full - base) < 2.1e-3
     assert abs(full - base - 1.0 / (48.0 * t)) < 1e-8
 
@@ -174,7 +208,7 @@ def test_theta_first_positive_zero():
     lo, hi = 17.0, 18.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if riemann_siegel_theta(lo) * riemann_siegel_theta(mid) <= 0:
+        if theta(lo) * theta(mid) <= 0:
             hi = mid
         else:
             lo = mid
@@ -183,21 +217,20 @@ def test_theta_first_positive_zero():
 
 def test_theta_branch_continuity_at_switch():
     # arg-Gamma route below 10 meets the asymptotic branch above
-    assert abs(riemann_siegel_theta(9.999999) - riemann_siegel_theta(10.0)) < 1e-5
+    assert abs(theta(9.999999) - theta(10.0)) < 1e-5
 
 
 def test_theta_phase_matches_chi():
     for t in (10.0, 50.0, 1234.5, 1e4):
-        c = chi(complex(0.5, t))
-        want = cmath.exp(-2j * riemann_siegel_theta(t))
-        assert abs(c.value - want) <= 1e-8
+        want = cmath.exp(-2j * theta(t))
+        assert abs(chi(complex(0.5, t)) - want) <= 1e-8
 
 
 def test_theta_batch_matches_scalar():
     ts = np.array([0.5, 3.0, 9.0, 15.0, 120.0])
     vb = theta_batch(ts)
     for t, v in zip(ts, vb):
-        assert v == pytest.approx(riemann_siegel_theta(float(t)), abs=1e-12)
+        assert v == pytest.approx(theta(float(t)), abs=1e-12)
 
 
 def test_zeta_at_2():
@@ -237,7 +270,7 @@ def test_zeta_functional_equation_grid(rng):
         s = complex(rng.uniform(-1.0, 3.0), rng.uniform(2.0, 500.0))
         z1 = zeta_euler_maclaurin(s)
         z2 = zeta_euler_maclaurin(1.0 - s)
-        worst = max(worst, abs(z1 - chi(s).value * z2) / abs(z1))
+        worst = max(worst, abs(z1 - chi(s) * z2) / abs(z1))
     assert worst <= 1e-8
 
 

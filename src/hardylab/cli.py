@@ -113,9 +113,11 @@ def _s_grid(sigma: str, t: str) -> list[tuple[float, float]]:
         raise ValueError("grid needs n >= 1")
     if m * n > MAX_ROWS:
         raise ValueError(f"the s-grid has more than {MAX_ROWS} points")
-    ts = np.linspace(float(c), float(d), n).tolist()
-    return [(sig, tt) for sig in np.linspace(float(a), float(b), m).tolist()
-            for tt in ts]
+    a, b, c, d = map(float, (a, b, c, d))
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError("--sigma and --t bounds must be finite")
+    ts = np.linspace(c, d, n).tolist()
+    return [(sig, tt) for sig in np.linspace(a, b, m).tolist() for tt in ts]
 
 
 def cmd_mellin(args, cfg: RunConfig) -> int:

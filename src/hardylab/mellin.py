@@ -8,6 +8,9 @@ truncation and quadrature error.  Truncated integrals run on fixed
 deterministic panel grids whose integrand-independent node sets let I_k
 values be cached once and reused across thousands of transform parameters;
 that caching is what keeps the contour-integral checks at desk runtimes.
+The square identity's right side is one Fubini sum on the moment cache's
+panels: its inner integrals up to X/u are prefix sums over the same node
+values, so it evaluates Z only on the last panel, clipped at X.
 
 For even k the primitive grows like x * poly(log x); its smooth main part
 is fitted once on the cache anchors and the fitted tail is integrated in
@@ -31,8 +34,8 @@ from .errors import (AccuracyError, CapacityError, ConvergenceError,
 from .explicit import CubicPrimitiveSum
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
 from .moments import moment_cache, z_power_freq
-from .quad import (GAUSS_COLS, NODES, PanelSet, integrate_oscillatory,
-                   integrate_vertical_line, panel_edges)
+from .quad import (GAUSS_COLS, NODES, PanelSet, integrals_at,
+                   integrate_oscillatory, integrate_vertical_line, panel_edges)
 from .special import TWO_PI, gamma_complex
 
 # decay exponent of |I_k(x)| (growth certificates; k = 2, 4 via (2.8)-type
@@ -473,64 +476,38 @@ def check_convolution(k: int, r: int, s: complex, c: float, V: float,
     return _report("convolution", lhs_s.value, rhs, certs, params)
 
 
-def _square_rhs(k: int, s: complex, X: float):
-    """2 * integral_1^X x^{-s} inner(x) dx on a fixed two-level grid.
-
-    Inner integrals for groups of outer nodes are flattened into Z batches;
-    uniform inner panels at a quarter of the worst-case period (the
-    stationary point u = sqrt(x)).  The fast x-ripple of inner(x) (from the
-    u = x endpoint) is resolved only below x = 40; beyond, its aliased mass
-    is O(x^-sigma * 1e-2 * width) and lands far below the certificates.
-    """
-    zfreq = z_power_freq(k)
-
-    def freq_out(x: float) -> float:
-        return zfreq(x) * 1.25 if x <= 40.0 else 0.0
-
-    panels = PanelSet.from_edges(
-        panel_edges(1.0, X, freq_out, z_breakpoints(1.0, X)))
-    x = panels.nodes()
-    edges = []
-    for xo in x:
-        a = math.sqrt(xo)
-        fmax = 2.0 * zfreq(max(a, 2.0 * math.pi + 1.0)) + 1e-3
-        width = min(4.0, 0.25 / fmax)
-        n_panels = max(1, int(math.ceil((xo - a) / width)))
-        edges.append(np.linspace(a, xo, n_panels + 1))
-    counts = np.array([NODES * (len(e) - 1) for e in edges])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-
-    # outer nodes in groups of at most _ELEMS inner nodes (or one node)
-    inner = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = max(i + 1, int(np.searchsorted(ends, starts[i] + _ELEMS,
-                                           side="right")))
-        group = PanelSet(np.concatenate([e[:-1] for e in edges[i:j]]),
-                         np.concatenate([e[1:] for e in edges[i:j]]))
-        u = group.nodes()
-        xrep = np.repeat(x[i:j], counts[i:j])
-        vals = z_eval_many(u) ** k * z_eval_many(xrep / u) ** k / u
-        inner[i:j] = np.add.reduceat(group.weights() * vals,
-                                     starts[i:j] - starts[i])
-        i = j
-
-    y = inner * np.exp(-s * np.log(x))
-    v = complex(np.sum(panels.weights() * y))
-    v_check = complex(np.sum(panels.weights(check=True) * y))
-    return 2.0 * v, 2.0 * abs(v - v_check)
+def _fubini_rhs(k: int, s: complex, X: float) -> tuple[complex, float]:
+    """The square identity's right side in the (u, v) order: the sum over
+    outer nodes u of w_u Z^k(u) u^{-s} P(X/u), P(y) the integral of
+    Z^k(v) v^{-s} over [1, y], both levels on the moment cache's panels.
+    The estimate is the outer |K17 - G8| plus sum |w_u Z^k(u) u^{-s}| times
+    the inner |K17 - G8| summed through the panel of X/u."""
+    panels, zk = moment_cache(k).panels(X)
+    u = panels.nodes()
+    y = zk * np.exp(-s * np.log(u))
+    val = panels.sums(y)
+    err = np.abs(val - panels.sums(y, check=True))
+    inner, idx = integrals_at(panels.lo, panels.hi, np.append(0.0, np.cumsum(val)),
+                              y.reshape(-1, NODES), X / u)
+    wy = panels.weights() * y
+    v = complex(np.sum(wy * inner))
+    v_check = complex(np.sum(panels.weights(check=True) * y * inner))
+    inner_err = float(np.sum(np.abs(wy) * np.cumsum(err)[idx]))
+    return v, abs(v - v_check) + inner_err
 
 
 def check_square_identity(k: int, s: complex, X: float = 500.0) -> IdentityReport:
-    """M_k(s)^2 against 2 * integral of x^{-s} (inner) dx with
-    inner(x) = integral of Z^k(u) Z^k(x/u) du/u over [sqrt(x), x]."""
+    """M_k(s)^2 against 2 * integral over [1, X] of x^{-s} (inner) dx with
+    inner(x) = integral of Z^k(u) Z^k(x/u) du/u over [sqrt(x), x].
+
+    With v = x/u that is the integral of Z^k(u) Z^k(v) (uv)^{-s} over
+    uv <= X, u, v >= 1, which _fubini_rhs sums on the moment cache."""
     s = complex(s)
     if s.real <= 2.0:
         raise ConvergenceError("check_square_identity requires Re s > 2")
     direct = mellin_direct(k, s, X=max(2000.0, X))
     lhs = direct.value ** 2
-    rhs, rhs_err = _square_rhs(k, s, X)
+    rhs, rhs_err = _fubini_rhs(k, s, X)
     certs = {
         "lhs_tail": 2.0 * abs(direct.value) * direct.tail_bound,
         "rhs_quad": rhs_err,
@@ -558,12 +535,9 @@ def truncated_inversion(k: int, x: float, c: float, U: float,
     freq = max(math.log(x), 0.1) / TWO_PI
     # the t-integrand is a pure tone of known frequency times a smooth
     # decaying factor: K17 takes two periods of a pure tone to within 1e-15
-    # of the panel width
-    width = 2.0 / freq
-    edges = np.minimum(np.arange(int(math.ceil(U / width)) + 1) * width, U)
-    edges[-1] = U
-    keep = edges[1:] > edges[:-1]
-    panels = PanelSet(edges[:-1][keep], edges[1:][keep])
+    # of the panel width, so panels are two periods wide from t = 0
+    panels = PanelSet.from_edges(
+        panel_edges(0.0, U, lambda t: 0.0, max_panel=2.0 / freq))
 
     ts = panels.nodes()
     m = mellin_by_parts_many(k, c + 1j * ts, x_trunc)

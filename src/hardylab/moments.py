@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import DomainError
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
-from .quad import (MAX_PANEL, NODES, PanelSet, integrate_oscillatory,
-                   legendre_tail, panel_edges, partial_integrals,
+from .quad import (MAX_PANEL, NODES, PanelSet, integrals_at,
+                   integrate_oscillatory, legendre_tail, panel_edges,
                    split_lebesgue, split_values)
 from .special import TWO_PI
 
@@ -173,22 +173,13 @@ class MomentCache:
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """I_k at arbitrary points: the anchor at the left edge of the
         point's panel plus the integral of the panel's interpolant up to the
-        point (in blocks of at most _ELEMS node values)."""
+        point (quad.integrals_at)."""
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs) & (xs >= 1.0)):
             raise DomainError("I_k defined for finite x >= 1")
         self.ensure(float(xs.max()) if xs.size else 1.0)
-        idx = np.searchsorted(self.edges, xs, side="right") - 1
-        lo, hi = self.edges[idx], self.edges[idx + 1]
-        # tau is exactly -1 at an anchor, where the integral is exactly 0
-        tau = 2.0 * (xs - lo) / (hi - lo) - 1.0
-        out = self.values[idx]
-        step = _ELEMS // NODES
-        for j in range(0, len(xs), step):
-            sl = slice(j, j + step)
-            out[sl] += 0.5 * (hi[sl] - lo[sl]) * partial_integrals(
-                self.zk[idx[sl]], tau[sl])
-        return out
+        return integrals_at(self.edges[:-1], self.edges[1:], self.values,
+                            self.zk, xs)[0]
 
     def panels(self, x: float) -> tuple[PanelSet, np.ndarray]:
         """The cache's panels on [1, x], the last one clipped at x, with Z^k

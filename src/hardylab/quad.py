@@ -11,9 +11,10 @@ value's 17 integrand values.  Panels failing the local tolerance test are
 bisected.  partial_integrals integrates the degree-16 interpolant through a
 panel's 17 values from its left edge to any point inside, so stored node
 values give integrals up to any point without new evaluations; split_values
-evaluates the same interpolant at the nodes of k equal sub-panels.  Panel
-ordering and the pairwise reduction tree are fixed, so identical inputs
-give bit-identical results no matter how work is batched.
+evaluates the same interpolant at the nodes of k equal sub-panels.  An
+adaptive integral sums its accepted panels sorted by left edge with one
+numpy sum, whose pairwise tree is fixed for a given order and length, so
+identical inputs give bit-identical results no matter how work is batched.
 
 Integrands receive numpy arrays of abscissae and must be pure.
 """
@@ -30,6 +31,7 @@ import numpy as np
 from ._kronrod_table import KRONROD, LEGENDRE
 from .config import DEFAULTS
 from .errors import BudgetError, DomainError
+from .special import _ELEMS
 
 # nodes on [-1, 1], the K17 value weights and the G8 check weights (zero off
 # the G8 nodes, which are the odd-numbered columns: GAUSS_COLS)
@@ -84,6 +86,7 @@ class PanelSet:
     holds zeros at the nine nodes G8 does not use."""
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
         self.mid = 0.5 * (lo + hi)
         self.half = 0.5 * (hi - lo)
 
@@ -130,6 +133,25 @@ def partial_integrals(y: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return (w * y).sum(axis=1)
 
 
+def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,
+                 y: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals up to each point of xs on ascending panels [lo_i, hi_i]
+    with integral anchors[i] at lo_i and values y[i] at panel i's 17 nodes:
+    the anchor at the left edge of the point's panel plus the integral of
+    the panel's interpolant up to the point, in blocks of at most _ELEMS
+    node values.  Returns the integrals and each point's panel index."""
+    idx = np.searchsorted(lo, xs, side="right") - 1
+    a, b = lo[idx], hi[idx]
+    # tau is exactly -1 at a left edge, where the integral is exactly 0
+    tau = 2.0 * (xs - a) / (b - a) - 1.0
+    out = anchors[idx]
+    step = _ELEMS // NODES
+    for j in range(0, len(xs), step):
+        sl = slice(j, j + step)
+        out[sl] += 0.5 * (b[sl] - a[sl]) * partial_integrals(y[idx[sl]], tau[sl])
+    return out, idx
+
+
 @functools.cache
 def split_matrix(k: int) -> np.ndarray:
     """[NODES, k, NODES], read-only: entry (m, j, i) weighs a panel's node
@@ -172,19 +194,6 @@ def legendre_tail(y: np.ndarray) -> np.ndarray:
     size is the rounding noise of the node values."""
     return (np.abs((y * _LEGENDRE[NODES - 2]).sum(axis=1))
             + np.abs((y * _LEGENDRE[NODES - 1]).sum(axis=1)))
-
-
-def _pairwise_sum(values: np.ndarray) -> complex:
-    # fixed pairwise tree over the left-to-right panel order
-    vals = list(values)
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0] if vals else 0.0
 
 
 def integrate_oscillatory(f: Callable, a: float, b: float, freq,
@@ -237,7 +246,7 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     order = np.argsort(lo_all, kind="stable")
     val_all = np.concatenate(done_val)[order]
     err_all = np.concatenate(done_err)[order]
-    value = _pairwise_sum(val_all)
+    value = np.sum(val_all)
     err = float(math.fsum(err_all.tolist()))
     result = QuadratureResult(value=value, abs_err_est=err,
                               panels=len(val_all), evals=evals)

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import hardylab.mellin as ML
+from hardylab import moments
 from hardylab.errors import (CapacityError, ConvergenceError, DomainError,
                              FitError)
-from hardylab.hardy import z_oracle
+from hardylab.hardy import z_eval_many, z_oracle
+from hardylab.moments import moment_cache
+from hardylab.quad import NODES
 
 TWO_GAMMA_MINUS_LOG_2PI = -0.6834457366062798
 
@@ -227,6 +230,44 @@ def test_square_identity_k2_real_positive():
     rep = ML.check_square_identity(2, 4.0 + 0j, X=150.0)
     assert rep.lhs.real > 0.0 and abs(rep.lhs.imag) < 1e-10
     assert rep.rhs.real > 0.0 and abs(rep.rhs.imag) < 1e-10
+
+
+# the right side as the former two-level grid in the (x, u) order gave it,
+# with fresh Z at every inner node: a reference independent of the moment
+# cache's panels
+SQUARE_RHS_REF = [
+    (1, 3.0 + 0j, 500.0, 0.09975151298271466 + 0j),
+    (2, 4.0 + 0j, 150.0, 0.019682156783764202 + 0j),
+    (1, 3.0 + 2j, 500.0, 0.006079694552082579 - 0.04560767887076051j),
+    (2, 3.5 + 0j, 500.0, 0.028129854882083003 + 0j),
+]
+
+
+@pytest.mark.parametrize("k, s, X, ref", SQUARE_RHS_REF)
+def test_square_rhs_matches_two_level_grid(k, s, X, ref):
+    rhs, err = ML._fubini_rhs(k, s, X)
+    assert abs(rhs - ref) <= err
+
+
+@pytest.mark.parametrize("k, X", [(1, 500.0), (2, 150.0)])
+def test_square_rhs_reads_the_moment_cache(monkeypatch, k, X):
+    # with the cache built past X, the only new Z values are those of the
+    # last panel, clipped at X, and none when X is a cache edge
+    cache = moment_cache(k)
+    cache.ensure(X)
+    points = []
+
+    def counting(t):
+        points.append(len(t))
+        return z_eval_many(t)
+
+    monkeypatch.setattr(moments, "z_eval_many", counting)
+    monkeypatch.setattr(ML, "z_eval_many", counting)
+    ML._fubini_rhs(k, 3.0 + 0j, X)
+    assert 0 < sum(points) <= NODES
+    points.clear()
+    ML._fubini_rhs(k, 3.0 + 0j, float(cache.edges[100]))
+    assert points == []
 
 
 def test_inversion_c125_decay_envelope():

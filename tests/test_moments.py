@@ -189,6 +189,37 @@ def test_cache_eval_blocks_do_not_change_values():
     assert whole.tobytes() == parts.tobytes()
 
 
+# I_k at seeded points (rng 2015 on [1, 300] after 1, 10 and 150), as
+# float.hex of the values eval_many gave before it shared
+# quad.integrals_at with the square identity
+EVAL_XS = [1.0, 10.0, 150.0, 151.71758919021917, 67.49614173360439,
+           231.65691881913796, 290.2164862884349, 49.6739221585803]
+EVAL_REF = {
+    1: ["0x0.0p+0", "-0x1.0944c4e380a29p+3", "-0x1.7e25fa1b63c91p+2",
+        "-0x1.98fd7ac1556b3p+2", "-0x1.6c23b7892fa3cp+3",
+        "-0x1.cda633f9ff0c5p+2", "0x1.41ad4e6e31c3ep+1",
+        "-0x1.a6d66fe6ceb76p+0"],
+    2: ["0x0.0p+0", "0x1.17ac89bf0f62dp+3", "0x1.f3b15e172a7c5p+8",
+        "0x1.f46f7504eb1a1p+8", "0x1.5f6bfde123552p+7",
+        "0x1.b1030b1bf9498p+9", "0x1.21c08225dc84fp+10",
+        "0x1.caa390e1f83b0p+6"],
+    3: ["0x0.0p+0", "-0x1.4877b4e5073dcp+3", "0x1.a8e357f9b14e4p+6",
+        "0x1.a5a2e8cb980c8p+6", "-0x1.56eea3b5c498ap+6",
+        "0x1.4ec8f267774b4p+8", "0x1.07ba885088dd3p+9",
+        "0x1.bcf9a9b6aa9d7p+3"],
+    4: ["0x0.0p+0", "0x1.9fe6ec7a66953p+3", "0x1.3f1cef911588dp+12",
+        "0x1.3f2e5e5ab9f41p+12", "0x1.2f7570348ccfbp+10",
+        "0x1.58402c0b39db9p+13", "0x1.0b8ad42e14fb0p+14",
+        "0x1.48d3b3d07ac4cp+9"],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cache_eval_matches_frozen_values(k):
+    vals = moment_cache(k).eval_many(np.array(EVAL_XS))
+    assert [float(v).hex() for v in vals] == EVAL_REF[k]
+
+
 def test_split_cache_evaluates_only_base_nodes(monkeypatch):
     # a k >= 2 cache cuts each base panel into k sub-panels and interpolates
     # the base's stored Z values: the only Z it asks for is the base walk's

@@ -281,30 +281,18 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
 
 # -- cubic decomposition ---------------------------------------------------------
 
-_V1_COEF_LOG = math.log(TWO_PI)
-
-
 def v1_series(s: complex, N: int, table: DivisorTable) -> complex:
-    """Partial sum of the cubic cosine series
+    """Partial sum of the cubic cosine series, the transform of the saddle
+    series cut at N terms (CubicPrimitiveSum.transform):
     (2pi)^{1-s} sqrt(2/3) sum d_3(n) n^{-1/6-2s/3} cos(3 pi n^{2/3} + pi/8).
 
     The partial sums converge absolutely for Re s > 5/4.
     """
-    s = complex(s)
     if N < 1:
         raise DomainError("v1_series requires N >= 1")
     if N > table.limit:
         raise CapacityError(f"d_3 table limit {table.limit} < N = {N}")
-    if table.k != 3:
-        raise DomainError("v1_series needs a d_3 table")
-    n = np.arange(1, N + 1, dtype=float)
-    amp = table.counts[1:N + 1].astype(float) \
-        * np.cos(3.0 * math.pi * n ** (2.0 / 3.0) + math.pi / 8.0)
-    expo = np.exp(-(1.0 / 6.0 + 2.0 * s / 3.0) * np.log(n))
-    terms = amp * expo
-    total = complex(math.fsum(terms.real.tolist()),
-                    math.fsum(terms.imag.tolist()))
-    return cmath.exp((1.0 - s) * _V1_COEF_LOG) * math.sqrt(2.0 / 3.0) * total
+    return _cubic_sum(table).transform(complex(s), N)
 
 
 @functools.cache
@@ -357,7 +345,7 @@ def v2_residual(s: complex, X: float, table: DivisorTable) -> complex:
         raise CapacityError("d_3 table too small for X")
     lnx, a, n_cut = _v2_grid(table, X)
     val = complex(np.sum(a * np.exp(-(s + 1.0) * lnx)))
-    boundary = cube.coef * cube.prefix[n_cut] * cmath.exp(-s * math.log(X))
+    boundary = cube.prefix[n_cut] * cmath.exp(-s * math.log(X))
     return s * val - boundary
 
 

@@ -110,6 +110,34 @@ def test_criterion_11_determinism(first_run):
     assert b1 == b2
 
 
+GOLDEN = Path(__file__).with_name("bundle_golden.json")
+
+
+def _moved(new: float, old: float) -> bool:
+    return new != old and not abs(new - old) <= max(1e-9 * abs(old), 1e-13)
+
+
+def test_bundle_matches_frozen_values(first_run):
+    # the same behaviour to stated tolerances: every check keeps its value
+    # and limit within max(1e-9 |old|, 1e-13) and its pass flag exactly.
+    # A change that moves a value on purpose reruns scripts/freeze_bundle.py
+    bundle, _ = first_run
+    golden = json.loads(GOLDEN.read_text())
+    got = {suite: {c["name"]: c for c in res["checks"]}
+           for suite, res in bundle["suites"].items()}
+    assert {s: list(c) for s, c in got.items()} \
+        == {s: list(c) for s, c in golden.items()}
+    moved = []
+    for suite, checks in golden.items():
+        for name, old in checks.items():
+            new = got[suite][name]
+            if (new["pass"] != old["pass"]
+                    or _moved(new["value"], old["value"])
+                    or _moved(new["limit"], old["limit"])):
+                moved.append((suite, name, {k: (old[k], new[k]) for k in old}))
+    assert not moved, moved
+
+
 _SECTIONS = """
 import json, sys
 from hardylab import verify

@@ -288,19 +288,20 @@ def test_verify_determinism_repeat_runs(tmp_path, capsys):
 
 
 def test_verify_detects_injected_sign_error(tmp_path, capsys, monkeypatch):
-    # mutation sensitivity: a sign flip in the saddle amplitude must fail
-    # the cosine-sum residual suite
+    # mutation sensitivity: a sign flip in the saddle series must fail both
+    # suites built on it, the dyadic main terms and the cubic primitive sum
     import hardylab.explicit as explicit
-    real = explicit.saddle_terms_many
+    real = explicit.saddle_terms
 
-    def flipped(k, n):
-        return -real(k, n)
+    def flipped(k, table, n_hi):
+        return -real(k, table, n_hi)
 
-    monkeypatch.setattr(explicit, "saddle_terms_many", flipped)
-    code, out, _ = run_cli(capsys, "verify", "dyadic-square",
-                           "--out", str(tmp_path / "mutated.json"))
-    assert code == 1
-    assert "FAIL" in out
+    monkeypatch.setattr(explicit, "saddle_terms", flipped)
+    for suite in ("dyadic-square", "cubic-primitive"):
+        code, out, _ = run_cli(capsys, "verify", suite,
+                               "--out", str(tmp_path / f"{suite}.json"))
+        assert code == 1, suite
+        assert "FAIL" in out
 
 
 def test_budget_exit_code(capsys, monkeypatch):

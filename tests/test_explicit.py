@@ -1,4 +1,5 @@
-"""Cosine-sum main terms, saddle amplitudes, cubic primitive sum."""
+"""The saddle series: its terms and cutoff, the dyadic main terms, the
+cubic primitive sum."""
 
 import math
 
@@ -8,22 +9,51 @@ import pytest
 from hardylab.arith import divisor_brute, divisor_sieve
 from hardylab.errors import CapacityError, DomainError
 from hardylab.explicit import (CubicPrimitiveSum, cubic_primitive_approx,
-                               moment_main_term, saddle_terms_many, sum_range)
+                               cutoff, moment_main_term, saddle_terms,
+                               sum_range)
 from hardylab.moments import hardy_moment, moment_cache
 
 TWO_PI = 2.0 * math.pi
 
 
 def test_saddle_term_values():
-    st, st4 = saddle_terms_many(2, np.array([1, 4]))
-    assert st.real == pytest.approx(math.pi, abs=1e-12)
-    assert abs(st.imag) < 1e-12
-    assert abs(st4) == pytest.approx(2.0 * math.pi, rel=1e-14)
-    st3 = saddle_terms_many(3, np.array([1]))[0]
-    assert abs(st3) == pytest.approx(math.pi * math.sqrt(2.0 / 3.0), rel=1e-14)
+    # c_n / (2 d_k(n) n^{-1/2}) is the real part of the first-order saddle
+    # amplitude pi sqrt(2/k) n^{1/k} exp(i(-k pi n^{2/k} + (2-k) pi/8))
+    c2 = saddle_terms(2, divisor_sieve(2, 4), 4)
+    assert c2[0] == 0.0
+    assert c2[1] / 2.0 == pytest.approx(math.pi, abs=1e-12)
+    assert c2[4] / (2.0 * 3 * 4 ** -0.5) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    c3 = saddle_terms(3, divisor_sieve(3, 1), 1)[1] / 2.0
     want_arg = (-3.0 * math.pi - math.pi / 8.0) % (2.0 * math.pi)
-    assert math.atan2(st3.imag, st3.real) % (2.0 * math.pi) \
-        == pytest.approx(want_arg, abs=1e-12)
+    assert c3 == pytest.approx(
+        math.pi * math.sqrt(2.0 / 3.0) * math.cos(want_arg), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cutoff_counts_every_jump_point(k):
+    # (x/2pi)^(k/2) at x = 2 pi m^(2/k) is off m by up to 1.4e-15 m; the
+    # snap must count m, and the inclusive lower bound must start at m
+    m = np.arange(1, 10 ** 6 + 1)
+    x = TWO_PI * m.astype(float) ** (2.0 / k)
+    assert np.array_equal(cutoff(k, x), m)
+    for j in (1, 7, 1000, 8000, 15625, 10 ** 6):
+        assert sum_range(k, x[j - 1])[0] == j
+        assert sum_range(k, x[j - 1] / 2.0)[1] == j
+
+
+@pytest.mark.parametrize("m", [1000, 8000, 15625])
+def test_k3_codings_agree_beside_a_jump(d3_table, m):
+    # a relative distance of 1e-10 below the jump is no rounding error: the
+    # point counts m - 1, in every coding of the cutoff
+    cube = CubicPrimitiveSum(d3_table)
+    jump = TWO_PI * m ** (2.0 / 3.0)
+    below = TWO_PI * (m * (1.0 - 1e-10)) ** (2.0 / 3.0)
+    for x, n in ((jump, m), (below, m - 1)):
+        assert int(cutoff(3, x)) == cube.cutoff(x) \
+            == sum_range(3, x / 2.0)[1] == n
+        assert cube.value(x) == cube.prefix[n]
+        assert cubic_primitive_approx(x, d3_table) \
+            == math.fsum(cube.terms[:n + 1].tolist())
 
 
 def test_sum_range_endpoints_inclusive():
@@ -70,6 +100,13 @@ def test_k3_independent_resummation():
             * math.cos(3.0 * math.pi * n ** (2.0 / 3.0) + math.pi / 8.0)
     want = TWO_PI * math.sqrt(2.0 / 3.0) * total
     assert res.value == pytest.approx(want, rel=1e-9)
+
+
+def test_empty_range():
+    # (1/2pi)^(1/2) and (1/pi)^(1/2) lie in (0, 1): no n between them
+    res = moment_main_term(1, 1.0, divisor_sieve(1, 16))
+    assert (res.n_lo, res.n_hi) == (1, 0)
+    assert res.value == 0.0 and res.terms == 0
 
 
 def test_main_term_capacity(d2_table):

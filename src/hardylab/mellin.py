@@ -220,12 +220,6 @@ def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
             f"mellin_by_parts(k={k}) requires Re s > {e_k + _MARGIN}")
     if X is None:
         X = _pick_x(k, s.real, abs(s), tol, k in (2, 4))
-    return _by_parts_at(k, s, X)
-
-
-@functools.cache
-def _by_parts_at(k: int, s: complex, X: float) -> MellinSample:
-    # memoized: contour checks revisit the same nodes at a fixed X
     sigma = s.real
     value, quad_err = _grid(k, X, _band(abs(s.imag))).transform(s)
     if k in (2, 4):
@@ -239,7 +233,7 @@ def _by_parts_at(k: int, s: complex, X: float) -> MellinSample:
 
 
 def mellin_by_parts_many(k: int, s_values: np.ndarray, X: float) -> np.ndarray:
-    """by_parts values at one truncation X (shared grid, memoized)."""
+    """by_parts values at one truncation X (one shared grid per band)."""
     return np.array([mellin_by_parts(k, complex(sv), X=X).value
                      for sv in np.asarray(s_values).ravel()])
 
@@ -426,15 +420,18 @@ def _report(name, lhs, rhs, certificates, params) -> IdentityReport:
                           certificates=certificates, params=params)
 
 
-def check_convolution(k: int, r: int, s: complex, c: float, V: float,
-                      tol: float = 5e-4, x_nodes: float = 2000.0) -> IdentityReport:
+def check_convolution(k: int, r: int, s: complex, c: float, V,
+                      tol: float = 5e-4, x_nodes: float = 2000.0):
     """M_k(s) against (1/2 pi i) * integral over Re w = c of
-    M_{k-r}(w) M_r(1-w+s) dw, truncated at |Im w| = V.
+    M_{k-r}(w) M_r(1-w+s) dw, truncated at |Im w| = V: one report for one
+    height V, a list of reports for a sequence of heights, all from one
+    contour.
 
     Contour-node transforms run at a fixed truncation ``x_nodes`` (their
     oscillatory tails are far below the a-priori certificates); the V-
-    truncation of the contour dominates the gap.  For real s conjugate
-    symmetry halves the contour.
+    truncation of the contour dominates the gap.  The contour is folded
+    onto Im w >= 0 as F(w) + F(conj w); for real s the two are conjugates,
+    so the fold is 2 Re F(w).
     """
     s = complex(s)
     if not 1 <= r < k:
@@ -446,22 +443,25 @@ def check_convolution(k: int, r: int, s: complex, c: float, V: float,
         b = mellin_by_parts_many(r, 1.0 - w + s, X=x_nodes)
         return a * b
 
-    quad = integrate_vertical_line(F, c, 0.0 if s.imag == 0.0 else -V, V,
-                                   tol=tol, max_panel=2.0)
-    rhs, quad_err = quad.value, quad.abs_err_est
-    if s.imag == 0.0:  # full contour = 2 Re(half)
-        rhs, quad_err = 2.0 * rhs.real, 2.0 * quad_err
+    folded = F if s.imag == 0.0 else lambda w: F(w) + F(w.conjugate())
     # integrand decay |w|^{-2(c - e)} per factor bound gives the truncation
-    e1, e2 = _PRIM_EXP[k - r], _PRIM_EXP[r]
-    decay = (c - max(e1, e2))
-    trunc = abs(lhs_s.value) * V ** (1.0 - 2.0 * decay) if decay > 0.5 else math.inf
-    certs = {
-        "lhs_tail": lhs_s.tail_bound,
-        "contour_quad": quad_err,
-        "contour_trunc_order": trunc,
-    }
-    params = {"k": k, "r": r, "s": s, "c": c, "V": V}
-    return _report("convolution", lhs_s.value, rhs, certs, params)
+    decay = c - max(_PRIM_EXP[k - r], _PRIM_EXP[r])
+    reports = []
+    heights = np.atleast_1d(V)
+    for h, quad in zip(heights.tolist(), integrate_vertical_line(
+            folded, c, 0.0, heights, max_panel=2.0)):
+        rhs, quad_err = quad.value, quad.abs_err_est
+        if s.imag == 0.0:
+            rhs, quad_err = 2.0 * rhs.real, 2.0 * quad_err
+        trunc = abs(lhs_s.value) * h ** (1.0 - 2.0 * decay) if decay > 0.5 else math.inf
+        certs = {
+            "lhs_tail": lhs_s.tail_bound,
+            "contour_quad": quad_err,
+            "contour_trunc_order": trunc,
+        }
+        params = {"k": k, "r": r, "s": s, "c": c, "V": h}
+        reports.append(_report("convolution", lhs_s.value, rhs, certs, params))
+    return reports if np.ndim(V) else reports[0]
 
 
 def _fubini_rhs(k: int, s: complex, X: float) -> tuple[complex, float]:
@@ -505,36 +505,34 @@ def check_square_identity(k: int, s: complex, X: float = 500.0) -> IdentityRepor
     return _report("square", lhs, rhs, certs, params)
 
 
-# memoized inversion nodes: panels tile outward from t = 0 so contours of
-# different height U reuse each other's M_k evaluations
-def truncated_inversion(k: int, x: float, c: float, U: float,
-                        x_trunc: float | None = None) -> float:
-    """(1/2 pi i) * integral of x^{s-1} M_k(s) ds over [c-iU, c+iU].
+def truncated_inversion(k: int, x: float, c: float, U,
+                        x_trunc: float | None = None):
+    """(1/2 pi i) * integral of x^{s-1} M_k(s) ds over [c-iU, c+iU]: a float
+    for one height U, a list for a sequence of heights, all from one contour.
 
     Conjugate symmetry of M_k reduces this to (1/pi) Re integral over
-    [0, U]; the imaginary part is exactly zero by construction.  M_k along
-    the segment is memoized, so U-sweeps at fixed c cost one tall contour.
+    [0, U]; the imaginary part is exactly zero by construction.
     """
     if c <= 1.0:
         raise ConvergenceError("truncated_inversion requires c > 1")
-    if U < 4.0 * x:
+    if np.min(U) < 4.0 * x:
         raise DomainError("truncated_inversion requires U >= 4x")
     x_trunc = _INVERSION_X if x_trunc is None else x_trunc
     freq = max(math.log(x), 0.1) / TWO_PI
+
+    def F(s: np.ndarray) -> np.ndarray:
+        return 2.0 * (np.exp((s - 1.0) * math.log(x))
+                      * mellin_by_parts_many(k, s, x_trunc)).real
+
     # the t-integrand is a pure tone of known frequency times a smooth
     # decaying factor: K17 takes two periods of a pure tone to within 1e-15
     # of the panel width, so panels are two periods wide from t = 0
-    panels = PanelSet.from_edges(
-        panel_edges(0.0, U, lambda t: 0.0, max_panel=2.0 / freq))
-
-    ts = panels.nodes()
-    m = mellin_by_parts_many(k, c + 1j * ts, x_trunc)
-    vals = (np.exp((c - 1.0 + 1j * ts) * math.log(x)) * m).real
-    v = float(np.sum(panels.weights() * vals))
-    v_check = float(np.sum(panels.weights(check=True) * vals))
-    if abs(v - v_check) > 10.0 * max(abs(v) * 0.5, 1.0):
+    quads = integrate_vertical_line(F, c, 0.0, np.atleast_1d(U),
+                                    max_panel=2.0 / freq)
+    if any(q.abs_err_est > 5.0 * max(abs(q.value), 1.0) for q in quads):
         raise AccuracyError("inversion quadrature unstable")
-    return v / math.pi
+    out = [float(q.value) for q in quads]
+    return out if np.ndim(U) else out[0]
 
 
 @functools.cache

@@ -1,20 +1,21 @@
 """Panel grids and oscillation-aware adaptive quadrature.
 
-Every integration grid in the package comes from here: panel_edges walks
-the panel edges, PanelSet gives the nodes, weights and per-panel sums of one
+Every integration grid in the package comes from here: panel_edges walks the
+panel edges, PanelSet gives the nodes, weights and per-panel sums of one
 frozen Gauss-Kronrod 8/17 rule.  Panels are sized so that each spans at most
 a quarter of the local oscillation period given by the caller's frequency
 hint; every panel is integrated with the 17-point Kronrod rule K17 (exact to
 degree 25), and its error estimated by |K17 - G8|, where G8 is the 8-point
 Gauss-Legendre rule on the odd-numbered K17 nodes: the estimate reuses the
-value's 17 integrand values.  Panels failing the local tolerance test are
-bisected.  partial_integrals integrates the degree-16 interpolant through a
-panel's 17 values from its left edge to any point inside, so stored node
-values give integrals up to any point without new evaluations; split_values
-evaluates the same interpolant at the nodes of k equal sub-panels.  An
-adaptive integral sums its accepted panels sorted by left edge with one
-numpy sum, whose pairwise tree is fixed for a given order and length, so
-identical inputs give bit-identical results no matter how work is batched.
+value's 17 integrand values.  Adaptive panels failing the local tolerance
+test are bisected; a contour's panels are fixed.  partial_integrals
+integrates the degree-16 interpolant through a panel's 17 values from its
+left edge to any point inside, so stored node values give integrals up to
+any point without new evaluations; split_values evaluates the same
+interpolant at the nodes of k equal sub-panels.  An adaptive integral sums
+its accepted panels sorted by left edge with one numpy sum, whose pairwise
+tree is fixed for a given order and length, so identical inputs give
+bit-identical results no matter how work is batched.
 
 Integrands receive numpy arrays of abscissae and must be pure.
 """
@@ -256,24 +257,27 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     return result
 
 
-def integrate_vertical_line(F: Callable, c: float, t0: float, t1: float,
-                            tol: float = 1e-9,
-                            max_panel: float = 1.0) -> QuadratureResult:
-    """(1/2*pi*i) * integral of F(s) ds along s = c + i*t, t in [t0, t1].
+def integrate_vertical_line(F: Callable, c: float, t0: float, t1,
+                            max_panel: float = 1.0):
+    """(1/2*pi*i) * integral of F(s) ds along s = c + i*t, t in [t0, t1], for
+    one height t1 (a QuadratureResult) or a sequence of heights (a list, one
+    result per height).
 
-    F receives a numpy array of complex s and is taken as smooth: panels of
-    width max_panel, bisected as the tolerance requires.
+    F receives a numpy array of complex s and is taken as smooth: K17 panels
+    of width at most max_panel tile [t0, max t1] from t0, every height is a
+    panel edge, and F is evaluated once on all their nodes.  A height's value
+    is the numpy sum of the panel values below it, its estimate the fsum of
+    their |K17 - G8|.
     """
-    if not t0 < t1:
+    heights = np.atleast_1d(np.asarray(t1, dtype=float))
+    if not np.all(heights > t0):
         raise DomainError("integrate_vertical_line requires t0 < t1")
-
-    def g(t: np.ndarray) -> np.ndarray:
-        return np.asarray(F(c + 1j * t))
-
-    res = integrate_oscillatory(g, t0, t1, lambda t: 0.0, tol=tol,
-                                max_panel=max_panel)
+    edges = panel_edges(t0, float(heights.max()), lambda t: 0.0,
+                        heights.tolist(), max_panel)
+    v, e, _ = PanelSet.from_edges(edges).estimate(lambda t: F(c + 1j * t))
     # ds = i dt, so (1/2*pi*i) * integral F ds = (1/2*pi) * integral F dt
-    return QuadratureResult(value=res.value / (2.0 * math.pi),
-                            abs_err_est=res.abs_err_est / (2.0 * math.pi),
-                            panels=res.panels, evals=res.evals)
-
+    out = [QuadratureResult(value=np.sum(v[:n]) / (2.0 * math.pi),
+                            abs_err_est=math.fsum(e[:n].tolist()) / (2.0 * math.pi),
+                            panels=int(n), evals=NODES * int(n))
+           for n in np.searchsorted(edges, heights)]
+    return out if np.ndim(t1) else out[0]

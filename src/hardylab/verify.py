@@ -152,9 +152,8 @@ def suite_identities(cfg: RunConfig) -> list[Check]:
     checks = []
     sq = ML.check_square_identity(1, 3.0 + 0j, X=500.0)
     checks.append(_check("square-identity", sq.gap_rel, 1e-3))
-    conv1 = ML.check_convolution(3, 1, 3.5 + 0j, 2.0, 200.0)
+    conv1, conv2 = ML.check_convolution(3, 1, 3.5 + 0j, 2.0, (200.0, 400.0))
     checks.append(_check("convolution", conv1.gap_rel, 5e-2))
-    conv2 = ML.check_convolution(3, 1, 3.5 + 0j, 2.0, 400.0)
     checks.append(_check("convolution-taller-contour", conv2.gap_rel,
                          conv1.gap_rel, shorter_contour_gap=conv1.gap_rel))
     for s in (1.5, 2.0, 2.5):
@@ -163,10 +162,8 @@ def suite_identities(cfg: RunConfig) -> list[Check]:
     # inversion error trend over U at c = 2 (the criterion leaves c free;
     # larger c gives faster contour decay, see notes in mellin module)
     z10 = z_oracle(10.0)
-    errs = []
-    for U in (50.0, 100.0, 200.0, 400.0):
-        v = ML.truncated_inversion(1, 10.0, 2.0, U, x_trunc=4000.0)
-        errs.append(abs(v - z10))
+    errs = [abs(v - z10) for v in ML.truncated_inversion(
+        1, 10.0, 2.0, (50.0, 100.0, 200.0, 400.0), x_trunc=4000.0)]
     inversions = [errs[i + 1] / errs[i] for i in range(3) if errs[i + 1] > errs[i]]
     ok = len(inversions) <= 1 and all(r <= 1.2 for r in inversions)
     checks.append(Check(name="inversion-error-trend", passed=ok,

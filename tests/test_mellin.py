@@ -1,6 +1,7 @@
 """Mellin transforms, continuation, decomposition, Laurent fit, identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hardylab.errors import (CapacityError, ConvergenceError, DomainError,
                              FitError)
 from hardylab.hardy import z_eval_many, z_oracle
 from hardylab.moments import moment_cache
-from hardylab.quad import NODES
+from hardylab.quad import NODES, integrate_vertical_line
 
 TWO_GAMMA_MINUS_LOG_2PI = -0.6834457366062798
 
@@ -202,28 +203,85 @@ def test_laurent_fit_error_guard():
         ML.laurent_fit_at_1(samples)
 
 
-def test_convolution_k2():
-    r = ML.check_convolution(2, 1, 3.0 + 0j, 2.0, 200.0)
+@pytest.fixture(scope="module")
+def conv_k2_sweep():
+    # one contour for V = 50 and 200
+    return ML.check_convolution(2, 1, 3.0 + 0j, 2.0, (50.0, 200.0))
+
+
+def test_convolution_k2(conv_k2_sweep):
+    r = conv_k2_sweep[1]
+    assert r.params["V"] == 200.0
     assert r.gap_rel <= 5e-2
     assert abs(r.lhs.imag) < 1e-12
+
+
+def _k2_conv_integrand(s, X):
+    # the convolution integrand of M_2 = M_1 * M_1 at s on Re w = c
+    def F(w):
+        a = ML.mellin_by_parts_many(1, w, X=X)
+        b = ML.mellin_by_parts_many(1, 1.0 - w + s, X=X)
+        return a * b
+    return F
 
 
 def test_convolution_conjugate_half():
     # for real s the integrand is conjugate-symmetric: the full contour
     # equals twice the real part of the half contour
-    from hardylab.quad import integrate_vertical_line
-
-    s = 3.0 + 0j
-
-    def F(w):
-        a = ML.mellin_by_parts_many(1, w, X=1000.0)
-        b = ML.mellin_by_parts_many(1, 1.0 - w + s, X=1000.0)
-        return a * b
-
-    full = integrate_vertical_line(F, 2.0, -40.0, 40.0, tol=1e-5, max_panel=2.0)
-    half = integrate_vertical_line(F, 2.0, 0.0, 40.0, tol=1e-5, max_panel=2.0)
+    F = _k2_conv_integrand(3.0 + 0j, 1000.0)
+    full = integrate_vertical_line(F, 2.0, -40.0, 40.0, max_panel=2.0)
+    half = integrate_vertical_line(F, 2.0, 0.0, 40.0, max_panel=2.0)
     assert abs(full.value - 2.0 * half.value.real) \
         <= full.abs_err_est + 2.0 * half.abs_err_est + 1e-9
+
+
+def test_convolution_complex_s_fold():
+    # complex s: the contour folded onto Im w >= 0 as F(w) + F(conj w)
+    # against the full contour over [-V, V]
+    s, V = 3.0 + 1j, 10.0
+    rep = ML.check_convolution(2, 1, s, 2.0, V, x_nodes=1000.0)
+    full = integrate_vertical_line(_k2_conv_integrand(s, 1000.0), 2.0, -V, V,
+                                   max_panel=2.0)
+    assert abs(rep.rhs - full.value) \
+        <= rep.certificates["contour_quad"] + full.abs_err_est
+
+
+def test_convolution_sweep_matches_single_heights(monkeypatch):
+    # every height lies on the contour's panel lattice, so a sweep gives
+    # each height the bits of its own call; a closed form stands in for
+    # the node transforms, which are the same per s however they are called
+    monkeypatch.setattr(ML, "mellin_by_parts_many",
+                        lambda k, w, X: np.exp(-0.1 * w) / (w - 0.5) ** (k + 1))
+    args = (3, 1, 3.5 + 0j, 2.0)
+    sweep = ML.check_convolution(*args, (200.0, 400.0))
+    assert [r.as_dict() for r in sweep] \
+        == [ML.check_convolution(*args, V).as_dict() for V in (200.0, 400.0)]
+
+
+def test_scalar_heights_keep_return_types():
+    v = ML.truncated_inversion(1, 1.0, 2.0, 4.0, x_trunc=20.0)
+    assert type(v) is float
+    assert ML.truncated_inversion(1, 1.0, 2.0, (4.0,), x_trunc=20.0) == [v]
+    rep = ML.check_convolution(2, 1, 3.0 + 0j, 2.0, 4.0, x_nodes=20.0)
+    assert isinstance(rep, ML.IdentityReport)
+    assert isinstance(rep.lhs, complex) and isinstance(rep.rhs, complex)
+    assert isinstance(rep.gap_rel, float)
+    [swept] = ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [4.0], x_nodes=20.0)
+    assert swept.as_dict() == rep.as_dict()
+
+
+def test_by_parts_retains_nothing_per_s():
+    # distinct s leave no per-s state behind once their grid is built
+    ML.mellin_by_parts(1, 2.0 + 0j, X=20.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in np.linspace(0.0, 4.0, 10_000):
+            ML.mellin_by_parts(1, complex(2.0, t), X=20.0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2 ** 20
 
 
 def test_square_identity_k2_real_positive():
@@ -270,20 +328,25 @@ def test_square_rhs_reads_the_moment_cache(monkeypatch, k, X):
     assert points == []
 
 
-def test_inversion_c125_decay_envelope():
+@pytest.fixture(scope="module")
+def inversion_c125():
+    # Z(10) by inversion at c = 1.25, one contour for U = 50 and 400
+    return ML.truncated_inversion(1, 10.0, 1.25, (50.0, 400.0), x_trunc=2000.0)
+
+
+def test_inversion_c125_decay_envelope(inversion_c125):
     # at c = 1.25 the four-sample error sequence is non-monotone (documented);
     # the decay of the envelope is still there
     z10 = z_oracle(10.0)
-    e50 = abs(ML.truncated_inversion(1, 10.0, 1.25, 50.0, x_trunc=2000.0) - z10)
-    e400 = abs(ML.truncated_inversion(1, 10.0, 1.25, 400.0, x_trunc=2000.0) - z10)
+    e50, e400 = (abs(v - z10) for v in inversion_c125)
     assert e400 < e50
     assert e50 <= 0.05
 
 
-def test_inversion_path_independence():
+def test_inversion_path_independence(inversion_c125):
     z10 = z_oracle(10.0)
-    for c in (1.25, 1.5):
-        v = ML.truncated_inversion(1, 10.0, c, 400.0, x_trunc=2000.0)
+    v15 = ML.truncated_inversion(1, 10.0, 1.5, 400.0, x_trunc=2000.0)
+    for v in (inversion_c125[1], v15):
         assert abs(v - z10) <= 0.05
 
 
@@ -293,21 +356,29 @@ def test_inversion_k2():
     assert abs(v - z20 * z20) <= 0.15
 
 
-def test_inversion_reuses_memoized_nodes():
-    # at x = 10 the contour panels are 2 / freq = 5.46 wide and tile out from
-    # t = 0: U = 50 has ten (the last clipped at 50), U = 100 nineteen.  The
-    # taller contour evaluates M_1 only at its ten new panels (170 nodes) and
-    # reuses the nine whole panels it shares (153 nodes); a repeat reuses all
-    info = ML._by_parts_at.cache_info
-    ML.truncated_inversion(1, 10.0, 1.75, 50.0, x_trunc=2000.0)
-    before = info()
-    ML.truncated_inversion(1, 10.0, 1.75, 100.0, x_trunc=2000.0)
-    taller = info()
-    assert (taller.hits - before.hits, taller.misses - before.misses) \
-        == (9 * 17, 10 * 17)
-    ML.truncated_inversion(1, 10.0, 1.75, 100.0, x_trunc=2000.0)
-    again = info()
-    assert (again.hits - taller.hits, again.misses) == (19 * 17, taller.misses)
+def test_inversion_sweep_transforms_each_node_once(monkeypatch):
+    # at x = 10 the panels are 2 / freq = 5.46 wide and tile out from t = 0,
+    # with U = 50 an edge: ten panels up to 50 (the last clipped at 50) and
+    # ten more up to 100.  Each of their nodes is transformed once.
+    calls = []
+    transform = ML._PrimitiveGrid.transform
+
+    def counting(grid, s):
+        calls.append(s)
+        return transform(grid, s)
+
+    monkeypatch.setattr(ML._PrimitiveGrid, "transform", counting)
+    ML.truncated_inversion(1, 10.0, 1.75, (50.0, 100.0), x_trunc=2000.0)
+    assert len(calls) == 20 * NODES
+    assert len(set(calls)) == len(calls)
+
+
+def test_inversion_sweep_matches_single_heights():
+    heights = (50.0, 100.0)
+    sweep = ML.truncated_inversion(1, 10.0, 1.75, heights, x_trunc=2000.0)
+    for U, v in zip(heights, sweep):
+        single = ML.truncated_inversion(1, 10.0, 1.75, U, x_trunc=2000.0)
+        assert abs(v - single) <= 1e-9 * abs(single), U
 
 
 def test_inversion_guards():
@@ -347,8 +418,8 @@ def test_lbar_batch_matches_per_point_loop():
         assert abs(g - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms)), x
 
 
-def test_report_json_stable():
-    rep = ML.check_convolution(2, 1, 3.0 + 0j, 2.0, 50.0)
+def test_report_json_stable(conv_k2_sweep):
+    rep = conv_k2_sweep[0]
     from hardylab.reportio import to_json
     text1 = to_json(rep.as_dict())
     text2 = to_json(rep.as_dict())

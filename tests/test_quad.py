@@ -78,23 +78,33 @@ def test_domain():
 
 
 def test_vertical_line_constant():
-    r = integrate_vertical_line(lambda s: np.ones_like(s), 2.0, 0.0, 1.0,
-                                tol=1e-12)
+    r = integrate_vertical_line(lambda s: np.ones_like(s), 2.0, 0.0, 1.0)
     assert abs(r.value - 1.0 / (2.0 * math.pi)) <= 1e-12
+
+
+def test_vertical_line_heights_are_panel_edges():
+    # unit panels tile from t0 = 0 and 2.5 becomes an edge; results come in
+    # the order the heights were given
+    r25, r1 = integrate_vertical_line(lambda s: np.ones_like(s), 2.0, 0.0,
+                                      (2.5, 1.0))
+    assert (r25.panels, r1.panels) == (3, 1)
+    assert abs(r25.value - 2.5 / (2.0 * math.pi)) <= 1e-15
+    assert abs(r1.value - 1.0 / (2.0 * math.pi)) <= 1e-15
+    with pytest.raises(DomainError):
+        integrate_vertical_line(np.ones_like, 2.0, 1.0, (2.0, 1.0))
 
 
 def test_vertical_line_perron():
     # x^s / s at x = 2 approaches 1 as the contour grows
-    r = integrate_vertical_line(lambda s: 2.0 ** s / s, 2.0, -200.0, 200.0,
-                                tol=1e-8)
+    r = integrate_vertical_line(lambda s: 2.0 ** s / s, 2.0, -200.0, 200.0)
     assert abs(r.value - 1.0) <= 1e-2
 
 
 def test_vertical_line_gamma_stability():
     from hardylab.special import gamma_complex
 
-    r1 = integrate_vertical_line(gamma_complex, 0.5, -30.0, 30.0, tol=1e-8)
-    r2 = integrate_vertical_line(gamma_complex, 0.5, -30.0, 30.0, tol=5e-9)
+    r1 = integrate_vertical_line(gamma_complex, 0.5, -30.0, 30.0, max_panel=1.0)
+    r2 = integrate_vertical_line(gamma_complex, 0.5, -30.0, 30.0, max_panel=0.5)
     assert abs(r1.value - r2.value) <= r1.abs_err_est + r2.abs_err_est + 1e-12
 
 

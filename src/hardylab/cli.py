@@ -153,16 +153,16 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
         _emit_table(["sigma", "t", "v1", "v2", "sum", "m3", "gap_rel"],
                     rows, args.out, args.format)
         return EXIT_OK
-    rows = []
-    for sig, t in grid:
-        s = complex(sig, t)
-        if args.method == "direct":
-            m = ML.mellin_direct(k, s, budget=cfg.eval_budget,
-                                 X=2000.0 if args.X is None else args.X)
-        else:
-            m = ML.mellin_by_parts(k, s, tol=cfg.tol_mellin, X=args.X)
-        rows.append((k, sig, t, m.value.real, m.value.imag, m.X,
-                     m.tail_bound, m.method))
+    s = [complex(sig, t) for sig, t in grid]
+    if args.method == "direct":
+        samples = [ML.mellin_direct(k, sv, budget=cfg.eval_budget,
+                                    X=2000.0 if args.X is None else args.X)
+                   for sv in s]
+    else:
+        # one engine call per (X, band) grid, the bits of per-row calls
+        samples = ML.mellin_by_parts_samples(k, s, tol=cfg.tol_mellin, X=args.X)
+    rows = [(k, sig, t, m.value.real, m.value.imag, m.X, m.tail_bound,
+             m.method) for (sig, t), m in zip(grid, samples)]
     _emit_table(["k", "sigma", "t", "re", "im", "X", "tail_bound", "method"],
                 rows, args.out, args.format)
     return EXIT_OK

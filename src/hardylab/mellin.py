@@ -5,9 +5,16 @@ transform-identity checks (convolution, square, inversion, Laplace).
 
 Every numeric result carries a certificate: an upper bound on the combined
 truncation and quadrature error.  Truncated integrals run on fixed
-deterministic panel grids whose integrand-independent node sets let I_k
-values be cached once and reused across thousands of transform parameters;
-that caching is what keeps the contour-integral checks at desk runtimes.
+deterministic panel grids, and a transform at any batch of s is an
+exponential sum sum_i a_i e^{-s l_i} over a grid's nodes l_i = ln x_i.  One
+engine (_ExpSum) serves every such sum: it cuts the nodes into _SEGMENTS
+slices and puts each Im s within _TAYLOR_R of a centre on the lattice
+2 _TAYLOR_R Z.  Per (Re s, centre) it makes one pass over the nodes (one
+real exponential when the centre is 0, as for every real s) and a fixed
+set of Taylor moments per slice; each s then costs a Horner sum over the
+slices, independent of the node count.  A contour of thousands of s thus
+costs one node pass per centre instead of one complex exponential per node
+per s, and a value does not depend on the batch it came in.
 The square identity's right side is one Fubini sum on the moment cache's
 panels: its inner integrals up to X/u are prefix sums over the same node
 values, so it evaluates Z only on the last panel, clipped at X.
@@ -98,22 +105,197 @@ def _main_fit(k: int):
     return b, c_res
 
 
-def _log_power_tail(m: int, delta: complex, X: float) -> complex:
+def _log_power_tail(m: int, delta: np.ndarray, X: float) -> np.ndarray:
     # integral over [X, inf) of (log x)^m x^{-1-delta} dx, Re delta > 0:
     # I_0 = X^-delta/delta, I_j = L^j X^-delta/delta + (j/delta) I_{j-1}
     L = math.log(X)
-    base = cmath.exp(-delta * L)
+    base = np.exp(-delta * L)
     out = base / delta
     for j in range(1, m + 1):
         out = base * L ** j / delta + j * out / delta
     return out
 
 
-def _fitted_tail(k: int, s: complex, X: float) -> complex:
+def _fitted_tail(k: int, s: np.ndarray, X: float) -> np.ndarray:
     """Closed-form s * integral over [X, inf) of fit(x) x^{-s-1} dx."""
     b, _ = _main_fit(k)
     delta = s - 1.0
     return s * sum(bm * _log_power_tail(m, delta, X) for m, bm in enumerate(b))
+
+
+# -- the exponential-sum engine ------------------------------------------------
+
+_TAYLOR_R = 4.0  # r: every Im s lies within r of a centre in 2r Z
+_SEGMENTS = 16  # J: slices of the node range, of equal ln-width
+_TAYLOR_TOL = 1e-17  # bound on (|delta| R)^{P+1} / (P+1)! at the order P
+_S_BLOCK = 256  # s per Horner block: temporaries do not grow with the batch
+
+
+def _taylor_orders(x: np.ndarray) -> np.ndarray:
+    """Elementwise, the least P >= 0 with x^{P+1} / (P+1)! <= _TAYLOR_TOL,
+    from the running products x/1 * x/2 * ... (the largest x sets how many
+    rows they need; a column's rows do not depend on the other columns)."""
+    n, top = 1, float(np.max(x, initial=0.0))
+    term = top
+    while term > _TAYLOR_TOL:
+        n += 1
+        term *= top / n
+    terms = np.cumprod(x / np.arange(1.0, n + 1.0)[:, None], axis=0)
+    return np.argmax(terms <= _TAYLOR_TOL, axis=0)
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """The sum over the first axis by halving, one elementwise add per
+    level: every column gets the same tree of additions at any width."""
+    while len(rows) > 1:
+        h = len(rows) // 2
+        head = rows[:h] + rows[h:2 * h]
+        rows = np.concatenate([head, rows[2 * h:]]) if len(rows) % 2 else head
+    return rows[0]
+
+
+class _ExpSum:
+    """sum_i a_i e^{-s l_i} over the ascending nodes l_i of a K17 panel
+    grid, for a batch of s; with G8 check weights, the same sum over the
+    G8 nodes too.
+
+    The nodes are cut into _SEGMENTS contiguous slices of equal l-width,
+    slice j with centre L_j and half-width R_j, u = l - L_j.  Each s is
+    sigma + i (t_q + delta) with the centre t_q = 2r round(Im s / 2r), so
+    |delta| <= r, and e^{-s l} = e^{-s L_j} e^{-(sigma + i t_q) u} e^{-i delta u}.
+    One pass per (sigma, t_q) forms w = a e^{-(sigma + i t_q) u}, a real
+    exponential when t_q = 0, and the moments m_{j,p} = sum over slice j of
+    w u^p; then, by Horner in -i delta,
+
+        sum = sum_j e^{-s L_j} sum_{p <= P_s} (-i delta)^p m_{j,p} / p!,
+
+    with P_s the least order where (|delta| R)^{P_s+1} / (P_s+1)! <=
+    _TAYLOR_TOL, R = max R_j.  For real delta u that is the Lagrange
+    remainder of e^{-i delta u}, so the cut costs at most
+    sum_j S_j (|delta| R_j)^{P_s+1} / (P_s+1)!, S_j = sum over slice j of
+    |a| e^{-sigma l} (for both weight sets together).  Products, sums and
+    the sum over slices are elementwise in a fixed order (no matmul), so a
+    value depends only on (nodes, sigma, t_q, delta), never on its batch;
+    an s with delta = 0 reads m_{j,0} alone.  Memory: three node-sized
+    arrays per centre and Horner blocks of _S_BLOCK s, whatever the batch.
+    """
+
+    def __init__(self, ln: np.ndarray, a: np.ndarray,
+                 a_check: np.ndarray | None = None):
+        """ln, the nodes, is overwritten: it becomes u."""
+        if not len(ln):  # X = 1: one panel of weight 0
+            ln, a = np.zeros(NODES), np.zeros(NODES)
+            a_check = None if a_check is None else np.zeros(NODES // 2)
+        n = len(ln)
+        cuts = np.searchsorted(ln, np.linspace(ln[0], ln[-1], _SEGMENTS + 1)[1:-1])
+        starts = np.unique(np.append(0, cuts[cuts < n]))
+        ends = np.append(starts[1:], n)
+        lo, hi = ln[starts], ln[ends - 1]
+        self.centre = 0.5 * (lo + hi)
+        self.half = 0.5 * (hi - lo)
+        self.radius = float(self.half.max())
+        # ln becomes u in place: no node-sized temporary
+        for j, c in enumerate(self.centre.tolist()):
+            ln[starts[j]:ends[j]] -= c
+        self.u = ln
+        # (weights, their nodes' slice starts, the slices holding any)
+        self.rows = [(a, starts, None)]
+        if a_check is not None:
+            # G8 nodes (odd columns) before node i of its panel: (i % 17) // 2
+            first = starts // NODES * (NODES // 2) + starts % NODES // 2
+            held = np.diff(np.append(first, len(a_check))) > 0
+            self.rows.append((a_check, first[held], held))
+
+    def sums(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sums at every s of a flat complex array, one row per weight
+        set, and a bound on their Taylor truncation."""
+        sigma = s.real + 0.0  # no -0.0 keys
+        tq = 2.0 * _TAYLOR_R * np.rint(s.imag / (2.0 * _TAYLOR_R)) + 0.0
+        delta = s.imag - tq
+        out = np.empty((len(self.rows), len(s)), dtype=complex)
+        trunc = np.empty(len(s))
+        by_key = np.lexsort((tq, sigma))
+        new = (np.diff(sigma[by_key]) != 0.0) | (np.diff(tq[by_key]) != 0.0)
+        for idx in np.split(by_key, np.flatnonzero(new) + 1):
+            if len(idx):
+                out[:, idx], trunc[idx] = self._centre(
+                    float(sigma[idx[0]]), float(tq[idx[0]]), s.imag[idx],
+                    delta[idx])
+        return out, trunc
+
+    def _moments(self, row, sigma, tq, P):
+        """m[p, (cos, sin), j] for p <= P, and S_j, of one weight set."""
+        a, starts, held = self.rows[row]
+        u = self.u if held is None else \
+            self.u.reshape(-1, NODES)[:, GAUSS_COLS].ravel()
+        # amp = a e^{-sigma u}; w = amp (cos, sin)(t_q u), or amp if t_q = 0
+        amp = u * -sigma
+        np.exp(amp, out=amp)
+        amp *= a
+        # S_j only bounds a Taylor cut: none at P = 0
+        S = np.add.reduceat(np.abs(amp), starts) if P else np.zeros(len(starts))
+        if tq == 0.0:
+            w = amp[None]
+        else:
+            w = np.empty((2, len(amp)))
+            for part, fn in zip(w, (np.cos, np.sin)):
+                np.multiply(u, tq, out=part)
+                fn(part, out=part)
+            w *= amp
+        del amp
+        mom = [np.add.reduceat(w, starts, axis=1)]
+        for _ in range(P):
+            w *= u
+            mom.append(np.add.reduceat(w, starts, axis=1))
+        if held is None:
+            return np.array(mom), S
+        # slices without nodes of this set hold exact zeros
+        m = np.zeros((P + 1, len(w), len(held)))
+        m[:, :, held] = mom
+        S_held, S = S, np.zeros(len(held))
+        S[held] = S_held
+        return m, S
+
+    def _centre(self, sigma, tq, t, delta):
+        mag = np.exp(-sigma * self.centre)[:, None]
+        # the largest |delta| has the highest order
+        P = int(_taylor_orders(np.abs(delta[[np.argmax(np.abs(delta))]])
+                               * self.radius)[0])
+        parts = [self._moments(row, sigma, tq, P) for row in range(len(self.rows))]
+        # m[p] = (Re, Im) of the moments, [P+1, 2, rows * J, 1]
+        m = np.concatenate([part[0] for part in parts], axis=2)
+        if tq == 0.0:
+            m = np.concatenate([m, np.zeros_like(m)], axis=1)
+        else:
+            m[:, 1] *= -1.0
+        m = m[..., None]
+        S = _row_sum(np.array([part[1] for part in parts]))[:, None] * mag
+        sign = np.array([1.0, -1.0])[:, None, None]
+        fact = np.array([float(math.factorial(q)) for q in range(P + 2)])
+        out = np.empty((len(parts), len(t)), dtype=complex)
+        trunc = np.zeros(len(t))
+        for i in range(0, len(t), _S_BLOCK):
+            sl = slice(i, i + _S_BLOCK)
+            d = delta[sl]
+            o = _taylor_orders(np.abs(d) * self.radius)
+            p = np.arange(int(o.max()) + 1)
+            # Horner in -i delta on (Re, Im): h <- m_p + (-i delta/(p+1)) h,
+            # h = 0 above each s's own order
+            g = (d / (p + 1.0)[:, None])[:, None, None, :] * sign
+            on = (o >= p[:, None])[:, None, None, :]
+            h = np.zeros((2, m.shape[2], len(d)))
+            for q in p[::-1].tolist():
+                h = np.where(on[q], m[q] + h[::-1] * g[q], 0.0)
+            h = h.reshape(2, len(parts), len(self.centre), -1)
+            # times e^{-s L_j} = mag (cos - i sin)(t L_j), summed over j
+            theta = np.multiply.outer(self.centre, t[sl])
+            er, ei = mag * np.cos(theta), mag * np.sin(theta)
+            v = er * h + ei * h[::-1] * sign[..., None]
+            out.real[:, sl], out.imag[:, sl] = _row_sum(v.transpose(2, 0, 1, 3))
+            if P:
+                x = np.abs(d) * self.half[:, None]
+                trunc[sl] = _row_sum(S * x ** (o + 1) / fact[o + 1])
+        return out, trunc
 
 
 # -- fixed integration grids ---------------------------------------------------
@@ -123,16 +305,16 @@ class _PrimitiveGrid:
 
     The transform is computed through the exactly equivalent boundary form
     integral_1^X Z^k x^{-s} dx - I_k(X) X^{-s} (one integration by parts
-    back), so the grid caches w * Z^k at the nodes once; each subsequent s
-    costs a single vector exponential.  Grids are banded by |Im s|: the
-    frequency hint adds the twist |Im s|/(2 pi x) so panels resolve x^{-it}
-    down to x = 1.  Band 0 has no twist: its panels and Z^k values are the
-    moment cache's, and only the last panel, clipped at X, evaluates Z.
+    back), so the grid keeps the K17 weights times Z^k at its nodes, and
+    the G8 check weights at the G8 nodes, as one _ExpSum: a batch of s
+    costs one node pass per centre, whatever its size.  Grids are
+    banded by |Im s|: the frequency hint adds the twist |Im s|/(2 pi x) so
+    panels resolve x^{-it} down to x = 1.  Band 0 has no twist: its panels
+    and Z^k values are the moment cache's, and only the last panel, clipped
+    at X, evaluates Z.
     """
 
     def __init__(self, k: int, X: float, band: int):
-        self.k = k
-        self.X = X
         cache = moment_cache(k)
         if band == 0:
             # the twist vanishes: these are the moment cache's own panels
@@ -147,31 +329,28 @@ class _PrimitiveGrid:
             panels = PanelSet.from_edges(
                 panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
             zk = z_eval_many(panels.nodes()) ** k
-        self.ln = np.log(panels.nodes())
-        self.a = panels.weights() * zk
         # check weights only at the G8 columns: no zeros stored
-        self.a_check = (panels.weights(check=True) * zk).reshape(
-            -1, NODES)[:, GAUSS_COLS].copy()
+        a_check = (panels.weights(check=True) * zk).reshape(
+            -1, NODES)[:, GAUSS_COLS].ravel()
+        self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk,
+                              a_check)
         self.lnX = math.log(X)
         self.I_X = float(cache.eval_many(np.array([X]))[0])
         self.I_X_err = float(cache.err_at(X))
 
-    def transform(self, s: complex) -> tuple[complex, float]:
-        e = -s * self.ln
-        np.exp(e, out=e)
-        v_check = complex(np.sum(
-            self.a_check * e.reshape(-1, NODES)[:, GAUSS_COLS]))
-        e *= self.a
-        v = complex(np.sum(e))
-        bnd = self.I_X * cmath.exp(-s * self.lnX)
-        err = abs(v - v_check) + self.I_X_err * math.exp(-s.real * self.lnX)
-        return v - bnd, err
+    def truncated(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """s * integral_1^X I_k x^{-s-1} dx at every s, and its estimate:
+        |K17 - G8|, the Taylor cut and I_k(X)'s error times X^{-sigma}."""
+        (v, v_check), trunc = self.engine.sums(s)
+        err = (np.abs(v - v_check) + trunc
+               + self.I_X_err * np.exp(-s.real * self.lnX))
+        return v - self.I_X * np.exp(-s * self.lnX), err
 
 
-def _band(t_abs: float) -> int:
-    if t_abs <= 4.0:
-        return 0
-    return int(math.ceil(math.log2(t_abs / 4.0)))
+def _band(t_abs: np.ndarray) -> np.ndarray:
+    """The least band b >= 0 with |Im s| <= 4 * 2^b, elementwise."""
+    m, e = np.frexp(t_abs / 4.0)  # t/4 = m 2^e, 1/2 <= m < 1
+    return np.where(t_abs <= 4.0, 0, e - (m == 0.5))
 
 
 def _band_top(band: int) -> float:
@@ -199,6 +378,45 @@ def _pick_x(k: int, sigma: float, s_abs: float, tol: float,
 
 # -- core transforms ------------------------------------------------------------
 
+def _checked(k: int, s_values) -> np.ndarray:
+    """s_values as a flat complex array, with mellin_by_parts' errors."""
+    if k not in (1, 2, 3, 4):
+        raise DomainError("mellin_by_parts supports k in {1,2,3,4}")
+    s = np.asarray(s_values, dtype=complex).ravel()
+    if not np.all(np.isfinite(s)):
+        raise DomainError("mellin_by_parts requires finite s")
+    e_k = _PRIM_EXP[k]
+    if np.any(s.real <= e_k + _MARGIN):
+        raise ConvergenceError(
+            f"mellin_by_parts(k={k}) requires Re s > {e_k + _MARGIN}")
+    return s
+
+
+def _truncated(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]:
+    """_PrimitiveGrid.truncated at every s: one call per band grid."""
+    value = np.empty(len(s), dtype=complex)
+    err = np.empty(len(s))
+    bands = _band(np.abs(s.imag))
+    for band in np.unique(bands).tolist():
+        m = bands == band
+        value[m], err[m] = _grid(k, X, band).truncated(s[m])
+    return value, err
+
+
+def _by_parts(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values and certificates of mellin_by_parts at checked s and one X,
+    elementwise over the batch."""
+    value, quad_err = _truncated(k, s, X)
+    sigma = s.real
+    if k in (2, 4):
+        value += _fitted_tail(k, s, X)
+        e, c = _RESID_EXP[k], _main_fit(k)[1]
+    else:
+        e, c = _PRIM_EXP[k], primitive_constant(k)
+    tail = np.abs(s) * c * X ** (e - sigma) / (sigma - e)
+    return value, tail + quad_err
+
+
 def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
                     X: float | None = None) -> MellinSample:
     """M_k(s) through the primitive: s * integral of I_k(x) x^{-s-1}.
@@ -207,35 +425,38 @@ def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
     e_2 = e_4 = 1).  For even k the value includes the closed-form tail of
     the fitted smooth main part of I_k, so the transform stays accurate
     arbitrarily close to the pole at s = 1; tail_bound then certifies the
-    fit residual instead of the raw primitive growth.
+    fit residual instead of the raw primitive growth.  A one-element
+    mellin_by_parts_samples call.
     """
-    s = complex(s)
-    if k not in (1, 2, 3, 4):
-        raise DomainError("mellin_by_parts supports k in {1,2,3,4}")
-    if not cmath.isfinite(s):
-        raise DomainError("mellin_by_parts requires finite s")
-    e_k = _PRIM_EXP[k]
-    if s.real <= e_k + _MARGIN:
-        raise ConvergenceError(
-            f"mellin_by_parts(k={k}) requires Re s > {e_k + _MARGIN}")
+    return mellin_by_parts_samples(k, [complex(s)], tol, X)[0]
+
+
+def mellin_by_parts_samples(k: int, s_values, tol: float = 1e-6,
+                            X: float | None = None) -> list[MellinSample]:
+    """mellin_by_parts at every s, grouped by truncation X (picked per s
+    when X is None) and band into one engine call per grid; each sample
+    has the bits of its own mellin_by_parts call."""
+    s = _checked(k, s_values)
     if X is None:
-        X = _pick_x(k, s.real, abs(s), tol, k in (2, 4))
-    sigma = s.real
-    value, quad_err = _grid(k, X, _band(abs(s.imag))).transform(s)
-    if k in (2, 4):
-        value += _fitted_tail(k, s, X)
-        e, c = _RESID_EXP[k], _main_fit(k)[1]
+        Xs = np.array([_pick_x(k, sv.real, abs(sv), tol, k in (2, 4))
+                       for sv in s.tolist()])
     else:
-        e, c = _PRIM_EXP[k], primitive_constant(k)
-    tail = abs(s) * c * X ** (e - sigma) / (sigma - e)
-    return MellinSample(s=s, k=k, value=value, X=X,
-                        tail_bound=tail + quad_err, method="by_parts")
+        Xs = np.full(len(s), float(X))
+    keys, inv = np.unique(Xs, return_inverse=True)
+    value = np.empty(len(s), dtype=complex)
+    bound = np.empty(len(s))
+    for g, x in enumerate(keys.tolist()):
+        m = inv == g
+        value[m], bound[m] = _by_parts(k, s[m], x)
+    return [MellinSample(s=sv, k=k, value=v, X=x, tail_bound=b,
+                         method="by_parts")
+            for sv, v, x, b in zip(s.tolist(), value.tolist(), Xs.tolist(),
+                                   bound.tolist())]
 
 
 def mellin_by_parts_many(k: int, s_values: np.ndarray, X: float) -> np.ndarray:
-    """by_parts values at one truncation X (one shared grid per band)."""
-    return np.array([mellin_by_parts(k, complex(sv), X=X).value
-                     for sv in np.asarray(s_values).ravel()])
+    """mellin_by_parts values at every s, at one truncation X."""
+    return _by_parts(k, _checked(k, s_values), X)[0]
 
 
 def mellin_direct(k: int, s: complex, X: float = 2000.0,
@@ -316,7 +537,7 @@ def _v2_grid(table: DivisorTable, X: float):
         1.0, X, z_power_freq(3), z_breakpoints(1.0, X) + jumps))
     x = panels.nodes()
     r = moment_cache(3).eval_many(x) - cube.eval_many(x)
-    return np.log(x), panels.weights() * r, n_cut
+    return _ExpSum(np.log(x), panels.weights() * r), n_cut
 
 
 def v2_residual(s: complex, X: float, table: DivisorTable) -> complex:
@@ -337,8 +558,8 @@ def v2_residual(s: complex, X: float, table: DivisorTable) -> complex:
     cube = _cubic_sum(table)
     if cube.cutoff(X) > table.limit:
         raise CapacityError("d_3 table too small for X")
-    lnx, a, n_cut = _v2_grid(table, X)
-    val = complex(np.sum(a * np.exp(-(s + 1.0) * lnx)))
+    engine, n_cut = _v2_grid(table, X)
+    val = complex(engine.sums(np.array([s + 1.0]))[0][0, 0])
     boundary = cube.prefix[n_cut] * cmath.exp(-s * math.log(X))
     return s * val - boundary
 
@@ -349,11 +570,10 @@ def m3_decomposition(s: complex, X: float, table: DivisorTable) -> dict:
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError("m3_decomposition requires finite s")
-    grid = _grid(3, X, _band(abs(s.imag)))  # first: it checks X
+    m3 = complex(_truncated(3, np.array([s]), X)[0][0])  # first: checks X
     n_cut = _cubic_sum(table).cutoff(X)
     v1 = v1_series(s, n_cut, table)
     v2 = v2_residual(s, X, table)
-    m3 = grid.transform(s)[0]
     gap = abs(v1 + v2 - m3)
     return {
         "s": s, "X": float(X), "N": n_cut,

@@ -64,20 +64,25 @@ def panel_edges(a: float, b: float, freq, breaks=(),
     """Panel edges on [a, b]: each panel spans a quarter period
     0.25 / freq(left edge), capped at max_panel (and max_panel where the
     hint is not positive), and every break in (a, b) becomes an edge."""
-    cuts = sorted(x for x in set(breaks) if a < x < b)
+    # the cut list ends in a sentinel no edge reaches
+    cuts = sorted(x for x in set(breaks) if a < x < b) + [math.inf]
+    i, cut = 0, cuts[0]
+    f_cap = 0.25 / max_panel  # above it a quarter period is below the cap
     edges = [a]
     x = a
-    i = 0
-    while x < b:
-        f = float(freq(x))
-        x = min(b, x + (min(max_panel, 0.25 / f) if f > 0 else max_panel))
-        if i < len(cuts) and cuts[i] <= x:
-            x = cuts[i]
+    for _ in range(50_000_000):
+        if not x < b:
+            return np.array(edges)
+        f = freq(x)
+        x += 0.25 / f if f > f_cap else max_panel
+        if x > b:
+            x = b
+        if cut <= x:
+            x = cut
             i += 1
+            cut = cuts[i]
         edges.append(x)
-        if len(edges) > 50_000_000:
-            raise BudgetError("panel construction runaway")
-    return np.array(edges)
+    raise BudgetError("panel construction runaway")
 
 
 class PanelSet:

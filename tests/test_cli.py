@@ -107,6 +107,20 @@ def test_mellin_grid(capsys):
     assert lines[0].startswith("k,sigma,t,re,im,X,tail_bound")
 
 
+def test_mellin_table_batch_matches_per_row_calls(capsys, monkeypatch):
+    # a 3 x 40 by_parts table goes through the engine grouped by (X, band):
+    # the same bytes as one mellin_by_parts call per row
+    argv = ("mellin", "--k", "2", "--sigma", "3:4:3", "--t=-20:20:40")
+    code, batched, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(batched.splitlines()) == 121
+    # mellin_by_parts is this one-element call
+    batch = ML.mellin_by_parts_samples
+    monkeypatch.setattr(ML, "mellin_by_parts_samples", lambda k, s, tol, X: [
+        batch(k, [sv], tol, X)[0] for sv in s])
+    code, per_row, _ = run_cli(capsys, *argv)
+    assert code == 0 and per_row == batched
+
+
 def test_mellin_laurent(capsys):
     code, out, _ = run_cli(capsys, "mellin", "--k", "2", "--laurent")
     assert code == 0
@@ -184,7 +198,8 @@ def test_huge_grid_fails_before_work(capsys, monkeypatch, argv):
 
     for name in ("z_eval_many", "z_err_est", "divisor_sieve"):
         monkeypatch.setattr(cli, name, never)
-    for name in ("mellin_by_parts", "mellin_direct", "m3_decomposition"):
+    for name in ("mellin_by_parts", "mellin_by_parts_samples", "mellin_direct",
+                 "m3_decomposition"):
         monkeypatch.setattr(ML, name, never)
     monkeypatch.setattr(cli.np, "arange", never)
     monkeypatch.setattr(cli.np, "linspace", never)

@@ -10,9 +10,10 @@ import hardylab.mellin as ML
 from hardylab import moments
 from hardylab.errors import (CapacityError, ConvergenceError, DomainError,
                              FitError)
-from hardylab.hardy import z_eval_many, z_oracle
-from hardylab.moments import moment_cache
-from hardylab.quad import NODES, integrate_vertical_line
+from hardylab.hardy import z_breakpoints, z_eval_many, z_oracle
+from hardylab.moments import moment_cache, z_power_freq
+from hardylab.quad import NODES, PanelSet, integrate_vertical_line, panel_edges
+from hardylab.special import TWO_PI
 
 TWO_GAMMA_MINUS_LOG_2PI = -0.6834457366062798
 
@@ -66,6 +67,12 @@ def test_truncation_height_below_one_rejected(X, d3_table):
         ML.mellin_by_parts(1, 2.0 + 0j, X=X)
     with pytest.raises(DomainError, match="X"):
         ML.m3_decomposition(2.0 + 0j, X, d3_table)
+
+
+def test_truncation_height_one_is_an_empty_grid():
+    # [1, X] holds no panel: the truncated transform and I_k(1) are 0
+    m = ML.mellin_by_parts(1, 2.0 + 5j, X=1.0)
+    assert m.value == 0.0 and math.isfinite(m.tail_bound)
 
 
 def test_by_parts_continuation_k1():
@@ -284,6 +291,117 @@ def test_by_parts_retains_nothing_per_s():
     assert retained < 2 ** 20
 
 
+# -- the exponential-sum engine --------------------------------------------------
+
+def _direct_sum(ln, a, s):
+    # the reference: sum a e^{-s l} node by node, and its L1 mass
+    terms = [a * np.exp(-sv * ln) for sv in s]
+    return (np.array([np.sum(t) for t in terms]),
+            np.array([np.sum(np.abs(t)) for t in terms]))
+
+
+def _grid_sums(panels, zk):
+    # nodes, K17 weights times Z^k, and the same at the G8 columns
+    ln = np.log(panels.nodes())
+    a_check = (panels.weights(check=True) * zk).reshape(-1, NODES)
+    return (ln, panels.weights() * zk, ln.reshape(-1, NODES)[:, 1::2].ravel(),
+            a_check[:, 1::2].ravel())
+
+
+def _band3_nodes():
+    # the k = 1, X = 2000 band-3 grid
+    zfreq = z_power_freq(1)
+    panels = PanelSet.from_edges(panel_edges(
+        1.0, 2000.0, lambda x: zfreq(x) + 32.0 / (TWO_PI * x),
+        z_breakpoints(1.0, 2000.0)))
+    return _grid_sums(panels, z_eval_many(panels.nodes()))
+
+
+def _laurent_nodes():
+    # the k = 2, X = 8000 band-0 grid: the moment cache's panels
+    return _grid_sums(*moment_cache(2).panels(8000.0))
+
+
+@pytest.mark.parametrize("nodes, s", [
+    (_band3_nodes, 2.0 + 1j * np.append(
+        np.linspace(-64.0, 64.0, 129),
+        np.random.default_rng(11).uniform(-64.0, 64.0, 64))),
+    (_band3_nodes, 0.75 + 1j * np.random.default_rng(12).uniform(-64.0, 64.0, 64)),
+    (_laurent_nodes, 1.0 + np.array([0.02, 0.03, 0.05, 0.08, 0.12, 0.2]) + 0j),
+])
+def test_engine_matches_direct_sum(nodes, s):
+    ln, a, ln_check, a_check = nodes()
+    got, trunc = ML._ExpSum(ln.copy(), a, a_check).sums(s)
+    for row, (lr, ar) in zip(got, ((ln, a), (ln_check, a_check))):
+        want, mass = _direct_sum(lr, ar, s)
+        gap = np.abs(row - want)
+        assert np.all(gap <= 1e-12 * np.abs(want))
+        # the Taylor cut is certified; what is left is rounding
+        assert np.all(gap <= trunc + 1e-14 * mass)
+
+
+def test_engine_values_do_not_depend_on_the_batch():
+    # the values and G8 check values of every s, and their Taylor bounds
+    engine = ML._grid(1, 2000.0, 3).engine
+
+    def sums(s):
+        values, trunc = engine.sums(s)
+        return [*values, trunc]
+
+    t = np.append(np.random.default_rng(5).uniform(-40.0, 40.0, 40),
+                  [0.0, 3.99, 4.0, 8.0, -8.0, 12.0])
+    s = np.append(1.5 + 1j * t, 2.5 + 1j * t)
+    full = sums(s)
+    backward = sums(s[::-1])
+    tripled = sums(np.repeat(s, 3))
+    for i, sv in enumerate(s):
+        alone = [part.tobytes() for part in sums(np.array([sv]))]
+        assert [part[i:i + 1].tobytes() for part in full] == alone, sv
+        assert [part[-1 - i:len(s) - i].tobytes() for part in backward] == alone
+        assert all(part[3 * i + j:3 * i + j + 1].tobytes() == bits
+                   for part, bits in zip(tripled, alone) for j in range(3))
+    # a real s (one real exponential) next to complex s of its centre
+    real = sums(np.array([1.5 + 0j]))
+    mixed = sums(np.array([1.5 + 3j, 1.5 + 0j, 1.5 - 2.5j]))
+    assert [part[1:2].tobytes() for part in mixed] \
+        == [part.tobytes() for part in real]
+    # and through the transform: one batch against one call per s
+    many = ML.mellin_by_parts_many(1, s, X=2000.0)
+    assert many.tobytes() == np.array(
+        [ML.mellin_by_parts(1, sv, X=2000.0).value for sv in s]).tobytes()
+
+
+@pytest.mark.parametrize("bad, error", [
+    (complex(math.nan, 1.0), DomainError), (complex(2.0, math.inf), DomainError),
+    (0.2 + 5j, ConvergenceError), (0.26 + 0j, ConvergenceError)])
+def test_one_bad_s_fails_the_batch_as_alone(bad, error):
+    with pytest.raises(error) as alone:
+        ML.mellin_by_parts(1, bad, X=20.0)
+    with pytest.raises(error) as batch:
+        ML.mellin_by_parts_many(1, [2.0 + 1j, bad, 3.0 + 0j], X=20.0)
+    assert str(batch.value) == str(alone.value)
+
+
+def test_vertical_line_batch_memory_bounded():
+    # no per-s node-sized temporaries: a batch peaks below four node arrays
+    # (three per centre, plus Horner blocks of fixed size) and a few arrays
+    # of the batch's length, at 10^3 s as at 10^4
+    node_bytes = ML._grid(1, 2000.0, 3).engine.u.nbytes
+
+    def peak(n):
+        s = 1.5 + 1j * np.linspace(16.5, 32.0, n)
+        ML.mellin_by_parts_many(1, s, X=2000.0)
+        tracemalloc.start()
+        try:
+            ML.mellin_by_parts_many(1, s, X=2000.0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for n in (1_000, 10_000):
+        assert peak(n) <= 4 * node_bytes + 160 * n, n
+
+
 def test_square_identity_k2_real_positive():
     rep = ML.check_square_identity(2, 4.0 + 0j, X=150.0)
     assert rep.lhs.real > 0.0 and abs(rep.lhs.imag) < 1e-10
@@ -359,15 +477,15 @@ def test_inversion_k2():
 def test_inversion_sweep_transforms_each_node_once(monkeypatch):
     # at x = 10 the panels are 2 / freq = 5.46 wide and tile out from t = 0,
     # with U = 50 an edge: ten panels up to 50 (the last clipped at 50) and
-    # ten more up to 100.  Each of their nodes is transformed once.
+    # ten more up to 100.  Each of their nodes reaches the engine once.
     calls = []
-    transform = ML._PrimitiveGrid.transform
+    sums = ML._ExpSum.sums
 
-    def counting(grid, s):
-        calls.append(s)
-        return transform(grid, s)
+    def counting(engine, s):
+        calls.extend(s.tolist())
+        return sums(engine, s)
 
-    monkeypatch.setattr(ML._PrimitiveGrid, "transform", counting)
+    monkeypatch.setattr(ML._ExpSum, "sums", counting)
     ML.truncated_inversion(1, 10.0, 1.75, (50.0, 100.0), x_trunc=2000.0)
     assert len(calls) == 20 * NODES
     assert len(set(calls)) == len(calls)

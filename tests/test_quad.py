@@ -1,5 +1,6 @@
 """Adaptive oscillatory quadrature and vertical-line contour integrals."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hardylab.errors import BudgetError, DomainError
 from hardylab.hardy import z_breakpoints, z_eval_many
 from hardylab.moments import z_power_freq
+from hardylab.special import TWO_PI
 from hardylab.quad import (GAUSS_COLS, NODES, PanelSet, QuadratureResult,
                            integrate_oscillatory, integrate_vertical_line,
                            panel_edges, partial_integrals, split_lebesgue,
@@ -164,6 +166,30 @@ def test_panel_edges_one_walk_equals_joined_segments():
                              for lo, hi in zip(cuts[:-1], cuts[1:])] + [[700.0]])
     one = panel_edges(1.0, 700.0, freq, z_breakpoints(1.0, 700.0))
     assert one.tobytes() == joined.tobytes()
+
+
+# sha256 of the float64 edges and their count, pinned from the walk that
+# called float() and min() at every step; the inversion contour's panel
+# width at x = 10 is two periods of x^{it}
+_INVERSION_PANEL = 2.0 / (math.log(10.0) / TWO_PI)
+
+
+@pytest.mark.parametrize("args, digest, count", [
+    ((1.0, 1e4, z_power_freq(1), z_breakpoints(1.0, 1e4)),
+     "653076d45bc162c0a9cd6e5d0e6569038df6b562b0742eaed23f9bed043302f0", 20310),
+    ((1.0, 4000.0, z_power_freq(4), z_breakpoints(1.0, 4000.0)),
+     "cd8a9ba46fbe1826a58ff367ef780a4449527af5bcc9946dc6cf1f464fb6f3dc", 27813),
+    ((1.0, 4000.0, z_power_freq(4)),
+     "0f82afb8985b3fe272c004ac255ed096e109cba814c6c61cddd584bfb1a49116", 27801),
+    # integrate_vertical_line's constant-zero hint, at the inversion's
+    # panel width for x = 10 and heights 50 and 100
+    ((0.0, 100.0, lambda t: 0.0, [50.0, 100.0], _INVERSION_PANEL),
+     "bc67580799199290233e567887a69966304b9fd8673b9108fad0718eae9d6e4c", 21),
+])
+def test_panel_edges_pinned(args, digest, count):
+    edges = panel_edges(*args)
+    assert len(edges) == count
+    assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
 
 
 def test_panel_sums_exact_for_polynomials():

@@ -609,6 +609,8 @@ def z_breakpoints(a: float, b: float) -> tuple:
     """Points where the Riemann-Siegel evaluation is not smooth: the
     table/RS switch at t = 10 and the main-sum transitions t = 2*pi*n^2.
     Quadrature panels must not straddle these."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("z_breakpoints requires finite a and b")
     pts = []
     if a < 10.0 < b:
         pts.append(10.0)

@@ -7,14 +7,15 @@ Every numeric result carries a certificate: an upper bound on the combined
 truncation and quadrature error.  Truncated integrals run on fixed
 deterministic panel grids, and a transform at any batch of s is an
 exponential sum sum_i a_i e^{-s l_i} over a grid's nodes l_i = ln x_i.  One
-engine (_ExpSum) serves every such sum: it cuts the nodes into _SEGMENTS
-slices and puts each Im s within _TAYLOR_R of a centre on the lattice
-2 _TAYLOR_R Z.  Per (Re s, centre) it makes one pass over the nodes (one
-real exponential when the centre is 0, as for every real s) and a fixed
-set of Taylor moments per slice; each s then costs a Horner sum over the
-slices, independent of the node count.  A contour of thousands of s thus
-costs one node pass per centre instead of one complex exponential per node
-per s, and a value does not depend on the batch it came in.
+engine (_ExpSum) serves every such sum: it cuts the panels into at most
+_SEGMENTS slices and puts each Im s within _TAYLOR_R of a centre on the
+lattice 2 _TAYLOR_R Z.  Per (Re s, centre) it makes one pass over the nodes
+(one real exponential when the centre is 0, as for every real s) and a
+fixed set of Taylor moments per slice and panel column; a value and its G8
+check are two weightings of those moments, and each s then costs a Horner
+sum over the slices, independent of the node count.  A contour of thousands
+of s thus costs one node pass per centre instead of one complex exponential
+per node per s, and a value does not depend on the batch it came in.
 The square identity's right side is one Fubini sum on the moment cache's
 panels: its inner integrals up to X/u are prefix sums over the same node
 values, so it evaluates Z only on the last panel, clipped at X.
@@ -41,7 +42,7 @@ from .errors import (AccuracyError, CapacityError, ConvergenceError,
 from .explicit import CubicPrimitiveSum
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
 from .moments import moment_cache, z_power_freq
-from .quad import (GAUSS_COLS, NODES, PanelSet, integrals_at,
+from .quad import (_W_CHECK, _W_VALUE, NODES, PanelSet, integrals_at,
                    integrate_oscillatory, integrate_vertical_line, panel_edges)
 from .special import TWO_PI, gamma_complex
 
@@ -126,9 +127,11 @@ def _fitted_tail(k: int, s: np.ndarray, X: float) -> np.ndarray:
 # -- the exponential-sum engine ------------------------------------------------
 
 _TAYLOR_R = 4.0  # r: every Im s lies within r of a centre in 2r Z
-_SEGMENTS = 16  # J: slices of the node range, of equal ln-width
+_SEGMENTS = 16  # J: at most this many slices, cut at panel starts
 _TAYLOR_TOL = 1e-17  # bound on (|delta| R)^{P+1} / (P+1)! at the order P
 _S_BLOCK = 256  # s per Horner block: temporaries do not grow with the batch
+# per K17 column, its (value, check) weights over its K17 weight: [2, 1, NODES]
+_COLUMN_WEIGHTS = np.stack([np.ones(NODES), _W_CHECK / _W_VALUE])[:, None]
 
 
 def _taylor_orders(x: np.ndarray) -> np.ndarray:
@@ -156,16 +159,19 @@ def _row_sum(rows: np.ndarray) -> np.ndarray:
 
 class _ExpSum:
     """sum_i a_i e^{-s l_i} over the ascending nodes l_i of a K17 panel
-    grid, for a batch of s; with G8 check weights, the same sum over the
-    G8 nodes too.
+    grid (a_i: K17 weight times integrand), for a batch of s: a row of
+    values and a row of G8 check values.
 
-    The nodes are cut into _SEGMENTS contiguous slices of equal l-width,
-    slice j with centre L_j and half-width R_j, u = l - L_j.  Each s is
+    The panels are cut into at most _SEGMENTS slices of about equal l-width:
+    slice j has centre L_j and half-width R_j, u = l - L_j.  Each s is
     sigma + i (t_q + delta) with the centre t_q = 2r round(Im s / 2r), so
     |delta| <= r, and e^{-s l} = e^{-s L_j} e^{-(sigma + i t_q) u} e^{-i delta u}.
     One pass per (sigma, t_q) forms w = a e^{-(sigma + i t_q) u}, a real
-    exponential when t_q = 0, and the moments m_{j,p} = sum over slice j of
-    w u^p; then, by Horner in -i delta,
+    exponential when t_q = 0, and the sums of w u^p per slice and panel
+    column.  A node's G8 weight is its K17 weight times a fixed ratio per
+    column (0 off the G8 columns), so the value and check moments m_{j,p}
+    are the column sums weighted by 1 and by that ratio; then, by Horner in
+    -i delta,
 
         sum = sum_j e^{-s L_j} sum_{p <= P_s} (-i delta)^p m_{j,p} / p!,
 
@@ -173,107 +179,83 @@ class _ExpSum:
     _TAYLOR_TOL, R = max R_j.  For real delta u that is the Lagrange
     remainder of e^{-i delta u}, so the cut costs at most
     sum_j S_j (|delta| R_j)^{P_s+1} / (P_s+1)!, S_j = sum over slice j of
-    |a| e^{-sigma l} (for both weight sets together).  Products, sums and
-    the sum over slices are elementwise in a fixed order (no matmul), so a
+    |a| e^{-sigma l} over both rows.  Products, sums and the sums over
+    columns and slices are elementwise in a fixed order (no matmul), so a
     value depends only on (nodes, sigma, t_q, delta), never on its batch;
     an s with delta = 0 reads m_{j,0} alone.  Memory: three node-sized
     arrays per centre and Horner blocks of _S_BLOCK s, whatever the batch.
     """
 
-    def __init__(self, ln: np.ndarray, a: np.ndarray,
-                 a_check: np.ndarray | None = None):
+    def __init__(self, ln: np.ndarray, a: np.ndarray):
         """ln, the nodes, is overwritten: it becomes u."""
         if not len(ln):  # X = 1: one panel of weight 0
             ln, a = np.zeros(NODES), np.zeros(NODES)
-            a_check = None if a_check is None else np.zeros(NODES // 2)
-        n = len(ln)
-        cuts = np.searchsorted(ln, np.linspace(ln[0], ln[-1], _SEGMENTS + 1)[1:-1])
-        starts = np.unique(np.append(0, cuts[cuts < n]))
-        ends = np.append(starts[1:], n)
-        lo, hi = ln[starts], ln[ends - 1]
-        self.centre = 0.5 * (lo + hi)
-        self.half = 0.5 * (hi - lo)
+        ln, self.a = ln.reshape(-1, NODES), a.reshape(-1, NODES)
+        cuts = np.searchsorted(ln[:, 0], np.linspace(
+            ln[0, 0], ln[-1, -1], _SEGMENTS + 1)[1:-1])
+        self.starts = np.unique(np.append(0, cuts[cuts < len(ln)]))
+        ends = np.append(self.starts[1:], len(ln))
+        lo, hi = ln[self.starts, 0], ln[ends - 1, -1]
+        self.centre, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         self.radius = float(self.half.max())
-        # ln becomes u in place: no node-sized temporary
-        for j, c in enumerate(self.centre.tolist()):
-            ln[starts[j]:ends[j]] -= c
+        # ln becomes u in place: each panel less its slice's centre
+        ln -= np.repeat(self.centre, ends - self.starts)[:, None]
         self.u = ln
-        # (weights, their nodes' slice starts, the slices holding any)
-        self.rows = [(a, starts, None)]
-        if a_check is not None:
-            # G8 nodes (odd columns) before node i of its panel: (i % 17) // 2
-            first = starts // NODES * (NODES // 2) + starts % NODES // 2
-            held = np.diff(np.append(first, len(a_check))) > 0
-            self.rows.append((a_check, first[held], held))
 
     def sums(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The sums at every s of a flat complex array, one row per weight
-        set, and a bound on their Taylor truncation."""
+        """The values and check values at every s of a flat complex array,
+        as two rows, and a bound on their Taylor truncation."""
         sigma = s.real + 0.0  # no -0.0 keys
         tq = 2.0 * _TAYLOR_R * np.rint(s.imag / (2.0 * _TAYLOR_R)) + 0.0
         delta = s.imag - tq
-        out = np.empty((len(self.rows), len(s)), dtype=complex)
-        trunc = np.empty(len(s))
-        by_key = np.lexsort((tq, sigma))
-        new = (np.diff(sigma[by_key]) != 0.0) | (np.diff(tq[by_key]) != 0.0)
-        for idx in np.split(by_key, np.flatnonzero(new) + 1):
-            if len(idx):
-                out[:, idx], trunc[idx] = self._centre(
-                    float(sigma[idx[0]]), float(tq[idx[0]]), s.imag[idx],
-                    delta[idx])
+        out, trunc = np.empty((2, len(s)), dtype=complex), np.empty(len(s))
+        keys, inv = np.unique(sigma + 1j * tq, return_inverse=True)
+        for g, key in enumerate(keys.tolist()):
+            idx = np.flatnonzero(inv == g)
+            out[:, idx], trunc[idx] = self._centre(
+                key.real, key.imag, s.imag[idx], delta[idx])
         return out, trunc
 
-    def _moments(self, row, sigma, tq, P):
-        """m[p, (cos, sin), j] for p <= P, and S_j, of one weight set."""
-        a, starts, held = self.rows[row]
-        u = self.u if held is None else \
-            self.u.reshape(-1, NODES)[:, GAUSS_COLS].ravel()
-        # amp = a e^{-sigma u}; w = amp (cos, sin)(t_q u), or amp if t_q = 0
+    def _moments(self, sigma, tq, P):
+        """The node pass: m[p, (Re, Im), (value, check) x J, 1] for p <= P,
+        and S_j."""
+        u = self.u
+        # amp = a e^{-sigma u}; w = amp (cos, sin)(-t_q u), the (Re, Im) of
+        # a e^{-(sigma + i t_q) u}, or amp alone if t_q = 0
         amp = u * -sigma
         np.exp(amp, out=amp)
-        amp *= a
+        amp *= self.a
         # S_j only bounds a Taylor cut: none at P = 0
-        S = np.add.reduceat(np.abs(amp), starts) if P else np.zeros(len(starts))
+        S = np.add.reduceat(np.abs(amp), self.starts) if P else 0.0
         if tq == 0.0:
             w = amp[None]
         else:
-            w = np.empty((2, len(amp)))
-            for part, fn in zip(w, (np.cos, np.sin)):
-                np.multiply(u, tq, out=part)
-                fn(part, out=part)
+            w = np.empty((2, *u.shape))
+            np.multiply(u, -tq, out=w[1])
+            np.cos(w[1], out=w[0])
+            np.sin(w[1], out=w[1])
             w *= amp
         del amp
-        mom = [np.add.reduceat(w, starts, axis=1)]
-        for _ in range(P):
+        # per slice and column: w u^p for p <= P (Im 0 if t_q = 0), then |amp|
+        cols = np.zeros((P + 2, 2, len(self.starts), NODES))
+        cols[-1, 0] = S
+        np.add.reduceat(w, self.starts, axis=1, out=cols[0, :len(w)])
+        for p in range(1, P + 1):
             w *= u
-            mom.append(np.add.reduceat(w, starts, axis=1))
-        if held is None:
-            return np.array(mom), S
-        # slices without nodes of this set hold exact zeros
-        m = np.zeros((P + 1, len(w), len(held)))
-        m[:, :, held] = mom
-        S_held, S = S, np.zeros(len(held))
-        S[held] = S_held
-        return m, S
+            np.add.reduceat(w, self.starts, axis=1, out=cols[p, :len(w)])
+        del w  # before the column temporaries
+        # (value, check) sums: the columns times _COLUMN_WEIGHTS, in a fixed order
+        m = _row_sum(np.moveaxis(cols[..., None, :, :] * _COLUMN_WEIGHTS, -1, 0))
+        return m[:-1].reshape(P + 1, 2, -1, 1), _row_sum(m[-1, 0])[:, None]
 
     def _centre(self, sigma, tq, t, delta):
         mag = np.exp(-sigma * self.centre)[:, None]
         # the largest |delta| has the highest order
-        P = int(_taylor_orders(np.abs(delta[[np.argmax(np.abs(delta))]])
-                               * self.radius)[0])
-        parts = [self._moments(row, sigma, tq, P) for row in range(len(self.rows))]
-        # m[p] = (Re, Im) of the moments, [P+1, 2, rows * J, 1]
-        m = np.concatenate([part[0] for part in parts], axis=2)
-        if tq == 0.0:
-            m = np.concatenate([m, np.zeros_like(m)], axis=1)
-        else:
-            m[:, 1] *= -1.0
-        m = m[..., None]
-        S = _row_sum(np.array([part[1] for part in parts]))[:, None] * mag
+        P = int(_taylor_orders(np.abs(delta).max(keepdims=True) * self.radius)[0])
+        m, S = self._moments(sigma, tq, P)
         sign = np.array([1.0, -1.0])[:, None, None]
         fact = np.array([float(math.factorial(q)) for q in range(P + 2)])
-        out = np.empty((len(parts), len(t)), dtype=complex)
-        trunc = np.zeros(len(t))
+        out, trunc = np.empty((2, len(t)), dtype=complex), np.zeros(len(t))
         for i in range(0, len(t), _S_BLOCK):
             sl = slice(i, i + _S_BLOCK)
             d = delta[sl]
@@ -286,7 +268,7 @@ class _ExpSum:
             h = np.zeros((2, m.shape[2], len(d)))
             for q in p[::-1].tolist():
                 h = np.where(on[q], m[q] + h[::-1] * g[q], 0.0)
-            h = h.reshape(2, len(parts), len(self.centre), -1)
+            h = h.reshape(2, 2, len(self.centre), -1)
             # times e^{-s L_j} = mag (cos - i sin)(t L_j), summed over j
             theta = np.multiply.outer(self.centre, t[sl])
             er, ei = mag * np.cos(theta), mag * np.sin(theta)
@@ -294,7 +276,7 @@ class _ExpSum:
             out.real[:, sl], out.imag[:, sl] = _row_sum(v.transpose(2, 0, 1, 3))
             if P:
                 x = np.abs(d) * self.half[:, None]
-                trunc[sl] = _row_sum(S * x ** (o + 1) / fact[o + 1])
+                trunc[sl] = _row_sum(S * mag * x ** (o + 1) / fact[o + 1])
         return out, trunc
 
 
@@ -305,8 +287,8 @@ class _PrimitiveGrid:
 
     The transform is computed through the exactly equivalent boundary form
     integral_1^X Z^k x^{-s} dx - I_k(X) X^{-s} (one integration by parts
-    back), so the grid keeps the K17 weights times Z^k at its nodes, and
-    the G8 check weights at the G8 nodes, as one _ExpSum: a batch of s
+    back), so the grid keeps the K17 weights times Z^k at its nodes as one
+    _ExpSum, whose G8 check comes from the same node pass: a batch of s
     costs one node pass per centre, whatever its size.  Grids are
     banded by |Im s|: the frequency hint adds the twist |Im s|/(2 pi x) so
     panels resolve x^{-it} down to x = 1.  Band 0 has no twist: its panels
@@ -329,11 +311,7 @@ class _PrimitiveGrid:
             panels = PanelSet.from_edges(
                 panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
             zk = z_eval_many(panels.nodes()) ** k
-        # check weights only at the G8 columns: no zeros stored
-        a_check = (panels.weights(check=True) * zk).reshape(
-            -1, NODES)[:, GAUSS_COLS].ravel()
-        self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk,
-                              a_check)
+        self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk)
         self.lnX = math.log(X)
         self.I_X = float(cache.eval_many(np.array([X]))[0])
         self.I_X_err = float(cache.err_at(X))
@@ -378,13 +356,19 @@ def _pick_x(k: int, sigma: float, s_abs: float, tol: float,
 
 # -- core transforms ------------------------------------------------------------
 
+def _finite(name: str, s_values) -> np.ndarray:
+    """s_values as a flat complex array; DomainError unless all are finite."""
+    s = np.asarray(s_values, dtype=complex).ravel()
+    if not np.all(np.isfinite(s)):
+        raise DomainError(f"{name} requires finite s")
+    return s
+
+
 def _checked(k: int, s_values) -> np.ndarray:
     """s_values as a flat complex array, with mellin_by_parts' errors."""
     if k not in (1, 2, 3, 4):
         raise DomainError("mellin_by_parts supports k in {1,2,3,4}")
-    s = np.asarray(s_values, dtype=complex).ravel()
-    if not np.all(np.isfinite(s)):
-        raise DomainError("mellin_by_parts requires finite s")
+    s = _finite("mellin_by_parts", s_values)
     e_k = _PRIM_EXP[k]
     if np.any(s.real <= e_k + _MARGIN):
         raise ConvergenceError(
@@ -467,16 +451,14 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
     certificate integrates the primitive bound by parts:
     |tail| <= 2|s| C_k X^{e_k - sigma} / (sigma - e_k).
     """
-    s = complex(s)
     if k not in (1, 2, 3, 4):
         raise DomainError("mellin_direct supports k in {1,2,3,4}")
-    if not cmath.isfinite(s):
-        raise DomainError("mellin_direct requires finite s")
+    s = complex(_finite("mellin_direct", s)[0])
     sigma = s.real
     if sigma <= 1.1:
         raise ConvergenceError("mellin_direct requires Re s > 1.1")
-    if X < 10.0:
-        raise DomainError("mellin_direct requires X >= 10")
+    if not 10.0 <= X < math.inf:
+        raise DomainError("mellin_direct requires finite X >= 10")
     t_im = abs(s.imag)
     zfreq = z_power_freq(k)
 
@@ -503,11 +485,12 @@ def v1_series(s: complex, N: int, table: DivisorTable) -> complex:
 
     The partial sums converge absolutely for Re s > 5/4.
     """
+    s = complex(_finite("v1_series", s)[0])
     if N < 1:
         raise DomainError("v1_series requires N >= 1")
     if N > table.limit:
         raise CapacityError(f"d_3 table limit {table.limit} < N = {N}")
-    return _cubic_sum(table).transform(complex(s), N)
+    return _cubic_sum(table).transform(s, N)
 
 
 @functools.cache
@@ -540,46 +523,44 @@ def _v2_grid(table: DivisorTable, X: float):
     return _ExpSum(np.log(x), panels.weights() * r), n_cut
 
 
-def v2_residual(s: complex, X: float, table: DivisorTable) -> complex:
+def v2_residual(s, X: float, table: DivisorTable):
     """The residual transform s * integral of (I_3 - cubic sum)(x) x^{-s-1}
     over [1, X], minus the closed-form contribution S(X) X^{-s} of the
-    frozen cutoff sum on [X, inf).
+    frozen cutoff sum on [X, inf): a complex for one s, a list for a
+    sequence of s, from one engine call.
 
     With N = floor((X/2pi)^{3/2}) matched, v1_series(s, N) + v2_residual(s, X)
     telescopes exactly (up to quadrature) to the X-truncated transform of
     I_3, i.e. to mellin_by_parts(3, s, X=X) before its tail certificate.
     Regular for Re s > 3/4; requires Re s > 0.8.
     """
-    s = complex(s)
-    if s.real <= 0.8:
+    sv = _finite("v2_residual", s)
+    if np.any(sv.real <= 0.8):
         raise ConvergenceError("v2_residual requires Re s > 0.8")
-    if X < 100.0:
-        raise DomainError("v2_residual requires X >= 100")
+    if not 100.0 <= X < math.inf:
+        raise DomainError("v2_residual requires finite X >= 100")
     cube = _cubic_sum(table)
     if cube.cutoff(X) > table.limit:
         raise CapacityError("d_3 table too small for X")
     engine, n_cut = _v2_grid(table, X)
-    val = complex(engine.sums(np.array([s + 1.0]))[0][0, 0])
-    boundary = cube.prefix[n_cut] * cmath.exp(-s * math.log(X))
-    return s * val - boundary
+    lnX, prefix = math.log(X), cube.prefix[n_cut]
+    out = [x * val - prefix * cmath.exp(-x * lnX) for x, val in
+           zip(sv.tolist(), engine.sums(sv + 1.0)[0][0].tolist())]
+    return out if np.ndim(s) else out[0]
 
 
-def m3_decomposition(s: complex, X: float, table: DivisorTable) -> dict:
+def m3_decomposition(s, X: float, table: DivisorTable):
     """V1 + V2 against the X-truncated transform of I_3 at matched cutoffs,
-    which they telescope to (see v2_residual)."""
-    s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError("m3_decomposition requires finite s")
-    m3 = complex(_truncated(3, np.array([s]), X)[0][0])  # first: checks X
+    which they telescope to (see v2_residual): a dict for one s, a list for
+    a sequence of s, from one engine call per grid."""
+    sv = _finite("m3_decomposition", s)
+    m3 = _truncated(3, sv, X)[0].tolist()  # first: checks X
     n_cut = _cubic_sum(table).cutoff(X)
-    v1 = v1_series(s, n_cut, table)
-    v2 = v2_residual(s, X, table)
-    gap = abs(v1 + v2 - m3)
-    return {
-        "s": s, "X": float(X), "N": n_cut,
-        "v1": v1, "v2": v2, "sum": v1 + v2, "m3": m3,
-        "gap_abs": gap, "gap_rel": gap / abs(m3),
-    }
+    v1 = [v1_series(x, n_cut, table) for x in sv.tolist()]
+    out = [{"s": x, "X": float(X), "N": n_cut, "v1": a, "v2": b, "sum": a + b,
+            "m3": c, "gap_abs": abs(a + b - c), "gap_rel": abs(a + b - c) / abs(c)}
+           for x, a, b, c in zip(sv.tolist(), v1, v2_residual(sv, X, table), m3)]
+    return out if np.ndim(s) else out[0]
 
 
 # -- Laurent fit around s = 1 ----------------------------------------------------
@@ -590,8 +571,10 @@ def laurent_fit_at_1(samples) -> tuple[float, float, float]:
     the smallest retained basis-term magnitude."""
     ds = np.array([float(d) for d, _ in samples])
     vals = np.array([complex(v).real for _, v in samples])
-    if np.any(ds <= 0.0) or len(set(ds.tolist())) != len(ds):
-        raise DomainError("laurent_fit_at_1 needs distinct positive deltas")
+    ok = np.isfinite(ds) & np.isfinite(vals) & (ds > 0.0)
+    if not np.all(ok) or len(set(ds.tolist())) != len(ds):
+        raise DomainError("laurent_fit_at_1 needs distinct finite positive "
+                          "deltas and finite values")
     A = np.stack([ds ** -2.0, ds ** -1.0, np.ones_like(ds)], axis=1)
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     resid = float(np.max(np.abs(vals - A @ coef)))
@@ -788,7 +771,7 @@ def _lbar_many(xs: np.ndarray, y: np.ndarray, zy: np.ndarray) -> np.ndarray:
 def laplace_consistency(s: complex, tol: float = 1e-5) -> IdentityReport:
     """integral over x of Lbar(x) x^{s-1} against M_1(s) Gamma(s), where
     Lbar(x) = integral of Z(y) e^{-x y} over [1, inf)."""
-    s = complex(s)
+    s = complex(_finite("laplace_consistency", s)[0])
     if not 1.0 < s.real < 3.0:
         raise DomainError("laplace_consistency requires 1 < Re s < 3")
     sigma = s.real

@@ -275,8 +275,8 @@ def integrate_vertical_line(F: Callable, c: float, t0: float, t1,
     their |K17 - G8|.
     """
     heights = np.atleast_1d(np.asarray(t1, dtype=float))
-    if not np.all(heights > t0):
-        raise DomainError("integrate_vertical_line requires t0 < t1")
+    if not (math.isfinite(t0) and np.all(np.isfinite(heights) & (heights > t0))):
+        raise DomainError("integrate_vertical_line requires finite t0 < t1")
     edges = panel_edges(t0, float(heights.max()), lambda t: 0.0,
                         heights.tolist(), max_panel)
     v, e, _ = PanelSet.from_edges(edges).estimate(lambda t: F(c + 1j * t))

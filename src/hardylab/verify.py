@@ -174,13 +174,10 @@ def suite_identities(cfg: RunConfig) -> list[Check]:
 
 
 def suite_series_decomposition(cfg: RunConfig) -> list[Check]:
-    table = divisor_sieve(3, 20000)
-    out = []
-    for s in (2.0 + 0j, 2.5 + 0j, 1.6 + 1j):
-        d = ML.m3_decomposition(s, 1000.0, table)
-        out.append(_check(f"series-decomposition-s{s.real:g}{s.imag:+g}j",
-                          d["gap_rel"], 1e-5))
-    return out
+    s = (2.0 + 0j, 2.5 + 0j, 1.6 + 1j)
+    decomp = ML.m3_decomposition(s, 1000.0, divisor_sieve(3, 20000))
+    return [_check(f"series-decomposition-s{d['s'].real:g}{d['s'].imag:+g}j",
+                   d["gap_rel"], 1e-5) for d in decomp]
 
 
 def suite_divisor_oracle(cfg: RunConfig) -> list[Check]:

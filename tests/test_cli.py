@@ -121,6 +121,20 @@ def test_mellin_table_batch_matches_per_row_calls(capsys, monkeypatch):
     assert code == 0 and per_row == batched
 
 
+def test_mellin_decompose_batch_matches_per_row_calls(capsys, monkeypatch):
+    # a 3 x 10 decomposition table is one m3_decomposition call: the same
+    # bytes as one call per row
+    argv = ("mellin", "--k", "3", "--decompose", "--X", "1000",
+            "--sigma", "1.6:2.4:3", "--t=-9:9:10")
+    code, batched, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(batched.splitlines()) == 31
+    batch = ML.m3_decomposition
+    monkeypatch.setattr(ML, "m3_decomposition", lambda s, X, table: [
+        batch(sv, X, table) for sv in s])
+    code, per_row, _ = run_cli(capsys, *argv)
+    assert code == 0 and per_row == batched
+
+
 def test_mellin_laurent(capsys):
     code, out, _ = run_cli(capsys, "mellin", "--k", "2", "--laurent")
     assert code == 0

@@ -61,6 +61,42 @@ def test_non_finite_s_rejected(s, d3_table):
         ML.m3_decomposition(s, 1000.0, d3_table)
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda d3: z_breakpoints(1.0, INF),
+    lambda d3: z_breakpoints(1.0, NAN),
+    lambda d3: z_breakpoints(NAN, 10.0),
+    lambda d3: moments.hardy_moment(1, 1.0, INF),
+    lambda d3: ML.mellin_direct(1, 2.0 + 0j, X=INF),
+    lambda d3: ML.mellin_direct(1, 2.0 + 0j, X=NAN),
+    lambda d3: integrate_vertical_line(lambda s: s, 2.0, 0.0, INF),
+    lambda d3: integrate_vertical_line(lambda s: s, 2.0, 0.0, [4.0, NAN]),
+    lambda d3: integrate_vertical_line(lambda s: s, 2.0, -INF, 4.0),
+    lambda d3: ML.truncated_inversion(1, 10.0, 1.5, INF),
+    lambda d3: ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [4.0, INF], x_nodes=20.0),
+    lambda d3: ML.v1_series(complex(NAN, 0.0), 10, d3),
+    lambda d3: ML.v2_residual(complex(NAN, 0.0), 1000.0, d3),
+    lambda d3: ML.v2_residual(complex(2.0, INF), 1000.0, d3),
+    lambda d3: ML.v2_residual(2.0 + 0j, NAN, d3),
+    lambda d3: ML.v2_residual([2.0 + 0j, complex(2.0, NAN)], 1000.0, d3),
+    lambda d3: ML.m3_decomposition([2.0 + 0j, complex(INF, 1.0)], 1000.0, d3),
+    lambda d3: ML.laplace_consistency(complex(2.0, NAN)),
+    lambda d3: ML.laurent_fit_at_1([(0.02, 1.0), (NAN, 2.0), (0.05, 3.0)]),
+    lambda d3: ML.laurent_fit_at_1([(0.02, 1.0), (0.03, NAN), (0.05, 3.0)]),
+], ids=["breaks-b-inf", "breaks-b-nan", "breaks-a-nan", "moment-b-inf",
+        "direct-X-inf", "direct-X-nan", "line-t1-inf", "line-t1-nan",
+        "line-t0-inf", "inversion-U-inf", "convolution-V-inf", "v1-s-nan",
+        "v2-s-nan", "v2-t-inf", "v2-X-nan", "v2-batch-nan", "m3-batch-inf",
+        "laplace-t-nan", "laurent-delta-nan", "laurent-value-nan"])
+def test_non_finite_input_fails_before_work(call, d3_table):
+    # non-finite bounds and s raise at once: none loops, runs out a budget,
+    # ends in a numpy warning or returns nan
+    with pytest.raises(DomainError):
+        call(d3_table)
+
+
 @pytest.mark.parametrize("X", [0.5, -3.0, 0.0, math.nan, math.inf])
 def test_truncation_height_below_one_rejected(X, d3_table):
     with pytest.raises(DomainError, match="X"):
@@ -301,14 +337,15 @@ def _direct_sum(ln, a, s):
 
 
 def _grid_sums(panels, zk):
-    # nodes, K17 weights times Z^k, and the same at the G8 columns
+    # nodes and K17 weights times the integrand: the engine's input; the
+    # same at the G8 columns with the G8 weights: the check's reference
     ln = np.log(panels.nodes())
     a_check = (panels.weights(check=True) * zk).reshape(-1, NODES)
     return (ln, panels.weights() * zk, ln.reshape(-1, NODES)[:, 1::2].ravel(),
             a_check[:, 1::2].ravel())
 
 
-def _band3_nodes():
+def _band3_nodes(table):
     # the k = 1, X = 2000 band-3 grid
     zfreq = z_power_freq(1)
     panels = PanelSet.from_edges(panel_edges(
@@ -317,9 +354,23 @@ def _band3_nodes():
     return _grid_sums(panels, z_eval_many(panels.nodes()))
 
 
-def _laurent_nodes():
+def _laurent_nodes(table):
     # the k = 2, X = 8000 band-0 grid: the moment cache's panels
     return _grid_sums(*moment_cache(2).panels(8000.0))
+
+
+def _v2_nodes(table):
+    # the V_2 grid at X = 1000, whose weights are I_3 - S_3, not Z^k: the
+    # G8 check is a column reweighting for any integrand
+    cube = ML._cubic_sum(table)
+    jumps = tuple(TWO_PI * m ** (2.0 / 3.0)
+                  for m in range(1, cube.cutoff(1000.0) + 1))
+    panels = PanelSet.from_edges(panel_edges(
+        1.0, 1000.0, z_power_freq(3), z_breakpoints(1.0, 1000.0) + jumps))
+    x = panels.nodes()
+    out = _grid_sums(panels, moment_cache(3).eval_many(x) - cube.eval_many(x))
+    assert np.array_equal(ML._v2_grid(table, 1000.0)[0].a.ravel(), out[1])
+    return out
 
 
 @pytest.mark.parametrize("nodes, s", [
@@ -328,10 +379,12 @@ def _laurent_nodes():
         np.random.default_rng(11).uniform(-64.0, 64.0, 64))),
     (_band3_nodes, 0.75 + 1j * np.random.default_rng(12).uniform(-64.0, 64.0, 64)),
     (_laurent_nodes, 1.0 + np.array([0.02, 0.03, 0.05, 0.08, 0.12, 0.2]) + 0j),
+    (_v2_nodes, np.append([3.0, 3.5, 2.6 + 1j],
+                          1.8 + 1j * np.linspace(-8.0, 8.0, 17))),
 ])
-def test_engine_matches_direct_sum(nodes, s):
-    ln, a, ln_check, a_check = nodes()
-    got, trunc = ML._ExpSum(ln.copy(), a, a_check).sums(s)
+def test_engine_matches_direct_sum(nodes, s, d3_table):
+    ln, a, ln_check, a_check = nodes(d3_table)
+    got, trunc = ML._ExpSum(ln.copy(), a).sums(s)
     for row, (lr, ar) in zip(got, ((ln, a), (ln_check, a_check))):
         want, mass = _direct_sum(lr, ar, s)
         gap = np.abs(row - want)

@@ -41,9 +41,10 @@ from .errors import (AccuracyError, CapacityError, ConvergenceError,
                      DomainError, FitError)
 from .explicit import CubicPrimitiveSum
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
-from .moments import moment_cache, z_power_freq
-from .quad import (_W_CHECK, _W_VALUE, NODES, PanelSet, integrals_at,
-                   integrate_oscillatory, integrate_vertical_line, panel_edges)
+from .moments import moment_cache, power_in_place, z_power_freq
+from .quad import (_W_CHECK, _W_VALUE, NODES, PanelSet, check_heights,
+                   integrals_at, integrate_oscillatory,
+                   integrate_vertical_line, panel_edges)
 from .special import TWO_PI, gamma_complex
 
 # decay exponent of |I_k(x)| (growth certificates; k = 2, 4 via (2.8)-type
@@ -193,7 +194,9 @@ class _ExpSum:
         ln, self.a = ln.reshape(-1, NODES), a.reshape(-1, NODES)
         cuts = np.searchsorted(ln[:, 0], np.linspace(
             ln[0, 0], ln[-1, -1], _SEGMENTS + 1)[1:-1])
-        self.starts = np.unique(np.append(0, cuts[cuts < len(ln)]))
+        # ascending: drop repeats by their diff (np.unique imports numpy.ma)
+        cuts = np.append(0, cuts[cuts < len(ln)])
+        self.starts = cuts[np.append(True, np.diff(cuts) > 0)]
         ends = np.append(self.starts[1:], len(ln))
         lo, hi = ln[self.starts, 0], ln[ends - 1, -1]
         self.centre, self.half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -310,7 +313,7 @@ class _PrimitiveGrid:
 
             panels = PanelSet.from_edges(
                 panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
-            zk = z_eval_many(panels.nodes()) ** k
+            zk = power_in_place(z_eval_many(panels.nodes()), k)
         self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk)
         self.lnX = math.log(X)
         self.I_X = float(cache.eval_many(np.array([X]))[0])
@@ -381,7 +384,7 @@ def _truncated(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]
     value = np.empty(len(s), dtype=complex)
     err = np.empty(len(s))
     bands = _band(np.abs(s.imag))
-    for band in np.unique(bands).tolist():
+    for band in np.flatnonzero(np.bincount(bands)).tolist():
         m = bands == band
         value[m], err[m] = _grid(k, X, band).truncated(s[m])
     return value, err
@@ -466,7 +469,7 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
         return zfreq(x) + t_im / (TWO_PI * x)
 
     def f(x: np.ndarray) -> np.ndarray:
-        return z_eval_many(x) ** k * np.exp(-s * np.log(x))
+        return power_in_place(z_eval_many(x), k) * np.exp(-s * np.log(x))
 
     res = integrate_oscillatory(f, 1.0, X, freq, tol=tol, budget=budget,
                                 breakpoints=z_breakpoints(1.0, X))
@@ -639,6 +642,7 @@ def check_convolution(k: int, r: int, s: complex, c: float, V,
     s = complex(s)
     if not 1 <= r < k:
         raise DomainError("check_convolution requires 1 <= r < k")
+    check_heights(0.0, V)  # before any transform
     lhs_s = mellin_by_parts(k, s, tol=tol)
 
     def F(w: np.ndarray) -> np.ndarray:

@@ -19,6 +19,11 @@ interpolation carries the base values' rounding noise into all k
 sub-panels with one sign, which |K17 - G8| does not see, so each sub-panel's
 error adds an empirical estimate of it (MomentCache._split).
 
+Every node array of Z^k, here and in the mellin grids, is raised in place by
+power_in_place: k - 1 products for k <= 4, not libm pow, so within
+gamma_{k-1} = (k-1) u / (1 - (k-1) u) relative of the exact power of the
+stored Z (u = 2^-53; Higham 2002, section 3.1).
+
 The walk is canonical: ensure(x) continues it from the last edge and stops
 at the first edge (for k >= 2, sub-edge) past x, and anchors are summed one
 panel at a time from the last anchor, so edges, anchors and node values are
@@ -61,6 +66,20 @@ def z_power_freq(k: int):
     return freq
 
 
+def power_in_place(a: np.ndarray, k: int) -> np.ndarray:
+    """a^k, formed in a (which the caller owns) and returned: for k = 2, 3, 4
+    the products a*a, a*(a*a) (one temporary) and (a*a)*(a*a), not pow."""
+    if k == 3:
+        a *= a * a
+    elif k in (2, 4):
+        a *= a
+        if k == 4:
+            a *= a
+    elif k > 4:
+        a **= k
+    return a
+
+
 def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
                  budget: int | None = None) -> MomentResult:
     """integral of Z^k over [a, b], adaptive; Z from the Riemann-Siegel
@@ -71,7 +90,7 @@ def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
         raise DomainError("hardy_moment requires 1 <= a < b")
 
     def f(t: np.ndarray) -> np.ndarray:
-        return z_eval_many(t) ** k
+        return power_in_place(z_eval_many(t), k)
 
     res = integrate_oscillatory(f, a, b, z_power_freq(k), tol=tol,
                                 budget=budget, breakpoints=z_breakpoints(a, b))
@@ -101,7 +120,7 @@ class MomentCache:
         self.zk = np.empty((0, NODES))
 
     def _zk(self, t: np.ndarray) -> np.ndarray:
-        return z_eval_many(t) ** self.k
+        return power_in_place(z_eval_many(t), self.k)
 
     def ensure(self, x_max: float) -> None:
         """Continue the walk to the first edge past x_max."""
@@ -159,7 +178,7 @@ class MomentCache:
             z = rows[j:j + step]
             panels = PanelSet(sub[j * k:(j + len(z)) * k],
                               sub[j * k + 1:(j + len(z)) * k + 1])
-            y = split_values(z, k) ** k
+            y = power_in_place(split_values(z, k), k)
             val = panels.sums(y)
             per_width = (k * split_lebesgue(k) * np.abs(z).max(axis=1) ** (k - 1)
                          * legendre_tail(z))

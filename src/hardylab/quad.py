@@ -32,7 +32,6 @@ import numpy as np
 from ._kronrod_table import KRONROD, LEGENDRE
 from .config import DEFAULTS
 from .errors import BudgetError, DomainError
-from .special import _ELEMS
 
 # nodes on [-1, 1], the K17 value weights and the G8 check weights (zero off
 # the G8 nodes, which are the odd-numbered columns: GAUSS_COLS)
@@ -46,6 +45,9 @@ _LEGENDRE = np.array(LEGENDRE.split(), dtype=float).reshape(NODES, NODES)
 # default cap on panel width where the frequency hint vanishes
 MAX_PANEL = 4.0
 _MAX_DEPTH = 40
+# points per block of integrals_at: partial_integrals' (points, 17) work
+# arrays, 557 KB each, then fit the L2 cache together
+_EVAL_BLOCK = 4096
 # binary64 evaluation-noise floor, relative to the local L1 mass of a
 # panel; refinement below this level only chases rounding jitter
 _NOISE_FLOOR = 4e-12
@@ -144,16 +146,15 @@ def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,
     """Integrals up to each point of xs on ascending panels [lo_i, hi_i]
     with integral anchors[i] at lo_i and values y[i] at panel i's 17 nodes:
     the anchor at the left edge of the point's panel plus the integral of
-    the panel's interpolant up to the point, in blocks of at most _ELEMS
-    node values.  Returns the integrals and each point's panel index."""
+    the panel's interpolant up to the point, in blocks of _EVAL_BLOCK
+    points.  Returns the integrals and each point's panel index."""
     idx = np.searchsorted(lo, xs, side="right") - 1
     a, b = lo[idx], hi[idx]
     # tau is exactly -1 at a left edge, where the integral is exactly 0
     tau = 2.0 * (xs - a) / (b - a) - 1.0
     out = anchors[idx]
-    step = _ELEMS // NODES
-    for j in range(0, len(xs), step):
-        sl = slice(j, j + step)
+    for j in range(0, len(xs), _EVAL_BLOCK):
+        sl = slice(j, j + _EVAL_BLOCK)
         out[sl] += 0.5 * (b[sl] - a[sl]) * partial_integrals(y[idx[sl]], tau[sl])
     return out, idx
 
@@ -262,6 +263,15 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     return result
 
 
+def check_heights(t0: float, t1) -> np.ndarray:
+    """t1, one height or a sequence, as a 1-d float array; DomainError
+    unless t0 and every height are finite and every height exceeds t0."""
+    heights = np.atleast_1d(np.asarray(t1, dtype=float))
+    if not (math.isfinite(t0) and np.all(np.isfinite(heights) & (heights > t0))):
+        raise DomainError("integrate_vertical_line requires finite t0 < t1")
+    return heights
+
+
 def integrate_vertical_line(F: Callable, c: float, t0: float, t1,
                             max_panel: float = 1.0):
     """(1/2*pi*i) * integral of F(s) ds along s = c + i*t, t in [t0, t1], for
@@ -274,9 +284,7 @@ def integrate_vertical_line(F: Callable, c: float, t0: float, t1,
     is the numpy sum of the panel values below it, its estimate the fsum of
     their |K17 - G8|.
     """
-    heights = np.atleast_1d(np.asarray(t1, dtype=float))
-    if not (math.isfinite(t0) and np.all(np.isfinite(heights) & (heights > t0))):
-        raise DomainError("integrate_vertical_line requires finite t0 < t1")
+    heights = check_heights(t0, t1)
     edges = panel_edges(t0, float(heights.max()), lambda t: 0.0,
                         heights.tolist(), max_panel)
     v, e, _ = PanelSet.from_edges(edges).estimate(lambda t: F(c + 1j * t))

@@ -1,11 +1,16 @@
 """Mellin transforms, continuation, decomposition, Laurent fit, identities."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hardylab
 import hardylab.mellin as ML
 from hardylab import moments
 from hardylab.errors import (CapacityError, ConvergenceError, DomainError,
@@ -95,6 +100,35 @@ def test_non_finite_input_fails_before_work(call, d3_table):
     # ends in a numpy warning or returns nan
     with pytest.raises(DomainError):
         call(d3_table)
+
+
+def test_convolution_rejects_a_bad_height_before_any_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("a transform grid was requested")
+
+    monkeypatch.setattr(ML, "_grid", no_grid)
+    with pytest.raises(DomainError):
+        ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [4.0, INF])
+
+
+_NO_MA = """
+import sys
+from hardylab.mellin import mellin_by_parts
+mellin_by_parts(2, 1.1)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_by_parts_leaves_numpy_ma_unimported():
+    # numpy.ma costs a fresh process about 10 ms to import
+    env = dict(os.environ)
+    src = str(Path(hardylab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", _NO_MA], env=env,
+                         capture_output=True, text=True, timeout=300,
+                         check=True)
+    assert res.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("X", [0.5, -3.0, 0.0, math.nan, math.inf])

@@ -1,6 +1,8 @@
 """Moment integrals I_k, the cumulative primitive F, and absolute moments."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
 from hardylab.moments import (MomentCache, hardy_moment, moment_cache,
-                              z_power_freq)
+                              power_in_place, z_power_freq)
 from hardylab.quad import PanelSet, integrate_oscillatory, panel_edges
 
 
@@ -178,9 +180,52 @@ def test_cache_panels_are_shared_up_to_a_clipped_last_panel():
     assert zk[-17:].tobytes() == last.tobytes()
 
 
+def _power_inputs():
+    # seeded normals of both signs, exact zeros and tiny magnitudes
+    rng = np.random.default_rng(20)
+    return np.concatenate([rng.normal(0.0, 5.0, 2000), np.zeros(3),
+                           rng.normal(0.0, 1e-60, 200)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_power_in_place_bits(k):
+    # k = 1, 2 keep the bits of ** k; k = 3, 4 are products, not pow
+    a = _power_inputs()
+    b = a.copy()
+    assert power_in_place(b, k) is b
+    ref = {1: a ** 1, 2: a ** 2, 3: (a * a) * a, 4: (a * a) * (a * a)}[k]
+    assert b.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_power_in_place_rounding_bound(k):
+    # k - 1 roundings: within gamma_{k-1} = m u / (1 - m u) relative of the
+    # exact power (Higham 2002, section 3.1)
+    a = _power_inputs()
+    got = power_in_place(a.copy(), k)
+    m, u = k - 1, Fraction(1, 2 ** 53)
+    gamma = m * u / (1 - m * u)
+    for x, y in zip(a.tolist(), got.tolist()):
+        exact = Fraction(x) ** k
+        assert abs(Fraction(y) - exact) <= gamma * abs(exact)
+
+
+@pytest.mark.parametrize("k, temporaries", [(4, 0), (3, 1)])
+def test_power_in_place_allocates_no_node_copy(k, temporaries):
+    a = np.random.default_rng(21).normal(size=100_000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        power_in_place(a, k)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < (temporaries + 0.5) * a.nbytes
+
+
 def test_cache_eval_blocks_do_not_change_values():
-    # eval_many works in blocks of _ELEMS // 17 points; a point's value does
-    # not depend on its block
+    # eval_many works in blocks of quad._EVAL_BLOCK points; a point's value
+    # does not depend on its block
     cache = MomentCache(1)
     xs = np.random.default_rng(9).uniform(1.0, 300.0, 40_000)
     whole = cache.eval_many(xs)
@@ -191,7 +236,8 @@ def test_cache_eval_blocks_do_not_change_values():
 
 # I_k at seeded points (rng 2015 on [1, 300] after 1, 10 and 150), as
 # float.hex of the values eval_many gave before it shared
-# quad.integrals_at with the square identity
+# quad.integrals_at with the square identity; k = 3 since Z^3 is the
+# product Z (Z Z), not pow (its last three entries moved by 3, 2 and 4 ulp)
 EVAL_XS = [1.0, 10.0, 150.0, 151.71758919021917, 67.49614173360439,
            231.65691881913796, 290.2164862884349, 49.6739221585803]
 EVAL_REF = {
@@ -205,8 +251,8 @@ EVAL_REF = {
         "0x1.caa390e1f83b0p+6"],
     3: ["0x0.0p+0", "-0x1.4877b4e5073dcp+3", "0x1.a8e357f9b14e4p+6",
         "0x1.a5a2e8cb980c8p+6", "-0x1.56eea3b5c498ap+6",
-        "0x1.4ec8f267774b4p+8", "0x1.07ba885088dd3p+9",
-        "0x1.bcf9a9b6aa9d7p+3"],
+        "0x1.4ec8f267774b7p+8", "0x1.07ba885088dd5p+9",
+        "0x1.bcf9a9b6aa9d3p+3"],
     4: ["0x0.0p+0", "0x1.9fe6ec7a66953p+3", "0x1.3f1cef911588dp+12",
         "0x1.3f2e5e5ab9f41p+12", "0x1.2f7570348ccfbp+10",
         "0x1.58402c0b39db9p+13", "0x1.0b8ad42e14fb0p+14",

@@ -8,7 +8,6 @@ Dirichlet hyperbola split at r = isqrt(limit), so it costs r numpy steps.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -59,38 +58,55 @@ def divisor_sieve(k: int, limit: int, budget: int | None = None) -> DivisorTable
     return DivisorTable(k=k, limit=limit, counts=counts)
 
 
-@functools.cache
-def _prime_exponents(n: int) -> tuple[int, ...]:
-    """The exponents a of the prime powers p^a that make up n, by trial
-    division."""
-    exps = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            a = 0
-            while n % p == 0:
-                n //= p
-                a += 1
-            exps.append(a)
-        p += 1 if p == 2 else 2
-    if n > 1:
-        exps.append(1)
-    return tuple(exps)
+# divisor_brute's guard, and its trial divisors: the primes up to
+# isqrt(_BRUTE_MAX), found by trial division
+_BRUTE_MAX = 100_000
+_TRIAL_PRIMES = np.array([p for p in range(2, math.isqrt(_BRUTE_MAX) + 1)
+                          if all(p % q for q in range(2, math.isqrt(p) + 1))])
+# C(a + k - 1, k - 1) for every exponent a of an n <= _BRUTE_MAX, in row
+# k - 1, k <= 4
+_WAYS = np.array([[math.comb(a + k - 1, k - 1)
+                   for a in range(_BRUTE_MAX.bit_length())]
+                  for k in range(1, 5)])
+# n per pass of divisor_brute, so that its (primes, n) divisibility table
+# stays within 2^18 entries
+_BRUTE_COLS = (1 << 18) // len(_TRIAL_PRIMES)
 
 
-def divisor_brute(k: int, n: int) -> int:
+def divisor_brute(k: int, n):
     """Count ordered k-tuples with product n prime by prime: a tuple splits
     each p^a of n into k ordered exponents summing to a, in C(a + k - 1,
     k - 1) ways (the sieve's oracle; shares no code or algorithm with it).
-    Factorisations are memoized per n and shared across k."""
-    if k < 1 or n < 1:
+    The exponents come by trial division by the primes p <= isqrt(max n),
+    and what is left of n after them is 1 or one more prime.  n is an int,
+    which gives an int, or an integer array, which gives the counts in its
+    shape."""
+    m = np.asarray(n)
+    if m.dtype.kind not in "iu":
+        raise DomainError("divisor_brute requires integer n")
+    if k < 1 or np.any(m < 1):
         raise DomainError("divisor_brute requires k >= 1 and n >= 1")
-    if k > 4 or n > 100_000:
+    if k > 4 or np.any(m > _BRUTE_MAX):
         raise CapacityError("divisor_brute guarded to k <= 4, n <= 1e5")
-    count = 1
-    for a in _prime_exponents(n):
-        count *= math.comb(a + k - 1, k - 1)
-    return count
+    flat = m.astype(np.int64).ravel()
+    root = math.isqrt(int(flat.max(initial=1)))
+    primes = _TRIAL_PRIMES[:np.searchsorted(_TRIAL_PRIMES, root, "right")]
+    counts = np.ones_like(flat)
+    for lo in range(0, len(flat), _BRUTE_COLS):
+        v = flat[lo:lo + _BRUTE_COLS]
+        # one (p, n) pair per prime p dividing n; a is p's exponent in n,
+        # and rest becomes n over its prime powers p^a
+        pi, ni = np.nonzero(v % primes[:, None] == 0)
+        p, a, rest = primes[pi], np.zeros_like(pi), v.copy()
+        live = np.arange(len(p))
+        while live.size:
+            a[live] += 1
+            np.floor_divide.at(rest, ni[live], p[live])
+            live = live[rest[ni[live]] % p[live] == 0]
+        c = counts[lo:lo + len(v)]
+        np.multiply.at(c, ni, _WAYS[k - 1, a])
+        c[rest > 1] *= k
+    return int(counts[0]) if m.ndim == 0 else counts.reshape(m.shape)
 
 
 def dump_table(table: DivisorTable, path: str | Path) -> None:

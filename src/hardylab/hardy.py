@@ -16,10 +16,14 @@ z_eval_many reads Z from two frozen polynomial tables:
   whole remainder folds into one polynomial per piece, built on first use.
   Phases x are reduced mod 2 pi with a two-part constant whose high part
   has 12 bits (Cody & Waite 1980), and cos r and sin r, |r| <= pi, come
-  from c = cos(r / 4) and s = sin(r / 4), on libm's fast path, as
-  8 (c^2 - 1/2)^2 - 1 and 8 s c (c^2 - 1/2): each within
-  2^-48 + 2^-17 ulp(x) of cos x and sin x, far below the rounding of x
-  itself (half an ulp).  The main sum has two kernels, chosen by N alone:
+  from c = cos(r / 4) and s = sin(r / 4) as 8 (c^2 - 1/2)^2 - 1 and
+  8 s c (c^2 - 1/2): each within 2^-48 + 2^-17 ulp(x) of cos x and sin x,
+  far below the rounding of x itself (half an ulp).  c and s are one
+  Horner pass of fdlibm's fixed minimax polynomials (k_cos.c, k_sin.c),
+  within one ulp of libm on |r / 4| <= pi / 4, in numpy multiplies and
+  adds, so Z's bits do not depend on the platform libm's cos and sin (the
+  logarithms behind theta and ln n still come from numpy's np.log).  The
+  main sum has two kernels, chosen by N alone:
   - N <= N_MULT (512, t < 1.65e6): n^{-1/2-it} is completely
     multiplicative, so only the prime terms take a phase -t log p and a
     cosine and sine; each composite term is one complex product of two
@@ -214,11 +218,10 @@ def z_err_est(t, corrections: int = 3):
 
 # -- The main sum ------------------------------------------------------------
 #
-# numpy's binary64 cos calls libm once per element, and glibc's fast path
-# covers only |x| below about 0.86; the phases x = theta - t ln n lie in the
-# hundreds and up, where each call costs three to five times as much.  So
-# _cos_of_quarter reduces x mod 2 pi (Cody & Waite 1980) and takes cos from
-# cos of a quarter of the reduced phase, where libm is on its fast path.
+# Phases x = theta - t ln n lie in the hundreds and up.  _reduce_quarter
+# reduces x mod 2 pi (Cody & Waite 1980) to r and takes a quarter of it,
+# |r / 4| <= pi / 4, where two fixed polynomials give c = cos(r / 4) and
+# s = sin(r / 4) (_cis_leaf); cos r and sin r follow by doubling twice.
 #
 # 2 pi = _RED_HI + _RED_LO.  _RED_HI = 3217 / 512 has 12 significant bits,
 # so k * _RED_HI is exact for |k| < 2^41; the row cap keeps |x| < 6e12,
@@ -228,6 +231,20 @@ _RED_LO = (TWO_PI - _RED_HI) + TWO_PI_LO
 # main-sum blocks of at most _SUM_ELEMS phases (256 KB), so that a block and
 # its two work arrays stay in L2 cache; a longer row runs alone
 _SUM_ELEMS = 1 << 15
+# fdlibm's minimax kernels for |y| <= pi / 4 (Sun Microsystems, k_cos.c
+# C1..C6 and k_sin.c S1..S6, 1993), each within 2^-58 of its function:
+# with z = y^2, cos y = 1 + z (z P_c(z) - 1/2) and sin y = y + y (z P_s(z)
+# + 0).  Columns (cos, sin): the coefficients of P_c and P_s, highest
+# first, then the constants added to z P(z).
+_CIS_COEF = np.array([
+    [-1.13596475577881948265e-11, 1.58969099521155010221e-10],
+    [2.08757232129817482790e-09, -2.50507602534068634195e-08],
+    [-2.75573143513906633035e-07, 2.75573137070700676789e-06],
+    [2.48015872894767294178e-05, -1.98412698298579493134e-04],
+    [-1.38888888888741095749e-03, 8.33333333332248946124e-03],
+    [4.16666666666666019037e-02, -1.66666666666666324348e-01],
+    [-0.5, 0.0],
+])[:, :, None]
 
 
 def _reduce_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
@@ -239,48 +256,73 @@ def _reduce_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
     is exact and a multiple of 2^-11, so of ulp(y), and the difference is
     below 2 |y|), minus k * _RED_LO / 4.  That is off by at most
     |k| * 1.3e-21 plus half an ulp of k * _RED_LO, under 2^-17 ulp(x), plus
-    the final rounding of r / 4, |r / 4| <= pi / 4, where libm's cos and
-    sin are on their fast path.  Every step is elementwise, so an element's
-    bits do not depend on its neighbours."""
+    the final rounding of r / 4, |r / 4| <= pi / 4, the range of _cis_leaf.
+    Every step is elementwise, so an element's bits do not depend on its
+    neighbours."""
     np.multiply(y, 2.0 / math.pi, out=k)
     np.rint(k, out=k)
     y -= np.multiply(k, 0.25 * _RED_HI, out=tmp)
     y -= np.multiply(k, 0.25 * _RED_LO, out=tmp)
 
 
+def _cis_leaf(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
+    """cos y into cs[0] and, if cs has a second row, sin y into cs[1], for
+    1-d y with |y| <= pi / 4; z is a work array of y's shape.
+
+    One Horner pass over the stacked rows of cs, each with its column of
+    _CIS_COEF, then each row's tail.  Within one ulp of libm and of 120-bit mpmath (measured on a
+    dense grid of the range; tests/test_hardy.py checks both).  At y = +-0,
+    z P_s(z) is -0, and y + y (-0) would be +0 for either sign; adding +0
+    first makes it +0, so y + y (+0) keeps the sign of y."""
+    np.multiply(y, y, out=z)
+    coef = _CIS_COEF[:, :len(cs)]
+    np.multiply(coef[0], z, out=cs)
+    for c in coef[1:-1]:
+        cs += c
+        cs *= z
+    cs += coef[-1]
+    cos = cs[0]
+    cos *= z
+    cos += 1.0
+    if len(cs) > 1:
+        sin = cs[1]
+        sin *= y
+        sin += y
+
+
 def _cos_of_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
-    """cos(4 y) in place of y, for quarter phases y = x / 4 with
+    """cos(4 y) in place of 1-d y, for quarter phases y = x / 4 with
     |x| < 2^41 pi; k and tmp are work arrays of y's shape.
 
-    With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) and
-    cos r = 8 (c^2 - 1/2)^2 - 1, where c^2 - 1/2 is exact.  With libm's
-    cos within one ulp this is within 2^-48 of cos r (measured: 13 * 2^-53,
-    near r = 0, where c^2 is nearly 1).  The form 1 - 8 s^2 (1 - s^2),
-    s = sin(r / 4), is within 6 * 2^-53 (measured) but makes Z 10% slower
-    above t = 1e3, since libm's sin costs more than its cos there.  So
-    |result - cos x| <= 2^-48 + 2^-17 ulp(x) (tests/test_hardy.py checks
-    this against np.cos)."""
+    With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) from the cos
+    row of _cis_leaf and cos r = 8 (c^2 - 1/2)^2 - 1, where c^2 - 1/2 is
+    exact.  This is within 2^-48 of cos r (measured against libm: 13 *
+    2^-53, near r = 0, where c^2 is nearly 1), so |result - cos x| <=
+    2^-48 + 2^-17 ulp(x) (tests/test_hardy.py checks this against
+    np.cos)."""
     _reduce_quarter(y, k, tmp)
-    np.cos(y, out=y)
-    np.square(y, out=y)
+    _cis_leaf(y, k, tmp[None])
+    np.square(tmp, out=y)
     y -= 0.5
     np.square(y, out=y)
     y *= 8.0
     y -= 1.0
 
 
-def _cis_of_quarter(y: np.ndarray, c: np.ndarray, s: np.ndarray) -> None:
-    """cos(4 y) into c and sin(4 y) into s, for quarter phases y = x / 4
-    with |x| < 2^41 pi; y is overwritten.
+def _cis_of_quarter(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
+    """cos(4 y) into cs[0] and sin(4 y) into cs[1], for 1-d quarter phases
+    y = x / 4 with |x| < 2^41 pi; y is overwritten and z is a work array of
+    its shape.
 
     With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) and
-    s = sin(r / 4), cos r = 8 (c^2 - 1/2)^2 - 1 and sin r = 8 s c (c^2 - 1/2),
-    where c^2 - 1/2 is exact.  Each is within 2^-48 + 2^-17 ulp(x) of cos x
-    and sin x (measured against np.cos and np.sin for |x| <= 1e3:
-    13 * 2^-53 and 8 * 2^-53; tests/test_hardy.py checks the bound)."""
+    s = sin(r / 4) (_cis_leaf), cos r = 8 (c^2 - 1/2)^2 - 1 and
+    sin r = 8 s c (c^2 - 1/2), where c^2 - 1/2 is exact.  Each is within
+    2^-48 + 2^-17 ulp(x) of cos x and sin x (measured against np.cos and
+    np.sin for |x| <= 1e3: 13 * 2^-53 and 10.25 * 2^-53, where libm's c
+    and s gave 13 and 8; tests/test_hardy.py checks the bound)."""
+    c, s = cs
     _reduce_quarter(y, s, c)
-    np.sin(y, out=s)
-    np.cos(y, out=c)
+    _cis_leaf(y, z, cs)
     np.square(c, out=y)
     y -= 0.5
     s *= c
@@ -366,8 +408,9 @@ _PRIMES = np.flatnonzero(_LPF == np.arange(N_MULT + 1))[2:]
 _NEG_LN_P = -np.log(_PRIMES.astype(float))[:, None]
 _INV_SQRT_P = (1.0 / np.sqrt(_PRIMES.astype(float)))[:, None]
 # floats of work area per row of a block of largest length N: the phases,
-# cosines and sines of theta and the pi(N) primes, the prime terms (complex),
-# and N // 2 + 3 rows of complex terms for _mult_sum_many
+# cosines and sines of theta and the pi(N) primes, the prime terms (complex;
+# their first pi(N) + 1 floats hold _cis_leaf's z before the terms are
+# formed), and N // 2 + 3 rows of complex terms for _mult_sum_many
 _PI = np.searchsorted(_PRIMES, np.arange(N_MULT + 1), side="right")
 _ROW_WORK = 3 * (_PI + 1) + 2 * _PI + 2 * (np.arange(N_MULT + 1) // 2 + 3)
 
@@ -403,12 +446,15 @@ def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
     rows, n_max = len(N), int(N[-1])
     primes = _PRIMES[:_PI[n_max]]
     size = (len(primes) + 1) * rows
-    y, c, s = work[:3 * size].reshape(3, len(primes) + 1, rows)
+    y, cs = work[:size], work[size:3 * size].reshape(2, size)
+    c, s = cs.reshape(2, len(primes) + 1, rows)
     rest = work[3 * size:rows * int(_ROW_WORK[n_max])].view(complex)
     prime_terms = rest[:len(primes) * rows].reshape(len(primes), rows)
-    y[0] = quarter_theta
-    np.multiply(_NEG_LN_P[:len(primes)], quarter_t, out=y[1:])
-    _cis_of_quarter(y, c, s)
+    y[:rows] = quarter_theta
+    np.multiply(_NEG_LN_P[:len(primes)], quarter_t,
+                out=y[rows:].reshape(len(primes), rows))
+    # the leaf's z takes the start of the prime terms' region, still unused
+    _cis_of_quarter(y, work[3 * size:4 * size], cs)
     # c[0] and s[0] are theta's cosine and sine, the rows after the primes'
     np.multiply(c[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.real)
     np.multiply(s[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.imag)

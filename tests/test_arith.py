@@ -75,6 +75,27 @@ def test_brute_matches_literal_tuple_count():
             assert divisor_brute(k, n) == count, (k, n)
 
 
+def test_brute_takes_arrays():
+    # an int gives an int; an array gives the same counts in its shape
+    assert type(divisor_brute(3, 12)) is int
+    rng = np.random.default_rng(5)
+    n = np.concatenate([np.arange(1, 400), rng.integers(1, 100_001, 400),
+                        [65_536, 99_991, 100_000, 313 * 317]])
+    for k in (1, 2, 3, 4):
+        counts = divisor_brute(k, n)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [divisor_brute(k, int(m)) for m in n]
+        assert np.array_equal(divisor_brute(k, n.reshape(11, -1)),
+                              counts.reshape(11, -1))
+    assert divisor_brute(2, np.array([], dtype=int)).shape == (0,)
+    with pytest.raises(DomainError):
+        divisor_brute(2, np.array([3, 0, 5]))
+    with pytest.raises(DomainError):
+        divisor_brute(2, 6.5)
+    with pytest.raises(CapacityError):
+        divisor_brute(2, np.array([3, 100_001]))
+
+
 def test_dirichlet_series_tail(d3_table):
     # sum d_3(n) n^-3 -> zeta(3)^3 within C (log N)^2 / N^2 as N doubles
     target = ZETA_3 ** 3

@@ -14,9 +14,10 @@ from hardylab.hardy import (N_MULT, z_breakpoints, z_err_est, z_eval_many,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
                             _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
-                            _cis_of_quarter, _cos_of_quarter,
-                            _fold_correction_tables, _horner, _main_direct,
-                            _main_mult, _remainder_block)
+                            _PI, _ROW_WORK, _cis_leaf, _cis_of_quarter,
+                            _cos_of_quarter, _fold_correction_tables,
+                            _horner, _main_direct, _main_mult,
+                            _remainder_block)
 from hardylab.special import theta_many
 
 ZETA_HALF = -1.4603545088095868129
@@ -367,11 +368,68 @@ def test_reduced_cosine_matches_libm():
 
 def test_quarter_angle_cos_sin_match_libm():
     x, bound = _libm_check_phases()
-    c, s = np.empty((2,) + x.shape)
-    _cis_of_quarter(0.25 * x, c, s)
-    for got, ref in ((c, np.cos(x)), (s, np.sin(x))):
+    cs = np.empty((2,) + x.shape)
+    _cis_of_quarter(0.25 * x, np.empty_like(x), cs)
+    for got, ref in zip(cs, (np.cos(x), np.sin(x))):
         err = np.abs(got - ref)
         assert np.all(err <= bound), float(np.max(err / bound))
+
+
+def _leaf_points():
+    # a dense grid of |y| <= pi / 4, its ends, signed zeros, a tiny normal
+    # and a subnormal of either sign
+    edges = [math.pi / 4, 0.0, 1e-300, 5e-324]
+    return np.concatenate([np.linspace(-math.pi / 4, math.pi / 4, 1_000_001),
+                           edges, np.negative(edges)])
+
+
+def _ulps_apart(got, ref):
+    # signs must agree; then the distance in representable doubles
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    return np.abs(got.view(np.int64) - ref.view(np.int64))
+
+
+def test_cis_leaf_within_one_ulp_of_libm():
+    y = _leaf_points()
+    cs = np.empty((2,) + y.shape)
+    _cis_leaf(y, np.empty_like(y), cs)
+    for got, ref in zip(cs, (np.cos(y), np.sin(y))):
+        assert _ulps_apart(got, ref).max() <= 1
+    # the direct kernel's one-row form gives the cos row's bits
+    cos = np.empty((1,) + y.shape)
+    _cis_leaf(y, np.empty_like(y), cos)
+    assert np.array_equal(cos[0], cs[0])
+
+
+def test_cis_leaf_within_one_ulp_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    y = _leaf_points()[::97]
+    cs = np.empty((2,) + y.shape)
+    _cis_leaf(y, np.empty_like(y), cs)
+    with mpmath.workprec(120):
+        ref = np.array([[float(f(mpmath.mpf(float(v)))) for v in y]
+                        for f in (mpmath.cos, mpmath.sin)])
+    for got, r in zip(cs, ref):
+        assert _ulps_apart(got, r).max() <= 1
+
+
+def test_row_work_holds_the_leaf_square():
+    # _mult_block puts _cis_leaf's z in the prime terms' region, after the
+    # phases, cosines and sines of theta and the primes
+    assert np.all(_ROW_WORK - 3 * (_PI + 1) >= _PI + 1)
+
+
+def test_z_path_calls_no_libm_sine_or_cosine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("libm sine or cosine called")
+
+    monkeypatch.setattr(np, "sin", refuse)
+    monkeypatch.setattr(np, "cos", refuse)
+    direct = 2 * math.pi * (N_MULT + 1) ** 2
+    # the low table, the multiplicative kernel and the direct kernel
+    for t in ([0.5, 9.5], [10.0, 1e3, 4e4], [direct * 1.01, direct * 1.5]):
+        for k in (0, 3, 4):
+            assert np.all(np.isfinite(z_eval_many(np.array(t), k)))
 
 
 @pytest.mark.parametrize("lo, hi", [

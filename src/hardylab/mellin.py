@@ -82,7 +82,8 @@ def primitive_constant(k: int) -> float:
 
 @functools.cache
 def _main_fit(k: int):
-    """Fit I_k(x) ~ x * sum_m b_m (log x)^m on [500, 1e4] anchors (even k).
+    """Fit I_k(x) ~ x * sum_m b_m (log x)^m on every cache anchor in
+    [500, 1e4] (even k).
 
     Returns (b, C_res): plain-log coefficients and the calibrated residual
     constant with |I_k - fit| <= C_res x^{e_res} on the window.
@@ -91,8 +92,8 @@ def _main_fit(k: int):
     cache = moment_cache(k)
     cache.ensure(_CAL_HI)
     m = (cache.edges >= 500.0) & (cache.edges <= _CAL_HI)
-    x = cache.edges[m][::4]
-    y = cache.values[m][::4]
+    x = cache.edges[m]
+    y = cache.values[m]
     lx = np.log(x)
     c0 = lx.mean()
     A = np.stack([x * (lx - c0) ** mm for mm in range(deg + 1)], axis=1)
@@ -285,6 +286,13 @@ class _ExpSum:
 
 # -- fixed integration grids ---------------------------------------------------
 
+def _twisted_freq(t: float):
+    """Z's frequency plus the twist t / (2 pi x) of x^{-it}: a panel hint
+    that resolves Z^k x^{-it} for every k down to x = 1."""
+    zfreq = z_power_freq(1)
+    return lambda x: zfreq(x) + t / (TWO_PI * x)
+
+
 class _PrimitiveGrid:
     """Deterministic panel grid for s * integral_1^X I_k(x) x^{-s-1} dx.
 
@@ -292,11 +300,11 @@ class _PrimitiveGrid:
     integral_1^X Z^k x^{-s} dx - I_k(X) X^{-s} (one integration by parts
     back), so the grid keeps the K17 weights times Z^k at its nodes as one
     _ExpSum, whose G8 check comes from the same node pass: a batch of s
-    costs one node pass per centre, whatever its size.  Grids are
-    banded by |Im s|: the frequency hint adds the twist |Im s|/(2 pi x) so
-    panels resolve x^{-it} down to x = 1.  Band 0 has no twist: its panels
-    and Z^k values are the moment cache's, and only the last panel, clipped
-    at X, evaluates Z.
+    costs one node pass per centre, whatever its size.  Panels are sized
+    by Z's own frequency for every k, and grids are banded by |Im s|: the
+    frequency hint adds the twist |Im s|/(2 pi x) so panels resolve x^{-it}
+    down to x = 1.  Band 0 has no twist: its panels and Z^k values are the
+    moment cache's, and only the last panel, clipped at X, evaluates Z.
     """
 
     def __init__(self, k: int, X: float, band: int):
@@ -305,14 +313,8 @@ class _PrimitiveGrid:
             # the twist vanishes: these are the moment cache's own panels
             panels, zk = cache.panels(X)
         else:
-            zfreq = z_power_freq(k)
-            t_band = _band_top(band)
-
-            def freq(x: float) -> float:
-                return zfreq(x) + t_band / (TWO_PI * x)
-
-            panels = PanelSet.from_edges(
-                panel_edges(1.0, X, freq, z_breakpoints(1.0, X)))
+            panels = PanelSet.from_edges(panel_edges(
+                1.0, X, _twisted_freq(_band_top(band)), z_breakpoints(1.0, X)))
             zk = power_in_place(z_eval_many(panels.nodes()), k)
         self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk)
         self.lnX = math.log(X)
@@ -462,17 +464,12 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
         raise ConvergenceError("mellin_direct requires Re s > 1.1")
     if not 10.0 <= X < math.inf:
         raise DomainError("mellin_direct requires finite X >= 10")
-    t_im = abs(s.imag)
-    zfreq = z_power_freq(k)
-
-    def freq(x: float) -> float:
-        return zfreq(x) + t_im / (TWO_PI * x)
 
     def f(x: np.ndarray) -> np.ndarray:
         return power_in_place(z_eval_many(x), k) * np.exp(-s * np.log(x))
 
-    res = integrate_oscillatory(f, 1.0, X, freq, tol=tol, budget=budget,
-                                breakpoints=z_breakpoints(1.0, X))
+    res = integrate_oscillatory(f, 1.0, X, _twisted_freq(abs(s.imag)), tol=tol,
+                                budget=budget, breakpoints=z_breakpoints(1.0, X))
     e_k = _PRIM_EXP[k]
     tail = 2.0 * abs(s) * primitive_constant(k) * X ** (e_k - sigma) / (sigma - e_k)
     return MellinSample(s=s, k=k, value=complex(res.value), X=X,
@@ -520,7 +517,7 @@ def _v2_grid(table: DivisorTable, X: float):
     # grid must break where the cutoff sum jumps: x = 2 pi m^{2/3}
     jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
     panels = PanelSet.from_edges(panel_edges(
-        1.0, X, z_power_freq(3), z_breakpoints(1.0, X) + jumps))
+        1.0, X, z_power_freq(1), z_breakpoints(1.0, X) + jumps))
     x = panels.nodes()
     r = moment_cache(3).eval_many(x) - cube.eval_many(x)
     return _ExpSum(np.log(x), panels.weights() * r), n_cut

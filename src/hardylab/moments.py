@@ -12,12 +12,12 @@ hours.
 
 Every k >= 2 cache shares that one Z walk: it has a k = 1 base cache (the
 process-wide moment_cache(1) for moment_cache(k), a fresh one for a fresh
-cache), cuts each base panel into k equal sub-panels, and takes Z at their
-nodes from the base panel's degree-16 interpolant through its 17 stored
-values (quad.split_values).  It evaluates no Z of its own.  The
-interpolation carries the base values' rounding noise into all k
-sub-panels with one sign, which |K17 - G8| does not see, so each sub-panel's
-error adds an empirical estimate of it (MomentCache._split).
+cache), takes the base's panels bit for bit and raises a copy of the base's
+stored Z rows to the k-th power.  It evaluates no Z of its own.  A quarter
+period of Z spans k/4 of a period of Z^k, at most one period for k <= 4,
+and Z is entire: K17, exact to degree 25, resolves Z^k there, and each panel
+is judged by its own |K17 - G8|, as for k = 1.  hardy_moment and the
+transform grids size their panels by Z's frequency for every k as well.
 
 Every node array of Z^k, here and in the mellin grids, is raised in place by
 power_in_place: k - 1 products for k <= 4, not libm pow, so within
@@ -25,11 +25,11 @@ gamma_{k-1} = (k-1) u / (1 - (k-1) u) relative of the exact power of the
 stored Z (u = 2^-53; Higham 2002, section 3.1).
 
 The walk is canonical: ensure(x) continues it from the last edge and stops
-at the first edge (for k >= 2, sub-edge) past x, and anchors are summed one
-panel at a time from the last anchor, so edges, anchors and node values are
-the same bits however the requests were split, and whatever the base had
-built before.  Cache construction is single-threaded and extend-only:
-arrays already built are replaced, never mutated.
+at the first edge past x, and anchors are summed one panel at a time from
+the last anchor, so edges, anchors and node values are the same bits
+however the requests were split, and whatever the base had built before.
+Cache construction is single-threaded and extend-only: arrays already built
+are replaced, never mutated.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import numpy as np
 from .errors import DomainError
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
 from .quad import (MAX_PANEL, NODES, PanelSet, integrals_at,
-                   integrate_oscillatory, legendre_tail, panel_edges,
-                   split_lebesgue, split_values)
+                   integrate_oscillatory, panel_edges)
 from .special import TWO_PI
 
 
@@ -82,8 +81,9 @@ def power_in_place(a: np.ndarray, k: int) -> np.ndarray:
 
 def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
                  budget: int | None = None) -> MomentResult:
-    """integral of Z^k over [a, b], adaptive; Z from the Riemann-Siegel
-    formula above t = 10 and from the frozen low table below."""
+    """integral of Z^k over [a, b], adaptive from quarter periods of Z (not
+    of Z^k) for every k; Z from the Riemann-Siegel formula above t = 10 and
+    from the frozen low table below."""
     if not (1 <= k <= 8):
         raise DomainError("hardy_moment requires 1 <= k <= 8")
     if not (1.0 <= a < b):
@@ -92,7 +92,7 @@ def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
     def f(t: np.ndarray) -> np.ndarray:
         return power_in_place(z_eval_many(t), k)
 
-    res = integrate_oscillatory(f, a, b, z_power_freq(k), tol=tol,
+    res = integrate_oscillatory(f, a, b, z_power_freq(1), tol=tol,
                                 budget=budget, breakpoints=z_breakpoints(a, b))
     return MomentResult(k=k, a=a, b=b, value=float(res.value.real),
                         abs_err_est=res.abs_err_est)
@@ -107,9 +107,8 @@ def _running_sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
 class MomentCache:
     """Cumulative I_k on [1, X], extended on demand: panel edges, I_k and its
     summed error estimate at the edges, and Z^k at every panel's 17 nodes
-    (one row per panel).  For k >= 2 the panels are those of a k = 1 base
-    cache, each cut into k equal sub-panels, and Z at their nodes is the
-    base panel's interpolant: a fresh cache gets a fresh base."""
+    (one row per panel).  For k >= 2 the panels and Z values are those of a
+    k = 1 base cache: a fresh cache gets a fresh base."""
 
     def __init__(self, k: int, base: "MomentCache | None" = None):
         self.k = k
@@ -128,8 +127,7 @@ class MomentCache:
             raise DomainError("MomentCache.ensure requires a finite height")
         if x_max < self.edges[-1]:
             return
-        edges, val, err, y = (self._walk if self.base is None
-                              else self._split)(x_max)
+        edges, val, err, y = self._walk(x_max)
         self.edges = np.concatenate([self.edges, edges[1:]])
         # summed one panel at a time from the last anchor: the same bits
         # however the walk was split
@@ -138,56 +136,38 @@ class MomentCache:
         self.zk = np.concatenate([self.zk, y])
 
     def _walk(self, x_max: float):
-        """k = 1: quarter periods of Z from the last edge, with Z evaluated
-        at every node."""
-        start = self.edges[-1]
-        # the walk's steps never exceed MAX_PANEL, so it crosses x_max before
-        # reaching the bound, and the edge that crosses it is not clipped;
-        # every breakpoint gets an edge (evaluation is piecewise smooth)
-        bound = x_max + MAX_PANEL
-        edges = panel_edges(start, bound, z_power_freq(1),
-                            z_breakpoints(start, bound))
+        """The panels from the last edge through the first edge past x_max,
+        with their K17 values, |K17 - G8| estimates and Z^k rows, in blocks
+        of _ELEMS nodes.  k = 1 walks quarter periods of Z and evaluates Z
+        at every node; k >= 2 reads the base's panels and raises a copy of
+        its stored Z rows."""
+        first = len(self.edges) - 1
+        if self.base is None:
+            # the walk's steps never exceed MAX_PANEL, so it crosses x_max
+            # before reaching the bound, and the edge that crosses it is not
+            # clipped; every breakpoint gets an edge (evaluation is
+            # piecewise smooth)
+            start = self.edges[-1]
+            bound = x_max + MAX_PANEL
+            edges = panel_edges(start, bound, z_power_freq(1),
+                                z_breakpoints(start, bound))
+        else:
+            self.base.ensure(x_max)
+            edges = self.base.edges[first:]
         edges = edges[:int(np.searchsorted(edges, x_max, side="right")) + 1]
         step = _ELEMS // NODES
         lo, hi = edges[:-1], edges[1:]
-        parts = [PanelSet(lo[j:j + step], hi[j:j + step]).estimate(self._zk)
-                 for j in range(0, len(lo), step)]
-        return (edges, *(np.concatenate(p) for p in zip(*parts)))
-
-    def _split(self, x_max: float):
-        """k >= 2: the base panels from the one holding the last edge, each
-        cut into k equal sub-panels, with Z at their nodes interpolated from
-        the base panel's 17 values.  Interpolation carries the base values'
-        rounding noise into all k sub-panels with one sign, so each
-        sub-panel's error estimate adds Lambda_k k max|Z|^(k-1) (|c_15| +
-        |c_16|) width, from the base panel's values and Legendre
-        coefficients: an estimate, not a bound."""
-        base, k = self.base, self.k
-        base.ensure(x_max)
-        first, skip = divmod(len(self.edges) - 1, k)
-        stop = int(np.searchsorted(base.edges, x_max, side="right"))
-        lo, hi = base.edges[first:stop], base.edges[first + 1:stop + 1]
-        sub = np.append((lo[:, None] + (hi - lo)[:, None]
-                         * (np.arange(k) / k)).ravel(), hi[-1])
-        # through the first sub-edge past x_max
-        edges = sub[skip:int(np.searchsorted(sub, x_max, side="right")) + 1]
-        step = _ELEMS // (NODES * k)
         parts = []
-        rows = base.zk[first:stop]
-        for j in range(0, len(rows), step):
-            z = rows[j:j + step]
-            panels = PanelSet(sub[j * k:(j + len(z)) * k],
-                              sub[j * k + 1:(j + len(z)) * k + 1])
-            y = power_in_place(split_values(z, k), k)
-            val = panels.sums(y)
-            per_width = (k * split_lebesgue(k) * np.abs(z).max(axis=1) ** (k - 1)
-                         * legendre_tail(z))
-            est = np.repeat(per_width, k) * (2.0 * panels.half)
-            parts.append((val, np.abs(val - panels.sums(y, check=True)) + est, y))
-        # the first skip sub-panels are built already, and the walk stops
-        # at the first sub-edge past x_max
-        n = len(edges) - 1
-        return (edges, *(np.concatenate(p)[skip:skip + n] for p in zip(*parts)))
+        for j in range(0, len(lo), step):
+            panels = PanelSet(lo[j:j + step], hi[j:j + step])
+            if self.base is None:
+                parts.append(panels.estimate(self._zk))
+            else:
+                rows = self.base.zk[first + j:first + j + len(panels.lo)]
+                y = power_in_place(rows.copy(), self.k)
+                v = panels.sums(y)
+                parts.append((v, np.abs(v - panels.sums(y, check=True)), y))
+        return (edges, *(np.concatenate(p) for p in zip(*parts)))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """I_k at arbitrary points: the anchor at the left edge of the

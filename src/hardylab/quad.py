@@ -11,18 +11,16 @@ value's 17 integrand values.  Adaptive panels failing the local tolerance
 test are bisected; a contour's panels are fixed.  partial_integrals
 integrates the degree-16 interpolant through a panel's 17 values from its
 left edge to any point inside, so stored node values give integrals up to
-any point without new evaluations; split_values evaluates the same
-interpolant at the nodes of k equal sub-panels.  An adaptive integral sums
-its accepted panels sorted by left edge with one numpy sum, whose pairwise
-tree is fixed for a given order and length, so identical inputs give
-bit-identical results no matter how work is batched.
+any point without new evaluations.  An adaptive integral sums its accepted
+panels sorted by left edge with one numpy sum, whose pairwise tree is fixed
+for a given order and length, so identical inputs give bit-identical
+results no matter how work is batched.
 
 Integrands receive numpy arrays of abscissae and must be pure.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -157,50 +155,6 @@ def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,
         sl = slice(j, j + _EVAL_BLOCK)
         out[sl] += 0.5 * (b[sl] - a[sl]) * partial_integrals(y[idx[sl]], tau[sl])
     return out, idx
-
-
-@functools.cache
-def split_matrix(k: int) -> np.ndarray:
-    """[NODES, k, NODES], read-only: entry (m, j, i) weighs a panel's node
-    value m in its degree-16 interpolant at node i of sub-panel j, the panel
-    being cut into k equal sub-panels."""
-    # node i of sub-panel j on the panel's [-1, 1]
-    t = -1.0 + (2.0 * np.arange(k)[:, None] + 1.0 + _X[None, :]) / k
-    p_prev, p = np.ones_like(t), t
-    out = p_prev[None] * _LEGENDRE[0][:, None, None] \
-        + p[None] * _LEGENDRE[1][:, None, None]
-    for n in range(1, NODES - 1):
-        p_prev, p = p, ((2 * n + 1) * t * p - n * p_prev) / (n + 1)
-        out += p[None] * _LEGENDRE[n + 1][:, None, None]
-    out.flags.writeable = False
-    return out
-
-
-def split_lebesgue(k: int) -> float:
-    """Lebesgue constant of split_matrix(k): the largest factor by which
-    the interpolant can amplify a perturbation of the node values."""
-    return float(np.abs(split_matrix(k)).sum(axis=0).max())
-
-
-def split_values(y: np.ndarray, k: int) -> np.ndarray:
-    """For each row of y (values at a panel's 17 nodes), its degree-16
-    interpolant at the nodes of the panel's k equal sub-panels: one row per
-    sub-panel, sub-panels of a panel consecutive.  Seventeen elementwise
-    passes in a fixed order, no matmul: a row's result does not depend on
-    the other rows."""
-    mat = split_matrix(k)
-    out = y[:, 0, None, None] * mat[0]
-    for m in range(1, NODES):
-        out += y[:, m, None, None] * mat[m]
-    return out.reshape(-1, NODES)
-
-
-def legendre_tail(y: np.ndarray) -> np.ndarray:
-    """|c_15| + |c_16| per row of y, c_n the coefficient of P_n in the
-    row's degree-16 interpolant: where a smooth integrand is resolved, its
-    size is the rounding noise of the node values."""
-    return (np.abs((y * _LEGENDRE[NODES - 2]).sum(axis=1))
-            + np.abs((y * _LEGENDRE[NODES - 1]).sum(axis=1)))
 
 
 def integrate_oscillatory(f: Callable, a: float, b: float, freq,

@@ -400,7 +400,7 @@ def _v2_nodes(table):
     jumps = tuple(TWO_PI * m ** (2.0 / 3.0)
                   for m in range(1, cube.cutoff(1000.0) + 1))
     panels = PanelSet.from_edges(panel_edges(
-        1.0, 1000.0, z_power_freq(3), z_breakpoints(1.0, 1000.0) + jumps))
+        1.0, 1000.0, z_power_freq(1), z_breakpoints(1.0, 1000.0) + jumps))
     x = panels.nodes()
     out = _grid_sums(panels, moment_cache(3).eval_many(x) - cube.eval_many(x))
     assert np.array_equal(ML._v2_grid(table, 1000.0)[0].a.ravel(), out[1])

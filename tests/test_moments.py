@@ -239,7 +239,9 @@ def test_cache_eval_blocks_do_not_change_values():
 # quad.integrals_at with the square identity; k = 3 since Z^3 is the
 # product Z (Z Z), not pow (its last three entries moved by 3, 2 and 4 ulp);
 # k = 1..3 since Z's cos and sin come from fixed polynomials, not libm
-# (moves of 1-29 ulp, at most 3.7e-15 relative)
+# (moves of 1-29 ulp, at most 3.7e-15 relative); k = 2..4 since Z^k is
+# integrated on Z's own panels, not on k sub-panels of each (moves of 0-27
+# ulp, at most 5.8e-15 relative)
 EVAL_XS = [1.0, 10.0, 150.0, 151.71758919021917, 67.49614173360439,
            231.65691881913796, 290.2164862884349, 49.6739221585803]
 EVAL_REF = {
@@ -247,18 +249,17 @@ EVAL_REF = {
         "-0x1.98fd7ac1556a8p+2", "-0x1.6c23b7892fa39p+3",
         "-0x1.cda633f9ff0b6p+2", "0x1.41ad4e6e31c4ep+1",
         "-0x1.a6d66fe6ceb6ap+0"],
-    2: ["0x0.0p+0", "0x1.17ac89bf0f62dp+3", "0x1.f3b15e172a7c7p+8",
-        "0x1.f46f7504eb1a3p+8", "0x1.5f6bfde123552p+7",
-        "0x1.b1030b1bf9498p+9", "0x1.21c08225dc84fp+10",
-        "0x1.caa390e1f83b1p+6"],
-    3: ["0x0.0p+0", "-0x1.4877b4e5073dcp+3", "0x1.a8e357f9b14e6p+6",
-        "0x1.a5a2e8cb980cap+6", "-0x1.56eea3b5c4987p+6",
-        "0x1.4ec8f267774bap+8", "0x1.07ba885088dd7p+9",
-        "0x1.bcf9a9b6aa9f0p+3"],
-    4: ["0x0.0p+0", "0x1.9fe6ec7a66953p+3", "0x1.3f1cef911588dp+12",
-        "0x1.3f2e5e5ab9f41p+12", "0x1.2f7570348ccfbp+10",
-        "0x1.58402c0b39db9p+13", "0x1.0b8ad42e14fb0p+14",
-        "0x1.48d3b3d07ac4cp+9"],
+    2: ["0x0.0p+0", "0x1.17ac89bf0f62ep+3", "0x1.f3b15e172a7bep+8",
+        "0x1.f46f7504eb19bp+8", "0x1.5f6bfde123552p+7", "0x1.b1030b1bf9491p+9",
+        "0x1.21c08225dc847p+10", "0x1.caa390e1f83adp+6"],
+    3: ["0x0.0p+0", "-0x1.4877b4e5073dap+3", "0x1.a8e357f9b14e8p+6",
+        "0x1.a5a2e8cb980ccp+6", "-0x1.56eea3b5c498cp+6",
+        "0x1.4ec8f267774aap+8", "0x1.07ba885088dbcp+9",
+        "0x1.bcf9a9b6aa9f7p+3"],
+    4: ["0x0.0p+0", "0x1.9fe6ec7a66952p+3", "0x1.3f1cef9115889p+12",
+        "0x1.3f2e5e5ab9f3cp+12", "0x1.2f7570348ccfap+10",
+        "0x1.58402c0b39db1p+13", "0x1.0b8ad42e14faep+14",
+        "0x1.48d3b3d07ac46p+9"],
 }
 
 
@@ -268,9 +269,8 @@ def test_cache_eval_matches_frozen_values(k):
     assert [float(v).hex() for v in vals] == EVAL_REF[k]
 
 
-def test_split_cache_evaluates_only_base_nodes(monkeypatch):
-    # a k >= 2 cache cuts each base panel into k sub-panels and interpolates
-    # the base's stored Z values: the only Z it asks for is the base walk's
+def _counting_z(monkeypatch):
+    # the number of heights every later Z call in moments asks for
     points = []
 
     def counting(t):
@@ -278,13 +278,39 @@ def test_split_cache_evaluates_only_base_nodes(monkeypatch):
         return z_eval_many(t)
 
     monkeypatch.setattr(moments, "z_eval_many", counting)
+    return points
+
+
+def test_split_cache_evaluates_only_base_nodes(monkeypatch):
+    # a k >= 2 cache reads the base's panels and raises a copy of its stored
+    # Z rows: the only Z it asks for is the base walk's
+    points = _counting_z(monkeypatch)
     cache = MomentCache(3)
-    for x in (50.0, 321.0, 500.0):
+    cache.ensure(50.0)
+    cache.base.ensure(800.0)
+    for x in (321.0, 500.0):
         cache.ensure(x)
-    assert sum(points) == 17 * len(cache.base.zk)
-    n = len(cache.edges[::3])
-    assert cache.edges[::3].tobytes() == cache.base.edges[:n].tobytes()
+    base = cache.base
+    assert sum(points) == 17 * len(base.zk)
+    n = len(cache.edges)
+    assert cache.edges.tobytes() == base.edges[:n].tobytes()
+    assert cache.zk.tobytes() == power_in_place(base.zk[:n - 1].copy(),
+                                                3).tobytes()
     assert cache.edges[-2] <= 500.0 < cache.edges[-1]
+
+
+@pytest.mark.parametrize("T", [145.0, 650.0])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_moment_panels_follow_z_not_z_power(monkeypatch, k, T):
+    # the adaptive moment starts from quarter periods of Z for every k, so
+    # Z^k costs at most twice the Z points of Z itself (quarter periods of
+    # Z^k cost about k times as many)
+    points = _counting_z(monkeypatch)
+    hardy_moment(1, T, 2.0 * T, tol=1e-7)
+    one = sum(points)
+    points.clear()
+    hardy_moment(k, T, 2.0 * T, tol=1e-7)
+    assert sum(points) <= 2 * one
 
 
 def _state(cache):
@@ -317,10 +343,11 @@ def test_shared_base_gives_fresh_cache_bits():
     assert _state(shared) == _state(fresh)
 
 
-@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("k", [2, 3, 4])
 def test_split_cache_within_its_error_estimate(k):
-    # against K17 with direct Z on panels 4x finer than the native quarter
-    # periods of Z^k, the cache is off by at most its summed error estimate
+    # against K17 with direct Z on panels 4x finer than the quarter periods
+    # of Z^k (4k times finer than the cache's, which are Z's), the cache is
+    # off by at most its summed |K17 - G8|
     cache = MomentCache(k)
     for a, b in ((1.0, 100.0), (1000.0, 2000.0), (3000.0, 4000.0)):
         edges = panel_edges(a, b, z_power_freq(k), z_breakpoints(a, b))

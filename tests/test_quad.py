@@ -12,8 +12,7 @@ from hardylab.moments import z_power_freq
 from hardylab.special import TWO_PI
 from hardylab.quad import (GAUSS_COLS, NODES, PanelSet, QuadratureResult,
                            integrate_oscillatory, integrate_vertical_line,
-                           panel_edges, partial_integrals, split_lebesgue,
-                           split_values)
+                           panel_edges, partial_integrals)
 
 
 def test_cosine_full_period():
@@ -279,19 +278,3 @@ def test_partial_integrals_of_a_panel_cosine():
         y = np.broadcast_to(np.cos(omega * x), (len(tau), NODES))
         exact = (np.sin(omega * tau) + np.sin(omega)) / omega
         assert np.max(np.abs(partial_integrals(y, tau) - exact)) <= 1e-15, omega
-
-
-@pytest.mark.parametrize("k, lebesgue", [(2, 2.31), (3, 2.81), (4, 3.08)])
-def test_split_values_exact_for_polynomials(k, lebesgue):
-    # the interpolant of a polynomial of degree at most 16 is that
-    # polynomial, so its values at the sub-panel nodes are the polynomial's;
-    # a row's values do not depend on the other rows of the call
-    x = PanelSet.from_edges(np.array([-1.0, 1.0])).nodes()
-    sub = PanelSet.from_edges(np.linspace(-1.0, 1.0, k + 1)).nodes()
-    y = np.stack([x ** degree for degree in range(NODES)])
-    got = split_values(y, k)
-    exact = np.stack([sub ** degree for degree in range(NODES)])
-    assert np.max(np.abs(got.reshape(NODES, -1) - exact)) <= 1e-14
-    one = np.concatenate([split_values(y[i:i + 1], k) for i in range(NODES)])
-    assert one.tobytes() == got.tobytes()
-    assert abs(split_lebesgue(k) - lebesgue) <= 0.005

@@ -13,34 +13,29 @@ z_eval_many reads Z from two frozen polynomial tables:
   Psi(p) = cos(2*pi*(p^2 - p - 1/16)) / cos(2*pi*p).  Each C_k is one
   piecewise polynomial, folded at import from the frozen Taylor tables of
   Psi (scripts/gen_psi_tables.py), and for each main-sum length N the
-  whole remainder folds into one polynomial per piece, built on first use.
-  Phases x are reduced mod 2 pi with a two-part constant whose high part
-  has 12 bits (Cody & Waite 1980), and cos r and sin r, |r| <= pi, come
-  from c = cos(r / 4) and s = sin(r / 4) as 8 (c^2 - 1/2)^2 - 1 and
-  8 s c (c^2 - 1/2): each within 2^-48 + 2^-17 ulp(x) of cos x and sin x,
-  far below the rounding of x itself (half an ulp).  c and s are one
-  Horner pass of fdlibm's fixed minimax polynomials (k_cos.c, k_sin.c),
-  within one ulp of libm on |r / 4| <= pi / 4, in numpy multiplies and
-  adds, so Z's bits do not depend on the platform libm's cos and sin (the
-  logarithms behind theta and ln n still come from numpy's np.log).  The
-  main sum has two kernels, chosen by N alone:
+  whole remainder folds into one polynomial per piece.  Those of every
+  N <= N_MULT are kept, one table per correction count indexed by N and
+  piece, and filled 16 lengths at a time on first use; a longer length's
+  are built for each call that has it.
+  Phases are reduced mod 2 pi, and their cosines and sines come from fixed
+  polynomials in numpy arithmetic (the main-sum section below), so Z's
+  bits do not depend on the platform libm's cos and sin (the logarithms
+  behind theta and ln n still come from np.log).  The main sum has two
+  kernels, chosen by N alone:
   - N <= N_MULT (512, t < 1.65e6): n^{-1/2-it} is completely
     multiplicative, so only the prime terms take a phase -t log p and a
     cosine and sine; each composite term is one complex product of two
     terms already computed, and the sum is Re(e^{i theta} sum n^{-1/2-it}).
-    A block of fewer than 256 rows forms the products an octave of n at a
-    time, a larger one n by n over the rows that need it, the same
-    products in the same order.  A height's value then does not depend on
-    its batch as long as numpy rounds a complex product the same way at
-    every length and layout; tests/test_hardy.py checks that for the
-    layouts used.  numpy 2.4 does, into a distinct output, but rounds a
-    product whose output aliases an input differently when the array has
-    one element, so no product is formed in place.  Products formed from
-    real multiplies and adds, which round alike anywhere, gave up the
-    kernel's gain on [1e3, 5e4].
-  - N > N_MULT: the direct sum over the phases theta - t log n, cos r from
-    c alone, whole rows packed into blocks of at most 2^15 phases, which
-    stay in L2 cache.
+    A height's value then does not depend on its batch as long as numpy
+    rounds a complex product the same way at every length and layout;
+    tests/test_hardy.py checks that for the layouts used.  numpy 2.4
+    does, into a distinct output, but rounds a product whose output
+    aliases an input differently when the array has one element, so no
+    product is formed in place.  Products formed from real multiplies and
+    adds, which round alike anywhere, gave up the kernel's gain on
+    [1e3, 5e4].
+  - N > N_MULT: the direct sum over the phases theta - t log n, whole rows
+    packed into blocks of at most 2^15 phases, which stay in L2 cache.
   Either way each row sums exactly its N terms in a fixed order.
 
 z_oracle_many computes e^{i theta(t)} zeta(1/2+it) with the one
@@ -54,7 +49,6 @@ Z(0) = zeta(1/2) < 0; the opposite square-root branch would flip Z globally.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -114,22 +108,6 @@ _C_TABLE = _fold_correction_tables()[:_C_DEGREE + 1]
 # rows per z_rs_many chunk: its gathered (degree+1, rows) remainder
 # coefficients stay within _ELEMS
 _CHUNK = _ELEMS // (_C_DEGREE + 1)
-# Remainder tables are built and cached in blocks of _BLOCK consecutive
-# main-sum lengths, 192 KB each, in 0.5-1 ms a block.  The cache keeps
-# _REMAINDER_BLOCKS of them (6 MB): every length below N = 512 (t = 1.6e6)
-_BLOCK = 16
-_REMAINDER_BLOCKS = 32
-# blocks per chunk, so that the chunk's tables side by side stay within
-# _ELEMS
-_CHUNK_BLOCKS = _ELEMS // ((_C_DEGREE + 1) * _BLOCK * PSI_PIECES)
-
-
-@functools.lru_cache(maxsize=_REMAINDER_BLOCKS)
-def _remainder_block(q: int) -> np.ndarray:
-    """_remainder_rows of the _BLOCK main-sum lengths of block q, cached."""
-    table = _remainder_rows(np.arange(q * _BLOCK, (q + 1) * _BLOCK))
-    table.setflags(write=False)
-    return table
 
 
 def _remainder_rows(n: np.ndarray) -> np.ndarray:
@@ -511,6 +489,35 @@ def _mult_sum_many(prime_terms: np.ndarray, N: np.ndarray,
     return acc
 
 
+# -- The remainder ----------------------------------------------------------
+#
+# The remainder polynomials of every N <= N_MULT are kept, one table per
+# correction count, at columns N * PSI_PIECES + piece, so a chunk's are one
+# gather.  The first chunk that has a length of a block of _BLOCK lengths
+# fills the block for every count (one _remainder_rows call, about 1 ms),
+# and _BUILT marks it.  Five arrays of 1.27 MB, not one of 6.3 MB: numpy
+# asks for huge pages from 4 MiB up, and the one array grew a process's
+# first one-height call's peak RSS by 4.7 MB, the five by 1.0 MB.  Longer
+# lengths take tables of their own, _BLOCK per call: 32 and 64 were
+# slower on batches in [2e6, 2e8], their temporaries spilling out of cache.
+_BLOCK = 16
+_KEPT_BLOCKS = N_MULT // _BLOCK + 1
+_REMAINDER = tuple(
+    np.empty((_C_DEGREE + 1, _KEPT_BLOCKS * _BLOCK * PSI_PIECES))
+    for _ in _C_TERMS)
+_BUILT = np.zeros(_KEPT_BLOCKS, dtype=bool)
+
+
+def _fill_blocks(blocks: np.ndarray) -> None:
+    """Fill the kept tables' blocks q in blocks."""
+    for q in blocks.tolist():
+        part = _remainder_rows(np.arange(q * _BLOCK, (q + 1) * _BLOCK))
+        cols = slice(q * _BLOCK * PSI_PIECES, (q + 1) * _BLOCK * PSI_PIECES)
+        for table, coef in zip(_REMAINDER, part):
+            table[:, cols] = coef
+        _BUILT[q] = True
+
+
 @dataclass(frozen=True)
 class ZSample:
     t: float
@@ -521,55 +528,37 @@ class ZSample:
 
 
 def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
-    """Riemann-Siegel Z(t) for an array of t >= 10.  A height's value does
-    not depend on the rest of the batch."""
+    """Riemann-Siegel Z(t) for an array of t >= 10, of t's shape.  A
+    height's value does not depend on the rest of the batch."""
     t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        t = t[None]
-    if not np.all(np.isfinite(t)):
-        raise DomainError("z_rs requires finite t")
-    if np.any(t < 10.0):
-        raise DomainError("z_rs requires t >= 10; use z_eval_many below")
+    if not np.all(t >= 10.0):  # NaN too; +inf fails the row cap
+        raise DomainError("z_rs requires finite t >= 10 (z_eval_many below)")
     if not 0 <= corrections <= 4:
         raise DomainError("corrections must be in [0, 4]")
     # one main-sum row, of N = floor(sqrt(t / 2 pi)) terms, must fit the cap
-    lengths = np.sqrt(t / TWO_PI)
+    flat = t.ravel()
+    lengths = np.sqrt(flat / TWO_PI)
     if np.any(lengths >= _ELEMS + 1):
         raise DomainError(f"z_rs requires t < {TWO_PI * (_ELEMS + 1) ** 2:.4g}"
                           f" (a main sum of at most {_ELEMS} terms)")
-    # uint16 keys take numpy's radix sort, about 5x faster than intp keys
-    # and the same stable permutation
-    lengths = lengths.astype(np.uint16 if lengths.max() < 1 << 16
-                             else np.intp)
-    out = np.empty_like(t)
-    # chunks of heights in order of main-sum length, so a chunk holds few
-    # distinct lengths: at most _CHUNK rows, with lengths from at most
-    # _CHUNK_BLOCKS consecutive blocks (upto[N]: rows of length <= N)
-    order = np.argsort(lengths, kind="stable")
-    counts = np.bincount(lengths)
+    out = np.empty(flat.size)
+    # chunks of _CHUNK heights in order of main-sum length; uint16 keys take
+    # numpy's radix sort, about 5x faster than intp keys and the same stable
+    # permutation
+    order = np.argsort(lengths.astype(
+        np.uint16 if flat.size and lengths.max() < 1 << 16 else np.intp),
+        kind="stable")
     del lengths
-    upto = np.cumsum(counts)
-    # a batch spread over more remainder blocks than the cache keeps would
-    # rebuild them on every call: build only the lengths it has instead
-    blocks = np.flatnonzero(counts) // _BLOCK
-    sparse = np.count_nonzero(np.diff(blocks)) >= _REMAINDER_BLOCKS
-    lo = 0
-    while lo < len(t):
-        n_lo = int(np.searchsorted(upto, lo, side="right"))
-        last = min((n_lo // _BLOCK + _CHUNK_BLOCKS) * _BLOCK, len(upto))
-        hi = min(lo + _CHUNK, int(upto[last - 1]))
-        rows = order[lo:hi]
-        out[rows] = _z_rs_chunk(t[rows], corrections, sparse)
-        lo = hi
-    return out
+    for lo in range(0, flat.size, _CHUNK):
+        rows = order[lo:lo + _CHUNK]
+        out[rows] = _z_rs_chunk(flat[rows], corrections)
+    return out.reshape(t.shape)
 
 
-def _z_rs_chunk(t: np.ndarray, corrections: int,
-                sparse: bool) -> np.ndarray:
+def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
     """Z at heights sorted by N = floor(sqrt(t / 2 pi)).  Rows with
-    N <= N_MULT take the multiplicative main sum, the others the direct
-    one; the remainder tables are the cached blocks of the chunk's lengths,
-    or when sparse, tables of those lengths alone."""
+    N <= N_MULT take the multiplicative main sum and the kept remainder
+    tables, the others the direct sum and tables of their own lengths."""
     a = np.sqrt(t / TWO_PI)
     N = np.floor(a).astype(np.intp)
     p = a - N
@@ -577,28 +566,30 @@ def _z_rs_chunk(t: np.ndarray, corrections: int,
     # theta and t divided by 4
     quarter_theta = 0.25 * theta_many(t)
     quarter_t = 0.25 * t
-    main = np.empty_like(t)
+    z = np.empty_like(t)
     m = int(np.searchsorted(N, N_MULT, side="right"))
-    _main_mult(quarter_t[:m], quarter_theta[:m], N[:m], main[:m])
-    _main_direct(quarter_t[m:], quarter_theta[m:], N[m:], main[m:])
-
-    # the remainder: the tables of the chunk's lengths side by side, then
-    # one gather and one Horner pass; col is a row's length's place in them
-    if sparse:
-        lengths = N[np.flatnonzero(np.diff(N, prepend=-1))]
-        parts = [_remainder_rows(lengths[i:i + _BLOCK])
-                 for i in range(0, len(lengths), _BLOCK)]
-        col = np.cumsum(np.diff(N, prepend=N[0]) > 0)
-    else:
-        q = N // _BLOCK
-        parts = [_remainder_block(int(b))
-                 for b in q[np.flatnonzero(np.diff(q, prepend=-1))]]
-        col = np.cumsum(np.diff(q, prepend=q[0]) > 0) * _BLOCK + N % _BLOCK
-    table = np.concatenate([part[corrections] for part in parts], axis=1)
+    _main_mult(quarter_t[:m], quarter_theta[:m], N[:m], z[:m])
+    _main_direct(quarter_t[m:], quarter_theta[m:], N[m:], z[m:])
+    z *= 2.0
+    # the remainder: one gather and one Horner pass per table
     idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
     u = p - _PIECE_CENTERS[idx]
-    idx += col * PSI_PIECES
-    return 2.0 * main + _horner(np.take(table, idx, axis=1), u)
+    if m:
+        if not _BUILT[N[0] // _BLOCK:N[m - 1] // _BLOCK + 1].all():
+            has = np.bincount(N[:m] // _BLOCK, minlength=_KEPT_BLOCKS) > 0
+            _fill_blocks(np.flatnonzero(has & ~_BUILT))
+        idx[:m] += N[:m] * PSI_PIECES
+        z[:m] += _horner(np.take(_REMAINDER[corrections], idx[:m], axis=1),
+                         u[:m])
+    if m < len(N):
+        lengths = N[m:][np.diff(N[m:], prepend=-1) != 0]
+        for i in range(0, len(lengths), _BLOCK):
+            own = lengths[i:i + _BLOCK]
+            lo, hi = np.searchsorted(N, (own[0], own[-1] + 1)).tolist()
+            col = np.searchsorted(own, N[lo:hi]) * PSI_PIECES + idx[lo:hi]
+            z[lo:hi] += _horner(np.take(_remainder_rows(own)[corrections],
+                                        col, axis=1), u[lo:hi])
+    return z
 
 
 def z_rs(t: float, corrections: int = 3) -> ZSample:

@@ -155,21 +155,30 @@ _THETA_TAIL = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0)
 
 
 def theta_many(t: np.ndarray) -> np.ndarray:
-    """Vectorized theta for t >= 10 (asymptotic branch only)."""
+    """Vectorized theta for finite t >= 10, in place: the asymptotic
+    0.5 t ln(0.5 t / pi) - 0.5 t - pi / 8 plus its tail in 1 / t."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 10.0):
-        raise DomainError("theta_many requires t >= 10")
-    base = 0.5 * t * np.log(0.5 * t / math.pi) - 0.5 * t - math.pi / 8.0
-    u = 1.0 / t
-    u2 = u * u
-    tail = np.zeros_like(t)
-    for c in reversed(_THETA_TAIL):
-        tail = tail * u2 + c
-    return base + tail * u
+    if not np.all((t >= 10.0) & (t < np.inf)):
+        raise DomainError("theta_many requires finite t >= 10")
+    half = np.multiply(t, 0.5, out=np.empty_like(t))
+    out = np.divide(half, math.pi, out=np.empty_like(t))
+    np.log(out, out=out)
+    out *= half
+    out -= half
+    out -= math.pi / 8.0
+    u = np.divide(1.0, t, out=half)
+    u2 = np.multiply(u, u)
+    tail = np.full_like(t, _THETA_TAIL[-1])
+    for c in _THETA_TAIL[-2::-1]:
+        tail *= u2
+        tail += c
+    tail *= u
+    out += tail
+    return out
 
 
 def theta_batch(t: np.ndarray) -> np.ndarray:
-    """theta(t) for arbitrary t >= 0 (arg-Gamma route below 10)."""
+    """theta(t) for arbitrary finite t >= 0 (arg-Gamma route below 10)."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise DomainError("theta requires t >= 0")

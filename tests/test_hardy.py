@@ -17,7 +17,7 @@ from hardylab.hardy import (N_MULT, z_breakpoints, z_err_est, z_eval_many,
                             _PI, _ROW_WORK, _cis_leaf, _cis_of_quarter,
                             _cos_of_quarter, _fold_correction_tables,
                             _horner, _main_direct, _main_mult,
-                            _remainder_block)
+                            _remainder_rows)
 from hardylab.special import theta_many
 
 ZETA_HALF = -1.4603545088095868129
@@ -274,7 +274,7 @@ def test_rs_value_independent_of_batch():
         both = z_eval_many(np.concatenate([t[:1000], low, mixed]), k)
         assert np.array_equal(both[1000:3000], low_batch)
         assert np.array_equal(both[:1000], z_rs_many(t[:1000], k))
-    # lengths from more blocks than one chunk takes (N up to 1,784)
+    # lengths past N_MULT (up to N = 1,784), in many tables of their own
     wide = np.random.default_rng(4).uniform(1e4, 2e7, 400)
     batch = z_rs_many(wide, 3)
     alone = np.array([z_rs_many(wide[i:i + 1], 3)[0] for i in range(40)])
@@ -325,7 +325,8 @@ def test_complex_products_round_alike_at_every_layout():
 
 
 def test_sparse_tall_batch_builds_only_its_lengths(monkeypatch):
-    # 200 heights over 144 remainder blocks, more than the cache keeps
+    # 200 heights over 144 blocks of lengths past N_MULT, which are never
+    # kept: each call builds the tables of its own lengths, and no others
     t = np.random.default_rng(2).uniform(2e6, 2e8, 200)
     first = z_rs_many(t, 3)
     built = []
@@ -337,6 +338,68 @@ def test_sparse_tall_batch_builds_only_its_lengths(monkeypatch):
     assert 0 < sum(built) <= len(np.unique(lengths))
     alone = np.array([z_rs_many(t[i:i + 1], 3)[0] for i in range(len(t))])
     assert np.array_equal(alone, first)
+
+
+def _fresh_kept_tables(monkeypatch):
+    monkeypatch.setattr(hardy, "_REMAINDER", tuple(
+        np.full_like(table, np.nan) for table in hardy._REMAINDER))
+    monkeypatch.setattr(hardy, "_BUILT", np.zeros_like(hardy._BUILT))
+
+
+def test_kept_tables_do_not_depend_on_fill_order(monkeypatch):
+    # a length's column is _remainder_rows of that length alone, whichever
+    # blocks were filled before it and however many one call fills
+    t = np.random.default_rng(15).uniform(10.0, 2 * math.pi * 512.9 ** 2, 3000)
+    blocks = np.unique(np.sqrt(t / (2 * math.pi)).astype(int) // _BLOCK)
+    assert len(blocks) == hardy._KEPT_BLOCKS
+    kept = []
+    for one_call in (True, False):
+        _fresh_kept_tables(monkeypatch)
+        if one_call:
+            values = z_rs_many(t, 3)
+        else:
+            for q in blocks[::-1]:
+                hardy._fill_blocks(np.array([q]))
+            assert np.array_equal(z_rs_many(t, 3), values)
+        assert hardy._BUILT.all()
+        kept.append(hardy._REMAINDER)
+    for N in (0, 1, 17, 255, 400, 511, 512, 527):
+        cols = slice(N * PSI_PIECES, (N + 1) * PSI_PIECES)
+        alone = _remainder_rows(np.array([N]))
+        for K in range(5):
+            assert np.array_equal(kept[0][K][:, cols], alone[K])
+            assert np.array_equal(kept[1][K][:, cols], alone[K])
+
+
+def test_one_height_fills_one_block(monkeypatch):
+    t = np.array([2 * math.pi * 500.5 ** 2])
+    value = z_rs_many(t, 3)
+    _fresh_kept_tables(monkeypatch)
+    built = []
+    rows = hardy._remainder_rows
+    monkeypatch.setattr(hardy, "_remainder_rows",
+                        lambda n: built.append(n.tolist()) or rows(n))
+    assert np.array_equal(z_rs_many(t, 3), value)
+    assert built == [list(range(496, 512))]
+    assert np.flatnonzero(hardy._BUILT).tolist() == [500 // _BLOCK]
+    # warm: nothing more is built
+    assert np.array_equal(z_rs_many(t, 4), z_rs_many(t, 4))
+    assert len(built) == 1
+
+
+def test_rs_keeps_the_input_shape():
+    for fn, lo in ((z_rs_many, 10.0), (z_eval_many, 5.0)):
+        assert fn(np.array([]), 3).shape == (0,)
+        assert fn(np.empty((0, 4)), 3).shape == (0, 4)
+        t = np.random.default_rng(16).uniform(lo, 1e5, (3, 50))
+        got = fn(t, 3)
+        assert got.shape == (3, 50)
+        assert np.array_equal(got, fn(t.ravel(), 3).reshape(3, 50))
+        assert np.array_equal(fn(t.T, 3), got.T)
+        one = fn(np.float64(t[0, 0]), 3)
+        assert one.shape == () and one == got[0, 0]
+    with pytest.raises(DomainError):
+        z_rs_many(np.array([]), corrections=5)
 
 
 def _libm_check_phases():
@@ -523,12 +586,12 @@ def test_folded_corrections_match_derivative_formula():
     m = np.arange(60)[:, None]
     for N in (1, 2, 7, 40, 89, 400):
         a = N + p
-        block = _remainder_block(N // _BLOCK)
-        col = idx + (N % _BLOCK) * PSI_PIECES
+        hardy._fill_blocks(np.array([N // _BLOCK]))
+        col = idx + N * PSI_PIECES
         for K in range(5):
             ref = sum(c[k] * a ** -k for k in range(K + 1)) \
                 * (-1.0) ** (N + 1) / np.sqrt(a)
-            folded = _horner(block[K][:, col], u)
+            folded = _horner(hardy._REMAINDER[K][:, col], u)
             assert np.max(np.abs(folded - ref)) <= 1e-15
         # the terms of C_k times the binomial series of
         # (N + c_j + u)^{-k-1/2} dropped past degree _C_DEGREE, summed over
@@ -551,6 +614,7 @@ def test_folded_corrections_match_derivative_formula():
     (z_oracle_many, 4000.0, 5000.0, 500),
     (lambda t: z_rs_many(t, 4), 1e4, 5e4, 65536),
     (z_oracle_many, 4e4, 4e4, 200),
+    (lambda t: z_rs_many(t, 3), 2e6, 2e8, 6000),
 ])
 def test_batch_memory_bounded(fn, lo, hi, n):
     t = np.random.default_rng(6).uniform(lo, hi, n)

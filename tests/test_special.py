@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from hardylab.errors import AccuracyError, DomainError, PoleError
-from hardylab.special import (chi, gamma_complex, loggamma, theta_batch,
-                              zeta_euler_maclaurin, zeta_half_batch)
+from hardylab.special import (_THETA_TAIL, chi, gamma_complex, loggamma,
+                              theta_batch, theta_many, zeta_euler_maclaurin,
+                              zeta_half_batch)
 
 SQRT_PI = 1.7724538509055160273
 GAMMA_2P5_3J = complex(-0.21811897108112289748, 0.07203476340717503356)
@@ -224,6 +225,34 @@ def test_theta_phase_matches_chi():
     for t in (10.0, 50.0, 1234.5, 1e4):
         want = cmath.exp(-2j * theta(t))
         assert abs(chi(complex(0.5, t)) - want) <= 1e-8
+
+
+def _theta_formula(t):
+    # theta_many's former one-line form, the bit-exact reference for its
+    # in-place arithmetic
+    base = 0.5 * t * np.log(0.5 * t / math.pi) - 0.5 * t - math.pi / 8.0
+    u = 1.0 / t
+    u2 = u * u
+    tail = np.zeros_like(t)
+    for c in reversed(_THETA_TAIL):
+        tail = tail * u2 + c
+    return base + tail * u
+
+
+def test_theta_many_in_place_keeps_the_formula_bits():
+    t = np.concatenate([
+        10.0 ** np.random.default_rng(17).uniform(1.0, 12.0, 20000),
+        [10.0, np.nextafter(10.0, 11.0), 1e154, 1e300]])
+    assert np.array_equal(theta_many(t), _theta_formula(t))
+    one = theta_many(np.float64(1234.5))
+    assert one.shape == () and one == _theta_formula(np.array([1234.5]))[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_theta_rejects_non_finite(bad):
+    for fn in (theta_many, theta_batch):
+        with pytest.raises(DomainError):
+            fn(np.array([20.0, bad, 5.0]))
 
 
 def test_theta_batch_matches_scalar():

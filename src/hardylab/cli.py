@@ -83,8 +83,7 @@ def cmd_moment(args, cfg: RunConfig) -> int:
     rows = []
     header = ["k", "T"]
     if args.mode in ("direct", "both"):
-        mi = hardy_moment(k, T, 2.0 * T, tol=cfg.tol_moment,
-                          budget=cfg.eval_budget)
+        mi = hardy_moment(k, T, 2.0 * T, budget=cfg.eval_budget)
         header += ["integral", "quad_err"]
     if args.mode in ("explicit", "both"):
         n_hi = sum_range(k, T)[1]

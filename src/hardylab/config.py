@@ -13,10 +13,12 @@ from pathlib import Path
 
 @dataclass
 class RunConfig:
-    # Default absolute tolerances handed to the quadrature engine per caller.
+    # Accepted and unused: moment integrals are one fixed quadrature pass.
     tol_moment: float = 1e-7
+    # Mellin truncation-selection tolerance.
     tol_mellin: float = 1e-6
-    # Hard cap on integrand evaluations per integral.
+    # Cap on integrand evaluations per moment or direct Mellin integral,
+    # checked before the first evaluation.
     eval_budget: int = 100_000_000
     output_format: str = "csv"  # csv | json
     seed: int = 20260808

@@ -32,12 +32,6 @@ class FitError(NumericsError):
 
 
 class BudgetError(NumericsError):
-    """Evaluation budget exhausted before the tolerance was met.
-
-    The best estimate computed so far is attached as ``result`` so callers
-    can inspect the flagged partial answer.
-    """
-
-    def __init__(self, message: str, result=None):
-        super().__init__(message)
-        self.result = result
+    """A quadrature pass would need more integrand evaluations than its
+    budget allows, or its panel walk runs away; raised before the first
+    evaluation, with no partial result."""

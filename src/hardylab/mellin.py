@@ -449,8 +449,9 @@ def mellin_by_parts_many(k: int, s_values: np.ndarray, X: float) -> np.ndarray:
 
 
 def mellin_direct(k: int, s: complex, X: float = 2000.0,
-                  tol: float = 1e-8, budget: int | None = None) -> MellinSample:
-    """M_k(s) by direct truncated quadrature of Z^k(x) x^{-s} over [1, X].
+                  budget: int | None = None) -> MellinSample:
+    """M_k(s) by one fixed K17 pass (quad.integrate_oscillatory) of
+    Z^k(x) x^{-s} over [1, X].
 
     Requires Re s > 1.1 (absolute-convergence regime with margin).  The
     certificate integrates the primitive bound by parts:
@@ -468,7 +469,7 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
     def f(x: np.ndarray) -> np.ndarray:
         return power_in_place(z_eval_many(x), k) * np.exp(-s * np.log(x))
 
-    res = integrate_oscillatory(f, 1.0, X, _twisted_freq(abs(s.imag)), tol=tol,
+    res = integrate_oscillatory(f, 1.0, X, _twisted_freq(abs(s.imag)),
                                 budget=budget, breakpoints=z_breakpoints(1.0, X))
     e_k = _PRIM_EXP[k]
     tail = 2.0 * abs(s) * primitive_constant(k) * X ** (e_k - sigma) / (sigma - e_k)
@@ -791,7 +792,7 @@ def laplace_consistency(s: complex, tol: float = 1e-5) -> IdentityReport:
         return _lbar_many(np.exp(vs), y, zy) * np.exp(s * vs)
 
     res = integrate_oscillatory(outer, math.log(x_lo), math.log(x_hi),
-                                lambda v: 0.3, tol=tol, max_panel=0.5)
+                                lambda v: 0.3, max_panel=0.5)
     lhs = complex(res.value)
     m1 = mellin_by_parts(1, s, tol=tol)
     gamma_s = gamma_complex(s)

@@ -79,11 +79,15 @@ def power_in_place(a: np.ndarray, k: int) -> np.ndarray:
     return a
 
 
-def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
+def hardy_moment(k: int, a: float, b: float, tol: float | None = None,
                  budget: int | None = None) -> MomentResult:
-    """integral of Z^k over [a, b], adaptive from quarter periods of Z (not
-    of Z^k) for every k; Z from the Riemann-Siegel formula above t = 10 and
-    from the frozen low table below."""
+    """integral of Z^k over [a, b]: one pass of the fixed K17 rule
+    (quad.integrate_oscillatory) over quarter periods of Z (not of Z^k) for
+    every k, with an edge at every breakpoint of the evaluation, in blocks
+    and with no cache, so memory stays bounded for large b; Z from the
+    Riemann-Siegel formula above t = 10 and from the frozen low table below.
+    tol is accepted and steers nothing: the rule has no refinement.  budget
+    caps the evaluations (BudgetError before any is made)."""
     if not (1 <= k <= 8):
         raise DomainError("hardy_moment requires 1 <= k <= 8")
     if not (1.0 <= a < b):
@@ -92,8 +96,8 @@ def hardy_moment(k: int, a: float, b: float, tol: float = 1e-7,
     def f(t: np.ndarray) -> np.ndarray:
         return power_in_place(z_eval_many(t), k)
 
-    res = integrate_oscillatory(f, a, b, z_power_freq(1), tol=tol,
-                                budget=budget, breakpoints=z_breakpoints(a, b))
+    res = integrate_oscillatory(f, a, b, z_power_freq(1), budget=budget,
+                                breakpoints=z_breakpoints(a, b))
     return MomentResult(k=k, a=a, b=b, value=float(res.value.real),
                         abs_err_est=res.abs_err_est)
 

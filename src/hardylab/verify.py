@@ -85,7 +85,7 @@ def suite_z_agreement(cfg: RunConfig) -> list[Check]:
 def _dyadic_residuals(k: int, exponent: float, table) -> list[Check]:
     resid = {}
     for T in (100.0, 200.0, 500.0, 1000.0):
-        mi = hardy_moment(k, T, 2.0 * T, tol=1e-8)
+        mi = hardy_moment(k, T, 2.0 * T)
         ms = moment_main_term(k, T, table)
         resid[T] = abs(mi.value - ms.value)
     c_fit = resid[100.0] / 100.0 ** exponent

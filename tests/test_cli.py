@@ -333,21 +333,24 @@ def test_verify_detects_injected_sign_error(tmp_path, capsys, monkeypatch):
         assert "FAIL" in out
 
 
-def test_budget_exit_code(capsys, monkeypatch):
-    # the CLI maps BudgetError to exit 3 (the quad engine's budget
-    # mechanics have their own unit test; integrands reachable from the
-    # CLI all carry frequency hints good enough to converge first)
-    import hardylab.cli as cli
-    from hardylab.errors import BudgetError
-
-    def exploding(*a, **kw):
-        raise BudgetError("evaluation budget exhausted")
-
-    monkeypatch.setattr(cli, "hardy_moment", exploding)
-    code, _, err = run_cli(capsys, "moment", "--k", "3", "--T", "400",
-                           "--mode", "direct")
+def test_budget_exit_code(tmp_path, capsys):
+    # the 580 panels of [400, 800] need 9,860 evaluations: a budget of
+    # 5,000 stops the moment before any, with exit 3
+    cfg_file = tmp_path / "budget.cfg"
+    cfg_file.write_text("eval_budget = 5000\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg_file), "moment",
+                             "--k", "3", "--T", "400", "--mode", "direct")
     assert code == 3
-    assert "budget" in err.lower()
+    assert out == "" and "budget" in err.lower()
+
+
+def test_moment_k8_direct_at_default_budget(capsys):
+    code, out, _ = run_cli(capsys, "moment", "--k", "8", "--T", "2000",
+                           "--mode", "direct")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    assert header == "k,T,integral,quad_err"
+    assert float(row.split(",")[2]) > 0.0
 
 
 def test_format_default_from_config(tmp_path, capsys):

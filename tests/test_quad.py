@@ -1,4 +1,4 @@
-"""Adaptive oscillatory quadrature and vertical-line contour integrals."""
+"""Fixed-rule oscillatory quadrature and vertical-line contour integrals."""
 
 import hashlib
 import math
@@ -9,68 +9,66 @@ import pytest
 from hardylab.errors import BudgetError, DomainError
 from hardylab.hardy import z_breakpoints, z_eval_many
 from hardylab.moments import z_power_freq
-from hardylab.special import TWO_PI
-from hardylab.quad import (GAUSS_COLS, NODES, PanelSet, QuadratureResult,
-                           integrate_oscillatory, integrate_vertical_line,
-                           panel_edges, partial_integrals)
+from hardylab.special import _ELEMS, TWO_PI
+from hardylab.quad import (GAUSS_COLS, NODES, PanelSet, integrate_oscillatory,
+                           integrate_vertical_line, panel_edges,
+                           partial_integrals)
 
 
 def test_cosine_full_period():
     r = integrate_oscillatory(np.cos, 0.0, 2.0 * math.pi,
-                              lambda t: 1.0 / (2.0 * math.pi), tol=1e-12)
+                              lambda t: 1.0 / (2.0 * math.pi))
     assert abs(r.value) <= 1e-12
-    assert r.evals >= r.panels * 16
+    assert r.evals == r.panels * NODES
 
 
 def test_constant():
     r = integrate_oscillatory(lambda x: np.ones_like(x), 1.0, 3.0,
-                              lambda t: 0.0, tol=1e-14)
+                              lambda t: 0.0)
     assert abs(r.value - 2.0) <= 1e-14
 
 
 def test_z_self_consistency_on_0_100():
-    # whole-interval result vs independently summed sub-intervals at half
-    # tolerance
+    # whole-interval result vs independently summed sub-intervals; Z's
+    # evaluation jumps at its breakpoints, which become panel edges
     freq = z_power_freq(1)
     f = lambda t: z_eval_many(t)
-    whole = integrate_oscillatory(f, 1.0, 100.0, freq, tol=1e-8,
-                                  breakpoints=(10.0,))
+    whole = integrate_oscillatory(f, 1.0, 100.0, freq,
+                                  breakpoints=z_breakpoints(1.0, 100.0))
     parts = 0.0
     err = 0.0
     for a, b in ((1.0, 30.0), (30.0, 61.5), (61.5, 100.0)):
-        r = integrate_oscillatory(f, a, b, freq, tol=5e-9,
-                                  breakpoints=(10.0,))
+        r = integrate_oscillatory(f, a, b, freq,
+                                  breakpoints=z_breakpoints(a, b))
         parts += r.value.real
         err += r.abs_err_est
     assert abs(whole.value.real - parts) <= whole.abs_err_est + err + 1e-9
 
 
-def test_tolerance_monotonicity():
-    f = lambda x: np.sin(3.0 * x) * np.exp(-0.1 * x)
-    exact = integrate_oscillatory(f, 0.0, 20.0, lambda t: 0.5, tol=1e-13).value
-    prev_gap = None
-    for tol in (1e-4, 1e-6, 1e-8, 1e-10):
-        v = integrate_oscillatory(f, 0.0, 20.0, lambda t: 0.5, tol=tol).value
-        gap = abs(v - exact)
-        if prev_gap is not None:
-            assert gap <= prev_gap + 1e-14
-        prev_gap = gap
-
-
 def test_determinism_repeat_calls():
     f = lambda t: z_eval_many(t)
-    r1 = integrate_oscillatory(f, 10.0, 80.0, z_power_freq(1), tol=1e-9)
-    r2 = integrate_oscillatory(f, 10.0, 80.0, z_power_freq(1), tol=1e-9)
+    breaks = z_breakpoints(10.0, 80.0)
+    r1 = integrate_oscillatory(f, 10.0, 80.0, z_power_freq(1),
+                               breakpoints=breaks)
+    r2 = integrate_oscillatory(f, 10.0, 80.0, z_power_freq(1),
+                               breakpoints=breaks)
     assert r1.value == r2.value and r1.abs_err_est == r2.abs_err_est
 
 
-def test_budget_error_carries_partial():
-    # deliberately unhinted fast oscillation: refinement must exceed the cap
-    f = lambda x: np.cos(50.0 * x)
-    with pytest.raises(BudgetError) as exc:
-        integrate_oscillatory(f, 0.0, 100.0, lambda t: 0.0, tol=1e-12,
-                              budget=2000)
-    assert isinstance(exc.value.result, QuadratureResult)
+def test_budget_error_before_any_evaluation():
+    # 100 unit panels need 1,700 evaluations: a cap below that raises
+    # before the integrand is called, a cap at it integrates
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.cos(x)
+
+    with pytest.raises(BudgetError):
+        integrate_oscillatory(f, 0.0, 100.0, lambda t: 0.0, budget=1699)
+    assert calls == []
+    r = integrate_oscillatory(f, 0.0, 100.0, lambda t: 0.0, budget=1700)
+    assert calls == [1700] and (r.panels, r.evals) == (100, 1700)
 
 
 def test_domain():
@@ -116,24 +114,25 @@ def test_vertical_line_gamma_stability():
 ])
 def test_mean_square_transform_inequality(sigma, T, a, b):
     # int_0^T |int_a^b g(x) x^{-sigma-it} dx|^2 dt
-    #   <= 2 pi int_a^b g(x)^2 x^{1-2 sigma} dx  for real integrable g
+    #   <= 2 pi int_a^b g(x)^2 x^{1-2 sigma} dx  for real integrable g;
+    # g = Z is evaluated once, on panels hinted for x^{-iT}, and every inner
+    # integral is a weighted sum of those values
     freq_x = z_power_freq(1)
-    gx = lambda x: z_eval_many(x)
-
-    def inner(t: float) -> complex:
-        f = lambda x: gx(x) * np.exp(-complex(sigma, t) * np.log(x))
-        return integrate_oscillatory(
-            f, a, b, lambda x: freq_x(x) + abs(t) / (2 * math.pi * x),
-            tol=1e-8).value
+    breaks = z_breakpoints(a, b)
+    panels = PanelSet.from_edges(panel_edges(
+        a, b, lambda x: freq_x(x) + T / (2 * math.pi * x), breaks))
+    x = panels.nodes()
+    wg = panels.weights() * z_eval_many(x) * x ** -sigma
+    log_x = np.log(x)
 
     def outer(ts: np.ndarray) -> np.ndarray:
-        return np.array([abs(inner(float(t))) ** 2 for t in ts])
+        return np.array([abs(np.dot(wg, np.exp(-1j * t * log_x))) ** 2
+                         for t in ts])
 
-    lhs = integrate_oscillatory(outer, 0.0, T, lambda t: 0.0, tol=1e-6,
-                                max_panel=2.0)
+    lhs = integrate_oscillatory(outer, 0.0, T, lambda t: 0.0, max_panel=2.0)
     rhs = integrate_oscillatory(
-        lambda x: gx(x) ** 2 * x ** (1.0 - 2.0 * sigma), a, b, freq_x,
-        tol=1e-9)
+        lambda x: z_eval_many(x) ** 2 * x ** (1.0 - 2.0 * sigma), a, b,
+        freq_x, breakpoints=breaks)
     bound = 2.0 * math.pi * rhs.value.real \
         + 2.0 * math.pi * rhs.abs_err_est + lhs.abs_err_est
     assert lhs.value.real <= bound
@@ -225,8 +224,26 @@ def test_estimate_evaluates_once_at_17_nodes_per_panel():
     value, err, y = panels.estimate(f)
     assert calls == [3 * NODES] and NODES == 17
     assert y.shape == (3, NODES)
-    r = integrate_oscillatory(np.sin, 0.0, 3.0, lambda t: 0.0, tol=1e-14)
-    assert r.evals % NODES == 0 and r.evals >= NODES * r.panels
+    r = integrate_oscillatory(np.sin, 0.0, 3.0, lambda t: 0.0)
+    assert r.evals == NODES * r.panels
+
+
+def test_fixed_pass_is_one_sum_over_blocks():
+    # more panels than one block of _ELEMS nodes: the value is the numpy sum
+    # of every panel's K17 value in order, the estimate the fsum of their
+    # |K17 - G8|, the bits of one evaluation over all the panels
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.sin(x)
+
+    r = integrate_oscillatory(f, 0.0, 4.0e4, lambda t: 0.0)
+    assert r.panels == 40_000 and len(calls) == 3
+    assert max(calls) <= _ELEMS and sum(calls) == r.evals == NODES * r.panels
+    v, e, _ = PanelSet.from_edges(np.arange(4.0e4 + 1.0)).estimate(np.sin)
+    assert r.value == np.sum(v)
+    assert r.abs_err_est == math.fsum(e.tolist())
 
 
 def test_frozen_rule():

@@ -152,8 +152,7 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
                     rows, args.out, args.format)
         return EXIT_OK
     if args.method == "direct":
-        samples = [ML.mellin_direct(k, sv, budget=cfg.eval_budget,
-                                    X=2000.0 if args.X is None else args.X)
+        samples = [ML.mellin_direct(k, sv, X=2000.0 if args.X is None else args.X)
                    for sv in s]
     else:
         # one engine call per (X, band) grid, the bits of per-row calls

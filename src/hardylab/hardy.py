@@ -268,38 +268,20 @@ def _cis_leaf(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
         sin += y
 
 
-def _cos_of_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
-    """cos(4 y) in place of 1-d y, for quarter phases y = x / 4 with
-    |x| < 2^41 pi; k and tmp are work arrays of y's shape.
-
-    With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) from the cos
-    row of _cis_leaf and cos r = 8 (c^2 - 1/2)^2 - 1, where c^2 - 1/2 is
-    exact.  This is within 2^-48 of cos r (measured against libm: 13 *
-    2^-53, near r = 0, where c^2 is nearly 1), so |result - cos x| <=
-    2^-48 + 2^-17 ulp(x) (tests/test_hardy.py checks this against
-    np.cos)."""
-    _reduce_quarter(y, k, tmp)
-    _cis_leaf(y, k, tmp[None])
-    np.square(tmp, out=y)
-    y -= 0.5
-    np.square(y, out=y)
-    y *= 8.0
-    y -= 1.0
-
-
 def _cis_of_quarter(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
-    """cos(4 y) into cs[0] and sin(4 y) into cs[1], for 1-d quarter phases
-    y = x / 4 with |x| < 2^41 pi; y is overwritten and z is a work array of
-    its shape.
+    """cos(4 y) into cs[0] and, if cs has a second row, sin(4 y) into cs[1],
+    for 1-d quarter phases y = x / 4 with |x| < 2^41 pi; y is overwritten
+    and z is a work array of its shape.
 
     With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) and
     s = sin(r / 4) (_cis_leaf), cos r = 8 (c^2 - 1/2)^2 - 1 and
     sin r = 8 s c (c^2 - 1/2), where c^2 - 1/2 is exact.  Each is within
     2^-48 + 2^-17 ulp(x) of cos x and sin x (measured against np.cos and
     np.sin for |x| <= 1e3: 13 * 2^-53 and 10.25 * 2^-53, where libm's c
-    and s gave 13 and 8; tests/test_hardy.py checks the bound)."""
-    c, s = cs
-    _reduce_quarter(y, s, c)
+    and s gave 13 and 8; tests/test_hardy.py checks the bound).  The cos
+    row has the same bits with or without the sin row."""
+    c, s = cs[0], cs[1:]  # s has no rows without a sin row
+    _reduce_quarter(y, z, c)
     _cis_leaf(y, z, cs)
     np.square(c, out=y)
     y -= 0.5
@@ -321,11 +303,11 @@ def _main_direct(quarter_t: np.ndarray, quarter_theta: np.ndarray,
     n = np.arange(1, N[-1] + 1, dtype=float)
     ln = np.log(n)
     w = 1.0 / np.sqrt(n)
-    phases, k, tmp = np.empty((3, max(_SUM_ELEMS, int(N[-1]))))
+    phases, z, cos = np.empty((3, max(_SUM_ELEMS, int(N[-1]))))
     rects, used = [], 0
 
     def flush():
-        _cos_of_quarter(phases[:used], k[:used], tmp[:used])
+        _cis_of_quarter(phases[:used], z[:used], cos[None, :used])
         for s, y in rects:
             y *= w[:y.shape[1]]
             main[s] = y.sum(axis=1)
@@ -342,7 +324,7 @@ def _main_direct(quarter_t: np.ndarray, quarter_theta: np.ndarray,
             y = phases[used:used + (s.stop - lo) * m].reshape(-1, m)
             np.multiply(quarter_t[s, None], ln[:m], out=y)
             np.subtract(quarter_theta[s, None], y, out=y)
-            rects.append((s, y))
+            rects.append((s, cos[used:used + y.size].reshape(y.shape)))
             used += y.size
             lo = s.stop
     flush()

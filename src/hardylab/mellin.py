@@ -16,9 +16,12 @@ check are two weightings of those moments, and each s then costs a Horner
 sum over the slices, independent of the node count.  A contour of thousands
 of s thus costs one node pass per centre instead of one complex exponential
 per node per s, and a value does not depend on the batch it came in.
-The square identity's right side is one Fubini sum on the moment cache's
-panels: its inner integrals up to X/u are prefix sums over the same node
-values, so it evaluates Z only on the last panel, clipped at X.
+The direct transform of Z^k truncated at X and the continuation through
+I_k read the same sum, on one grid per (k, X, band of |Im s|); the
+continuation subtracts the boundary term I_k(X) X^{-s}.  The square
+identity's right side is one Fubini sum on the moment cache's panels: its
+inner integrals up to X/u are prefix sums over the same node values, so it
+evaluates Z only on the last panel, clipped at X.
 
 For even k the primitive grows like x * poly(log x); its smooth main part
 is fitted once on the cache anchors and the fitted tail is integrated in
@@ -286,25 +289,19 @@ class _ExpSum:
 
 # -- fixed integration grids ---------------------------------------------------
 
-def _twisted_freq(t: float):
-    """Z's frequency plus the twist t / (2 pi x) of x^{-it}: a panel hint
-    that resolves Z^k x^{-it} for every k down to x = 1."""
-    zfreq = z_power_freq(1)
-    return lambda x: zfreq(x) + t / (TWO_PI * x)
-
-
 class _PrimitiveGrid:
-    """Deterministic panel grid for s * integral_1^X I_k(x) x^{-s-1} dx.
+    """Deterministic panel grid for integral_1^X Z^k(x) x^{-s} dx, the
+    direct transform truncated at X, and for s * integral_1^X I_k(x)
+    x^{-s-1} dx, the same less I_k(X) X^{-s} (one integration by parts).
 
-    The transform is computed through the exactly equivalent boundary form
-    integral_1^X Z^k x^{-s} dx - I_k(X) X^{-s} (one integration by parts
-    back), so the grid keeps the K17 weights times Z^k at its nodes as one
-    _ExpSum, whose G8 check comes from the same node pass: a batch of s
-    costs one node pass per centre, whatever its size.  Panels are sized
-    by Z's own frequency for every k, and grids are banded by |Im s|: the
-    frequency hint adds the twist |Im s|/(2 pi x) so panels resolve x^{-it}
-    down to x = 1.  Band 0 has no twist: its panels and Z^k values are the
-    moment cache's, and only the last panel, clipped at X, evaluates Z.
+    The grid keeps the K17 weights times Z^k at its nodes as one _ExpSum,
+    whose G8 check comes from the same node pass: a batch of s costs one
+    node pass per centre, whatever its size.  Panels are sized by Z's own
+    frequency for every k, and grids are banded by |Im s|: the frequency
+    hint adds the twist t / (2 pi x) of x^{-it}, t the band's top, so
+    panels resolve x^{-it} down to x = 1.  Band 0 has no twist: its panels
+    and Z^k values are the moment cache's, and only the last panel, clipped
+    at X, evaluates Z.
     """
 
     def __init__(self, k: int, X: float, band: int):
@@ -313,20 +310,27 @@ class _PrimitiveGrid:
             # the twist vanishes: these are the moment cache's own panels
             panels, zk = cache.panels(X)
         else:
+            zfreq, t = z_power_freq(1), 4.0 * 2.0 ** band
             panels = PanelSet.from_edges(panel_edges(
-                1.0, X, _twisted_freq(_band_top(band)), z_breakpoints(1.0, X)))
+                1.0, X, lambda x: zfreq(x) + t / (TWO_PI * x),
+                z_breakpoints(1.0, X)))
             zk = power_in_place(z_eval_many(panels.nodes()), k)
         self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk)
         self.lnX = math.log(X)
         self.I_X = float(cache.eval_many(np.array([X]))[0])
         self.I_X_err = float(cache.err_at(X))
 
+    def direct(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """integral_1^X Z^k x^{-s} dx at every s, and its estimate:
+        |K17 - G8| and the Taylor cut."""
+        (v, v_check), trunc = self.engine.sums(s)
+        return v, np.abs(v - v_check) + trunc
+
     def truncated(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """s * integral_1^X I_k x^{-s-1} dx at every s, and its estimate:
-        |K17 - G8|, the Taylor cut and I_k(X)'s error times X^{-sigma}."""
-        (v, v_check), trunc = self.engine.sums(s)
-        err = (np.abs(v - v_check) + trunc
-               + self.I_X_err * np.exp(-s.real * self.lnX))
+        direct's plus I_k(X)'s error times X^{-sigma}."""
+        v, err = self.direct(s)
+        err += self.I_X_err * np.exp(-s.real * self.lnX)
         return v - self.I_X * np.exp(-s * self.lnX), err
 
 
@@ -334,10 +338,6 @@ def _band(t_abs: np.ndarray) -> np.ndarray:
     """The least band b >= 0 with |Im s| <= 4 * 2^b, elementwise."""
     m, e = np.frexp(t_abs / 4.0)  # t/4 = m 2^e, 1/2 <= m < 1
     return np.where(t_abs <= 4.0, 0, e - (m == 0.5))
-
-
-def _band_top(band: int) -> float:
-    return 4.0 * 2.0 ** band if band > 0 else 0.0
 
 
 @functools.cache
@@ -448,14 +448,14 @@ def mellin_by_parts_many(k: int, s_values: np.ndarray, X: float) -> np.ndarray:
     return _by_parts(k, _checked(k, s_values), X)[0]
 
 
-def mellin_direct(k: int, s: complex, X: float = 2000.0,
-                  budget: int | None = None) -> MellinSample:
-    """M_k(s) by one fixed K17 pass (quad.integrate_oscillatory) of
-    Z^k(x) x^{-s} over [1, X].
+def mellin_direct(k: int, s: complex, X: float = 2000.0) -> MellinSample:
+    """M_k(s) as the integral of Z^k(x) x^{-s} over [1, X]: the sum of its
+    band's transform grid, which mellin_by_parts continues past its
+    boundary term.
 
     Requires Re s > 1.1 (absolute-convergence regime with margin).  The
-    certificate integrates the primitive bound by parts:
-    |tail| <= 2|s| C_k X^{e_k - sigma} / (sigma - e_k).
+    certificate is the grid's estimate plus the primitive bound integrated
+    by parts: |tail| <= 2|s| C_k X^{e_k - sigma} / (sigma - e_k).
     """
     if k not in (1, 2, 3, 4):
         raise DomainError("mellin_direct supports k in {1,2,3,4}")
@@ -466,15 +466,11 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0,
     if not 10.0 <= X < math.inf:
         raise DomainError("mellin_direct requires finite X >= 10")
 
-    def f(x: np.ndarray) -> np.ndarray:
-        return power_in_place(z_eval_many(x), k) * np.exp(-s * np.log(x))
-
-    res = integrate_oscillatory(f, 1.0, X, _twisted_freq(abs(s.imag)),
-                                budget=budget, breakpoints=z_breakpoints(1.0, X))
+    value, err = _grid(k, X, int(_band(abs(s.imag)))).direct(np.array([s]))
     e_k = _PRIM_EXP[k]
     tail = 2.0 * abs(s) * primitive_constant(k) * X ** (e_k - sigma) / (sigma - e_k)
-    return MellinSample(s=s, k=k, value=complex(res.value), X=X,
-                        tail_bound=tail + res.abs_err_est, method="direct")
+    return MellinSample(s=s, k=k, value=complex(value[0]), X=X,
+                        tail_bound=tail + float(err[0]), method="direct")
 
 
 # -- cubic decomposition ---------------------------------------------------------

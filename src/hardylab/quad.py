@@ -58,17 +58,19 @@ class QuadratureResult:
 
 
 def panel_edges(a: float, b: float, freq, breaks=(),
-                max_panel: float = MAX_PANEL) -> np.ndarray:
+                max_panel: float = MAX_PANEL,
+                max_panels: int = 50_000_000) -> np.ndarray:
     """Panel edges on [a, b]: each panel spans a quarter period
     0.25 / freq(left edge), capped at max_panel (and max_panel where the
-    hint is not positive), and every break in (a, b) becomes an edge."""
+    hint is not positive), and every break in (a, b) becomes an edge.
+    Raises BudgetError once the walk passes max_panels panels."""
     # the cut list ends in a sentinel no edge reaches
     cuts = sorted(x for x in set(breaks) if a < x < b) + [math.inf]
     i, cut = 0, cuts[0]
     f_cap = 0.25 / max_panel  # above it a quarter period is below the cap
     edges = [a]
     x = a
-    for _ in range(50_000_000):
+    for _ in range(max_panels + 1):
         if not x < b:
             return np.array(edges)
         f = freq(x)
@@ -80,7 +82,8 @@ def panel_edges(a: float, b: float, freq, breaks=(),
             i += 1
             cut = cuts[i]
         edges.append(x)
-    raise BudgetError("panel construction runaway")
+    raise BudgetError(f"[{a}, {b}] needs more than {max_panels} panels, "
+                      "above the budget")
 
 
 class PanelSet:
@@ -161,22 +164,20 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     """Integral of f over [a, b] by one pass of the K17 rule over
     panel_edges(a, b, freq, breakpoints, max_panel), in blocks of
     _ELEMS // NODES panels: the value is the numpy sum of the panel values
-    in order, the estimate the fsum of their |K17 - G8|.  Raises BudgetError,
-    before any evaluation, if the pass needs more than budget nodes.
+    in order, the estimate the fsum of their |K17 - G8|.  Raises BudgetError
+    if the pass needs more than budget nodes: the walk stops at
+    budget // NODES panels, before any evaluation.
 
     Panels are at most max_panel wide: below t ~ 145 a quarter period of Z
     is wider than 1, and on MAX_PANEL-wide panels there G8 no longer
-    resolves Z^k (mellin_direct's estimates on [1, 2000] reach 1.4e-7 on
-    4-wide panels, 6.6e-10 on 1-wide ones).
+    resolves Z^k (a pass of Z^k x^{-s} over [1, 2000] estimates up to
+    1.4e-7 on 4-wide panels, 6.6e-10 on 1-wide ones).
     """
     if not a < b:
         raise DomainError("integrate_oscillatory requires a < b")
     budget = DEFAULTS.eval_budget if budget is None else budget
-    edges = panel_edges(a, b, freq, breakpoints, max_panel)
+    edges = panel_edges(a, b, freq, breakpoints, max_panel, budget // NODES)
     n = len(edges) - 1
-    if NODES * n > budget:
-        raise BudgetError(f"{n} panels need {NODES * n} evaluations, "
-                          f"above the evaluation budget {budget}")
     lo, hi, step = edges[:-1], edges[1:], _ELEMS // NODES
     # the node values of a block are dropped once its panels are summed
     v, e = zip(*(PanelSet(lo[j:j + step], hi[j:j + step]).estimate(f)[:2]

@@ -28,19 +28,12 @@ def fmt(x) -> str:
 
 
 def _json_scalar(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        if math.isnan(x) or math.isinf(x):
-            return '"%s"' % fmt(x)
-        return f"{x:.16e}"
-    if isinstance(x, complex):
-        return '"%s"' % fmt(x)
+    """fmt(x) bare for a bool, an int or a finite float, else quoted."""
     if x is None:
         return "null"
-    return '"%s"' % str(x).replace("\\", "\\\\").replace('"', '\\"')
+    if isinstance(x, int) or isinstance(x, float) and math.isfinite(x):
+        return fmt(x)
+    return '"%s"' % fmt(x).replace("\\", "\\\\").replace('"', '\\"')
 
 
 def to_json(obj, indent: int = 0) -> str:

@@ -1,8 +1,10 @@
 """CLI surface: subcommands, formats, exit codes, determinism, sensitivity."""
 
 import json
+import math
 import re
 
+import numpy as np
 import pytest
 
 import hardylab.cli as cli
@@ -10,6 +12,7 @@ import hardylab.mellin as ML
 import hardylab.verify as verify
 from hardylab.cli import main
 from hardylab.config import load_config
+from hardylab.reportio import to_json
 
 
 def run_cli(capsys, *argv):
@@ -371,3 +374,15 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.seed == 99
     with pytest.raises(KeyError):
         load_config(cfg_file, {"no_such_key": 1})
+
+
+def test_json_scalars_are_fmt_bare_or_quoted():
+    # a bool, an int or a finite float bare; anything else quoted, escaped
+    cases = [(None, "null"), (True, "true"), (-7, "-7"),
+             (1.5, "1.5000000000000000e+00"),
+             (np.float64(-0.0), "-0.0000000000000000e+00"),
+             (math.nan, '"nan"'), (-math.inf, '"-inf"'), (np.int64(3), '"3"'),
+             (1 - 2j, '"1.0000000000000000e+00-2.0000000000000000e+00j"'),
+             ('a"b\\c', '"a\\"b\\\\c"')]
+    for x, want in cases:
+        assert to_json(x) == want, x

@@ -15,9 +15,8 @@ from hardylab.hardy import (N_MULT, z_breakpoints, z_err_est, z_eval_many,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
                             _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
                             _PI, _ROW_WORK, _cis_leaf, _cis_of_quarter,
-                            _cos_of_quarter, _fold_correction_tables,
-                            _horner, _main_direct, _main_mult,
-                            _remainder_rows)
+                            _fold_correction_tables, _horner, _main_direct,
+                            _main_mult, _remainder_rows)
 from hardylab.special import theta_many
 
 ZETA_HALF = -1.4603545088095868129
@@ -422,10 +421,13 @@ def _libm_check_phases():
 
 
 def test_reduced_cosine_matches_libm():
+    # the direct kernel's one-row form: the two-row form's cos row, bit for bit
     x, bound = _libm_check_phases()
-    y = 0.25 * x
-    _cos_of_quarter(y, np.empty_like(y), np.empty_like(y))
-    err = np.abs(y - np.cos(x))
+    cos, cs = np.empty((1,) + x.shape), np.empty((2,) + x.shape)
+    _cis_of_quarter(0.25 * x, np.empty_like(x), cos)
+    _cis_of_quarter(0.25 * x, np.empty_like(x), cs)
+    assert np.array_equal(cos[0].view(np.int64), cs[0].view(np.int64))
+    err = np.abs(cos[0] - np.cos(x))
     assert np.all(err <= bound), float(np.max(err / bound))
 
 

@@ -16,8 +16,9 @@ from hardylab import moments
 from hardylab.errors import (CapacityError, ConvergenceError, DomainError,
                              FitError)
 from hardylab.hardy import z_breakpoints, z_eval_many, z_oracle
-from hardylab.moments import moment_cache, z_power_freq
-from hardylab.quad import NODES, PanelSet, integrate_vertical_line, panel_edges
+from hardylab.moments import moment_cache, power_in_place, z_power_freq
+from hardylab.quad import (NODES, PanelSet, integrate_oscillatory,
+                           integrate_vertical_line, panel_edges)
 from hardylab.special import TWO_PI
 
 TWO_GAMMA_MINUS_LOG_2PI = -0.6834457366062798
@@ -53,6 +54,24 @@ def test_direct_regime_guard():
         ML.mellin_direct(2, 1.05 + 0j)
     with pytest.raises(DomainError):
         ML.mellin_direct(2, 3.0 + 0j, X=5.0)
+
+
+@pytest.mark.parametrize("k, s, X", [
+    (1, 4.0 + 0j, 500.0), (2, 3.0 + 0j, 2000.0), (3, 2.5 + 3j, 1000.0),
+    (1, 2.0 - 7j, 4000.0), (2, 2.5 + 12j, 1000.0), (4, 3.0 + 20j, 2000.0)])
+def test_direct_matches_an_independent_pass(k, s, X):
+    # mellin_direct reads its band's transform grid; the reference is its
+    # own K17 pass of Z^k x^{-s} over [1, X] on 1-wide panels hinted with
+    # the twist |Im s| / (2 pi x) itself, not the band's top
+    zfreq, t = z_power_freq(1), abs(s.imag)
+    ref = integrate_oscillatory(
+        lambda x: power_in_place(z_eval_many(x), k) * np.exp(-s * np.log(x)),
+        1.0, X, lambda x: zfreq(x) + t / (TWO_PI * x),
+        breakpoints=z_breakpoints(1.0, X))
+    d = ML.mellin_direct(k, s, X=X)
+    e = ML._PRIM_EXP[k]
+    tail = 2.0 * abs(s) * ML.primitive_constant(k) * X ** (e - s.real) / (s.real - e)
+    assert abs(d.value - ref.value) <= (d.tail_bound - tail) + ref.abs_err_est
 
 
 @pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(2.0, math.inf),

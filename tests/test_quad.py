@@ -71,6 +71,21 @@ def test_budget_error_before_any_evaluation():
     assert calls == [1700] and (r.panels, r.evals) == (100, 1700)
 
 
+def test_budget_refusal_stops_the_walk():
+    # [1, 2e5] takes about 600,000 quarter periods of Z; a budget of 1,000
+    # nodes is refused after at most 1000 // 17 + 1 steps of the walk
+    hints = []
+    zfreq = z_power_freq(1)
+
+    def freq(x):
+        hints.append(x)
+        return zfreq(x)
+
+    with pytest.raises(BudgetError, match="budget"):
+        integrate_oscillatory(np.cos, 1.0, 2e5, freq, budget=1000)
+    assert 0 < len(hints) <= 1000 // NODES + 1
+
+
 def test_domain():
     with pytest.raises(DomainError):
         integrate_oscillatory(np.cos, 1.0, 1.0, lambda t: 1.0)

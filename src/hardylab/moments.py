@@ -5,10 +5,10 @@ cache walks Gauss-Kronrod panels from 1 (quarter periods of Z, an edge at
 every breakpoint of the evaluation) and keeps, for every panel, I_1 at its
 edges and Z at its 17 nodes.  Any I_k(x) inside the built range is then the
 anchor at the panel's left edge plus the integral of the panel's degree-16
-interpolant up to x: no new Z values.  Transform grids on [1, X] read the
-same panels and node values.  Mellin-transform callers re-integrate I_k
-thousands of times, so the cache is the difference between seconds and
-hours.
+interpolant up to x, summed from the panel's Legendre coefficients: no new Z
+values.  The verify suites read I_k(2T) - I_k(T) so, and transform grids on
+[1, X] read the same panels and node values.  Mellin-transform callers
+re-integrate I_k thousands of times: the cache saves hours.
 
 Every k >= 2 cache shares that one Z walk: it has a k = 1 base cache (the
 process-wide moment_cache(1) for moment_cache(k), a fresh one for a fresh

@@ -11,8 +11,9 @@ value's 17 integrand values.  No panel is ever bisected: for an integrand
 analytic around each panel the fixed rule's error decays geometrically
 with its degree (Trefethen, SIAM Rev. 50, 2008), and refining on |K17 - G8|
 below that only chases rounding noise.  partial_integrals integrates the
-degree-16 interpolant through a panel's 17 values from its left edge to any
-point inside, so stored node values give integrals up to any point without
+degree-16 interpolant through a panel's 17 values, from the panel's Legendre
+coefficients (formed once per panel a block touches), from its left edge to
+any point inside: stored node values give integrals up to any point without
 new evaluations.  integrate_oscillatory sums its panels in order with one
 numpy sum, whose pairwise tree is fixed for a given order and length, so
 identical inputs give bit-identical results no matter how work is batched.
@@ -44,8 +45,8 @@ _LEGENDRE = np.array(LEGENDRE.split(), dtype=float).reshape(NODES, NODES)
 
 # default cap on panel width where the frequency hint vanishes
 MAX_PANEL = 4.0
-# points per block of integrals_at: partial_integrals' (points, 17) work
-# arrays, 557 KB each, then fit the L2 cache together
+# points per block of integrals_at: the block's Legendre values and
+# coefficients, about 600 KB per array, then fit the L2 cache
 _EVAL_BLOCK = 4096
 
 
@@ -122,22 +123,25 @@ class PanelSet:
         return v, np.abs(v - self.sums(y, check=True)), y
 
 
-def partial_integrals(y: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """For each row i of y (values at the 17 nodes on [-1, 1]), the integral
-    over [-1, tau_i] of the degree-16 interpolant through them.
-
-    The integral of P_n over [-1, tau] is (P_{n+1} - P_{n-1})(tau) / (2n + 1)
-    (tau + 1 for n = 0), which is exactly 0 at tau = -1; at tau = 1 the
-    weights are exactly the K17 weights.  Elementwise products and a fixed
-    per-row sum: a row's result does not depend on the other rows."""
-    tau = np.asarray(tau, dtype=float)
-    p_prev, p = np.ones_like(tau), tau
-    w = (tau + 1.0)[:, None] * _LEGENDRE[0]
+def partial_integrals(y: np.ndarray, tau: np.ndarray,
+                      rows: np.ndarray | None = None) -> np.ndarray:
+    """The integral over [-1, tau_i] of the degree-16 interpolant through
+    row rows[i] (or i) of y, values at the 17 nodes on [-1, 1]: the sum over
+    n of q_n(tau_i) c_n, each row's Legendre coefficients c_n = sum_j L[n, j]
+    y_j formed once, q_n = (P_{n+1} - P_{n-1})/(2n + 1) the integral of P_n.
+    Exactly 0 at tau = -1 and 2 c_0, the K17 sum, at tau = 1; elementwise
+    products and fixed row sums, so no result depends on the other points."""
+    # 128 rows at a time, so each (rows, 17, 17) product stays at 296 KB
+    c = np.concatenate([(y[j:j + 128, None, :] * _LEGENDRE).sum(axis=2)
+                        for j in range(0, len(y), 128)])
+    # P_{-1} = -1, P_0, ..., P_17 at tau, so that q_0 = P_1 - P_{-1}
+    p = np.empty((NODES + 2, len(tau)))
+    p[0], p[1], p[2] = -1.0, 1.0, tau
     for n in range(1, NODES):
-        p_next = ((2 * n + 1) * tau * p - n * p_prev) / (n + 1)
-        w += ((p_next - p_prev) / (2 * n + 1))[:, None] * _LEGENDRE[n]
-        p_prev, p = p, p_next
-    return (w * y).sum(axis=1)
+        p[n + 2] = ((2 * n + 1) * tau * p[n + 1] - n * p[n]) / (n + 1)
+    q = np.subtract(p[2:], p[:-2], out=p[2:])
+    q /= np.arange(1.0, 2 * NODES, 2.0)[:, None]
+    return (q.T * (c if rows is None else c[rows])).sum(axis=1)
 
 
 def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,
@@ -145,8 +149,8 @@ def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,
     """Integrals up to each point of xs on ascending panels [lo_i, hi_i]
     with integral anchors[i] at lo_i and values y[i] at panel i's 17 nodes:
     the anchor at the left edge of the point's panel plus the integral of
-    the panel's interpolant up to the point, in blocks of _EVAL_BLOCK
-    points.  Returns the integrals and each point's panel index."""
+    its interpolant up to the point, in blocks of _EVAL_BLOCK points (one
+    coefficient set per touched panel).  Returns them and the panel indices."""
     idx = np.searchsorted(lo, xs, side="right") - 1
     a, b = lo[idx], hi[idx]
     # tau is exactly -1 at a left edge, where the integral is exactly 0
@@ -154,7 +158,11 @@ def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,
     out = anchors[idx]
     for j in range(0, len(xs), _EVAL_BLOCK):
         sl = slice(j, j + _EVAL_BLOCK)
-        out[sl] += 0.5 * (b[sl] - a[sl]) * partial_integrals(y[idx[sl]], tau[sl])
+        # the panels the block touches, ascending (np.unique costs more)
+        first = idx[sl].min()
+        touched = np.flatnonzero(np.bincount(idx[sl] - first)) + first
+        out[sl] += 0.5 * (b[sl] - a[sl]) * partial_integrals(
+            y[touched], tau[sl], np.searchsorted(touched, idx[sl]))
     return out, idx
 
 

@@ -165,8 +165,10 @@ def test_suite_order_does_not_change_sections():
     names = [n for n in verify.SUITES if n != "identities"]
     forward = _sections(names)
     backward = _sections(names[::-1])
-    alone = _sections(["series-decomposition"])
     assert list(forward) == names
     for name in names:
         assert forward[name] == backward[name], name
-    assert alone["series-decomposition"] == forward["series-decomposition"]
+    # dyadic-odd alone walks the caches itself, where after dyadic-square
+    # it reads the walk that suite made
+    for name in ("series-decomposition", "dyadic-odd"):
+        assert _sections([name])[name] == forward[name], name

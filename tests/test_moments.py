@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardylab import moments
+from hardylab import moments, quad, verify
 from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
@@ -232,6 +232,61 @@ def test_cache_eval_blocks_do_not_change_values():
     parts = np.concatenate([cache.eval_many(xs[j:j + 777])
                             for j in range(0, len(xs), 777)])
     assert whole.tobytes() == parts.tobytes()
+    # nor on which other panels its block touches: each block forms the
+    # Legendre coefficients of its touched panels once
+    other = np.random.default_rng(10).uniform(300.0, 2000.0, 3000)
+    for batch in (np.concatenate([other, xs[:900]]),
+                  np.concatenate([xs[:900], other[::-1], xs[:900]])):
+        got = cache.eval_many(batch)
+        assert got[-900:].tobytes() == whole[:900].tobytes()
+
+
+def _weight_rows(y, tau):
+    # the form partial_integrals replaced: per point, one weight row summed
+    # over n, dotted with its panel's node values
+    p_prev, p = np.ones_like(tau), tau
+    w = (tau + 1.0)[:, None] * quad._LEGENDRE[0]
+    for n in range(1, quad.NODES):
+        p_next = ((2 * n + 1) * tau * p - n * p_prev) / (n + 1)
+        w += ((p_next - p_prev) / (2 * n + 1))[:, None] * quad._LEGENDRE[n]
+        p_prev, p = p, p_next
+    return (w * y).sum(axis=1)
+
+
+def _weight_row_integrals(lo, hi, anchors, y, xs):
+    # in blocks of 4,096 points, as before
+    idx = np.searchsorted(lo, xs, side="right") - 1
+    a, b = lo[idx], hi[idx]
+    tau = 2.0 * (xs - a) / (b - a) - 1.0
+    out = anchors[idx]
+    for j in range(0, len(xs), 4096):
+        sl = slice(j, j + 4096)
+        out[sl] += 0.5 * (b[sl] - a[sl]) * _weight_rows(y[idx[sl]], tau[sl])
+    return out, idx
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_cache_eval_memory_no_higher_than_weight_rows(monkeypatch):
+    # the per-block coefficients and integrated Legendre values take no
+    # more memory than the weight rows they replaced
+    cache = MomentCache(3)
+    cache.ensure(1000.0)
+    xs = np.random.default_rng(4).uniform(1.0, 1000.0, 40_000)
+    new = cache.eval_many(xs)
+    peak = _traced_peak(cache.eval_many, xs)
+    monkeypatch.setattr(moments, "integrals_at", _weight_row_integrals)
+    old = cache.eval_many(xs)
+    assert np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+    assert peak <= _traced_peak(cache.eval_many, xs)
 
 
 # I_k at seeded points (rng 2015 on [1, 300] after 1, 10 and 150), as
@@ -241,20 +296,22 @@ def test_cache_eval_blocks_do_not_change_values():
 # k = 1..3 since Z's cos and sin come from fixed polynomials, not libm
 # (moves of 1-29 ulp, at most 3.7e-15 relative); k = 2..4 since Z^k is
 # integrated on Z's own panels, not on k sub-panels of each (moves of 0-27
-# ulp, at most 5.8e-15 relative)
+# ulp, at most 5.8e-15 relative); k = 1 and 3 since a point's integral is
+# sum_n q_n(tau) c_n over its panel's Legendre coefficients, not one weight
+# row dotted with the node values (entry 6 moved by 1 ulp for both)
 EVAL_XS = [1.0, 10.0, 150.0, 151.71758919021917, 67.49614173360439,
            231.65691881913796, 290.2164862884349, 49.6739221585803]
 EVAL_REF = {
     1: ["0x0.0p+0", "-0x1.0944c4e380a29p+3", "-0x1.7e25fa1b63c88p+2",
         "-0x1.98fd7ac1556a8p+2", "-0x1.6c23b7892fa39p+3",
-        "-0x1.cda633f9ff0b6p+2", "0x1.41ad4e6e31c4ep+1",
+        "-0x1.cda633f9ff0b6p+2", "0x1.41ad4e6e31c4fp+1",
         "-0x1.a6d66fe6ceb6ap+0"],
     2: ["0x0.0p+0", "0x1.17ac89bf0f62ep+3", "0x1.f3b15e172a7bep+8",
         "0x1.f46f7504eb19bp+8", "0x1.5f6bfde123552p+7", "0x1.b1030b1bf9491p+9",
         "0x1.21c08225dc847p+10", "0x1.caa390e1f83adp+6"],
     3: ["0x0.0p+0", "-0x1.4877b4e5073dap+3", "0x1.a8e357f9b14e8p+6",
         "0x1.a5a2e8cb980ccp+6", "-0x1.56eea3b5c498cp+6",
-        "0x1.4ec8f267774aap+8", "0x1.07ba885088dbcp+9",
+        "0x1.4ec8f267774aap+8", "0x1.07ba885088dbdp+9",
         "0x1.bcf9a9b6aa9f7p+3"],
     4: ["0x0.0p+0", "0x1.9fe6ec7a66952p+3", "0x1.3f1cef9115889p+12",
         "0x1.3f2e5e5ab9f3cp+12", "0x1.2f7570348ccfap+10",
@@ -297,6 +354,16 @@ def test_split_cache_evaluates_only_base_nodes(monkeypatch):
     assert cache.zk.tobytes() == power_in_place(base.zk[:n - 1].copy(),
                                                 3).tobytes()
     assert cache.edges[-2] <= 500.0 < cache.edges[-1]
+
+
+def test_dyadic_suites_read_the_square_suite_walk(monkeypatch):
+    # the dyadic and cubic checks take I_k from the moment caches, which
+    # share one Z walk: once dyadic-square has walked it to 2000, the odd
+    # and cubic suites ask Z for no height
+    verify.run(["dyadic-square"])
+    points = _counting_z(monkeypatch)
+    verify.run(["dyadic-odd", "cubic-primitive"])
+    assert sum(points) == 0
 
 
 @pytest.mark.parametrize("T", [145.0, 650.0])

@@ -10,7 +10,8 @@ from hardylab.errors import BudgetError, DomainError
 from hardylab.hardy import z_breakpoints, z_eval_many
 from hardylab.moments import z_power_freq
 from hardylab.special import _ELEMS, TWO_PI
-from hardylab.quad import (GAUSS_COLS, NODES, PanelSet, integrate_oscillatory,
+from hardylab.quad import (_LEGENDRE, GAUSS_COLS, NODES, PanelSet,
+                           integrate_oscillatory,
                            integrate_vertical_line, panel_edges,
                            partial_integrals)
 
@@ -299,6 +300,34 @@ def test_partial_integrals_at_the_panel_ends():
     one = np.concatenate([partial_integrals(y[i:i + 1], tau[i:i + 1])
                           for i in range(5)])
     assert one.tobytes() == got.tobytes()
+
+
+def test_partial_integrals_within_a_unit_roundoff_of_the_interpolant():
+    # against 200-bit arithmetic on the same interpolant (the stored
+    # Legendre matrix, node values and tau, all exact in mpmath): the
+    # coefficient sums and the sum over n stay within u * sum |y_j|
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(12)
+    rows = 1000
+    y = rng.normal(size=(rows, NODES)) * 10.0 ** rng.integers(-3, 4, (rows, 1))
+    tau = np.concatenate([rng.uniform(-1.0, 1.0, rows - 2), [-1.0, 1.0]])
+    shared = rng.integers(0, rows, rows)
+    got = partial_integrals(y, tau, shared)
+    with mp.workprec(200):
+        L = [[mp.mpf(v) for v in row] for row in _LEGENDRE.tolist()]
+        worst = 0.0
+        for i, (t, r) in enumerate(zip(tau.tolist(), shared.tolist())):
+            yr = [mp.mpf(v) for v in y[r].tolist()]
+            c = [mp.fsum(a * b for a, b in zip(row, yr)) for row in L]
+            t = mp.mpf(t)
+            p_prev, p, exact = mp.mpf(1), t, (t + 1) * c[0]
+            for n in range(1, NODES):
+                p_next = ((2 * n + 1) * t * p - n * p_prev) / (n + 1)
+                exact += (p_next - p_prev) / (2 * n + 1) * c[n]
+                p_prev, p = p, p_next
+            scale = 2.0 ** -53 * float(np.abs(y[r]).sum())
+            worst = max(worst, float(abs(mp.mpf(float(got[i])) - exact)) / scale)
+    assert worst <= 1.0
 
 
 def test_partial_integrals_of_a_panel_cosine():

@@ -46,8 +46,7 @@ from .explicit import CubicPrimitiveSum
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
 from .moments import moment_cache, power_in_place, z_power_freq
 from .quad import (_W_CHECK, _W_VALUE, NODES, PanelSet, check_heights,
-                   integrals_at, integrate_oscillatory,
-                   integrate_vertical_line, panel_edges)
+                   integrals_at, integrate_vertical_line, panel_edges)
 from .special import TWO_PI, gamma_complex
 
 # decay exponent of |I_k(x)| (growth certificates; k = 2, 4 via (2.8)-type
@@ -736,69 +735,64 @@ def truncated_inversion(k: int, x: float, c: float, U,
     return out if np.ndim(U) else out[0]
 
 
-@functools.cache
-def _laplace_grid(y_max: float):
-    # the k = 1 moment cache's panels and Z values on [1, y_max]
-    panels, z = moment_cache(1).panels(y_max)
-    return panels.nodes(), z * panels.weights()
+_LBAR_COLS = 1 << 13  # y nodes per block of _lbar_many
 
 
 def _lbar_many(xs: np.ndarray, y: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """Lbar(x) for every x: the sum of zy e^{-x y} over the prefix y <= 745/x
-    of the ascending grid y.  Rows go by descending prefix in blocks of at
-    most _ELEMS (rows x columns); a row shorter than its block's widest
-    gains only terms below e^{-745}, which underflow."""
+    """Lbar(x) for every x: the sum of zy e^{-x y} over the ascending grid y,
+    by blocks of _LBAR_COLS columns through the one that ends the prefix
+    y <= 745/x (past it every term underflows).  Rows go by descending prefix,
+    _ELEMS // _LBAR_COLS at a time, each one only through its own blocks."""
     width = np.searchsorted(y, 745.0 / xs, side="right")
     order = np.argsort(-width, kind="stable")
     out = np.zeros(len(xs))
-    i = 0
-    while i < len(order):
-        n = int(width[order[i]])
-        rows = order[i:i + max(1, _ELEMS // max(n, 1))]
-        step = _ELEMS // len(rows)
-        for j in range(0, n, step):
-            cols = slice(j, min(n, j + step))
-            e = np.multiply.outer(-xs[rows], y[cols])
+    for i in range(0, len(order), _ELEMS // _LBAR_COLS):
+        rows = order[i:i + _ELEMS // _LBAR_COLS]
+        for j in range(0, int(width[rows[0]]), _LBAR_COLS):
+            rows = rows[width[rows] > j]
+            e = np.multiply.outer(-xs[rows], y[j:j + _LBAR_COLS])
             np.exp(e, out=e)
-            e *= zy[cols]
+            e *= zy[j:j + _LBAR_COLS]
             out[rows] += e.sum(axis=1)
-        i += len(rows)
     return out
 
 
-def laplace_consistency(s: complex, tol: float = 1e-5) -> IdentityReport:
-    """integral over x of Lbar(x) x^{s-1} against M_1(s) Gamma(s), where
-    Lbar(x) = integral of Z(y) e^{-x y} over [1, inf)."""
-    s = complex(_finite("laplace_consistency", s)[0])
-    if not 1.0 < s.real < 3.0:
+def laplace_consistency(s, tol: float = 1e-5):
+    """integral over x of Lbar(x) x^{s-1}, Lbar(x) = integral of Z(y) e^{-xy}
+    over [1, inf), against M_1(s) Gamma(s): one report for one s, a list for
+    a sequence, from one _lbar_many pass (README, Numerical notes)."""
+    sv = _finite("laplace_consistency", s)
+    if not np.all((1.0 < sv.real) & (sv.real < 3.0)):
         raise DomainError("laplace_consistency requires 1 < Re s < 3")
-    sigma = s.real
-    c1 = primitive_constant(1)
-    gamma54 = 1.1330030963963883  # Gamma(5/4)
-    # |Lbar(x)| <= C_1 Gamma(5/4) x^{-1/4}; choose the lower cut so the
-    # dropped mass stays under tol
-    x_lo = (tol * (sigma - 0.25) / (c1 * gamma54)) ** (1.0 / (sigma - 0.25))
-    x_hi = 50.0
-    y_max = min(745.0 / x_lo, 2.0e4)
-    # cached weighted Z on a fixed y-grid, shared by all outer nodes
-    y, zy = _laplace_grid(y_max)
-
-    def outer(vs: np.ndarray) -> np.ndarray:
-        # x = e^v substitution
-        return _lbar_many(np.exp(vs), y, zy) * np.exp(s * vs)
-
-    res = integrate_oscillatory(outer, math.log(x_lo), math.log(x_hi),
-                                lambda v: 0.3, max_panel=0.5)
-    lhs = complex(res.value)
-    m1 = mellin_by_parts(1, s, tol=tol)
-    gamma_s = gamma_complex(s)
-    rhs = m1.value * gamma_s
-    certs = {
-        "outer_quad": res.abs_err_est,
-        "lower_cut": c1 * gamma54 * x_lo ** (sigma - 0.25) / (sigma - 0.25),
-        "upper_cut": math.exp(-x_hi) * 10.0,
-        "mellin_tail": m1.tail_bound * abs(gamma_s),
-        "inner_trunc": math.exp(-700.0),
-    }
-    params = {"s": s, "x_lo": x_lo, "x_hi": x_hi, "y_max": y_max}
-    return _report("laplace", lhs, rhs, certs, params)
+    c1, g94, X, Y = primitive_constant(1), 1.1330030963963883, 50.0, 2.0e4
+    # |Lbar(x)| <= C_1 Gamma(5/4) x^{-1/4}, and g94 = Gamma(9/4) > Gamma(5/4):
+    # the lower cut keeps the dropped mass under tol
+    x_lo = [(tol * (g - 0.25) / (c1 * g94)) ** (1.0 / (g - 0.25))
+            for g in sv.real.tolist()]
+    if not all(0.0 < x < X for x in x_lo):
+        raise DomainError(f"laplace_consistency requires 0 < x_lo < {X}")
+    # 0.5-wide panels [e_i, e_{i-1}] down from e_0 = ln X: grid row j < len(sv)
+    # is s_j's [cut, e_m], and row len(sv) - 1 + i is panel i, i = 1, ..., m
+    cuts = np.log(x_lo)
+    e = math.log(X) - 0.5 * np.arange(int((math.log(X) - cuts.min()) / 0.5) + 2)
+    m = [int(np.count_nonzero(e[1:] >= c)) for c in cuts.tolist()]
+    grid = PanelSet(np.append(cuts, e[1:max(m) + 1]), np.append(e[m], e[:max(m)]))
+    yp, z = moment_cache(1).panels(Y)  # the y-grid: the k = 1 walk on [1, Y]
+    lbar = _lbar_many(np.exp(grid.nodes()), yp.nodes(), z * yp.weights())
+    reports = []
+    for i, r in enumerate(mellin_by_parts_samples(1, sv, tol)):
+        rows = np.append(i, len(sv) - 1 + np.arange(m[i], 0, -1))  # ascending
+        panels = PanelSet(grid.lo[rows], grid.hi[rows])
+        f = lbar.reshape(-1, NODES)[rows].ravel() * np.exp(r.s * panels.nodes())
+        vals, g, gamma_s = panels.sums(f), r.s.real, gamma_complex(r.s)
+        certs = {  # upper_cut and inner_trunc: README, Numerical notes
+            "outer_quad": math.fsum(np.abs(vals - panels.sums(f, check=True)).tolist()),
+            "lower_cut": c1 * g94 * x_lo[i] ** (g - 0.25) / (g - 0.25),
+            "upper_cut": (0.74 + 7.0 * c1 * X * math.exp(-2.0 * X))
+            * X ** (g - 2.0) * math.exp(-X) / (1.0 - max(g - 2.0, 0.0) / X),
+            "mellin_tail": r.tail_bound * abs(gamma_s),
+            "inner_trunc": c1 * math.gamma(g) * Y ** (0.25 - g) * (1 + g / (g - 0.25)),
+        }
+        reports.append(_report("laplace", np.sum(vals), r.value * gamma_s, certs,
+                               {"s": r.s, "x_lo": x_lo[i], "x_hi": X, "y_max": Y}))
+    return reports if np.ndim(s) else reports[0]

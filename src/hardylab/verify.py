@@ -148,9 +148,8 @@ def suite_identities(cfg: RunConfig) -> list[Check]:
     checks.append(_check("convolution", conv1.gap_rel, 5e-2))
     checks.append(_check("convolution-taller-contour", conv2.gap_rel,
                          conv1.gap_rel, shorter_contour_gap=conv1.gap_rel))
-    for s in (1.5, 2.0, 2.5):
-        lap = ML.laplace_consistency(complex(s, 0.0))
-        checks.append(_check(f"laplace-s{s:g}", lap.gap_rel, 1e-3))
+    for lap in ML.laplace_consistency((1.5, 2.0, 2.5)):
+        checks.append(_check(f"laplace-s{lap.params['s'].real:g}", lap.gap_rel, 1e-3))
     # inversion error trend over U at c = 2 (the criterion leaves c free;
     # larger c gives faster contour decay, see notes in mellin module)
     z10 = z_oracle(10.0)

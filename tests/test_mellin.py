@@ -612,26 +612,93 @@ def test_inversion_guards():
         ML.truncated_inversion(1, 10.0, 1.25, 20.0)
 
 
-def test_laplace_consistency_points():
-    for s in (1.5, 2.0, 2.5):
-        rep = ML.laplace_consistency(complex(s, 0.0))
-        assert rep.gap_rel <= 1e-3, s
+@pytest.fixture(scope="module")
+def laplace_batch():
+    # the suite's three s and sigma = 2.9, near the top of the domain, in one
+    # call, with the _lbar_many calls it made
+    calls, real = [], ML._lbar_many
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ML, "_lbar_many", lambda *a: calls.append(a) or real(*a))
+        return ML.laplace_consistency((1.5 + 0j, 2.0 + 0j, 2.5 + 0j, 2.9 + 0j)), calls
+
+
+def test_laplace_consistency_points(laplace_batch, monkeypatch):
+    reports, calls = laplace_batch
+    assert len(calls) == 1
+    for rep in reports[:3]:
+        assert rep.gap_rel <= 1e-3, rep.params["s"]
+    # each of the suite's reports has the bits of its own call, which calls
+    # _lbar_many once
+    real = ML._lbar_many
+    monkeypatch.setattr(ML, "_lbar_many", lambda *a: calls.append(a) or real(*a))
+    for i, rep in enumerate(reports[:3]):
+        assert repr(ML.laplace_consistency(rep.params["s"])) == repr(rep)
+        assert len(calls) == i + 2
+
+
+def test_laplace_inner_trunc_covers_doubling_y(laplace_batch):
+    # the move of each left side when the y-grid runs to 4e4, not 2e4: the k = 1
+    # cache's nodes past the panels both grids share, less the 2e4 grid's last
+    # panel (clipped at 2e4), each weighted by the exact outer integral
+    # g(y) = integral over x >= x_lo of x^{s-1} e^{-xy} = y^{-s} Gamma(s, x_lo y)
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+
+    def upper_gamma(s, a):
+        # Gamma(s, a) for s in N/2, up from Gamma(1/2, a) or Gamma(1, a) by
+        # Gamma(q + 1, a) = q Gamma(q, a) + a^q e^{-a}
+        q = s % 1.0 or 1.0
+        out = (math.sqrt(math.pi) * erfc(np.sqrt(a)).astype(float) if q == 0.5
+               else np.exp(-a))
+        while q < s:
+            out, q = q * out + a ** q * np.exp(-a), q + 1.0
+        return out
+
+    reports = laplace_batch[0][:3]
+    Y = reports[0].params["y_max"]
+    grids = [moment_cache(1).panels(y_max) for y_max in (Y, 2.0 * Y)]
+    (y2, zy2), (y4, zy4) = [(p.nodes(), z * p.weights()) for p, z in grids]
+    n = len(y2) - NODES
+    assert np.array_equal(y4[:n], y2[:n]) and np.array_equal(zy4[:n], zy2[:n])
+    moves = []
+    for rep in reports:
+        s, x_lo = rep.params["s"].real, rep.params["x_lo"]
+        g2, g4 = (y[n:] ** -s * upper_gamma(s, x_lo * y[n:]) for y in (y2, y4))
+        moves.append(abs(np.sum(zy4[n:] * g4) - np.sum(zy2[n:] * g2)))
+        assert moves[-1] <= rep.certificates["inner_trunc"], s
+    # the cut is no e^{-700}: at s = 1.5 it moves the left side by 1.3e-5
+    assert moves[0] > 1e-5
+
+
+def test_laplace_upper_cut_follows_sigma(laplace_batch):
+    # the dropped tail integral over x >= 50 of Lbar(x) x^{sigma - 1} at
+    # sigma = 2.9 (4.8e-21, more than e^{-50} * 10): Lbar on 0.02-wide K17
+    # panels in y on [1, 3], where all but e^{-150} of it lies
+    rep = laplace_batch[0][3]
+    yp = PanelSet.from_edges(np.linspace(1.0, 3.0, 101))
+    zy = z_eval_many(yp.nodes()) * yp.weights()
+    xp = PanelSet.from_edges(np.linspace(50.0, 100.0, 51))
+    x = xp.nodes()
+    lbar = (np.exp(-np.multiply.outer(x, yp.nodes())) * zy).sum(axis=1)
+    tail = abs(np.sum(xp.sums(lbar * x ** 1.9)))
+    assert 10.0 * math.exp(-50.0) < tail <= rep.certificates["upper_cut"]
 
 
 def test_laplace_envelope_inner():
     # |Lbar(5)| respects the crude triangle bound
-    y16, zy = ML._laplace_grid(2.0e4)
+    panels, z = moment_cache(1).panels(2.0e4)
+    y16, zy = panels.nodes(), z * panels.weights()
     cut = y16 <= 149.0
     lbar5 = float(np.sum(zy[cut] * np.exp(-5.0 * y16[cut])))
-    from hardylab.hardy import z_eval_many
     peak = float(np.max(np.abs(z_eval_many(np.linspace(1.0, 10.0, 400)))))
     assert abs(lbar5) <= peak * math.exp(-5.0) / 5.0 + 1e-4
 
 
 def test_lbar_batch_matches_per_point_loop():
     # the blocked (outer nodes x y-grid) product against the per-x sums over
-    # the prefix y <= 745/x, in shuffled order with a repeated x
-    y, zy = ML._laplace_grid(2.0e4)
+    # the prefix y <= 745/x, in shuffled order with a repeated x; each row
+    # computed alone has the same bits
+    panels, z = moment_cache(1).panels(2.0e4)
+    y, zy = panels.nodes(), z * panels.weights()
     xs = np.random.default_rng(3).permutation(
         np.append(np.geomspace(5e-4, 50.0, 60), 0.1))
     xs[7] = xs[8]
@@ -640,6 +707,21 @@ def test_lbar_batch_matches_per_point_loop():
         m = y <= 745.0 / x
         terms = zy[m] * np.exp(-x * y[m])
         assert abs(g - np.sum(terms)) <= 1e-14 * np.sum(np.abs(terms)), x
+        assert ML._lbar_many(np.array([x]), y, zy)[0] == g, x
+
+
+@pytest.mark.parametrize("batch", [[2.0 + 0j, complex(NAN, 0.0)],
+                                   [2.0 + 0j, 3.5 + 0j], [1.0 + 0j, 2.0 + 0j]],
+                         ids=["nan", "sigma-3.5", "sigma-1"])
+def test_laplace_rejects_a_bad_batch_before_any_work(batch, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work began")
+
+    for name in ("primitive_constant", "moment_cache", "_lbar_many",
+                 "mellin_by_parts_samples"):
+        monkeypatch.setattr(ML, name, no_work)
+    with pytest.raises(DomainError):
+        ML.laplace_consistency(batch)
 
 
 def test_report_json_stable(conv_k2_sweep):

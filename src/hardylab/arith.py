@@ -68,32 +68,34 @@ _TRIAL_PRIMES = np.array([p for p in range(2, math.isqrt(_BRUTE_MAX) + 1)
 _WAYS = np.array([[math.comb(a + k - 1, k - 1)
                    for a in range(_BRUTE_MAX.bit_length())]
                   for k in range(1, 5)])
-# n per pass of divisor_brute, so that its (primes, n) divisibility table
-# stays within 2^18 entries
-_BRUTE_COLS = (1 << 18) // len(_TRIAL_PRIMES)
+# entries of divisor_brute's (primes, n) divisibility table per pass
+_BRUTE_ENTRIES = 1 << 18
 
 
-def divisor_brute(k: int, n):
+def divisor_brute(k, n):
     """Count ordered k-tuples with product n prime by prime: a tuple splits
     each p^a of n into k ordered exponents summing to a, in C(a + k - 1,
     k - 1) ways (the sieve's oracle; shares no code or algorithm with it).
     The exponents come by trial division by the primes p <= isqrt(max n),
     and what is left of n after them is 1 or one more prime.  n is an int,
     which gives an int, or an integer array, which gives the counts in its
-    shape."""
+    shape.  k is an int, or a sequence of them, which gives one row of
+    counts per k from the one factoring, of shape (len(k), *n.shape)."""
     m = np.asarray(n)
+    ks = np.atleast_1d(k)
     if m.dtype.kind not in "iu":
         raise DomainError("divisor_brute requires integer n")
-    if k < 1 or np.any(m < 1):
+    if np.any(ks < 1) or np.any(m < 1):
         raise DomainError("divisor_brute requires k >= 1 and n >= 1")
-    if k > 4 or np.any(m > _BRUTE_MAX):
+    if np.any(ks > 4) or np.any(m > _BRUTE_MAX):
         raise CapacityError("divisor_brute guarded to k <= 4, n <= 1e5")
     flat = m.astype(np.int64).ravel()
     root = math.isqrt(int(flat.max(initial=1)))
     primes = _TRIAL_PRIMES[:np.searchsorted(_TRIAL_PRIMES, root, "right")]
-    counts = np.ones_like(flat)
-    for lo in range(0, len(flat), _BRUTE_COLS):
-        v = flat[lo:lo + _BRUTE_COLS]
+    counts = np.ones((len(ks), len(flat)), dtype=np.int64)
+    cols = _BRUTE_ENTRIES // max(len(primes), 1)
+    for lo in range(0, len(flat), cols):
+        v = flat[lo:lo + cols]
         # one (p, n) pair per prime p dividing n; a is p's exponent in n,
         # and rest becomes n over its prime powers p^a
         pi, ni = np.nonzero(v % primes[:, None] == 0)
@@ -103,10 +105,12 @@ def divisor_brute(k: int, n):
             a[live] += 1
             np.floor_divide.at(rest, ni[live], p[live])
             live = live[rest[ni[live]] % p[live] == 0]
-        c = counts[lo:lo + len(v)]
-        np.multiply.at(c, ni, _WAYS[k - 1, a])
-        c[rest > 1] *= k
-    return int(counts[0]) if m.ndim == 0 else counts.reshape(m.shape)
+        for c, kk in zip(counts[:, lo:lo + len(v)], ks.tolist()):
+            np.multiply.at(c, ni, _WAYS[kk - 1, a])
+            c[rest > 1] *= kk
+    if np.ndim(k) == 0:
+        return int(counts[0, 0]) if m.ndim == 0 else counts[0].reshape(m.shape)
+    return counts.reshape(len(ks), *m.shape)
 
 
 def dump_table(table: DivisorTable, path: str | Path) -> None:

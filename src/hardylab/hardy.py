@@ -104,6 +104,10 @@ def _fold_correction_tables() -> np.ndarray:
 
 
 _C_TABLE = _fold_correction_tables()[:_C_DEGREE + 1]
+# the binomial series' ratio of u^m to u^(m-1) over r = 1/a, -(k+1/2+m-1)/m,
+# at [m - 1, k]
+_B_STEP = np.array([[-(k + 0.5 + (m - 1)) / m for k in range(len(_C_TERMS))]
+                    for m in range(1, _C_DEGREE + 1)])[:, :, None]
 
 # rows per z_rs_many chunk: its gathered (degree+1, rows) remainder
 # coefficients stay within _ELEMS
@@ -129,14 +133,29 @@ def _remainder_rows(n: np.ndarray) -> np.ndarray:
     b[0, 0] = np.repeat(np.where(n % 2 == 1, 1.0, -1.0), PSI_PIECES) \
         / np.sqrt(big_a)
     for k in range(1, len(_C_TERMS)):
-        b[0, k] = b[0, k - 1] * r
-    half = np.arange(len(_C_TERMS)) + 0.5
+        np.multiply(b[0, k - 1], r, out=b[0, k])
     for m in range(1, _C_DEGREE + 1):
-        b[m] = b[m - 1] * (-(half + (m - 1)) / m)[:, None] * r
-    prod = np.zeros_like(b)
-    for i, c in enumerate(np.tile(_C_TABLE, len(n))):
-        prod[i:] += c * b[:_C_DEGREE + 1 - i]
-    return np.cumsum(prod, axis=1).transpose(1, 0, 2).copy()
+        np.multiply(b[m - 1], _B_STEP[m - 1], out=b[m])
+        b[m] *= r
+    # prod[m, k]: the u^m coefficient of C_k times b[:, k], its products
+    # added in order of C_k's degree i.  No product is 0 (C has no zero
+    # coefficient, b none), so starting from the i = 0 products gives the
+    # bits of starting from zeros.  C is tiled, not broadcast over the
+    # lengths: a broadcast cuts numpy's inner loops to PSI_PIECES elements,
+    # which measured slower.
+    c = np.tile(_C_TABLE, len(n))
+    prod = np.multiply(c[0], b)
+    term = np.empty_like(b)
+    for i in range(1, _C_DEGREE + 1):
+        top = _C_DEGREE + 1 - i
+        np.multiply(c[i], b[:top], out=term[:top])
+        prod[i:] += term[:top]
+    # the remainder to K corrections: the products summed over k <= K in order
+    out = np.empty((len(_C_TERMS), _C_DEGREE + 1, big_a.size))
+    out[0] = prod[:, 0]
+    for k in range(1, len(_C_TERMS)):
+        np.add(out[k - 1], prod[:, k], out=out[k])
+    return out
 
 
 def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -760,7 +760,13 @@ def _lbar_many(xs: np.ndarray, y: np.ndarray, zy: np.ndarray) -> np.ndarray:
 def laplace_consistency(s, tol: float = 1e-5):
     """integral over x of Lbar(x) x^{s-1}, Lbar(x) = integral of Z(y) e^{-xy}
     over [1, inf), against M_1(s) Gamma(s): one report for one s, a list for
-    a sequence, from one _lbar_many pass (README, Numerical notes)."""
+    a sequence, from one _lbar_many pass (README, Numerical notes).
+
+    ``tol`` sets the lower cut x_lo, whose dropped mass it bounds, and,
+    through mellin_by_parts_samples, the right side's truncation X.  The
+    y-cut Y stays at 2e4 whatever ``tol`` is, so the certificates can sum
+    to more than ``tol``: at sigma = 1.5 and tol = 1e-5, inner_trunc is
+    8.1e-5 and mellin_tail 1.39e-4, a sum about 23 times ``tol``."""
     sv = _finite("laplace_consistency", s)
     if not np.all((1.0 < sv.real) & (sv.real < 3.0)):
         raise DomainError("laplace_consistency requires 1 < Re s < 3")

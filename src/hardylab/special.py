@@ -136,8 +136,11 @@ def chi(s):
     if np.any(pole):
         raise PoleError(f"chi pole at s={s[pole][0]}")
     zero = _nonpositive_int(s / 2.0)
-    lc = (s - 0.5) * LOG_PI + _log_gamma((1.0 - s) / 2.0) \
-        - _log_gamma(np.where(zero, 1.0, s / 2.0))
+    # both log Gamma terms in one pass: a point's value does not depend on
+    # the points beside it
+    lg = _log_gamma(np.concatenate([(1.0 - s) / 2.0,
+                                    np.where(zero, 1.0, s / 2.0)]))
+    lc = (s - 0.5) * LOG_PI + lg[:len(s)] - lg[len(s):]
     lc[zero] = -np.inf
     big = lc.real > 709.0
     if np.any(big):

@@ -110,6 +110,22 @@ def test_criterion_11_determinism(first_run):
     assert b1 == b2
 
 
+def test_light_suites_call_each_reference_once(monkeypatch):
+    # each reference function takes its suite's points in one batch: chi
+    # its four grids, zeta its s and 1 - s rows, divisor_brute k = 2, 3, 4
+    calls = []
+    for name in ("chi", "zeta_euler_maclaurin", "divisor_brute"):
+        fn = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, _n=name, _f=fn, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    cfg = RunConfig()
+    assert all(c.passed for c in verify.suite_functional_equation(cfg))
+    assert sorted(calls) == ["chi", "zeta_euler_maclaurin"]
+    calls.clear()
+    assert all(c.passed for c in verify.suite_divisor_oracle(cfg))
+    assert calls == ["divisor_brute"]
+
+
 GOLDEN = Path(__file__).with_name("bundle_golden.json")
 
 

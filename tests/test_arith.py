@@ -88,6 +88,19 @@ def test_brute_takes_arrays():
         assert np.array_equal(divisor_brute(k, n.reshape(11, -1)),
                               counts.reshape(11, -1))
     assert divisor_brute(2, np.array([], dtype=int)).shape == (0,)
+    # a sequence of k gives one row per k from the one factoring
+    many = divisor_brute((1, 2, 3, 4), n.reshape(11, -1))
+    assert many.shape == (4, 11, len(n) // 11)
+    assert np.array_equal(many, np.stack(
+        [divisor_brute(k, n.reshape(11, -1)) for k in (1, 2, 3, 4)]))
+    # a bad k anywhere in the sequence raises what it raises alone
+    for bad, error in ((0, DomainError), (5, CapacityError)):
+        with pytest.raises(error) as alone:
+            divisor_brute(bad, 12)
+        for ks in ((bad, 2, 3), (2, 3, bad)):
+            with pytest.raises(error) as seq:
+                divisor_brute(ks, n)
+            assert str(seq.value) == str(alone.value)
     with pytest.raises(DomainError):
         divisor_brute(2, np.array([3, 0, 5]))
     with pytest.raises(DomainError):

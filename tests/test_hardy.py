@@ -370,6 +370,38 @@ def test_kept_tables_do_not_depend_on_fill_order(monkeypatch):
             assert np.array_equal(kept[1][K][:, cols], alone[K])
 
 
+def _remainder_rows_reference(n):
+    # the tables' formula as first written: temporaries per degree, np.tile,
+    # np.cumsum over k and a transposed copy
+    big_a = (n[:, None] + _PIECE_CENTERS).ravel()
+    r = 1.0 / big_a
+    K = len(hardy._C_TERMS)
+    b = np.empty((_C_DEGREE + 1, K, big_a.size))
+    b[0, 0] = np.repeat(np.where(n % 2 == 1, 1.0, -1.0), PSI_PIECES) \
+        / np.sqrt(big_a)
+    for k in range(1, K):
+        b[0, k] = b[0, k - 1] * r
+    half = np.arange(K) + 0.5
+    for m in range(1, _C_DEGREE + 1):
+        b[m] = b[m - 1] * (-(half + (m - 1)) / m)[:, None] * r
+    prod = np.zeros_like(b)
+    for i, c in enumerate(np.tile(_C_TABLE, len(n))):
+        prod[i:] += c * b[:_C_DEGREE + 1 - i]
+    return np.cumsum(prod, axis=1).transpose(1, 0, 2).copy()
+
+
+def test_remainder_rows_keep_their_bits():
+    # starting each sum from its first product, not from zero, relies on no
+    # product being 0
+    assert np.count_nonzero(_C_TABLE) == _C_TABLE.size
+    for lo in (0, 496, 513, 4000):
+        n = np.arange(lo, lo + 16)
+        got, ref = _remainder_rows(n), _remainder_rows_reference(n)
+        assert got.shape == ref.shape == (5, _C_DEGREE + 1, 16 * PSI_PIECES)
+        # bit for bit, the sign of zero included
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_one_height_fills_one_block(monkeypatch):
     t = np.array([2 * math.pi * 500.5 ** 2])
     value = z_rs_many(t, 3)

@@ -87,9 +87,11 @@ def test_chi_frozen_points(s, ref):
 
 def test_gamma_and_chi_array_equal_scalar_calls():
     # reflected points, both sides of |Im s| = 10 (|Im s/2| = 5 for chi),
-    # both half-planes, and last the zero of chi (a pole of Gamma) at s = -2
-    s = np.array([-0.7 + 3j, 2.5 + 4j, -3.3 + 4.8j, 0.3 + 9.9j, 0.3 + 10.1j,
-                  -4.5 - 10.5j, 0.5 + 30j, 39.5 + 2j, 12.5 - 40j, -2.0 + 0j])
+    # both half-planes, pairs s, 1 - s as the functional-equation suite
+    # asks for them, and last the zero of chi (a pole of Gamma) at s = -2
+    pairs = np.array([-0.7 + 3j, 0.3 + 9.9j, 0.3 + 10.1j, -4.5 - 10.5j])
+    s = np.array([*pairs, 2.5 + 4j, -3.3 + 4.8j, 0.5 + 30j, 39.5 + 2j,
+                  12.5 - 40j, *(1.0 - pairs), -2.0 + 0j])
     for f, pts in ((chi, s), (gamma_complex, s[:-1])):
         vals = f(pts)
         assert vals.shape == pts.shape
@@ -315,6 +317,10 @@ def test_zeta_half_batch_matches_scalar():
     for x, v in zip(s, vb):
         assert zeta_euler_maclaurin(complex(x)) == v
     assert np.array_equal(zeta_euler_maclaurin(s[::-1]), vb[::-1])
+    # rows s and 1 - s share a truncation and come from one call
+    pairs = np.concatenate([s, 1.0 - s])
+    for x, v in zip(pairs, zeta_euler_maclaurin(pairs)):
+        assert zeta_euler_maclaurin(complex(x)) == v
     half = s.real == 0.5
     assert np.array_equal(zeta_half_batch(s.imag[half]), vb[half])
 

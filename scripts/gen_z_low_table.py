@@ -5,14 +5,15 @@ Forty pieces of width 1/4, each the degree-16 interpolant of 30-digit mpmath
 siegelz values at the 17 Chebyshev points (first kind) of the piece, written
 as coefficients of u^m, u = t - center, so that hardy.z_eval_many evaluates a
 height with one gather and one Horner pass (Trefethen, Approximation Theory
-and Approximation Practice, 2013).  The module also holds siegelz values at
-201 off-node heights (0, every piece edge, nextafter(10, 0) and four fixed
-interior points per piece), against which tests/test_hardy.py checks the
-table's stated error.
+and Approximation Practice, 2013).  Beside it, tests/z_low_check.txt holds
+siegelz values at 201 off-node heights (0, every piece edge, nextafter(10, 0)
+and four fixed interior points per piece), against which tests/test_hardy.py
+checks the table's stated error.
 
-Writes src/hardylab/_z_low_table.py; --check regenerates it in memory and
-exits 1 unless the committed file is byte-for-byte the same.  Requires mpmath
-(dev-time only; the package itself never imports it).
+Writes src/hardylab/_z_low_table.py and tests/z_low_check.txt; --check
+regenerates both in memory and exits 1 unless both committed files are
+byte-for-byte the same.  Requires mpmath (dev-time only; the package itself
+never imports it).
 """
 
 import math
@@ -28,7 +29,9 @@ DEGREE = 16
 WIDTH = mp.mpf(10) / PIECES
 # interior check points of each piece, as fractions of its width
 CHECK_FRACTIONS = (0.1, 0.35, 0.6, 0.85)
-OUT = Path(__file__).resolve().parent.parent / "src/hardylab/_z_low_table.py"
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "src/hardylab/_z_low_table.py"
+CHECK_OUT = ROOT / "tests/z_low_check.txt"
 
 
 def piece_coefficients(j: int) -> list:
@@ -63,7 +66,7 @@ def check_heights() -> list:
     return sorted(ts)
 
 
-def render() -> str:
+def render_table() -> str:
     lines = [
         '"""Piecewise polynomial table of Hardy\'s Z on [0, 10].',
         "",
@@ -71,12 +74,10 @@ def render() -> str:
         f"the {DEGREE + 1} Chebyshev points of each of {PIECES} pieces of "
         f"width 10/{PIECES}).",
         f"Line j of Z_LOW_TAYLOR holds the coefficients of u^0..u^{DEGREE} on",
-        f"piece j, u = t - (j + 1/2) * 10/{PIECES}.  Each line of Z_LOW_CHECK "
-        "holds t",
-        "and siegelz(t) at an off-node height.  The numbers are text, parsed",
-        "on import: compiled as float literals they cost a few ms in every",
-        "process that imports without a bytecode cache.  Do not edit by",
-        'hand."""',
+        f"piece j, u = t - (j + 1/2) * 10/{PIECES}.  The numbers are text,",
+        "parsed on import: compiled as float literals they cost a few ms in",
+        "every process that imports without a bytecode cache.  Do not edit",
+        'by hand."""',
         "",
         f"Z_LOW_PIECES = {PIECES}",
         f"Z_LOW_DEGREE = {DEGREE}",
@@ -85,21 +86,28 @@ def render() -> str:
     ]
     for j in range(PIECES):
         lines.append(" ".join(repr(c) for c in piece_coefficients(j)))
-    lines += ['"""', "", 'Z_LOW_CHECK = """']
-    for t in check_heights():
-        lines.append(f"{t!r} {float(mp.siegelz(mp.mpf(t)))!r}")
     lines.append('"""')
     return "\n".join(lines) + "\n"
 
 
+def render_check() -> str:
+    """One line per check height: t and siegelz(t)."""
+    return "".join(f"{t!r} {float(mp.siegelz(mp.mpf(t)))!r}\n"
+                   for t in check_heights())
+
+
 def main() -> int:
-    text = render()
+    outputs = ((OUT, render_table()), (CHECK_OUT, render_check()))
     if "--check" in sys.argv[1:]:
-        same = OUT.exists() and OUT.read_bytes() == text.encode()
-        print(f"{OUT.name}: {'matches' if same else 'differs from'} the generator")
-        return 0 if same else 1
-    OUT.write_text(text)
-    print(f"wrote {OUT}")
+        same = [path.exists() and path.read_bytes() == text.encode()
+                for path, text in outputs]
+        for (path, _), ok in zip(outputs, same):
+            print(f"{path.name}: {'matches' if ok else 'differs from'} "
+                  "the generator")
+        return 0 if all(same) else 1
+    for path, text in outputs:
+        path.write_text(text)
+        print(f"wrote {path}")
     return 0
 
 

@@ -44,9 +44,9 @@ from .errors import (AccuracyError, CapacityError, ConvergenceError,
                      DomainError, FitError)
 from .explicit import CubicPrimitiveSum
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
-from .moments import moment_cache, power_in_place, z_power_freq
-from .quad import (_W_CHECK, _W_VALUE, NODES, PanelSet, check_heights,
-                   integrals_at, integrate_vertical_line, panel_edges)
+from .moments import moment_cache, power_in_place, z_freq
+from .quad import (CHECK_RATIO, NODES, PanelSet, check_heights, integrals_at,
+                   integrate_vertical_line, panel_edges)
 from .special import TWO_PI, gamma_complex
 
 # decay exponent of |I_k(x)| (growth certificates; k = 2, 4 via (2.8)-type
@@ -135,7 +135,7 @@ _SEGMENTS = 16  # J: at most this many slices, cut at panel starts
 _TAYLOR_TOL = 1e-17  # bound on (|delta| R)^{P+1} / (P+1)! at the order P
 _S_BLOCK = 256  # s per Horner block: temporaries do not grow with the batch
 # per K17 column, its (value, check) weights over its K17 weight: [2, 1, NODES]
-_COLUMN_WEIGHTS = np.stack([np.ones(NODES), _W_CHECK / _W_VALUE])[:, None]
+_COLUMN_WEIGHTS = np.stack([np.ones(NODES), CHECK_RATIO])[:, None]
 
 
 def _taylor_orders(x: np.ndarray) -> np.ndarray:
@@ -173,7 +173,7 @@ class _ExpSum:
     One pass per (sigma, t_q) forms w = a e^{-(sigma + i t_q) u}, a real
     exponential when t_q = 0, and the sums of w u^p per slice and panel
     column.  A node's G8 weight is its K17 weight times a fixed ratio per
-    column (0 off the G8 columns), so the value and check moments m_{j,p}
+    column (quad.CHECK_RATIO), so the value and check moments m_{j,p}
     are the column sums weighted by 1 and by that ratio; then, by Horner in
     -i delta,
 
@@ -309,9 +309,9 @@ class _PrimitiveGrid:
             # the twist vanishes: these are the moment cache's own panels
             panels, zk = cache.panels(X)
         else:
-            zfreq, t = z_power_freq(1), 4.0 * 2.0 ** band
+            t = 4.0 * 2.0 ** band
             panels = PanelSet.from_edges(panel_edges(
-                1.0, X, lambda x: zfreq(x) + t / (TWO_PI * x),
+                1.0, X, lambda x: z_freq(x) + t / (TWO_PI * x),
                 z_breakpoints(1.0, X)))
             zk = power_in_place(z_eval_many(panels.nodes()), k)
         self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk)
@@ -513,7 +513,7 @@ def _v2_grid(table: DivisorTable, X: float):
     # grid must break where the cutoff sum jumps: x = 2 pi m^{2/3}
     jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
     panels = PanelSet.from_edges(panel_edges(
-        1.0, X, z_power_freq(1), z_breakpoints(1.0, X) + jumps))
+        1.0, X, z_freq, z_breakpoints(1.0, X) + jumps))
     x = panels.nodes()
     r = moment_cache(3).eval_many(x) - cube.eval_many(x)
     return _ExpSum(np.log(x), panels.weights() * r), n_cut
@@ -668,20 +668,19 @@ def _fubini_rhs(k: int, s: complex, X: float) -> tuple[complex, float]:
     """The square identity's right side in the (u, v) order: the sum over
     outer nodes u of w_u Z^k(u) u^{-s} P(X/u), P(y) the integral of
     Z^k(v) v^{-s} over [1, y], both levels on the moment cache's panels.
-    The estimate is the outer |K17 - G8| plus sum |w_u Z^k(u) u^{-s}| times
-    the inner |K17 - G8| summed through the panel of X/u."""
+    The estimate is the fsum of the outer panels' |K17 - G8| of
+    y(u) P(X/u), y(u) = Z^k(u) u^{-s}, plus sum |w_u y(u)| times the inner
+    |K17 - G8| summed through the panel of X/u (PanelSet.integrate, both)."""
     panels, zk = moment_cache(k).panels(X)
     u = panels.nodes()
     y = zk * np.exp(-s * np.log(u))
-    val = panels.sums(y)
-    err = np.abs(val - panels.sums(y, check=True))
+    val, err = panels.integrate(y)
     inner, idx = integrals_at(panels.lo, panels.hi, np.append(0.0, np.cumsum(val)),
                               y.reshape(-1, NODES), X / u)
     wy = panels.weights() * y
-    v = complex(np.sum(wy * inner))
-    v_check = complex(np.sum(panels.weights(check=True) * y * inner))
+    outer_err = math.fsum(panels.integrate(y * inner)[1].tolist())
     inner_err = float(np.sum(np.abs(wy) * np.cumsum(err)[idx]))
-    return v, abs(v - v_check) + inner_err
+    return complex(np.sum(wy * inner)), outer_err + inner_err
 
 
 def check_square_identity(k: int, s: complex, X: float = 500.0) -> IdentityReport:
@@ -790,9 +789,9 @@ def laplace_consistency(s, tol: float = 1e-5):
         rows = np.append(i, len(sv) - 1 + np.arange(m[i], 0, -1))  # ascending
         panels = PanelSet(grid.lo[rows], grid.hi[rows])
         f = lbar.reshape(-1, NODES)[rows].ravel() * np.exp(r.s * panels.nodes())
-        vals, g, gamma_s = panels.sums(f), r.s.real, gamma_complex(r.s)
+        (vals, err), g, gamma_s = panels.integrate(f), r.s.real, gamma_complex(r.s)
         certs = {  # upper_cut and inner_trunc: README, Numerical notes
-            "outer_quad": math.fsum(np.abs(vals - panels.sums(f, check=True)).tolist()),
+            "outer_quad": math.fsum(err.tolist()),
             "lower_cut": c1 * g94 * x_lo[i] ** (g - 0.25) / (g - 0.25),
             "upper_cut": (0.74 + 7.0 * c1 * X * math.exp(-2.0 * X))
             * X ** (g - 2.0) * math.exp(-X) / (1.0 - max(g - 2.0, 0.0) / X),

@@ -16,7 +16,8 @@ cache), takes the base's panels bit for bit and raises a copy of the base's
 stored Z rows to the k-th power.  It evaluates no Z of its own.  A quarter
 period of Z spans k/4 of a period of Z^k, at most one period for k <= 4,
 and Z is entire: K17, exact to degree 25, resolves Z^k there, and each panel
-is judged by its own |K17 - G8|, as for k = 1.  hardy_moment and the
+is judged by its own |K17 - G8| (quad.PanelSet.integrate), as for k = 1;
+err_at(x) sums those estimates through x's own panel.  hardy_moment and the
 transform grids size their panels by Z's frequency for every k as well.
 
 Every node array of Z^k, here and in the mellin grids, is raised in place by
@@ -56,13 +57,11 @@ class MomentResult:
     abs_err_est: float
 
 
-def z_power_freq(k: int):
-    """Local oscillation frequency of Z^k: k * |theta'(t)| / (2*pi)."""
-    def freq(t: float) -> float:
-        if t <= 0.1:
-            return 0.0
-        return k * abs(0.5 * math.log(t / TWO_PI)) / TWO_PI
-    return freq
+def z_freq(t: float) -> float:
+    """Local oscillation frequency of Z: |theta'(t)| / (2*pi)."""
+    if t <= 0.1:
+        return 0.0
+    return abs(0.5 * math.log(t / TWO_PI)) / TWO_PI
 
 
 def power_in_place(a: np.ndarray, k: int) -> np.ndarray:
@@ -96,7 +95,7 @@ def hardy_moment(k: int, a: float, b: float, tol: float | None = None,
     def f(t: np.ndarray) -> np.ndarray:
         return power_in_place(z_eval_many(t), k)
 
-    res = integrate_oscillatory(f, a, b, z_power_freq(1), budget=budget,
+    res = integrate_oscillatory(f, a, b, z_freq, budget=budget,
                                 breakpoints=z_breakpoints(a, b))
     return MomentResult(k=k, a=a, b=b, value=float(res.value.real),
                         abs_err_est=res.abs_err_est)
@@ -141,10 +140,10 @@ class MomentCache:
 
     def _walk(self, x_max: float):
         """The panels from the last edge through the first edge past x_max,
-        with their K17 values, |K17 - G8| estimates and Z^k rows, in blocks
-        of _ELEMS nodes.  k = 1 walks quarter periods of Z and evaluates Z
-        at every node; k >= 2 reads the base's panels and raises a copy of
-        its stored Z rows."""
+        with their K17 values, |K17 - G8| estimates (PanelSet.integrate) and
+        Z^k rows, in blocks of _ELEMS nodes.  k = 1 walks quarter periods of
+        Z and evaluates Z at every node; k >= 2 reads the base's panels and
+        raises a copy of its stored Z rows."""
         first = len(self.edges) - 1
         if self.base is None:
             # the walk's steps never exceed MAX_PANEL, so it crosses x_max
@@ -153,7 +152,7 @@ class MomentCache:
             # piecewise smooth)
             start = self.edges[-1]
             bound = x_max + MAX_PANEL
-            edges = panel_edges(start, bound, z_power_freq(1),
+            edges = panel_edges(start, bound, z_freq,
                                 z_breakpoints(start, bound))
         else:
             self.base.ensure(x_max)
@@ -164,13 +163,10 @@ class MomentCache:
         parts = []
         for j in range(0, len(lo), step):
             panels = PanelSet(lo[j:j + step], hi[j:j + step])
-            if self.base is None:
-                parts.append(panels.estimate(self._zk))
-            else:
-                rows = self.base.zk[first + j:first + j + len(panels.lo)]
-                y = power_in_place(rows.copy(), self.k)
-                v = panels.sums(y)
-                parts.append((v, np.abs(v - panels.sums(y, check=True)), y))
+            rows = slice(first + j, first + j + len(panels.lo))
+            y = (self._zk(panels.nodes()).reshape(-1, NODES) if self.base is None
+                 else power_in_place(self.base.zk[rows].copy(), self.k))
+            parts.append((*panels.integrate(y), y))
         return (edges, *(np.concatenate(p) for p in zip(*parts)))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
@@ -201,8 +197,10 @@ class MomentCache:
         return float(self.eval_many(np.array([x]))[0])
 
     def err_at(self, x: float) -> float:
-        idx = int(np.searchsorted(self.edges, x, side="right")) - 1
-        return float(self.cum_err[max(idx, 0)])
+        """The summed |K17 - G8| of I_k(x): every panel through x's own,
+        after extending the walk past x (at an edge, the panels below it)."""
+        self.ensure(x)
+        return float(self.cum_err[np.searchsorted(self.edges, x)])
 
     def sup_scaled(self, exponent: float, x_lo: float, x_hi: float) -> float:
         """sup over anchors in [x_lo, x_hi] of |I_k(x)| * x^(-exponent)."""

@@ -1,13 +1,16 @@
 """Panel grids and fixed Gauss-Kronrod quadrature.
 
 Every integration grid in the package comes from here: panel_edges walks the
-panel edges, PanelSet gives the nodes, weights and per-panel sums of one
-frozen Gauss-Kronrod 8/17 rule.  Panels are sized so that each spans at most
-a quarter of the local oscillation period given by the caller's frequency
-hint; every panel is integrated with the 17-point Kronrod rule K17 (exact to
-degree 25), and its error estimated by |K17 - G8|, where G8 is the 8-point
+panel edges, PanelSet gives the nodes and weights of one frozen
+Gauss-Kronrod 8/17 rule and, in PanelSet.integrate, every panel's value and
+error estimate.  Panels are sized so that each spans at most a quarter of
+the local oscillation period given by the caller's frequency hint; every
+panel is integrated with the 17-point Kronrod rule K17 (exact to degree 25),
+and its error estimated by |K17 - G8|, where G8 is the 8-point
 Gauss-Legendre rule on the odd-numbered K17 nodes: the estimate reuses the
-value's 17 integrand values.  No panel is ever bisected: for an integrand
+value's 17 integrand values.  integrate is the one place that estimate is
+formed per panel; the transform engine forms it per s from the same
+weights, through CHECK_RATIO.  No panel is ever bisected: for an integrand
 analytic around each panel the fixed rule's error decays geometrically
 with its degree (Trefethen, SIAM Rev. 50, 2008), and refining on |K17 - G8|
 below that only chases rounding noise.  partial_integrals integrates the
@@ -39,6 +42,9 @@ from .special import _ELEMS
 _X, _W_VALUE, _W_CHECK = np.array(KRONROD.split(), dtype=float).reshape(-1, 3).T
 NODES = len(_X)
 GAUSS_COLS = slice(1, NODES, 2)
+# per column, a node's G8 weight over its K17 weight (0 off GAUSS_COLS): a
+# G8 sum is a K17-weighted sum reweighted column by column
+CHECK_RATIO = _W_CHECK / _W_VALUE
 # row n maps the 17 node values to the coefficient of P_n of their
 # degree-16 interpolant on [-1, 1]
 _LEGENDRE = np.array(LEGENDRE.split(), dtype=float).reshape(NODES, NODES)
@@ -90,8 +96,7 @@ def panel_edges(a: float, b: float, freq, breaks=(),
 class PanelSet:
     """Panels [lo_i, hi_i] with their 17 Gauss-Kronrod nodes each: K17 gives
     the value, |K17 - G8| the error estimate, both from the same values.
-    Node and weight arrays are flat, panel by panel; a check weight array
-    holds zeros at the nine nodes G8 does not use."""
+    Node and weight arrays are flat, panel by panel."""
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
         self.lo, self.hi = lo, hi
@@ -105,22 +110,16 @@ class PanelSet:
     def nodes(self) -> np.ndarray:
         return (self.mid[:, None] + self.half[:, None] * _X[None, :]).ravel()
 
-    def weights(self, check: bool = False) -> np.ndarray:
-        w = _W_CHECK if check else _W_VALUE
-        return (self.half[:, None] * w[None, :]).ravel()
+    def weights(self) -> np.ndarray:
+        """The K17 weights at nodes()."""
+        return (self.half[:, None] * _W_VALUE).ravel()
 
-    def sums(self, y: np.ndarray, check: bool = False) -> np.ndarray:
-        """Per-panel K17 (or, with check, G8) integrals from values y at
-        nodes()."""
-        w = _W_CHECK if check else _W_VALUE
-        return (y.reshape(-1, NODES) * w[None, :]).sum(axis=1) * self.half
-
-    def estimate(self, f):
-        """Per-panel K17 values, |K17 - G8| estimates, and f at the nodes
-        (one panel per row), from one call of f on all nodes."""
-        y = np.asarray(f(self.nodes())).reshape(-1, NODES)
-        v = self.sums(y)
-        return v, np.abs(v - self.sums(y, check=True)), y
+    def integrate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-panel K17 integrals and their |K17 - G8| estimates, from
+        values y at nodes() (flat, or one panel per row)."""
+        y = np.reshape(y, (-1, NODES))
+        v = (y * _W_VALUE).sum(axis=1) * self.half
+        return v, np.abs(v - (y * _W_CHECK).sum(axis=1) * self.half)
 
 
 def partial_integrals(y: np.ndarray, tau: np.ndarray,
@@ -188,8 +187,8 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     n = len(edges) - 1
     lo, hi, step = edges[:-1], edges[1:], _ELEMS // NODES
     # the node values of a block are dropped once its panels are summed
-    v, e = zip(*(PanelSet(lo[j:j + step], hi[j:j + step]).estimate(f)[:2]
-                 for j in range(0, n, step)))
+    blocks = (PanelSet(lo[j:j + step], hi[j:j + step]) for j in range(0, n, step))
+    v, e = zip(*(p.integrate(f(p.nodes())) for p in blocks))
     value = np.sum(np.concatenate(v))
     err = math.fsum(np.concatenate(e).tolist())
     return QuadratureResult(value=value, abs_err_est=err, panels=n,
@@ -220,7 +219,8 @@ def integrate_vertical_line(F: Callable, c: float, t0: float, t1,
     heights = check_heights(t0, t1)
     edges = panel_edges(t0, float(heights.max()), lambda t: 0.0,
                         heights.tolist(), max_panel)
-    v, e, _ = PanelSet.from_edges(edges).estimate(lambda t: F(c + 1j * t))
+    panels = PanelSet.from_edges(edges)
+    v, e = panels.integrate(F(c + 1j * panels.nodes()))
     # ds = i dt, so (1/2*pi*i) * integral F ds = (1/2*pi) * integral F dt
     out = [QuadratureResult(value=np.sum(v[:n]) / (2.0 * math.pi),
                             abs_err_est=math.fsum(e[:n].tolist()) / (2.0 * math.pi),

@@ -16,8 +16,8 @@ from hardylab import moments
 from hardylab.errors import (CapacityError, ConvergenceError, DomainError,
                              FitError)
 from hardylab.hardy import z_breakpoints, z_eval_many, z_oracle
-from hardylab.moments import moment_cache, power_in_place, z_power_freq
-from hardylab.quad import (NODES, PanelSet, integrate_oscillatory,
+from hardylab.moments import moment_cache, power_in_place, z_freq
+from hardylab.quad import (CHECK_RATIO, NODES, PanelSet, integrate_oscillatory,
                            integrate_vertical_line, panel_edges)
 from hardylab.special import TWO_PI
 
@@ -63,10 +63,10 @@ def test_direct_matches_an_independent_pass(k, s, X):
     # mellin_direct reads its band's transform grid; the reference is its
     # own K17 pass of Z^k x^{-s} over [1, X] on 1-wide panels hinted with
     # the twist |Im s| / (2 pi x) itself, not the band's top
-    zfreq, t = z_power_freq(1), abs(s.imag)
+    t = abs(s.imag)
     ref = integrate_oscillatory(
         lambda x: power_in_place(z_eval_many(x), k) * np.exp(-s * np.log(x)),
-        1.0, X, lambda x: zfreq(x) + t / (TWO_PI * x),
+        1.0, X, lambda x: z_freq(x) + t / (TWO_PI * x),
         breakpoints=z_breakpoints(1.0, X))
     d = ML.mellin_direct(k, s, X=X)
     e = ML._PRIM_EXP[k]
@@ -391,18 +391,18 @@ def _direct_sum(ln, a, s):
 
 def _grid_sums(panels, zk):
     # nodes and K17 weights times the integrand: the engine's input; the
-    # same at the G8 columns with the G8 weights: the check's reference
+    # same at the G8 columns with the G8 weights (the K17 weights times
+    # CHECK_RATIO, test_frozen_rule): the check's reference
     ln = np.log(panels.nodes())
-    a_check = (panels.weights(check=True) * zk).reshape(-1, NODES)
+    a_check = (panels.weights() * zk).reshape(-1, NODES) * CHECK_RATIO
     return (ln, panels.weights() * zk, ln.reshape(-1, NODES)[:, 1::2].ravel(),
             a_check[:, 1::2].ravel())
 
 
 def _band3_nodes(table):
     # the k = 1, X = 2000 band-3 grid
-    zfreq = z_power_freq(1)
     panels = PanelSet.from_edges(panel_edges(
-        1.0, 2000.0, lambda x: zfreq(x) + 32.0 / (TWO_PI * x),
+        1.0, 2000.0, lambda x: z_freq(x) + 32.0 / (TWO_PI * x),
         z_breakpoints(1.0, 2000.0)))
     return _grid_sums(panels, z_eval_many(panels.nodes()))
 
@@ -419,7 +419,7 @@ def _v2_nodes(table):
     jumps = tuple(TWO_PI * m ** (2.0 / 3.0)
                   for m in range(1, cube.cutoff(1000.0) + 1))
     panels = PanelSet.from_edges(panel_edges(
-        1.0, 1000.0, z_power_freq(1), z_breakpoints(1.0, 1000.0) + jumps))
+        1.0, 1000.0, z_freq, z_breakpoints(1.0, 1000.0) + jumps))
     x = panels.nodes()
     out = _grid_sums(panels, moment_cache(3).eval_many(x) - cube.eval_many(x))
     assert np.array_equal(ML._v2_grid(table, 1000.0)[0].a.ravel(), out[1])
@@ -552,6 +552,40 @@ def test_square_rhs_reads_the_moment_cache(monkeypatch, k, X):
     assert points == []
 
 
+def test_every_panel_estimate_comes_from_integrate(monkeypatch):
+    # with PanelSet.integrate doubling the estimate it returns, every
+    # estimate read from it doubles, bit for bit (x2 is exact), and no value
+    # moves.  At X = 30 the square rhs's outer estimate (1.7e-6) and inner
+    # one (8.0e-8) both count: the sum doubles only if both do.  The first,
+    # unpatched run builds the process-wide caches the second one reads.
+    def run():
+        caches = [moments.MomentCache(k) for k in (1, 2)]
+        for c in caches:
+            c.ensure(200.0)
+        osc = integrate_oscillatory(np.cos, 0.0, 20.0, lambda t: 0.0)
+        line = integrate_vertical_line(lambda s: 2.0 ** s / s, 2.0, -20.0, 20.0)
+        rhs, rhs_err = ML._fubini_rhs(1, 2.5 + 5j, 30.0)
+        lap = ML.laplace_consistency(1.5 + 0j)
+        values = [*(c.values.tobytes() for c in caches), osc.value, line.value,
+                  rhs, lap.lhs, lap.rhs]
+        return values, [*(c.cum_err for c in caches), osc.abs_err_est,
+                        line.abs_err_est, rhs_err, lap.certificates["outer_quad"]]
+
+    values, errs = run()
+    real = PanelSet.integrate
+
+    def doubled(self, y):
+        v, e = real(self, y)
+        return v, 2.0 * e
+
+    monkeypatch.setattr(PanelSet, "integrate", doubled)
+    values2, errs2 = run()
+    assert values2 == values
+    for e, e2 in zip(errs, errs2):
+        assert np.max(e) > 0.0
+        assert np.array_equal(e2, 2.0 * np.asarray(e))
+
+
 @pytest.fixture(scope="module")
 def inversion_c125():
     # Z(10) by inversion at c = 1.25, one contour for U = 50 and 400
@@ -679,7 +713,7 @@ def test_laplace_upper_cut_follows_sigma(laplace_batch):
     xp = PanelSet.from_edges(np.linspace(50.0, 100.0, 51))
     x = xp.nodes()
     lbar = (np.exp(-np.multiply.outer(x, yp.nodes())) * zy).sum(axis=1)
-    tail = abs(np.sum(xp.sums(lbar * x ** 1.9)))
+    tail = abs(np.sum(xp.integrate(lbar * x ** 1.9)[0]))
     assert 10.0 * math.exp(-50.0) < tail <= rep.certificates["upper_cut"]
 
 

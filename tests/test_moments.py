@@ -12,7 +12,7 @@ from hardylab.errors import DomainError
 from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
 from hardylab.moments import (MomentCache, hardy_moment, moment_cache,
-                              power_in_place, z_power_freq)
+                              power_in_place, z_freq)
 from hardylab.quad import PanelSet, integrate_oscillatory, panel_edges
 
 
@@ -84,7 +84,7 @@ def test_dyadic_first_moment_bound():
 def test_oracle_vs_rs_integrand_consistency():
     # swapping the fast evaluator for the oracle moves I_k by less than the
     # integrated Riemann-Siegel remainder budget
-    freq = z_power_freq(2)
+    freq = lambda t: 2 * z_freq(t)
     r_o = integrate_oscillatory(lambda t: z_oracle_many(t) ** 2, 10.0, 200.0,
                                 freq)
     r_f = hardy_moment(2, 10.0, 200.0)
@@ -94,7 +94,7 @@ def test_oracle_vs_rs_integrand_consistency():
 
 def test_cancellation_of_odd_moment():
     # one full oscillation near t = 100 nearly cancels
-    period = 1.0 / z_power_freq(1)(100.0)
+    period = 1.0 / z_freq(100.0)
     m = hardy_moment(1, 100.0, 100.0 + period)
     peak = np.max(np.abs(z_oracle_many(np.linspace(100, 100 + period, 40))))
     assert abs(m.value) <= 0.5 * peak * period
@@ -416,12 +416,21 @@ def test_split_cache_within_its_error_estimate(k):
     # of Z^k (4k times finer than the cache's, which are Z's), the cache is
     # off by at most its summed |K17 - G8|
     cache = MomentCache(k)
+    # err_at(x) extends the walk past x first, then sums the estimates of
+    # every panel through x's own: with 100 inside panel i - 1, that panel
+    # counts, and at its left edge only the panels below it
+    inside = cache.err_at(100.0)
+    i = int(np.searchsorted(cache.edges, 100.0))
+    assert cache.edges[i - 1] < 100.0 < cache.edges[i]
+    assert inside == cache.cum_err[i] > cache.cum_err[i - 1] > 0.0
+    assert cache.err_at(cache.edges[i - 1]) == cache.cum_err[i - 1]
     for a, b in ((1.0, 100.0), (1000.0, 2000.0), (3000.0, 4000.0)):
-        edges = panel_edges(a, b, z_power_freq(k), z_breakpoints(a, b))
+        edges = panel_edges(a, b, lambda t: k * z_freq(t),
+                            z_breakpoints(a, b))
         fine = np.append((edges[:-1, None] + np.diff(edges)[:, None]
                           * (np.arange(4) / 4)).ravel(), b)
         panels = PanelSet.from_edges(fine)
-        ref = float(np.sum(panels.sums(z_eval_many(panels.nodes()) ** k)))
+        ref = float(np.sum(panels.integrate(z_eval_many(panels.nodes()) ** k)[0]))
         gap = abs(cache.value(b) - cache.value(a) - ref)
         assert gap <= cache.err_at(b) - cache.err_at(a)
     assert cache.err_at(4000.0) <= 1e-10 * abs(cache.value(4000.0))

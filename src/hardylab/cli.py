@@ -80,27 +80,21 @@ def cmd_moment(args, cfg: RunConfig) -> int:
     if T < 1.0:
         print("moment: requires T >= 1", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    header = ["k", "T"]
+    header, row = ["k", "T"], [k, T]
     if args.mode in ("direct", "both"):
         mi = hardy_moment(k, T, 2.0 * T, budget=cfg.eval_budget)
         header += ["integral", "quad_err"]
-    if args.mode in ("explicit", "both"):
-        n_hi = sum_range(k, T)[1]
-        table = divisor_sieve(k, max(n_hi, 16))
-        ms = moment_main_term(k, T, table)
-        header += ["cosine_sum", "n_lo", "n_hi"]
-    row = [k, T]
-    if args.mode in ("direct", "both"):
         row += [mi.value, mi.abs_err_est]
     if args.mode in ("explicit", "both"):
+        table = divisor_sieve(k, max(sum_range(k, T)[1], 16))
+        ms = moment_main_term(k, T, table)
+        header += ["cosine_sum", "n_lo", "n_hi"]
         row += [ms.value, ms.n_lo, ms.n_hi]
     if args.mode == "both":
         header += ["residual", "residual_scaled"]
         row += [mi.value - ms.value,
                 abs(mi.value - ms.value) / T ** (k / 4.0)]
-    rows.append(tuple(row))
-    _emit_table(header, rows, args.out, args.format)
+    _emit_table(header, [tuple(row)], args.out, args.format)
     return EXIT_OK
 
 
@@ -212,26 +206,28 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--seed", type=int, help="seed for sampled property suites")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the table commands' output options
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"))
+    table.add_argument("--out")
 
-    p = sub.add_parser("z", help="tabulate Z(t)")
+    p = sub.add_parser("z", help="tabulate Z(t)", parents=[table])
     p.add_argument("--from", dest="frm", type=float, required=True)
     p.add_argument("--to", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--corrections", type=int, default=3, choices=range(5))
     p.add_argument("--oracle", action="store_true",
                    help="add the Euler-Maclaurin oracle column")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
 
-    p = sub.add_parser("moment", help="dyadic moment of Z^k over [T, 2T]")
+    p = sub.add_parser("moment", help="dyadic moment of Z^k over [T, 2T]",
+                       parents=[table])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--mode", choices=("direct", "explicit", "both"),
                    default="both")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
 
-    p = sub.add_parser("mellin", help="Mellin transform values on an s-grid")
+    p = sub.add_parser("mellin", help="Mellin transform values on an s-grid",
+                       parents=[table])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sigma", default="2:3:2", help="grid a:b:n for Re s")
     p.add_argument("--t", default="0:0:1", help="grid a:b:n for Im s")
@@ -242,17 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit the double pole at s = 1 (k = 2)")
     p.add_argument("--decompose", action="store_true",
                    help="cosine-series + residual split (k = 3)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
 
-    p = sub.add_parser("divisors", help="exact d_k tables")
+    p = sub.add_parser("divisors", help="exact d_k tables", parents=[table])
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--limit", type=int, default=100)
     p.add_argument("--dump", help="write binary table")
     p.add_argument("--load", help="read binary table")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*",

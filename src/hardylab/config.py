@@ -7,6 +7,7 @@ field below has a documented default and can be overridden from a flat
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -44,6 +45,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             apply(key.strip(), raw.strip())
     for key, raw in (overrides or {}).items():
         apply(key, str(raw))
+    if cfg.output_format not in ("csv", "json"):
+        raise ValueError("output_format must be csv or json, "
+                         f"got {cfg.output_format!r}")
+    if not 0.0 < cfg.tol_mellin < math.inf:
+        raise ValueError("tol_mellin must be finite and positive, "
+                         f"got {cfg.tol_mellin}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
     return cfg
 
 

@@ -359,13 +359,6 @@ def _main_direct(quarter_t: np.ndarray, quarter_theta: np.ndarray,
 # (measured on in-process batches up to N = 2,048; the benchmark's heights
 # stop at N = 89).
 N_MULT = 512
-# a block of fewer rows takes O(log N) passes over whole (N, rows) arrays
-# (_mult_sum_few) instead of two numpy calls per n (_mult_sum_many); each
-# costs about N (a + b rows), the per-n form with the larger a, and the
-# ratio of their times crosses 1 near 256 rows at every N from 30 to 512
-# (0.82-1.16 there, 0.70-0.96 at 192 rows, 0.99-1.32 at 384; at N <= 12 it
-# crosses near 128 rows, and the octave form is at most 10% slower below 256)
-_FEW_ROWS = 256
 # floats of a block's work area (4 MB), shared by the blocks of a call; on
 # 65,536 heights 2^18 was 4-9% slower and 2^20 up to 7%
 _MULT_WORK = 1 << 19
@@ -382,14 +375,13 @@ def _least_prime_factors(n: int) -> np.ndarray:
 
 
 _LPF = _least_prime_factors(N_MULT)
-_COFACTOR = np.arange(N_MULT + 1) // np.maximum(_LPF, 1)
 _PRIMES = np.flatnonzero(_LPF == np.arange(N_MULT + 1))[2:]
 _NEG_LN_P = -np.log(_PRIMES.astype(float))[:, None]
 _INV_SQRT_P = (1.0 / np.sqrt(_PRIMES.astype(float)))[:, None]
 # floats of work area per row of a block of largest length N: the phases,
 # cosines and sines of theta and the pi(N) primes, the prime terms (complex;
 # their first pi(N) + 1 floats hold _cis_leaf's z before the terms are
-# formed), and N // 2 + 3 rows of complex terms for _mult_sum_many
+# formed), and N // 2 + 3 rows of complex terms for the products and the sum
 _PI = np.searchsorted(_PRIMES, np.arange(N_MULT + 1), side="right")
 _ROW_WORK = 3 * (_PI + 1) + 2 * _PI + 2 * (np.arange(N_MULT + 1) // 2 + 3)
 
@@ -416,12 +408,14 @@ def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
                 N: np.ndarray, work: np.ndarray) -> np.ndarray:
     """One block of _main_mult.  The terms n^{-1/2-it} of the primes up to
     the block's largest N come from their phases, in one pass with theta's;
-    each composite's is one product, W[n] = W[lpf(n)] W[n / lpf(n)], and
-    the sum runs in n order, so a row sums exactly its N terms in a fixed
-    order and its value does not depend on the block, given complex
-    products that round alike at every length and layout.  No product
-    writes into one of its inputs: numpy rounds an aliased complex product
-    of one element differently from a longer one (module docstring)."""
+    each composite's is one product, W[n] = W[lpf(n)] W[n / lpf(n)].  Then
+    one product and one sum pass per n, over the rows with N >= n (a suffix
+    of the sorted rows), so a row sums exactly its N terms in n order and
+    its value does not depend on the block, given complex products that
+    round alike at every length and layout.  Only the terms up to
+    max N / 2 are kept: no product has a larger factor.  No product writes
+    into one of its inputs: numpy rounds an aliased complex product of one
+    element differently from a longer one (module docstring)."""
     rows, n_max = len(N), int(N[-1])
     primes = _PRIMES[:_PI[n_max]]
     size = (len(primes) + 1) * rows
@@ -437,42 +431,9 @@ def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
     # c[0] and s[0] are theta's cosine and sine, the rows after the primes'
     np.multiply(c[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.real)
     np.multiply(s[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.imag)
-    if rows < _FEW_ROWS:
-        acc = _mult_sum_few(prime_terms, primes, N)
-    else:
-        acc = _mult_sum_many(prime_terms, N,
-                             rest[len(primes) * rows:].reshape(-1, rows))
-    return acc.real * c[0] - acc.imag * s[0]
-
-
-def _mult_sum_few(prime_terms: np.ndarray, primes: np.ndarray,
-                  N: np.ndarray) -> np.ndarray:
-    """sum_{n<=N} W[n] per row, every row taking every n <= max N: the
-    products an octave [2^j, 2^(j+1)) at a time (their factors are at most
-    n / 2; a prime is its own product with W[1] = 1, which is exact), then
-    one accumulation along n."""
-    n_max = int(N[-1])
-    W = np.empty((n_max + 1, len(N)), complex)
-    W[1] = 1.0
-    W[primes] = prime_terms
-    j = 4
-    while j <= n_max:
-        hi = min(2 * j, n_max + 1)
-        np.multiply(np.take(W, _LPF[j:hi], axis=0),
-                    np.take(W, _COFACTOR[j:hi], axis=0), out=W[j:hi])
-        j = hi
-    np.cumsum(W[1:], axis=0, out=W[1:])
-    return W[N, np.arange(len(N))]
-
-
-def _mult_sum_many(prime_terms: np.ndarray, N: np.ndarray,
-                   work: np.ndarray) -> np.ndarray:
-    """sum_{n<=N} W[n] per row, one product and one sum pass per n over the
-    rows with N >= n, a suffix of the sorted rows.  Only the terms up to
-    max N / 2 are kept: no product has a larger factor.  work holds
-    max N / 2 + 3 rows of complex terms."""
-    n_max = int(N[-1])
-    keep, (last, acc) = work[:-2], work[-2:]
+    # the kept terms n <= max N / 2, the last product's and the running sum
+    area = rest[len(primes) * rows:].reshape(-1, rows)
+    keep, last, acc = area[:-2], area[-2], area[-1]
     acc[:] = 1.0
     first = np.searchsorted(N, np.arange(n_max + 1)).tolist()
     terms = [None] * (n_max // 2 + 1)
@@ -487,7 +448,7 @@ def _mult_sum_many(prime_terms: np.ndarray, N: np.ndarray,
         if 2 * n <= n_max:
             terms[n] = term
         acc[f:] += term[f:]
-    return acc
+    return acc.real * c[0] - acc.imag * s[0]
 
 
 # -- The remainder ----------------------------------------------------------

@@ -321,7 +321,9 @@ class _PrimitiveGrid:
 
     def direct(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """integral_1^X Z^k x^{-s} dx at every s, and its estimate:
-        |K17 - G8| and the Taylor cut."""
+        |K17 - G8| and the Taylor cut.  The |K17 - G8| is of the sums over
+        the whole grid, so panel errors of opposite sign cancel in it,
+        where a per-panel sum (PanelSet.integrate) adds their sizes."""
         (v, v_check), trunc = self.engine.sums(s)
         return v, np.abs(v - v_check) + trunc
 

@@ -203,11 +203,11 @@ def run(names, cfg: RunConfig | None = None) -> dict:
     """Run the named suites ('all' expands to every suite) and return the
     report bundle."""
     cfg = cfg or DEFAULTS
-    if "all" in names:
-        names = list(SUITES)
-    unknown = [n for n in names if n not in _SUITE_FUNCS]
+    unknown = [n for n in names if n != "all" and n not in _SUITE_FUNCS]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
+    if "all" in names:
+        names = list(SUITES)
     suites = {}
     for name in names:
         checks = _SUITE_FUNCS[name](cfg)

@@ -283,6 +283,19 @@ def test_verify_unknown_suite(capsys):
     assert code == 2
 
 
+def test_verify_unknown_name_beside_all_runs_no_suite(tmp_path, capsys,
+                                                     monkeypatch):
+    def never(cfg):
+        raise AssertionError("a suite ran before the names were checked")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify._SUITE_FUNCS, name, never)
+    code, out, err = run_cli(capsys, "verify", "all", "bogus",
+                             "--out", str(tmp_path / "bundle.json"))
+    assert code == 2 and out == "" and "bogus" in err
+    assert not (tmp_path / "bundle.json").exists()
+
+
 def test_verify_single_suite(tmp_path, capsys):
     out_path = tmp_path / "bundle.json"
     code, out, _ = run_cli(capsys, "verify", "divisor-oracle",
@@ -374,6 +387,21 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.seed == 99
     with pytest.raises(KeyError):
         load_config(cfg_file, {"no_such_key": 1})
+
+
+@pytest.mark.parametrize("line", [
+    "output_format = xml", "tol_mellin = nan", "tol_mellin = inf",
+    "tol_mellin = 0", "tol_mellin = -1e-6", "seed = -1", "--seed=-1",
+])
+def test_config_value_the_program_cannot_honour_usage_error(tmp_path, capsys,
+                                                            line):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n")
+    # a line of the file, or the one flag that sets a config value
+    front = [line] if line.startswith("--") else ["--config", str(cfg_file)]
+    code, out, err = run_cli(capsys, *front, "divisors", "--k", "2",
+                             "--limit", "3")
+    assert code == 2 and out == "" and "config error" in err
 
 
 def test_json_scalars_are_fmt_bare_or_quoted():

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 _MAGIC = b"dktable\x00"
-# largest divisor table divisor_sieve builds by default, in entries
+# largest divisor table divisor_sieve builds, in entries
 _DIVISOR_BUDGET = 20_000_000
 
 
@@ -37,14 +37,13 @@ class DivisorTable:
         return int(self.counts[n])
 
 
-def divisor_sieve(k: int, limit: int, budget: int | None = None) -> DivisorTable:
+def divisor_sieve(k: int, limit: int) -> DivisorTable:
     """Sieve exact d_k(n) for all n <= limit."""
     if k < 1 or limit < 1:
         raise DomainError("divisor_sieve requires k >= 1 and limit >= 1")
-    budget = _DIVISOR_BUDGET if budget is None else budget
-    if limit > budget:
-        raise CapacityError(
-            f"divisor table of size {limit} exceeds budget {budget}")
+    if limit > _DIVISOR_BUDGET:
+        raise CapacityError(f"divisor table of size {limit} exceeds budget "
+                            f"{_DIVISOR_BUDGET}")
     counts = np.ones(limit + 1, dtype=np.int64)
     counts[0] = 0
     r = math.isqrt(limit)

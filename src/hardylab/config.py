@@ -51,8 +51,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if not 0.0 < cfg.tol_mellin < math.inf:
         raise ValueError("tol_mellin must be finite and positive, "
                          f"got {cfg.tol_mellin}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
+    for key in ("eval_budget", "seed"):
+        if (value := getattr(cfg, key)) < 0:
+            raise ValueError(f"{key} must be non-negative, got {value}")
     return cfg
 
 

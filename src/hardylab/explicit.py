@@ -105,9 +105,6 @@ class CubicPrimitiveSum:
                 f"d_3 table limit {self.table.limit} < required {cut.max()}")
         return self.prefix[cut]
 
-    def value(self, x: float) -> float:
-        return float(self.eval_many(np.array([x]))[0])
-
     def transform(self, s: complex, N: int) -> complex:
         """sum over n <= N of c_n (2 pi n^(2/3))^(-s): the transform
         s * integral of S_3(x) x^(-s-1) over [1, inf) with S_3 frozen at

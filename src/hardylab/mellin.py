@@ -497,12 +497,12 @@ def _cubic_sum(table: DivisorTable) -> CubicPrimitiveSum:
 
 
 @functools.cache
-def residual_constant(table: DivisorTable, x_hi: float = 2000.0) -> float:
+def residual_constant(table: DivisorTable) -> float:
     """C_r with |I_3(x) - cubic sum(x)| <= C_r x^{4/5} on the desk range,
-    calibrated at 1.5 * sup over anchors in [10, x_hi]."""
+    calibrated at 1.5 * sup over anchors in [10, 2000]."""
     cache = moment_cache(3)
-    cache.ensure(x_hi)
-    m = (cache.edges >= 10.0) & (cache.edges <= x_hi)
+    cache.ensure(2000.0)
+    m = (cache.edges >= 10.0) & (cache.edges <= 2000.0)
     xs = cache.edges[m]
     r = cache.values[m] - _cubic_sum(table).eval_many(xs)
     return 1.5 * float(np.max(np.abs(r) * xs ** (-0.8)))
@@ -584,9 +584,10 @@ def laurent_fit_at_1(samples) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), float(coef[2])
 
 
-def laurent_samples(deltas=(0.02, 0.03, 0.05, 0.08, 0.12, 0.2)):
+def laurent_samples():
     """(delta, M_2(1+delta)) pairs from the continuation path."""
-    return [(d, mellin_by_parts(2, complex(1.0 + d, 0.0)).value) for d in deltas]
+    return [(d, mellin_by_parts(2, complex(1.0 + d, 0.0)).value)
+            for d in (0.02, 0.03, 0.05, 0.08, 0.12, 0.2)]
 
 
 # -- identity checks -------------------------------------------------------------
@@ -622,15 +623,16 @@ def _report(name, lhs, rhs, certificates, params) -> IdentityReport:
 
 
 def check_convolution(k: int, r: int, s: complex, c: float, V,
-                      tol: float = 5e-4, x_nodes: float = 2000.0):
+                      x_nodes: float = 2000.0):
     """M_k(s) against (1/2 pi i) * integral over Re w = c of
     M_{k-r}(w) M_r(1-w+s) dw, truncated at |Im w| = V: one report for one
     height V, a list of reports for a sequence of heights, all from one
     contour.
 
-    Contour-node transforms run at a fixed truncation ``x_nodes`` (their
-    oscillatory tails are far below the a-priori certificates); the V-
-    truncation of the contour dominates the gap.  The contour is folded
+    The left side picks its truncation for a tail of 5e-4; contour-node
+    transforms run at a fixed truncation ``x_nodes`` (their oscillatory
+    tails are far below the a-priori certificates); the V-truncation of
+    the contour dominates the gap.  The contour is folded
     onto Im w >= 0 as F(w) + F(conj w); for real s the two are conjugates,
     so the fold is 2 Re F(w).
     """
@@ -638,7 +640,7 @@ def check_convolution(k: int, r: int, s: complex, c: float, V,
     if not 1 <= r < k:
         raise DomainError("check_convolution requires 1 <= r < k")
     check_heights(0.0, V)  # before any transform
-    lhs_s = mellin_by_parts(k, s, tol=tol)
+    lhs_s = mellin_by_parts(k, s, tol=5e-4)
 
     def F(w: np.ndarray) -> np.ndarray:
         a = mellin_by_parts_many(k - r, w, X=x_nodes)
@@ -685,16 +687,16 @@ def _fubini_rhs(k: int, s: complex, X: float) -> tuple[complex, float]:
     return complex(np.sum(wy * inner)), outer_err + inner_err
 
 
-def check_square_identity(k: int, s: complex, X: float = 500.0) -> IdentityReport:
+def check_square_identity(k: int, s: complex) -> IdentityReport:
     """M_k(s)^2 against 2 * integral over [1, X] of x^{-s} (inner) dx with
-    inner(x) = integral of Z^k(u) Z^k(x/u) du/u over [sqrt(x), x].
+    inner(x) = integral of Z^k(u) Z^k(x/u) du/u over [sqrt(x), x], X = 500.
 
     With v = x/u that is the integral of Z^k(u) Z^k(v) (uv)^{-s} over
     uv <= X, u, v >= 1, which _fubini_rhs sums on the moment cache."""
-    s = complex(s)
+    s, X = complex(s), 500.0
     if s.real <= 2.0:
         raise ConvergenceError("check_square_identity requires Re s > 2")
-    direct = mellin_direct(k, s, X=max(2000.0, X))
+    direct = mellin_direct(k, s, X=2000.0)
     lhs = direct.value ** 2
     rhs, rhs_err = _fubini_rhs(k, s, X)
     certs = {
@@ -758,20 +760,21 @@ def _lbar_many(xs: np.ndarray, y: np.ndarray, zy: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplace_consistency(s, tol: float = 1e-5):
+def laplace_consistency(s):
     """integral over x of Lbar(x) x^{s-1}, Lbar(x) = integral of Z(y) e^{-xy}
     over [1, inf), against M_1(s) Gamma(s): one report for one s, a list for
     a sequence, from one _lbar_many pass (README, Numerical notes).
 
-    ``tol`` sets the lower cut x_lo, whose dropped mass it bounds, and,
+    tol = 1e-5 sets the lower cut x_lo, whose dropped mass it bounds, and,
     through mellin_by_parts_samples, the right side's truncation X.  The
-    y-cut Y stays at 2e4 whatever ``tol`` is, so the certificates can sum
-    to more than ``tol``: at sigma = 1.5 and tol = 1e-5, inner_trunc is
-    8.1e-5 and mellin_tail 1.39e-4, a sum about 23 times ``tol``."""
+    y-cut Y is 2e4, so the certificates can sum to more than tol: at
+    sigma = 1.5, inner_trunc is 8.1e-5 and mellin_tail 1.39e-4, a sum about
+    23 times tol."""
     sv = _finite("laplace_consistency", s)
     if not np.all((1.0 < sv.real) & (sv.real < 3.0)):
         raise DomainError("laplace_consistency requires 1 < Re s < 3")
     c1, g94, X, Y = primitive_constant(1), 1.1330030963963883, 50.0, 2.0e4
+    tol = 1e-5
     # |Lbar(x)| <= C_1 Gamma(5/4) x^{-1/4}, and g94 = Gamma(9/4) > Gamma(5/4):
     # the lower cut keeps the dropped mass under tol
     x_lo = [(tol * (g - 0.25) / (c1 * g94)) ** (1.0 / (g - 0.25))

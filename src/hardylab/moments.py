@@ -13,12 +13,14 @@ re-integrate I_k thousands of times: the cache saves hours.
 Every k >= 2 cache shares that one Z walk: it has a k = 1 base cache (the
 process-wide moment_cache(1) for moment_cache(k), a fresh one for a fresh
 cache), takes the base's panels bit for bit and raises a copy of the base's
-stored Z rows to the k-th power.  It evaluates no Z of its own.  A quarter
-period of Z spans k/4 of a period of Z^k, at most one period for k <= 4,
-and Z is entire: K17, exact to degree 25, resolves Z^k there, and each panel
-is judged by its own |K17 - G8| (quad.PanelSet.integrate), as for k = 1;
-err_at(x) sums those estimates through x's own panel.  hardy_moment and the
-transform grids size their panels by Z's frequency for every k as well.
+stored Z rows to the k-th power.  Its walk evaluates no Z of its own; for
+any k, panels(x) evaluates Z at the 17 nodes of its last panel when that
+panel is clipped at x.  A quarter period of Z spans k/4 of a period of Z^k,
+at most one period for k <= 4, and Z is entire: K17, exact to degree 25,
+resolves Z^k there, and each panel is judged by its own |K17 - G8|
+(quad.PanelSet.integrate), as for k = 1; err_at(x) sums those estimates
+through x's own panel.  hardy_moment and the transform grids size their
+panels by Z's frequency for every k as well.
 
 Every node array of Z^k, here and in the mellin grids, is raised in place by
 power_in_place: k - 1 products for k <= 4, not libm pow, so within
@@ -192,9 +194,6 @@ class MomentCache:
             edges = np.append(edges, x)
             zk = np.concatenate([zk, self._zk(last.nodes())[None]])
         return PanelSet.from_edges(edges), zk.ravel()
-
-    def value(self, x: float) -> float:
-        return float(self.eval_many(np.array([x]))[0])
 
     def err_at(self, x: float) -> float:
         """The summed |K17 - G8| of I_k(x): every panel through x's own,

@@ -27,7 +27,7 @@ LOG_PI = math.log(math.pi)
 TWO_PI_HI = 6.283185307179586
 TWO_PI_LO = 2.4492935982947064e-16
 
-# Bernoulli numbers B_2, B_4, ..., B_30 (exact rationals rounded to binary64).
+# Bernoulli numbers B_2, B_4, ..., B_26 (exact rationals rounded to binary64).
 _BERNOULLI = (
     1.0 / 6.0,
     -1.0 / 30.0,
@@ -42,11 +42,9 @@ _BERNOULLI = (
     854513.0 / 138.0,
     -236364091.0 / 2730.0,
     8553103.0 / 6.0,
-    -23749461029.0 / 870.0,
-    8615841276005.0 / 14322.0,
 )
 
-_FACTORIALS = tuple(float(math.factorial(k)) for k in range(33))
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(27))
 
 
 def loggamma(z):
@@ -83,11 +81,11 @@ def loggamma(z):
     return complex(out[0]) if scalar else out
 
 
-def _nonpositive_int(z: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    # mask of the points within tol of 0, -1, -2, ...
+def _nonpositive_int(z: np.ndarray) -> np.ndarray:
+    # mask of the points within 1e-12 of 0, -1, -2, ...
     r = np.round(z.real)
-    return (np.abs(z.imag) <= tol) & (r <= 0.0) \
-        & (np.abs(z.real - r) <= tol * np.maximum(1.0, np.abs(z.real)))
+    return (np.abs(z.imag) <= 1e-12) & (r <= 0.0) \
+        & (np.abs(z.real - r) <= 1e-12 * np.maximum(1.0, np.abs(z.real)))
 
 
 def _log_gamma(z: np.ndarray) -> np.ndarray:
@@ -247,31 +245,24 @@ def _corrected_log(n: np.ndarray):
 _ELEMS = 1 << 18
 
 
-def em_terms(t):
-    """Default Euler-Maclaurin main-sum length at height t,
-    max(50, ceil(1.3|t|)), as int64 (vectorised)."""
-    return np.maximum(50, np.ceil(1.3 * np.abs(t))).astype(np.int64)
-
-
 def zeta_half_batch(t: np.ndarray) -> np.ndarray:
     """zeta(1/2 + it) for an array of heights."""
     return zeta_euler_maclaurin(0.5 + 1j * np.asarray(t, dtype=float))
 
 
-def zeta_euler_maclaurin(s, n_terms: int | None = None,
-                         n_bernoulli: int = 12, tol: float = 1e-10):
+def zeta_euler_maclaurin(s):
     """zeta(s) by Euler-Maclaurin summation.
 
     Vectorised: an array gives an array, a scalar gives a ``complex``.
-    Each point has its own truncation N (``n_terms``, by default
-    em_terms(Im s) = max(50, ceil(1.3|Im s|))) and the same arithmetic: the
-    main sum over n < N takes t*log(n) mod 2*pi in double-double
-    (reduced_phase) with a corrected log(n), and each row is one pairwise
-    sum, so a value is the same bits alone or in any batch.  Defaults
-    (n_bernoulli = 12) give a remainder below 1e-10 relative for
-    |Im s| <= 1e4 and -1 <= Re s <= 3.  Each point's remainder bound
-    (Edwards 1974, 6.4) is checked against ``tol`` (relative to
-    max(|value|, 1)) and AccuracyError is raised when one exceeds it.
+    Each point has its own truncation N = max(50, ceil(1.3|Im s|)) and the
+    same arithmetic: the main sum over n < N takes t*log(n) mod 2*pi in
+    double-double (reduced_phase) with a corrected log(n), and each row is
+    one pairwise sum, so a value is the same bits alone or in any batch.
+    The tail has q = 12 Bernoulli terms, which keep the remainder below
+    1e-10 relative for |Im s| <= 1e4 and -1 <= Re s <= 3.  Each point's
+    remainder bound (Edwards 1974, 6.4) is checked against tol = 1e-10
+    (relative to max(|value|, 1)) and AccuracyError is raised when one
+    exceeds it.
     """
     shape = np.shape(s)
     # a scalar runs as a 1-element array, so it rounds as array elements do
@@ -280,18 +271,14 @@ def zeta_euler_maclaurin(s, n_terms: int | None = None,
         raise DomainError("zeta_euler_maclaurin requires finite s")
     if np.any(np.abs(s - 1.0) < 1e-12):
         raise PoleError("zeta pole at s=1")
-    q = int(n_bernoulli)
-    if q < 1 or q > len(_BERNOULLI) - 1:
-        raise DomainError(f"n_bernoulli must be in [1, {len(_BERNOULLI) - 1}]")
+    q, tol = 12, 1e-10
     sigma, t = s.real, s.imag
     if np.any(sigma + 2 * q + 1 <= 0):
         raise AccuracyError("remainder bound unavailable: sigma too negative")
-    N = em_terms(t) if n_terms is None else np.full(s.shape, int(n_terms))
-    if np.any(N < 1):
-        raise DomainError("n_terms must be at least 1")
+    N = np.maximum(50, np.ceil(1.3 * np.abs(t))).astype(np.int64)
     if np.any(N > _ELEMS):
         raise DomainError(f"Euler-Maclaurin truncation N = {N.max()} exceeds "
-                          f"{_ELEMS} terms (by default, |Im s| above 2.0e5)")
+                          f"{_ELEMS} terms (|Im s| above 2.0e5)")
 
     # the main sum over n < N in groups of equal N, in row blocks of at most
     # _ELEMS // 8 elements (the phase reduction keeps ~10 blocks alive)

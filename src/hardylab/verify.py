@@ -84,16 +84,21 @@ def suite_z_agreement(cfg: RunConfig) -> list[Check]:
     return checks
 
 
+def _self_fitted(prefix: str, xs, resid, exponent: float) -> list[Check]:
+    # c = r / x^e fitted at the first point; the limit at every later point
+    # is 3 c x^e.  xs and resid are Python floats, so the powers are libm's
+    c_fit = resid[0] / xs[0] ** exponent
+    return [_check(f"{prefix}{x:g}", r, 3.0 * c_fit * x ** exponent,
+                   fitted_constant=c_fit) for x, r in zip(xs[1:], resid[1:])]
+
+
 def _dyadic_residuals(k: int, exponent: float, table) -> list[Check]:
     # I_k(2T) - I_k(T) from the cache, which reads the one Z walk
     Ts = (100.0, 200.0, 500.0, 1000.0)
     ik = moment_cache(k).eval_many(np.array([*Ts, *(2.0 * T for T in Ts)]))
     resid = [abs(hi - lo - moment_main_term(k, T, table).value)
              for T, lo, hi in zip(Ts, ik[:4].tolist(), ik[4:].tolist())]
-    c_fit = resid[0] / Ts[0] ** exponent
-    return [_check(f"cosine-sum-residual-k{k}-T{T:g}", r,
-                   3.0 * c_fit * T ** exponent, fitted_constant=c_fit)
-            for T, r in zip(Ts[1:], resid[1:])]
+    return _self_fitted(f"cosine-sum-residual-k{k}-T", Ts, resid, exponent)
 
 
 def suite_dyadic_square(cfg: RunConfig) -> list[Check]:
@@ -110,10 +115,7 @@ def suite_cubic_primitive(cfg: RunConfig) -> list[Check]:
     xs = np.array([200.0, 500.0, 1000.0, 2000.0])
     cube = CubicPrimitiveSum(divisor_sieve(3, 6000))
     r = np.abs(moment_cache(3).eval_many(xs) - cube.eval_many(xs)).tolist()
-    c_fit = r[0] / 200.0 ** 0.8
-    return [_check(f"cubic-primitive-residual-x{x:g}", rx,
-                   3.0 * c_fit * x ** 0.8, fitted_constant=c_fit)
-            for x, rx in zip(xs[1:].tolist(), r[1:])]
+    return _self_fitted("cubic-primitive-residual-x", xs.tolist(), r, 0.8)
 
 
 def suite_primitive_scaling(cfg: RunConfig) -> list[Check]:
@@ -144,7 +146,7 @@ def suite_laurent(cfg: RunConfig) -> list[Check]:
 
 def suite_identities(cfg: RunConfig) -> list[Check]:
     checks = []
-    sq = ML.check_square_identity(1, 3.0 + 0j, X=500.0)
+    sq = ML.check_square_identity(1, 3.0 + 0j)
     checks.append(_check("square-identity", sq.gap_rel, 1e-3))
     conv1, conv2 = ML.check_convolution(3, 1, 3.5 + 0j, 2.0, (200.0, 400.0))
     checks.append(_check("convolution", conv1.gap_rel, 5e-2))

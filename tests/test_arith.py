@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from hardylab.arith import (divisor_brute, divisor_sieve, dump_table,
-                            load_table)
+from hardylab.arith import (_DIVISOR_BUDGET, divisor_brute, divisor_sieve,
+                            dump_table, load_table)
 from hardylab.errors import CapacityError, DomainError
 
 ZETA_3 = 1.2020569031595942854
@@ -125,7 +125,7 @@ def test_dirichlet_series_tail(d3_table):
 
 def test_capacity_guards():
     with pytest.raises(CapacityError):
-        divisor_sieve(2, 100, budget=10)
+        divisor_sieve(2, _DIVISOR_BUDGET + 1)
     with pytest.raises(CapacityError):
         divisor_brute(5, 10)
     with pytest.raises(CapacityError):

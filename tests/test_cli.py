@@ -392,6 +392,7 @@ def test_config_file_and_overrides(tmp_path):
 @pytest.mark.parametrize("line", [
     "output_format = xml", "tol_mellin = nan", "tol_mellin = inf",
     "tol_mellin = 0", "tol_mellin = -1e-6", "seed = -1", "--seed=-1",
+    "eval_budget = -5",
 ])
 def test_config_value_the_program_cannot_honour_usage_error(tmp_path, capsys,
                                                             line):

@@ -51,7 +51,7 @@ def test_k3_codings_agree_beside_a_jump(d3_table, m):
     for x, n in ((jump, m), (below, m - 1)):
         assert int(cutoff(3, x)) == cube.cutoff(x) \
             == sum_range(3, x / 2.0)[1] == n
-        assert cube.value(x) == cube.prefix[n]
+        assert cube.eval_many(np.array([x]))[0] == cube.prefix[n]
         assert cubic_primitive_approx(x, d3_table) \
             == math.fsum(cube.terms[:n + 1].tolist())
 
@@ -138,25 +138,23 @@ def test_cubic_single_term():
 
 def test_cubic_prefix_matches_direct(d3_table):
     cube = CubicPrimitiveSum(d3_table)
-    for x in (50.0, 321.0, 1500.0):
-        assert cube.value(x) == pytest.approx(
-            cubic_primitive_approx(x, d3_table), rel=1e-12)
+    xs = (50.0, 321.0, 1500.0)
+    for x, v in zip(xs, cube.eval_many(np.array(xs))):
+        assert v == pytest.approx(cubic_primitive_approx(x, d3_table),
+                                  rel=1e-12)
 
 
 def test_cubic_residual_bound(d3_table):
     cube = CubicPrimitiveSum(d3_table)
-    cache = moment_cache(3)
-    r_fit = abs(cache.value(200.0) - cube.value(200.0))
-    c_fit = r_fit / 200.0 ** 0.8
-    for x in (500.0, 1000.0):
-        r = abs(cache.value(x) - cube.value(x))
-        assert r <= 3.0 * c_fit * x ** 0.8
+    xs = np.array([200.0, 500.0, 1000.0])
+    r = np.abs(moment_cache(3).eval_many(xs) - cube.eval_many(xs))
+    c_fit = r[0] / 200.0 ** 0.8
+    assert np.all(r[1:] <= 3.0 * c_fit * xs[1:] ** 0.8)
 
 
 def test_cubic_residual_doubling(d3_table):
     # residual ratio under doubling stays within 2^0.85 * 1.5
     cube = CubicPrimitiveSum(d3_table)
-    cache = moment_cache(3)
-    r1 = abs(cache.value(1000.0) - cube.value(1000.0))
-    r2 = abs(cache.value(2000.0) - cube.value(2000.0))
+    xs = np.array([1000.0, 2000.0])
+    r1, r2 = np.abs(moment_cache(3).eval_many(xs) - cube.eval_many(xs))
     assert r2 <= 2.0 ** 0.85 * 1.5 * max(r1, 1.0)

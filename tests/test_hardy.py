@@ -305,10 +305,12 @@ def test_rs_value_independent_of_batch():
 
 
 def test_complex_products_round_alike_at_every_layout():
-    # the multiplicative kernel multiplies its terms over a suffix of a
-    # block's rows (many rows) or over gathered (octave, rows) arrays (few
-    # rows), always into a distinct output; a height's value does not depend
-    # on its batch only if each product rounds the same in every such layout
+    # the multiplicative kernel's per-n pass multiplies two rows of terms
+    # over a suffix of a block's rows (those with N >= n), of one row to
+    # thousands, always into a distinct output; a height's value does not
+    # depend on its batch only if each product rounds the same at every such
+    # length.  The gathered 2-D products below are a layout the kernel no
+    # longer forms, still checked as a numpy property
     rng = np.random.default_rng(14)
     re, im = rng.standard_normal((2, 2, 40, 300))
     a, b = re + 1j * im

@@ -253,15 +253,6 @@ def test_v2_residual_doubling_growth(d3_table):
     assert abs(v2k - v1k) <= 3.0 * bound
 
 
-def test_residual_constant_keyed_by_window(d3_table):
-    # the calibration window is part of the cache key: a narrower window
-    # asked for later gets its own, smaller supremum
-    wide = ML.residual_constant(d3_table, 2000.0)
-    narrow = ML.residual_constant(d3_table, 60.0)
-    assert narrow < wide
-    assert ML.residual_constant(d3_table, 2000.0) == wide
-
-
 def test_decomposition_matched_cutoffs(d3_table):
     for s in (2.0 + 0j, 2.5 + 0j, 1.6 + 1j):
         d = ML.m3_decomposition(s, 1000.0, d3_table)
@@ -509,7 +500,7 @@ def test_vertical_line_batch_memory_bounded():
 
 
 def test_square_identity_k2_real_positive():
-    rep = ML.check_square_identity(2, 4.0 + 0j, X=150.0)
+    rep = ML.check_square_identity(2, 4.0 + 0j)
     assert rep.lhs.real > 0.0 and abs(rep.lhs.imag) < 1e-10
     assert rep.rhs.real > 0.0 and abs(rep.rhs.imag) < 1e-10
 

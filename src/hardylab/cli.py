@@ -19,9 +19,8 @@ from . import mellin as ML
 from . import verify
 from .arith import divisor_sieve, dump_table, load_table
 from .config import RunConfig, load_config
-from .errors import (AccuracyError, BudgetError, CapacityError,
-                     ConvergenceError, DomainError, FitError, NumericsError,
-                     PoleError)
+from .errors import (CapacityError, ConvergenceError, DomainError, FitError,
+                     NumericsError, PoleError)
 from .explicit import moment_main_term, sum_range
 from .hardy import z_err_est, z_eval_many, z_oracle_many
 from .moments import hardy_moment
@@ -139,7 +138,7 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
             print("mellin: --decompose requires --X", file=sys.stderr)
             return EXIT_USAGE
         # one engine call per grid, the bits of per-row calls
-        decomp = ML.m3_decomposition(s, args.X, divisor_sieve(3, 20000))
+        decomp = ML.m3_decomposition(s, args.X)
         rows = [(sig, t, d["v1"], d["v2"], d["sum"], d["m3"], d["gap_rel"])
                 for (sig, t), d in zip(grid, decomp)]
         _emit_table(["sigma", "t", "v1", "v2", "sum", "m3", "gap_rel"],
@@ -280,9 +279,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, cfg)
-    except (BudgetError, AccuracyError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except (DomainError, PoleError, CapacityError, ConvergenceError,
             FitError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -18,8 +18,9 @@ class RunConfig:
     tol_moment: float = 1e-7
     # Mellin truncation-selection tolerance.
     tol_mellin: float = 1e-6
-    # Cap on integrand evaluations per moment or direct Mellin integral,
-    # checked before the first evaluation.
+    # Cap on integrand evaluations per hardy_moment integral, checked before
+    # the first evaluation; only the moment command reads it, while verify
+    # and the Mellin quadratures use the default.
     eval_budget: int = 100_000_000
     output_format: str = "csv"  # csv | json
     seed: int = 20260808

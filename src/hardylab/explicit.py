@@ -88,15 +88,12 @@ def moment_main_term(k: int, T: float, table: DivisorTable) -> CosineSumResult:
 
 class CubicPrimitiveSum:
     """S_3(x), the saddle series' approximation to I_3(x), prefix-summed
-    over the whole d_3 table: O(1) per evaluation."""
+    over the d_3 table its caller sized: O(1) per evaluation."""
 
     def __init__(self, table: DivisorTable):
         self.table = table
         self.terms = saddle_terms(3, table, table.limit)
         self.prefix = np.cumsum(self.terms)
-
-    def cutoff(self, x: float) -> int:
-        return int(cutoff(3, x))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         cut = cutoff(3, xs)

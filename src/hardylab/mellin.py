@@ -39,10 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import DivisorTable
-from .errors import (AccuracyError, CapacityError, ConvergenceError,
-                     DomainError, FitError)
-from .explicit import CubicPrimitiveSum
+from .arith import divisor_sieve
+from .errors import AccuracyError, ConvergenceError, DomainError, FitError
+from .explicit import CubicPrimitiveSum, cutoff
 from .hardy import _ELEMS, z_breakpoints, z_eval_many
 from .moments import moment_cache, power_in_place, z_freq
 from .quad import (CHECK_RATIO, NODES, PanelSet, check_heights, integrals_at,
@@ -476,7 +475,7 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0) -> MellinSample:
 
 # -- cubic decomposition ---------------------------------------------------------
 
-def v1_series(s: complex, N: int, table: DivisorTable) -> complex:
+def v1_series(s: complex, N: int) -> complex:
     """Partial sum of the cubic cosine series, the transform of the saddle
     series cut at N terms (CubicPrimitiveSum.transform):
     (2pi)^{1-s} sqrt(2/3) sum d_3(n) n^{-1/6-2s/3} cos(3 pi n^{2/3} + pi/8).
@@ -486,32 +485,32 @@ def v1_series(s: complex, N: int, table: DivisorTable) -> complex:
     s = complex(_finite("v1_series", s)[0])
     if N < 1:
         raise DomainError("v1_series requires N >= 1")
-    if N > table.limit:
-        raise CapacityError(f"d_3 table limit {table.limit} < N = {N}")
-    return _cubic_sum(table).transform(s, N)
+    return _cubic_sum(N).transform(s, N)
 
 
 @functools.cache
-def _cubic_sum(table: DivisorTable) -> CubicPrimitiveSum:
-    return CubicPrimitiveSum(table)
+def _cubic_sum(n: int) -> CubicPrimitiveSum:
+    """S_3 over d_3(1..n): a term and its prefix sum read only d_3 up to
+    its own index, so every entry has the bits of a larger table's."""
+    return CubicPrimitiveSum(divisor_sieve(3, n))
 
 
 @functools.cache
-def residual_constant(table: DivisorTable) -> float:
+def residual_constant() -> float:
     """C_r with |I_3(x) - cubic sum(x)| <= C_r x^{4/5} on the desk range,
     calibrated at 1.5 * sup over anchors in [10, 2000]."""
     cache = moment_cache(3)
     cache.ensure(2000.0)
     m = (cache.edges >= 10.0) & (cache.edges <= 2000.0)
     xs = cache.edges[m]
-    r = cache.values[m] - _cubic_sum(table).eval_many(xs)
+    r = cache.values[m] - _cubic_sum(int(cutoff(3, 2000.0))).eval_many(xs)
     return 1.5 * float(np.max(np.abs(r) * xs ** (-0.8)))
 
 
 @functools.cache
-def _v2_grid(table: DivisorTable, X: float):
-    cube = _cubic_sum(table)
-    n_cut = cube.cutoff(X)
+def _v2_grid(X: float):
+    n_cut = int(cutoff(3, X))
+    cube = _cubic_sum(n_cut)
     # grid must break where the cutoff sum jumps: x = 2 pi m^{2/3}
     jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
     panels = PanelSet.from_edges(panel_edges(
@@ -521,7 +520,7 @@ def _v2_grid(table: DivisorTable, X: float):
     return _ExpSum(np.log(x), panels.weights() * r), n_cut
 
 
-def v2_residual(s, X: float, table: DivisorTable):
+def v2_residual(s, X: float):
     """The residual transform s * integral of (I_3 - cubic sum)(x) x^{-s-1}
     over [1, X], minus the closed-form contribution S(X) X^{-s} of the
     frozen cutoff sum on [X, inf): a complex for one s, a list for a
@@ -537,27 +536,24 @@ def v2_residual(s, X: float, table: DivisorTable):
         raise ConvergenceError("v2_residual requires Re s > 0.8")
     if not 100.0 <= X < math.inf:
         raise DomainError("v2_residual requires finite X >= 100")
-    cube = _cubic_sum(table)
-    if cube.cutoff(X) > table.limit:
-        raise CapacityError("d_3 table too small for X")
-    engine, n_cut = _v2_grid(table, X)
-    lnX, prefix = math.log(X), cube.prefix[n_cut]
+    engine, n_cut = _v2_grid(X)
+    lnX, prefix = math.log(X), _cubic_sum(n_cut).prefix[n_cut]
     out = [x * val - prefix * cmath.exp(-x * lnX) for x, val in
            zip(sv.tolist(), engine.sums(sv + 1.0)[0][0].tolist())]
     return out if np.ndim(s) else out[0]
 
 
-def m3_decomposition(s, X: float, table: DivisorTable):
+def m3_decomposition(s, X: float):
     """V1 + V2 against the X-truncated transform of I_3 at matched cutoffs,
     which they telescope to (see v2_residual): a dict for one s, a list for
     a sequence of s, from one engine call per grid."""
     sv = _finite("m3_decomposition", s)
     m3 = _truncated(3, sv, X)[0].tolist()  # first: checks X
-    n_cut = _cubic_sum(table).cutoff(X)
-    v1 = [v1_series(x, n_cut, table) for x in sv.tolist()]
+    n_cut = int(cutoff(3, X))
+    v1 = [v1_series(x, n_cut) for x in sv.tolist()]
     out = [{"s": x, "X": float(X), "N": n_cut, "v1": a, "v2": b, "sum": a + b,
             "m3": c, "gap_abs": abs(a + b - c), "gap_rel": abs(a + b - c) / abs(c)}
-           for x, a, b, c in zip(sv.tolist(), v1, v2_residual(sv, X, table), m3)]
+           for x, a, b, c in zip(sv.tolist(), v1, v2_residual(sv, X), m3)]
     return out if np.ndim(s) else out[0]
 
 
@@ -601,17 +597,6 @@ class IdentityReport:
     gap_rel: float
     certificates: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs if self.lhs.imag else self.lhs.real,
-            "rhs": self.rhs if self.rhs.imag else self.rhs.real,
-            "gap_abs": self.gap_abs,
-            "gap_rel": self.gap_rel,
-            "certificates": dict(self.certificates),
-            "params": dict(self.params),
-        }
 
 
 def _report(name, lhs, rhs, certificates, params) -> IdentityReport:

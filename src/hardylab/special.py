@@ -23,8 +23,8 @@ from .errors import AccuracyError, DomainError, PoleError
 TWO_PI = 2.0 * math.pi
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_PI = math.log(math.pi)
-# 2*pi split into high/low doubles for exact-ish argument reduction.
-TWO_PI_HI = 6.283185307179586
+# 2*pi = TWO_PI + TWO_PI_LO as high/low doubles for exact-ish argument
+# reduction.
 TWO_PI_LO = 2.4492935982947064e-16
 
 # Bernoulli numbers B_2, B_4, ..., B_26 (exact rationals rounded to binary64).
@@ -221,7 +221,7 @@ def reduced_phase(t, log_n, log_err):
     p, e = _two_prod(t, log_n)
     e = e + t * log_err
     k = np.round(p / TWO_PI)
-    ph, pe = _two_prod(k, TWO_PI_HI)
+    ph, pe = _two_prod(k, TWO_PI)
     r = (p - ph) + (e - pe - k * TWO_PI_LO)
     return r
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import mellin as ML
 from .arith import divisor_brute, divisor_sieve
 from .config import RunConfig, DEFAULTS
-from .explicit import CubicPrimitiveSum, moment_main_term
+from .explicit import CubicPrimitiveSum, cutoff, moment_main_term, sum_range
 from .hardy import z_oracle, z_oracle_many, z_rs_many
 from .moments import moment_cache
 from .special import chi, theta_batch, zeta_euler_maclaurin
@@ -92,9 +92,10 @@ def _self_fitted(prefix: str, xs, resid, exponent: float) -> list[Check]:
                    fitted_constant=c_fit) for x, r in zip(xs[1:], resid[1:])]
 
 
-def _dyadic_residuals(k: int, exponent: float, table) -> list[Check]:
+def _dyadic_residuals(k: int, exponent: float) -> list[Check]:
     # I_k(2T) - I_k(T) from the cache, which reads the one Z walk
     Ts = (100.0, 200.0, 500.0, 1000.0)
+    table = divisor_sieve(k, sum_range(k, Ts[-1])[1])
     ik = moment_cache(k).eval_many(np.array([*Ts, *(2.0 * T for T in Ts)]))
     resid = [abs(hi - lo - moment_main_term(k, T, table).value)
              for T, lo, hi in zip(Ts, ik[:4].tolist(), ik[4:].tolist())]
@@ -102,18 +103,16 @@ def _dyadic_residuals(k: int, exponent: float, table) -> list[Check]:
 
 
 def suite_dyadic_square(cfg: RunConfig) -> list[Check]:
-    return _dyadic_residuals(2, 0.55, divisor_sieve(2, 1000))
+    return _dyadic_residuals(2, 0.55)
 
 
 def suite_dyadic_odd(cfg: RunConfig) -> list[Check]:
-    out = _dyadic_residuals(1, 0.30, divisor_sieve(1, 64))
-    out += _dyadic_residuals(3, 0.80, divisor_sieve(3, 6000))
-    return out
+    return _dyadic_residuals(1, 0.30) + _dyadic_residuals(3, 0.80)
 
 
 def suite_cubic_primitive(cfg: RunConfig) -> list[Check]:
     xs = np.array([200.0, 500.0, 1000.0, 2000.0])
-    cube = CubicPrimitiveSum(divisor_sieve(3, 6000))
+    cube = CubicPrimitiveSum(divisor_sieve(3, int(cutoff(3, xs[-1]))))
     r = np.abs(moment_cache(3).eval_many(xs) - cube.eval_many(xs)).tolist()
     return _self_fitted("cubic-primitive-residual-x", xs.tolist(), r, 0.8)
 
@@ -170,7 +169,7 @@ def suite_identities(cfg: RunConfig) -> list[Check]:
 
 def suite_series_decomposition(cfg: RunConfig) -> list[Check]:
     s = (2.0 + 0j, 2.5 + 0j, 1.6 + 1j)
-    decomp = ML.m3_decomposition(s, 1000.0, divisor_sieve(3, 20000))
+    decomp = ML.m3_decomposition(s, 1000.0)
     return [_check(f"series-decomposition-s{d['s'].real:g}{d['s'].imag:+g}j",
                    d["gap_rel"], 1e-5) for d in decomp]
 

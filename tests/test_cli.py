@@ -12,6 +12,7 @@ import hardylab.mellin as ML
 import hardylab.verify as verify
 from hardylab.cli import main
 from hardylab.config import load_config
+from hardylab.errors import AccuracyError
 from hardylab.reportio import to_json
 
 
@@ -132,10 +133,19 @@ def test_mellin_decompose_batch_matches_per_row_calls(capsys, monkeypatch):
     code, batched, _ = run_cli(capsys, *argv)
     assert code == 0 and len(batched.splitlines()) == 31
     batch = ML.m3_decomposition
-    monkeypatch.setattr(ML, "m3_decomposition", lambda s, X, table: [
-        batch(sv, X, table) for sv in s])
+    monkeypatch.setattr(ML, "m3_decomposition", lambda s, X: [
+        batch(sv, X) for sv in s])
     code, per_row, _ = run_cli(capsys, *argv)
     assert code == 0 and per_row == batched
+
+
+def test_mellin_decompose_sizes_its_table_from_X(capsys):
+    # X = 5000 needs d_3 up to 22,448, past any fixed 20,000-entry table
+    code, out, _ = run_cli(capsys, "mellin", "--k", "3", "--decompose",
+                           "--X", "5000")
+    header, *rows = out.splitlines()
+    assert code == 0 and header.endswith(",gap_rel") and len(rows) == 2
+    assert all(float(r.rsplit(",", 1)[1]) <= 1e-5 for r in rows)
 
 
 def test_mellin_laurent(capsys):
@@ -358,6 +368,17 @@ def test_budget_exit_code(tmp_path, capsys):
                              "--k", "3", "--T", "400", "--mode", "direct")
     assert code == 3
     assert out == "" and "budget" in err.lower()
+
+
+def test_accuracy_exit_code(capsys, monkeypatch):
+    def fail(ts):
+        raise AccuracyError("oracle bound exceeded")
+
+    monkeypatch.setattr(cli, "z_oracle_many", fail)
+    code, out, err = run_cli(capsys, "z", "--from", "10", "--to", "20",
+                             "--step", "5", "--oracle")
+    assert code == 3
+    assert out == "" and err == "z: oracle bound exceeded\n"
 
 
 def test_moment_k8_direct_at_default_budget(capsys):

@@ -1,5 +1,6 @@
 """Mellin transforms, continuation, decomposition, Laurent fit, identities."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,8 +14,8 @@ import pytest
 import hardylab
 import hardylab.mellin as ML
 from hardylab import moments
-from hardylab.errors import (CapacityError, ConvergenceError, DomainError,
-                             FitError)
+from hardylab.errors import ConvergenceError, DomainError, FitError
+from hardylab.explicit import cutoff
 from hardylab.hardy import z_breakpoints, z_eval_many, z_oracle
 from hardylab.moments import moment_cache, power_in_place, z_freq
 from hardylab.quad import (CHECK_RATIO, NODES, PanelSet, integrate_oscillatory,
@@ -76,49 +77,49 @@ def test_direct_matches_an_independent_pass(k, s, X):
 
 @pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(2.0, math.inf),
                                complex(math.inf, 1.0)])
-def test_non_finite_s_rejected(s, d3_table):
+def test_non_finite_s_rejected(s):
     with pytest.raises(DomainError):
         ML.mellin_by_parts(1, s)
     with pytest.raises(DomainError):
         ML.mellin_direct(1, s)
     with pytest.raises(DomainError):
-        ML.m3_decomposition(s, 1000.0, d3_table)
+        ML.m3_decomposition(s, 1000.0)
 
 
 NAN, INF = math.nan, math.inf
 
 
 @pytest.mark.parametrize("call", [
-    lambda d3: z_breakpoints(1.0, INF),
-    lambda d3: z_breakpoints(1.0, NAN),
-    lambda d3: z_breakpoints(NAN, 10.0),
-    lambda d3: moments.hardy_moment(1, 1.0, INF),
-    lambda d3: ML.mellin_direct(1, 2.0 + 0j, X=INF),
-    lambda d3: ML.mellin_direct(1, 2.0 + 0j, X=NAN),
-    lambda d3: integrate_vertical_line(lambda s: s, 2.0, 0.0, INF),
-    lambda d3: integrate_vertical_line(lambda s: s, 2.0, 0.0, [4.0, NAN]),
-    lambda d3: integrate_vertical_line(lambda s: s, 2.0, -INF, 4.0),
-    lambda d3: ML.truncated_inversion(1, 10.0, 1.5, INF),
-    lambda d3: ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [4.0, INF], x_nodes=20.0),
-    lambda d3: ML.v1_series(complex(NAN, 0.0), 10, d3),
-    lambda d3: ML.v2_residual(complex(NAN, 0.0), 1000.0, d3),
-    lambda d3: ML.v2_residual(complex(2.0, INF), 1000.0, d3),
-    lambda d3: ML.v2_residual(2.0 + 0j, NAN, d3),
-    lambda d3: ML.v2_residual([2.0 + 0j, complex(2.0, NAN)], 1000.0, d3),
-    lambda d3: ML.m3_decomposition([2.0 + 0j, complex(INF, 1.0)], 1000.0, d3),
-    lambda d3: ML.laplace_consistency(complex(2.0, NAN)),
-    lambda d3: ML.laurent_fit_at_1([(0.02, 1.0), (NAN, 2.0), (0.05, 3.0)]),
-    lambda d3: ML.laurent_fit_at_1([(0.02, 1.0), (0.03, NAN), (0.05, 3.0)]),
+    lambda: z_breakpoints(1.0, INF),
+    lambda: z_breakpoints(1.0, NAN),
+    lambda: z_breakpoints(NAN, 10.0),
+    lambda: moments.hardy_moment(1, 1.0, INF),
+    lambda: ML.mellin_direct(1, 2.0 + 0j, X=INF),
+    lambda: ML.mellin_direct(1, 2.0 + 0j, X=NAN),
+    lambda: integrate_vertical_line(lambda s: s, 2.0, 0.0, INF),
+    lambda: integrate_vertical_line(lambda s: s, 2.0, 0.0, [4.0, NAN]),
+    lambda: integrate_vertical_line(lambda s: s, 2.0, -INF, 4.0),
+    lambda: ML.truncated_inversion(1, 10.0, 1.5, INF),
+    lambda: ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [4.0, INF], x_nodes=20.0),
+    lambda: ML.v1_series(complex(NAN, 0.0), 10),
+    lambda: ML.v2_residual(complex(NAN, 0.0), 1000.0),
+    lambda: ML.v2_residual(complex(2.0, INF), 1000.0),
+    lambda: ML.v2_residual(2.0 + 0j, NAN),
+    lambda: ML.v2_residual([2.0 + 0j, complex(2.0, NAN)], 1000.0),
+    lambda: ML.m3_decomposition([2.0 + 0j, complex(INF, 1.0)], 1000.0),
+    lambda: ML.laplace_consistency(complex(2.0, NAN)),
+    lambda: ML.laurent_fit_at_1([(0.02, 1.0), (NAN, 2.0), (0.05, 3.0)]),
+    lambda: ML.laurent_fit_at_1([(0.02, 1.0), (0.03, NAN), (0.05, 3.0)]),
 ], ids=["breaks-b-inf", "breaks-b-nan", "breaks-a-nan", "moment-b-inf",
         "direct-X-inf", "direct-X-nan", "line-t1-inf", "line-t1-nan",
         "line-t0-inf", "inversion-U-inf", "convolution-V-inf", "v1-s-nan",
         "v2-s-nan", "v2-t-inf", "v2-X-nan", "v2-batch-nan", "m3-batch-inf",
         "laplace-t-nan", "laurent-delta-nan", "laurent-value-nan"])
-def test_non_finite_input_fails_before_work(call, d3_table):
+def test_non_finite_input_fails_before_work(call):
     # non-finite bounds and s raise at once: none loops, runs out a budget,
     # ends in a numpy warning or returns nan
     with pytest.raises(DomainError):
-        call(d3_table)
+        call()
 
 
 def test_convolution_rejects_a_bad_height_before_any_grid(monkeypatch):
@@ -151,11 +152,11 @@ def test_by_parts_leaves_numpy_ma_unimported():
 
 
 @pytest.mark.parametrize("X", [0.5, -3.0, 0.0, math.nan, math.inf])
-def test_truncation_height_below_one_rejected(X, d3_table):
+def test_truncation_height_below_one_rejected(X):
     with pytest.raises(DomainError, match="X"):
         ML.mellin_by_parts(1, 2.0 + 0j, X=X)
     with pytest.raises(DomainError, match="X"):
-        ML.m3_decomposition(2.0 + 0j, X, d3_table)
+        ML.m3_decomposition(2.0 + 0j, X)
 
 
 def test_truncation_height_one_is_an_empty_grid():
@@ -206,20 +207,20 @@ def test_representation_agreement_grid(rng):
             assert abs(d.value - b.value) <= d.tail_bound + b.tail_bound, (k, s)
 
 
-def test_v1_series_single_term(d3_table):
+def test_v1_series_single_term():
     want = (2.0 * math.pi) ** -1.0 * math.sqrt(2.0 / 3.0) \
         * math.cos(3.0 * math.pi + math.pi / 8.0)
-    got = ML.v1_series(2.0 + 0j, 1, d3_table)
+    got = ML.v1_series(2.0 + 0j, 1)
     assert got.real == pytest.approx(want, rel=1e-14)
     assert got.imag == 0.0
 
 
-def test_v1_series_cauchy_envelope(d3_table):
+def test_v1_series_cauchy_envelope():
     # partial-sum differences fall inside the N^{-1/2} envelope
     s = 2.0 + 0j
-    v3 = ML.v1_series(s, 1000, d3_table)
-    v4 = ML.v1_series(s, 10_000, d3_table)
-    v5 = ML.v1_series(s, 20_000, d3_table)
+    v3 = ML.v1_series(s, 1000)
+    v4 = ML.v1_series(s, 10_000)
+    v5 = ML.v1_series(s, 20_000)
     d34 = abs(v4 - v3)
     d45 = abs(v5 - v4)
     assert d34 <= 5.0 * 1000 ** -0.5
@@ -231,32 +232,43 @@ def test_v1_series_triangle_bound(d3_table):
     n = np.arange(1, 5001)
     bound = (2.0 * math.pi) ** -2.0 * math.sqrt(2.0 / 3.0) \
         * float(np.sum(d3_table.counts[1:5001] * n ** (-13.0 / 6.0)))
-    assert abs(ML.v1_series(s, 5000, d3_table)) <= bound
+    assert abs(ML.v1_series(s, 5000)) <= bound
 
 
-def test_v1_series_guards(d3_table):
-    with pytest.raises(CapacityError):
-        ML.v1_series(2.0 + 0j, d3_table.limit + 1, d3_table)
+def test_v1_series_guards():
+    with pytest.raises(DomainError):
+        ML.v1_series(2.0 + 0j, 0)
 
 
-def test_v2_residual_regularity_below_one(d3_table):
-    v = ML.v2_residual(1.2 + 0j, 500.0, d3_table)
+def test_v2_residual_regularity_below_one():
+    v = ML.v2_residual(1.2 + 0j, 500.0)
     assert math.isfinite(v.real) and math.isfinite(v.imag)
 
 
-def test_v2_residual_doubling_growth(d3_table):
+def test_v2_residual_doubling_growth():
     s = 2.0 + 0j
-    c_r = ML.residual_constant(d3_table)
-    v1k = ML.v2_residual(s, 1000.0, d3_table)
-    v2k = ML.v2_residual(s, 2000.0, d3_table)
+    c_r = ML.residual_constant()
+    v1k = ML.v2_residual(s, 1000.0)
+    v2k = ML.v2_residual(s, 2000.0)
     bound = abs(s) * c_r * 1000.0 ** (0.8 - 2.0) / (2.0 - 0.8)
     assert abs(v2k - v1k) <= 3.0 * bound
 
 
-def test_decomposition_matched_cutoffs(d3_table):
+def test_decomposition_matched_cutoffs():
     for s in (2.0 + 0j, 2.5 + 0j, 1.6 + 1j):
-        d = ML.m3_decomposition(s, 1000.0, d3_table)
+        d = ML.m3_decomposition(s, 1000.0)
         assert d["gap_rel"] <= 1e-5, s
+
+
+def test_decomposition_memos_keyed_by_height():
+    # the d_3 table is sized from X, so a second call at one X reuses the
+    # prefix sum and the residual grid, and V_1 and V_2 share one prefix sum
+    ML._v2_grid.cache_clear()
+    ML._cubic_sum.cache_clear()
+    first = ML.m3_decomposition(2.0 + 0j, 300.0)
+    assert ML.m3_decomposition(2.0 + 0j, 300.0) == first
+    assert ML._v2_grid.cache_info().currsize == 1
+    assert ML._cubic_sum.cache_info().currsize == 1
 
 
 def test_laurent_synthetic_roundtrip():
@@ -341,8 +353,7 @@ def test_convolution_sweep_matches_single_heights(monkeypatch):
                         lambda k, w, X: np.exp(-0.1 * w) / (w - 0.5) ** (k + 1))
     args = (3, 1, 3.5 + 0j, 2.0)
     sweep = ML.check_convolution(*args, (200.0, 400.0))
-    assert [r.as_dict() for r in sweep] \
-        == [ML.check_convolution(*args, V).as_dict() for V in (200.0, 400.0)]
+    assert sweep == [ML.check_convolution(*args, V) for V in (200.0, 400.0)]
 
 
 def test_scalar_heights_keep_return_types():
@@ -354,7 +365,7 @@ def test_scalar_heights_keep_return_types():
     assert isinstance(rep.lhs, complex) and isinstance(rep.rhs, complex)
     assert isinstance(rep.gap_rel, float)
     [swept] = ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [4.0], x_nodes=20.0)
-    assert swept.as_dict() == rep.as_dict()
+    assert swept == rep
 
 
 def test_by_parts_retains_nothing_per_s():
@@ -390,7 +401,7 @@ def _grid_sums(panels, zk):
             a_check[:, 1::2].ravel())
 
 
-def _band3_nodes(table):
+def _band3_nodes():
     # the k = 1, X = 2000 band-3 grid
     panels = PanelSet.from_edges(panel_edges(
         1.0, 2000.0, lambda x: z_freq(x) + 32.0 / (TWO_PI * x),
@@ -398,22 +409,22 @@ def _band3_nodes(table):
     return _grid_sums(panels, z_eval_many(panels.nodes()))
 
 
-def _laurent_nodes(table):
+def _laurent_nodes():
     # the k = 2, X = 8000 band-0 grid: the moment cache's panels
     return _grid_sums(*moment_cache(2).panels(8000.0))
 
 
-def _v2_nodes(table):
+def _v2_nodes():
     # the V_2 grid at X = 1000, whose weights are I_3 - S_3, not Z^k: the
     # G8 check is a column reweighting for any integrand
-    cube = ML._cubic_sum(table)
-    jumps = tuple(TWO_PI * m ** (2.0 / 3.0)
-                  for m in range(1, cube.cutoff(1000.0) + 1))
+    n_cut = int(cutoff(3, 1000.0))
+    cube = ML._cubic_sum(n_cut)
+    jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
     panels = PanelSet.from_edges(panel_edges(
         1.0, 1000.0, z_freq, z_breakpoints(1.0, 1000.0) + jumps))
     x = panels.nodes()
     out = _grid_sums(panels, moment_cache(3).eval_many(x) - cube.eval_many(x))
-    assert np.array_equal(ML._v2_grid(table, 1000.0)[0].a.ravel(), out[1])
+    assert np.array_equal(ML._v2_grid(1000.0)[0].a.ravel(), out[1])
     return out
 
 
@@ -426,8 +437,8 @@ def _v2_nodes(table):
     (_v2_nodes, np.append([3.0, 3.5, 2.6 + 1j],
                           1.8 + 1j * np.linspace(-8.0, 8.0, 17))),
 ])
-def test_engine_matches_direct_sum(nodes, s, d3_table):
-    ln, a, ln_check, a_check = nodes(d3_table)
+def test_engine_matches_direct_sum(nodes, s):
+    ln, a, ln_check, a_check = nodes()
     got, trunc = ML._ExpSum(ln.copy(), a).sums(s)
     for row, (lr, ar) in zip(got, ((ln, a), (ln_check, a_check))):
         want, mass = _direct_sum(lr, ar, s)
@@ -752,8 +763,8 @@ def test_laplace_rejects_a_bad_batch_before_any_work(batch, monkeypatch):
 def test_report_json_stable(conv_k2_sweep):
     rep = conv_k2_sweep[0]
     from hardylab.reportio import to_json
-    text1 = to_json(rep.as_dict())
-    text2 = to_json(rep.as_dict())
+    text1 = to_json(dataclasses.asdict(rep))
+    text2 = to_json(dataclasses.asdict(rep))
     assert text1 == text2
     assert text1.index('"name"') < text1.index('"lhs"') < text1.index('"rhs"')
     assert '"gap_abs"' in text1 and '"certificates"' in text1

@@ -1,11 +1,13 @@
-"""The benchmark's tracer wraps library functions by name: every name it
-lists must still exist, or its traced runs break."""
+"""The benchmark reads the library from outside: its tracer wraps library
+functions by name, and every name it lists must still exist, or its traced
+runs break; its src_lines must be the figure scripts/src_lines.py prints."""
 
 import importlib
 import runpy
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_instrumented_names_resolve():
@@ -20,3 +22,9 @@ def test_instrumented_names_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attr}")
     assert not missing, missing
+
+
+def test_src_lines_matches_the_benchmark():
+    run = runpy.run_path(str(ROOT / "perfbench" / "run.py"))
+    script = runpy.run_path(str(ROOT / "scripts" / "src_lines.py"))
+    assert run["source_facts"](ROOT)["src_lines"] == script["src_lines"]()

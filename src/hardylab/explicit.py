@@ -21,8 +21,9 @@ from .special import TWO_PI
 
 # (x/2pi)^(k/2) at a jump point x = 2 pi m^(2/k), itself rounded, is within
 # 1.4e-15 m of m (k = 1..4, m <= 2e7); the snap only has to cover that.  A
-# wider one counts quadrature nodes just below a jump as past it (the
-# residual grid of mellin._v2_grid has panels 3.6e-15 wide beside jumps).
+# wider one counts points just below a jump as past it: at 1e-9 the
+# jump-edged quadrature of S_3 in tests/test_explicit.py
+# (test_cubic_sum_by_parts_on_a_jump_edged_grid) misses its closed form.
 _SNAP = 4e-15
 
 

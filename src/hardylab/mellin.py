@@ -23,6 +23,13 @@ identity's right side is one Fubini sum on the moment cache's panels: its
 inner integrals up to X/u are prefix sums over the same node values, so it
 evaluates Z only on the last panel, clipped at X.
 
+In the cubic decomposition M_3 = V_1 + V_2 the series S_3's part of V_2 is
+-V_1 in closed form, so V_2 is s times the integral of I_3 x^{-s-1} on
+M_3's band-0 panels less V_1, and no grid breaks at S_3's jumps.  At
+matched cutoffs the gap of V_1 + V_2 against M_3 compares that I_3
+quadrature with the by-parts Z^3 quadrature on the same panels: a
+quadrature-consistency check, which does not see the series' terms c_n.
+
 For even k the primitive grows like x * poly(log x); its smooth main part
 is fitted once on the cache anchors and the fitted tail is integrated in
 closed form past the truncation point.  Without that completion the double
@@ -32,7 +39,6 @@ to any desk-scale truncation.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -508,52 +514,56 @@ def residual_constant() -> float:
 
 
 @functools.cache
-def _v2_grid(X: float):
-    n_cut = int(cutoff(3, X))
-    cube = _cubic_sum(n_cut)
-    # grid must break where the cutoff sum jumps: x = 2 pi m^{2/3}
-    jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
-    panels = PanelSet.from_edges(panel_edges(
-        1.0, X, z_freq, z_breakpoints(1.0, X) + jumps))
-    x = panels.nodes()
-    r = moment_cache(3).eval_many(x) - cube.eval_many(x)
-    return _ExpSum(np.log(x), panels.weights() * r), n_cut
+def _v2_grid(X: float) -> _ExpSum:
+    """The engine of the integral of I_3(x) x^{-s} over [1, X] on M_3's
+    band-0 panels, with I_3 at the nodes from the cache's anchors and Z^3
+    rows (PanelSet.node_integrals): only a clipped last panel evaluates Z."""
+    cache = moment_cache(3)
+    panels, z3 = cache.panels(X)
+    i3 = panels.node_integrals(z3, cache.values[:len(panels.lo)])
+    return _ExpSum(np.log(panels.nodes()), panels.weights() * i3)
 
 
-def v2_residual(s, X: float):
-    """The residual transform s * integral of (I_3 - cubic sum)(x) x^{-s-1}
-    over [1, X], minus the closed-form contribution S(X) X^{-s} of the
-    frozen cutoff sum on [X, inf): a complex for one s, a list for a
-    sequence of s, from one engine call.
-
-    With N = floor((X/2pi)^{3/2}) matched, v1_series(s, N) + v2_residual(s, X)
-    telescopes exactly (up to quadrature) to the X-truncated transform of
-    I_3, i.e. to mellin_by_parts(3, s, X=X) before its tail certificate.
-    Regular for Re s > 3/4; requires Re s > 0.8.
-    """
-    sv = _finite("v2_residual", s)
-    if np.any(sv.real <= 0.8):
+def _v2(s: np.ndarray, X: float, v1: list | None = None) -> list:
+    """V_2 at every s of a finite batch: s times the I_3 engine's sum at
+    s + 1, less V_1(s, N) from v1 (formed here when v1 is None)."""
+    if np.any(s.real <= 0.8):
         raise ConvergenceError("v2_residual requires Re s > 0.8")
     if not 100.0 <= X < math.inf:
         raise DomainError("v2_residual requires finite X >= 100")
-    engine, n_cut = _v2_grid(X)
-    lnX, prefix = math.log(X), _cubic_sum(n_cut).prefix[n_cut]
-    out = [x * val - prefix * cmath.exp(-x * lnX) for x, val in
-           zip(sv.tolist(), engine.sums(sv + 1.0)[0][0].tolist())]
+    if v1 is None:
+        v1 = [v1_series(x, int(cutoff(3, X))) for x in s.tolist()]
+    values = _v2_grid(X).sums(s + 1.0)[0][0]
+    return [x * e - a for x, e, a in zip(s.tolist(), values.tolist(), v1)]
+
+
+def v2_residual(s, X: float):
+    """The residual transform s * integral of (I_3 - S_3)(x) x^{-s-1} over
+    [1, X] minus S_3(X) X^{-s}, S_3's frozen contribution on [X, inf): a
+    complex for one s, a list for a sequence of s, from one engine call.
+    S_3's part is v1_series(s, N), N = floor((X/2pi)^{3/2}), in closed
+    form, so this is s times the integral of I_3 x^{-s-1} on M_3's band-0
+    panels less V_1, and V_1 + V_2 matched against mellin_by_parts(3, s,
+    X=X), the by-parts Z^3 quadrature on the same panels for |Im s| <= 4,
+    compares two quadratures and does not see the c_n.  Regular for
+    Re s > 3/4; requires Re s > 0.8."""
+    out = _v2(_finite("v2_residual", s), X)
     return out if np.ndim(s) else out[0]
 
 
 def m3_decomposition(s, X: float):
-    """V1 + V2 against the X-truncated transform of I_3 at matched cutoffs,
-    which they telescope to (see v2_residual): a dict for one s, a list for
-    a sequence of s, from one engine call per grid."""
+    """V1 + V2 against the X-truncated transform of I_3 at matched cutoffs:
+    a dict for one s, a list for a sequence of s, from one engine call per
+    grid and one V_1 per s.  The gap is a quadrature-consistency check: it
+    compares the I_3 quadrature with the by-parts Z^3 quadrature on the
+    same panels (|Im s| <= 4), and the c_n cancel (see v2_residual)."""
     sv = _finite("m3_decomposition", s)
     m3 = _truncated(3, sv, X)[0].tolist()  # first: checks X
     n_cut = int(cutoff(3, X))
     v1 = [v1_series(x, n_cut) for x in sv.tolist()]
     out = [{"s": x, "X": float(X), "N": n_cut, "v1": a, "v2": b, "sum": a + b,
             "m3": c, "gap_abs": abs(a + b - c), "gap_rel": abs(a + b - c) / abs(c)}
-           for x, a, b, c in zip(sv.tolist(), v1, v2_residual(sv, X), m3)]
+           for x, a, b, c in zip(sv.tolist(), v1, _v2(sv, X, v1), m3)]
     return out if np.ndim(s) else out[0]
 
 

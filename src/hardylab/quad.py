@@ -17,9 +17,11 @@ below that only chases rounding noise.  partial_integrals integrates the
 degree-16 interpolant through a panel's 17 values, from the panel's Legendre
 coefficients (formed once per panel a block touches), from its left edge to
 any point inside: stored node values give integrals up to any point without
-new evaluations.  integrate_oscillatory sums its panels in order with one
-numpy sum, whose pairwise tree is fixed for a given order and length, so
-identical inputs give bit-identical results no matter how work is batched.
+new evaluations, and PanelSet.node_integrals gives them at every node
+through one fixed 17 x 17 matrix.  integrate_oscillatory sums its panels in
+order with one numpy sum, whose pairwise tree is fixed for a given order and
+length, so identical inputs give bit-identical results no matter how work
+is batched.
 
 Integrands receive numpy arrays of abscissae and must be pure.
 """
@@ -121,6 +123,23 @@ class PanelSet:
         v = (y * _W_VALUE).sum(axis=1) * self.half
         return v, np.abs(v - (y * _W_CHECK).sum(axis=1) * self.half)
 
+    def node_integrals(self, y: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """The integral up to every node (flat, panel by panel) from values
+        y at nodes() and anchors[i], the integral at panel i's left edge:
+        anchors[i] + half_i * (Q y_i)_j, Q the fixed spectral-integration
+        matrix (row j: the interpolant's integral over [-1, x_j])."""
+        y = np.reshape(y, (-1, NODES))
+        return (anchors[:, None] + self.half[:, None]
+                * _row_products(_SPECTRAL, y)).ravel()
+
+
+def _row_products(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """m times every row of y: elementwise products and fixed row sums (no
+    matmul, so no row depends on the others), 128 rows at a time, so each
+    (rows, 17, 17) product stays at 296 KB."""
+    return np.concatenate([(y[j:j + 128, None, :] * m).sum(axis=2)
+                           for j in range(0, len(y), 128)])
+
 
 def partial_integrals(y: np.ndarray, tau: np.ndarray,
                       rows: np.ndarray | None = None) -> np.ndarray:
@@ -130,9 +149,7 @@ def partial_integrals(y: np.ndarray, tau: np.ndarray,
     y_j formed once, q_n = (P_{n+1} - P_{n-1})/(2n + 1) the integral of P_n.
     Exactly 0 at tau = -1 and 2 c_0, the K17 sum, at tau = 1; elementwise
     products and fixed row sums, so no result depends on the other points."""
-    # 128 rows at a time, so each (rows, 17, 17) product stays at 296 KB
-    c = np.concatenate([(y[j:j + 128, None, :] * _LEGENDRE).sum(axis=2)
-                        for j in range(0, len(y), 128)])
+    c = _row_products(_LEGENDRE, y)
     # P_{-1} = -1, P_0, ..., P_17 at tau, so that q_0 = P_1 - P_{-1}
     p = np.empty((NODES + 2, len(tau)))
     p[0], p[1], p[2] = -1.0, 1.0, tau
@@ -141,6 +158,12 @@ def partial_integrals(y: np.ndarray, tau: np.ndarray,
     q = np.subtract(p[2:], p[:-2], out=p[2:])
     q /= np.arange(1.0, 2 * NODES, 2.0)[:, None]
     return (q.T * (c if rows is None else c[rows])).sum(axis=1)
+
+
+# row j maps a panel's 17 node values to the integral of their interpolant
+# over [-1, x_j]: partial_integrals of each unit vector at each node
+_SPECTRAL = partial_integrals(np.eye(NODES), np.repeat(_X, NODES),
+                              np.tile(np.arange(NODES), NODES)).reshape(NODES, NODES)
 
 
 def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,

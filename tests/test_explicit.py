@@ -12,6 +12,7 @@ from hardylab.explicit import (CubicPrimitiveSum, cubic_primitive_approx,
                                cutoff, moment_main_term, saddle_terms,
                                sum_range)
 from hardylab.moments import hardy_moment, moment_cache
+from hardylab.quad import PanelSet
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,6 +54,28 @@ def test_k3_codings_agree_beside_a_jump(d3_table, m):
         assert cube.eval_many(np.array([x]))[0] == cube.prefix[n]
         assert cubic_primitive_approx(x, d3_table) \
             == math.fsum(cube.terms[:n + 1].tolist())
+
+
+@pytest.mark.parametrize("s", [2.0 + 0j, 2.5 + 0j, 1.6 + 1j])
+def test_cubic_sum_by_parts_on_a_jump_edged_grid(d3_table, s):
+    # s * integral of S_3 x^{-s-1} over [1, X] is sum over n <= N of
+    # c_n x_n^{-s} - S_3(X) X^{-s} (x_n = 2 pi n^{2/3}, the jumps), which
+    # V_2 subtracts in closed form.  K17 on panels edged at every jump
+    # integrates the steps to rounding; the panel [x_m (1 - 1e-11), x_m]
+    # below each jump holds nodes 3e-14 to 1e-11 relative below it, past
+    # any rounding of (x/2pi)^{3/2}, so S_3 there must count m - 1: a
+    # cutoff snap as wide as 1e-9 counts them as past it and moves the
+    # integral by about 1e-11 relative
+    X = 300.0
+    n_cut = int(cutoff(3, X))
+    cube = CubicPrimitiveSum(d3_table)
+    jumps = TWO_PI * np.arange(1, n_cut + 1, dtype=float) ** (2.0 / 3.0)
+    panels = PanelSet.from_edges(np.sort(np.concatenate(
+        [[1.0, X], jumps, jumps * (1.0 - 1e-11)])))
+    x = panels.nodes()
+    terms = s * panels.weights() * cube.eval_many(x) * np.exp((-s - 1.0) * np.log(x))
+    closed = cube.transform(s, n_cut) - cube.prefix[n_cut] * X ** -s
+    assert abs(np.sum(terms) - closed) <= 1e-14 * np.sum(np.abs(terms))
 
 
 def test_sum_range_endpoints_inclusive():

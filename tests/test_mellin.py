@@ -15,7 +15,6 @@ import hardylab
 import hardylab.mellin as ML
 from hardylab import moments
 from hardylab.errors import ConvergenceError, DomainError, FitError
-from hardylab.explicit import cutoff
 from hardylab.hardy import z_breakpoints, z_eval_many, z_oracle
 from hardylab.moments import moment_cache, power_in_place, z_freq
 from hardylab.quad import (CHECK_RATIO, NODES, PanelSet, integrate_oscillatory,
@@ -262,13 +261,54 @@ def test_decomposition_matched_cutoffs():
 
 def test_decomposition_memos_keyed_by_height():
     # the d_3 table is sized from X, so a second call at one X reuses the
-    # prefix sum and the residual grid, and V_1 and V_2 share one prefix sum
+    # prefix sum of V_1 and the V_2 grid
     ML._v2_grid.cache_clear()
     ML._cubic_sum.cache_clear()
     first = ML.m3_decomposition(2.0 + 0j, 300.0)
     assert ML.m3_decomposition(2.0 + 0j, 300.0) == first
     assert ML._v2_grid.cache_info().currsize == 1
     assert ML._cubic_sum.cache_info().currsize == 1
+
+
+def test_decomposition_forms_v1_once_per_s(monkeypatch):
+    # V_2 is the I_3 quadrature less V_1: the decomposition hands its V_1
+    # to V_2, and v2_residual, which forms its own, gives the same bits
+    s = [2.0 + 0j, 1.6 + 1j]
+    calls = []
+    v1 = ML.v1_series
+    monkeypatch.setattr(ML, "v1_series", lambda *a: calls.append(a) or v1(*a))
+    d = ML.m3_decomposition(s, 1000.0)
+    assert len(calls) == len(s)
+    assert [r["v2"] for r in d] == ML.v2_residual(s, 1000.0)
+
+
+def _v2_i3(X):
+    # I_3 at the V_2 grid's nodes by spectral integration from the anchors
+    cache = moment_cache(3)
+    panels, z3 = cache.panels(X)
+    return panels, panels.node_integrals(z3, cache.values[:len(panels.lo)])
+
+
+@pytest.mark.parametrize("X", [300.0, 1000.0])
+def test_v2_grid_is_the_band0_grid(X):
+    # one grid, no second (jump-edged) one: 17 nodes per panel of M_3's
+    # band-0 grid, and the same nodes, weighted by I_3 instead of Z^3
+    panels, i3 = _v2_i3(X)
+    engine = ML._v2_grid(X)
+    assert engine.u.size == NODES * len(panels.lo)
+    assert engine.u.tobytes() == ML._grid(3, X, 0).engine.u.tobytes()
+    assert engine.a.ravel().tobytes() == (panels.weights() * i3).tobytes()
+
+
+def test_v2_grid_i3_agrees_with_the_cache():
+    # the two codings of I_3 at the nodes: one fixed 17 x 17 matrix from
+    # each panel's anchor, and MomentCache.eval_many (each point's own
+    # Legendre sum), also on the last panel, clipped at X with fresh Z
+    X = 1000.0
+    panels, i3 = _v2_i3(X)
+    assert X not in moment_cache(3).edges and panels.hi[-1] == X
+    ref = moment_cache(3).eval_many(panels.nodes())
+    assert np.max(np.abs(i3 - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_laurent_synthetic_roundtrip():
@@ -415,16 +455,10 @@ def _laurent_nodes():
 
 
 def _v2_nodes():
-    # the V_2 grid at X = 1000, whose weights are I_3 - S_3, not Z^k: the
-    # G8 check is a column reweighting for any integrand
-    n_cut = int(cutoff(3, 1000.0))
-    cube = ML._cubic_sum(n_cut)
-    jumps = tuple(TWO_PI * m ** (2.0 / 3.0) for m in range(1, n_cut + 1))
-    panels = PanelSet.from_edges(panel_edges(
-        1.0, 1000.0, z_freq, z_breakpoints(1.0, 1000.0) + jumps))
-    x = panels.nodes()
-    out = _grid_sums(panels, moment_cache(3).eval_many(x) - cube.eval_many(x))
-    assert np.array_equal(ML._v2_grid(1000.0)[0].a.ravel(), out[1])
+    # the V_2 grid at X = 1000, whose weights are I_3, not Z^k: the G8
+    # check is a column reweighting for any integrand
+    out = _grid_sums(*_v2_i3(1000.0))
+    assert np.array_equal(ML._v2_grid(1000.0).a.ravel(), out[1])
     return out
 
 

@@ -294,6 +294,20 @@ def test_partial_integrals_exact_for_polynomials():
         assert np.max(np.abs(partial_integrals(y, tau) - exact)) <= 1e-15, degree
 
 
+def test_node_integrals_exact_for_polynomials():
+    # anchor plus half-width times the integral of a polynomial of degree at
+    # most 16 over [-1, x_j] in the panel's own coordinate, at every node
+    t = PanelSet.from_edges(np.array([-1.0, 1.0])).nodes()
+    panels = PanelSet.from_edges(np.array([0.5, 1.0, 3.0, 3.25]))
+    anchors = np.array([2.0, -1.0, 0.5])
+    for degree in range(NODES):
+        y = np.broadcast_to(t ** degree, (3, NODES))
+        exact = anchors[:, None] + panels.half[:, None] * (
+            t ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+        got = panels.node_integrals(y, anchors)
+        assert np.max(np.abs(got - exact.ravel())) <= 1e-15, degree
+
+
 def test_partial_integrals_at_the_panel_ends():
     # tau = -1 gives exactly 0 and tau = 1 exactly the K17 sum, whatever
     # the values and however many rows share the call

@@ -114,10 +114,12 @@ _B_STEP = np.array([[-(k + 0.5 + (m - 1)) / m for k in range(len(_C_TERMS))]
 _CHUNK = _ELEMS // (_C_DEGREE + 1)
 
 
-def _remainder_rows(n: np.ndarray) -> np.ndarray:
+def _remainder_rows(n: np.ndarray, counts: int = len(_C_TERMS)) -> np.ndarray:
     """The whole remainder (-1)^(N+1) a^{-1/2} sum_{k<=K} C_k(p) a^{-k} as
     coefficients of u^m on each piece, for the main-sum lengths N in n, laid
-    out [K, m, i * PSI_PIECES + piece] for N = n[i], K = 0..4.
+    out [K, m, i * PSI_PIECES + piece] for N = n[i], K = 0..counts - 1 (the
+    kept tables build all five; the direct path only the counts up to the
+    one it reads, whose rows are the bits of the full build's).
 
     On piece j, a = N + c_j + u, so a^{-k-1/2} is the binomial series of
     (N + c_j + u)^{-k-1/2} in u; its product with C_k is cut at degree
@@ -129,13 +131,13 @@ def _remainder_rows(n: np.ndarray) -> np.ndarray:
     big_a = (n[:, None] + _PIECE_CENTERS).ravel()
     r = 1.0 / big_a
     # b[m, k]: coefficient of u^m in (-1)^(N+1) (N + c_j + u)^{-k-1/2}
-    b = np.empty((_C_DEGREE + 1, len(_C_TERMS), big_a.size))
+    b = np.empty((_C_DEGREE + 1, counts, big_a.size))
     b[0, 0] = np.repeat(np.where(n % 2 == 1, 1.0, -1.0), PSI_PIECES) \
         / np.sqrt(big_a)
-    for k in range(1, len(_C_TERMS)):
+    for k in range(1, counts):
         np.multiply(b[0, k - 1], r, out=b[0, k])
     for m in range(1, _C_DEGREE + 1):
-        np.multiply(b[m - 1], _B_STEP[m - 1], out=b[m])
+        np.multiply(b[m - 1], _B_STEP[m - 1, :counts], out=b[m])
         b[m] *= r
     # prod[m, k]: the u^m coefficient of C_k times b[:, k], its products
     # added in order of C_k's degree i.  No product is 0 (C has no zero
@@ -143,7 +145,7 @@ def _remainder_rows(n: np.ndarray) -> np.ndarray:
     # bits of starting from zeros.  C is tiled, not broadcast over the
     # lengths: a broadcast cuts numpy's inner loops to PSI_PIECES elements,
     # which measured slower.
-    c = np.tile(_C_TABLE, len(n))
+    c = np.tile(_C_TABLE[:, :counts], len(n))
     prod = np.multiply(c[0], b)
     term = np.empty_like(b)
     for i in range(1, _C_DEGREE + 1):
@@ -151,9 +153,9 @@ def _remainder_rows(n: np.ndarray) -> np.ndarray:
         np.multiply(c[i], b[:top], out=term[:top])
         prod[i:] += term[:top]
     # the remainder to K corrections: the products summed over k <= K in order
-    out = np.empty((len(_C_TERMS), _C_DEGREE + 1, big_a.size))
+    out = np.empty((counts, _C_DEGREE + 1, big_a.size))
     out[0] = prod[:, 0]
-    for k in range(1, len(_C_TERMS)):
+    for k in range(1, counts):
         np.add(out[k - 1], prod[:, k], out=out[k])
     return out
 
@@ -549,8 +551,9 @@ def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
             own = lengths[i:i + _BLOCK]
             lo, hi = np.searchsorted(N, (own[0], own[-1] + 1)).tolist()
             col = np.searchsorted(own, N[lo:hi]) * PSI_PIECES + idx[lo:hi]
-            z[lo:hi] += _horner(np.take(_remainder_rows(own)[corrections],
-                                        col, axis=1), u[lo:hi])
+            z[lo:hi] += _horner(np.take(
+                _remainder_rows(own, corrections + 1)[corrections],
+                col, axis=1), u[lo:hi])
     return z
 
 

@@ -23,9 +23,14 @@ identity's right side is one Fubini sum on the moment cache's panels: its
 inner integrals up to X/u are prefix sums over the same node values, so it
 evaluates Z only on the last panel, clipped at X.
 
+A grid forms its nodes, their logs and the weight times Z^k products in
+place: it holds two node-sized arrays, u and a.
+
 In the cubic decomposition M_3 = V_1 + V_2 the series S_3's part of V_2 is
 -V_1 in closed form, so V_2 is s times the integral of I_3 x^{-s-1} on
-M_3's band-0 panels less V_1, and no grid breaks at S_3's jumps.  At
+M_3's band-0 panels less V_1, and no grid breaks at S_3's jumps: V_2's
+engine is M_3's band-0 one, u and slices shared, with weights of its own
+(K17 weight times I_3).  At
 matched cutoffs the gap of V_1 + V_2 against M_3 compares that I_3
 quadrature with the by-parts Z^3 quadrature on the same panels: a
 quadrature-consistency check, which does not see the series' terms c_n.
@@ -39,6 +44,7 @@ to any desk-scale truncation.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -213,6 +219,13 @@ class _ExpSum:
         ln -= np.repeat(self.centre, ends - self.starts)[:, None]
         self.u = ln
 
+    def reweighted(self, a: np.ndarray) -> "_ExpSum":
+        """The sum with node weights a on the same nodes and slices: u and
+        the slice arrays are shared, not copied."""
+        twin = copy.copy(self)
+        twin.a = a.reshape(-1, NODES)
+        return twin
+
     def sums(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The values and check values at every s of a flat complex array,
         as two rows, and a bound on their Taylor truncation."""
@@ -313,13 +326,15 @@ class _PrimitiveGrid:
         if band == 0:
             # the twist vanishes: these are the moment cache's own panels
             panels, zk = cache.panels(X)
+            ln = panels.nodes()
         else:
             t = 4.0 * 2.0 ** band
             panels = PanelSet.from_edges(panel_edges(
                 1.0, X, lambda x: z_freq(x) + t / (TWO_PI * x),
                 z_breakpoints(1.0, X)))
-            zk = power_in_place(z_eval_many(panels.nodes()), k)
-        self.engine = _ExpSum(np.log(panels.nodes()), panels.weights() * zk)
+            ln = panels.nodes()
+            zk = power_in_place(z_eval_many(ln), k)
+        self.engine = _ExpSum(np.log(ln, out=ln), panels.weigh(zk))
         self.lnX = math.log(X)
         self.I_X = float(cache.eval_many(np.array([X]))[0])
         self.I_X_err = float(cache.err_at(X))
@@ -515,13 +530,15 @@ def residual_constant() -> float:
 
 @functools.cache
 def _v2_grid(X: float) -> _ExpSum:
-    """The engine of the integral of I_3(x) x^{-s} over [1, X] on M_3's
-    band-0 panels, with I_3 at the nodes from the cache's anchors and Z^3
-    rows (PanelSet.node_integrals): only a clipped last panel evaluates Z."""
+    """The engine of the integral of I_3(x) x^{-s} over [1, X]: M_3's
+    band-0 engine, u and slices shared, reweighted by I_3 at the nodes from
+    the cache's anchors and Z^3 rows (PanelSet.node_integrals): only a
+    clipped last panel evaluates Z."""
     cache = moment_cache(3)
     panels, z3 = cache.panels(X)
     i3 = panels.node_integrals(z3, cache.values[:len(panels.lo)])
-    return _ExpSum(np.log(panels.nodes()), panels.weights() * i3)
+    del z3  # before the band-0 grid, which may be built here
+    return _grid(3, X, 0).engine.reweighted(panels.weigh(i3))
 
 
 def _v2(s: np.ndarray, X: float, v1: list | None = None) -> list:
@@ -783,7 +800,7 @@ def laplace_consistency(s):
     m = [int(np.count_nonzero(e[1:] >= c)) for c in cuts.tolist()]
     grid = PanelSet(np.append(cuts, e[1:max(m) + 1]), np.append(e[m], e[:max(m)]))
     yp, z = moment_cache(1).panels(Y)  # the y-grid: the k = 1 walk on [1, Y]
-    lbar = _lbar_many(np.exp(grid.nodes()), yp.nodes(), z * yp.weights())
+    lbar = _lbar_many(np.exp(grid.nodes()), yp.nodes(), yp.weigh(z))
     reports = []
     for i, r in enumerate(mellin_by_parts_samples(1, sv, tol)):
         rows = np.append(i, len(sv) - 1 + np.arange(m[i], 0, -1))  # ascending

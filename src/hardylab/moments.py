@@ -1,26 +1,30 @@
 """Power moments of Hardy's function: I_k(x) = integral of Z^k over [1, x].
 
-A per-k cumulative cache is the one store of Z^k node values.  The k = 1
-cache walks Gauss-Kronrod panels from 1 (quarter periods of Z, an edge at
-every breakpoint of the evaluation) and keeps, for every panel, I_1 at its
-edges and Z at its 17 nodes.  Any I_k(x) inside the built range is then the
-anchor at the panel's left edge plus the integral of the panel's degree-16
-interpolant up to x, summed from the panel's Legendre coefficients: no new Z
-values.  The verify suites read I_k(2T) - I_k(T) so, and transform grids on
-[1, X] read the same panels and node values.  Mellin-transform callers
-re-integrate I_k thousands of times: the cache saves hours.
+A per-k cumulative cache holds I_k at its panel edges.  The k = 1 cache
+walks Gauss-Kronrod panels from 1 (quarter periods of Z, an edge at every
+breakpoint of the evaluation) and keeps, for every panel, I_1 at its edges
+and Z at its 17 nodes: the one store of Z rows.  Any I_k(x) inside the
+built range is then the anchor at the panel's left edge plus the integral
+of the panel's degree-16 interpolant up to x, summed from the panel's
+Legendre coefficients: no new Z values.  The verify suites read I_k(2T) -
+I_k(T) so, and transform grids on [1, X] read the same panels and node
+values.  Mellin-transform callers re-integrate I_k thousands of times: the
+cache saves hours.
 
 Every k >= 2 cache shares that one Z walk: it has a k = 1 base cache (the
 process-wide moment_cache(1) for moment_cache(k), a fresh one for a fresh
-cache), takes the base's panels bit for bit and raises a copy of the base's
-stored Z rows to the k-th power.  Its walk evaluates no Z of its own; for
-any k, panels(x) evaluates Z at the 17 nodes of its last panel when that
-panel is clipped at x.  A quarter period of Z spans k/4 of a period of Z^k,
-at most one period for k <= 4, and Z is entire: K17, exact to degree 25,
-resolves Z^k there, and each panel is judged by its own |K17 - G8|
+cache) and takes the base's panels bit for bit.  It keeps no node array: it
+raises the base's Z rows to the k-th power as it reads them, to integrate
+new panels, at the panels eval_many touches and for panels(x).  Its walk
+evaluates no Z of its own; for any k,
+panels(x) evaluates Z at the 17 nodes of its last panel when that panel is
+clipped at x.  A quarter period of Z spans k/4 of a period of Z^k, at most
+one period for k <= 4, and Z is entire: K17, exact to degree 25, resolves
+Z^k there, and each panel is judged by its own |K17 - G8|
 (quad.PanelSet.integrate), as for k = 1; err_at(x) sums those estimates
 through x's own panel.  hardy_moment and the transform grids size their
-panels by Z's frequency for every k as well.
+panels by Z's frequency for every k as well, and ask Z for quad.Z_BLOCK
+panels at a time, one Riemann-Siegel chunk of nodes.
 
 Every node array of Z^k, here and in the mellin grids, is raised in place by
 power_in_place: k - 1 products for k <= 4, not libm pow, so within
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .hardy import _ELEMS, z_breakpoints, z_eval_many
-from .quad import (MAX_PANEL, NODES, PanelSet, integrals_at,
+from .hardy import z_breakpoints, z_eval_many
+from .quad import (MAX_PANEL, NODES, Z_BLOCK, PanelSet, integrals_at,
                    integrate_oscillatory, panel_edges)
 from .special import TWO_PI
 
@@ -111,9 +115,9 @@ def _running_sum(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
 
 class MomentCache:
     """Cumulative I_k on [1, X], extended on demand: panel edges, I_k and its
-    summed error estimate at the edges, and Z^k at every panel's 17 nodes
-    (one row per panel).  For k >= 2 the panels and Z values are those of a
-    k = 1 base cache: a fresh cache gets a fresh base."""
+    summed error estimate at the edges, and for k = 1 Z at every panel's 17
+    nodes (z, one row per panel).  For k >= 2 the panels and Z rows are those
+    of a k = 1 base cache: a fresh cache gets a fresh base."""
 
     def __init__(self, k: int, base: "MomentCache | None" = None):
         self.k = k
@@ -121,10 +125,28 @@ class MomentCache:
         self.edges = np.array([1.0])
         self.values = np.array([0.0])
         self.cum_err = np.array([0.0])
-        self.zk = np.empty((0, NODES))
+        if self.base is None:
+            self.z = np.empty((0, NODES))
+
+    @property
+    def zk(self) -> np.ndarray:
+        """Z^k at every built panel's 17 nodes, one row per panel, formed on
+        read from the stored Z rows."""
+        return self._power_rows(0, len(self.edges) - 1)
 
     def _zk(self, t: np.ndarray) -> np.ndarray:
         return power_in_place(z_eval_many(t), self.k)
+
+    def _power_rows(self, lo: int, hi: int, out: np.ndarray | None = None):
+        """Z^k at the nodes of panels lo..hi-1, written into out (a new
+        array by default): the stored Z rows copied and raised Z_BLOCK rows
+        at a time, so k = 3's product temporary stays a block."""
+        out = np.empty((hi - lo, NODES)) if out is None else out
+        for j in range(0, hi - lo, Z_BLOCK):
+            block = out[j:min(j + Z_BLOCK, hi - lo)]
+            np.copyto(block, (self.base or self).z[lo + j:lo + j + len(block)])
+            power_in_place(block, self.k)
+        return out
 
     def ensure(self, x_max: float) -> None:
         """Continue the walk to the first edge past x_max."""
@@ -132,20 +154,19 @@ class MomentCache:
             raise DomainError("MomentCache.ensure requires a finite height")
         if x_max < self.edges[-1]:
             return
-        edges, val, err, y = self._walk(x_max)
+        edges, val, err = self._walk(x_max)
         self.edges = np.concatenate([self.edges, edges[1:]])
         # summed one panel at a time from the last anchor: the same bits
         # however the walk was split
         self.values = _running_sum(self.values, val)
         self.cum_err = _running_sum(self.cum_err, err)
-        self.zk = np.concatenate([self.zk, y])
 
     def _walk(self, x_max: float):
         """The panels from the last edge through the first edge past x_max,
-        with their K17 values, |K17 - G8| estimates (PanelSet.integrate) and
-        Z^k rows, in blocks of _ELEMS nodes.  k = 1 walks quarter periods of
-        Z and evaluates Z at every node; k >= 2 reads the base's panels and
-        raises a copy of its stored Z rows."""
+        with their K17 values and |K17 - G8| estimates (PanelSet.integrate),
+        Z_BLOCK panels at a time.  k = 1 walks quarter periods of Z and
+        writes Z at every node into a new store after the old rows; k >= 2
+        reads the base's panels and raises the base's rows."""
         first = len(self.edges) - 1
         if self.base is None:
             # the walk's steps never exceed MAX_PANEL, so it crosses x_max
@@ -160,40 +181,54 @@ class MomentCache:
             self.base.ensure(x_max)
             edges = self.base.edges[first:]
         edges = edges[:int(np.searchsorted(edges, x_max, side="right")) + 1]
-        step = _ELEMS // NODES
         lo, hi = edges[:-1], edges[1:]
-        parts = []
-        for j in range(0, len(lo), step):
-            panels = PanelSet(lo[j:j + step], hi[j:j + step])
-            rows = slice(first + j, first + j + len(panels.lo))
-            y = (self._zk(panels.nodes()).reshape(-1, NODES) if self.base is None
-                 else power_in_place(self.base.zk[rows].copy(), self.k))
-            parts.append((*panels.integrate(y), y))
-        return (edges, *(np.concatenate(p) for p in zip(*parts)))
+        val, err = np.empty(len(lo)), np.empty(len(lo))
+        if self.base is None:
+            z = np.empty((first + len(lo), NODES))
+            z[:first] = self.z
+        for j in range(0, len(lo), Z_BLOCK):
+            panels = PanelSet(lo[j:j + Z_BLOCK], hi[j:j + Z_BLOCK])
+            top = first + j + len(panels.lo)
+            if self.base is None:
+                y = z[first + j:top]
+                y[...] = self._zk(panels.nodes()).reshape(-1, NODES)
+            else:
+                y = self._power_rows(first + j, top)
+            val[j:j + Z_BLOCK], err[j:j + Z_BLOCK] = panels.integrate(y)
+        if self.base is None:
+            self.z = z
+        return edges, val, err
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """I_k at arbitrary points: the anchor at the left edge of the
         point's panel plus the integral of the panel's interpolant up to the
-        point (quad.integrals_at)."""
+        point (quad.integrals_at), over the panels the points touch (Z^k
+        formed at their nodes alone)."""
         xs = np.asarray(xs, dtype=float)
         if not np.all(np.isfinite(xs) & (xs >= 1.0)):
             raise DomainError("I_k defined for finite x >= 1")
         self.ensure(float(xs.max()) if xs.size else 1.0)
-        return integrals_at(self.edges[:-1], self.edges[1:], self.values,
-                            self.zk, xs)[0]
+        idx = np.searchsorted(self.edges[:-1], xs, side="right") - 1
+        first = int(idx.min()) if idx.size else 0
+        touched = np.flatnonzero(np.bincount(idx.ravel() - first)) + first
+        y = power_in_place(np.take((self.base or self).z, touched, axis=0), self.k)
+        return integrals_at(self.edges[touched], self.edges[touched + 1],
+                            self.values[touched], y, xs)[0]
 
     def panels(self, x: float) -> tuple[PanelSet, np.ndarray]:
         """The cache's panels on [1, x], the last one clipped at x, with Z^k
-        at their nodes (flat, panel by panel): only a clipped last panel
-        evaluates Z, at its 17 nodes."""
+        at their nodes (flat, panel by panel) in one new array: only a
+        clipped last panel evaluates Z, at its 17 nodes."""
         self.ensure(x)
         m = int(np.searchsorted(self.edges, x, side="right")) - 1
-        edges, zk = self.edges[:m + 1], self.zk[:m]
+        edges = self.edges[:m + 1]
         if edges[-1] < x:
-            last = PanelSet(edges[-1:], np.array([x]))
             edges = np.append(edges, x)
-            zk = np.concatenate([zk, self._zk(last.nodes())[None]])
-        return PanelSet.from_edges(edges), zk.ravel()
+        panels = PanelSet.from_edges(edges)
+        zk = self._power_rows(0, m, np.empty((len(panels.lo), NODES)))
+        if len(zk) > m:
+            zk[m] = self._zk(PanelSet(edges[-2:-1], edges[-1:]).nodes())
+        return panels, zk.ravel()
 
     def err_at(self, x: float) -> float:
         """The summed |K17 - G8| of I_k(x): every panel through x's own,

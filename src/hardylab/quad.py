@@ -18,7 +18,9 @@ degree-16 interpolant through a panel's 17 values, from the panel's Legendre
 coefficients (formed once per panel a block touches), from its left edge to
 any point inside: stored node values give integrals up to any point without
 new evaluations, and PanelSet.node_integrals gives them at every node
-through one fixed 17 x 17 matrix.  integrate_oscillatory sums its panels in
+through one fixed 17 x 17 matrix; node and node-integral arrays are each
+formed in one array.  integrate_oscillatory hands its integrand Z_BLOCK
+panels at a time, one Riemann-Siegel chunk of nodes, and sums its panels in
 order with one numpy sum, whose pairwise tree is fixed for a given order and
 length, so identical inputs give bit-identical results no matter how work
 is batched.
@@ -37,7 +39,7 @@ import numpy as np
 from ._kronrod_table import KRONROD, LEGENDRE
 from .config import DEFAULTS
 from .errors import BudgetError, DomainError
-from .special import _ELEMS
+from .hardy import _CHUNK
 
 # nodes on [-1, 1], the K17 value weights and the G8 check weights (zero off
 # the G8 nodes, which are the odd-numbered columns: GAUSS_COLS)
@@ -53,6 +55,9 @@ _LEGENDRE = np.array(LEGENDRE.split(), dtype=float).reshape(NODES, NODES)
 
 # default cap on panel width where the frequency hint vanishes
 MAX_PANEL = 4.0
+# panels per integrand call of a walk: their nodes are one z_rs_many chunk
+# (17,476 = 1,028 x 17 heights), so Z's temporaries stay one chunk's
+Z_BLOCK = _CHUNK // NODES
 # points per block of integrals_at: the block's Legendre values and
 # coefficients, about 600 KB per array, then fit the L2 cache
 _EVAL_BLOCK = 4096
@@ -110,11 +115,23 @@ class PanelSet:
         return cls(edges[:-1], edges[1:])
 
     def nodes(self) -> np.ndarray:
-        return (self.mid[:, None] + self.half[:, None] * _X[None, :]).ravel()
+        """mid + half * x_j for every panel and node, in one new array."""
+        out = np.multiply.outer(self.half, _X)
+        out += self.mid[:, None]
+        return out.ravel()
 
     def weights(self) -> np.ndarray:
         """The K17 weights at nodes()."""
         return (self.half[:, None] * _W_VALUE).ravel()
+
+    def weigh(self, y: np.ndarray) -> np.ndarray:
+        """y times the K17 weights at nodes(), formed in y (which the caller
+        owns) one column at a time, and returned flat: the bits of
+        weights() * y without a node-sized temporary."""
+        rows = y.reshape(-1, NODES)
+        for j in range(NODES):
+            rows[:, j] *= self.half * _W_VALUE[j]
+        return rows.ravel()
 
     def integrate(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-panel K17 integrals and their |K17 - G8| estimates, from
@@ -128,17 +145,20 @@ class PanelSet:
         y at nodes() and anchors[i], the integral at panel i's left edge:
         anchors[i] + half_i * (Q y_i)_j, Q the fixed spectral-integration
         matrix (row j: the interpolant's integral over [-1, x_j])."""
-        y = np.reshape(y, (-1, NODES))
-        return (anchors[:, None] + self.half[:, None]
-                * _row_products(_SPECTRAL, y)).ravel()
+        out = _row_products(_SPECTRAL, np.reshape(y, (-1, NODES)))
+        out *= self.half[:, None]
+        out += anchors[:, None]
+        return out.ravel()
 
 
 def _row_products(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """m times every row of y: elementwise products and fixed row sums (no
-    matmul, so no row depends on the others), 128 rows at a time, so each
-    (rows, 17, 17) product stays at 296 KB."""
-    return np.concatenate([(y[j:j + 128, None, :] * m).sum(axis=2)
-                           for j in range(0, len(y), 128)])
+    """m times every row of y, in one new array: elementwise products and
+    fixed row sums (no matmul, so no row depends on the others), 128 rows
+    at a time, so each (rows, 17, 17) product stays at 296 KB."""
+    out = np.empty((len(y), len(m)), dtype=np.result_type(y, m))
+    for j in range(0, len(y), 128):
+        np.sum(y[j:j + 128, None, :] * m, axis=2, out=out[j:j + 128])
+    return out
 
 
 def partial_integrals(y: np.ndarray, tau: np.ndarray,
@@ -192,11 +212,11 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
                           budget: int | None = None, max_panel: float = 1.0,
                           breakpoints: tuple = ()) -> QuadratureResult:
     """Integral of f over [a, b] by one pass of the K17 rule over
-    panel_edges(a, b, freq, breakpoints, max_panel), in blocks of
-    _ELEMS // NODES panels: the value is the numpy sum of the panel values
-    in order, the estimate the fsum of their |K17 - G8|.  Raises BudgetError
-    if the pass needs more than budget nodes: the walk stops at
-    budget // NODES panels, before any evaluation.
+    panel_edges(a, b, freq, breakpoints, max_panel), in blocks of Z_BLOCK
+    panels: the value is the numpy sum of the panel values in order, the
+    estimate the fsum of their |K17 - G8|.  Raises BudgetError if the pass
+    needs more than budget nodes: the walk stops at budget // NODES panels,
+    before any evaluation.
 
     Panels are at most max_panel wide: below t ~ 145 a quarter period of Z
     is wider than 1, and on MAX_PANEL-wide panels there G8 no longer
@@ -208,7 +228,7 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     budget = DEFAULTS.eval_budget if budget is None else budget
     edges = panel_edges(a, b, freq, breakpoints, max_panel, budget // NODES)
     n = len(edges) - 1
-    lo, hi, step = edges[:-1], edges[1:], _ELEMS // NODES
+    lo, hi, step = edges[:-1], edges[1:], Z_BLOCK
     # the node values of a block are dropped once its panels are summed
     blocks = (PanelSet(lo[j:j + step], hi[j:j + step]) for j in range(0, n, step))
     v, e = zip(*(p.integrate(f(p.nodes())) for p in blocks))

@@ -3,6 +3,9 @@
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,3 +439,20 @@ def test_json_scalars_are_fmt_bare_or_quoted():
              ('a"b\\c', '"a\\"b\\\\c"')]
     for x, want in cases:
         assert to_json(x) == want, x
+
+
+def test_peak_rss_script_reports_one_command(tmp_path):
+    # scripts/peak_rss.py runs one command line in a fresh process and
+    # prints its peak RSS and wall time; the table goes to tmp_path
+    script = Path(__file__).resolve().parents[1] / "scripts" / "peak_rss.py"
+    out = tmp_path / "z.csv"
+    res = subprocess.run([sys.executable, str(script), "z", "--from", "10",
+                          "--to", "10.5", "--step", "1", "--out", str(out)],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    m = re.fullmatch(r"exit 0 peak_rss_mb (\d+\.\d\d) wall_s (\d+\.\d{3})\n",
+                     res.stderr)
+    assert m and float(m[1]) > 0.0 and float(m[2]) > 0.0, res.stderr
+    assert res.stdout == ""
+    assert out.read_text().splitlines()[0] == "t,z_rs,err_est"
+    assert len(out.read_text().splitlines()) == 2

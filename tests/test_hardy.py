@@ -336,12 +336,26 @@ def test_sparse_tall_batch_builds_only_its_lengths(monkeypatch):
     built = []
     rows = hardy._remainder_rows
     monkeypatch.setattr(hardy, "_remainder_rows",
-                        lambda n: built.append(len(n)) or rows(n))
+                        lambda n, *counts: built.append(len(n)) or rows(n, *counts))
     assert np.array_equal(z_rs_many(t, 3), first)
     lengths = np.floor(np.sqrt(t / (2 * math.pi)))
     assert 0 < sum(built) <= len(np.unique(lengths))
     alone = np.array([z_rs_many(t[i:i + 1], 3)[0] for i in range(len(t))])
     assert np.array_equal(alone, first)
+
+
+def test_direct_path_builds_only_the_counts_it_reads():
+    # past N_MULT a call builds the correction counts 0..K alone: row K is
+    # the bits of the full five-count build, for every K
+    t = np.random.default_rng(2).uniform(2e6, 2e8, 200)
+    lengths = np.unique(np.floor(np.sqrt(t / (2 * math.pi))).astype(np.intp))
+    assert lengths[0] > hardy.N_MULT
+    full = hardy._remainder_rows(lengths)
+    assert len(full) == 5
+    for K in range(5):
+        part = hardy._remainder_rows(lengths, K + 1)
+        assert len(part) == K + 1
+        assert part[K].tobytes() == full[K].tobytes()
 
 
 def _fresh_kept_tables(monkeypatch):

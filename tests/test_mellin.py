@@ -292,12 +292,29 @@ def _v2_i3(X):
 @pytest.mark.parametrize("X", [300.0, 1000.0])
 def test_v2_grid_is_the_band0_grid(X):
     # one grid, no second (jump-edged) one: 17 nodes per panel of M_3's
-    # band-0 grid, and the same nodes, weighted by I_3 instead of Z^3
+    # band-0 grid, and the same nodes (one shared array), weighted by I_3
+    # instead of Z^3
     panels, i3 = _v2_i3(X)
     engine = ML._v2_grid(X)
     assert engine.u.size == NODES * len(panels.lo)
-    assert engine.u.tobytes() == ML._grid(3, X, 0).engine.u.tobytes()
+    assert engine.u is ML._grid(3, X, 0).engine.u
     assert engine.a.ravel().tobytes() == (panels.weights() * i3).tobytes()
+
+
+def test_band0_grid_peaks_one_node_array_above_what_it_keeps():
+    # on a built cache a band-0 grid forms its nodes, logs and weight times
+    # Z^k products in place: it keeps u and a, and its peak stays within one
+    # more node-sized array
+    moment_cache(2).ensure(8000.0)
+    tracemalloc.start()
+    try:
+        grid = ML._PrimitiveGrid(2, 8000.0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    u, a = grid.engine.u, grid.engine.a
+    assert u.size == a.size > 200_000
+    assert peak <= u.nbytes + a.nbytes + u.nbytes
 
 
 def test_v2_grid_i3_agrees_with_the_cache():

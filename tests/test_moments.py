@@ -9,7 +9,7 @@ import pytest
 
 from hardylab import moments, quad, verify
 from hardylab.errors import DomainError
-from hardylab.hardy import (z_breakpoints, z_eval_many, z_oracle,
+from hardylab.hardy import (_CHUNK, z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
 from hardylab.moments import (MomentCache, hardy_moment, moment_cache,
                               power_in_place, z_freq)
@@ -353,6 +353,47 @@ def test_split_cache_evaluates_only_base_nodes(monkeypatch):
     assert cache.zk.tobytes() == power_in_place(base.zk[:n - 1].copy(),
                                                 3).tobytes()
     assert cache.edges[-2] <= 500.0 < cache.edges[-1]
+
+
+def test_split_cache_owns_no_node_array():
+    # the k = 1 walk is the one store of Z rows: a k >= 2 cache keeps its
+    # edges, I_k and estimates, and forms Z^k rows only as it reads them
+    cache = MomentCache(3)
+    cache.ensure(500.0)
+    nodes = quad.NODES * (len(cache.edges) - 1)
+    arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3 and all(a.size < nodes for a in arrays)
+    assert cache.base.z.size >= nodes and cache.zk.size == nodes
+
+
+def test_walks_ask_z_for_one_chunk_at_a_time(monkeypatch):
+    # the k = 1 walk and hardy_moment hand Z the nodes of quad.Z_BLOCK
+    # panels per call, one Riemann-Siegel chunk of heights
+    points = _counting_z(monkeypatch)
+    MomentCache(1).ensure(5000.0)
+    walk = list(points)
+    points.clear()
+    hardy_moment(2, 1000.0, 3000.0)
+    for calls in (walk, points):
+        assert len(calls) > 1 and max(calls) <= _CHUNK == 17_476
+    assert quad.Z_BLOCK * quad.NODES == _CHUNK
+
+
+def test_walk_extension_peaks_near_what_it_keeps():
+    # the walk writes its Z rows into the new store as it goes and asks Z
+    # for one chunk at a time: extending 2,000 -> 10,000 keeps about 3.1 MB
+    # and peaks at most 6.5 MB above that (12.7 MB with the old blocks of
+    # 262,140 nodes and the rows concatenated twice)
+    cache = MomentCache(1)
+    cache.ensure(2000.0)
+    tracemalloc.start()
+    try:
+        cache.ensure(1.0e4)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= cache.z[-1000:].nbytes
+    assert peak - kept <= 6.5 * 2 ** 20
 
 
 def test_dyadic_suites_read_the_square_suite_walk(monkeypatch):

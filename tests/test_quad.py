@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from hardylab.errors import BudgetError, DomainError
-from hardylab.hardy import z_breakpoints, z_eval_many
+from hardylab.hardy import _CHUNK, z_breakpoints, z_eval_many
 from hardylab.moments import z_freq
-from hardylab.special import _ELEMS, TWO_PI
+from hardylab.special import TWO_PI
 from hardylab.quad import (_LEGENDRE, CHECK_RATIO, GAUSS_COLS, NODES,
-                           PanelSet, integrate_oscillatory,
+                           Z_BLOCK, PanelSet, integrate_oscillatory,
                            integrate_vertical_line, panel_edges,
                            partial_integrals)
 
@@ -248,9 +248,10 @@ def test_estimate_evaluates_once_at_17_nodes_per_panel():
 
 
 def test_fixed_pass_is_one_sum_over_blocks():
-    # more panels than one block of _ELEMS nodes: the value is the numpy sum
-    # of every panel's K17 value in order, the estimate the fsum of their
-    # |K17 - G8|, the bits of one evaluation over all the panels
+    # more panels than one block of one Riemann-Siegel chunk of nodes: the
+    # value is the numpy sum of every panel's K17 value in order, the
+    # estimate the fsum of their |K17 - G8|, the bits of one evaluation over
+    # all the panels
     calls = []
 
     def f(x):
@@ -258,8 +259,9 @@ def test_fixed_pass_is_one_sum_over_blocks():
         return np.sin(x)
 
     r = integrate_oscillatory(f, 0.0, 4.0e4, lambda t: 0.0)
-    assert r.panels == 40_000 and len(calls) == 3
-    assert max(calls) <= _ELEMS and sum(calls) == r.evals == NODES * r.panels
+    assert r.panels == 40_000 and len(calls) == -(-40_000 // Z_BLOCK) == 39
+    assert max(calls) == NODES * Z_BLOCK == _CHUNK
+    assert sum(calls) == r.evals == NODES * r.panels
     panels = PanelSet.from_edges(np.arange(4.0e4 + 1.0))
     v, e = panels.integrate(np.sin(panels.nodes()))
     assert r.value == np.sum(v)

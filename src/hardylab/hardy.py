@@ -112,6 +112,8 @@ _B_STEP = np.array([[-(k + 0.5 + (m - 1)) / m for k in range(len(_C_TERMS))]
 # rows per z_rs_many chunk: its gathered (degree+1, rows) remainder
 # coefficients stay within _ELEMS
 _CHUNK = _ELEMS // (_C_DEGREE + 1)
+# Z's top height: from there on a main sum has more than _ELEMS terms
+Z_TOP = TWO_PI * (_ELEMS + 1) ** 2
 
 
 def _remainder_rows(n: np.ndarray, counts: int = len(_C_TERMS)) -> np.ndarray:
@@ -501,10 +503,10 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
         raise DomainError("corrections must be in [0, 4]")
     # one main-sum row, of N = floor(sqrt(t / 2 pi)) terms, must fit the cap
     flat = t.ravel()
-    lengths = np.sqrt(flat / TWO_PI)
-    if np.any(lengths >= _ELEMS + 1):
-        raise DomainError(f"z_rs requires t < {TWO_PI * (_ELEMS + 1) ** 2:.4g}"
+    if np.any(flat >= Z_TOP):
+        raise DomainError(f"z_rs requires t < {Z_TOP:.4g}"
                           f" (a main sum of at most {_ELEMS} terms)")
+    lengths = np.sqrt(flat / TWO_PI)
     out = np.empty(flat.size)
     # chunks of _CHUNK heights in order of main-sum length; uint16 keys take
     # numpy's radix sort, about 5x faster than intp keys and the same stable
@@ -610,9 +612,9 @@ def z_eval_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
 def z_breakpoints(a: float, b: float) -> tuple:
     """Points where the Riemann-Siegel evaluation is not smooth: the
     table/RS switch at t = 10 and the main-sum transitions t = 2*pi*n^2.
-    Quadrature panels must not straddle these."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("z_breakpoints requires finite a and b")
+    Quadrature panels must not straddle these.  DomainError past Z_TOP."""
+    if not (math.isfinite(a) and b <= Z_TOP):
+        raise DomainError(f"z_breakpoints requires finite a and b <= {Z_TOP:.4g}")
     pts = []
     if a < 10.0 < b:
         pts.append(10.0)

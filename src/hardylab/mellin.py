@@ -541,31 +541,17 @@ def _v2_grid(X: float) -> _ExpSum:
     return _grid(3, X, 0).engine.reweighted(panels.weigh(i3))
 
 
-def _v2(s: np.ndarray, X: float, v1: list | None = None) -> list:
-    """V_2 at every s of a finite batch: s times the I_3 engine's sum at
-    s + 1, less V_1(s, N) from v1 (formed here when v1 is None)."""
+def _v2(s: np.ndarray, X: float, v1: list) -> list:
+    """V_2, the residual transform, at every s of a finite batch: s times
+    the I_3 engine's sum at s + 1, less V_1(s, N) from v1, S_3's part in
+    closed form (N = floor((X/2pi)^{3/2})).  Regular for Re s > 3/4;
+    requires Re s > 0.8."""
     if np.any(s.real <= 0.8):
-        raise ConvergenceError("v2_residual requires Re s > 0.8")
+        raise ConvergenceError("m3_decomposition requires Re s > 0.8")
     if not 100.0 <= X < math.inf:
-        raise DomainError("v2_residual requires finite X >= 100")
-    if v1 is None:
-        v1 = [v1_series(x, int(cutoff(3, X))) for x in s.tolist()]
+        raise DomainError("m3_decomposition requires finite X >= 100")
     values = _v2_grid(X).sums(s + 1.0)[0][0]
     return [x * e - a for x, e, a in zip(s.tolist(), values.tolist(), v1)]
-
-
-def v2_residual(s, X: float):
-    """The residual transform s * integral of (I_3 - S_3)(x) x^{-s-1} over
-    [1, X] minus S_3(X) X^{-s}, S_3's frozen contribution on [X, inf): a
-    complex for one s, a list for a sequence of s, from one engine call.
-    S_3's part is v1_series(s, N), N = floor((X/2pi)^{3/2}), in closed
-    form, so this is s times the integral of I_3 x^{-s-1} on M_3's band-0
-    panels less V_1, and V_1 + V_2 matched against mellin_by_parts(3, s,
-    X=X), the by-parts Z^3 quadrature on the same panels for |Im s| <= 4,
-    compares two quadratures and does not see the c_n.  Regular for
-    Re s > 3/4; requires Re s > 0.8."""
-    out = _v2(_finite("v2_residual", s), X)
-    return out if np.ndim(s) else out[0]
 
 
 def m3_decomposition(s, X: float):
@@ -573,7 +559,7 @@ def m3_decomposition(s, X: float):
     a dict for one s, a list for a sequence of s, from one engine call per
     grid and one V_1 per s.  The gap is a quadrature-consistency check: it
     compares the I_3 quadrature with the by-parts Z^3 quadrature on the
-    same panels (|Im s| <= 4), and the c_n cancel (see v2_residual)."""
+    same panels (|Im s| <= 4), and the c_n cancel (see _v2)."""
     sv = _finite("m3_decomposition", s)
     m3 = _truncated(3, sv, X)[0].tolist()  # first: checks X
     n_cut = int(cutoff(3, X))

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -373,6 +375,17 @@ def test_budget_exit_code(tmp_path, capsys):
     assert out == "" and "budget" in err.lower()
 
 
+def test_moment_past_z_top_usage_error(tmp_path, capsys):
+    # [1e12, 2e12] lies past Z's top height, 4.3e11: a usage error (exit 2)
+    # before the budget check, not a budget failure (exit 3)
+    cfg_file = tmp_path / "budget.cfg"
+    cfg_file.write_text("eval_budget = 17000\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg_file), "moment",
+                             "--k", "1", "--T", "1e12", "--mode", "direct")
+    assert code == 2
+    assert out == "" and "z_breakpoints" in err
+
+
 def test_accuracy_exit_code(capsys, monkeypatch):
     def fail(ts):
         raise AccuracyError("oracle bound exceeded")
@@ -456,3 +469,24 @@ def test_peak_rss_script_reports_one_command(tmp_path):
     assert res.stdout == ""
     assert out.read_text().splitlines()[0] == "t,z_rs,err_est"
     assert len(out.read_text().splitlines()) == 2
+
+
+def _tree_files(root):
+    return {os.path.join(d, f) for d, dirs, files in os.walk(root)
+            if ".git" not in Path(d).relative_to(root).parts for f in files}
+
+
+def test_program_lines_lists_what_its_paths_leave_unrun():
+    # scripts/program_lines.py traces its command lines in a temporary
+    # directory: one divisors line runs the sieve but not the cubic sum,
+    # and its dumped table lands outside the tree
+    root = Path(__file__).resolve().parents[1]
+    script = runpy.run_path(str(root / "scripts" / "program_lines.py"))
+    before = _tree_files(root)
+    missed, raises, failed = script["unexecuted"](
+        [("divisors", "--k", "3", "--limit", "40", "--dump", "d3.bin")])
+    assert failed == []
+    assert "explicit.cubic_primitive_approx" in missed
+    assert "arith.divisor_sieve" not in missed
+    assert "arith.load_table" in raises and "arith.divisor_sieve" in raises
+    assert _tree_files(root) == before

@@ -10,13 +10,15 @@ import pytest
 from hardylab import hardy
 from hardylab._psi_tables import PSI_ORDER, PSI_PIECES
 from hardylab.errors import DomainError
-from hardylab.hardy import (N_MULT, z_breakpoints, z_err_est, z_eval_many,
+from hardylab.hardy import (N_MULT, Z_TOP, z_breakpoints, z_err_est,
+                            z_eval_many,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
                             _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
                             _PI, _ROW_WORK, _cis_leaf, _cis_of_quarter,
                             _fold_correction_tables, _horner, _main_direct,
                             _main_mult, _remainder_rows)
+from hardylab.moments import hardy_moment
 from hardylab.special import theta_many
 
 ZETA_HALF = -1.4603545088095868129
@@ -248,6 +250,22 @@ def test_breakpoints():
     two_pi = 2.0 * math.pi
     for n in (2, 3, 4, 5):
         assert any(abs(b - two_pi * n * n) < 1e-12 for b in bps)
+
+
+def test_breakpoints_refuse_heights_past_z():
+    # Z's top height is where a main sum passes 2^18 terms; past it
+    # z_breakpoints refuses at once, before its loop makes a float per
+    # transition (about 1.65e8 of them up to 1e18), so a moment there is a
+    # domain error before any budget check
+    assert Z_TOP == 2.0 * math.pi * (2 ** 18 + 1) ** 2
+    assert len(z_breakpoints(Z_TOP - 1.0e6, Z_TOP)) <= 1
+    for b in (math.nextafter(Z_TOP, math.inf), 1.0e18):
+        with pytest.raises(DomainError):
+            z_breakpoints(1.0, b)
+    with pytest.raises(DomainError):
+        hardy_moment(1, 1.0e12, 2.0e12, budget=17_000)
+    with pytest.raises(DomainError):
+        z_rs_many(np.array([Z_TOP]))
 
 
 def test_eval_many_switches_at_10():

@@ -101,10 +101,10 @@ NAN, INF = math.nan, math.inf
     lambda: ML.truncated_inversion(1, 10.0, 1.5, INF),
     lambda: ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [4.0, INF], x_nodes=20.0),
     lambda: ML.v1_series(complex(NAN, 0.0), 10),
-    lambda: ML.v2_residual(complex(NAN, 0.0), 1000.0),
-    lambda: ML.v2_residual(complex(2.0, INF), 1000.0),
-    lambda: ML.v2_residual(2.0 + 0j, NAN),
-    lambda: ML.v2_residual([2.0 + 0j, complex(2.0, NAN)], 1000.0),
+    lambda: ML.m3_decomposition(complex(NAN, 0.0), 1000.0),
+    lambda: ML.m3_decomposition(complex(2.0, INF), 1000.0),
+    lambda: ML.m3_decomposition(2.0 + 0j, NAN),
+    lambda: ML.m3_decomposition([2.0 + 0j, complex(2.0, NAN)], 1000.0),
     lambda: ML.m3_decomposition([2.0 + 0j, complex(INF, 1.0)], 1000.0),
     lambda: ML.laplace_consistency(complex(2.0, NAN)),
     lambda: ML.laurent_fit_at_1([(0.02, 1.0), (NAN, 2.0), (0.05, 3.0)]),
@@ -240,15 +240,15 @@ def test_v1_series_guards():
 
 
 def test_v2_residual_regularity_below_one():
-    v = ML.v2_residual(1.2 + 0j, 500.0)
+    v = ML.m3_decomposition(1.2 + 0j, 500.0)["v2"]
     assert math.isfinite(v.real) and math.isfinite(v.imag)
 
 
 def test_v2_residual_doubling_growth():
     s = 2.0 + 0j
     c_r = ML.residual_constant()
-    v1k = ML.v2_residual(s, 1000.0)
-    v2k = ML.v2_residual(s, 2000.0)
+    v1k = ML.m3_decomposition(s, 1000.0)["v2"]
+    v2k = ML.m3_decomposition(s, 2000.0)["v2"]
     bound = abs(s) * c_r * 1000.0 ** (0.8 - 2.0) / (2.0 - 0.8)
     assert abs(v2k - v1k) <= 3.0 * bound
 
@@ -272,14 +272,15 @@ def test_decomposition_memos_keyed_by_height():
 
 def test_decomposition_forms_v1_once_per_s(monkeypatch):
     # V_2 is the I_3 quadrature less V_1: the decomposition hands its V_1
-    # to V_2, and v2_residual, which forms its own, gives the same bits
+    # to V_2, which gives the bits of a V_1 formed apart
     s = [2.0 + 0j, 1.6 + 1j]
     calls = []
     v1 = ML.v1_series
     monkeypatch.setattr(ML, "v1_series", lambda *a: calls.append(a) or v1(*a))
     d = ML.m3_decomposition(s, 1000.0)
     assert len(calls) == len(s)
-    assert [r["v2"] for r in d] == ML.v2_residual(s, 1000.0)
+    apart = [v1(x, d[0]["N"]) for x in s]
+    assert [r["v2"] for r in d] == ML._v2(np.array(s), 1000.0, apart)
 
 
 def _v2_i3(X):

@@ -11,8 +11,8 @@ from hardylab import moments, quad, verify
 from hardylab.errors import DomainError
 from hardylab.hardy import (_CHUNK, z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
-from hardylab.moments import (MomentCache, hardy_moment, moment_cache,
-                              power_in_place, z_freq)
+from hardylab.moments import (MomentCache, ZWalk, hardy_moment,
+                              moment_cache, power_in_place, z_freq)
 from hardylab.quad import PanelSet, integrate_oscillatory, panel_edges
 
 
@@ -145,7 +145,7 @@ def test_cache_walk_does_not_depend_on_request_split():
     assert whole.edges.tobytes() == split.edges.tobytes()
     assert whole.values.tobytes() == split.values.tobytes()
     assert whole.cum_err.tobytes() == split.cum_err.tobytes()
-    assert whole.zk.tobytes() == split.zk.tobytes()
+    assert _rows(whole) == _rows(split)
     # the walk stops at the first edge past the request, with an edge at
     # every breakpoint of the evaluation
     assert whole.edges[-2] <= 700.0 < whole.edges[-1]
@@ -157,8 +157,9 @@ def test_cache_eval_uses_stored_node_values(monkeypatch):
     cache = MomentCache(3)
     cache.ensure(500.0)
     xs = np.random.default_rng(4).uniform(1.0, 500.0, 1000)
-    monkeypatch.setattr(cache, "_zk", None)
+    points = _counting_z(monkeypatch)
     vals = cache.eval_many(np.append(xs, cache.edges[[0, 7, -2]]))
+    assert points == []
     # at an anchor the value is the anchor's bits
     assert vals[-3:].tobytes() == cache.values[[0, 7, -2]].tobytes()
     # elsewhere it agrees with a fixed-rule integral from the anchor
@@ -173,7 +174,7 @@ def test_cache_panels_are_shared_up_to_a_clipped_last_panel():
     cache = MomentCache(2)
     panels, zk = cache.panels(300.0)
     m = len(panels.half) - 1
-    assert zk[:m * 17].tobytes() == cache.zk[:m].tobytes()
+    assert zk[:m * 17].tobytes() == cache._power_rows(np.arange(m)).tobytes()
     assert abs(panels.mid[-1] + panels.half[-1] - 300.0) <= 1e-12
     last = z_eval_many(panels.nodes()[-17:]) ** 2
     assert zk[-17:].tobytes() == last.tobytes()
@@ -338,39 +339,39 @@ def _counting_z(monkeypatch):
 
 
 def test_split_cache_evaluates_only_base_nodes(monkeypatch):
-    # a k >= 2 cache reads the base's panels and raises a copy of its stored
-    # Z rows: the only Z it asks for is the base walk's
+    # a k >= 2 cache reads the walk's panels and raises a copy of its stored
+    # Z rows: the only Z it asks for is the walk's
     points = _counting_z(monkeypatch)
     cache = MomentCache(3)
     cache.ensure(50.0)
-    cache.base.ensure(800.0)
+    cache.walk.ensure(800.0)
     for x in (321.0, 500.0):
         cache.ensure(x)
-    base = cache.base
-    assert sum(points) == 17 * len(base.zk)
+    walk = cache.walk
+    assert sum(points) == walk.z.size
     n = len(cache.edges)
-    assert cache.edges.tobytes() == base.edges[:n].tobytes()
-    assert cache.zk.tobytes() == power_in_place(base.zk[:n - 1].copy(),
-                                                3).tobytes()
+    assert cache.edges.tobytes() == walk.edges[:n].tobytes()
+    assert _rows(cache) == power_in_place(walk.z[:n - 1].copy(), 3).tobytes()
     assert cache.edges[-2] <= 500.0 < cache.edges[-1]
 
 
 def test_split_cache_owns_no_node_array():
-    # the k = 1 walk is the one store of Z rows: a k >= 2 cache keeps its
-    # edges, I_k and estimates, and forms Z^k rows only as it reads them
+    # the walk is the one store of Z rows: a cache keeps its edges, I_k and
+    # estimates, and forms Z^k rows only as it reads them
     cache = MomentCache(3)
     cache.ensure(500.0)
     nodes = quad.NODES * (len(cache.edges) - 1)
     arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
     assert len(arrays) == 3 and all(a.size < nodes for a in arrays)
-    assert cache.base.z.size >= nodes and cache.zk.size == nodes
+    rows = cache._power_rows(np.arange(len(cache.edges) - 1))
+    assert cache.walk.z.size >= nodes and rows.size == nodes
 
 
 def test_walks_ask_z_for_one_chunk_at_a_time(monkeypatch):
-    # the k = 1 walk and hardy_moment hand Z the nodes of quad.Z_BLOCK
-    # panels per call, one Riemann-Siegel chunk of heights
+    # the walk and hardy_moment hand Z the nodes of quad.Z_BLOCK panels
+    # per call, one Riemann-Siegel chunk of heights
     points = _counting_z(monkeypatch)
-    MomentCache(1).ensure(5000.0)
+    ZWalk().ensure(5000.0)
     walk = list(points)
     points.clear()
     hardy_moment(2, 1000.0, 3000.0)
@@ -392,7 +393,7 @@ def test_walk_extension_peaks_near_what_it_keeps():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept >= cache.z[-1000:].nbytes
+    assert kept >= cache.walk.z[-1000:].nbytes
     assert peak - kept <= 6.5 * 2 ** 20
 
 
@@ -420,34 +421,78 @@ def test_moment_panels_follow_z_not_z_power(monkeypatch, k, T):
     assert sum(points) <= 2 * one
 
 
+def _rows(cache):
+    # the bytes of Z^k at every built panel's nodes, from the walk's rows
+    return cache._power_rows(np.arange(len(cache.edges) - 1)).tobytes()
+
+
 def _state(cache):
-    return [a.tobytes() for a in (cache.edges, cache.values, cache.cum_err,
-                                  cache.zk)]
+    return [a.tobytes() for a in (cache.edges, cache.values,
+                                  cache.cum_err)] + [_rows(cache)]
 
 
 def test_shared_base_gives_fresh_cache_bits():
-    # sharing a base, built before or after the base grew past it, gives
-    # the bits of a cache with its own fresh base
+    # sharing a walk, built before or after the walk grew past it, gives
+    # the bits of a cache with its own fresh walk
     fresh = MomentCache(2)
     fresh.ensure(700.0)
-    ahead = MomentCache(1)
+    ahead = ZWalk()
     ahead.ensure(2000.0)
     early = MomentCache(2, ahead)
     early.ensure(700.0)
-    behind = MomentCache(1)
+    behind = ZWalk()
     late = MomentCache(2, behind)
     late.ensure(300.0)
     behind.ensure(2000.0)
     late.ensure(700.0)
     assert _state(early) == _state(fresh) == _state(late)
-    # the process-wide caches share moment_cache(1) as the base, however
-    # other tests grew them
+    # the process-wide caches share moment_cache(1)'s walk, however other
+    # tests grew them
     shared = moment_cache(2)
-    assert shared.base is moment_cache(1)
+    assert shared.walk is moment_cache(1).walk
     moment_cache(1).ensure(2000.0)
     shared.ensure(700.0)
     fresh.ensure(shared.edges[-2])
     assert _state(shared) == _state(fresh)
+
+
+def test_k1_cache_on_an_extended_walk_gives_fresh_bits(monkeypatch):
+    # a k = 1 cache reads the walk like any other k: on a walk that a k = 3
+    # cache has already taken past it, it asks Z for nothing and has the
+    # bits of a k = 1 cache on its own fresh walk
+    fresh = MomentCache(1)
+    fresh.ensure(700.0)
+    other = MomentCache(3)
+    other.ensure(2000.0)
+    points = _counting_z(monkeypatch)
+    late = MomentCache(1, other.walk)
+    late.ensure(300.0)
+    late.ensure(700.0)
+    assert points == [] and _state(late) == _state(fresh)
+
+
+def test_caches_on_one_walk_ask_z_for_its_nodes_once(monkeypatch):
+    # the process-wide caches read one walk; a k = 1 and a k = 3 cache on
+    # one walk ask Z for the walk's nodes alone, each once, in order
+    assert all(moment_cache(k).walk is moment_cache(1).walk
+               for k in (1, 2, 3, 4))
+    heights = []
+
+    def recording(t):
+        heights.append(t.copy())
+        return z_eval_many(t)
+
+    monkeypatch.setattr(moments, "z_eval_many", recording)
+    walk = ZWalk()
+    one, three = MomentCache(1, walk), MomentCache(3, walk)
+    one.ensure(400.0)
+    three.ensure(900.0)
+    one.ensure(600.0)
+    three.eval_many(np.array([50.0, 850.0]))
+    one.ensure(1500.0)
+    three.ensure(1200.0)
+    asked = np.concatenate(heights)
+    assert asked.tobytes() == PanelSet.from_edges(walk.edges).nodes().tobytes()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -38,8 +38,6 @@ PACKAGE = SRC / "hardylab"
 PATHS = (
     ("verify", "all"),
     ("z", "--from", "5", "--to", "20", "--step", "0.5", "--oracle"),
-    # main sums longer than hardy.N_MULT take the direct path
-    ("z", "--from", "2e6", "--to", "2.00002e6", "--step", "5"),
     ("moment", "--k", "2", "--T", "300", "--mode", "both"),
     ("moment", "--k", "3", "--T", "300", "--mode", "explicit"),
     ("moment", "--k", "6", "--T", "200", "--mode", "direct"),

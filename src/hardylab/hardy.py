@@ -14,29 +14,26 @@ z_eval_many reads Z from two frozen polynomial tables:
   piecewise polynomial, folded at import from the frozen Taylor tables of
   Psi (scripts/gen_psi_tables.py), and for each main-sum length N the
   whole remainder folds into one polynomial per piece.  Those of every
-  N <= N_MULT are kept, one table per correction count indexed by N and
-  piece, and filled 16 lengths at a time on first use; a longer length's
-  are built for each call that has it.
+  N <= N_MULT = 512 are kept, one table per correction count indexed by N
+  and piece, and filled 16 lengths at a time on first use.
   Phases are reduced mod 2 pi, and their cosines and sines come from fixed
   polynomials in numpy arithmetic (the main-sum section below), so Z's
   bits do not depend on the platform libm's cos and sin (the logarithms
-  behind theta and ln n still come from np.log).  The main sum has two
-  kernels, chosen by N alone:
-  - N <= N_MULT (512, t < 1.65e6): n^{-1/2-it} is completely
-    multiplicative, so only the prime terms take a phase -t log p and a
-    cosine and sine; each composite term is one complex product of two
-    terms already computed, and the sum is Re(e^{i theta} sum n^{-1/2-it}).
-    A height's value then does not depend on its batch as long as numpy
-    rounds a complex product the same way at every length and layout;
-    tests/test_hardy.py checks that for the layouts used.  numpy 2.4
-    does, into a distinct output, but rounds a product whose output
-    aliases an input differently when the array has one element, so no
-    product is formed in place.  Products formed from real multiplies and
-    adds, which round alike anywhere, gave up the kernel's gain on
-    [1e3, 5e4].
-  - N > N_MULT: the direct sum over the phases theta - t log n, whole rows
-    packed into blocks of at most 2^15 phases, which stay in L2 cache.
-  Either way each row sums exactly its N terms in a fixed order.
+  behind theta and ln n still come from np.log).  n^{-1/2-it} is
+  completely multiplicative, so only the prime terms of the main sum take
+  a phase -t log p and a cosine and sine; each composite term is one
+  complex product of two terms already computed, and the sum is
+  Re(e^{i theta} sum n^{-1/2-it}).  Z stops where this kernel's terms
+  stop, at Z_TOP = 2 pi (N_MULT + 1)^2 (about 1.65e6), the first height
+  with more than N_MULT terms.
+  A height's value then does not depend on its batch as long as numpy
+  rounds a complex product the same way at every length and layout;
+  tests/test_hardy.py checks that for the layouts used.  numpy 2.4 does,
+  into a distinct output, but rounds a product whose output aliases an
+  input differently when the array has one element, so no product is
+  formed in place.  Products formed from real multiplies and adds, which
+  round alike anywhere, gave up the kernel's gain on [1e3, 5e4].  Each
+  row sums exactly its N terms in a fixed order.
 
 z_oracle_many computes e^{i theta(t)} zeta(1/2+it) with the one
 Euler-Maclaurin zeta of special.py (a truncation per height, double-double
@@ -112,16 +109,12 @@ _B_STEP = np.array([[-(k + 0.5 + (m - 1)) / m for k in range(len(_C_TERMS))]
 # rows per z_rs_many chunk: its gathered (degree+1, rows) remainder
 # coefficients stay within _ELEMS
 _CHUNK = _ELEMS // (_C_DEGREE + 1)
-# Z's top height: from there on a main sum has more than _ELEMS terms
-Z_TOP = TWO_PI * (_ELEMS + 1) ** 2
 
 
-def _remainder_rows(n: np.ndarray, counts: int = len(_C_TERMS)) -> np.ndarray:
+def _remainder_rows(n: np.ndarray) -> np.ndarray:
     """The whole remainder (-1)^(N+1) a^{-1/2} sum_{k<=K} C_k(p) a^{-k} as
     coefficients of u^m on each piece, for the main-sum lengths N in n, laid
-    out [K, m, i * PSI_PIECES + piece] for N = n[i], K = 0..counts - 1 (the
-    kept tables build all five; the direct path only the counts up to the
-    one it reads, whose rows are the bits of the full build's).
+    out [K, m, i * PSI_PIECES + piece] for N = n[i], K = 0..4.
 
     On piece j, a = N + c_j + u, so a^{-k-1/2} is the binomial series of
     (N + c_j + u)^{-k-1/2} in u; its product with C_k is cut at degree
@@ -130,6 +123,7 @@ def _remainder_rows(n: np.ndarray, counts: int = len(_C_TERMS)) -> np.ndarray:
     and sqrt go into it, all exactly rounded, so a length's coefficients,
     and with them a height's value, are the same whatever batch asks and
     whichever lengths are built beside it."""
+    counts = len(_C_TERMS)
     big_a = (n[:, None] + _PIECE_CENTERS).ravel()
     r = 1.0 / big_a
     # b[m, k]: coefficient of u^m in (-1)^(N+1) (N + c_j + u)^{-k-1/2}
@@ -139,7 +133,7 @@ def _remainder_rows(n: np.ndarray, counts: int = len(_C_TERMS)) -> np.ndarray:
     for k in range(1, counts):
         np.multiply(b[0, k - 1], r, out=b[0, k])
     for m in range(1, _C_DEGREE + 1):
-        np.multiply(b[m - 1], _B_STEP[m - 1, :counts], out=b[m])
+        np.multiply(b[m - 1], _B_STEP[m - 1], out=b[m])
         b[m] *= r
     # prod[m, k]: the u^m coefficient of C_k times b[:, k], its products
     # added in order of C_k's degree i.  No product is 0 (C has no zero
@@ -147,7 +141,7 @@ def _remainder_rows(n: np.ndarray, counts: int = len(_C_TERMS)) -> np.ndarray:
     # bits of starting from zeros.  C is tiled, not broadcast over the
     # lengths: a broadcast cuts numpy's inner loops to PSI_PIECES elements,
     # which measured slower.
-    c = np.tile(_C_TABLE[:, :counts], len(n))
+    c = np.tile(_C_TABLE, len(n))
     prod = np.multiply(c[0], b)
     term = np.empty_like(b)
     for i in range(1, _C_DEGREE + 1):
@@ -219,19 +213,16 @@ def z_err_est(t, corrections: int = 3):
 
 # -- The main sum ------------------------------------------------------------
 #
-# Phases x = theta - t ln n lie in the hundreds and up.  _reduce_quarter
+# Phases x (theta and -t ln p) lie in the hundreds and up.  _reduce_quarter
 # reduces x mod 2 pi (Cody & Waite 1980) to r and takes a quarter of it,
 # |r / 4| <= pi / 4, where two fixed polynomials give c = cos(r / 4) and
 # s = sin(r / 4) (_cis_leaf); cos r and sin r follow by doubling twice.
 #
 # 2 pi = _RED_HI + _RED_LO.  _RED_HI = 3217 / 512 has 12 significant bits,
-# so k * _RED_HI is exact for |k| < 2^41; the row cap keeps |x| < 6e12,
-# |k| < 2^40.  _RED_LO is 2 pi - _RED_HI rounded, 1.3e-21 off.
+# so k * _RED_HI is exact for |k| < 2^41; below Z_TOP, |x| < 1.1e7.
+# _RED_LO is 2 pi - _RED_HI rounded, 1.3e-21 off.
 _RED_HI = 3217.0 / 512.0
 _RED_LO = (TWO_PI - _RED_HI) + TWO_PI_LO
-# main-sum blocks of at most _SUM_ELEMS phases (256 KB), so that a block and
-# its two work arrays stay in L2 cache; a longer row runs alone
-_SUM_ELEMS = 1 << 15
 # fdlibm's minimax kernels for |y| <= pi / 4 (Sun Microsystems, k_cos.c
 # C1..C6 and k_sin.c S1..S6, 1993), each within 2^-58 of its function:
 # with z = y^2, cos y = 1 + z (z P_c(z) - 1/2) and sin y = y + y (z P_s(z)
@@ -267,43 +258,40 @@ def _reduce_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def _cis_leaf(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
-    """cos y into cs[0] and, if cs has a second row, sin y into cs[1], for
-    1-d y with |y| <= pi / 4; z is a work array of y's shape.
+    """cos y into cs[0] and sin y into cs[1], for 1-d y with |y| <= pi / 4;
+    z is a work array of y's shape.
 
-    One Horner pass over the stacked rows of cs, each with its column of
-    _CIS_COEF, then each row's tail.  Within one ulp of libm and of 120-bit mpmath (measured on a
-    dense grid of the range; tests/test_hardy.py checks both).  At y = +-0,
-    z P_s(z) is -0, and y + y (-0) would be +0 for either sign; adding +0
-    first makes it +0, so y + y (+0) keeps the sign of y."""
+    One Horner pass over the two stacked rows of cs, each with its column of
+    _CIS_COEF, then each row's tail.  Within one ulp of libm and of 120-bit
+    mpmath (measured on a dense grid of the range; tests/test_hardy.py
+    checks both).  At y = +-0, z P_s(z) is -0, and y + y (-0) would be +0
+    for either sign; adding +0 first makes it +0, so y + y (+0) keeps the
+    sign of y."""
     np.multiply(y, y, out=z)
-    coef = _CIS_COEF[:, :len(cs)]
-    np.multiply(coef[0], z, out=cs)
-    for c in coef[1:-1]:
+    np.multiply(_CIS_COEF[0], z, out=cs)
+    for c in _CIS_COEF[1:-1]:
         cs += c
         cs *= z
-    cs += coef[-1]
-    cos = cs[0]
+    cs += _CIS_COEF[-1]
+    cos, sin = cs
     cos *= z
     cos += 1.0
-    if len(cs) > 1:
-        sin = cs[1]
-        sin *= y
-        sin += y
+    sin *= y
+    sin += y
 
 
 def _cis_of_quarter(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
-    """cos(4 y) into cs[0] and, if cs has a second row, sin(4 y) into cs[1],
-    for 1-d quarter phases y = x / 4 with |x| < 2^41 pi; y is overwritten
-    and z is a work array of its shape.
+    """cos(4 y) into cs[0] and sin(4 y) into cs[1], for 1-d quarter phases
+    y = x / 4 with |x| < 2^41 pi; y is overwritten and z is a work array of
+    its shape.
 
     With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) and
     s = sin(r / 4) (_cis_leaf), cos r = 8 (c^2 - 1/2)^2 - 1 and
     sin r = 8 s c (c^2 - 1/2), where c^2 - 1/2 is exact.  Each is within
     2^-48 + 2^-17 ulp(x) of cos x and sin x (measured against np.cos and
     np.sin for |x| <= 1e3: 13 * 2^-53 and 10.25 * 2^-53, where libm's c
-    and s gave 13 and 8; tests/test_hardy.py checks the bound).  The cos
-    row has the same bits with or without the sin row."""
-    c, s = cs[0], cs[1:]  # s has no rows without a sin row
+    and s gave 13 and 8; tests/test_hardy.py checks the bound)."""
+    c, s = cs
     _reduce_quarter(y, z, c)
     _cis_leaf(y, z, cs)
     np.square(c, out=y)
@@ -315,54 +303,16 @@ def _cis_of_quarter(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
     c -= 1.0
 
 
-def _main_direct(quarter_t: np.ndarray, quarter_theta: np.ndarray,
-                 N: np.ndarray, main: np.ndarray) -> None:
-    """sum_{n<=N} n^{-1/2} cos(theta - t ln n) into main, for rows sorted
-    by N: whole rows packed into blocks of at most _SUM_ELEMS phases (a
-    longer row fills one alone), one cosine pass per block, then each
-    (rows, N) rectangle weighted and summed row by row."""
-    if not len(N):
-        return
-    n = np.arange(1, N[-1] + 1, dtype=float)
-    ln = np.log(n)
-    w = 1.0 / np.sqrt(n)
-    phases, z, cos = np.empty((3, max(_SUM_ELEMS, int(N[-1]))))
-    rects, used = [], 0
-
-    def flush():
-        _cis_of_quarter(phases[:used], z[:used], cos[None, :used])
-        for s, y in rects:
-            y *= w[:y.shape[1]]
-            main[s] = y.sum(axis=1)
-        rects.clear()
-
-    groups = np.flatnonzero(np.diff(N, prepend=-1, append=-1))
-    for lo, hi in zip(groups[:-1].tolist(), groups[1:].tolist()):
-        m = int(N[lo])
-        while lo < hi:
-            if used and used + m > _SUM_ELEMS:
-                flush()
-                used = 0
-            s = slice(lo, min(hi, lo + max(1, (_SUM_ELEMS - used) // m)))
-            y = phases[used:used + (s.stop - lo) * m].reshape(-1, m)
-            np.multiply(quarter_t[s, None], ln[:m], out=y)
-            np.subtract(quarter_theta[s, None], y, out=y)
-            rects.append((s, cos[used:used + y.size].reshape(y.shape)))
-            used += y.size
-            lo = s.stop
-    flush()
-
-
 # -- The multiplicative main sum ----------------------------------------------
 #
 # n -> n^{-1/2 - it} is completely multiplicative, so only the prime terms
 # need a phase and a cosine and sine; the term of a composite n = p q, p its
 # least prime factor, is the complex product of two terms already computed.
-# The sum is then Re(e^{i theta} sum_{n<=N} n^{-1/2-it}).  Above N_MULT the
-# per-n passes and the stored terms cost more than the direct sum saves
-# (measured on in-process batches up to N = 2,048; the benchmark's heights
-# stop at N = 89).
+# The sum is then Re(e^{i theta} sum_{n<=N} n^{-1/2-it}).  Z stops at Z_TOP,
+# the first height with more than N_MULT terms (the benchmark's heights stop
+# at N = 89).
 N_MULT = 512
+Z_TOP = TWO_PI * (N_MULT + 1) ** 2
 # floats of a block's work area (4 MB), shared by the blocks of a call; on
 # 65,536 heights 2^18 was 4-9% slower and 2^20 up to 7%
 _MULT_WORK = 1 << 19
@@ -395,8 +345,6 @@ def _main_mult(quarter_t: np.ndarray, quarter_theta: np.ndarray,
     """sum_{n<=N} n^{-1/2} cos(theta - t ln n) into main, for rows sorted
     by N <= N_MULT, in blocks whose work area, shared, stays within
     _MULT_WORK floats."""
-    if not len(N):
-        return
     work = np.empty(min(_MULT_WORK, len(N) * int(_ROW_WORK[N[-1]])))
     lo = 0
     while lo < len(N):
@@ -463,9 +411,7 @@ def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
 # fills the block for every count (one _remainder_rows call, about 1 ms),
 # and _BUILT marks it.  Five arrays of 1.27 MB, not one of 6.3 MB: numpy
 # asks for huge pages from 4 MiB up, and the one array grew a process's
-# first one-height call's peak RSS by 4.7 MB, the five by 1.0 MB.  Longer
-# lengths take tables of their own, _BLOCK per call: 32 and 64 were
-# slower on batches in [2e6, 2e8], their temporaries spilling out of cache.
+# first one-height call's peak RSS by 4.7 MB, the five by 1.0 MB.
 _BLOCK = 16
 _KEPT_BLOCKS = N_MULT // _BLOCK + 1
 _REMAINDER = tuple(
@@ -497,24 +443,21 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
     """Riemann-Siegel Z(t) for an array of t >= 10, of t's shape.  A
     height's value does not depend on the rest of the batch."""
     t = np.asarray(t, dtype=float)
-    if not np.all(t >= 10.0):  # NaN too; +inf fails the row cap
+    if not np.all(t >= 10.0):  # NaN too; +inf fails the Z_TOP check
         raise DomainError("z_rs requires finite t >= 10 (z_eval_many below)")
     if not 0 <= corrections <= 4:
         raise DomainError("corrections must be in [0, 4]")
-    # one main-sum row, of N = floor(sqrt(t / 2 pi)) terms, must fit the cap
+    # below Z_TOP the main sum, of N = floor(sqrt(t / 2 pi)) terms, has at
+    # most N_MULT
     flat = t.ravel()
     if np.any(flat >= Z_TOP):
         raise DomainError(f"z_rs requires t < {Z_TOP:.4g}"
-                          f" (a main sum of at most {_ELEMS} terms)")
-    lengths = np.sqrt(flat / TWO_PI)
+                          f" (a main sum of at most {N_MULT} terms)")
     out = np.empty(flat.size)
-    # chunks of _CHUNK heights in order of main-sum length; uint16 keys take
-    # numpy's radix sort, about 5x faster than intp keys and the same stable
-    # permutation
-    order = np.argsort(lengths.astype(
-        np.uint16 if flat.size and lengths.max() < 1 << 16 else np.intp),
-        kind="stable")
-    del lengths
+    # chunks of _CHUNK heights in order of main-sum length; uint16 keys
+    # (N <= N_MULT + 1) take numpy's radix sort, about 5x faster than intp
+    # keys and the same stable permutation
+    order = np.argsort(np.sqrt(flat / TWO_PI).astype(np.uint16), kind="stable")
     for lo in range(0, flat.size, _CHUNK):
         rows = order[lo:lo + _CHUNK]
         out[rows] = _z_rs_chunk(flat[rows], corrections)
@@ -522,40 +465,28 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
 
 
 def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
-    """Z at heights sorted by N = floor(sqrt(t / 2 pi)).  Rows with
-    N <= N_MULT take the multiplicative main sum and the kept remainder
-    tables, the others the direct sum and tables of their own lengths."""
+    """Z at heights sorted by N = floor(sqrt(t / 2 pi)), from the
+    multiplicative main sum and the kept remainder tables.  The few heights
+    just below Z_TOP whose a rounds to N_MULT + 1 take N_MULT terms and
+    p = 1, the end of N_MULT's last piece."""
     a = np.sqrt(t / TWO_PI)
-    N = np.floor(a).astype(np.intp)
+    N = np.minimum(np.floor(a), N_MULT).astype(np.intp)
     p = a - N
     # quarter phases: scaling by 1/4 is exact, so these are the bits of
     # theta and t divided by 4
     quarter_theta = 0.25 * theta_many(t)
     quarter_t = 0.25 * t
     z = np.empty_like(t)
-    m = int(np.searchsorted(N, N_MULT, side="right"))
-    _main_mult(quarter_t[:m], quarter_theta[:m], N[:m], z[:m])
-    _main_direct(quarter_t[m:], quarter_theta[m:], N[m:], z[m:])
+    _main_mult(quarter_t, quarter_theta, N, z)
     z *= 2.0
-    # the remainder: one gather and one Horner pass per table
+    # the remainder: one gather and one Horner pass
     idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
     u = p - _PIECE_CENTERS[idx]
-    if m:
-        if not _BUILT[N[0] // _BLOCK:N[m - 1] // _BLOCK + 1].all():
-            has = np.bincount(N[:m] // _BLOCK, minlength=_KEPT_BLOCKS) > 0
-            _fill_blocks(np.flatnonzero(has & ~_BUILT))
-        idx[:m] += N[:m] * PSI_PIECES
-        z[:m] += _horner(np.take(_REMAINDER[corrections], idx[:m], axis=1),
-                         u[:m])
-    if m < len(N):
-        lengths = N[m:][np.diff(N[m:], prepend=-1) != 0]
-        for i in range(0, len(lengths), _BLOCK):
-            own = lengths[i:i + _BLOCK]
-            lo, hi = np.searchsorted(N, (own[0], own[-1] + 1)).tolist()
-            col = np.searchsorted(own, N[lo:hi]) * PSI_PIECES + idx[lo:hi]
-            z[lo:hi] += _horner(np.take(
-                _remainder_rows(own, corrections + 1)[corrections],
-                col, axis=1), u[lo:hi])
+    if not _BUILT[N[0] // _BLOCK:N[-1] // _BLOCK + 1].all():
+        has = np.bincount(N // _BLOCK, minlength=_KEPT_BLOCKS) > 0
+        _fill_blocks(np.flatnonzero(has & ~_BUILT))
+    idx += N * PSI_PIECES
+    z += _horner(np.take(_REMAINDER[corrections], idx, axis=1), u)
     return z
 
 
@@ -563,7 +494,7 @@ def z_rs(t: float, corrections: int = 3) -> ZSample:
     """Z(t) by the Riemann-Siegel formula with the requested number of
     remainder corrections (C_0..C_corrections)."""
     value = float(z_rs_many(np.array([t]), corrections)[0])
-    main_terms = int(math.floor(math.sqrt(t / TWO_PI)))
+    main_terms = min(int(math.floor(math.sqrt(t / TWO_PI))), N_MULT)
     return ZSample(t=float(t), value=value, main_terms=main_terms,
                    corrections=corrections,
                    err_est=float(z_err_est(t, corrections)))

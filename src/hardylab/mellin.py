@@ -544,12 +544,7 @@ def _v2_grid(X: float) -> _ExpSum:
 def _v2(s: np.ndarray, X: float, v1: list) -> list:
     """V_2, the residual transform, at every s of a finite batch: s times
     the I_3 engine's sum at s + 1, less V_1(s, N) from v1, S_3's part in
-    closed form (N = floor((X/2pi)^{3/2})).  Regular for Re s > 3/4;
-    requires Re s > 0.8."""
-    if np.any(s.real <= 0.8):
-        raise ConvergenceError("m3_decomposition requires Re s > 0.8")
-    if not 100.0 <= X < math.inf:
-        raise DomainError("m3_decomposition requires finite X >= 100")
+    closed form (N = floor((X/2pi)^{3/2})).  Regular for Re s > 3/4."""
     values = _v2_grid(X).sums(s + 1.0)[0][0]
     return [x * e - a for x, e, a in zip(s.tolist(), values.tolist(), v1)]
 
@@ -561,7 +556,12 @@ def m3_decomposition(s, X: float):
     compares the I_3 quadrature with the by-parts Z^3 quadrature on the
     same panels (|Im s| <= 4), and the c_n cancel (see _v2)."""
     sv = _finite("m3_decomposition", s)
-    m3 = _truncated(3, sv, X)[0].tolist()  # first: checks X
+    # before any cache walk or grid build
+    if np.any(sv.real <= 0.8):
+        raise ConvergenceError("m3_decomposition requires Re s > 0.8")
+    if not 100.0 <= X < math.inf:
+        raise DomainError("m3_decomposition requires finite X >= 100")
+    m3 = _truncated(3, sv, X)[0].tolist()
     n_cut = int(cutoff(3, X))
     v1 = [v1_series(x, n_cut) for x in sv.tolist()]
     out = [{"s": x, "X": float(X), "N": n_cut, "v1": a, "v2": b, "sum": a + b,

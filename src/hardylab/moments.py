@@ -62,8 +62,6 @@ class MomentResult:
 
 def z_freq(t: float) -> float:
     """Local oscillation frequency of Z: |theta'(t)| / (2*pi)."""
-    if t <= 0.1:
-        return 0.0
     return abs(0.5 * math.log(t / TWO_PI)) / TWO_PI
 
 

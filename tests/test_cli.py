@@ -179,13 +179,15 @@ def test_mellin_decompose_non_finite_usage_error(capsys, sigma, t):
     assert "finite" in err and out == ""
 
 
-# Riemann-Siegel stops at t = 4.3e11, the oracle at 2.0e5
+# Riemann-Siegel stops at t = 1.65e6, where its main sum passes 512 terms;
+# the oracle at 2.0e5, where an Euler-Maclaurin row passes 2^18
 @pytest.mark.parametrize("span", [("--from", "1e12", "--to", "2e12"),
-                                  ("--from", "3e5", "--to", "4e5", "--oracle")])
+                                  ("--from", "3e5", "--to", "4e5", "--oracle"),
+                                  ("--from", "2e6", "--to", "3e6")])
 def test_z_above_height_limit_usage_error(capsys, span):
     code, out, err = run_cli(capsys, "z", *span, "--step", "1e12")
     assert code == 2
-    assert out == "" and str(2 ** 18) in err
+    assert out == "" and str(2 ** 18 if "--oracle" in span else 512) in err
 
 
 def test_divisor_budget_guards_limit(capsys):
@@ -376,14 +378,15 @@ def test_budget_exit_code(tmp_path, capsys):
 
 
 def test_moment_past_z_top_usage_error(tmp_path, capsys):
-    # [1e12, 2e12] lies past Z's top height, 4.3e11: a usage error (exit 2)
-    # before the budget check, not a budget failure (exit 3)
+    # [2e6, 4e6] and [1e12, 2e12] lie past Z's top height, 1.65e6: a usage
+    # error (exit 2) before the budget check, not a budget failure (exit 3)
     cfg_file = tmp_path / "budget.cfg"
     cfg_file.write_text("eval_budget = 17000\n")
-    code, out, err = run_cli(capsys, "--config", str(cfg_file), "moment",
-                             "--k", "1", "--T", "1e12", "--mode", "direct")
-    assert code == 2
-    assert out == "" and "z_breakpoints" in err
+    for T in ("2e6", "1e12"):
+        code, out, err = run_cli(capsys, "--config", str(cfg_file), "moment",
+                                 "--k", "1", "--T", T, "--mode", "direct")
+        assert code == 2
+        assert out == "" and "z_breakpoints" in err
 
 
 def test_accuracy_exit_code(capsys, monkeypatch):
@@ -489,4 +492,49 @@ def test_program_lines_lists_what_its_paths_leave_unrun():
     assert "explicit.cubic_primitive_approx" in missed
     assert "arith.divisor_sieve" not in missed
     assert "arith.load_table" in raises and "arith.divisor_sieve" in raises
+    assert _tree_files(root) == before
+
+
+def _canned_run(seed, metrics):
+    # run.py's standard output: what ran, the metric table, then the JSON
+    facts = {"src_sha256": "ab" * 32, "src_lines": 3245, "cpu": "Xeon",
+             "nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "seed": seed,
+             "output_digest": f"{seed:016x}"}
+    table = "".join(f"{k:40s} {v:>16.6g} s\n" for k, v in metrics.items())
+    return (f"# run {json.dumps(facts)}\n# ops 9 attempted, 0 failed\n{table}"
+            + json.dumps({"correct": True, "attempted": 9, "failed": 0,
+                          "metrics": {k: {"value": v, "unit": "s"}
+                                      for k, v in metrics.items()}}) + "\n")
+
+
+def test_bench_script_assembles_canned_runs():
+    # scripts/bench.py's assembly step on canned run.py output: no benchmark
+    # runs, and nothing is written into the tree
+    root = Path(__file__).resolve().parents[1]
+    before = _tree_files(root)
+    script = runpy.run_path(str(root / "scripts" / "bench.py"))
+    parse = script["_run_output"]
+    runs = {"z-kernel": [parse(_canned_run(seed, {"wall_s": w, "setup_s": 0.3}))
+                         for seed, w in ((1, 2.0), (2, 2.2), (3, 1.9))]}
+    traced = {"z-kernel": parse(_canned_run(1, {"hardy.self_s": 0.5}))}
+    tier1 = {"wall_s": 80.0, "summary": "9 passed in 80.00s"}
+    verify = {"wall_s": 3.5, "suite_s": {"laurent": 0.02}}
+    rec = script["assemble"](36, runs, traced, 3245, tier1, verify)
+    assert set(rec) == {"pr", "src_sha256", "host", "src_lines", "tier1",
+                        "verify_all", "workloads"}
+    assert rec["host"] == {"cpu": "Xeon", "nproc": 2, "python": "3.11.7",
+                           "numpy": "2.4.6"}
+    assert (rec["pr"], rec["src_lines"], rec["tier1"], rec["verify_all"]) \
+        == (36, 3245, tier1, verify)
+    w = rec["workloads"]["z-kernel"]
+    assert set(w) == {"seeds", "correct", "output_digests", "end_to_end",
+                      "per_layer"}
+    assert w["seeds"] == [1, 2, 3] and w["correct"] is True
+    assert w["output_digests"] == [f"{s:016x}" for s in (1, 2, 3)]
+    wall = w["end_to_end"]["wall_s"]
+    assert set(w["end_to_end"]) == {"wall_s", "setup_s"}
+    assert wall["median"] == 2.0 and wall["values"] == [2.0, 2.2, 1.9]
+    assert wall["spread"] == pytest.approx(0.15) and wall["unit"] == "s"
+    assert w["per_layer"] == {"hardy.self_s": 0.5}
+    json.dumps(rec)
     assert _tree_files(root) == before

@@ -16,8 +16,8 @@ from hardylab.hardy import (N_MULT, Z_TOP, z_breakpoints, z_err_est,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
                             _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
                             _PI, _ROW_WORK, _cis_leaf, _cis_of_quarter,
-                            _fold_correction_tables, _horner, _main_direct,
-                            _main_mult, _remainder_rows)
+                            _fold_correction_tables, _horner, _main_mult,
+                            _remainder_rows)
 from hardylab.moments import hardy_moment
 from hardylab.special import theta_many
 
@@ -169,9 +169,12 @@ def test_rs_domain():
 
 
 def test_heights_above_the_row_cap_rejected():
-    # one main-sum row holds at most 2^18 terms: Riemann-Siegel up to
-    # t = 2 pi (2^18 + 1)^2 = 4.3e11, the oracle up to t = 2^18 / 1.3 = 2.0e5
-    assert math.isfinite(z_rs(4.3e11).value)
+    # Riemann-Siegel up to t = 2 pi (N_MULT + 1)^2 = 1.65e6, where the main
+    # sum passes 512 terms; the oracle up to t = 2^18 / 1.3 = 2.0e5, where an
+    # Euler-Maclaurin row passes 2^18 terms
+    for t in (2e6, 4.3e11):
+        with pytest.raises(DomainError):
+            z_rs(t)
     for fn, t in ((z_rs_many, 1e13), (z_eval_many, 4.32e11),
                   (z_oracle_many, 4e5), (z_oracle_many, 2.02e5)):
         with pytest.raises(DomainError):
@@ -253,17 +256,19 @@ def test_breakpoints():
 
 
 def test_breakpoints_refuse_heights_past_z():
-    # Z's top height is where a main sum passes 2^18 terms; past it
+    # Z's top height is where the main sum passes N_MULT terms; past it
     # z_breakpoints refuses at once, before its loop makes a float per
     # transition (about 1.65e8 of them up to 1e18), so a moment there is a
     # domain error before any budget check
-    assert Z_TOP == 2.0 * math.pi * (2 ** 18 + 1) ** 2
-    assert len(z_breakpoints(Z_TOP - 1.0e6, Z_TOP)) <= 1
-    for b in (math.nextafter(Z_TOP, math.inf), 1.0e18):
+    assert Z_TOP == 2.0 * math.pi * (N_MULT + 1) ** 2
+    assert z_breakpoints(Z_TOP - 1.0e4, Z_TOP) == (
+        2.0 * math.pi * N_MULT * N_MULT,)
+    for b in (math.nextafter(Z_TOP, math.inf), 2e6, 4.3e11, 1.0e18):
         with pytest.raises(DomainError):
             z_breakpoints(1.0, b)
-    with pytest.raises(DomainError):
-        hardy_moment(1, 1.0e12, 2.0e12, budget=17_000)
+    for a in (1.0e6, 1.0e12):
+        with pytest.raises(DomainError):
+            hardy_moment(1, a, 2.0 * a, budget=17_000)
     with pytest.raises(DomainError):
         z_rs_many(np.array([Z_TOP]))
 
@@ -294,13 +299,13 @@ def test_rs_value_independent_of_batch():
         both = z_eval_many(np.concatenate([t[:1000], low, mixed]), k)
         assert np.array_equal(both[1000:3000], low_batch)
         assert np.array_equal(both[:1000], z_rs_many(t[:1000], k))
-    # lengths past N_MULT (up to N = 1,784), in many tables of their own
-    wide = np.random.default_rng(4).uniform(1e4, 2e7, 400)
+    # lengths up to N_MULT, over many blocks of the kept tables
+    wide = np.random.default_rng(4).uniform(1e4, Z_TOP, 400)
     batch = z_rs_many(wide, 3)
     alone = np.array([z_rs_many(wide[i:i + 1], 3)[0] for i in range(40)])
     assert np.array_equal(alone, batch[:40])
-    # main-sum lengths from 2^16 up (t above 2.7e10) take the wide sort keys
-    tall = np.concatenate([wide[:100], [3e10, 2.8e10, 1.5e11, 3e10]])
+    # the tallest lengths, one height twice, beside the others
+    tall = np.concatenate([wide[:100], [1.6e6, 1.55e6, 1.65e6, 1.6e6]])
     batch = z_rs_many(tall, 3)
     assert np.array_equal(batch[:100], z_rs_many(wide[:100], 3))
     alone = np.array([z_rs_many(tall[i:i + 1], 3)[0] for i in range(100, 104)])
@@ -309,17 +314,23 @@ def test_rs_value_independent_of_batch():
     # one row, where numpy rounds an aliased complex product differently
     lone = np.append(t, 2 * math.pi * 40.5 ** 2)
     assert z_rs_many(lone, 3)[-1] == z_rs_many(lone[-1:], 3)[0]
-    # either side of t = 2 pi (N_MULT + 1)^2, the multiplicative kernel's
-    # last length, alone, together and among the mixed heights
-    edge = 2 * math.pi * (N_MULT + 1) ** 2
+    # just below Z_TOP = 2 pi (N_MULT + 1)^2, the kernel's last length,
+    # alone, together and among the mixed heights; the last few doubles
+    # below it, whose sqrt(t / 2 pi) rounds to N_MULT + 1, compute, within
+    # rounding of the heights just below them, and Z_TOP refuses
+    top = np.nextafter(Z_TOP, 0.0) - np.spacing(Z_TOP) * np.arange(6)
     near = np.concatenate([
-        edge * np.random.default_rng(5).uniform(0.9, 1.1, 300),
-        [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]])
+        Z_TOP * np.random.default_rng(5).uniform(0.9, 1.0, 300), top])
     batch = z_rs_many(near, 3)
     alone = np.array([z_rs_many(t_i[None], 3)[0] for t_i in near])
     assert np.array_equal(alone, batch)
     assert np.array_equal(z_rs_many(np.append(mixed, near), 3)[len(mixed):],
                           batch)
+    assert np.all(np.isfinite(batch))
+    assert np.ptp(batch[-len(top):]) <= 1e-6
+    for t_bad in (Z_TOP, np.nextafter(Z_TOP, np.inf)):
+        with pytest.raises(DomainError):
+            z_rs_many(np.array([t_bad]), 3)
 
 
 def test_complex_products_round_alike_at_every_layout():
@@ -344,36 +355,6 @@ def test_complex_products_round_alike_at_every_layout():
         np.multiply(np.take(a[:, :rows], idx, axis=0),
                     np.take(b[:, :rows], idx, axis=0), out=got)
         assert np.array_equal(got, ref[idx, :rows])
-
-
-def test_sparse_tall_batch_builds_only_its_lengths(monkeypatch):
-    # 200 heights over 144 blocks of lengths past N_MULT, which are never
-    # kept: each call builds the tables of its own lengths, and no others
-    t = np.random.default_rng(2).uniform(2e6, 2e8, 200)
-    first = z_rs_many(t, 3)
-    built = []
-    rows = hardy._remainder_rows
-    monkeypatch.setattr(hardy, "_remainder_rows",
-                        lambda n, *counts: built.append(len(n)) or rows(n, *counts))
-    assert np.array_equal(z_rs_many(t, 3), first)
-    lengths = np.floor(np.sqrt(t / (2 * math.pi)))
-    assert 0 < sum(built) <= len(np.unique(lengths))
-    alone = np.array([z_rs_many(t[i:i + 1], 3)[0] for i in range(len(t))])
-    assert np.array_equal(alone, first)
-
-
-def test_direct_path_builds_only_the_counts_it_reads():
-    # past N_MULT a call builds the correction counts 0..K alone: row K is
-    # the bits of the full five-count build, for every K
-    t = np.random.default_rng(2).uniform(2e6, 2e8, 200)
-    lengths = np.unique(np.floor(np.sqrt(t / (2 * math.pi))).astype(np.intp))
-    assert lengths[0] > hardy.N_MULT
-    full = hardy._remainder_rows(lengths)
-    assert len(full) == 5
-    for K in range(5):
-        part = hardy._remainder_rows(lengths, K + 1)
-        assert len(part) == K + 1
-        assert part[K].tobytes() == full[K].tobytes()
 
 
 def _fresh_kept_tables(monkeypatch):
@@ -471,9 +452,10 @@ def test_rs_keeps_the_input_shape():
 
 
 def _libm_check_phases():
-    # 10^6 seeded phases log-spread over |x| <= 6e12 (the row cap), then the
-    # edges: 0, +-pi/2, +-pi, multiples k * 2 pi up to k = 2^40, and the
-    # doubles on either side of each
+    # 10^6 seeded phases log-spread over |x| <= 6e12 (within the reduction's
+    # range, |x| < 2^41 pi, and far past Z's), then the edges: 0, +-pi/2,
+    # +-pi, multiples k * 2 pi up to k = 2^40, and the doubles on either
+    # side of each
     rng = np.random.default_rng(12)
     x = 10.0 ** rng.uniform(-3.0, math.log10(6e12), 1_000_000)
     x *= rng.choice([-1.0, 1.0], x.size)
@@ -487,17 +469,6 @@ def _libm_check_phases():
     # the stated bound, 2^-48 + 2^-17 ulp(x), plus libm's own rounding
     # (within one ulp, at most 2^-52)
     return x, 2.0 ** -48 + 2.0 ** -17 * np.spacing(np.abs(x)) + 2.0 ** -52
-
-
-def test_reduced_cosine_matches_libm():
-    # the direct kernel's one-row form: the two-row form's cos row, bit for bit
-    x, bound = _libm_check_phases()
-    cos, cs = np.empty((1,) + x.shape), np.empty((2,) + x.shape)
-    _cis_of_quarter(0.25 * x, np.empty_like(x), cos)
-    _cis_of_quarter(0.25 * x, np.empty_like(x), cs)
-    assert np.array_equal(cos[0].view(np.int64), cs[0].view(np.int64))
-    err = np.abs(cos[0] - np.cos(x))
-    assert np.all(err <= bound), float(np.max(err / bound))
 
 
 def test_quarter_angle_cos_sin_match_libm():
@@ -529,10 +500,6 @@ def test_cis_leaf_within_one_ulp_of_libm():
     _cis_leaf(y, np.empty_like(y), cs)
     for got, ref in zip(cs, (np.cos(y), np.sin(y))):
         assert _ulps_apart(got, ref).max() <= 1
-    # the direct kernel's one-row form gives the cos row's bits
-    cos = np.empty((1,) + y.shape)
-    _cis_leaf(y, np.empty_like(y), cos)
-    assert np.array_equal(cos[0], cs[0])
 
 
 def test_cis_leaf_within_one_ulp_of_mpmath():
@@ -559,36 +526,41 @@ def test_z_path_calls_no_libm_sine_or_cosine(monkeypatch):
 
     monkeypatch.setattr(np, "sin", refuse)
     monkeypatch.setattr(np, "cos", refuse)
-    direct = 2 * math.pi * (N_MULT + 1) ** 2
-    # the low table, the multiplicative kernel and the direct kernel
-    for t in ([0.5, 9.5], [10.0, 1e3, 4e4], [direct * 1.01, direct * 1.5]):
+    # the low table, and the Riemann-Siegel kernel up to its last height
+    for t in ([0.5, 9.5], [10.0, 1e3, 4e4], [1e6, np.nextafter(Z_TOP, 0.0)]):
         for k in (0, 3, 4):
             assert np.all(np.isfinite(z_eval_many(np.array(t), k)))
 
 
+def _plain_main_sum(t, theta, N):
+    # sum_{n<=N} n^{-1/2} cos(theta - t ln n) with libm's cosine, one masked
+    # pass per n
+    out = np.zeros_like(t)
+    for n in range(1, int(N.max()) + 1):
+        m = N >= n
+        out[m] += np.cos(theta[m] - t[m] * math.log(n)) / math.sqrt(n)
+    return out
+
+
 @pytest.mark.parametrize("lo, hi", [
-    (10.0, 1e2), (1e2, 1e3), (1e3, 1e4), (1e4, 5e4),
-    (5e4, 2 * math.pi * (N_MULT + 1) ** 2)])
+    (10.0, 1e2), (1e2, 1e3), (1e3, 1e4), (1e4, 5e4), (5e4, Z_TOP)])
 def test_multiplicative_kernel_matches_direct(lo, hi):
     t = np.sort(np.random.default_rng(13).uniform(lo, hi, 20000))
     N = np.floor(np.sqrt(t / (2 * math.pi))).astype(np.intp)
     assert N[-1] <= N_MULT
-    quarter_t, quarter_theta = 0.25 * t, 0.25 * theta_many(t)
-    mult, direct = np.empty((2,) + t.shape)
-    _main_mult(quarter_t, quarter_theta, N, mult)
-    _main_direct(quarter_t, quarter_theta, N, direct)
-    err = np.abs(2.0 * mult - 2.0 * direct)
+    theta = theta_many(t)
+    mult = np.empty_like(t)
+    _main_mult(0.25 * t, 0.25 * theta, N, mult)
+    err = np.abs(2.0 * mult - 2.0 * _plain_main_sum(t, theta, N))
     assert np.all(err <= _rounding_floor(t)), \
         float(np.max(err / _rounding_floor(t)))
 
 
-@pytest.mark.parametrize("n_mult", [N_MULT, 0], ids=["multiplicative",
-                                                      "direct"])
-def test_rs_within_stated_error_of_frozen_references(monkeypatch, n_mult):
-    # every height here is below the multiplicative kernel's edge; with
-    # N_MULT = 0 the direct kernel takes them all
-    monkeypatch.setattr(hardy, "N_MULT", n_mult)
+@pytest.mark.parametrize("kernel", ["multiplicative"])
+def test_rs_within_stated_error_of_frozen_references(kernel):
+    # every height here takes the multiplicative kernel, Z's one main sum
     t = np.array(list(Z_RS_REF))
+    assert np.all(np.floor(np.sqrt(t / (2 * math.pi))) <= N_MULT), kernel
     ref = np.array(list(Z_RS_REF.values()))
     for k in range(5):
         err = np.abs(z_rs_many(t, k) - ref)
@@ -685,7 +657,7 @@ def test_folded_corrections_match_derivative_formula():
     (z_oracle_many, 4000.0, 5000.0, 500),
     (lambda t: z_rs_many(t, 4), 1e4, 5e4, 65536),
     (z_oracle_many, 4e4, 4e4, 200),
-    (lambda t: z_rs_many(t, 3), 2e6, 2e8, 6000),
+    (lambda t: z_rs_many(t, 3), 1e6, Z_TOP, 6000),
 ])
 def test_batch_memory_bounded(fn, lo, hi, n):
     t = np.random.default_rng(6).uniform(lo, hi, n)

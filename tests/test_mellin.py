@@ -158,6 +158,17 @@ def test_truncation_height_below_one_rejected(X):
         ML.m3_decomposition(2.0 + 0j, X)
 
 
+def test_m3_decomposition_guards_come_before_any_grid():
+    # X < 100 and Re s <= 0.8 raise before the cache walk and the band-0
+    # grid: no grid is built or kept
+    before = ML._grid.cache_info().currsize
+    with pytest.raises(DomainError):
+        ML.m3_decomposition(2.0 + 0j, 99.0)
+    with pytest.raises(ConvergenceError):
+        ML.m3_decomposition(0.8 + 0j, 1000.0)
+    assert ML._grid.cache_info().currsize == before
+
+
 def test_truncation_height_one_is_an_empty_grid():
     # [1, X] holds no panel: the truncated transform and I_k(1) are 0
     m = ML.mellin_by_parts(1, 2.0 + 5j, X=1.0)

@@ -76,8 +76,8 @@ def cmd_moment(args, cfg: RunConfig) -> int:
     if not 1 <= k <= 8 or (args.mode != "direct" and k > 4):
         print(f"moment: unsupported k={k} for mode {args.mode}", file=sys.stderr)
         return EXIT_USAGE
-    if T < 1.0:
-        print("moment: requires T >= 1", file=sys.stderr)
+    if not (math.isfinite(T) and T >= 1.0):
+        print("moment: requires a finite T >= 1", file=sys.stderr)
         return EXIT_USAGE
     header, row = ["k", "T"], [k, T]
     if args.mode in ("direct", "both"):

@@ -6,6 +6,12 @@ saddle point x = 2 pi n^(2/k): its prefix sum S_k(x) over n <= cutoff(k, x)
 approximates I_k(x).  The dyadic main term over [T, 2T] is a difference of
 two prefix sums, CubicPrimitiveSum is S_3 with its transform V_1, and
 cubic_primitive_approx is the exactly rounded reference for S_3.
+
+One helper forms the terms, in fixed blocks of _BLOCK.  The dyadic main
+term carries its running sum from block to block, so its own working memory
+is about 1 MB at any n_hi.  What still scales with n_hi is its caller's d_k
+table and the sieve's second array while it builds that table, 2 x 8 n_hi
+bytes: about 104 MB at k = 4, T = 8000 (n_hi = 6.5e6).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import DivisorTable
+from .arith import _DIVISOR_BUDGET, DivisorTable
 from .errors import CapacityError, DomainError
 from .special import TWO_PI
 
@@ -25,6 +31,9 @@ from .special import TWO_PI
 # jump-edged quadrature of S_3 in tests/test_explicit.py
 # (test_cubic_sum_by_parts_on_a_jump_edged_grid) misses its closed form.
 _SNAP = 4e-15
+# terms of the saddle series formed at a time: moment_main_term holds a few
+# arrays of this length, whatever n_hi is
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -50,40 +59,71 @@ def cutoff(k: int, x):
     return np.floor(_saddle_index(k, x)).astype(np.int64)
 
 
-def saddle_terms(k: int, table: DivisorTable, n_hi: int) -> np.ndarray:
-    """c_n for n = 0..n_hi (c_0 = 0), so that np.cumsum gives S_k at every
-    cutoff: twice d_k(n) n^(-1/2) times the real part of the first-order
-    saddle amplitude pi sqrt(2/k) n^(1/k) e^(-i(k pi n^(2/k) + (k-2) pi/8))."""
+def _check_table(k: int, table: DivisorTable, n_hi: int) -> None:
     if n_hi > table.limit:
         raise CapacityError(
             f"divisor table limit {table.limit} < required n_hi {n_hi}")
     if table.k != k:
         raise DomainError(f"table is for d_{table.k}, need d_{k}")
-    n = np.arange(1, n_hi + 1, dtype=float)
-    c = np.zeros(n_hi + 1)
-    c[1:] = TWO_PI * math.sqrt(2.0 / k) * table.counts[1:n_hi + 1] \
+
+
+def _terms(k: int, table: DivisorTable, lo: int, hi: int) -> np.ndarray:
+    """c_n for n in [lo, hi), 1 <= lo: twice d_k(n) n^(-1/2) times the real
+    part of the first-order saddle amplitude pi sqrt(2/k) n^(1/k)
+    e^(-i(k pi n^(2/k) + (k-2) pi/8))."""
+    n = np.arange(lo, hi, dtype=float)
+    return TWO_PI * math.sqrt(2.0 / k) * table.counts[lo:hi] \
         * n ** (1.0 / k - 0.5) \
         * np.cos(k * math.pi * n ** (2.0 / k) + (k - 2) * math.pi / 8.0)
+
+
+def saddle_terms(k: int, table: DivisorTable, n_hi: int) -> np.ndarray:
+    """c_n for n = 0..n_hi (c_0 = 0), so that np.cumsum gives S_k at every
+    cutoff."""
+    _check_table(k, table, n_hi)
+    c = np.zeros(n_hi + 1)
+    for lo in range(1, n_hi + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n_hi + 1)
+        c[lo:hi] = _terms(k, table, lo, hi)
     return c
 
 
 def sum_range(k: int, T: float) -> tuple[int, int]:
     """Summation bounds: ceil((T/2pi)^(k/2)) .. floor((T/pi)^(k/2)),
-    endpoints included (floating boundaries snapped to integers)."""
+    endpoints included (floating boundaries snapped to integers).  An upper
+    bound past the largest divisor table divisor_sieve builds raises
+    CapacityError before any integer conversion."""
+    if not T > 0.0:
+        raise DomainError(f"sum_range requires T > 0, got {T}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        n_hi = np.floor(_saddle_index(k, 2.0 * T))
+    if not n_hi <= _DIVISOR_BUDGET:
+        raise CapacityError(
+            f"the d_{k} sum to T = {T:g} needs a table of {n_hi:.4g} "
+            f"entries, past the divisor table budget {_DIVISOR_BUDGET}")
     n_lo = int(math.ceil(_saddle_index(k, T)))
-    return max(n_lo, 1), int(cutoff(k, 2.0 * T))
+    return max(n_lo, 1), int(n_hi)
 
 
 def moment_main_term(k: int, T: float, table: DivisorTable) -> CosineSumResult:
     """The cosine-sum main term approximating the dyadic moment integral
     of Z^k over [T, 2T]: the sum of c_n over sum_range(k, T), as the
-    difference of two prefix sums."""
+    difference of the running sums at n_lo - 1 and n_hi.  The running sum
+    is carried across blocks of _BLOCK terms from n = 1; np.cumsum adds in
+    sequence, so it has the bits of one np.cumsum over the whole series."""
     if k not in (1, 2, 3, 4):
         raise DomainError("moment_main_term supports k in {1,2,3,4}")
     n_lo, n_hi = sum_range(k, T)
-    prefix = np.cumsum(saddle_terms(k, table, n_hi))
-    return CosineSumResult(k=k, T=float(T),
-                           value=float(prefix[n_hi] - prefix[n_lo - 1]),
+    _check_table(k, table, n_hi)
+    below = total = 0.0
+    for lo in range(1, n_hi + 1, _BLOCK):
+        hi = min(lo + _BLOCK, n_hi + 1)
+        # run[j] is the running sum to n = lo - 1 + j
+        run = np.cumsum(np.concatenate([[total], _terms(k, table, lo, hi)]))
+        if lo <= n_lo <= hi:
+            below = run[n_lo - lo]
+        total = run[-1]
+    return CosineSumResult(k=k, T=float(T), value=float(total - below),
                            n_lo=n_lo, n_hi=n_hi, terms=n_hi - n_lo + 1)
 
 

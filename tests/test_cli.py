@@ -353,12 +353,12 @@ def test_verify_detects_injected_sign_error(tmp_path, capsys, monkeypatch):
     # mutation sensitivity: a sign flip in the saddle series must fail both
     # suites built on it, the dyadic main terms and the cubic primitive sum
     import hardylab.explicit as explicit
-    real = explicit.saddle_terms
+    real = explicit._terms
 
-    def flipped(k, table, n_hi):
-        return -real(k, table, n_hi)
+    def flipped(k, table, lo, hi):
+        return -real(k, table, lo, hi)
 
-    monkeypatch.setattr(explicit, "saddle_terms", flipped)
+    monkeypatch.setattr(explicit, "_terms", flipped)
     for suite in ("dyadic-square", "cubic-primitive"):
         code, out, _ = run_cli(capsys, "verify", suite,
                                "--out", str(tmp_path / f"{suite}.json"))
@@ -387,6 +387,27 @@ def test_moment_past_z_top_usage_error(tmp_path, capsys):
                                  "--k", "1", "--T", T, "--mode", "direct")
         assert code == 2
         assert out == "" and "z_breakpoints" in err
+
+
+@pytest.mark.parametrize("k, T, says", [
+    ("1", "inf", "requires a finite T >= 1"),
+    ("2", "nan", "requires a finite T >= 1"),
+    ("1", "1e300", "divisor table budget 20000000"),
+    ("2", "1e300", "divisor table budget 20000000"),
+    ("4", "1e300", "divisor table budget 20000000"),
+])
+def test_moment_huge_or_non_finite_T_usage_error(capsys, monkeypatch, k, T,
+                                                 says):
+    # a usage error (exit 2) before any sieve: a huge T must not overflow
+    # (exit 1) or wrap n_hi to a negative table size in its integer cast
+    def no_sieve(*args):
+        pytest.fail("sieved a divisor table")
+
+    monkeypatch.setattr(cli, "divisor_sieve", no_sieve)
+    code, out, err = run_cli(capsys, "moment", "--k", k, "--T", T,
+                             "--mode", "explicit")
+    assert code == 2
+    assert out == "" and says in err
 
 
 def test_accuracy_exit_code(capsys, monkeypatch):

@@ -2,10 +2,12 @@
 cubic primitive sum."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hardylab.explicit as explicit
 from hardylab.arith import divisor_brute, divisor_sieve
 from hardylab.errors import CapacityError, DomainError
 from hardylab.explicit import (CubicPrimitiveSum, cubic_primitive_approx,
@@ -131,12 +133,93 @@ def test_empty_range():
     assert res.value == 0.0 and res.terms == 0
 
 
-def test_main_term_capacity(d2_table):
+def test_main_term_capacity(monkeypatch):
+    # a short table and one for the wrong k are refused before any block
+    def no_block(*args):
+        pytest.fail("a block was formed before the table checks")
+
+    monkeypatch.setattr(explicit, "_terms", no_block)
     small = divisor_sieve(2, 10)
     with pytest.raises(CapacityError):
         moment_main_term(2, 300.0, small)
     with pytest.raises(DomainError):
         moment_main_term(2, 300.0, divisor_sieve(3, 1000))
+    with pytest.raises(CapacityError):
+        saddle_terms(2, small, 11)
+    with pytest.raises(DomainError):
+        saddle_terms(2, divisor_sieve(3, 10), 10)
+
+
+def one_cumsum_terms(k, table, n_hi):
+    # the reference: the saddle series as one array, whose one np.cumsum
+    # the blocked sums must equal bit for bit
+    n = np.arange(1, n_hi + 1, dtype=float)
+    c = np.zeros(n_hi + 1)
+    c[1:] = TWO_PI * math.sqrt(2.0 / k) * table.counts[1:n_hi + 1] \
+        * n ** (1.0 / k - 0.5) \
+        * np.cos(k * math.pi * n ** (2.0 / k) + (k - 2) * math.pi / 8.0)
+    return c
+
+
+B = explicit._BLOCK
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_main_term_is_one_cumsum_across_blocks(k):
+    # blocks of B terms run from n = 1, so the running sum to n = jB closes
+    # block j - 1.  n_hi is e at T = pi e^(2/k), and n_lo - 1 is e at
+    # T = 2 pi (e + 1)^(2/k): each falls just below such an edge, on it and
+    # just above it.  T = 6 starts at n_lo = 1, T = 2 has n_hi = 0, and for
+    # k = 1 the range at T = 7.6 is empty above n_lo = 1
+    edges = [e + d for e in (B, 2 * B) for d in (-1, 0, 1)]
+    cases = [math.pi * e ** (2.0 / k) for e in edges] \
+        + [TWO_PI * (e + 1) ** (2.0 / k) for e in edges] \
+        + [6.0, 2.0, 7.6][:3 if k == 1 else 2]
+    bounds = [sum_range(k, T) for T in cases]
+    assert [n_hi for _, n_hi in bounds[:6]] == edges
+    assert [n_lo - 1 for n_lo, _ in bounds[6:12]] == edges
+    assert bounds[12][0] == 1 <= bounds[12][1] and bounds[13][1] == 0
+    assert k > 1 or bounds[14] == (2, 1)
+    table = divisor_sieve(k, max(n_hi for _, n_hi in bounds))
+    prefix = np.cumsum(one_cumsum_terms(k, table, table.limit))
+    for T, (n_lo, n_hi) in zip(cases, bounds):
+        res = moment_main_term(k, T, table)
+        assert (res.n_lo, res.n_hi) == (n_lo, n_hi)
+        assert res.value == prefix[n_hi] - prefix[n_lo - 1], T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_saddle_terms_match_one_array_across_blocks(k):
+    table = divisor_sieve(k, 2 * B + 1)
+    for n_hi in (0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1):
+        assert np.array_equal(saddle_terms(k, table, n_hi),
+                              one_cumsum_terms(k, table, n_hi))
+
+
+def test_main_term_memory_is_one_block():
+    # one block of B terms at a time, not the n_hi = 397,149 whole series
+    # and its prefix sum (7.9 MB)
+    table = divisor_sieve(4, sum_range(4, 1400.0)[1])
+    tracemalloc.start()
+    try:
+        moment_main_term(4, 1400.0, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("k, T", [(1, 1e300), (2, 1e300), (4, 1e300),
+                                  (1, math.inf), (4, 1.5e4)])
+def test_sum_range_past_the_divisor_budget(k, T):
+    # an upper bound past the largest table the sieve builds is refused
+    # before its cast to an integer, which would overflow or wrap
+    with pytest.raises(CapacityError, match="budget 20000000"):
+        sum_range(k, T)
+    with pytest.raises(DomainError):
+        sum_range(k, math.nan)
+    with pytest.raises(DomainError):
+        sum_range(k, -T)
 
 
 def test_dyadic_residual_k2(d2_table):

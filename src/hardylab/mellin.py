@@ -71,6 +71,7 @@ _X_LADDER = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0, 32000.0)
 
 _CAL_HI = 1.0e4  # calibration window top for primitive constants
 _X_CAP = 50_000.0  # largest truncation height `hardylab mellin --X` accepts
+_T_CAP = 4.0 * 2.0 ** 12  # largest |Im s| of any transform: band 12
 _INVERSION_X = 4_000.0  # truncation height of transforms on inversion contours
 
 
@@ -368,25 +369,21 @@ def _grid(k: int, X: float, band: int) -> _PrimitiveGrid:
     return _PrimitiveGrid(k, X, band)
 
 
-def _pick_x(k: int, sigma: float, s_abs: float, tol: float,
-            completed: bool) -> float:
-    e = _RESID_EXP[k] if completed else _PRIM_EXP[k]
-    c = _main_fit(k)[1] if completed else primitive_constant(k)
-    for X in _X_LADDER:
-        if s_abs * c * X ** (e - sigma) / (sigma - e) <= tol:
-            return X
-    # tolerance unreachable at desk scale: settle at a documented default
-    # rather than paying for a giant grid with marginal certificate gains
-    return 8000.0
-
-
 # -- core transforms ------------------------------------------------------------
 
+def _below_cap(name: str, t_abs) -> None:
+    """DomainError past _T_CAP, before a grid or contour that grows with it."""
+    if np.any(np.asarray(t_abs) > _T_CAP):
+        raise DomainError(f"{name} requires |Im s| <= {_T_CAP:g}")
+
+
 def _finite(name: str, s_values) -> np.ndarray:
-    """s_values as a flat complex array; DomainError unless all are finite."""
+    """s_values as a flat complex array: DomainError unless all are finite
+    and |Im s| <= _T_CAP."""
     s = np.asarray(s_values, dtype=complex).ravel()
     if not np.all(np.isfinite(s)):
         raise DomainError(f"{name} requires finite s")
+    _below_cap(name, np.abs(s.imag))
     return s
 
 
@@ -413,18 +410,20 @@ def _truncated(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]
     return value, err
 
 
+def _tail(k: int, s: np.ndarray, X: float) -> np.ndarray:
+    """The by-parts tail past X at checked s, |s| C X^{e-sigma} / (sigma - e),
+    from |I_k - main part| <= C x^e (main part: 0, or the fit for even k)."""
+    e, c = ((_RESID_EXP[k], _main_fit(k)[1]) if k in (2, 4)
+            else (_PRIM_EXP[k], primitive_constant(k)))
+    return np.abs(s) * c * X ** (e - s.real) / (s.real - e)
+
+
 def _by_parts(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]:
-    """Values and certificates of mellin_by_parts at checked s and one X,
-    elementwise over the batch."""
+    """mellin_by_parts' values and certificates, elementwise at checked s."""
     value, quad_err = _truncated(k, s, X)
-    sigma = s.real
     if k in (2, 4):
         value += _fitted_tail(k, s, X)
-        e, c = _RESID_EXP[k], _main_fit(k)[1]
-    else:
-        e, c = _PRIM_EXP[k], primitive_constant(k)
-    tail = np.abs(s) * c * X ** (e - sigma) / (sigma - e)
-    return value, tail + quad_err
+    return value, _tail(k, s, X) + quad_err
 
 
 def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
@@ -443,15 +442,14 @@ def mellin_by_parts(k: int, s: complex, tol: float = 1e-6,
 
 def mellin_by_parts_samples(k: int, s_values, tol: float = 1e-6,
                             X: float | None = None) -> list[MellinSample]:
-    """mellin_by_parts at every s, grouped by truncation X (picked per s
-    when X is None) and band into one engine call per grid; each sample
-    has the bits of its own mellin_by_parts call."""
+    """mellin_by_parts at every s, one engine call per (X, band) grid, each
+    sample with the bits of its own call.  X None: each s takes the least
+    rung of _X_LADDER whose _tail meets tol, else 8000."""
     s = _checked(k, s_values)
+    Xs = np.full(len(s), 8000.0 if X is None else float(X))
     if X is None:
-        Xs = np.array([_pick_x(k, sv.real, abs(sv), tol, k in (2, 4))
-                       for sv in s.tolist()])
-    else:
-        Xs = np.full(len(s), float(X))
+        for x in reversed(_X_LADDER):
+            Xs[_tail(k, s, x) <= tol] = x
     keys, inv = np.unique(Xs, return_inverse=True)
     value = np.empty(len(s), dtype=complex)
     bound = np.empty(len(s))
@@ -514,18 +512,6 @@ def _cubic_sum(n: int) -> CubicPrimitiveSum:
     """S_3 over d_3(1..n): a term and its prefix sum read only d_3 up to
     its own index, so every entry has the bits of a larger table's."""
     return CubicPrimitiveSum(divisor_sieve(3, n))
-
-
-@functools.cache
-def residual_constant() -> float:
-    """C_r with |I_3(x) - cubic sum(x)| <= C_r x^{4/5} on the desk range,
-    calibrated at 1.5 * sup over anchors in [10, 2000]."""
-    cache = moment_cache(3)
-    cache.ensure(2000.0)
-    m = (cache.edges >= 10.0) & (cache.edges <= 2000.0)
-    xs = cache.edges[m]
-    r = cache.values[m] - _cubic_sum(int(cutoff(3, 2000.0))).eval_many(xs)
-    return 1.5 * float(np.max(np.abs(r) * xs ** (-0.8)))
 
 
 @functools.cache
@@ -637,7 +623,8 @@ def check_convolution(k: int, r: int, s: complex, c: float, V,
     s = complex(s)
     if not 1 <= r < k:
         raise DomainError("check_convolution requires 1 <= r < k")
-    check_heights(0.0, V)  # before any transform
+    # before any transform; the contour's transforms reach V + |Im s|
+    _below_cap("check_convolution", check_heights(0.0, V) + abs(s.imag))
     lhs_s = mellin_by_parts(k, s, tol=5e-4)
 
     def F(w: np.ndarray) -> np.ndarray:
@@ -718,6 +705,7 @@ def truncated_inversion(k: int, x: float, c: float, U,
         raise ConvergenceError("truncated_inversion requires c > 1")
     if np.min(U) < 4.0 * x:
         raise DomainError("truncated_inversion requires U >= 4x")
+    _below_cap("truncated_inversion", U)  # before the contour's nodes
     x_trunc = _INVERSION_X if x_trunc is None else x_trunc
     freq = max(math.log(x), 0.1) / TWO_PI
 

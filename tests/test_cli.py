@@ -197,6 +197,31 @@ def test_divisor_budget_guards_limit(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("mellin", "--k", "1", "--sigma", "2:2:1", "--t", "1e5:1e5:1"),
+    ("mellin", "--k", "4", "--sigma", "2:3:2", "--t=-2e4:0:3"),
+    ("mellin", "--k", "1", "--method", "direct", "--t", "1e6:1e6:1"),
+    ("mellin", "--k", "3", "--decompose", "--X", "500", "--t", "0:1e7:2"),
+])
+def test_mellin_past_the_im_cap_usage_error(capsys, monkeypatch, argv):
+    # |Im s| > 16384 exits 2 before any grid, cache or d_3 table
+    def never(*a, **kw):
+        raise AssertionError("work started past the |Im s| cap")
+
+    for name in ("_grid", "_v2_grid", "_cubic_sum", "moment_cache"):
+        monkeypatch.setattr(ML, name, never)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "16384" in err
+
+
+def test_mellin_at_the_im_cap_prints_a_row(capsys):
+    code, out, _ = run_cli(capsys, "mellin", "--k", "1", "--sigma", "2:2:1",
+                           "--t", "16384:16384:1", "--X", "250")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 2
+    assert lines[1].split(",")[2] == "1.6384000000000000e+04"
+
+
 def test_mellin_x_cap_usage_error(capsys):
     code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", "1e6")
     assert code == 2 and out == ""

@@ -15,6 +15,7 @@ import hardylab
 import hardylab.mellin as ML
 from hardylab import moments
 from hardylab.errors import ConvergenceError, DomainError, FitError
+from hardylab.explicit import cutoff
 from hardylab.hardy import z_breakpoints, z_eval_many, z_oracle
 from hardylab.moments import moment_cache, power_in_place, z_freq
 from hardylab.quad import (CHECK_RATIO, NODES, PanelSet, integrate_oscillatory,
@@ -119,6 +120,69 @@ def test_non_finite_input_fails_before_work(call):
     # ends in a numpy warning or returns nan
     with pytest.raises(DomainError):
         call()
+
+
+T_PAST = float(np.nextafter(ML._T_CAP, INF))  # the least |Im s| past the cap
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started past the |Im s| cap")
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: ML.mellin_by_parts(1, complex(2.0, t)),
+    lambda t: ML.mellin_by_parts(4, complex(2.0, -t), X=250.0),
+    lambda t: ML.mellin_by_parts_samples(2, [3.0 + 0j, complex(3.0, t)]),
+    lambda t: ML.mellin_by_parts_many(3, np.array([complex(2.0, t)]), 500.0),
+    lambda t: ML.mellin_direct(1, complex(2.0, t)),
+    lambda t: ML.m3_decomposition([2.0 + 0j, complex(2.0, t)], 500.0),
+    lambda t: ML.v1_series(complex(2.0, t), 10),
+    lambda t: ML.laplace_consistency(complex(2.0, t)),
+    lambda t: ML.check_convolution(2, 1, 3.0 + 0j, 2.0, [100.0, t]),
+    lambda t: ML.check_convolution(2, 1, complex(3.0, t), 2.0, 100.0),
+    lambda t: ML.truncated_inversion(1, 10.0, 1.5, [100.0, t]),
+], ids=["by-parts", "by-parts-X", "samples", "many", "direct", "m3", "v1",
+        "laplace", "convolution-V", "convolution-s", "inversion-U"])
+def test_past_the_im_cap_fails_before_work(monkeypatch, call):
+    # no grid, cache, contour or d_3 table is built for an s past |Im s| =
+    # 16384: the band grids and contours grow with |Im s|, and at 1e5 a
+    # transform used to peak at 566 MB
+    for name in ("_grid", "_v2_grid", "_cubic_sum", "moment_cache",
+                 "integrate_vertical_line"):
+        monkeypatch.setattr(ML, name, _never)
+    for t in (T_PAST, 1e6, 1e300):
+        with pytest.raises(DomainError, match="16384"):
+            call(t)
+
+
+def test_convolution_cap_counts_the_shift_by_s(monkeypatch):
+    # the contour's second factor is taken at 1 - w + s: V = 16300 with
+    # Im s = 100 reaches |Im| = 16400
+    monkeypatch.setattr(ML, "_grid", _never)
+    with pytest.raises(DomainError, match="16384"):
+        ML.check_convolution(2, 1, 3.0 + 100j, 2.0, 16300.0)
+
+
+def test_at_the_im_cap_transforms_run(monkeypatch):
+    m = ML.mellin_by_parts(1, complex(2.0, ML._T_CAP), X=250.0)
+    d = ML.mellin_direct(1, complex(2.0, -ML._T_CAP), X=250.0)
+    assert m.X == d.X == 250.0 and ML._band(np.array([ML._T_CAP]))[0] == 12
+    for v in (m.value, d.value, m.tail_bound, d.tail_bound):
+        assert math.isfinite(abs(v))
+
+    # a contour that reaches the cap gets to its node set
+    class Reached(Exception):
+        pass
+
+    def contour(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(ML, "integrate_vertical_line", contour)
+    for call in (lambda: ML.check_convolution(2, 1, 3.0 + 0j, 2.0, ML._T_CAP),
+                 lambda: ML.check_convolution(2, 1, 3.0 + 84j, 2.0, 16300.0),
+                 lambda: ML.truncated_inversion(1, 10.0, 1.5, ML._T_CAP)):
+        with pytest.raises(Reached):
+            call()
 
 
 def test_convolution_rejects_a_bad_height_before_any_grid(monkeypatch):
@@ -256,8 +320,15 @@ def test_v2_residual_regularity_below_one():
 
 
 def test_v2_residual_doubling_growth():
+    # C_r with |I_3 - cubic sum| <= C_r x^{4/5}: 1.5 * the sup over the
+    # k = 3 anchors on [10, 2000], the cubic sum cut at 2000
+    cache = moment_cache(3)
+    cache.ensure(2000.0)
+    m = (cache.edges >= 10.0) & (cache.edges <= 2000.0)
+    xs = cache.edges[m]
+    r = cache.values[m] - ML._cubic_sum(int(cutoff(3, 2000.0))).eval_many(xs)
+    c_r = 1.5 * float(np.max(np.abs(r) * xs ** (-0.8)))
     s = 2.0 + 0j
-    c_r = ML.residual_constant()
     v1k = ML.m3_decomposition(s, 1000.0)["v2"]
     v2k = ML.m3_decomposition(s, 2000.0)["v2"]
     bound = abs(s) * c_r * 1000.0 ** (0.8 - 2.0) / (2.0 - 0.8)
@@ -831,6 +902,48 @@ def test_report_json_stable(conv_k2_sweep):
     assert text1 == text2
     assert text1.index('"name"') < text1.index('"lhs"') < text1.index('"rhs"')
     assert '"gap_abs"' in text1 and '"certificates"' in text1
+
+
+def _scalar_x(k, s, tol):
+    """The X pick in Python floats: the first rung of the ladder whose
+    tail |s| C X^{e - sigma} / (sigma - e) meets tol; None when none does
+    (the pick then settles at 8000)."""
+    if k in (2, 4):
+        e, c = ML._RESID_EXP[k], ML._main_fit(k)[1]
+    else:
+        e, c = ML._PRIM_EXP[k], ML.primitive_constant(k)
+    for X in ML._X_LADDER:
+        if abs(s) * c * X ** (e - s.real) / (s.real - e) <= tol:
+            return X
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_batch_x_pick_is_the_scalar_rule(monkeypatch, k):
+    # seeded candidates, three kept per rung and three that meet no rung
+    # (X = 8000), at each tol: every sample's X is the scalar rule's, and
+    # its value and tail_bound have the bits of its own one-element call.
+    # The grid sum is zeroed, so no grid is built: its batch independence
+    # has tests of its own (test_engine_values_do_not_depend_on_the_batch,
+    # test_mellin_table_batch_matches_per_row_calls)
+    monkeypatch.setattr(ML, "_truncated", lambda k, s, X: (
+        np.zeros(len(s), dtype=complex), np.zeros(len(s))))
+    rng = np.random.default_rng(38 + k)
+    lo = ML._PRIM_EXP[k] + ML._MARGIN
+    for tol in (1e-3, 1e-5, 1e-6, 1e-8):
+        sigma = lo + np.exp(rng.uniform(math.log(1e-3), math.log(8.0), 4000))
+        cand = (sigma + 1j * rng.uniform(-40.0, 40.0, 4000)).tolist()
+        picked = [_scalar_x(k, sv, tol) for sv in cand]
+        keep = [i for rung in (*ML._X_LADDER, None)
+                for i in [j for j, x in enumerate(picked) if x == rung][:3]]
+        assert len(keep) == 3 * (len(ML._X_LADDER) + 1), tol
+        s = [cand[i] for i in keep]
+        for sv, got in zip(s, ML.mellin_by_parts_samples(k, s, tol)):
+            assert got.X == (_scalar_x(k, sv, tol) or 8000.0), (sv, tol)
+            alone = ML.mellin_by_parts(k, sv, tol)
+            assert got.X == alone.X
+            assert np.array([got.value, got.tail_bound]).tobytes() \
+                == np.array([alone.value, alone.tail_bound]).tobytes()
 
 
 def test_mellin_sample_fields():

@@ -40,7 +40,7 @@ PATHS = (
     ("z", "--from", "5", "--to", "20", "--step", "0.5", "--oracle"),
     ("moment", "--k", "2", "--T", "300", "--mode", "both"),
     ("moment", "--k", "3", "--T", "300", "--mode", "explicit"),
-    ("moment", "--k", "6", "--T", "200", "--mode", "direct"),
+    ("moment", "--k", "4", "--T", "200", "--mode", "direct"),
     ("mellin", "--k", "2", "--sigma", "2:3:2", "--t", "0:6:2"),
     ("mellin", "--k", "1", "--method", "direct", "--X", "500",
      "--sigma", "2:2:1", "--t", "0:1:2"),

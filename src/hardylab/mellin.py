@@ -70,7 +70,7 @@ _MARGIN = 0.01
 _X_LADDER = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0, 32000.0)
 
 _CAL_HI = 1.0e4  # calibration window top for primitive constants
-_X_CAP = 50_000.0  # largest truncation height `hardylab mellin --X` accepts
+_X_CAP = 50_000.0  # largest truncation height of any transform grid
 _T_CAP = 4.0 * 2.0 ** 12  # largest |Im s| of any transform: band 12
 _INVERSION_X = 4_000.0  # truncation height of transforms on inversion contours
 
@@ -204,8 +204,6 @@ class _ExpSum:
 
     def __init__(self, ln: np.ndarray, a: np.ndarray):
         """ln, the nodes, is overwritten: it becomes u."""
-        if not len(ln):  # X = 1: one panel of weight 0
-            ln, a = np.zeros(NODES), np.zeros(NODES)
         ln, self.a = ln.reshape(-1, NODES), a.reshape(-1, NODES)
         cuts = np.searchsorted(ln[:, 0], np.linspace(
             ln[0, 0], ln[-1, -1], _SEGMENTS + 1)[1:-1])
@@ -364,8 +362,11 @@ def _band(t_abs: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _grid(k: int, X: float, band: int) -> _PrimitiveGrid:
-    if not 1.0 <= X < math.inf:
-        raise DomainError(f"truncation height X must be finite and >= 1, got {X}")
+    """The transform grid of (k, X, band): every transform's one X check,
+    10 <= X <= _X_CAP, before any cache, walk or grid is built."""
+    if not 10.0 <= X <= _X_CAP:
+        raise DomainError(f"truncation height X must be in [10, {_X_CAP:g}], "
+                          f"got {X}")
     return _PrimitiveGrid(k, X, band)
 
 
@@ -482,9 +483,6 @@ def mellin_direct(k: int, s: complex, X: float = 2000.0) -> MellinSample:
     sigma = s.real
     if sigma <= 1.1:
         raise ConvergenceError("mellin_direct requires Re s > 1.1")
-    if not 10.0 <= X < math.inf:
-        raise DomainError("mellin_direct requires finite X >= 10")
-
     value, err = _grid(k, X, int(_band(abs(s.imag)))).direct(np.array([s]))
     e_k = _PRIM_EXP[k]
     tail = 2.0 * abs(s) * primitive_constant(k) * X ** (e_k - sigma) / (sigma - e_k)

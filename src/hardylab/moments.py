@@ -17,16 +17,17 @@ The process-wide caches moment_cache(k) all read moment_cache(1)'s walk; a
 fresh cache gets a fresh walk.  Only the walk asks Z for values, Z_BLOCK
 panels (one Riemann-Siegel chunk of nodes) at a time, and panels(x), at the
 17 nodes of its last panel when that panel is clipped at x.  A quarter
-period of Z spans k/4 of a period of Z^k, at most one period for k <= 4,
+period of Z spans k/4 of a period of Z^k, at most one period (k <= 4),
 and Z is entire: K17, exact to degree 25, resolves Z^k there, and each
 panel is judged by its own |K17 - G8| (quad.PanelSet.integrate); err_at(x)
 sums those estimates through x's own panel.  hardy_moment and the transform
 grids size their panels by Z's frequency for every k as well.
 
 Every node array of Z^k, here and in the mellin grids, is raised in place by
-power_in_place: k - 1 products for k <= 4, not libm pow, so within
+power_in_place: k - 1 products, never libm pow, so within
 gamma_{k-1} = (k-1) u / (1 - (k-1) u) relative of the exact power of the
-stored Z (u = 2^-53; Higham 2002, section 3.1).
+stored Z (u = 2^-53; Higham 2002, section 3.1).  k is 1..4 on every path:
+hardy_moment and MomentCache refuse any other k before Z is evaluated.
 
 The walk is canonical: ensure(x) continues it from the last edge and stops
 at the first edge past x, and anchors are summed one panel at a time from
@@ -67,15 +68,16 @@ def z_freq(t: float) -> float:
 
 def power_in_place(a: np.ndarray, k: int) -> np.ndarray:
     """a^k, formed in a (which the caller owns) and returned: for k = 2, 3, 4
-    the products a*a, a*(a*a) (one temporary) and (a*a)*(a*a), not pow."""
+    the products a*a, a*(a*a) (one temporary) and (a*a)*(a*a), not pow.
+    DomainError for k outside 1..4."""
     if k == 3:
         a *= a * a
     elif k in (2, 4):
         a *= a
         if k == 4:
             a *= a
-    elif k > 4:
-        a **= k
+    elif k != 1:
+        raise DomainError(f"Z^k is formed for k in 1..4, not k = {k}")
     return a
 
 
@@ -88,8 +90,8 @@ def hardy_moment(k: int, a: float, b: float, tol: float | None = None,
     Riemann-Siegel formula above t = 10 and from the frozen low table below.
     tol is accepted and steers nothing: the rule has no refinement.  budget
     caps the evaluations (BudgetError before any is made)."""
-    if not (1 <= k <= 8):
-        raise DomainError("hardy_moment requires 1 <= k <= 8")
+    if not (1 <= k <= 4):
+        raise DomainError("hardy_moment requires 1 <= k <= 4")
     if not (1.0 <= a < b):
         raise DomainError("hardy_moment requires 1 <= a < b")
 
@@ -147,9 +149,12 @@ class MomentCache:
     """Cumulative I_k on [1, X], extended on demand: panel edges, I_k and its
     summed error estimate at the edges.  The panels and Z rows are those of
     a ZWalk (a fresh one by default), raised to the k-th power as they are
-    read."""
+    read.  k is 1..4: any other k is refused here, before the walk asks Z
+    for anything."""
 
     def __init__(self, k: int, walk: ZWalk | None = None):
+        if k not in (1, 2, 3, 4):
+            raise DomainError(f"MomentCache requires k in 1..4, not k = {k}")
         self.k = k
         self.walk = walk or ZWalk()
         self.edges = np.array([1.0])

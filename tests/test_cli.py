@@ -222,15 +222,30 @@ def test_mellin_at_the_im_cap_prints_a_row(capsys):
     assert lines[1].split(",")[2] == "1.6384000000000000e+04"
 
 
-def test_mellin_x_cap_usage_error(capsys):
-    code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", "1e6")
-    assert code == 2 and out == ""
-    assert "--X" in err
+def _refuse_transform_work(monkeypatch):
+    def never(*a, **kw):
+        raise AssertionError("work started outside the X domain")
+
+    for name in ("_PrimitiveGrid", "_v2_grid", "_cubic_sum", "moment_cache"):
+        monkeypatch.setattr(ML, name, never)
+
+
+def test_mellin_x_cap_usage_error(capsys, monkeypatch):
+    # the library's one X check, before any cache walk, grid or d_3 table
+    _refuse_transform_work(monkeypatch)
+    for X in ("6e4", "1e6"):
+        for how in (("--method", "by_parts"), ("--method", "direct"),
+                    ("--k", "3", "--decompose")):
+            code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", X,
+                                     *how)
+            assert code == 2 and out == ""
+            assert "X must be in [10, 50000]" in err
 
 
 @pytest.mark.parametrize("method", ["by_parts", "direct"])
-@pytest.mark.parametrize("X", ["0.5", "-3", "0"])
-def test_mellin_small_x_usage_error(capsys, X, method):
+@pytest.mark.parametrize("X", ["0.5", "-3", "0", "5", "9.99"])
+def test_mellin_small_x_usage_error(capsys, monkeypatch, X, method):
+    _refuse_transform_work(monkeypatch)
     code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", X,
                              "--method", method)
     assert code == 2 and out == "" and "X" in err
@@ -446,13 +461,16 @@ def test_accuracy_exit_code(capsys, monkeypatch):
     assert out == "" and err == "z: oracle bound exceeded\n"
 
 
-def test_moment_k8_direct_at_default_budget(capsys):
-    code, out, _ = run_cli(capsys, "moment", "--k", "8", "--T", "2000",
-                           "--mode", "direct")
-    assert code == 0
-    header, row = out.strip().splitlines()
-    assert header == "k,T,integral,quad_err"
-    assert float(row.split(",")[2]) > 0.0
+def test_moment_past_k4_is_refused_before_z(capsys, monkeypatch):
+    # Z^k is formed for k in 1..4 only: a larger k exits 2 before any Z
+    def never(*a, **kw):
+        raise AssertionError("Z was evaluated for k > 4")
+
+    monkeypatch.setattr("hardylab.moments.z_eval_many", never)
+    for k in ("5", "8"):
+        code, out, err = run_cli(capsys, "moment", "--k", k, "--T", "2000",
+                                 "--mode", "direct")
+        assert code == 2 and out == "" and "1..4" in err
 
 
 def test_format_default_from_config(tmp_path, capsys):

@@ -233,10 +233,21 @@ def test_m3_decomposition_guards_come_before_any_grid():
     assert ML._grid.cache_info().currsize == before
 
 
-def test_truncation_height_one_is_an_empty_grid():
-    # [1, X] holds no panel: the truncated transform and I_k(1) are 0
-    m = ML.mellin_by_parts(1, 2.0 + 5j, X=1.0)
-    assert m.value == 0.0 and math.isfinite(m.tail_bound)
+def test_truncation_height_outside_its_domain_is_refused(monkeypatch):
+    # every transform grid has one domain, 10 <= X <= 5e4, checked in _grid
+    # before any cache, walk or grid is built
+    def never(*a, **kw):
+        raise AssertionError("work started outside the X domain")
+
+    monkeypatch.setattr(ML, "moment_cache", never)
+    monkeypatch.setattr(ML, "_PrimitiveGrid", never)
+    for X in (1.0, 9.99, math.nextafter(ML._X_CAP, math.inf)):
+        for call in (lambda: ML.mellin_by_parts(1, 2.0 + 5j, X=X),
+                     lambda: ML.mellin_by_parts_samples(2, [2.0, 3.0 + 1j], X=X),
+                     lambda: ML.mellin_by_parts_many(3, [2.0 + 0j], X),
+                     lambda: ML.mellin_direct(4, 2.0 + 0j, X=X)):
+            with pytest.raises(DomainError, match="X must be in"):
+                call()
 
 
 def test_by_parts_continuation_k1():

@@ -210,6 +210,27 @@ def test_power_in_place_rounding_bound(k):
         assert abs(Fraction(y) - exact) <= gamma * abs(exact)
 
 
+def test_power_in_place_refuses_k_past_4():
+    # no pow: a k outside 1..4 raises and leaves a as it was
+    a = np.array([2.0, -3.0])
+    for k in (0, 5, 8):
+        with pytest.raises(DomainError, match="1..4"):
+            power_in_place(a, k)
+    assert a.tolist() == [2.0, -3.0]
+
+
+def test_moments_past_k4_are_refused_before_z(monkeypatch):
+    def never(*a, **kw):
+        raise AssertionError("Z was evaluated for k outside 1..4")
+
+    monkeypatch.setattr(moments, "z_eval_many", never)
+    for k in (0, 5, 8):
+        with pytest.raises(DomainError, match="1..4"):
+            MomentCache(k)
+        with pytest.raises(DomainError, match="k <= 4"):
+            hardy_moment(k, 100.0, 200.0)
+
+
 @pytest.mark.parametrize("k, temporaries", [(4, 0), (3, 1)])
 def test_power_in_place_allocates_no_node_copy(k, temporaries):
     a = np.random.default_rng(21).normal(size=100_000)
@@ -518,7 +539,10 @@ def test_split_cache_within_its_error_estimate(k):
         ref = float(np.sum(panels.integrate(z_eval_many(panels.nodes()) ** k)[0]))
         ia, ib = cache.eval_many(np.array([a, b]))
         gap = abs(ib - ia - ref)
-        assert gap <= cache.err_at(b) - cache.err_at(a)
+        # the estimates from a's own panel (at an edge, the one it starts)
+        # through b's
+        j = int(np.searchsorted(cache.edges, a, side="right")) - 1
+        assert gap <= cache.err_at(b) - cache.cum_err[j]
     [i_top] = cache.eval_many(np.array([4000.0]))
     assert cache.err_at(4000.0) <= 1e-10 * abs(i_top)
 

@@ -113,22 +113,27 @@ def _s_grid(sigma: str, t: str) -> list[tuple[float, float]]:
     return [(sig, tt) for sig in np.linspace(a, b, m).tolist() for tt in ts]
 
 
+# per mellin mode, its k and the options it does not read (unset: None, False)
+_MODES = {"laurent": (2, ("X", "sigma", "t", "method", "decompose")),
+          "decompose": (3, ("method",))}
+
+
 def cmd_mellin(args, cfg: RunConfig) -> int:
     k = args.k
+    mode = "laurent" if args.laurent else "decompose" if args.decompose else ""
+    need, unread = _MODES.get(mode, (k, ()))
+    given = [name for name in unread if getattr(args, name) not in (None, False)]
+    if given or k != need:
+        why = f"does not read --{given[0]}" if given else f"requires k = {need}"
+        print(f"mellin: --{mode} {why}", file=sys.stderr)
+        return EXIT_USAGE
     if args.laurent:
-        if k != 2:
-            print("mellin: --laurent requires k = 2", file=sys.stderr)
-            return EXIT_USAGE
-        c2, c1, c0 = ML.laurent_fit_at_1(ML.laurent_samples())
-        _emit_table(["c_minus2", "c_minus1", "c_0"], [(c2, c1, c0)],
-                    args.out, args.format)
+        _emit_table(["c_minus2", "c_minus1", "c_0"],
+                    [ML.laurent_fit_at_1(ML.laurent_samples())], args.out, args.format)
         return EXIT_OK
-    grid = _s_grid(args.sigma, args.t)
+    grid = _s_grid(args.sigma or "2:3:2", args.t or "0:0:1")
     s = [complex(sig, t) for sig, t in grid]
     if args.decompose:
-        if k != 3:
-            print("mellin: --decompose requires k = 3", file=sys.stderr)
-            return EXIT_USAGE
         if args.X is None:
             print("mellin: --decompose requires --X", file=sys.stderr)
             return EXIT_USAGE
@@ -140,8 +145,8 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
                     rows, args.out, args.format)
         return EXIT_OK
     if args.method == "direct":
-        samples = [ML.mellin_direct(k, sv, X=2000.0 if args.X is None else args.X)
-                   for sv in s]
+        # one engine call per band grid, the bits of per-row calls
+        samples = ML.mellin_direct(k, s, X=2000.0 if args.X is None else args.X)
     else:
         # one engine call per (X, band) grid, the bits of per-row calls
         samples = ML.mellin_by_parts_samples(k, s, tol=cfg.tol_mellin, X=args.X)
@@ -223,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mellin", help="Mellin transform values on an s-grid",
                        parents=[table])
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sigma", default="2:3:2", help="grid a:b:n for Re s")
-    p.add_argument("--t", default="0:0:1", help="grid a:b:n for Im s")
+    p.add_argument("--sigma", help="grid a:b:n for Re s (default 2:3:2)")
+    p.add_argument("--t", help="grid a:b:n for Im s (default 0:0:1)")
     p.add_argument("--method", choices=("by_parts", "direct"),
-                   default="by_parts")
+                   help="default by_parts")
     p.add_argument("--X", type=float, help="truncation height override")
     p.add_argument("--laurent", action="store_true",
                    help="fit the double pole at s = 1 (k = 2)")

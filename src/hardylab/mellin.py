@@ -305,69 +305,47 @@ class _ExpSum:
 
 # -- fixed integration grids ---------------------------------------------------
 
-class _PrimitiveGrid:
-    """Deterministic panel grid for integral_1^X Z^k(x) x^{-s} dx, the
-    direct transform truncated at X, and for s * integral_1^X I_k(x)
-    x^{-s-1} dx, the same less I_k(X) X^{-s} (one integration by parts).
-
-    The grid keeps the K17 weights times Z^k at its nodes as one _ExpSum,
-    whose G8 check comes from the same node pass: a batch of s costs one
-    node pass per centre, whatever its size.  Panels are sized by Z's own
-    frequency for every k, and grids are banded by |Im s|: the frequency
-    hint adds the twist t / (2 pi x) of x^{-it}, t the band's top, so
-    panels resolve x^{-it} down to x = 1.  Band 0 has no twist: its panels
-    and Z^k values are the moment cache's, and only the last panel, clipped
-    at X, evaluates Z.
-    """
-
-    def __init__(self, k: int, X: float, band: int):
-        cache = moment_cache(k)
-        if band == 0:
-            # the twist vanishes: these are the moment cache's own panels
-            panels, zk = cache.panels(X)
-            ln = panels.nodes()
-        else:
-            t = 4.0 * 2.0 ** band
-            panels = PanelSet.from_edges(panel_edges(
-                1.0, X, lambda x: z_freq(x) + t / (TWO_PI * x),
-                z_breakpoints(1.0, X)))
-            ln = panels.nodes()
-            zk = power_in_place(z_eval_many(ln), k)
-        self.engine = _ExpSum(np.log(ln, out=ln), panels.weigh(zk))
-        self.lnX = math.log(X)
-        self.I_X = float(cache.eval_many(np.array([X]))[0])
-        self.I_X_err = float(cache.err_at(X))
-
-    def direct(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """integral_1^X Z^k x^{-s} dx at every s, and its estimate:
-        |K17 - G8| and the Taylor cut.  The |K17 - G8| is of the sums over
-        the whole grid, so panel errors of opposite sign cancel in it,
-        where a per-panel sum (PanelSet.integrate) adds their sizes."""
-        (v, v_check), trunc = self.engine.sums(s)
-        return v, np.abs(v - v_check) + trunc
-
-    def truncated(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """s * integral_1^X I_k x^{-s-1} dx at every s, and its estimate:
-        direct's plus I_k(X)'s error times X^{-sigma}."""
-        v, err = self.direct(s)
-        err += self.I_X_err * np.exp(-s.real * self.lnX)
-        return v - self.I_X * np.exp(-s * self.lnX), err
-
-
 def _band(t_abs: np.ndarray) -> np.ndarray:
     """The least band b >= 0 with |Im s| <= 4 * 2^b, elementwise."""
     m, e = np.frexp(t_abs / 4.0)  # t/4 = m 2^e, 1/2 <= m < 1
     return np.where(t_abs <= 4.0, 0, e - (m == 0.5))
 
 
-@functools.cache
-def _grid(k: int, X: float, band: int) -> _PrimitiveGrid:
-    """The transform grid of (k, X, band): every transform's one X check,
-    10 <= X <= _X_CAP, before any cache, walk or grid is built."""
+def _check_height(X: float) -> None:
+    """DomainError unless 10 <= X <= _X_CAP: every transform's X domain."""
     if not 10.0 <= X <= _X_CAP:
         raise DomainError(f"truncation height X must be in [10, {_X_CAP:g}], "
                           f"got {X}")
-    return _PrimitiveGrid(k, X, band)
+
+
+@functools.cache
+def _grid(k: int, X: float, band: int) -> _ExpSum:
+    """The transform grid of (k, X, band), X checked before any cache, walk
+    or grid is built: the engine of K17 weight times Z^k(x) x^{-s} on
+    panels of [1, X] sized by Z's own frequency plus the twist t / (2 pi x)
+    of x^{-it}, t the band's top, so they resolve x^{-it} down to x = 1.
+    Band 0 has no twist: its panels and Z^k values are the moment cache's,
+    and only the last panel, clipped at X, evaluates Z."""
+    _check_height(X)
+    if band == 0:
+        # the twist vanishes: these are the moment cache's own panels
+        panels, zk = moment_cache(k).panels(X)
+        ln = panels.nodes()
+    else:
+        t = 4.0 * 2.0 ** band
+        panels = PanelSet.from_edges(panel_edges(
+            1.0, X, lambda x: z_freq(x) + t / (TWO_PI * x),
+            z_breakpoints(1.0, X)))
+        ln = panels.nodes()
+        zk = power_in_place(z_eval_many(ln), k)
+    return _ExpSum(np.log(ln, out=ln), panels.weigh(zk))
+
+
+@functools.cache
+def _boundary(k: int, X: float) -> tuple[float, float]:
+    """I_k(X) and its error estimate, the by-parts boundary term."""
+    cache = moment_cache(k)
+    return float(cache.eval_many(np.array([X]))[0]), float(cache.err_at(X))
 
 
 # -- core transforms ------------------------------------------------------------
@@ -388,26 +366,39 @@ def _finite(name: str, s_values) -> np.ndarray:
     return s
 
 
-def _checked(k: int, s_values) -> np.ndarray:
-    """s_values as a flat complex array, with mellin_by_parts' errors."""
+def _checked(name: str, k: int, s_values, floor=None) -> np.ndarray:
+    """s_values as a flat complex array, with the errors of transform name:
+    k in 1..4, finite s, Re s > floor (by default e_k + _MARGIN)."""
     if k not in (1, 2, 3, 4):
-        raise DomainError("mellin_by_parts supports k in {1,2,3,4}")
-    s = _finite("mellin_by_parts", s_values)
-    e_k = _PRIM_EXP[k]
-    if np.any(s.real <= e_k + _MARGIN):
-        raise ConvergenceError(
-            f"mellin_by_parts(k={k}) requires Re s > {e_k + _MARGIN}")
+        raise DomainError(f"{name} supports k in {{1,2,3,4}}")
+    s = _finite(name, s_values)
+    floor = _PRIM_EXP[k] + _MARGIN if floor is None else floor
+    if np.any(s.real <= floor):
+        raise ConvergenceError(f"{name}(k={k}) requires Re s > {floor}")
     return s
 
 
-def _truncated(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]:
-    """_PrimitiveGrid.truncated at every s: one call per band grid."""
-    value = np.empty(len(s), dtype=complex)
-    err = np.empty(len(s))
+def _direct(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]:
+    """integral_1^X Z^k x^{-s} dx at every s, one engine call per band
+    grid, and its estimate: |K17 - G8| and the Taylor cut.  The |K17 - G8|
+    is of the sums over the whole grid, so panel errors of opposite sign
+    cancel in it, where a per-panel sum (PanelSet.integrate) adds theirs."""
+    value, err = np.empty(len(s), dtype=complex), np.empty(len(s))
     bands = _band(np.abs(s.imag))
     for band in np.flatnonzero(np.bincount(bands)).tolist():
         m = bands == band
-        value[m], err[m] = _grid(k, X, band).truncated(s[m])
+        (v, v_check), trunc = _grid(k, X, band).sums(s[m])
+        value[m], err[m] = v, np.abs(v - v_check) + trunc
+    return value, err
+
+
+def _truncated(k: int, s: np.ndarray, X: float) -> tuple[np.ndarray, np.ndarray]:
+    """s * integral_1^X I_k x^{-s-1} dx at every s, _direct (which checks X
+    first) less I_k(X) X^{-s}; its estimate adds I_k(X)'s error X^{-sigma}."""
+    value, err = _direct(k, s, X)
+    i_x, i_x_err = _boundary(k, X)
+    err += i_x_err * np.exp(-s.real * math.log(X))
+    value -= i_x * np.exp(-s * math.log(X))
     return value, err
 
 
@@ -446,14 +437,15 @@ def mellin_by_parts_samples(k: int, s_values, tol: float = 1e-6,
     """mellin_by_parts at every s, one engine call per (X, band) grid, each
     sample with the bits of its own call.  X None: each s takes the least
     rung of _X_LADDER whose _tail meets tol, else 8000."""
-    s = _checked(k, s_values)
+    s = _checked("mellin_by_parts", k, s_values)
+    if not len(s):  # no grid, cache walk or constant
+        return []
     Xs = np.full(len(s), 8000.0 if X is None else float(X))
     if X is None:
         for x in reversed(_X_LADDER):
             Xs[_tail(k, s, x) <= tol] = x
     keys, inv = np.unique(Xs, return_inverse=True)
-    value = np.empty(len(s), dtype=complex)
-    bound = np.empty(len(s))
+    value, bound = np.empty(len(s), dtype=complex), np.empty(len(s))
     for g, x in enumerate(keys.tolist()):
         m = inv == g
         value[m], bound[m] = _by_parts(k, s[m], x)
@@ -465,29 +457,28 @@ def mellin_by_parts_samples(k: int, s_values, tol: float = 1e-6,
 
 def mellin_by_parts_many(k: int, s_values: np.ndarray, X: float) -> np.ndarray:
     """mellin_by_parts values at every s, at one truncation X."""
-    return _by_parts(k, _checked(k, s_values), X)[0]
+    s = _checked("mellin_by_parts", k, s_values)
+    return _by_parts(k, s, X)[0] if len(s) else s
 
 
-def mellin_direct(k: int, s: complex, X: float = 2000.0) -> MellinSample:
-    """M_k(s) as the integral of Z^k(x) x^{-s} over [1, X]: the sum of its
-    band's transform grid, which mellin_by_parts continues past its
-    boundary term.
+def mellin_direct(k: int, s, X: float = 2000.0):
+    """M_k(s) as the integral of Z^k(x) x^{-s} over [1, X]: a sample for
+    one s, a list for a sequence of s, from one engine call per band grid
+    (_direct), the sum mellin_by_parts continues past its boundary term.
 
     Requires Re s > 1.1 (absolute-convergence regime with margin).  The
     certificate is the grid's estimate plus the primitive bound integrated
-    by parts: |tail| <= 2|s| C_k X^{e_k - sigma} / (sigma - e_k).
+    by parts: |tail| <= 2|s| C_k X^{e_k - sigma} / (sigma - e_k), in
+    Python floats per s.
     """
-    if k not in (1, 2, 3, 4):
-        raise DomainError("mellin_direct supports k in {1,2,3,4}")
-    s = complex(_finite("mellin_direct", s)[0])
-    sigma = s.real
-    if sigma <= 1.1:
-        raise ConvergenceError("mellin_direct requires Re s > 1.1")
-    value, err = _grid(k, X, int(_band(abs(s.imag)))).direct(np.array([s]))
+    sv = _checked("mellin_direct", k, s, 1.1)
+    value, err = _direct(k, sv, X)
     e_k = _PRIM_EXP[k]
-    tail = 2.0 * abs(s) * primitive_constant(k) * X ** (e_k - sigma) / (sigma - e_k)
-    return MellinSample(s=s, k=k, value=complex(value[0]), X=X,
-                        tail_bound=tail + float(err[0]), method="direct")
+    out = [MellinSample(s=x, k=k, value=v, X=X, method="direct",
+                        tail_bound=2.0 * abs(x) * primitive_constant(k)
+                        * X ** (e_k - x.real) / (x.real - e_k) + q)
+           for x, v, q in zip(sv.tolist(), value.tolist(), err.tolist())]
+    return out if np.ndim(s) else out[0]
 
 
 # -- cubic decomposition ---------------------------------------------------------
@@ -522,7 +513,7 @@ def _v2_grid(X: float) -> _ExpSum:
     panels, z3 = cache.panels(X)
     i3 = panels.node_integrals(z3, cache.values[:len(panels.lo)])
     del z3  # before the band-0 grid, which may be built here
-    return _grid(3, X, 0).engine.reweighted(panels.weigh(i3))
+    return _grid(3, X, 0).reweighted(panels.weigh(i3))
 
 
 def _v2(s: np.ndarray, X: float, v1: list) -> list:
@@ -540,11 +531,14 @@ def m3_decomposition(s, X: float):
     compares the I_3 quadrature with the by-parts Z^3 quadrature on the
     same panels (|Im s| <= 4), and the c_n cancel (see _v2)."""
     sv = _finite("m3_decomposition", s)
-    # before any cache walk or grid build
+    # before any cache walk or grid build, at every batch size
     if np.any(sv.real <= 0.8):
         raise ConvergenceError("m3_decomposition requires Re s > 0.8")
-    if not 100.0 <= X < math.inf:
-        raise DomainError("m3_decomposition requires finite X >= 100")
+    if not X >= 100.0:
+        raise DomainError("m3_decomposition requires X >= 100")
+    _check_height(X)
+    if not len(sv):  # no grid, cache walk or constant
+        return []
     m3 = _truncated(3, sv, X)[0].tolist()
     n_cut = int(cutoff(3, X))
     v1 = [v1_series(x, n_cut) for x in sv.tolist()]

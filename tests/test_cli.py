@@ -144,6 +144,49 @@ def test_mellin_decompose_batch_matches_per_row_calls(capsys, monkeypatch):
     assert code == 0 and per_row == batched
 
 
+def test_mellin_direct_batch_matches_per_row_calls(capsys, monkeypatch):
+    # a 3 x 21 direct table over bands 0-4 is one mellin_direct call: the
+    # same bytes as one call per row
+    argv = ("mellin", "--k", "3", "--method", "direct", "--X", "1000",
+            "--sigma", "1.5:3:3", "--t=-60:60:21")
+    code, batched, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(batched.splitlines()) == 64
+    batch = ML.mellin_direct
+    monkeypatch.setattr(ML, "mellin_direct", lambda k, s, X: [
+        batch(k, sv, X) for sv in s])
+    code, per_row, _ = run_cli(capsys, *argv)
+    assert code == 0 and per_row == batched
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("--k", "2", "--laurent", "--X", "1000"), "--X"),
+    (("--k", "2", "--laurent", "--sigma", "2:3:2"), "--sigma"),
+    (("--k", "2", "--laurent", "--t", "0:1:2"), "--t"),
+    (("--k", "2", "--laurent", "--method", "by_parts"), "--method"),
+    (("--k", "2", "--laurent", "--method", "direct"), "--method"),
+    (("--k", "2", "--laurent", "--decompose"), "--decompose"),
+    (("--k", "3", "--decompose", "--X", "1000", "--method", "direct"),
+     "--method"),
+    (("--k", "3", "--decompose", "--X", "1000", "--method", "by_parts"),
+     "--method"),
+], ids=["laurent-X", "laurent-sigma", "laurent-t", "laurent-by_parts",
+        "laurent-direct", "laurent-decompose", "decompose-direct",
+        "decompose-by_parts"])
+def test_mellin_mode_refuses_an_option_it_does_not_read(capsys, monkeypatch,
+                                                        argv, option):
+    # --laurent reads none of --X, --sigma, --t, --method and --decompose
+    # reads no --method: each given exits 2 naming it, before any work
+    def never(*a, **kw):
+        raise AssertionError("work started on an option that is not read")
+
+    for name in ("_grid", "_v2_grid", "_cubic_sum", "moment_cache",
+                 "laurent_samples", "m3_decomposition"):
+        monkeypatch.setattr(ML, name, never)
+    code, out, err = run_cli(capsys, "mellin", *argv)
+    assert code == 2 and out == ""
+    assert f"does not read {option}" in err
+
+
 def test_mellin_decompose_sizes_its_table_from_X(capsys):
     # X = 5000 needs d_3 up to 22,448, past any fixed 20,000-entry table
     code, out, _ = run_cli(capsys, "mellin", "--k", "3", "--decompose",
@@ -226,7 +269,7 @@ def _refuse_transform_work(monkeypatch):
     def never(*a, **kw):
         raise AssertionError("work started outside the X domain")
 
-    for name in ("_PrimitiveGrid", "_v2_grid", "_cubic_sum", "moment_cache"):
+    for name in ("_ExpSum", "_v2_grid", "_cubic_sum", "moment_cache"):
         monkeypatch.setattr(ML, name, never)
 
 

@@ -240,7 +240,7 @@ def test_truncation_height_outside_its_domain_is_refused(monkeypatch):
         raise AssertionError("work started outside the X domain")
 
     monkeypatch.setattr(ML, "moment_cache", never)
-    monkeypatch.setattr(ML, "_PrimitiveGrid", never)
+    monkeypatch.setattr(ML, "_ExpSum", never)
     for X in (1.0, 9.99, math.nextafter(ML._X_CAP, math.inf)):
         for call in (lambda: ML.mellin_by_parts(1, 2.0 + 5j, X=X),
                      lambda: ML.mellin_by_parts_samples(2, [2.0, 3.0 + 1j], X=X),
@@ -248,6 +248,62 @@ def test_truncation_height_outside_its_domain_is_refused(monkeypatch):
                      lambda: ML.mellin_direct(4, 2.0 + 0j, X=X)):
             with pytest.raises(DomainError, match="X must be in"):
                 call()
+
+
+def test_m3_decomposition_refuses_x_before_any_walk(monkeypatch):
+    # X outside [100, 5e4] raises before the k = 3 cache walks, at every
+    # batch size: an empty batch used to walk it to X (to 2e5 in 11 s)
+    def never(*a, **kw):
+        raise AssertionError("work started outside the X domain")
+
+    for name in ("moment_cache", "_ExpSum", "_cubic_sum"):
+        monkeypatch.setattr(ML, name, never)
+    for X in (99.0, math.nextafter(ML._X_CAP, math.inf), 2e5):
+        for s in ([], 2.0 + 0j, [2.0 + 0j, 1.6 + 1j]):
+            with pytest.raises(DomainError, match="X"):
+                ML.m3_decomposition(s, X)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ML.mellin_by_parts_many(2, np.array([], dtype=complex), 1000.0),
+    lambda: ML.mellin_by_parts_samples(4, []),
+    lambda: ML.mellin_by_parts_samples(1, [], X=500.0),
+    lambda: ML.mellin_direct(3, [], X=1000.0),
+    lambda: ML.m3_decomposition([], 1000.0),
+], ids=["many", "samples", "samples-X", "direct", "m3"])
+def test_an_empty_batch_does_no_work(monkeypatch, call):
+    # no grid, no cache walk, no boundary term and no calibrated constant
+    def never(*a, **kw):
+        raise AssertionError("work started on an empty batch")
+
+    for name in ("moment_cache", "_grid", "_v2_grid", "_boundary",
+                 "primitive_constant", "_main_fit", "_cubic_sum"):
+        monkeypatch.setattr(ML, name, never)
+    assert len(call()) == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_direct_batch_matches_one_s_calls(k):
+    # one mellin_direct call on a sequence: every sample has the value and
+    # tail_bound bits of its own one-s call, on bands 0-4, both signs of
+    # Im s, in either order of the batch; the tail is in Python floats
+    t = np.array([0.0, 2.5, 4.0, 6.0, 8.0, 13.0, 16.0, 30.0, 50.0, 64.0])
+    s = [complex(sig, x) for sig in (1.3, 2.0, 3.5) for x in (*t, *-t[1:])]
+    assert sorted(set(ML._band(np.abs(np.imag(s))).tolist())) == [0, 1, 2, 3, 4]
+
+    def bits(samples):
+        return np.array([[m.value, m.tail_bound] for m in samples]).tobytes()
+
+    alone = [ML.mellin_direct(k, sv, X=500.0) for sv in s]
+    value, err = ML._direct(k, np.array(s), 500.0)
+    e, c = ML._PRIM_EXP[k], ML.primitive_constant(k)
+    assert bits(alone) == np.array([
+        [v, 2.0 * abs(sv) * c * 500.0 ** (e - sv.real) / (sv.real - e) + q]
+        for sv, v, q in zip(s, value.tolist(), err.tolist())]).tobytes()
+    for batch in (s, s[::-1]):
+        by_s = {m.s: m for m in ML.mellin_direct(k, batch, X=500.0)}
+        got = [by_s[sv] for sv in s]
+        assert got == alone and bits(got) == bits(alone)
 
 
 def test_by_parts_continuation_k1():
@@ -391,7 +447,7 @@ def test_v2_grid_is_the_band0_grid(X):
     panels, i3 = _v2_i3(X)
     engine = ML._v2_grid(X)
     assert engine.u.size == NODES * len(panels.lo)
-    assert engine.u is ML._grid(3, X, 0).engine.u
+    assert engine.u is ML._grid(3, X, 0).u
     assert engine.a.ravel().tobytes() == (panels.weights() * i3).tobytes()
 
 
@@ -402,11 +458,11 @@ def test_band0_grid_peaks_one_node_array_above_what_it_keeps():
     moment_cache(2).ensure(8000.0)
     tracemalloc.start()
     try:
-        grid = ML._PrimitiveGrid(2, 8000.0, 0)
+        engine = ML._grid.__wrapped__(2, 8000.0, 0)  # a fresh build
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    u, a = grid.engine.u, grid.engine.a
+    u, a = engine.u, engine.a
     assert u.size == a.size > 200_000
     assert peak <= u.nbytes + a.nbytes + u.nbytes
 
@@ -595,7 +651,7 @@ def test_engine_matches_direct_sum(nodes, s):
 
 def test_engine_values_do_not_depend_on_the_batch():
     # the values and G8 check values of every s, and their Taylor bounds
-    engine = ML._grid(1, 2000.0, 3).engine
+    engine = ML._grid(1, 2000.0, 3)
 
     def sums(s):
         values, trunc = engine.sums(s)
@@ -639,7 +695,7 @@ def test_vertical_line_batch_memory_bounded():
     # no per-s node-sized temporaries: a batch peaks below four node arrays
     # (three per centre, plus Horner blocks of fixed size) and a few arrays
     # of the batch's length, at 10^3 s as at 10^4
-    node_bytes = ML._grid(1, 2000.0, 3).engine.u.nbytes
+    node_bytes = ML._grid(1, 2000.0, 3).u.nbytes
 
     def peak(n):
         s = 1.5 + 1j * np.linspace(16.5, 32.0, n)

@@ -2,14 +2,15 @@
 """Program-path line report: the library statements no program path runs.
 
 Runs PATHS (hardylab command lines, through cli.main) and one small-scale
-pass of each perfbench workload (perfbench/workloads.py, loaded from its
-file and left as it is) in one process, under sys.settrace limited to
-src/hardylab, in a temporary working directory: the verify report, the
-workloads' bundles/ and the dumped divisor table land there, not in the
-tree.  It then prints every statement of a library function that none of
-them executed, function by function, and lists `raise` statements apart,
-as guards.  Code that only the tests reach is listed, so a "no caller"
-claim can be read off the report rather than off a grep:
+pass of each perfbench workload with the check of its outputs
+(perfbench/workloads.py, loaded from its file and left as it is) in one
+process, under sys.settrace limited to src/hardylab, in a temporary
+working directory: the verify report, the workloads' bundles/ and the
+dumped divisor table land there, not in the tree.  It then prints every
+statement of a library function that none of them executed, function by
+function, and lists `raise` statements apart, as guards.  Code that only
+the tests reach is listed, so a "no caller" claim can be read off the
+report rather than off a grep:
 
     python scripts/program_lines.py
 
@@ -42,8 +43,7 @@ PATHS = (
     ("moment", "--k", "3", "--T", "300", "--mode", "explicit"),
     ("moment", "--k", "4", "--T", "200", "--mode", "direct"),
     ("mellin", "--k", "2", "--sigma", "2:3:2", "--t", "0:6:2"),
-    ("mellin", "--k", "1", "--method", "direct", "--X", "500",
-     "--sigma", "2:2:1", "--t", "0:1:2"),
+    ("mellin", "--k", "1", "--X", "500", "--sigma", "2:2:1", "--t", "0:1:2"),
     ("mellin", "--k", "2", "--laurent"),
     ("mellin", "--k", "3", "--decompose", "--X", "1000",
      "--sigma", "1.6:2.4:3", "--t=-9:9:10"),
@@ -97,13 +97,13 @@ def _functions(path: Path):
 
 
 def _workload_pass(workloads, name: str, seed: int = 1) -> None:
-    """One small-scale pass of a perfbench workload: plan, set-up and ops."""
+    """One small-scale pass of a perfbench workload: plan, set-up, ops and
+    the check of their outputs, as perfbench/worker.py runs them."""
     import numpy as np
     wl = workloads.WORKLOADS[name]("small", seed)
     ops = wl.plan(np.random.default_rng(seed))
     wl.setup()
-    for op in ops:
-        wl.run(op)
+    wl.check(ops, [wl.run(op) for op in ops])
 
 
 def executed(commands, workloads=()) -> tuple[dict, list]:

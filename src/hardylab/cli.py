@@ -114,8 +114,8 @@ def _s_grid(sigma: str, t: str) -> list[tuple[float, float]]:
 
 
 # per mellin mode, its k and the options it does not read (unset: None, False)
-_MODES = {"laurent": (2, ("X", "sigma", "t", "method", "decompose")),
-          "decompose": (3, ("method",))}
+_MODES = {"laurent": (2, ("X", "sigma", "t", "decompose")),
+          "decompose": (3, ())}
 
 
 def cmd_mellin(args, cfg: RunConfig) -> int:
@@ -144,15 +144,11 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
         _emit_table(["sigma", "t", "v1", "v2", "sum", "m3", "gap_rel"],
                     rows, args.out, args.format)
         return EXIT_OK
-    if args.method == "direct":
-        # one engine call per band grid, the bits of per-row calls
-        samples = ML.mellin_direct(k, s, X=2000.0 if args.X is None else args.X)
-    else:
-        # one engine call per (X, band) grid, the bits of per-row calls
-        samples = ML.mellin_by_parts_samples(k, s, tol=cfg.tol_mellin, X=args.X)
-    rows = [(k, sig, t, m.value.real, m.value.imag, m.X, m.tail_bound,
-             m.method) for (sig, t), m in zip(grid, samples)]
-    _emit_table(["k", "sigma", "t", "re", "im", "X", "tail_bound", "method"],
+    # one engine call per (X, band) grid, the bits of per-row calls
+    samples = ML.mellin_by_parts_samples(k, s, tol=cfg.tol_mellin, X=args.X)
+    rows = [(k, sig, t, m.value.real, m.value.imag, m.X, m.tail_bound)
+            for (sig, t), m in zip(grid, samples)]
+    _emit_table(["k", "sigma", "t", "re", "im", "X", "tail_bound"],
                 rows, args.out, args.format)
     return EXIT_OK
 
@@ -230,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--sigma", help="grid a:b:n for Re s (default 2:3:2)")
     p.add_argument("--t", help="grid a:b:n for Im s (default 0:0:1)")
-    p.add_argument("--method", choices=("by_parts", "direct"),
-                   help="default by_parts")
     p.add_argument("--X", type=float, help="truncation height override")
     p.add_argument("--laurent", action="store_true",
                    help="fit the double pole at s = 1 (k = 2)")

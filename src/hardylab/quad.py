@@ -251,7 +251,7 @@ def integrate_vertical_line(F: Callable, c: float, t0: float, t1,
                             max_panel: float = 1.0):
     """(1/2*pi*i) * integral of F(s) ds along s = c + i*t, t in [t0, t1], for
     one height t1 (a QuadratureResult) or a sequence of heights (a list, one
-    result per height).
+    result per height; none for an empty sequence, with no call of F).
 
     F receives a numpy array of complex s and is taken as smooth: K17 panels
     of width at most max_panel tile [t0, max t1] from t0, every height is a
@@ -260,6 +260,8 @@ def integrate_vertical_line(F: Callable, c: float, t0: float, t1,
     their |K17 - G8|.
     """
     heights = check_heights(t0, t1)
+    if not len(heights):
+        return []
     edges = panel_edges(t0, float(heights.max()), lambda t: 0.0,
                         heights.tolist(), max_panel)
     panels = PanelSet.from_edges(edges)

@@ -144,47 +144,54 @@ def test_mellin_decompose_batch_matches_per_row_calls(capsys, monkeypatch):
     assert code == 0 and per_row == batched
 
 
-def test_mellin_direct_batch_matches_per_row_calls(capsys, monkeypatch):
-    # a 3 x 21 direct table over bands 0-4 is one mellin_direct call: the
-    # same bytes as one call per row
-    argv = ("mellin", "--k", "3", "--method", "direct", "--X", "1000",
-            "--sigma", "1.5:3:3", "--t=-60:60:21")
+def test_mellin_fixed_x_batch_matches_per_row_calls(capsys, monkeypatch):
+    # a 3 x 21 table at one --X over bands 0-4 is one
+    # mellin_by_parts_samples call: the same bytes as one call per row
+    argv = ("mellin", "--k", "3", "--X", "1000", "--sigma", "1.5:3:3",
+            "--t=-60:60:21")
     code, batched, _ = run_cli(capsys, *argv)
     assert code == 0 and len(batched.splitlines()) == 64
-    batch = ML.mellin_direct
-    monkeypatch.setattr(ML, "mellin_direct", lambda k, s, X: [
-        batch(k, sv, X) for sv in s])
+    assert batched.splitlines()[0] == "k,sigma,t,re,im,X,tail_bound"
+    batch = ML.mellin_by_parts_samples
+    monkeypatch.setattr(ML, "mellin_by_parts_samples", lambda k, s, tol, X: [
+        batch(k, [sv], tol, X)[0] for sv in s])
     code, per_row, _ = run_cli(capsys, *argv)
     assert code == 0 and per_row == batched
 
 
-@pytest.mark.parametrize("argv, option", [
-    (("--k", "2", "--laurent", "--X", "1000"), "--X"),
-    (("--k", "2", "--laurent", "--sigma", "2:3:2"), "--sigma"),
-    (("--k", "2", "--laurent", "--t", "0:1:2"), "--t"),
-    (("--k", "2", "--laurent", "--method", "by_parts"), "--method"),
-    (("--k", "2", "--laurent", "--method", "direct"), "--method"),
-    (("--k", "2", "--laurent", "--decompose"), "--decompose"),
-    (("--k", "3", "--decompose", "--X", "1000", "--method", "direct"),
-     "--method"),
+GONE = "unrecognized arguments: --method"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "2", "--laurent", "--X", "1000"), "does not read --X"),
+    (("--k", "2", "--laurent", "--sigma", "2:3:2"), "does not read --sigma"),
+    (("--k", "2", "--laurent", "--t", "0:1:2"), "does not read --t"),
+    (("--k", "2", "--laurent", "--method", "by_parts"), GONE),
+    (("--k", "2", "--laurent", "--method", "direct"), GONE),
+    (("--k", "2", "--laurent", "--decompose"), "does not read --decompose"),
+    (("--k", "3", "--decompose", "--X", "1000", "--method", "direct"), GONE),
     (("--k", "3", "--decompose", "--X", "1000", "--method", "by_parts"),
-     "--method"),
+     GONE),
+    (("--k", "1", "--method", "direct"), GONE),
+    (("--k", "1", "--X", "500", "--method", "by_parts"), GONE),
 ], ids=["laurent-X", "laurent-sigma", "laurent-t", "laurent-by_parts",
         "laurent-direct", "laurent-decompose", "decompose-direct",
-        "decompose-by_parts"])
+        "decompose-by_parts", "table-direct", "table-by_parts"])
 def test_mellin_mode_refuses_an_option_it_does_not_read(capsys, monkeypatch,
-                                                        argv, option):
-    # --laurent reads none of --X, --sigma, --t, --method and --decompose
-    # reads no --method: each given exits 2 naming it, before any work
+                                                        argv, message):
+    # --laurent reads none of --X, --sigma, --t and --decompose, and no mode
+    # reads --method, which is gone with the direct route: each given exits
+    # 2 naming it, before any work
     def never(*a, **kw):
         raise AssertionError("work started on an option that is not read")
 
     for name in ("_grid", "_v2_grid", "_cubic_sum", "moment_cache",
-                 "laurent_samples", "m3_decomposition"):
+                 "laurent_samples", "m3_decomposition",
+                 "mellin_by_parts_samples", "mellin_direct"):
         monkeypatch.setattr(ML, name, never)
     code, out, err = run_cli(capsys, "mellin", *argv)
     assert code == 2 and out == ""
-    assert f"does not read {option}" in err
+    assert message in err
 
 
 def test_mellin_decompose_sizes_its_table_from_X(capsys):
@@ -243,7 +250,7 @@ def test_divisor_budget_guards_limit(capsys):
 @pytest.mark.parametrize("argv", [
     ("mellin", "--k", "1", "--sigma", "2:2:1", "--t", "1e5:1e5:1"),
     ("mellin", "--k", "4", "--sigma", "2:3:2", "--t=-2e4:0:3"),
-    ("mellin", "--k", "1", "--method", "direct", "--t", "1e6:1e6:1"),
+    ("mellin", "--k", "1", "--X", "2000", "--t", "1e6:1e6:1"),
     ("mellin", "--k", "3", "--decompose", "--X", "500", "--t", "0:1e7:2"),
 ])
 def test_mellin_past_the_im_cap_usage_error(capsys, monkeypatch, argv):
@@ -277,21 +284,21 @@ def test_mellin_x_cap_usage_error(capsys, monkeypatch):
     # the library's one X check, before any cache walk, grid or d_3 table
     _refuse_transform_work(monkeypatch)
     for X in ("6e4", "1e6"):
-        for how in (("--method", "by_parts"), ("--method", "direct"),
-                    ("--k", "3", "--decompose")):
+        for how in ((), ("--t", "0:40:3"), ("--k", "3", "--decompose")):
             code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", X,
                                      *how)
             assert code == 2 and out == ""
             assert "X must be in [10, 50000]" in err
 
 
-@pytest.mark.parametrize("method", ["by_parts", "direct"])
+@pytest.mark.parametrize("grid", [(), ("--t", "0:40:3")],
+                         ids=["by_parts", "bands"])
 @pytest.mark.parametrize("X", ["0.5", "-3", "0", "5", "9.99"])
-def test_mellin_small_x_usage_error(capsys, monkeypatch, X, method):
+def test_mellin_small_x_usage_error(capsys, monkeypatch, X, grid):
+    # the default grid, or one over bands 0, 3 and 4: before any grid
     _refuse_transform_work(monkeypatch)
-    code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", X,
-                             "--method", method)
-    assert code == 2 and out == "" and "X" in err
+    code, out, err = run_cli(capsys, "mellin", "--k", "1", "--X", X, *grid)
+    assert code == 2 and out == "" and "X must be in [10, 50000]" in err
 
 
 def test_mellin_decompose_small_x_usage_error(capsys):

@@ -286,7 +286,8 @@ def test_an_empty_batch_does_no_work(monkeypatch, call):
 def test_direct_batch_matches_one_s_calls(k):
     # one mellin_direct call on a sequence: every sample has the value and
     # tail_bound bits of its own one-s call, on bands 0-4, both signs of
-    # Im s, in either order of the batch; the tail is in Python floats
+    # Im s, in either order of the batch; the tail is twice the by-parts
+    # law with (e_k, C_k), in numpy over the whole batch
     t = np.array([0.0, 2.5, 4.0, 6.0, 8.0, 13.0, 16.0, 30.0, 50.0, 64.0])
     s = [complex(sig, x) for sig in (1.3, 2.0, 3.5) for x in (*t, *-t[1:])]
     assert sorted(set(ML._band(np.abs(np.imag(s))).tolist())) == [0, 1, 2, 3, 4]
@@ -295,11 +296,11 @@ def test_direct_batch_matches_one_s_calls(k):
         return np.array([[m.value, m.tail_bound] for m in samples]).tobytes()
 
     alone = [ML.mellin_direct(k, sv, X=500.0) for sv in s]
-    value, err = ML._direct(k, np.array(s), 500.0)
+    sa = np.array(s)
+    value, err = ML._direct(k, sa, 500.0)
     e, c = ML._PRIM_EXP[k], ML.primitive_constant(k)
-    assert bits(alone) == np.array([
-        [v, 2.0 * abs(sv) * c * 500.0 ** (e - sv.real) / (sv.real - e) + q]
-        for sv, v, q in zip(s, value.tolist(), err.tolist())]).tobytes()
+    tail = np.abs(sa) * c * 500.0 ** (e - sa.real) / (sa.real - e)
+    assert bits(alone) == np.stack([value, 2.0 * tail + err], axis=1).tobytes()
     for batch in (s, s[::-1]):
         by_s = {m.s: m for m in ML.mellin_direct(k, batch, X=500.0)}
         got = [by_s[sv] for sv in s]
@@ -311,7 +312,6 @@ def test_by_parts_continuation_k1():
     m = ML.mellin_by_parts(1, 0.6 + 2j)
     assert math.isfinite(m.value.real) and math.isfinite(m.value.imag)
     assert m.tail_bound > 0.0 and math.isfinite(m.tail_bound)
-    assert m.method == "by_parts"
 
 
 def test_by_parts_regime_guard():
@@ -711,6 +711,15 @@ def test_vertical_line_batch_memory_bounded():
         assert peak(n) <= 4 * node_bytes + 160 * n, n
 
 
+def test_square_identity_reads_the_by_parts_route():
+    # the left side is the by-parts M_1(3) at X = 2000, on the band-0 grid
+    # of (1, 2000), and its tail certificate is 2 |M| times its tail_bound
+    rep = ML.check_square_identity(1, 3.0 + 0j)
+    m = ML.mellin_by_parts(1, 3, X=2000.0)
+    assert rep.lhs == m.value ** 2
+    assert rep.certificates["lhs_tail"] == 2.0 * abs(m.value) * m.tail_bound
+
+
 def test_square_identity_k2_real_positive():
     rep = ML.check_square_identity(2, 4.0 + 0j)
     assert rep.lhs.real > 0.0 and abs(rep.lhs.imag) < 1e-10
@@ -847,6 +856,40 @@ def test_inversion_guards():
         ML.truncated_inversion(1, 10.0, 0.9, 100.0)
     with pytest.raises(DomainError):
         ML.truncated_inversion(1, 10.0, 1.25, 20.0)
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, NAN, INF, -INF])
+def test_inversion_refuses_x_before_any_contour(monkeypatch, x):
+    # x must be finite and positive: x = 0 and x = -1 raised a bare
+    # ValueError from math.log, and x = nan reached the transforms
+    def never(*a, **kw):
+        raise AssertionError("work started on a bad x")
+
+    for name in ("integrate_vertical_line", "_grid", "_ExpSum", "moment_cache"):
+        monkeypatch.setattr(ML, name, never)
+    for U in (100.0, [100.0, 200.0], []):
+        with pytest.raises(DomainError, match="finite x > 0"):
+            ML.truncated_inversion(1, x, 2.0, U)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started on an empty sequence")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate_vertical_line(_no_work, 2.0, 0.0, []),
+    lambda: ML.check_convolution(3, 1, 3.5, 2.0, []),
+    lambda: ML.truncated_inversion(1, 10.0, 2.0, [], x_trunc=2000.0),
+    lambda: ML.laplace_consistency([]),
+], ids=["line", "convolution", "inversion", "laplace"])
+def test_an_empty_sequence_does_no_work(monkeypatch, call):
+    # an empty sequence of heights or of s is an empty list of results, with
+    # no transform, contour, cache walk or grid: each used to raise numpy's
+    # zero-size reduction error, the convolution after its left side
+    for name in ("moment_cache", "_grid", "_ExpSum", "mellin_by_parts",
+                 "primitive_constant", "_main_fit"):
+        monkeypatch.setattr(ML, name, _no_work)
+    assert call() == []
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,12 @@
 """Exact divisor-function tables d_k(n) via iterated Dirichlet convolution.
 
-d_1 = 1 and d_{j+1} = d_j * 1; counts are exact 64-bit integers (d_8(n)
-stays far below 2^63 at any table size this package will build).  Finished
-tables are immutable and freely shareable.  Each convolution uses the
-Dirichlet hyperbola split at r = isqrt(limit), so it costs r numpy steps.
+d_1 = 1 and d_{j+1} = d_j * 1, for k = 1..8.  Counts are exact uint32: the
+largest d_8(n) at n <= _DIVISOR_BUDGET is 2,609,418,240 (n = 19,958,400),
+61% of 2^32, and the largest d_4(n) there is 672,000.  Finished tables are
+immutable and freely shareable.  Each convolution runs in place and uses
+the Dirichlet hyperbola split at r = isqrt(limit), so it costs r numpy
+steps and peaks at 6 bytes per entry: the table and a copy of its first
+half.
 """
 
 from __future__ import annotations
@@ -18,15 +21,20 @@ import numpy as np
 from .errors import CapacityError, DomainError
 
 _MAGIC = b"dktable\x00"
-# largest divisor table divisor_sieve builds, in entries
+# largest divisor table divisor_sieve builds or load_table reads, in entries
 _DIVISOR_BUDGET = 20_000_000
+# largest k divisor_sieve builds: d_k(n) < 2^32 for k <= 8, n <= the budget
+_K_MAX = 8
+# counts dump_table and load_table convert at a time
+_IO_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class DivisorTable:
     k: int
     limit: int
-    counts: np.ndarray = field(repr=False)  # counts[n] for n in 1..limit; index 0 unused
+    # uint32 counts[n] for n in 1..limit; index 0 unused
+    counts: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         self.counts.setflags(write=False)
@@ -38,22 +46,27 @@ class DivisorTable:
 
 
 def divisor_sieve(k: int, limit: int) -> DivisorTable:
-    """Sieve exact d_k(n) for all n <= limit."""
-    if k < 1 or limit < 1:
-        raise DomainError("divisor_sieve requires k >= 1 and limit >= 1")
+    """Sieve exact d_k(n) for all n <= limit, 1 <= k <= 8."""
+    if not (1 <= k <= _K_MAX and limit >= 1):
+        raise DomainError(f"divisor_sieve requires 1 <= k <= {_K_MAX} and "
+                          "limit >= 1")
     if limit > _DIVISOR_BUDGET:
         raise CapacityError(f"divisor table of size {limit} exceeds budget "
                             f"{_DIVISOR_BUDGET}")
-    counts = np.ones(limit + 1, dtype=np.int64)
+    counts = np.ones(limit + 1, dtype=np.uint32)
     counts[0] = 0
     r = math.isqrt(limit)
     for _ in range(k - 1):
-        # every d*m <= limit has d <= r, or d > r and then m <= r
-        nxt = np.zeros(limit + 1, dtype=np.int64)
-        for d in range(1, r + 1):
-            nxt[d::d] += counts[1:limit // d + 1]
-            nxt[d * (r + 1)::d] += counts[d]
-        counts = nxt
+        # every d*m <= limit has d <= r, or d > r and then m <= r.  The
+        # d = 1 term is counts itself; the rest read the old counts up to
+        # index max(limit // 2, r), copied here (and freed before the next
+        # copy, so the peak stays at 6 bytes per entry)
+        old = counts[:max(limit // 2, r) + 1].copy()
+        counts[r + 1:] += old[1]
+        for d in range(2, r + 1):
+            counts[d::d] += old[1:limit // d + 1]
+            counts[d * (r + 1)::d] += old[d]
+        del old
     return DivisorTable(k=k, limit=limit, counts=counts)
 
 
@@ -114,16 +127,19 @@ def divisor_brute(k, n):
 
 def dump_table(table: DivisorTable, path: str | Path) -> None:
     """Binary export: 16-byte header (magic, k, limit as little-endian u32)
-    followed by limit little-endian int64 counts for n = 1..limit."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    followed by limit little-endian int64 counts for n = 1..limit, written
+    _IO_BLOCK counts at a time."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", table.k, table.limit))
-        fh.write(table.counts[1:].astype("<i8").tobytes())
+        for lo in range(1, table.limit + 1, _IO_BLOCK):
+            fh.write(table.counts[lo:lo + _IO_BLOCK].astype("<i8"))
 
 
 def load_table(path: str | Path) -> DivisorTable:
+    """Read dump_table's format, _IO_BLOCK counts at a time.  A limit above
+    _DIVISOR_BUDGET raises CapacityError before any count is read; a count
+    outside 0..2^32 - 1 raises DomainError."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:
@@ -135,12 +151,20 @@ def load_table(path: str | Path) -> DivisorTable:
         if k < 1 or limit < 1:
             raise DomainError(
                 f"divisor table needs k >= 1 and limit >= 1: {path}")
-        data = np.frombuffer(fh.read(8 * limit), dtype="<i8")
-        if len(data) != limit:
-            raise DomainError(f"truncated divisor table: {path}")
+        if limit > _DIVISOR_BUDGET:
+            raise CapacityError(f"divisor table of size {limit} exceeds "
+                                f"budget {_DIVISOR_BUDGET}: {path}")
+        counts = np.zeros(limit + 1, dtype=np.uint32)
+        for lo in range(1, limit + 1, _IO_BLOCK):
+            n = min(_IO_BLOCK, limit + 1 - lo)
+            raw = fh.read(8 * n)
+            if len(raw) != 8 * n:
+                raise DomainError(f"truncated divisor table: {path}")
+            data = np.frombuffer(raw, dtype="<i8")
+            if data.min() < 0 or data.max() >= 1 << 32:
+                raise DomainError(
+                    f"a divisor count outside 0..2^32 - 1: {path}")
+            counts[lo:lo + n] = data
         if fh.read(1):
             raise DomainError(f"bytes after the divisor counts: {path}")
-    counts = np.zeros(limit + 1, dtype=np.int64)
-    counts[1:] = data
     return DivisorTable(k=k, limit=limit, counts=counts)
-

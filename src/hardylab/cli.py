@@ -157,16 +157,20 @@ def cmd_divisors(args, cfg: RunConfig) -> int:
     if args.k < 1 or args.k > 8:
         print(f"divisors: k must be 1..8, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
-    if args.load:
-        table = load_table(args.load)
-        if table.k != args.k:
-            print(f"divisors: {args.load} holds d_{table.k}, not d_{args.k}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        table = divisor_sieve(args.k, args.limit)
-    if args.dump:
-        dump_table(table, args.dump)
+    try:
+        if args.load:
+            table = load_table(args.load)
+            if table.k != args.k:
+                print(f"divisors: {args.load} holds d_{table.k}, not "
+                      f"d_{args.k}", file=sys.stderr)
+                return EXIT_USAGE
+        else:
+            table = divisor_sieve(args.k, args.limit)
+        if args.dump:
+            dump_table(table, args.dump)
+    except OSError as exc:
+        print(f"divisors: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.csv or not args.dump:
         rows = [(n, int(table.counts[n]))
                 for n in range(1, min(table.limit, args.limit) + 1)]
@@ -262,11 +266,12 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) is None:
         args.format = cfg.output_format
     # an output path that cannot be written fails before any work
-    out = getattr(args, "out", None)
-    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
-        print(f"{args.command}: --out {out}: not a file in an existing "
-              "directory", file=sys.stderr)
-        return EXIT_USAGE
+    for opt in ("out", "dump"):
+        path = getattr(args, opt, None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            print(f"{args.command}: --{opt} {path}: not a file in an existing "
+                  "directory", file=sys.stderr)
+            return EXIT_USAGE
     handlers = {
         "z": cmd_z, "moment": cmd_moment, "mellin": cmd_mellin,
         "divisors": cmd_divisors, "verify": cmd_verify,

@@ -9,9 +9,10 @@ cubic_primitive_approx is the exactly rounded reference for S_3.
 
 One helper forms the terms, in fixed blocks of _BLOCK.  The dyadic main
 term carries its running sum from block to block, so its own working memory
-is about 1 MB at any n_hi.  What still scales with n_hi is its caller's d_k
-table and the sieve's second array while it builds that table, 2 x 8 n_hi
-bytes: about 104 MB at k = 4, T = 8000 (n_hi = 6.5e6).
+is about 1 MB at any n_hi.  What still scales with n_hi is its caller's
+uint32 d_k table, 4 n_hi bytes, and the half-length copy the sieve reads
+while it builds that table, 2 n_hi more: about 39 MB at k = 4, T = 8000
+(n_hi = 6.5e6).  A uint32 count converts to float64 exactly.
 """
 
 from __future__ import annotations

@@ -385,6 +385,25 @@ def test_divisors_load_wrong_k_usage_error(tmp_path, capsys):
     assert "d_2" in err
 
 
+@pytest.mark.parametrize("opt, target, says", [
+    ("--load", "missing/x.bin", "No such file or directory"),
+    ("--load", ".", "Is a directory"),
+    ("--dump", ".", "not a file in an existing directory"),
+    ("--dump", "missing/d.bin", "not a file in an existing directory"),
+])
+def test_divisors_bad_path_usage_error(tmp_path, capsys, monkeypatch, opt,
+                                       target, says):
+    # a path that cannot be read or written exits 2 with a message, and a
+    # bad --dump does so before the sieve runs
+    def no_sieve(*args):
+        pytest.fail("sieved a divisor table")
+
+    monkeypatch.setattr(cli, "divisor_sieve", no_sieve)
+    code, out, err = run_cli(capsys, "divisors", "--k", "2", opt,
+                             str(tmp_path / target))
+    assert code == 2 and out == "" and says in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "not-a-suite")
     assert code == 2

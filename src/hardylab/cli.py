@@ -9,7 +9,9 @@ values); identical config and seed give bit-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -34,18 +36,24 @@ MAX_ROWS = 1_000_000  # a larger z or mellin table exits 2 before any work
 
 
 def _emit_table(header, rows, out, fm: str) -> None:
-    fh = open(out, "w") if out else sys.stdout
-    try:
-        if fm == "json":
-            payload = [dict(zip(header, row)) for row in rows]
-            fh.write(to_json(payload) + "\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
-    finally:
-        if out:
-            fh.close()
+    # each row is written as it arrives; a reader that closes the pipe ends
+    # the table, and its fd then points at os.devnull so no flush raises again
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        try:
+            if fm == "json":
+                sep = "[\n  "
+                for row in rows:
+                    fh.write(sep + to_json(dict(zip(header, row)), 1))
+                    sep = ",\n  "
+                fh.write("[]\n" if sep[0] == "[" else "\n]\n")
+            else:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    fh.write(",".join(map(fmt, row)) + "\n")
+            fh.flush()
+        except BrokenPipeError:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), fh.fileno())
 
 
 def cmd_z(args, cfg: RunConfig) -> int:
@@ -66,8 +74,8 @@ def cmd_z(args, cfg: RunConfig) -> int:
     if args.oracle:
         header.insert(2, "z_oracle")
         cols.insert(2, z_oracle_many(ts))
-    rows = [tuple(float(c[i]) for c in cols) for i in range(len(ts))]
-    _emit_table(header, rows, args.out, args.format)
+    _emit_table(header, zip(*(map(float, c) for c in cols)), args.out,
+                args.format)
     return EXIT_OK
 
 
@@ -139,15 +147,15 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
             return EXIT_USAGE
         # one engine call per grid, the bits of per-row calls
         decomp = ML.m3_decomposition(s, args.X)
-        rows = [(sig, t, d["v1"], d["v2"], d["sum"], d["m3"], d["gap_rel"])
-                for (sig, t), d in zip(grid, decomp)]
+        rows = ((sig, t, d["v1"], d["v2"], d["sum"], d["m3"], d["gap_rel"])
+                for (sig, t), d in zip(grid, decomp))
         _emit_table(["sigma", "t", "v1", "v2", "sum", "m3", "gap_rel"],
                     rows, args.out, args.format)
         return EXIT_OK
     # one engine call per (X, band) grid, the bits of per-row calls
     samples = ML.mellin_by_parts_samples(k, s, tol=cfg.tol_mellin, X=args.X)
-    rows = [(k, sig, t, m.value.real, m.value.imag, m.X, m.tail_bound)
-            for (sig, t), m in zip(grid, samples)]
+    rows = ((k, sig, t, m.value.real, m.value.imag, m.X, m.tail_bound)
+            for (sig, t), m in zip(grid, samples))
     _emit_table(["k", "sigma", "t", "re", "im", "X", "tail_bound"],
                 rows, args.out, args.format)
     return EXIT_OK
@@ -172,8 +180,8 @@ def cmd_divisors(args, cfg: RunConfig) -> int:
         print(f"divisors: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.csv or not args.dump:
-        rows = [(n, int(table.counts[n]))
-                for n in range(1, min(table.limit, args.limit) + 1)]
+        m = min(table.limit, args.limit)
+        rows = zip(range(1, m + 1), map(int, table.counts[1:m + 1]))
         _emit_table(["n", f"d_{table.k}"], rows, args.out, args.format)
     return EXIT_OK
 

@@ -4,8 +4,7 @@ Every main term here is built from one series, c_n = 2 pi sqrt(2/k) d_k(n)
 n^(1/k - 1/2) cos(k pi n^(2/k) + (k-2) pi/8), whose n-th term enters at the
 saddle point x = 2 pi n^(2/k): its prefix sum S_k(x) over n <= cutoff(k, x)
 approximates I_k(x).  The dyadic main term over [T, 2T] is a difference of
-two prefix sums, CubicPrimitiveSum is S_3 with its transform V_1, and
-cubic_primitive_approx is the exactly rounded reference for S_3.
+two prefix sums, and CubicPrimitiveSum is S_3 with its transform V_1.
 
 One helper forms the terms, in fixed blocks of _BLOCK.  The dyadic main
 term carries its running sum from block to block, so its own working memory
@@ -151,8 +150,3 @@ class CubicPrimitiveSum:
         n = np.arange(1, N + 1, dtype=float)
         return complex(np.sum(self.terms[1:N + 1]
                               * np.exp(-s * np.log(TWO_PI * n ** (2.0 / 3.0)))))
-
-
-def cubic_primitive_approx(x: float, table: DivisorTable) -> float:
-    """S_3(x) = sum of c_n over n <= (x/2pi)^(3/2), exactly rounded."""
-    return math.fsum(saddle_terms(3, table, int(cutoff(3, x))).tolist())

@@ -232,6 +232,8 @@ class MomentCache:
     def err_at(self, x: float) -> float:
         """The summed |K17 - G8| of I_k(x): every panel through x's own,
         after extending the walk past x (at an edge, the panels below it)."""
+        if not (math.isfinite(x) and x >= 1.0):
+            raise DomainError("I_k defined for finite x >= 1")
         self.ensure(x)
         return float(self.cum_err[np.searchsorted(self.edges, x)])
 

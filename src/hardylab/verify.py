@@ -9,8 +9,6 @@ fixed evaluation order), so two runs can be compared byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import mellin as ML
@@ -22,30 +20,21 @@ from .moments import moment_cache
 from .special import chi, theta_batch, zeta_euler_maclaurin
 
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    value: float
-    limit: float
-    detail: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "pass": self.passed,
-               "value": self.value, "limit": self.limit}
-        if self.detail:
-            out["detail"] = dict(self.detail)
-        return out
-
-
-def _check(name: str, value: float, limit: float, **detail) -> Check:
-    return Check(name=name, passed=bool(value <= limit), value=float(value),
-                 limit=float(limit), detail=detail)
+def _check(name: str, value: float, limit: float, passed=None,
+           **detail) -> dict:
+    """One check as the bundle holds it; it passes when value <= limit
+    unless `passed` says otherwise."""
+    out = {"name": name,
+           "pass": bool(value <= limit if passed is None else passed),
+           "value": float(value), "limit": float(limit)}
+    if detail:
+        out["detail"] = detail
+    return out
 
 
 # -- suites ---------------------------------------------------------------------
 
-def suite_functional_equation(cfg: RunConfig) -> list[Check]:
+def suite_functional_equation(cfg: RunConfig) -> list[dict]:
     rng = np.random.default_rng(cfg.seed)
     # chi(s) chi(1-s) = 1 on a 100-point grid
     sig = 0.1 + 0.8 * rng.random(100)
@@ -72,7 +61,7 @@ def suite_functional_equation(cfg: RunConfig) -> list[Check]:
     ]
 
 
-def suite_z_agreement(cfg: RunConfig) -> list[Check]:
+def suite_z_agreement(cfg: RunConfig) -> list[dict]:
     ts = np.array([50.0, 100.0, 500.0, 1000.0, 5000.0])
     rs = z_rs_many(ts, 3)
     oracle = z_oracle_many(ts)
@@ -84,7 +73,7 @@ def suite_z_agreement(cfg: RunConfig) -> list[Check]:
     return checks
 
 
-def _self_fitted(prefix: str, xs, resid, exponent: float) -> list[Check]:
+def _self_fitted(prefix: str, xs, resid, exponent: float) -> list[dict]:
     # c = r / x^e fitted at the first point; the limit at every later point
     # is 3 c x^e.  xs and resid are Python floats, so the powers are libm's
     c_fit = resid[0] / xs[0] ** exponent
@@ -92,7 +81,7 @@ def _self_fitted(prefix: str, xs, resid, exponent: float) -> list[Check]:
                    fitted_constant=c_fit) for x, r in zip(xs[1:], resid[1:])]
 
 
-def _dyadic_residuals(k: int, exponent: float) -> list[Check]:
+def _dyadic_residuals(k: int, exponent: float) -> list[dict]:
     # I_k(2T) - I_k(T) from the cache, which reads the one Z walk
     Ts = (100.0, 200.0, 500.0, 1000.0)
     table = divisor_sieve(k, sum_range(k, Ts[-1])[1])
@@ -102,22 +91,22 @@ def _dyadic_residuals(k: int, exponent: float) -> list[Check]:
     return _self_fitted(f"cosine-sum-residual-k{k}-T", Ts, resid, exponent)
 
 
-def suite_dyadic_square(cfg: RunConfig) -> list[Check]:
+def suite_dyadic_square(cfg: RunConfig) -> list[dict]:
     return _dyadic_residuals(2, 0.55)
 
 
-def suite_dyadic_odd(cfg: RunConfig) -> list[Check]:
+def suite_dyadic_odd(cfg: RunConfig) -> list[dict]:
     return _dyadic_residuals(1, 0.30) + _dyadic_residuals(3, 0.80)
 
 
-def suite_cubic_primitive(cfg: RunConfig) -> list[Check]:
+def suite_cubic_primitive(cfg: RunConfig) -> list[dict]:
     xs = np.array([200.0, 500.0, 1000.0, 2000.0])
     cube = CubicPrimitiveSum(divisor_sieve(3, int(cutoff(3, xs[-1]))))
     r = np.abs(moment_cache(3).eval_many(xs) - cube.eval_many(xs)).tolist()
     return _self_fitted("cubic-primitive-residual-x", xs.tolist(), r, 0.8)
 
 
-def suite_primitive_scaling(cfg: RunConfig) -> list[Check]:
+def suite_primitive_scaling(cfg: RunConfig) -> list[dict]:
     cache = moment_cache(1)
     cache.ensure(1e4)
     lo = cache.sup_scaled(0.25, 100.0, 1000.0)
@@ -128,22 +117,21 @@ def suite_primitive_scaling(cfg: RunConfig) -> list[Check]:
     m = (cache.edges >= 100.0) & (cache.edges <= 1000.0)
     vals = cache.values[m]
     n_changes = int(np.sum(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0))
-    checks.append(Check(name="primitive-sign-changes", passed=n_changes >= 1,
-                        value=float(n_changes), limit=1.0))
+    checks.append(_check("primitive-sign-changes", n_changes, 1.0,
+                         passed=n_changes >= 1))
     return checks
 
 
-def suite_laurent(cfg: RunConfig) -> list[Check]:
+def suite_laurent(cfg: RunConfig) -> list[dict]:
     c2, c1, c0 = ML.laurent_fit_at_1(ML.laurent_samples())
     return [
-        Check(name="laurent-leading", passed=0.95 <= c2 <= 1.05,
-              value=c2, limit=1.05),
-        Check(name="laurent-subleading", passed=-0.705 <= c1 <= -0.663,
-              value=c1, limit=-0.663, detail={"target": -0.6834457366062797}),
+        _check("laurent-leading", c2, 1.05, passed=0.95 <= c2 <= 1.05),
+        _check("laurent-subleading", c1, -0.663, passed=-0.705 <= c1 <= -0.663,
+               target=-0.6834457366062797),
     ]
 
 
-def suite_identities(cfg: RunConfig) -> list[Check]:
+def suite_identities(cfg: RunConfig) -> list[dict]:
     checks = []
     sq = ML.check_square_identity(1, 3.0 + 0j)
     checks.append(_check("square-identity", sq.gap_rel, 1e-3))
@@ -160,28 +148,26 @@ def suite_identities(cfg: RunConfig) -> list[Check]:
         1, 10.0, 2.0, (50.0, 100.0, 200.0, 400.0), x_trunc=4000.0)]
     inversions = [errs[i + 1] / errs[i] for i in range(3) if errs[i + 1] > errs[i]]
     ok = len(inversions) <= 1 and all(r <= 1.2 for r in inversions)
-    checks.append(Check(name="inversion-error-trend", passed=ok,
-                        value=float(max(inversions, default=1.0)), limit=1.2,
-                        detail={f"U={U:g}": e for U, e in
-                                zip((50, 100, 200, 400), errs)}))
+    checks.append(_check("inversion-error-trend", max(inversions, default=1.0),
+                         1.2, passed=ok, **{f"U={U:g}": e for U, e in
+                                            zip((50, 100, 200, 400), errs)}))
     return checks
 
 
-def suite_series_decomposition(cfg: RunConfig) -> list[Check]:
+def suite_series_decomposition(cfg: RunConfig) -> list[dict]:
     s = (2.0 + 0j, 2.5 + 0j, 1.6 + 1j)
     decomp = ML.m3_decomposition(s, 1000.0)
     return [_check(f"series-decomposition-s{d['s'].real:g}{d['s'].imag:+g}j",
                    d["gap_rel"], 1e-5) for d in decomp]
 
 
-def suite_divisor_oracle(cfg: RunConfig) -> list[Check]:
+def suite_divisor_oracle(cfg: RunConfig) -> list[dict]:
     ks = (2, 3, 4)
     n = np.arange(1, 10_001)
     out = []
     for k, brute in zip(ks, divisor_brute(ks, n)):
         bad = int(np.count_nonzero(divisor_sieve(k, 10_000).counts[n] != brute))
-        out.append(Check(name=f"divisor-sieve-vs-brute-k{k}", passed=bad == 0,
-                         value=float(bad), limit=0.0))
+        out.append(_check(f"divisor-sieve-vs-brute-k{k}", bad, 0.0))
     return out
 
 
@@ -213,8 +199,8 @@ def run(names, cfg: RunConfig | None = None) -> dict:
     for name in names:
         checks = _SUITE_FUNCS[name](cfg)
         suites[name] = {
-            "pass": all(c.passed for c in checks),
-            "checks": [c.as_dict() for c in checks],
+            "pass": all(c["pass"] for c in checks),
+            "checks": checks,
         }
     return {
         "seed": cfg.seed,

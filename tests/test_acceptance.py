@@ -110,6 +110,28 @@ def test_criterion_11_determinism(first_run):
     assert b1 == b2
 
 
+def test_bundle_checks_are_plain_dicts_in_bundle_order(first_run):
+    # verify.run puts each check into the bundle as the suite built it:
+    # name, pass, value, limit, then detail only when there is one
+    bundle, _ = first_run
+    keys = ["name", "pass", "value", "limit"]
+    checks = {}
+    for suite in bundle["suites"].values():
+        for c in suite["checks"]:
+            assert type(c) is dict and list(c) in (keys, keys + ["detail"]), c
+            assert [type(c[key]) for key in keys[1:]] == [bool, float, float]
+            assert c.get("detail", True)
+            checks[c["name"]] = c
+    assert "detail" in checks["laurent-subleading"]
+    assert "detail" not in checks["laurent-leading"]
+    # pass is value <= limit unless the check says otherwise
+    assert verify._check("a", 2, 1.0) == {"name": "a", "pass": False,
+                                          "value": 2.0, "limit": 1.0}
+    assert verify._check("b", 2, 1.0, passed=True, u=3) == {
+        "name": "b", "pass": True, "value": 2.0, "limit": 1.0,
+        "detail": {"u": 3}}
+
+
 def test_light_suites_call_each_reference_once(monkeypatch):
     # each reference function takes its suite's points in one batch: chi
     # its four grids, zeta its s and 1 - s rows, divisor_brute k = 2, 3, 4
@@ -119,10 +141,10 @@ def test_light_suites_call_each_reference_once(monkeypatch):
         monkeypatch.setattr(verify, name, lambda *a, _n=name, _f=fn, **kw:
                             calls.append(_n) or _f(*a, **kw))
     cfg = RunConfig()
-    assert all(c.passed for c in verify.suite_functional_equation(cfg))
+    assert all(c["pass"] for c in verify.suite_functional_equation(cfg))
     assert sorted(calls) == ["chi", "zeta_euler_maclaurin"]
     calls.clear()
-    assert all(c.passed for c in verify.suite_divisor_oracle(cfg))
+    assert all(c["pass"] for c in verify.suite_divisor_oracle(cfg))
     assert calls == ["divisor_brute"]
 
 

@@ -7,6 +7,7 @@ import re
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import hardylab.verify as verify
 from hardylab.cli import main
 from hardylab.config import load_config
 from hardylab.errors import AccuracyError
-from hardylab.reportio import to_json
+from hardylab.reportio import fmt, to_json
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,65 @@ def test_json_mirrors_csv(capsys):
     parsed = json.loads(out_j)
     json_vals = [f"{row['z_rs']:.16e}" for row in parsed]
     assert csv_vals == json_vals
+
+
+def _whole_table(header, rows, fm):
+    # the table formatter before tables streamed: every row built, then
+    # one string written
+    if fm == "json":
+        return to_json([dict(zip(header, row)) for row in rows]) + "\n"
+    return "".join(",".join(map(fmt, r)) + "\n" for r in [header, *rows])
+
+
+@pytest.mark.parametrize("fm", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_streamed_table_bytes_match_the_whole_table(tmp_path, capsys, fm, n,
+                                                    to_file):
+    # rows arrive from an iterator, and the bytes are the whole table's
+    header = ["n", "x", "y"]
+    rows = [(1, 0.1, math.nan), (2, -2.5e-300, math.inf), (3, 1e17, -0.0)][:n]
+    out = str(tmp_path / "t.txt") if to_file else None
+    cli._emit_table(header, iter(rows), out, fm)
+    got = Path(out).read_text() if to_file else capsys.readouterr().out
+    assert got == _whole_table(header, rows, fm)
+
+
+@pytest.mark.parametrize("fm", ["csv", "json"])
+def test_divisor_table_streams_in_bounded_memory(tmp_path, fm):
+    # 50,000 rows: the whole table as tuples, dicts and one JSON string
+    # took 5.1 MB (CSV) and 23 MB (JSON) under tracemalloc; streamed, the
+    # peak is the sieve's, about 0.5 MB
+    out = tmp_path / "d2.txt"
+    tracemalloc.start()
+    try:
+        code = main(["divisors", "--k", "2", "--limit", "50000",
+                     "--format", fm, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 1e6, peak
+    assert out.stat().st_size > 50_000 * len("1,1\n")
+
+
+@pytest.mark.parametrize("fm", ["csv", "json"])
+def test_closed_stdout_ends_a_table_quietly(fm):
+    # a reader that takes one line and closes the pipe (| head -1) ends
+    # the table: exit 0 and nothing on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hardylab.cli", "divisors", "--k", "2",
+         "--limit", "200000", "--format", fm],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert first == (b"n,d_2\n" if fm == "csv" else b"[\n")
 
 
 @pytest.mark.parametrize("frm,to,step", [
@@ -614,15 +674,15 @@ def _tree_files(root):
 
 def test_program_lines_lists_what_its_paths_leave_unrun():
     # scripts/program_lines.py traces its command lines in a temporary
-    # directory: one divisors line runs the sieve but not the cubic sum,
-    # and its dumped table lands outside the tree
+    # directory: one divisors line runs the sieve but not the dyadic main
+    # term, and its dumped table lands outside the tree
     root = Path(__file__).resolve().parents[1]
     script = runpy.run_path(str(root / "scripts" / "program_lines.py"))
     before = _tree_files(root)
     missed, raises, failed = script["unexecuted"](
         [("divisors", "--k", "3", "--limit", "40", "--dump", "d3.bin")])
     assert failed == []
-    assert "explicit.cubic_primitive_approx" in missed
+    assert "explicit.moment_main_term" in missed
     assert "arith.divisor_sieve" not in missed
     assert "arith.load_table" in raises and "arith.divisor_sieve" in raises
     assert _tree_files(root) == before

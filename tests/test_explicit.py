@@ -10,13 +10,18 @@ import pytest
 import hardylab.explicit as explicit
 from hardylab.arith import divisor_brute, divisor_sieve
 from hardylab.errors import CapacityError, DomainError
-from hardylab.explicit import (CubicPrimitiveSum, cubic_primitive_approx,
-                               cutoff, moment_main_term, saddle_terms,
-                               sum_range)
+from hardylab.explicit import (CubicPrimitiveSum, cutoff, moment_main_term,
+                               saddle_terms, sum_range)
 from hardylab.moments import hardy_moment, moment_cache
 from hardylab.quad import PanelSet
 
 TWO_PI = 2.0 * math.pi
+
+
+def cubic_primitive_approx(x: float, table) -> float:
+    """S_3(x) = sum of c_n over n <= (x/2pi)^(3/2), exactly rounded: the
+    reference CubicPrimitiveSum is held to."""
+    return math.fsum(saddle_terms(3, table, int(cutoff(3, x))).tolist())
 
 
 def test_saddle_term_values():

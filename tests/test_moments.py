@@ -231,6 +231,22 @@ def test_moments_past_k4_are_refused_before_z(monkeypatch):
             hardy_moment(k, 100.0, 200.0)
 
 
+def test_err_at_refuses_x_below_1_before_z(monkeypatch):
+    # eval_many's domain: x < 1 or a non-finite x raises before the walk
+    # asks Z for anything; I_k(1) = 0 exactly, with no error (its first
+    # panel is walked, as for any x)
+    def never(*a, **kw):
+        raise AssertionError("Z was evaluated")
+
+    monkeypatch.setattr(moments, "z_eval_many", never)
+    cache = MomentCache(1)
+    for x in (0.5, 0.0, -3.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite x >= 1"):
+            cache.err_at(x)
+    monkeypatch.undo()
+    assert cache.err_at(1.0) == 0.0
+
+
 @pytest.mark.parametrize("k, temporaries", [(4, 0), (3, 1)])
 def test_power_in_place_allocates_no_node_copy(k, temporaries):
     a = np.random.default_rng(21).normal(size=100_000)

@@ -33,6 +33,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 MAX_ROWS = 1_000_000  # a larger z or mellin table exits 2 before any work
+Z_ROWS = 1 << 14  # a z table's heights per evaluation; its rows stream
 
 
 def _emit_table(header, rows, out, fm: str) -> None:
@@ -67,15 +68,20 @@ def cmd_z(args, cfg: RunConfig) -> int:
     if not span < MAX_ROWS:
         print(f"z: the grid has more than {MAX_ROWS} rows", file=sys.stderr)
         return EXIT_USAGE
-    ts = args.frm + args.step * np.arange(int(np.floor(span + 1e-9)) + 1)
-    header = ["t", "z_rs", "err_est"]
-    cols = [ts, z_eval_many(ts, args.corrections),
-            z_err_est(ts, args.corrections)]
-    if args.oracle:
-        header.insert(2, "z_oracle")
-        cols.insert(2, z_oracle_many(ts))
-    _emit_table(header, zip(*(map(float, c) for c in cols)), args.out,
-                args.format)
+    n = int(np.floor(span + 1e-9)) + 1
+
+    def rows(i):
+        ts = args.frm + args.step * i
+        oracle = [z_oracle_many(ts)] if args.oracle else []
+        cols = [ts, z_eval_many(ts, args.corrections), *oracle,
+                z_err_est(ts, args.corrections)]
+        return zip(*(c.tolist() for c in cols))
+    # domains are intervals, heights ascend: a bad grid fails at its ends
+    rows(np.array([0, n - 1]))
+    table = (row for lo in range(0, n, Z_ROWS)
+             for row in rows(np.arange(lo, min(lo + Z_ROWS, n))))
+    _emit_table(["t", "z_rs"] + ["z_oracle"] * args.oracle + ["err_est"],
+                table, args.out, args.format)
     return EXIT_OK
 
 

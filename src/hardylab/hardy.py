@@ -5,7 +5,7 @@ z_eval_many reads Z from two frozen polynomial tables:
 
 - Below t = 10, a piecewise Chebyshev interpolant of Z on [0, 10], forty
   pieces of degree 16 fitted to 30-digit mpmath values
-  (scripts/gen_z_low_table.py); one gather and one Horner pass per height.
+  (scripts/gen_z_low_table.py); one Horner pass per height.
 - From t = 10 up, z_rs_many: the classical main sum
   2*sum n^{-1/2} cos(theta(t) - t log n) plus the remainder
   (-1)^{N+1} a^{-1/2} sum_{k<=K} C_k(p) a^{-k}, a = sqrt(t / 2 pi), with up
@@ -89,7 +89,7 @@ _C_TERMS = (
 
 def _fold_correction_tables() -> np.ndarray:
     """Coefficient of u^m in C_k on each piece, laid out [m, k, piece] so
-    that one gather along the last axis gives contiguous (k, row) blocks."""
+    that tiling along the last axis gives contiguous (k, row) blocks."""
     out = np.zeros((PSI_ORDER + 1, len(_C_TERMS), PSI_PIECES))
     for k, terms in enumerate(_C_TERMS):
         for d, w in terms:
@@ -106,8 +106,8 @@ _C_TABLE = _fold_correction_tables()[:_C_DEGREE + 1]
 _B_STEP = np.array([[-(k + 0.5 + (m - 1)) / m for k in range(len(_C_TERMS))]
                     for m in range(1, _C_DEGREE + 1)])[:, :, None]
 
-# rows per z_rs_many chunk: its gathered (degree+1, rows) remainder
-# coefficients stay within _ELEMS
+# heights per z_rs_many chunk (and per _z_low chunk): 17,476, the rows of
+# 2^18 floats of degree-14 coefficients
 _CHUNK = _ELEMS // (_C_DEGREE + 1)
 
 
@@ -156,12 +156,13 @@ def _remainder_rows(n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """sum_m coef[m] u^m for per-row coefficients coef[m], one Horner pass."""
-    acc = coef[-1].copy()
-    for c in coef[-2::-1]:
+def _horner(table: np.ndarray, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_m table[m, idx] u^m, one Horner pass that takes each coefficient
+    row's columns idx as it reaches it."""
+    acc = table[-1].take(idx)
+    for row in table[-2::-1]:
         acc *= u
-        acc += c
+        acc += row.take(idx)
     return acc
 
 
@@ -177,18 +178,17 @@ from ._z_low_table import Z_LOW_DEGREE, Z_LOW_PIECES, Z_LOW_TAYLOR
 _LOW_WIDTH = 10.0 / Z_LOW_PIECES
 _LOW_TABLE = np.array(Z_LOW_TAYLOR.split(), dtype=float).reshape(
     Z_LOW_PIECES, Z_LOW_DEGREE + 1).T.copy()  # [m, piece]
-_LOW_CHUNK = _ELEMS // len(_LOW_TABLE)
 _LOW_ERR = 1e-15
 
 
 def _z_low(t: np.ndarray) -> np.ndarray:
-    """Z from the frozen table at heights in [0, 10)."""
-    idx = np.minimum((t / _LOW_WIDTH).astype(np.intp), Z_LOW_PIECES - 1)
-    u = t - (idx + 0.5) * _LOW_WIDTH
+    """Z from the frozen table at heights in [0, 10), _CHUNK at a time."""
     out = np.empty_like(t)
-    for lo in range(0, len(t), _LOW_CHUNK):
-        s = slice(lo, lo + _LOW_CHUNK)
-        out[s] = _horner(np.take(_LOW_TABLE, idx[s], axis=1), u[s])
+    for lo in range(0, len(t), _CHUNK):
+        s = t[lo:lo + _CHUNK]
+        idx = np.minimum((s / _LOW_WIDTH).astype(np.intp), Z_LOW_PIECES - 1)
+        out[lo:lo + _CHUNK] = _horner(_LOW_TABLE, idx,
+                                      s - (idx + 0.5) * _LOW_WIDTH)
     return out
 
 
@@ -213,7 +213,7 @@ def z_err_est(t, corrections: int = 3):
 
 # -- The main sum ------------------------------------------------------------
 #
-# Phases x (theta and -t ln p) lie in the hundreds and up.  _reduce_quarter
+# Phases x (theta and -t ln p) lie in the hundreds and up.  _cis_of_quarter
 # reduces x mod 2 pi (Cody & Waite 1980) to r and takes a quarter of it,
 # |r / 4| <= pi / 4, where two fixed polynomials give c = cos(r / 4) and
 # s = sin(r / 4) (_cis_leaf); cos r and sin r follow by doubling twice.
@@ -239,61 +239,51 @@ _CIS_COEF = np.array([
 ])[:, :, None]
 
 
-def _reduce_quarter(y: np.ndarray, k: np.ndarray, tmp: np.ndarray) -> None:
-    """r / 4 in place of quarter phases y = x / 4 with |x| < 2^41 pi, where
-    r = x - 2 pi k, k = rint(x / 2 pi); k and tmp are work arrays of y's
-    shape.
+def _cis_leaf(y: np.ndarray, out: np.ndarray) -> None:
+    """cos y into out[0] and sin y into out[1], for 1-d y, |y| <= pi / 4.
 
-    r / 4 is formed as y - k * _RED_HI / 4, which is exact (k * _RED_HI / 4
-    is exact and a multiple of 2^-11, so of ulp(y), and the difference is
-    below 2 |y|), minus k * _RED_LO / 4.  That is off by at most
-    |k| * 1.3e-21 plus half an ulp of k * _RED_LO, under 2^-17 ulp(x), plus
-    the final rounding of r / 4, |r / 4| <= pi / 4, the range of _cis_leaf.
-    Every step is elementwise, so an element's bits do not depend on its
-    neighbours."""
-    np.multiply(y, 2.0 / math.pi, out=k)
-    np.rint(k, out=k)
-    y -= np.multiply(k, 0.25 * _RED_HI, out=tmp)
-    y -= np.multiply(k, 0.25 * _RED_LO, out=tmp)
-
-
-def _cis_leaf(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
-    """cos y into cs[0] and sin y into cs[1], for 1-d y with |y| <= pi / 4;
-    z is a work array of y's shape.
-
-    One Horner pass over the two stacked rows of cs, each with its column of
-    _CIS_COEF, then each row's tail.  Within one ulp of libm and of 120-bit
-    mpmath (measured on a dense grid of the range; tests/test_hardy.py
-    checks both).  At y = +-0, z P_s(z) is -0, and y + y (-0) would be +0
-    for either sign; adding +0 first makes it +0, so y + y (+0) keeps the
-    sign of y."""
-    np.multiply(y, y, out=z)
-    np.multiply(_CIS_COEF[0], z, out=cs)
+    One Horner pass over the two stacked rows of out, each with its column
+    of _CIS_COEF, then each row's tail.  Within one ulp of libm and of
+    120-bit mpmath (measured on a dense grid of the range;
+    tests/test_hardy.py checks both).  At y = +-0, z P_s(z) is -0, and
+    y + y (-0) would be +0 for either sign; adding +0 first makes it +0, so
+    y + y (+0) keeps the sign of y."""
+    z = y * y
+    np.multiply(_CIS_COEF[0], z, out=out)
     for c in _CIS_COEF[1:-1]:
-        cs += c
-        cs *= z
-    cs += _CIS_COEF[-1]
-    cos, sin = cs
+        out += c
+        out *= z
+    out += _CIS_COEF[-1]
+    cos, sin = out
     cos *= z
     cos += 1.0
     sin *= y
     sin += y
 
 
-def _cis_of_quarter(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
-    """cos(4 y) into cs[0] and sin(4 y) into cs[1], for 1-d quarter phases
-    y = x / 4 with |x| < 2^41 pi; y is overwritten and z is a work array of
-    its shape.
+def _cis_of_quarter(y: np.ndarray, out: np.ndarray) -> None:
+    """cos(4 y) into out[0] and sin(4 y) into out[1], for 1-d quarter phases
+    y = x / 4 with |x| < 2^41 pi; y is overwritten.
 
-    With y reduced to r / 4 (_reduce_quarter), c = cos(r / 4) and
-    s = sin(r / 4) (_cis_leaf), cos r = 8 (c^2 - 1/2)^2 - 1 and
-    sin r = 8 s c (c^2 - 1/2), where c^2 - 1/2 is exact.  Each is within
+    First y becomes r / 4, where r = x - 2 pi k and k = rint(x / 2 pi), with
+    out's rows holding k and a product.  r / 4 is formed as
+    y - k * _RED_HI / 4, which is exact (k * _RED_HI / 4 is exact and a
+    multiple of 2^-11, so of ulp(y), and the difference is below 2 |y|),
+    minus k * _RED_LO / 4.  That is off by at most |k| * 1.3e-21 plus half
+    an ulp of k * _RED_LO, under 2^-17 ulp(x), plus the final rounding of
+    r / 4, |r / 4| <= pi / 4, the range of _cis_leaf.  Then with
+    c = cos(r / 4) and s = sin(r / 4) (_cis_leaf), cos r = 8 (c^2 - 1/2)^2 - 1
+    and sin r = 8 s c (c^2 - 1/2), where c^2 - 1/2 is exact.  Each is within
     2^-48 + 2^-17 ulp(x) of cos x and sin x (measured against np.cos and
     np.sin for |x| <= 1e3: 13 * 2^-53 and 10.25 * 2^-53, where libm's c
-    and s gave 13 and 8; tests/test_hardy.py checks the bound)."""
-    c, s = cs
-    _reduce_quarter(y, z, c)
-    _cis_leaf(y, z, cs)
+    and s gave 13 and 8; tests/test_hardy.py checks the bound).  Every step
+    is elementwise, so an element's bits do not depend on its neighbours."""
+    c, s = out
+    np.multiply(y, 2.0 / math.pi, out=c)
+    np.rint(c, out=c)
+    y -= np.multiply(c, 0.25 * _RED_HI, out=s)
+    y -= np.multiply(c, 0.25 * _RED_LO, out=s)
+    _cis_leaf(y, out)
     np.square(c, out=y)
     y -= 0.5
     s *= c
@@ -313,8 +303,8 @@ def _cis_of_quarter(y: np.ndarray, z: np.ndarray, cs: np.ndarray) -> None:
 # at N = 89).
 N_MULT = 512
 Z_TOP = TWO_PI * (N_MULT + 1) ** 2
-# floats of a block's work area (4 MB), shared by the blocks of a call; on
-# 65,536 heights 2^18 was 4-9% slower and 2^20 up to 7%
+# floats of a block's array (4 MB); on 65,536 heights 2^18 was 4-9% slower
+# and 2^20 up to 7%
 _MULT_WORK = 1 << 19
 
 
@@ -330,34 +320,32 @@ def _least_prime_factors(n: int) -> np.ndarray:
 
 _LPF = _least_prime_factors(N_MULT)
 _PRIMES = np.flatnonzero(_LPF == np.arange(N_MULT + 1))[2:]
-_NEG_LN_P = -np.log(_PRIMES.astype(float))[:, None]
+# -ln p / 4, exact: its products with t are the bits of -ln p times t / 4
+_NEG_QUARTER_LN_P = -0.25 * np.log(_PRIMES.astype(float))[:, None]
 _INV_SQRT_P = (1.0 / np.sqrt(_PRIMES.astype(float)))[:, None]
-# floats of work area per row of a block of largest length N: the phases,
-# cosines and sines of theta and the pi(N) primes, the prime terms (complex;
-# their first pi(N) + 1 floats hold _cis_leaf's z before the terms are
-# formed), and N // 2 + 3 rows of complex terms for the products and the sum
+# floats per row of a block of largest length N: the phases, cosines and
+# sines of theta and the pi(N) primes, then complex terms: the primes', the
+# N // 2 + 1 kept products', the last product's and the running sum
 _PI = np.searchsorted(_PRIMES, np.arange(N_MULT + 1), side="right")
 _ROW_WORK = 3 * (_PI + 1) + 2 * _PI + 2 * (np.arange(N_MULT + 1) // 2 + 3)
 
 
-def _main_mult(quarter_t: np.ndarray, quarter_theta: np.ndarray,
-               N: np.ndarray, main: np.ndarray) -> None:
-    """sum_{n<=N} n^{-1/2} cos(theta - t ln n) into main, for rows sorted
-    by N <= N_MULT, in blocks whose work area, shared, stays within
-    _MULT_WORK floats."""
-    work = np.empty(min(_MULT_WORK, len(N) * int(_ROW_WORK[N[-1]])))
+def _main_mult(t: np.ndarray, theta: np.ndarray, N: np.ndarray,
+               out: np.ndarray) -> None:
+    """Add 2 sum_{n<=N} n^{-1/2} cos(theta - t ln n) to out, for rows sorted
+    by N <= N_MULT, in blocks of at most _MULT_WORK floats of _ROW_WORK."""
     lo = 0
     while lo < len(N):
-        # the most rows whose work area fits
+        # the most rows whose arrays fit
         cap = min(len(N) - lo, _MULT_WORK // int(_ROW_WORK[N[lo]]))
         fits = _ROW_WORK[N[lo:lo + cap]] * np.arange(1, cap + 1) <= _MULT_WORK
         s = slice(lo, lo + max(1, int(np.count_nonzero(fits))))
-        main[s] = _mult_block(quarter_t[s], quarter_theta[s], N[s], work)
+        out[s] += 2.0 * _mult_block(t[s], theta[s], N[s])
         lo = s.stop
 
 
-def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
-                N: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _mult_block(t: np.ndarray, theta: np.ndarray,
+                N: np.ndarray) -> np.ndarray:
     """One block of _main_mult.  The terms n^{-1/2-it} of the primes up to
     the block's largest N come from their phases, in one pass with theta's;
     each composite's is one product, W[n] = W[lpf(n)] W[n / lpf(n)].  Then
@@ -367,25 +355,24 @@ def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
     round alike at every length and layout.  Only the terms up to
     max N / 2 are kept: no product has a larger factor.  No product writes
     into one of its inputs: numpy rounds an aliased complex product of one
-    element differently from a longer one (module docstring)."""
+    element differently from a longer one (module docstring).
+
+    The block's arrays are views of one array: as separate arrays, glibc
+    gave their memory back to the system after each block, and a walk chunk
+    took 7,400 page faults and 1.7x the time (fresh process, 2-core Xeon)."""
     rows, n_max = len(N), int(N[-1])
-    primes = _PRIMES[:_PI[n_max]]
-    size = (len(primes) + 1) * rows
-    y, cs = work[:size], work[size:3 * size].reshape(2, size)
-    c, s = cs.reshape(2, len(primes) + 1, rows)
-    rest = work[3 * size:rows * int(_ROW_WORK[n_max])].view(complex)
-    prime_terms = rest[:len(primes) * rows].reshape(len(primes), rows)
-    y[:rows] = quarter_theta
-    np.multiply(_NEG_LN_P[:len(primes)], quarter_t,
-                out=y[rows:].reshape(len(primes), rows))
-    # the leaf's z takes the start of the prime terms' region, still unused
-    _cis_of_quarter(y, work[3 * size:4 * size], cs)
+    pi = int(_PI[n_max])
+    work = np.empty(rows * int(_ROW_WORK[n_max]))
+    y, c, s = phases = work[:3 * (pi + 1) * rows].reshape(3, pi + 1, rows)
+    w = work[3 * (pi + 1) * rows:].view(complex).reshape(-1, rows)
+    prime_terms, keep, last, acc = w[:pi], w[pi:-2], w[-2], w[-1]
+    # quarter phases, which _cis_of_quarter takes
+    np.multiply(theta, 0.25, out=y[0])
+    np.multiply(_NEG_QUARTER_LN_P[:pi], t, out=y[1:])
+    _cis_of_quarter(y.reshape(-1), phases[1:].reshape(2, -1))
     # c[0] and s[0] are theta's cosine and sine, the rows after the primes'
-    np.multiply(c[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.real)
-    np.multiply(s[1:], _INV_SQRT_P[:len(primes)], out=prime_terms.imag)
-    # the kept terms n <= max N / 2, the last product's and the running sum
-    area = rest[len(primes) * rows:].reshape(-1, rows)
-    keep, last, acc = area[:-2], area[-2], area[-1]
+    np.multiply(c[1:], _INV_SQRT_P[:pi], out=prime_terms.real)
+    np.multiply(s[1:], _INV_SQRT_P[:pi], out=prime_terms.imag)
     acc[:] = 1.0
     first = np.searchsorted(N, np.arange(n_max + 1)).tolist()
     terms = [None] * (n_max // 2 + 1)
@@ -406,12 +393,12 @@ def _mult_block(quarter_t: np.ndarray, quarter_theta: np.ndarray,
 # -- The remainder ----------------------------------------------------------
 #
 # The remainder polynomials of every N <= N_MULT are kept, one table per
-# correction count, at columns N * PSI_PIECES + piece, so a chunk's are one
-# gather.  The first chunk that has a length of a block of _BLOCK lengths
-# fills the block for every count (one _remainder_rows call, about 1 ms),
-# and _BUILT marks it.  Five arrays of 1.27 MB, not one of 6.3 MB: numpy
-# asks for huge pages from 4 MiB up, and the one array grew a process's
-# first one-height call's peak RSS by 4.7 MB, the five by 1.0 MB.
+# correction count, at columns N * PSI_PIECES + piece.  The first chunk
+# that has a length of a block of _BLOCK lengths fills the block for every
+# count (one _remainder_rows call, about 1 ms), and _BUILT marks it.  Five
+# arrays of 1.27 MB, not one of 6.3 MB: numpy asks for huge pages from
+# 4 MiB up, and the one array grew a process's first one-height call's
+# peak RSS by 4.7 MB, the five by 1.0 MB.
 _BLOCK = 16
 _KEPT_BLOCKS = N_MULT // _BLOCK + 1
 _REMAINDER = tuple(
@@ -465,28 +452,23 @@ def z_rs_many(t: np.ndarray, corrections: int = 3) -> np.ndarray:
 
 
 def _z_rs_chunk(t: np.ndarray, corrections: int) -> np.ndarray:
-    """Z at heights sorted by N = floor(sqrt(t / 2 pi)), from the
-    multiplicative main sum and the kept remainder tables.  The few heights
-    just below Z_TOP whose a rounds to N_MULT + 1 take N_MULT terms and
-    p = 1, the end of N_MULT's last piece."""
+    """Z at heights sorted by N = floor(sqrt(t / 2 pi)): the remainder from
+    the kept tables, then the multiplicative main sum added to it.  The few
+    heights just below Z_TOP whose a rounds to N_MULT + 1 take N_MULT terms
+    and p = 1, the end of N_MULT's last piece."""
     a = np.sqrt(t / TWO_PI)
     N = np.minimum(np.floor(a), N_MULT).astype(np.intp)
     p = a - N
-    # quarter phases: scaling by 1/4 is exact, so these are the bits of
-    # theta and t divided by 4
-    quarter_theta = 0.25 * theta_many(t)
-    quarter_t = 0.25 * t
-    z = np.empty_like(t)
-    _main_mult(quarter_t, quarter_theta, N, z)
-    z *= 2.0
-    # the remainder: one gather and one Horner pass
     idx = np.minimum((p * PSI_PIECES).astype(np.intp), PSI_PIECES - 1)
     u = p - _PIECE_CENTERS[idx]
     if not _BUILT[N[0] // _BLOCK:N[-1] // _BLOCK + 1].all():
         has = np.bincount(N // _BLOCK, minlength=_KEPT_BLOCKS) > 0
         _fill_blocks(np.flatnonzero(has & ~_BUILT))
     idx += N * PSI_PIECES
-    z += _horner(np.take(_REMAINDER[corrections], idx, axis=1), u)
+    z = _horner(_REMAINDER[corrections], idx, u)
+    # freed before the main sum's arrays are formed
+    del a, p, idx, u
+    _main_mult(t, theta_many(t), N, z)
     return z
 
 

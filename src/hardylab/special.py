@@ -238,9 +238,9 @@ def _corrected_log(n: np.ndarray):
 
 # Cap on the elements of any temporary array in the zeta and Z kernels: 2^18
 # doubles (2 MB), and on the terms of one Euler-Maclaurin row; the one
-# exception is the Riemann-Siegel kernel's work area, hardy._MULT_WORK =
-# 2^19.  The zeta kernel's blocks, which must stay in cache, hold
-# _ELEMS // 8 elements.
+# exception is a Riemann-Siegel main-sum block's array, up to
+# hardy._MULT_WORK = 2^19.  The zeta kernel's blocks, which must stay in
+# cache, hold _ELEMS // 8 elements.
 _ELEMS = 1 << 18
 
 

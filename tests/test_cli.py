@@ -88,6 +88,27 @@ def _whole_table(header, rows, fm):
 
 
 @pytest.mark.parametrize("fm", ["csv", "json"])
+@pytest.mark.parametrize("oracle", [(), ("--oracle",)])
+def test_z_table_in_chunks_has_the_one_chunk_bytes(capsys, monkeypatch, fm,
+                                                   oracle):
+    # 201 heights across t = 10; after its two ends, a z table asks Z for
+    # one chunk of Z_ROWS heights at a time
+    argv = ("z", "--from", "5", "--to", "25", "--step", "0.1", "--format",
+            fm, *oracle)
+    calls = []
+    z_eval_many = cli.z_eval_many
+    monkeypatch.setattr(cli, "z_eval_many", lambda ts, k: calls.append(
+        len(ts)) or z_eval_many(ts, k))
+    code, whole, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and calls == [2, 201]
+    calls.clear()
+    monkeypatch.setattr(cli, "Z_ROWS", 7)
+    code, chunked, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and calls == [2] + [7] * 28 + [5]
+    assert chunked == whole
+
+
+@pytest.mark.parametrize("fm", ["csv", "json"])
 @pytest.mark.parametrize("n", [0, 1, 3])
 @pytest.mark.parametrize("to_file", [False, True])
 def test_streamed_table_bytes_match_the_whole_table(tmp_path, capsys, fm, n,

@@ -15,7 +15,7 @@ from hardylab.hardy import (N_MULT, Z_TOP, z_breakpoints, z_err_est,
                             z_oracle, z_oracle_many, z_rs, z_rs_many,
                             _BLOCK, _C_DEGREE, _C_TABLE, _LOW_ERR,
                             _PIECE_CENTERS, _PSI_TAYLOR, _RS_ERR_C,
-                            _PI, _ROW_WORK, _cis_leaf, _cis_of_quarter,
+                            _cis_leaf, _cis_of_quarter,
                             _fold_correction_tables, _horner, _main_mult,
                             _remainder_rows)
 from hardylab.moments import hardy_moment
@@ -420,6 +420,34 @@ def test_remainder_rows_keep_their_bits():
         assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
+def _horner_reference(table, idx, u):
+    # the Horner pass as first written: every coefficient row gathered into
+    # one (degree + 1, rows) array, then the pass over it
+    coef = np.take(table, idx, axis=1)
+    acc = coef[-1].copy()
+    for c in coef[-2::-1]:
+        acc *= u
+        acc += c
+    return acc
+
+
+def test_horner_keeps_the_gathered_bits(monkeypatch):
+    _fresh_kept_tables(monkeypatch)
+    hardy._fill_blocks(np.arange(hardy._KEPT_BLOCKS))
+    rng = np.random.default_rng(17)
+    tables = [(hardy._LOW_TABLE, 0.5 * hardy._LOW_WIDTH)]
+    tables += [(table, 0.025) for table in hardy._REMAINDER]
+    for table, half in tables:
+        # the first and last columns, then seeded ones, at |u| <= half a
+        # piece and at its ends
+        last = table.shape[1] - 1
+        idx = np.concatenate([[0, 0, last, last], rng.integers(0, last, 5000)])
+        u = np.concatenate([[-half, half, -half, half],
+                            rng.uniform(-half, half, 5000)])
+        got, ref = _horner(table, idx, u), _horner_reference(table, idx, u)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_one_height_fills_one_block(monkeypatch):
     t = np.array([2 * math.pi * 500.5 ** 2])
     value = z_rs_many(t, 3)
@@ -474,7 +502,7 @@ def _libm_check_phases():
 def test_quarter_angle_cos_sin_match_libm():
     x, bound = _libm_check_phases()
     cs = np.empty((2,) + x.shape)
-    _cis_of_quarter(0.25 * x, np.empty_like(x), cs)
+    _cis_of_quarter(0.25 * x, cs)
     for got, ref in zip(cs, (np.cos(x), np.sin(x))):
         err = np.abs(got - ref)
         assert np.all(err <= bound), float(np.max(err / bound))
@@ -497,7 +525,7 @@ def _ulps_apart(got, ref):
 def test_cis_leaf_within_one_ulp_of_libm():
     y = _leaf_points()
     cs = np.empty((2,) + y.shape)
-    _cis_leaf(y, np.empty_like(y), cs)
+    _cis_leaf(y, cs)
     for got, ref in zip(cs, (np.cos(y), np.sin(y))):
         assert _ulps_apart(got, ref).max() <= 1
 
@@ -506,18 +534,12 @@ def test_cis_leaf_within_one_ulp_of_mpmath():
     mpmath = pytest.importorskip("mpmath")
     y = _leaf_points()[::97]
     cs = np.empty((2,) + y.shape)
-    _cis_leaf(y, np.empty_like(y), cs)
+    _cis_leaf(y, cs)
     with mpmath.workprec(120):
         ref = np.array([[float(f(mpmath.mpf(float(v)))) for v in y]
                         for f in (mpmath.cos, mpmath.sin)])
     for got, r in zip(cs, ref):
         assert _ulps_apart(got, r).max() <= 1
-
-
-def test_row_work_holds_the_leaf_square():
-    # _mult_block puts _cis_leaf's z in the prime terms' region, after the
-    # phases, cosines and sines of theta and the primes
-    assert np.all(_ROW_WORK - 3 * (_PI + 1) >= _PI + 1)
 
 
 def test_z_path_calls_no_libm_sine_or_cosine(monkeypatch):
@@ -549,11 +571,33 @@ def test_multiplicative_kernel_matches_direct(lo, hi):
     N = np.floor(np.sqrt(t / (2 * math.pi))).astype(np.intp)
     assert N[-1] <= N_MULT
     theta = theta_many(t)
-    mult = np.empty_like(t)
-    _main_mult(0.25 * t, 0.25 * theta, N, mult)
-    err = np.abs(2.0 * mult - 2.0 * _plain_main_sum(t, theta, N))
+    mult = np.zeros_like(t)
+    _main_mult(t, theta, N, mult)
+    err = np.abs(mult - 2.0 * _plain_main_sum(t, theta, N))
     assert np.all(err <= _rounding_floor(t)), \
         float(np.max(err / _rounding_floor(t)))
+
+
+@pytest.mark.parametrize("work", [1 << 10, 1 << 13])
+def test_main_sum_does_not_depend_on_the_block_size(monkeypatch, work):
+    # mixed lengths up to one lone tallest height (N = 512, the rest at most
+    # 504), whose last products run over one row
+    rng = np.random.default_rng(18)
+    t = np.sort(np.concatenate([rng.uniform(10.0, 5e4, 1000),
+                                rng.uniform(5e4, 1.6e6, 100),
+                                [2 * math.pi * 512.5 ** 2]]))
+    N = np.floor(np.sqrt(t / (2 * math.pi))).astype(np.intp)
+    assert N[-1] == N_MULT and N[-2] < N_MULT
+    theta = theta_many(t)
+    ref = np.zeros_like(t)
+    _main_mult(t, theta, N, ref)
+    z = z_rs_many(t, 3)
+    # at 2^10 floats a tallest row is a block of its own
+    monkeypatch.setattr(hardy, "_MULT_WORK", work)
+    got = np.zeros_like(t)
+    _main_mult(t, theta, N, got)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(z_rs_many(t, 3), z)
 
 
 @pytest.mark.parametrize("kernel", ["multiplicative"])
@@ -613,7 +657,7 @@ def test_folded_corrections_match_derivative_formula():
     p = np.concatenate([edges, below, np.random.default_rng(5).random(20000)])
     idx, u = _pieces(p)
     for k in range(5):
-        c = _horner(_C_TABLE[:, k, idx], u)
+        c = _horner(_C_TABLE[:, k], idx, u)
         assert np.max(np.abs(c - _correction_reference(p, k))) <= 1e-16
     # the folded terms past _C_DEGREE, bounded at |u| <= 0.025
     dropped = np.abs(_fold_correction_tables()[_C_DEGREE + 1:]).max(axis=2)
@@ -634,7 +678,7 @@ def test_folded_corrections_match_derivative_formula():
         for K in range(5):
             ref = sum(c[k] * a ** -k for k in range(K + 1)) \
                 * (-1.0) ** (N + 1) / np.sqrt(a)
-            folded = _horner(hardy._REMAINDER[K][:, col], u)
+            folded = _horner(hardy._REMAINDER[K], col, u)
             assert np.max(np.abs(folded - ref)) <= 1e-15
         # the terms of C_k times the binomial series of
         # (N + c_j + u)^{-k-1/2} dropped past degree _C_DEGREE, summed over
@@ -658,6 +702,7 @@ def test_folded_corrections_match_derivative_formula():
     (lambda t: z_rs_many(t, 4), 1e4, 5e4, 65536),
     (z_oracle_many, 4e4, 4e4, 200),
     (lambda t: z_rs_many(t, 3), 1e6, Z_TOP, 6000),
+    (z_eval_many, 0.0, 10.0, 10 ** 6),
 ])
 def test_batch_memory_bounded(fn, lo, hi, n):
     t = np.random.default_rng(6).uniform(lo, hi, n)
@@ -668,5 +713,6 @@ def test_batch_memory_bounded(fn, lo, hi, n):
     finally:
         tracemalloc.stop()
     # heights that share one main-sum length (here N = 52,000) fill every
-    # row block of the oracle
-    assert peak < (8 if lo == hi else 32) * 2 ** 20
+    # row block of the oracle; below t = 10 the frozen table's Horner pass
+    # runs a chunk at a time (41.2 MB was the gathered form's peak)
+    assert peak < (41.2 if hi == 10.0 else 8 if lo == hi else 32) * 2 ** 20

@@ -5,12 +5,12 @@ Runs PATHS (hardylab command lines, through cli.main) and one small-scale
 pass of each perfbench workload with the check of its outputs
 (perfbench/workloads.py, loaded from its file and left as it is) in one
 process, under sys.settrace limited to src/hardylab, in a temporary
-working directory: the verify report, the workloads' bundles/ and the
-dumped divisor table land there, not in the tree.  It then prints every
-statement of a library function that none of them executed, function by
-function, and lists `raise` statements apart, as guards.  Code that only
-the tests reach is listed, so a "no caller" claim can be read off the
-report rather than off a grep:
+working directory: the verify report and the workloads' bundles/ land
+there, not in the tree.  It then prints every statement of a library
+function that none of them executed, function by function, and lists
+`raise` statements apart, as guards.  Code that only the tests reach is
+listed, so a "no caller" claim can be read off the report rather than off
+a grep:
 
     python scripts/program_lines.py
 
@@ -47,9 +47,7 @@ PATHS = (
     ("mellin", "--k", "2", "--laurent"),
     ("mellin", "--k", "3", "--decompose", "--X", "1000",
      "--sigma", "1.6:2.4:3", "--t=-9:9:10"),
-    ("divisors", "--k", "3", "--limit", "50", "--dump", "d3.bin"),
-    ("divisors", "--k", "3", "--limit", "50", "--load", "d3.bin", "--csv",
-     "--format", "json"),
+    ("divisors", "--k", "4", "--limit", "50", "--format", "json"),
 )
 WORKLOADS = ("z-kernel", "dyadic-moments", "mellin-contour", "verify-cold")
 

@@ -1,9 +1,8 @@
 """Exact divisor-function tables d_k(n) via iterated Dirichlet convolution.
 
-d_1 = 1 and d_{j+1} = d_j * 1, for k = 1..8.  Counts are exact uint32: the
-largest d_8(n) at n <= _DIVISOR_BUDGET is 2,609,418,240 (n = 19,958,400),
-61% of 2^32, and the largest d_4(n) there is 672,000.  Finished tables are
-immutable and freely shareable.  Each convolution runs in place and uses
+d_1 = 1 and d_{j+1} = d_j * 1, for k = 1..4.  Counts are exact uint32:
+d_4(n) <= 672,000 < 2^20 at n <= _DIVISOR_BUDGET = 2e7.  Finished tables
+are immutable and freely shareable.  Each convolution runs in place and uses
 the Dirichlet hyperbola split at r = isqrt(limit), so it costs r numpy
 steps and peaks at 6 bytes per entry: the table and a copy of its first
 half.
@@ -12,21 +11,16 @@ half.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CapacityError, DomainError
 
-_MAGIC = b"dktable\x00"
-# largest divisor table divisor_sieve builds or load_table reads, in entries
+# largest divisor table divisor_sieve builds, in entries
 _DIVISOR_BUDGET = 20_000_000
-# largest k divisor_sieve builds: d_k(n) < 2^32 for k <= 8, n <= the budget
-_K_MAX = 8
-# counts dump_table and load_table convert at a time
-_IO_BLOCK = 1 << 16
+# largest k divisor_sieve builds: the moments read d_k for k <= 4
+_K_MAX = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +40,7 @@ class DivisorTable:
 
 
 def divisor_sieve(k: int, limit: int) -> DivisorTable:
-    """Sieve exact d_k(n) for all n <= limit, 1 <= k <= 8."""
+    """Sieve exact d_k(n) for all n <= limit, 1 <= k <= 4."""
     if not (1 <= k <= _K_MAX and limit >= 1):
         raise DomainError(f"divisor_sieve requires 1 <= k <= {_K_MAX} and "
                           "limit >= 1")
@@ -124,47 +118,3 @@ def divisor_brute(k, n):
         return int(counts[0, 0]) if m.ndim == 0 else counts[0].reshape(m.shape)
     return counts.reshape(len(ks), *m.shape)
 
-
-def dump_table(table: DivisorTable, path: str | Path) -> None:
-    """Binary export: 16-byte header (magic, k, limit as little-endian u32)
-    followed by limit little-endian int64 counts for n = 1..limit, written
-    _IO_BLOCK counts at a time."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", table.k, table.limit))
-        for lo in range(1, table.limit + 1, _IO_BLOCK):
-            fh.write(table.counts[lo:lo + _IO_BLOCK].astype("<i8"))
-
-
-def load_table(path: str | Path) -> DivisorTable:
-    """Read dump_table's format, _IO_BLOCK counts at a time.  A limit above
-    _DIVISOR_BUDGET raises CapacityError before any count is read; a count
-    outside 0..2^32 - 1 raises DomainError."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise DomainError(f"not a divisor table: {path}")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise DomainError(f"truncated divisor table header: {path}")
-        k, limit = struct.unpack("<II", header)
-        if k < 1 or limit < 1:
-            raise DomainError(
-                f"divisor table needs k >= 1 and limit >= 1: {path}")
-        if limit > _DIVISOR_BUDGET:
-            raise CapacityError(f"divisor table of size {limit} exceeds "
-                                f"budget {_DIVISOR_BUDGET}: {path}")
-        counts = np.zeros(limit + 1, dtype=np.uint32)
-        for lo in range(1, limit + 1, _IO_BLOCK):
-            n = min(_IO_BLOCK, limit + 1 - lo)
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise DomainError(f"truncated divisor table: {path}")
-            data = np.frombuffer(raw, dtype="<i8")
-            if data.min() < 0 or data.max() >= 1 << 32:
-                raise DomainError(
-                    f"a divisor count outside 0..2^32 - 1: {path}")
-            counts[lo:lo + n] = data
-        if fh.read(1):
-            raise DomainError(f"bytes after the divisor counts: {path}")
-    return DivisorTable(k=k, limit=limit, counts=counts)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import mellin as ML
 from . import verify
-from .arith import divisor_sieve, dump_table, load_table
+from .arith import divisor_sieve
 from .config import RunConfig, load_config
 from .errors import (CapacityError, ConvergenceError, DomainError, FitError,
                      NumericsError, PoleError)
@@ -168,27 +168,9 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
 
 
 def cmd_divisors(args, cfg: RunConfig) -> int:
-    if args.k < 1 or args.k > 8:
-        print(f"divisors: k must be 1..8, got {args.k}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.load:
-            table = load_table(args.load)
-            if table.k != args.k:
-                print(f"divisors: {args.load} holds d_{table.k}, not "
-                      f"d_{args.k}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            table = divisor_sieve(args.k, args.limit)
-        if args.dump:
-            dump_table(table, args.dump)
-    except OSError as exc:
-        print(f"divisors: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.csv or not args.dump:
-        m = min(table.limit, args.limit)
-        rows = zip(range(1, m + 1), map(int, table.counts[1:m + 1]))
-        _emit_table(["n", f"d_{table.k}"], rows, args.out, args.format)
+    table = divisor_sieve(args.k, args.limit)
+    rows = zip(range(1, table.limit + 1), map(int, table.counts[1:]))
+    _emit_table(["n", f"d_{table.k}"], rows, args.out, args.format)
     return EXIT_OK
 
 
@@ -251,11 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cosine-series + residual split (k = 3)")
 
     p = sub.add_parser("divisors", help="exact d_k tables", parents=[table])
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="1..4")
     p.add_argument("--limit", type=int, default=100)
-    p.add_argument("--dump", help="write binary table")
-    p.add_argument("--load", help="read binary table")
-    p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suites", nargs="*",
@@ -280,12 +259,11 @@ def main(argv=None) -> int:
     if getattr(args, "format", None) is None:
         args.format = cfg.output_format
     # an output path that cannot be written fails before any work
-    for opt in ("out", "dump"):
-        path = getattr(args, opt, None)
-        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
-            print(f"{args.command}: --{opt} {path}: not a file in an existing "
-                  "directory", file=sys.stderr)
-            return EXIT_USAGE
+    path = args.out
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        print(f"{args.command}: --out {path}: not a file in an existing "
+              "directory", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "z": cmd_z, "moment": cmd_moment, "mellin": cmd_mellin,
         "divisors": cmd_divisors, "verify": cmd_verify,

@@ -321,11 +321,19 @@ def test_z_above_height_limit_usage_error(capsys, span):
     assert out == "" and str(2 ** 18 if "--oracle" in span else 512) in err
 
 
-def test_divisor_budget_guards_limit(capsys):
-    code, _, err = run_cli(capsys, "divisors", "--k", "2",
-                           "--limit", "20000001")
-    assert code == 2
-    assert "budget" in err
+def test_divisor_budget_guards_limit(capsys, monkeypatch):
+    # a limit past the budget, or a k outside 1..4, exits 2 in the library
+    # before the sieve allocates its counts
+    def no_counts(*a, **kw):
+        raise AssertionError("the sieve allocated its counts")
+
+    monkeypatch.setattr(np, "ones", no_counts)
+    for k, limit, says in (("2", "20000001", "budget"),
+                           ("5", "100", "1 <= k <= 4"),
+                           ("0", "100", "1 <= k <= 4")):
+        code, out, err = run_cli(capsys, "divisors", "--k", k,
+                                 "--limit", limit)
+        assert code == 2 and out == "" and says in err, (k, limit)
 
 
 @pytest.mark.parametrize("argv", [
@@ -432,57 +440,6 @@ def test_mellin_decompose(capsys):
     assert header == "sigma,t,v1,v2,sum,m3,gap_rel"
     gap = float(out.strip().splitlines()[1].split(",")[-1])
     assert gap <= 1e-5
-
-
-def test_divisors_roundtrip(tmp_path, capsys):
-    dump = tmp_path / "d3.bin"
-    code, _, _ = run_cli(capsys, "divisors", "--k", "3", "--limit", "50",
-                         "--dump", str(dump))
-    assert code == 0 and dump.exists()
-    code, out, _ = run_cli(capsys, "divisors", "--k", "3", "--limit", "8",
-                           "--load", str(dump), "--csv")
-    assert code == 0
-    rows = dict(tuple(int(v) for v in line.split(","))
-                for line in out.strip().splitlines()[1:])
-    assert rows[4] == 6 and rows[8] == 10
-
-
-def test_divisors_load_truncated_header_usage_error(tmp_path, capsys):
-    bad = tmp_path / "cut.bin"
-    bad.write_bytes(b"dktable\x00\x03\x00")
-    code, out, err = run_cli(capsys, "divisors", "--k", "3", "--load", str(bad))
-    assert code == 2 and out == ""
-    assert "truncated divisor table header" in err
-
-
-def test_divisors_load_wrong_k_usage_error(tmp_path, capsys):
-    dump = tmp_path / "d2.bin"
-    code, _, _ = run_cli(capsys, "divisors", "--k", "2", "--limit", "20",
-                         "--dump", str(dump))
-    assert code == 0
-    code, out, err = run_cli(capsys, "divisors", "--k", "4", "--limit", "5",
-                             "--load", str(dump))
-    assert code == 2 and out == ""
-    assert "d_2" in err
-
-
-@pytest.mark.parametrize("opt, target, says", [
-    ("--load", "missing/x.bin", "No such file or directory"),
-    ("--load", ".", "Is a directory"),
-    ("--dump", ".", "not a file in an existing directory"),
-    ("--dump", "missing/d.bin", "not a file in an existing directory"),
-])
-def test_divisors_bad_path_usage_error(tmp_path, capsys, monkeypatch, opt,
-                                       target, says):
-    # a path that cannot be read or written exits 2 with a message, and a
-    # bad --dump does so before the sieve runs
-    def no_sieve(*args):
-        pytest.fail("sieved a divisor table")
-
-    monkeypatch.setattr(cli, "divisor_sieve", no_sieve)
-    code, out, err = run_cli(capsys, "divisors", "--k", "2", opt,
-                             str(tmp_path / target))
-    assert code == 2 and out == "" and says in err
 
 
 def test_verify_unknown_suite(capsys):
@@ -627,7 +584,7 @@ def test_format_default_from_config(tmp_path, capsys):
     cfg_file = tmp_path / "fmt.cfg"
     cfg_file.write_text("output_format = json\n")
     code, out, _ = run_cli(capsys, "--config", str(cfg_file), "divisors",
-                           "--k", "2", "--limit", "3", "--csv")
+                           "--k", "2", "--limit", "3")
     assert code == 0
     assert json.loads(out)[0]["n"] == 1
 
@@ -696,16 +653,16 @@ def _tree_files(root):
 def test_program_lines_lists_what_its_paths_leave_unrun():
     # scripts/program_lines.py traces its command lines in a temporary
     # directory: one divisors line runs the sieve but not the dyadic main
-    # term, and its dumped table lands outside the tree
+    # term, and leaves the tree as it was
     root = Path(__file__).resolve().parents[1]
     script = runpy.run_path(str(root / "scripts" / "program_lines.py"))
     before = _tree_files(root)
     missed, raises, failed = script["unexecuted"](
-        [("divisors", "--k", "3", "--limit", "40", "--dump", "d3.bin")])
+        [("divisors", "--k", "3", "--limit", "40")])
     assert failed == []
     assert "explicit.moment_main_term" in missed
     assert "arith.divisor_sieve" not in missed
-    assert "arith.load_table" in raises and "arith.divisor_sieve" in raises
+    assert "arith.divisor_sieve" in raises
     assert _tree_files(root) == before
 
 

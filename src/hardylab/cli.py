@@ -2,7 +2,7 @@
 
 Subcommands: z, moment, mellin, divisors, verify.  Tables stream as CSV
 with fixed 17-significant-digit scientific notation (JSON mirrors the same
-values); identical config and seed give bit-identical output.  Exit codes:
+values); identical arguments and seed give bit-identical output.  Exit codes:
 0 ok, 1 verification failure, 2 usage error, 3 budget/accuracy failure.
 """
 
@@ -20,7 +20,6 @@ import numpy as np
 from . import mellin as ML
 from . import verify
 from .arith import divisor_sieve
-from .config import RunConfig, load_config
 from .errors import (CapacityError, ConvergenceError, DomainError, FitError,
                      NumericsError, PoleError)
 from .explicit import moment_main_term, sum_range
@@ -57,7 +56,7 @@ def _emit_table(header, rows, out, fm: str) -> None:
                 os.dup2(null.fileno(), fh.fileno())
 
 
-def cmd_z(args, cfg: RunConfig) -> int:
+def cmd_z(args) -> int:
     if not all(math.isfinite(v) for v in (args.frm, args.to, args.step)):
         print("z: --from, --to and --step must be finite", file=sys.stderr)
         return EXIT_USAGE
@@ -85,9 +84,10 @@ def cmd_z(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_moment(args, cfg: RunConfig) -> int:
+def cmd_moment(args) -> int:
     k, T = args.k, args.T
-    # here: --mode explicit would sieve d_k before any library check runs
+    # here, not only in divisor_sieve: --mode explicit runs sum_range first,
+    # and --k 9 --T 1000 would exit on a table-capacity message, not on k
     if not 1 <= k <= 4:
         print(f"moment: k must be in 1..4, got {k}", file=sys.stderr)
         return EXIT_USAGE
@@ -96,7 +96,7 @@ def cmd_moment(args, cfg: RunConfig) -> int:
         return EXIT_USAGE
     header, row = ["k", "T"], [k, T]
     if args.mode in ("direct", "both"):
-        mi = hardy_moment(k, T, 2.0 * T, budget=cfg.eval_budget)
+        mi = hardy_moment(k, T, 2.0 * T)
         header += ["integral", "quad_err"]
         row += [mi.value, mi.abs_err_est]
     if args.mode in ("explicit", "both"):
@@ -132,7 +132,7 @@ _MODES = {"laurent": (2, ("X", "sigma", "t", "decompose")),
           "decompose": (3, ())}
 
 
-def cmd_mellin(args, cfg: RunConfig) -> int:
+def cmd_mellin(args) -> int:
     k = args.k
     mode = "laurent" if args.laurent else "decompose" if args.decompose else ""
     need, unread = _MODES.get(mode, (k, ()))
@@ -159,7 +159,7 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
                     rows, args.out, args.format)
         return EXIT_OK
     # one engine call per (X, band) grid, the bits of per-row calls
-    samples = ML.mellin_by_parts_samples(k, s, tol=cfg.tol_mellin, X=args.X)
+    samples = ML.mellin_by_parts_samples(k, s, X=args.X)
     rows = ((k, sig, t, m.value.real, m.value.imag, m.X, m.tail_bound)
             for (sig, t), m in zip(grid, samples))
     _emit_table(["k", "sigma", "t", "re", "im", "X", "tail_bound"],
@@ -167,17 +167,17 @@ def cmd_mellin(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_divisors(args, cfg: RunConfig) -> int:
+def cmd_divisors(args) -> int:
     table = divisor_sieve(args.k, args.limit)
     rows = zip(range(1, table.limit + 1), map(int, table.counts[1:]))
     _emit_table(["n", f"d_{table.k}"], rows, args.out, args.format)
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     names = args.suites or ["all"]
     try:
-        bundle = verify.run(names, cfg)
+        bundle = verify.run(names, seed=args.seed)
     except KeyError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -193,17 +193,24 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_OK if bundle["pass"] else EXIT_VERIFY
 
 
+def _seed(text: str) -> int:
+    # numpy's generators refuse a negative seed: exit 2 before any work
+    if (seed := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hardylab",
         description="Numerical laboratory for Hardy's Z function, its "
                     "moments, and modified Mellin transforms")
-    ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--seed", type=int, help="seed for sampled property suites")
+    ap.add_argument("--seed", type=_seed, default=verify.SEED,
+                    help=f"seed for sampled suites (default {verify.SEED})")
     sub = ap.add_subparsers(dest="command", required=True)
     # the table commands' output options
     table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--format", choices=("csv", "json"))
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("--out")
 
     p = sub.add_parser("z", help="tabulate Z(t)", parents=[table])
@@ -250,14 +257,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    overrides = {} if args.seed is None else {"seed": args.seed}
-    try:
-        cfg = load_config(args.config, overrides)
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "format", None) is None:
-        args.format = cfg.output_format
     # an output path that cannot be written fails before any work
     path = args.out
     if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
@@ -269,7 +268,7 @@ def main(argv=None) -> int:
         "divisors": cmd_divisors, "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args, cfg)
+        return handlers[args.command](args)
     except (DomainError, PoleError, CapacityError, ConvergenceError,
             FitError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ class AccuracyError(NumericsError):
 
 
 class CapacityError(NumericsError):
-    """Requested table or sum exceeds the configured memory/cost budget."""
+    """Requested table or sum exceeds its fixed memory/cost budget."""
 
 
 class ConvergenceError(NumericsError):

@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import DomainError
 from .hardy import z_breakpoints, z_eval_many
-from .quad import (MAX_PANEL, NODES, Z_BLOCK, PanelSet, integrals_at,
-                   integrate_oscillatory, panel_edges)
+from .quad import (EVAL_BUDGET, MAX_PANEL, NODES, Z_BLOCK, PanelSet,
+                   integrals_at, integrate_oscillatory, panel_edges)
 from .special import TWO_PI
 
 
@@ -82,7 +82,7 @@ def power_in_place(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def hardy_moment(k: int, a: float, b: float, tol: float | None = None,
-                 budget: int | None = None) -> MomentResult:
+                 budget: int = EVAL_BUDGET) -> MomentResult:
     """integral of Z^k over [a, b]: one pass of the fixed K17 rule
     (quad.integrate_oscillatory) over quarter periods of Z (not of Z^k) for
     every k, with an edge at every breakpoint of the evaluation, in blocks

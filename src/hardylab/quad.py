@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from ._kronrod_table import KRONROD, LEGENDRE
-from .config import DEFAULTS
 from .errors import BudgetError, DomainError
 from .hardy import _CHUNK
 
@@ -55,6 +54,8 @@ _LEGENDRE = np.array(LEGENDRE.split(), dtype=float).reshape(NODES, NODES)
 
 # default cap on panel width where the frequency hint vanishes
 MAX_PANEL = 4.0
+# default cap on the integrand evaluations of one integrate_oscillatory pass
+EVAL_BUDGET = 100_000_000
 # panels per integrand call of a walk: their nodes are one z_rs_many chunk
 # (17,476 = 1,028 x 17 heights), so Z's temporaries stay one chunk's
 Z_BLOCK = _CHUNK // NODES
@@ -209,7 +210,7 @@ def integrals_at(lo: np.ndarray, hi: np.ndarray, anchors: np.ndarray,
 
 
 def integrate_oscillatory(f: Callable, a: float, b: float, freq,
-                          budget: int | None = None, max_panel: float = 1.0,
+                          budget: int = EVAL_BUDGET, max_panel: float = 1.0,
                           breakpoints: tuple = ()) -> QuadratureResult:
     """Integral of f over [a, b] by one pass of the K17 rule over
     panel_edges(a, b, freq, breakpoints, max_panel), in blocks of Z_BLOCK
@@ -225,7 +226,6 @@ def integrate_oscillatory(f: Callable, a: float, b: float, freq,
     """
     if not a < b:
         raise DomainError("integrate_oscillatory requires a < b")
-    budget = DEFAULTS.eval_budget if budget is None else budget
     edges = panel_edges(a, b, freq, breakpoints, max_panel, budget // NODES)
     n = len(edges) - 1
     lo, hi, step = edges[:-1], edges[1:], Z_BLOCK

@@ -3,8 +3,8 @@ the package claims, each reduced to a pass/fail check with an explicit
 tolerance.  ``run(["all"])`` returns a machine-readable bundle; the CLI
 turns failures into exit status 1.
 
-Bundle contents are deterministic for a fixed seed/config (no timestamps,
-fixed evaluation order), so two runs can be compared byte for byte.
+Bundle contents are deterministic for a fixed seed (no timestamps, fixed
+evaluation order), so two runs can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from . import mellin as ML
 from .arith import divisor_brute, divisor_sieve
-from .config import RunConfig, DEFAULTS
 from .explicit import CubicPrimitiveSum, cutoff, moment_main_term, sum_range
 from .hardy import z_oracle, z_oracle_many, z_rs_many
 from .moments import moment_cache
@@ -34,8 +33,8 @@ def _check(name: str, value: float, limit: float, passed=None,
 
 # -- suites ---------------------------------------------------------------------
 
-def suite_functional_equation(cfg: RunConfig) -> list[dict]:
-    rng = np.random.default_rng(cfg.seed)
+def suite_functional_equation(seed: int) -> list[dict]:
+    rng = np.random.default_rng(seed)
     # chi(s) chi(1-s) = 1 on a 100-point grid
     sig = 0.1 + 0.8 * rng.random(100)
     s_a = sig + 1j * (1.0 + 499.0 * rng.random(100))
@@ -61,7 +60,7 @@ def suite_functional_equation(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def suite_z_agreement(cfg: RunConfig) -> list[dict]:
+def suite_z_agreement(seed: int) -> list[dict]:
     ts = np.array([50.0, 100.0, 500.0, 1000.0, 5000.0])
     rs = z_rs_many(ts, 3)
     oracle = z_oracle_many(ts)
@@ -91,22 +90,22 @@ def _dyadic_residuals(k: int, exponent: float) -> list[dict]:
     return _self_fitted(f"cosine-sum-residual-k{k}-T", Ts, resid, exponent)
 
 
-def suite_dyadic_square(cfg: RunConfig) -> list[dict]:
+def suite_dyadic_square(seed: int) -> list[dict]:
     return _dyadic_residuals(2, 0.55)
 
 
-def suite_dyadic_odd(cfg: RunConfig) -> list[dict]:
+def suite_dyadic_odd(seed: int) -> list[dict]:
     return _dyadic_residuals(1, 0.30) + _dyadic_residuals(3, 0.80)
 
 
-def suite_cubic_primitive(cfg: RunConfig) -> list[dict]:
+def suite_cubic_primitive(seed: int) -> list[dict]:
     xs = np.array([200.0, 500.0, 1000.0, 2000.0])
     cube = CubicPrimitiveSum(divisor_sieve(3, int(cutoff(3, xs[-1]))))
     r = np.abs(moment_cache(3).eval_many(xs) - cube.eval_many(xs)).tolist()
     return _self_fitted("cubic-primitive-residual-x", xs.tolist(), r, 0.8)
 
 
-def suite_primitive_scaling(cfg: RunConfig) -> list[dict]:
+def suite_primitive_scaling(seed: int) -> list[dict]:
     cache = moment_cache(1)
     cache.ensure(1e4)
     lo = cache.sup_scaled(0.25, 100.0, 1000.0)
@@ -122,7 +121,7 @@ def suite_primitive_scaling(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def suite_laurent(cfg: RunConfig) -> list[dict]:
+def suite_laurent(seed: int) -> list[dict]:
     c2, c1, c0 = ML.laurent_fit_at_1(ML.laurent_samples())
     return [
         _check("laurent-leading", c2, 1.05, passed=0.95 <= c2 <= 1.05),
@@ -131,7 +130,7 @@ def suite_laurent(cfg: RunConfig) -> list[dict]:
     ]
 
 
-def suite_identities(cfg: RunConfig) -> list[dict]:
+def suite_identities(seed: int) -> list[dict]:
     checks = []
     sq = ML.check_square_identity(1, 3.0 + 0j)
     checks.append(_check("square-identity", sq.gap_rel, 1e-3))
@@ -154,14 +153,14 @@ def suite_identities(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def suite_series_decomposition(cfg: RunConfig) -> list[dict]:
+def suite_series_decomposition(seed: int) -> list[dict]:
     s = (2.0 + 0j, 2.5 + 0j, 1.6 + 1j)
     decomp = ML.m3_decomposition(s, 1000.0)
     return [_check(f"series-decomposition-s{d['s'].real:g}{d['s'].imag:+g}j",
                    d["gap_rel"], 1e-5) for d in decomp]
 
 
-def suite_divisor_oracle(cfg: RunConfig) -> list[dict]:
+def suite_divisor_oracle(seed: int) -> list[dict]:
     ks = (2, 3, 4)
     n = np.arange(1, 10_001)
     out = []
@@ -184,12 +183,13 @@ _SUITE_FUNCS = {
     "divisor-oracle": suite_divisor_oracle,
 }
 SUITES = tuple(_SUITE_FUNCS)
+# the seed of the sampled suites when none is given
+SEED = 20260808
 
 
-def run(names, cfg: RunConfig | None = None) -> dict:
-    """Run the named suites ('all' expands to every suite) and return the
-    report bundle."""
-    cfg = cfg or DEFAULTS
+def run(names, seed: int = SEED) -> dict:
+    """Run the named suites ('all' expands to every suite) with the given
+    seed and return the report bundle."""
     unknown = [n for n in names if n != "all" and n not in _SUITE_FUNCS]
     if unknown:
         raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
@@ -197,13 +197,13 @@ def run(names, cfg: RunConfig | None = None) -> dict:
         names = list(SUITES)
     suites = {}
     for name in names:
-        checks = _SUITE_FUNCS[name](cfg)
+        checks = _SUITE_FUNCS[name](seed)
         suites[name] = {
             "pass": all(c["pass"] for c in checks),
             "checks": checks,
         }
     return {
-        "seed": cfg.seed,
+        "seed": seed,
         "suites": suites,
         "pass": all(s["pass"] for s in suites.values()),
     }

@@ -17,7 +17,6 @@ import pytest
 
 import hardylab
 import hardylab.verify as verify
-from hardylab.config import RunConfig
 from hardylab.reportio import to_json
 
 BUDGETS = {
@@ -36,15 +35,14 @@ BUDGETS = {
 
 @pytest.fixture(scope="module")
 def first_run():
-    cfg = RunConfig()
     suites = {}
     elapsed = {}
     for name in verify.SUITES:
         t0 = time.perf_counter()
-        bundle = verify.run([name], cfg)
+        bundle = verify.run([name])
         elapsed[name] = time.perf_counter() - t0
         suites[name] = bundle["suites"][name]
-    full = {"seed": cfg.seed, "suites": suites,
+    full = {"seed": verify.SEED, "suites": suites,
             "pass": all(s["pass"] for s in suites.values())}
     return full, elapsed
 
@@ -102,7 +100,7 @@ def test_criterion_10_divisor_oracle(first_run):
 
 def test_criterion_11_determinism(first_run):
     bundle1, _ = first_run
-    second = verify.run(["all"], RunConfig())
+    second = verify.run(["all"])
     b1 = to_json(bundle1)
     b2 = to_json(second)
     status = "PASS" if b1 == b2 else "FAIL"
@@ -140,11 +138,11 @@ def test_light_suites_call_each_reference_once(monkeypatch):
         fn = getattr(verify, name)
         monkeypatch.setattr(verify, name, lambda *a, _n=name, _f=fn, **kw:
                             calls.append(_n) or _f(*a, **kw))
-    cfg = RunConfig()
-    assert all(c["pass"] for c in verify.suite_functional_equation(cfg))
+    seed = verify.SEED
+    assert all(c["pass"] for c in verify.suite_functional_equation(seed))
     assert sorted(calls) == ["chi", "zeta_euler_maclaurin"]
     calls.clear()
-    assert all(c["pass"] for c in verify.suite_divisor_oracle(cfg))
+    assert all(c["pass"] for c in verify.suite_divisor_oracle(seed))
     assert calls == ["divisor_brute"]
 
 

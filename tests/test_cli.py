@@ -17,7 +17,6 @@ import hardylab.cli as cli
 import hardylab.mellin as ML
 import hardylab.verify as verify
 from hardylab.cli import main
-from hardylab.config import load_config
 from hardylab.errors import AccuracyError
 from hardylab.reportio import fmt, to_json
 
@@ -205,8 +204,8 @@ def test_mellin_table_batch_matches_per_row_calls(capsys, monkeypatch):
     assert code == 0 and len(batched.splitlines()) == 121
     # mellin_by_parts is this one-element call
     batch = ML.mellin_by_parts_samples
-    monkeypatch.setattr(ML, "mellin_by_parts_samples", lambda k, s, tol, X: [
-        batch(k, [sv], tol, X)[0] for sv in s])
+    monkeypatch.setattr(ML, "mellin_by_parts_samples", lambda k, s, X: [
+        batch(k, [sv], X=X)[0] for sv in s])
     code, per_row, _ = run_cli(capsys, *argv)
     assert code == 0 and per_row == batched
 
@@ -234,8 +233,8 @@ def test_mellin_fixed_x_batch_matches_per_row_calls(capsys, monkeypatch):
     assert code == 0 and len(batched.splitlines()) == 64
     assert batched.splitlines()[0] == "k,sigma,t,re,im,X,tail_bound"
     batch = ML.mellin_by_parts_samples
-    monkeypatch.setattr(ML, "mellin_by_parts_samples", lambda k, s, tol, X: [
-        batch(k, [sv], tol, X)[0] for sv in s])
+    monkeypatch.setattr(ML, "mellin_by_parts_samples", lambda k, s, X: [
+        batch(k, [sv], X=X)[0] for sv in s])
     code, per_row, _ = run_cli(capsys, *argv)
     assert code == 0 and per_row == batched
 
@@ -513,24 +512,11 @@ def test_verify_detects_injected_sign_error(tmp_path, capsys, monkeypatch):
         assert "FAIL" in out
 
 
-def test_budget_exit_code(tmp_path, capsys):
-    # the 580 panels of [400, 800] need 9,860 evaluations: a budget of
-    # 5,000 stops the moment before any, with exit 3
-    cfg_file = tmp_path / "budget.cfg"
-    cfg_file.write_text("eval_budget = 5000\n")
-    code, out, err = run_cli(capsys, "--config", str(cfg_file), "moment",
-                             "--k", "3", "--T", "400", "--mode", "direct")
-    assert code == 3
-    assert out == "" and "budget" in err.lower()
-
-
-def test_moment_past_z_top_usage_error(tmp_path, capsys):
+def test_moment_past_z_top_usage_error(capsys):
     # [2e6, 4e6] and [1e12, 2e12] lie past Z's top height, 1.65e6: a usage
     # error (exit 2) before the budget check, not a budget failure (exit 3)
-    cfg_file = tmp_path / "budget.cfg"
-    cfg_file.write_text("eval_budget = 17000\n")
     for T in ("2e6", "1e12"):
-        code, out, err = run_cli(capsys, "--config", str(cfg_file), "moment",
+        code, out, err = run_cli(capsys, "moment",
                                  "--k", "1", "--T", T, "--mode", "direct")
         assert code == 2
         assert out == "" and "z_breakpoints" in err
@@ -580,40 +566,30 @@ def test_moment_past_k4_is_refused_before_z(capsys, monkeypatch):
         assert code == 2 and out == "" and "1..4" in err
 
 
-def test_format_default_from_config(tmp_path, capsys):
-    cfg_file = tmp_path / "fmt.cfg"
-    cfg_file.write_text("output_format = json\n")
-    code, out, _ = run_cli(capsys, "--config", str(cfg_file), "divisors",
-                           "--k", "2", "--limit", "3")
-    assert code == 0
-    assert json.loads(out)[0]["n"] == 1
+def test_seed_reaches_the_bundle(tmp_path, capsys):
+    # --seed, or verify.SEED without it, is the bundle's seed and the
+    # sampled suites' generator seed
+    for front, seed in (([], verify.SEED), (["--seed", "7"], 7)):
+        out = tmp_path / f"{seed}.json"
+        code, _, _ = run_cli(capsys, *front, "verify", "functional-equation",
+                             "--out", str(out))
+        assert code == 0
+        assert out.read_text() == to_json(
+            verify.run(["functional-equation"], seed=seed)) + "\n"
+        assert json.loads(out.read_text())["seed"] == seed
 
 
-def test_config_file_and_overrides(tmp_path):
-    cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("tol_moment = 1e-5\neval_budget = 5000\n# comment\n")
-    cfg = load_config(cfg_file, {"seed": 99})
-    assert cfg.tol_moment == 1e-5
-    assert cfg.eval_budget == 5000
-    assert cfg.seed == 99
-    with pytest.raises(KeyError):
-        load_config(cfg_file, {"no_such_key": 1})
-
-
-@pytest.mark.parametrize("line", [
-    "output_format = xml", "tol_mellin = nan", "tol_mellin = inf",
-    "tol_mellin = 0", "tol_mellin = -1e-6", "seed = -1", "--seed=-1",
-    "eval_budget = -5",
-])
+@pytest.mark.parametrize("line", ["--seed=-1", "--config=run.cfg"])
 def test_config_value_the_program_cannot_honour_usage_error(tmp_path, capsys,
                                                             line):
-    cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text(line + "\n")
-    # a line of the file, or the one flag that sets a config value
-    front = [line] if line.startswith("--") else ["--config", str(cfg_file)]
-    code, out, err = run_cli(capsys, *front, "divisors", "--k", "2",
-                             "--limit", "3")
-    assert code == 2 and out == "" and "config error" in err
+    # a negative seed, or the config file the program no longer reads,
+    # exits 2 before any work: no table, no bundle
+    bundle = tmp_path / "bundle.json"
+    for argv in (["divisors", "--k", "2", "--limit", "3"],
+                 ["verify", "divisor-oracle", "--out", str(bundle)]):
+        code, out, err = run_cli(capsys, line, *argv)
+        assert code == 2 and out == "" and line.split("=")[0] in err
+    assert not bundle.exists()
 
 
 def test_json_scalars_are_fmt_bare_or_quoted():

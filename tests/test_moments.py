@@ -1,5 +1,6 @@
 """Moment integrals I_k, the cumulative primitive F, and absolute moments."""
 
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from hardylab import moments, quad, verify
-from hardylab.errors import DomainError
+from hardylab.errors import BudgetError, DomainError
 from hardylab.hardy import (_CHUNK, z_breakpoints, z_eval_many, z_oracle,
                             z_oracle_many)
 from hardylab.moments import (MomentCache, ZWalk, hardy_moment,
@@ -584,6 +585,19 @@ def test_moment_memory_bounded_at_large_heights():
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
     assert r.abs_err_est <= 1e-6
+
+
+def test_moment_budget_refused_before_z(monkeypatch):
+    # the 580 panels of [400, 800] need 9,860 evaluations: a budget of
+    # 5,000 stops the moment before any Z, and the default is quad's cap
+    def never(*a, **kw):
+        raise AssertionError("Z was evaluated past the budget")
+
+    monkeypatch.setattr(moments, "z_eval_many", never)
+    with pytest.raises(BudgetError, match="budget"):
+        hardy_moment(3, 400.0, 800.0, budget=5000)
+    assert inspect.signature(hardy_moment).parameters["budget"].default \
+        == quad.EVAL_BUDGET == 100_000_000
 
 
 def test_domain_checks():
